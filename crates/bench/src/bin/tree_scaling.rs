@@ -10,35 +10,26 @@
 //! fabric; time is accounted on the per-rank simulated clocks (Theta
 //! Aries-like alpha–beta model, analytic flop charges at a nominal
 //! dense-kernel rate — the same substitution as `fig1c_weak_scaling`, see
-//! DESIGN.md). Four series per world size:
+//! DESIGN.md). Four series per world size, all through the one engine,
+//! [`psvd_core::try_merge_tree_svd_timed`]:
 //!
-//! * `flat` — the paper's configuration: flat gather of every rank's
-//!   `r1`-column factor at rank 0, one factorization there, flat
-//!   broadcast back. Mirrors the parallel driver's flat path operation
-//!   for operation, so its σ/modes are the bitwise reference.
-//! * `fanout4` / `fanout16` — merge trees of uniform fanout via
-//!   [`psvd_core::try_merge_tree_svd_timed`], node exchanges and the
-//!   factor broadcast routed through the tree collectives.
+//! * `flat` — the paper's configuration, i.e. the depth-1 plan the
+//!   parallel driver itself runs by default: every rank's `r1`-column
+//!   factor to rank 0, one factorization there, flat broadcast back.
+//! * `fanout4` / `fanout16` — merge trees of uniform fanout, the factor
+//!   broadcast routed through the tree collectives.
 //! * `depth2` — a two-level tree with fanout ≈ √P.
 //!
-//! Gated contracts (timings are informational, the gates are not):
-//! flat-resolved plans reproduce the parallel driver bitwise at every
-//! validated world; every tree run's σ deviation from flat stays within
-//! its tracked per-level truncation bound; and at the largest world at
-//! least one tree configuration beats the flat gather by >= 2x simulated
-//! time.
+//! Gated contracts (timings are informational, the gates are not): every
+//! tree run's σ deviation from flat stays within its tracked per-level
+//! truncation bound; and at the largest world at least one tree
+//! configuration beats the flat gather by >= 2x simulated time.
 
 use std::fmt::Write as _;
 
 use psvd_bench::{fmt_secs, Table};
 use psvd_comm::{Communicator, NetworkModel, World};
-use psvd_core::{
-    parallel_svd_once, try_merge_tree_svd, try_merge_tree_svd_timed, MergeTreePlan, Precision,
-    SvdConfig,
-};
-use psvd_linalg::gemm::matmul_into;
-use psvd_linalg::snapshots::generate_right_vectors;
-use psvd_linalg::svd::svd_with;
+use psvd_core::{try_merge_tree_svd_timed, MergeTreePlan, Precision, SvdConfig};
 use psvd_linalg::Matrix;
 
 /// Rows per rank (the weak-scaling axis holds this fixed).
@@ -79,50 +70,6 @@ fn local_block(rank: usize) -> Matrix {
     })
 }
 
-/// The paper's flat APMOS with flop charging — operation for operation
-/// the parallel driver's flat path (bitwise-validated against it below),
-/// plus `comm.advance` charges for the leaf, root and assembly phases.
-fn flat_apmos_timed<C: Communicator>(
-    comm: &C,
-    cfg: SvdConfig,
-    a: &Matrix,
-    rate: f64,
-) -> (Matrix, Vec<f64>) {
-    let (m, n) = (a.rows() as f64, a.cols() as f64);
-    let r1 = cfg.r1.min(a.cols());
-    let (mut w, s) = generate_right_vectors(a, r1);
-    for i in 0..w.rows() {
-        for (v, &sv) in w.row_mut(i).iter_mut().zip(&s) {
-            *v *= sv;
-        }
-    }
-    comm.advance((2.0 * m * n * n + 25.0 * n * n * n) / rate);
-
-    let parts = comm.gather(w, 0);
-    let factors = parts.map(|ps| {
-        let w = Matrix::hstack_all(&ps);
-        let p = w.rows().min(w.cols());
-        let r2 = cfg.r2.min(p);
-        let (mn, mx) = (p as f64, w.rows().max(w.cols()) as f64);
-        comm.advance((2.0 * mx * mn * mn + 26.0 * mn * mn * mn) / rate);
-        let f = svd_with(&w, cfg.method);
-        (f.u.first_columns(r2), f.s[..r2.min(f.s.len())].to_vec())
-    });
-    let (x, sv) = comm.bcast(factors, 0);
-
-    let k = cfg.k.min(sv.iter().filter(|&&v| v > 0.0).count());
-    let inv: Vec<f64> = sv[..k].iter().map(|v| 1.0 / v).collect();
-    let mut phi = Matrix::zeros(0, 0);
-    matmul_into(a.view(), x.block(0, x.rows(), 0, k), &mut phi);
-    for i in 0..phi.rows() {
-        for (v, &iv) in phi.row_mut(i).iter_mut().zip(&inv) {
-            *v *= iv;
-        }
-    }
-    comm.advance((2.0 * m * n * k as f64) / rate);
-    (phi, sv[..k].to_vec())
-}
-
 struct RunOut {
     label: &'static str,
     fanouts: Vec<usize>,
@@ -131,36 +78,14 @@ struct RunOut {
     bytes: u64,
     root_recv_bytes: u64,
     sigma: Vec<f64>,
-    modes: Vec<Matrix>,
     bound: f64,
-}
-
-fn run_flat(world_size: usize) -> RunOut {
-    let world = World::with_model(world_size, NetworkModel::theta_aries());
-    let (out, clocks) = world.run_with_clocks(|comm| {
-        let a = local_block(comm.rank());
-        flat_apmos_timed(comm, base_cfg(), &a, RATE)
-    });
-    let stats = world.stats();
-    RunOut {
-        label: "flat",
-        fanouts: vec![world_size],
-        sim_seconds: clocks.iter().cloned().fold(0.0, f64::max),
-        messages: stats.total_messages(),
-        bytes: stats.total_bytes(),
-        root_recv_bytes: stats.recv_bytes(0),
-        sigma: out[0].1.clone(),
-        modes: out.into_iter().map(|(p, _)| p).collect(),
-        bound: 0.0,
-    }
 }
 
 fn run_tree(world_size: usize, label: &'static str, plan: &MergeTreePlan) -> RunOut {
     let world = World::with_model(world_size, NetworkModel::theta_aries());
     let (out, clocks) = world.run_with_clocks(|comm| {
         let a = local_block(comm.rank());
-        let cfg = base_cfg().with_tree_collectives(true);
-        try_merge_tree_svd_timed(comm, cfg, &a, plan, RATE).expect("tree run failed")
+        try_merge_tree_svd_timed(comm, base_cfg(), &a, plan, RATE).expect("tree run failed")
     });
     let stats = world.stats();
     let info = &out[0].2;
@@ -173,38 +98,11 @@ fn run_tree(world_size: usize, label: &'static str, plan: &MergeTreePlan) -> Run
         root_recv_bytes: stats.recv_bytes(0),
         sigma: out[0].1.clone(),
         bound: info.interior_bound(),
-        modes: out.into_iter().map(|(p, _, _)| p).collect(),
     }
 }
 
 fn max_sigma_dev(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-}
-
-/// Bitwise pins at a small world: the hand-rolled flat mirror, the engine
-/// under a flat (depth-1) plan, and the real parallel driver must agree
-/// bit for bit on σ and every rank's mode block.
-fn validate_bitwise(world_size: usize, flat: &RunOut) {
-    let world = World::new(world_size);
-    let driver = world.run(|comm| {
-        let a = local_block(comm.rank());
-        parallel_svd_once(comm, base_cfg(), &a)
-    });
-    assert_eq!(driver[0].1, flat.sigma, "{world_size} ranks: hand-rolled flat σ != driver σ");
-    for (r, (phi, _)) in driver.iter().enumerate() {
-        assert_eq!(phi, &flat.modes[r], "{world_size} ranks: flat modes diverge at rank {r}");
-    }
-
-    let plan = MergeTreePlan::flat(world_size);
-    let world = World::new(world_size);
-    let engine = world.run(|comm| {
-        let a = local_block(comm.rank());
-        try_merge_tree_svd(comm, base_cfg(), &a, &plan).expect("flat engine run")
-    });
-    assert_eq!(engine[0].1, flat.sigma, "{world_size} ranks: depth-1 engine σ != flat σ");
-    for (r, (phi, _, _)) in engine.iter().enumerate() {
-        assert_eq!(phi, &flat.modes[r], "{world_size} ranks: depth-1 engine modes at rank {r}");
-    }
 }
 
 fn main() {
@@ -231,10 +129,7 @@ fn main() {
     let mut rows: Vec<(usize, RunOut, f64, f64)> = Vec::new(); // (world, run, dev, speedup)
     let mut best_speedup_at_largest = 0.0f64;
     for &w in worlds {
-        let flat = run_flat(w);
-        if w <= 64 {
-            validate_bitwise(w, &flat);
-        }
+        let flat = run_tree(w, "flat", &MergeTreePlan::flat(w));
         let plans = [
             ("fanout4", MergeTreePlan::uniform(4, w).expect("fanout 4")),
             ("fanout16", MergeTreePlan::uniform(16, w).expect("fanout 16")),
@@ -284,9 +179,8 @@ fn main() {
         ]);
     }
     println!(
-        "\ngates: depth-1 bitwise-identical to the driver at every validated world, σ deviation \
-         within the tracked bound everywhere, best tree speedup at {largest} ranks = \
-         {best_speedup_at_largest:.2}x >= 2x"
+        "\ngates: σ deviation within the tracked bound everywhere, best tree speedup at \
+         {largest} ranks = {best_speedup_at_largest:.2}x >= 2x"
     );
 
     let mut json = String::new();
@@ -299,7 +193,6 @@ fn main() {
     let _ = writeln!(json, "  \"k\": {K},");
     let _ = writeln!(json, "  \"compute_rate_gflops\": {:.0},", RATE / 1e9);
     let _ = writeln!(json, "  \"network\": \"theta-aries\",");
-    let _ = writeln!(json, "  \"depth1_bitwise_identical\": true,");
     let _ = writeln!(json, "  \"largest_world\": {largest},");
     let _ = writeln!(json, "  \"best_speedup_at_largest\": {best_speedup_at_largest:.3},");
     json.push_str("  \"results\": [\n");

@@ -17,7 +17,7 @@ pub struct ParsedArgs {
 }
 
 /// Flags that never take a value.
-const SWITCHES: &[&str] = &["low-rank", "help", "tree", "quiet"];
+const SWITCHES: &[&str] = &["low-rank", "help", "quiet"];
 
 impl ParsedArgs {
     /// Parse `argv` (excluding the program name).

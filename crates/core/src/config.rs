@@ -1,6 +1,9 @@
 //! Configuration shared by the serial and parallel drivers.
 
-use psvd_linalg::SvdMethod;
+use psvd_linalg::randomized::{mixed_randomized_svd, randomized_svd};
+use psvd_linalg::svd::svd_with;
+use psvd_linalg::{Matrix, Scalar, Svd, SvdMethod};
+use rand::rngs::StdRng;
 
 /// Arithmetic / wire precision for a streaming run.
 ///
@@ -18,7 +21,8 @@ use psvd_linalg::SvdMethod;
 ///   every matrix payload crossing the communicator to `f32`, halving
 ///   APMOS gather / TSQR gather+scatter wire bytes, and run the
 ///   randomized inner SVDs with an f32 range finder
-///   ([`psvd_linalg::randomized::mixed_randomized_svd`]). Singular
+///   ([`psvd_linalg::randomized::mixed_randomized_svd`], selected in
+///   `SvdConfig::inner_svd` and nowhere else). Singular
 ///   values stay within ~`ε_f32 · σ₁` of the all-f64 run (the
 ///   conformance suite pins 1e-5 relative); results remain bitwise
 ///   deterministic across thread counts and collective shapes.
@@ -83,19 +87,17 @@ pub struct SvdConfig {
     pub r1: usize,
     /// APMOS global truncation: columns of `X`/`Λ` broadcast back.
     pub r2: usize,
-    /// Use the randomized low-rank SVD for the rank-0 factorizations.
+    /// Use the randomized low-rank SVD for every inner factorization
+    /// (serial update, TSQR root, APMOS root and merge-tree nodes).
     pub low_rank: bool,
-    /// Oversampling for the randomized path.
+    /// Oversampling for the randomized path (every driver honours it).
     pub oversampling: usize,
-    /// Power iterations for the randomized path.
+    /// Power iterations for the randomized path (every driver honours it).
     pub power_iterations: usize,
     /// Seed for the randomized path (advanced deterministically per call).
     pub seed: u64,
     /// Dense SVD kernel for the deterministic path.
     pub method: SvdMethod,
-    /// Use binomial-tree collectives for the APMOS gather/broadcast
-    /// instead of the paper's flat rank-0 pattern.
-    pub tree_collectives: bool,
     /// Continue on a shrunken world after a permanent rank failure (the
     /// dead rank's row block is excised and the run reports a
     /// `DegradedInfo`) instead of erroring out of the fallible driver
@@ -126,7 +128,6 @@ impl SvdConfig {
             power_iterations: 1,
             seed: 0,
             method: SvdMethod::default(),
-            tree_collectives: false,
             allow_degraded: false,
             precision: Precision::from_env(),
             tree_fanout: env_tree_knob("PSVD_TREE_FANOUT"),
@@ -167,12 +168,6 @@ impl SvdConfig {
     /// Builder: dense kernel.
     pub fn with_method(mut self, method: SvdMethod) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Builder: binomial-tree collectives for the distributed driver.
-    pub fn with_tree_collectives(mut self, tree: bool) -> Self {
-        self.tree_collectives = tree;
         self
     }
 
@@ -238,6 +233,27 @@ impl SvdConfig {
             rank,
             oversampling: self.oversampling,
             power_iterations: self.power_iterations,
+        }
+    }
+
+    /// The one inner SVD of a small factor — the serial update's `R`, the
+    /// TSQR root's `R`, the APMOS root stack and every merge-tree node all
+    /// come here. Dense (`method`, all triplets) unless `low_rank`, in
+    /// which case the randomized SVD keeps `rank` triplets under this
+    /// configuration's `oversampling` / `power_iterations`, sketching in
+    /// f32 when the precision policy is [`Precision::Mixed`].
+    pub(crate) fn inner_svd<T: Scalar>(
+        &self,
+        a: &Matrix<T>,
+        rank: usize,
+        rng: &mut StdRng,
+    ) -> Svd<T> {
+        if !self.low_rank {
+            svd_with(a, self.method)
+        } else if self.precision == Precision::Mixed {
+            mixed_randomized_svd(a, &self.randomized(rank), rng)
+        } else {
+            randomized_svd(a, &self.randomized(rank), rng)
         }
     }
 }

@@ -1,23 +1,34 @@
-//! Hierarchical APMOS over arbitrary-depth merge trees — the general
-//! attack on the rank-0 bottleneck the weak-scaling experiment exposes.
+//! The APMOS exchange (Listing 3 of the paper), once, over a merge tree —
+//! the only place in the crate where right-vector factors are formed,
+//! moved, merged and turned back into global modes.
 //!
-//! In flat APMOS, rank 0 factorizes `W` with `r1 · N_ranks` columns, so its
-//! compute (and its per-message receive overhead) grows linearly with the
-//! world size no matter how the gather is routed. A [`MergeTreePlan`]
-//! generalizes the old fixed two-level leader scheme: at each level,
-//! groups of `fanout` active ranks concatenate their `U·diag(σ)` factors
-//! at a group leader, which re-orthogonalizes the stack (blocked thin QR
-//! and a small SVD of `R` for tall stacks) and truncates back to `r1` columns
-//! before forwarding upward. With fanout `g` the root sees `r1 · g`
-//! columns regardless of the world size, and every level costs `O(g)`
-//! messages per leader — the per-rank simulated clocks of the
-//! `tree_scaling` bench show exactly where the flat gather saturates.
+//! A [`MergeTreePlan`] lists children per merge node, leaf level first.
+//! **Depth 1 is the paper's algorithm verbatim**: every rank sends its
+//! `r1`-column factor `Ṽⁱ Σ̃ⁱ` to rank 0, which factorizes the stack
+//! `W = [Ṽ¹Σ̃¹, …]` once to `r2` and broadcasts `(X̃, Λ̃)` back — two
+//! collective rounds, `P − 1` messages each way. Rank 0's compute and
+//! per-message receive overhead then grow linearly with the world size,
+//! which is what the weak-scaling experiment exposes; deeper plans attack
+//! it: at each level, groups of `fanout` active ranks concatenate their
+//! `U·diag(σ)` factors at a group leader, which re-orthogonalizes the
+//! stack (blocked thin QR and a small SVD of `R` for tall stacks) and
+//! truncates back to `r1` columns before forwarding upward. With fanout
+//! `g` the root sees `r1 · g` columns regardless of the world size, and
+//! every level costs `O(g)` messages per leader. Iwen & Ong (PAPERS.md)
+//! prove the hierarchical form equals the flat one level by level, which
+//! is why one level loop serves both.
 //!
 //! The re-compression is sound for the same reason APMOS itself is: the
 //! Gram identity `W_group W_groupᵀ = Σ_{i∈group} AⁱᵀAⁱ` means the group's
 //! SVD-truncated `X̃Λ̃` carries the leading energy of the group's share of
 //! the global covariance — it is exactly the `r1` truncation applied once
 //! more, per level.
+//!
+//! The plan also decides the *collective shape* of the driver's other
+//! exchanges (factor broadcast, TSQR gather/broadcast, mode gathers): flat
+//! rank-0 collectives for a flat plan, binomial trees for a deeper one —
+//! chosen because rank 0 is the bottleneck. Payloads, and so results, are
+//! identical either way.
 //!
 //! # Error-bound accounting
 //!
@@ -26,24 +37,19 @@
 //! Frobenius norm `e = sqrt(‖S‖_F² − Σ_kept σ²)`, and by Weyl's
 //! inequality every singular value of the final (root) stack moves by at
 //! most the sum of the `e`'s over all merges. [`TreeMergeInfo`] carries
-//! the per-level sums up the tree with the factors, so every rank can
-//! report the tracked upper bound `interior_bound()` on the σ deviation
-//! from the flat gather — the property tests pin that the observed
-//! deviation stays below it.
-//!
-//! A depth-1 plan *is* the flat path: one level whose single "merge" is
-//! the rank-0 gather, factorized once to `r2` — bitwise identical to
-//! [`crate::parallel::parallel_svd_once`] (pinned by the equivalence
-//! tests and the bench).
+//! the per-level sums up the tree with the factors and back down with the
+//! broadcast factors, so every rank can report the tracked upper bound
+//! `interior_bound()` on the σ deviation from the depth-1 exchange — zero
+//! at depth 1, and property-tested to dominate the observed deviation
+//! otherwise.
 
+use psvd_comm::collectives::{try_tree_bcast, try_tree_gather};
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::randomized::{low_rank_svd, mixed_low_rank_svd};
 use psvd_linalg::snapshots::generate_right_vectors;
-use psvd_linalg::svd::svd_with;
 use psvd_linalg::workspace::Workspace;
-use psvd_linalg::{Matrix, Scalar};
+use psvd_linalg::{Matrix, Scalar, Svd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -87,52 +93,12 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Failure of a merge-tree SVD: either the plan was unusable for the
-/// world, or a collective exchange failed permanently.
-#[derive(Debug)]
-pub enum TreeSvdError {
-    /// The plan could not be built (bad fanout/depth for this world).
-    Plan(PlanError),
-    /// A send/receive/broadcast in the tree failed permanently.
-    Comm(CommError),
-}
-
-impl std::fmt::Display for TreeSvdError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TreeSvdError::Plan(e) => write!(f, "merge-tree plan rejected: {e}"),
-            TreeSvdError::Comm(e) => write!(f, "merge-tree exchange failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TreeSvdError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TreeSvdError::Plan(e) => Some(e),
-            TreeSvdError::Comm(e) => Some(e),
-        }
-    }
-}
-
-impl From<PlanError> for TreeSvdError {
-    fn from(e: PlanError) -> Self {
-        TreeSvdError::Plan(e)
-    }
-}
-
-impl From<CommError> for TreeSvdError {
-    fn from(e: CommError) -> Self {
-        TreeSvdError::Comm(e)
-    }
-}
-
 /// The shape of a hierarchical merge: children per interior node, leaf
 /// level first. Rank `r` is active at level `l` iff `r` is a multiple of
 /// the level stride `fanouts[0]·…·fanouts[l-1]`; groups are `fanout`
 /// consecutive active ranks, merging into their lowest member. The last
 /// level always lands everything at rank 0, which factorizes the final
-/// stack to `r2` exactly as the flat path does.
+/// stack to `r2` — the only factorization there is at depth 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeTreePlan {
     fanouts: Vec<usize>,
@@ -206,19 +172,6 @@ impl MergeTreePlan {
         }
     }
 
-    /// The old two-level leader scheme: groups of `group_size` ranks
-    /// merge at leaders, leaders merge at rank 0. `group_size == 1` or
-    /// `>= world` degenerate to the flat gather; `0` is rejected.
-    pub fn two_level(group_size: usize, world: usize) -> Result<Self, PlanError> {
-        if group_size == 0 {
-            return Err(PlanError::ZeroFanout);
-        }
-        if group_size == 1 || group_size >= world || world <= 1 {
-            return Ok(Self::flat(world));
-        }
-        Ok(Self { fanouts: vec![group_size, world.div_ceil(group_size)] })
-    }
-
     /// Resolve the plan a configuration asks for: an explicit
     /// `tree_fanout` wins (optionally capped by `tree_depth`), a bare
     /// `tree_depth` derives its fanout from the world size, and neither
@@ -235,17 +188,6 @@ impl MergeTreePlan {
                 Ok(Self::uniform(f, world)?.capped(d, world))
             }
         }
-    }
-
-    /// A world-size heuristic: flat while the root's `O(P)` costs are
-    /// trivial, then fanout ≈ √P two-level trees, capped at fanout 16 so
-    /// very large worlds grow deeper instead of wider.
-    pub fn auto(world: usize) -> Self {
-        if world <= 8 {
-            return Self::flat(world);
-        }
-        let fanout = ((world as f64).sqrt().ceil() as usize).clamp(2, 16);
-        Self::uniform(fanout, world).expect("fanout >= 2 is always valid")
     }
 
     /// Collapse everything past `depth - 1` levels into one final level so
@@ -277,6 +219,47 @@ impl MergeTreePlan {
     pub fn is_flat(&self) -> bool {
         self.fanouts.len() == 1
     }
+
+    /// Gather one payload per rank at `root` over this plan's collective
+    /// shape: the paper's flat rank-0 pattern for a flat plan, a binomial
+    /// tree otherwise (see the module docs).
+    pub(crate) fn try_gather<C: Communicator, P: Payload>(
+        &self,
+        comm: &C,
+        value: P,
+        root: usize,
+    ) -> Result<Option<Vec<P>>, CommError> {
+        if self.is_flat() {
+            comm.try_gather(value, root)
+        } else {
+            try_tree_gather(comm, value, root)
+        }
+    }
+
+    /// Broadcast from `root` over this plan's collective shape.
+    pub(crate) fn try_bcast<C: Communicator, P: Payload + Clone>(
+        &self,
+        comm: &C,
+        value: Option<P>,
+        root: usize,
+    ) -> Result<P, CommError> {
+        if self.is_flat() {
+            comm.try_bcast(value, root)
+        } else {
+            try_tree_bcast(comm, value, root)
+        }
+    }
+
+    /// Every rank obtains every rank's payload: gather at rank 0, then
+    /// broadcast, both over this plan's collective shape.
+    pub(crate) fn try_allgather<C: Communicator, P: Payload + Clone>(
+        &self,
+        comm: &C,
+        value: P,
+    ) -> Result<Vec<P>, CommError> {
+        let gathered = self.try_gather(comm, value, 0)?;
+        self.try_bcast(comm, gathered, 0)
+    }
 }
 
 /// Diagnostics of a merge-tree round, reported on every rank alongside
@@ -291,7 +274,7 @@ pub struct TreeMergeInfo {
     /// (`depth − 1` entries, empty for the flat plan).
     pub per_level_bound: Vec<f64>,
     /// Discarded-σ energy of the root's final `r2` truncation — the
-    /// truncation the flat path performs too.
+    /// truncation every plan, flat included, performs.
     pub root_tail: f64,
     /// Interior merges performed across the whole tree.
     pub merges: u64,
@@ -344,10 +327,9 @@ fn tail_energy<T: Scalar>(w: &Matrix<T>, s: &[T], keep: usize) -> f64 {
 
 /// Interior-node factorization of a group stack. Tall stacks go through
 /// the blocked thin QR (packed-GEMM trailing updates, scratch from `ws`)
-/// followed by the small square SVD of `R`; wide stacks hand straight to
-/// the dense SVD, which blocks internally via the transposed QR. The
-/// randomized path mirrors the old two-level scheme's per-merge seeding
-/// so results do not depend on how many merges a rank happened to host.
+/// and hand the small square `R` to the inner SVD; wide stacks hand over
+/// directly. The randomized path is seeded per merge, so results do not
+/// depend on how many merges a rank happened to host.
 fn interior_factorize<T: Scalar>(
     stack: &Matrix<T>,
     keep: usize,
@@ -356,45 +338,24 @@ fn interior_factorize<T: Scalar>(
     q: &mut Matrix<T>,
     r: &mut Matrix<T>,
 ) -> (Matrix<T>, Vec<T>) {
-    if cfg.low_rank {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(stack.cols() as u64));
-        if cfg.precision == Precision::Mixed {
-            let (x, s) = mixed_low_rank_svd(&stack.cast::<f64>(), keep, &mut rng);
-            return (x.cast(), s.into_iter().map(T::from_f64).collect());
-        }
-        return low_rank_svd(stack, keep, &mut rng);
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(stack.cols() as u64));
+    if stack.rows() < stack.cols() {
+        let f = cfg.inner_svd(stack, keep, &mut rng);
+        return (f.u, f.s);
     }
-    if stack.rows() >= stack.cols() {
-        qr_thin_into(stack.view(), q, r, ws);
-        let f = svd_with(r, cfg.method);
-        let mut x = Matrix::zeros(0, 0);
-        matmul_into(q.view(), f.u.view(), &mut x);
-        (x, f.s)
-    } else {
-        let f = svd_with(stack, cfg.method);
-        (f.u, f.s)
-    }
+    qr_thin_into(stack.view(), q, r, ws);
+    let f = cfg.inner_svd(r, keep, &mut rng);
+    let mut x = Matrix::zeros(0, 0);
+    matmul_into(q.view(), f.u.view(), &mut x);
+    (x, f.s)
 }
 
-/// Rank 0's final factorization — identical to the flat driver's inner
-/// SVD, including its use of the caller's stateful RNG for the
-/// randomized path, so a depth-1 plan reproduces the flat result bitwise.
-fn root_factorize<T: Scalar>(
-    w: &Matrix<T>,
-    rank: usize,
-    cfg: &SvdConfig,
-    rng: &mut StdRng,
-) -> (Matrix<T>, Vec<T>) {
-    if cfg.low_rank {
-        if cfg.precision == Precision::Mixed {
-            let (x, s) = mixed_low_rank_svd(&w.cast::<f64>(), rank, rng);
-            (x.cast(), s.into_iter().map(T::from_f64).collect())
-        } else {
-            low_rank_svd(w, rank, rng)
+/// `m · diag(d)` in place: scales column `j` by `d[j]`.
+fn scale_columns<T: Scalar>(m: &mut Matrix<T>, d: &[T]) {
+    for i in 0..m.rows() {
+        for (v, &dj) in m.row_mut(i).iter_mut().zip(d) {
+            *v *= dj;
         }
-    } else {
-        let f = svd_with(w, cfg.method);
-        (f.u, f.s)
     }
 }
 
@@ -449,13 +410,14 @@ fn recv_factor<C: Communicator, T: Scalar>(
     }
 }
 
-/// Distributed SVD over a merge tree, writing this rank's block of the
-/// `K` leading global left singular vectors into `phi` and returning the
-/// singular values (identical on all ranks) plus the executed tree's
-/// diagnostics (identical on all ranks — they ride the final broadcast).
+/// APMOS over a merge tree, writing this rank's block of the `K` leading
+/// global left singular vectors into `phi` and returning the singular
+/// values plus the executed tree's diagnostics (both identical on all
+/// ranks — the diagnostics ride the factor broadcast, so a round claims
+/// `depth + 1` collective tags: two for the paper's flat exchange).
 ///
-/// `rng` feeds the root's randomized factorization exactly as the flat
-/// driver's instance RNG does; `ws` backs the interior merges' QR
+/// `rng` feeds the root's randomized factorization (the streaming
+/// driver passes its instance RNG); `ws` backs the interior merges' QR
 /// scratch; `compute_rate` (flop/s), when set, charges modeled local
 /// compute to the communicator's simulated clock so weak-scaling sweeps
 /// see compute and communication on one axis.
@@ -469,7 +431,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     ws: &mut Workspace,
     compute_rate: Option<f64>,
     phi: &mut Matrix<T>,
-) -> Result<(Vec<T>, TreeMergeInfo), TreeSvdError> {
+) -> Result<(Vec<T>, TreeMergeInfo), CommError> {
     let cfg = cfg.validated();
     let n = a_local.cols();
     assert!(n > 0, "merge_tree_svd: empty snapshot set");
@@ -485,15 +447,12 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     let rank = comm.rank();
     let size = comm.size();
 
-    // Leaf: local right vectors truncated to r1, scaled in place to
-    // Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ — the same factor flat APMOS gathers.
+    // Leaf: local right vectors by the method of snapshots, truncated to
+    // r1 and scaled in place to Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ (a column scaling, since
+    // Σ̃ is diagonal).
     let r1 = cfg.r1.min(n);
     let (mut fac, slocal) = generate_right_vectors(a_local, r1);
-    for i in 0..fac.rows() {
-        for (v, &s) in fac.row_mut(i).iter_mut().zip(&slocal) {
-            *v *= s;
-        }
-    }
+    scale_columns(&mut fac, &slocal);
     if let Some(rate) = compute_rate {
         let (m, nn) = (a_local.rows() as f64, n as f64);
         comm.advance((2.0 * m * nn * nn + 25.0 * nn * nn * nn) / rate);
@@ -511,9 +470,9 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         let next_stride = stride.saturating_mul(f);
         let last = l + 1 == depth;
         if mixed {
-            // Normalize this level's contribution to wire precision, root
-            // block included — exactly what the flat gather's symmetric
-            // demote/promote does, keeping depth-1 bitwise-pinned to flat.
+            // Normalize this level's contribution to wire precision, the
+            // leader's own block included, so every block of a stack is
+            // rounded identically whether or not it crossed the wire.
             fac = fac.cast::<f32>().cast();
         }
         if rank.is_multiple_of(next_stride) {
@@ -536,8 +495,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
                 let stack = Matrix::hstack_all(&blocks);
                 drop(blocks);
                 if last {
-                    // Root level: factorize the final stack to r2 — the
-                    // truncation the flat path performs too.
+                    // Root level: the final stack, factorized to r2 below.
                     fac = stack;
                 } else {
                     let keep = r1.min(stack.rows().min(stack.cols()));
@@ -551,11 +509,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
                     // place on the truncated copy.
                     let kk = keep.min(s.len());
                     let mut xk = x.first_columns(kk);
-                    for i in 0..xk.rows() {
-                        for (v, &sv) in xk.row_mut(i).iter_mut().zip(&s[..kk]) {
-                            *v *= sv;
-                        }
-                    }
+                    scale_columns(&mut xk, &s[..kk]);
                     fac = xk;
                 }
             } else {
@@ -572,39 +526,30 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         stride = next_stride;
     }
 
-    // Rank 0 factorizes the root stack and truncates to r2; the factors
-    // fan back out over the configured collective shape, the diagnostics
-    // ride a second (tiny) broadcast so every rank reports the same bound.
-    let (factors, tail) = if rank == 0 {
+    // Rank 0 factorizes the root stack and truncates to r2; factors and
+    // diagnostics fan back out together over the plan's collective shape.
+    let factors = if rank == 0 {
         let w = fac;
         let p = w.rows().min(w.cols());
         let r2 = cfg.r2.min(p);
         if let Some(rate) = compute_rate {
             charge_factorize(comm, &cfg, w.rows(), w.cols(), r2, rate);
         }
-        let (x, s) = root_factorize(&w, r2, &cfg, rng);
-        let tail = tail_energy(&w, &s, r2.min(s.len()));
-        (Some((x.first_columns(r2), s[..r2.min(s.len())].to_vec())), tail)
+        let Svd { u: x, s, .. } = cfg.inner_svd(&w, r2, rng);
+        let kept = r2.min(s.len());
+        let tail = tail_energy(&w, &s, kept);
+        Some((x.first_columns(r2), s[..kept].to_vec(), (bounds, tail, merges)))
     } else {
-        (None, 0.0)
+        None
     };
-    let (x, s) = crate::parallel::bcast_factors(comm, cfg.tree_collectives, mixed, factors, 0)?;
-    let info_payload = if rank == 0 { Some((bounds, tail, merges)) } else { None };
-    let (per_level_bound, root_tail, merges) = if cfg.tree_collectives {
-        psvd_comm::collectives::try_tree_bcast(comm, info_payload, 0)?
-    } else {
-        comm.try_bcast(info_payload, 0)?
-    };
+    let (x, s, (per_level_bound, root_tail, merges)) =
+        crate::parallel::bcast_factors(comm, plan, mixed, factors, 0)?;
 
     // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
     let k = cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
     let inv_s: Vec<T> = s[..k].iter().map(|&v| T::ONE / v).collect();
     matmul_into(a_local.view(), x.block(0, x.rows(), 0, k), phi);
-    for i in 0..phi.rows() {
-        for (v, &is) in phi.row_mut(i).iter_mut().zip(&inv_s) {
-            *v *= is;
-        }
-    }
+    scale_columns(phi, &inv_s);
     if let Some(rate) = compute_rate {
         let (m, nn, kk) = (a_local.rows() as f64, n as f64, k as f64);
         comm.advance(2.0 * m * nn * kk / rate);
@@ -621,7 +566,7 @@ pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
     cfg: SvdConfig,
     a_local: &Matrix<T>,
     plan: &MergeTreePlan,
-) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), TreeSvdError> {
+) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), CommError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ws = Workspace::new();
     let mut phi = Matrix::zeros(0, 0);
@@ -632,27 +577,21 @@ pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
 
 /// As [`try_merge_tree_svd`], additionally charging modeled local compute
 /// at `compute_rate` flop/s to the communicator's simulated clock — the
-/// entry point of the `tree_scaling` weak-scaling bench.
+/// entry point of the `tree_scaling` weak-scaling bench (flat series
+/// included).
 pub fn try_merge_tree_svd_timed<C: Communicator, T: Scalar + Payload>(
     comm: &C,
     cfg: SvdConfig,
     a_local: &Matrix<T>,
     plan: &MergeTreePlan,
     compute_rate: f64,
-) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), TreeSvdError> {
+) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), CommError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ws = Workspace::new();
     let mut phi = Matrix::zeros(0, 0);
-    let (s, info) = try_merge_tree_svd_into(
-        comm,
-        cfg,
-        a_local,
-        plan,
-        &mut rng,
-        &mut ws,
-        Some(compute_rate),
-        &mut phi,
-    )?;
+    let rate = Some(compute_rate);
+    let (s, info) =
+        try_merge_tree_svd_into(comm, cfg, a_local, plan, &mut rng, &mut ws, rate, &mut phi)?;
     Ok((phi, s, info))
 }
 
@@ -665,32 +604,6 @@ pub fn merge_tree_svd<C: Communicator, T: Scalar + Payload>(
 ) -> (Matrix<T>, Vec<T>, TreeMergeInfo) {
     try_merge_tree_svd(comm, cfg, a_local, plan)
         .unwrap_or_else(|e| panic!("merge_tree_svd failed: {e}"))
-}
-
-/// Two-level distributed SVD (the original hierarchical API): groups of
-/// `group_size` ranks share one leader; `group_size == 1` or `>= size`
-/// degenerate to flat APMOS. Returns a typed error for unusable group
-/// sizes (zero) or failed exchanges instead of panicking.
-pub fn try_hierarchical_parallel_svd<C: Communicator, T: Scalar + Payload>(
-    comm: &C,
-    cfg: SvdConfig,
-    a_local: &Matrix<T>,
-    group_size: usize,
-) -> Result<(Matrix<T>, Vec<T>), TreeSvdError> {
-    let plan = MergeTreePlan::two_level(group_size, comm.size())?;
-    let (phi, s, _info) = try_merge_tree_svd(comm, cfg, a_local, &plan)?;
-    Ok((phi, s))
-}
-
-/// Panicking convenience wrapper over [`try_hierarchical_parallel_svd`].
-pub fn hierarchical_parallel_svd<C: Communicator, T: Scalar + Payload>(
-    comm: &C,
-    cfg: SvdConfig,
-    a_local: &Matrix<T>,
-    group_size: usize,
-) -> (Matrix<T>, Vec<T>) {
-    try_hierarchical_parallel_svd(comm, cfg, a_local, group_size)
-        .unwrap_or_else(|e| panic!("hierarchical_parallel_svd failed: {e}"))
 }
 
 #[cfg(test)]
@@ -708,12 +621,20 @@ mod tests {
         matrix_with_spectrum(m, n, &spec, &mut seeded_rng(seed))
     }
 
-    fn run_hier(a: &Matrix, n_ranks: usize, group: usize, cfg: SvdConfig) -> (Matrix, Vec<f64>) {
+    /// One round over `fanouts` (leaf level first); returns the stacked
+    /// modes and rank 0's σ.
+    fn run_tree(
+        a: &Matrix,
+        n_ranks: usize,
+        fanouts: &[usize],
+        cfg: SvdConfig,
+    ) -> (Matrix, Vec<f64>) {
+        let plan = MergeTreePlan::explicit(fanouts.to_vec(), n_ranks).unwrap();
+        let cfg = cfg.with_precision(Precision::F64); // round-off-level tolerances below
         let blocks = split_rows(a, n_ranks);
         let world = World::new(n_ranks);
-        let out =
-            world.run(|comm| hierarchical_parallel_svd(comm, cfg, &blocks[comm.rank()], group));
-        let modes = Matrix::vstack_all(&out.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
+        let out = world.run(|comm| merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan));
+        let modes = Matrix::vstack_all(&out.iter().map(|(p, _, _)| p.clone()).collect::<Vec<_>>());
         (modes, out[0].1.clone())
     }
 
@@ -722,23 +643,23 @@ mod tests {
         let a = decaying(96, 10, 1);
         let k = 4;
         let cfg = SvdConfig::new(k).with_r1(10).with_r2(10).with_forget_factor(1.0);
-        let (modes, s) = run_hier(&a, 8, 4, cfg);
+        let (modes, s) = run_tree(&a, 8, &[4, 2], cfg);
         let (u_ref, s_ref) = batch_truncated_svd(&a, k);
         assert!(spectrum_error(&s_ref, &s) < 1e-8, "{s_ref:?} vs {s:?}");
         assert!(max_principal_angle(&u_ref, &modes) < 1e-6);
     }
 
     #[test]
-    fn group_sizes_degenerate_consistently() {
-        // group = 1 and group >= size both collapse to the flat plan and
-        // must match the reference.
+    fn every_plan_shape_matches_the_reference_without_truncation() {
+        // Flat (one level spanning the world, or wider) and two-level
+        // shapes must all match the batch reference at r1 = N.
         let a = decaying(64, 12, 2);
         let k = 3;
         let cfg = SvdConfig::new(k).with_r1(12).with_r2(12);
         let (_, s_ref) = batch_truncated_svd(&a, k);
-        for group in [1usize, 2, 4, 8, 100] {
-            let (_, s) = run_hier(&a, 4, group, cfg);
-            assert!(spectrum_error(&s_ref, &s) < 1e-7, "group {group}: {s:?} vs {s_ref:?}");
+        for fanouts in [&[4usize][..], &[100], &[2, 2], &[3, 2]] {
+            let (_, s) = run_tree(&a, 4, fanouts, cfg);
+            assert!(spectrum_error(&s_ref, &s) < 1e-7, "{fanouts:?}: {s:?} vs {s_ref:?}");
         }
     }
 
@@ -747,7 +668,7 @@ mod tests {
         let a = decaying(120, 24, 3);
         let k = 4;
         let cfg = SvdConfig::new(k).with_r1(8).with_r2(8);
-        let (_, s) = run_hier(&a, 6, 3, cfg);
+        let (_, s) = run_tree(&a, 6, &[3, 2], cfg);
         let (_, s_ref) = batch_truncated_svd(&a, k);
         for (got, want) in s.iter().zip(&s_ref) {
             assert!((got - want).abs() / want < 0.02, "sigma {got} vs {want}");
@@ -755,20 +676,13 @@ mod tests {
     }
 
     #[test]
-    fn matches_flat_apmos() {
+    fn two_level_tree_matches_the_flat_exchange() {
         let a = decaying(80, 16, 4);
-        let k = 3;
-        let cfg = SvdConfig::new(k).with_r1(10).with_r2(8);
-        let (hier_modes, hier_s) = run_hier(&a, 8, 2, cfg);
-
-        let blocks = split_rows(&a, 8);
-        let world = World::new(8);
-        let flat =
-            world.run(|comm| crate::parallel::parallel_svd_once(comm, cfg, &blocks[comm.rank()]));
-        let flat_modes =
-            Matrix::vstack_all(&flat.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
-        assert!(spectrum_error(&flat[0].1, &hier_s) < 1e-4);
-        assert!(max_principal_angle(&flat_modes, &hier_modes) < 1e-3);
+        let cfg = SvdConfig::new(3).with_r1(10).with_r2(8);
+        let (tree_modes, tree_s) = run_tree(&a, 8, &[2, 4], cfg);
+        let (flat_modes, flat_s) = run_tree(&a, 8, &[8], cfg);
+        assert!(spectrum_error(&flat_s, &tree_s) < 1e-4);
+        assert!(max_principal_angle(&flat_modes, &tree_modes) < 1e-3);
     }
 
     #[test]
@@ -777,33 +691,21 @@ mod tests {
         // pre-compress.
         let a = decaying(128, 32, 5);
         let cfg = SvdConfig::new(3).with_r1(16).with_r2(8);
-        let recv_bytes = |group: usize| {
+        let recv_bytes = |fanouts: &[usize]| {
+            let plan = MergeTreePlan::explicit(fanouts.to_vec(), 8).unwrap();
             let blocks = split_rows(&a, 8);
             let world = World::new(8);
             world.run(|comm| {
-                let _ = hierarchical_parallel_svd(comm, cfg, &blocks[comm.rank()], group);
+                let _ = merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan);
             });
             world.stats().recv_bytes(0)
         };
-        let flat_like = recv_bytes(1); // flat plan: every rank sends raw
-        let grouped = recv_bytes(4); // two leaders forward to rank 0
-                                     // Rank 0 is itself a leader (receives its own group's raw blocks),
-                                     // so the reduction is (g-1 raw + 1 compressed) vs (P-1 raw): with
-                                     // P = 8, g = 4 that is 4/7 ≈ 0.57 of the flat volume.
-        assert!(
-            grouped * 3 < flat_like * 2,
-            "grouping must cut rank-0 volume: {grouped} vs {flat_like}"
-        );
-    }
-
-    #[test]
-    fn uneven_group_sizes_work() {
-        // 7 ranks with group size 3: groups {0,1,2}, {3,4,5}, {6}.
-        let a = decaying(70, 10, 6);
-        let cfg = SvdConfig::new(3).with_r1(10).with_r2(10);
-        let (_, s) = run_hier(&a, 7, 3, cfg);
-        let (_, s_ref) = batch_truncated_svd(&a, 3);
-        assert!(spectrum_error(&s_ref, &s) < 1e-7);
+        // Rank 0 is itself a leader (receives its own group's raw blocks),
+        // so the reduction is (g-1 raw + 1 compressed) vs (P-1 raw): with
+        // P = 8, g = 4 that is 4/7 ≈ 0.57 of the flat volume.
+        let flat = recv_bytes(&[8]); // every rank sends its raw factor
+        let grouped = recv_bytes(&[4, 2]); // two leaders forward to rank 0
+        assert!(grouped * 3 < flat * 2, "grouping must cut rank-0 volume: {grouped} vs {flat}");
     }
 
     // ---- plan construction -------------------------------------------
@@ -823,7 +725,6 @@ mod tests {
         assert_eq!(MergeTreePlan::uniform(0, 8), Err(PlanError::ZeroFanout));
         assert_eq!(MergeTreePlan::uniform(1, 8), Err(PlanError::FanoutOne { world: 8 }));
         assert_eq!(MergeTreePlan::with_depth(0, 8), Err(PlanError::ZeroDepth));
-        assert_eq!(MergeTreePlan::two_level(0, 8), Err(PlanError::ZeroFanout));
         assert_eq!(MergeTreePlan::explicit(vec![], 4), Err(PlanError::ZeroDepth));
         assert_eq!(MergeTreePlan::explicit(vec![2, 0], 4), Err(PlanError::ZeroFanout));
         assert_eq!(
@@ -857,53 +758,29 @@ mod tests {
         assert_eq!(MergeTreePlan::resolve(&both, world).unwrap().fanouts(), &[4, 16]);
     }
 
-    #[test]
-    fn plan_auto_heuristic() {
-        assert!(MergeTreePlan::auto(1).is_flat());
-        assert!(MergeTreePlan::auto(8).is_flat());
-        assert_eq!(MergeTreePlan::auto(64).fanouts(), &[8, 8]);
-        let big = MergeTreePlan::auto(4096);
-        assert!(big.fanouts().iter().all(|&f| f <= 16), "{big:?}");
-        let capacity: usize = big.fanouts().iter().product();
-        assert!(capacity >= 4096);
-    }
-
-    // ---- satellite: typed errors + degenerate worlds ------------------
+    // ---- degenerate worlds ---------------------------------------------
 
     #[test]
-    fn zero_group_size_is_a_typed_error_not_a_panic() {
-        let a = decaying(12, 6, 7);
-        let world = World::new(1);
-        let out = world.run(|comm| {
-            let cfg = SvdConfig::new(2).with_r1(6).with_r2(6);
-            try_hierarchical_parallel_svd(comm, cfg, &a, 0).map(|_| ())
-        });
-        match &out[0] {
-            Err(TreeSvdError::Plan(PlanError::ZeroFanout)) => {}
-            other => panic!("expected ZeroFanout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn world_of_one_works_at_any_group_size() {
+    fn world_of_one_works_at_any_fanout() {
         let a = decaying(24, 8, 8);
         let (_, s_ref) = batch_truncated_svd(&a, 3);
-        for group in [1usize, 2, 17] {
+        for fanout in [1usize, 2, 17] {
+            let plan = MergeTreePlan::uniform(fanout, 1).unwrap();
             let world = World::new(1);
             let cfg = SvdConfig::new(3).with_r1(8).with_r2(8);
-            let out = world.run(|comm| {
-                try_hierarchical_parallel_svd(comm, cfg, &a, group).expect("degenerate world")
-            });
-            assert!(spectrum_error(&s_ref, &out[0].1) < 1e-8, "group {group}");
+            let out =
+                world.run(|comm| try_merge_tree_svd(comm, cfg, &a, &plan).expect("degenerate"));
+            assert!(spectrum_error(&s_ref, &out[0].1) < 1e-8, "fanout {fanout}");
         }
     }
 
     #[test]
     fn prime_worlds_with_ragged_groups_work() {
-        for (ranks, group) in [(5usize, 2usize), (5, 3), (7, 2), (7, 4)] {
+        // E.g. 7 ranks in groups of 3: {0,1,2}, {3,4,5}, {6}.
+        for (ranks, group) in [(5usize, 2usize), (5, 3), (7, 2), (7, 3), (7, 4)] {
             let a = decaying(8 * ranks, 10, 9 + ranks as u64);
             let cfg = SvdConfig::new(3).with_r1(10).with_r2(10);
-            let (_, s) = run_hier(&a, ranks, group, cfg);
+            let (_, s) = run_tree(&a, ranks, &[group, ranks.div_ceil(group)], cfg);
             let (_, s_ref) = batch_truncated_svd(&a, 3);
             assert!(
                 spectrum_error(&s_ref, &s) < 1e-7,

@@ -9,10 +9,13 @@
 //!    batch-wise updates of the `K` leading left singular vectors with a
 //!    forget factor.
 //! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): APMOS for the
-//!    one-shot distributed SVD and TSQR for the distributed QR inside the
-//!    streaming loop, over any [`psvd_comm::Communicator`].
-//! 3. **Randomized**: rank-0 inner factorizations may use the randomized
-//!    low-rank SVD (`SvdConfig::with_low_rank(true)`).
+//!    one-shot distributed SVD (one exchange, [`hierarchical`]'s merge
+//!    tree; depth 1 is the paper's flat gather) and TSQR for the
+//!    distributed QR inside the streaming loop, over any
+//!    [`psvd_comm::Communicator`].
+//! 3. **Randomized**: every inner factorization may use the randomized
+//!    low-rank SVD (`SvdConfig::with_low_rank(true)`, tuned by
+//!    `with_oversampling` / `with_power_iterations` in every driver).
 //!
 //! ```
 //! use psvd_core::{SerialStreamingSvd, SvdConfig};
@@ -42,9 +45,8 @@ pub use checkpoint::SvdCheckpoint;
 pub use config::{Precision, SvdConfig};
 pub use dmd::{dmd, Dmd};
 pub use hierarchical::{
-    hierarchical_parallel_svd, merge_tree_svd, try_hierarchical_parallel_svd, try_merge_tree_svd,
-    try_merge_tree_svd_into, try_merge_tree_svd_timed, MergeTreePlan, PlanError, TreeMergeInfo,
-    TreeSvdError,
+    merge_tree_svd, try_merge_tree_svd, try_merge_tree_svd_into, try_merge_tree_svd_timed,
+    MergeTreePlan, PlanError, TreeMergeInfo,
 };
 pub use parallel::{parallel_svd_once, DegradedInfo, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};

@@ -3,18 +3,26 @@
 //! Each rank owns a row block `Aⁱ` (`Mᵢ x N`) of the global snapshot
 //! matrix. Two collective kernels do all the work:
 //!
-//! - [`ParallelStreamingSvd::parallel_svd`] — APMOS (Algorithm 2): local
-//!   right vectors by the method of snapshots, truncated to `r1` columns,
-//!   gathered at rank 0 into `W = [Ṽ¹Σ̃¹, …]`, factorized there, and the
-//!   `r2`-truncated `(X̃, Λ̃)` broadcast back so each rank assembles its slice
-//!   of the global left singular vectors `Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j`;
+//! - [`ParallelStreamingSvd::parallel_svd`] — APMOS (Algorithm 2), handed
+//!   to the one exchange there is, the merge-tree engine of
+//!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from
+//!   the configuration and the current world. With no tree knob set the
+//!   plan has depth 1, which *is* the paper's Listing 3: right vectors
+//!   truncated to `r1`, gathered at rank 0 into `W = [Ṽ¹Σ̃¹, …]`,
+//!   factorized there, the `r2`-truncated `(X̃, Λ̃)` broadcast back,
+//!   `Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j` assembled locally;
 //! - [`ParallelStreamingSvd::parallel_qr`] — TSQR (Benson et al.): local
 //!   thin QR, R-blocks stacked and re-factorized at rank 0, global Q blocks
 //!   scattered back, plus the SVD of the final `R` for the streaming update.
+//!   Its gather/broadcast (and the mode gathers) follow the plan's
+//!   collective shape: flat for a flat plan, binomial trees for a deeper
+//!   one — same payloads, same bits.
 //!
 //! The streaming driver (Listing 2) is the Levy–Lindenbaum loop of
-//! [`crate::serial`] with both kernels swapped in. Rank 0's inner SVDs may
-//! be randomized (`low_rank`), which is the paper's third building block.
+//! [`crate::serial`] with both kernels swapped in. Every inner SVD — here,
+//! in the serial driver and at the merge-tree nodes — is
+//! `SvdConfig::inner_svd`, which may be randomized (`low_rank`, honouring
+//! `oversampling` / `power_iterations`): the paper's third building block.
 //!
 //! The paper's Listing 4 negates `qglobal`/`rfinal` ("trick for
 //! consistency"); our QR canonicalizes to a non-negative `R` diagonal
@@ -30,76 +38,60 @@
 
 use std::io;
 
-use psvd_comm::collectives::{tree_allgather, tree_gather, try_tree_bcast, try_tree_gather};
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_data::stream::SnapshotSource;
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::randomized::{low_rank_svd, mixed_low_rank_svd};
-use psvd_linalg::snapshots::generate_right_vectors;
-use psvd_linalg::svd::svd_with;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
 use psvd_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{Precision, SvdConfig};
-use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo, TreeSvdError};
+use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo};
 
-/// Gather `m` at `root`. In mixed-precision mode every block is demoted
-/// to `f32` *before* entering the collective (so root and non-root
-/// contributions are charged — and rounded — identically) and promoted
-/// back on receipt; otherwise blocks travel at the native dtype. The
-/// demotion happens ahead of the tree/flat split, so both collective
-/// shapes move bit-identical payloads.
-pub(crate) fn gather_blocks<C: Communicator, T: Scalar>(
+/// Gather `m` at `root` over the plan's collective shape. In
+/// mixed-precision mode every block is demoted to `f32` *before* entering
+/// the collective (so root and non-root contributions are charged — and
+/// rounded — identically, whatever the shape) and promoted back on
+/// receipt; otherwise blocks travel at the native dtype.
+fn gather_blocks<C: Communicator, T: Scalar>(
     comm: &C,
-    tree: bool,
+    plan: &MergeTreePlan,
     mixed: bool,
     m: Matrix<T>,
     root: usize,
 ) -> Result<Option<Vec<Matrix<T>>>, CommError> {
     if mixed {
-        let demoted = m.cast::<f32>();
-        let parts = if tree {
-            try_tree_gather(comm, demoted, root)?
-        } else {
-            comm.try_gather(demoted, root)?
-        };
+        let parts = plan.try_gather(comm, m.cast::<f32>(), root)?;
         Ok(parts.map(|ps| ps.into_iter().map(|p| p.cast::<T>()).collect()))
-    } else if tree {
-        try_tree_gather(comm, m, root)
     } else {
-        comm.try_gather(m, root)
+        plan.try_gather(comm, m, root)
     }
 }
 
-/// Broadcast the `(factor matrix, singular values)` pair from `root`. In
-/// mixed-precision mode the matrix travels as `f32` and the singular
-/// values as `f64` (they are `K` numbers — demoting them would halve
-/// nothing and cost the σ accuracy contract); every rank, root included,
-/// consumes the promoted wire copy so all ranks hold bit-identical
-/// factors.
-pub(crate) fn bcast_factors<C: Communicator, T: Scalar + Payload>(
+/// Broadcast `(factor matrix, singular values, extra)` from `root` over
+/// the plan's collective shape; `extra` is whatever small payload rides
+/// along (the APMOS diagnostics, `()` for TSQR). In mixed-precision mode
+/// the matrix travels as `f32` and the singular values as `f64` (they are
+/// `K` numbers — demoting them would halve nothing and cost the σ
+/// accuracy contract); every rank, root included, consumes the promoted
+/// wire copy so all ranks hold bit-identical factors.
+pub(crate) fn bcast_factors<C: Communicator, T: Scalar + Payload, E: Payload + Clone>(
     comm: &C,
-    tree: bool,
+    plan: &MergeTreePlan,
     mixed: bool,
-    factors: Option<(Matrix<T>, Vec<T>)>,
+    factors: Option<(Matrix<T>, Vec<T>, E)>,
     root: usize,
-) -> Result<(Matrix<T>, Vec<T>), CommError> {
+) -> Result<(Matrix<T>, Vec<T>, E), CommError> {
     if mixed {
-        let demoted = factors
-            .map(|(x, s)| (x.cast::<f32>(), s.iter().map(|v| v.to_f64()).collect::<Vec<f64>>()));
-        let (x, s) = if tree {
-            try_tree_bcast(comm, demoted, root)?
-        } else {
-            comm.try_bcast(demoted, root)?
-        };
-        Ok((x.cast::<T>(), s.into_iter().map(T::from_f64).collect()))
-    } else if tree {
-        try_tree_bcast(comm, factors, root)
+        let demoted = factors.map(|(x, s, e)| {
+            (x.cast::<f32>(), s.iter().map(|v| v.to_f64()).collect::<Vec<f64>>(), e)
+        });
+        let (x, s, e) = plan.try_bcast(comm, demoted, root)?;
+        Ok((x.cast::<T>(), s.into_iter().map(T::from_f64).collect(), e))
     } else {
-        comm.try_bcast(factors, root)
+        plan.try_bcast(comm, factors, root)
     }
 }
 
@@ -213,8 +205,7 @@ pub struct ParallelStreamingSvd<'a, C: Communicator, T: Scalar = f64> {
     world_size: usize,
     /// Set once the run has survived a rank failure.
     degraded: Option<DegradedInfo>,
-    /// Diagnostics of the latest hierarchical APMOS round (`None` until a
-    /// non-flat merge-tree plan has executed).
+    /// Diagnostics of the latest APMOS round (`None` before the first).
     tree_info: Option<TreeMergeInfo>,
 }
 
@@ -310,11 +301,23 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         self.degraded.as_ref()
     }
 
-    /// Diagnostics of the latest hierarchical APMOS round: executed tree
-    /// shape and the tracked truncation-error bound. `None` while the
-    /// resolved plan is the flat gather (the backward-compatible default).
+    /// Diagnostics of the latest APMOS round: executed plan and the
+    /// tracked truncation-error bound (`fanouts == [P]`, zero interior
+    /// bound for the paper's flat exchange). `None` before the first round.
     pub fn tree_merge_info(&self) -> Option<&TreeMergeInfo> {
         self.tree_info.as_ref()
+    }
+
+    /// The merge-tree plan for the *current* world (a degraded run may
+    /// have shrunk below the tree threshold since construction, where an
+    /// unusable configuration was already rejected).
+    fn plan(&self) -> MergeTreePlan {
+        MergeTreePlan::resolve(&self.cfg, self.comm.size())
+            .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"))
+    }
+
+    fn mixed(&self) -> bool {
+        self.cfg.precision == Precision::Mixed
     }
 
     /// Reconcile the tracked world size with the communicator's. A shrink
@@ -354,113 +357,34 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// `K` leading global left singular vectors and the singular values.
     pub fn parallel_svd(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Vec<T>) {
         let mut phi = Matrix::zeros(0, 0);
-        let s = self.parallel_svd_into(a_local, &mut phi);
+        let s = self
+            .try_parallel_svd_into(a_local, &mut phi)
+            .unwrap_or_else(|e| panic!("parallel_svd failed: {e}"));
         (phi, s)
     }
 
-    /// APMOS round writing this rank's mode block into `phi` (reused
-    /// across calls — warm buffers make the local assembly allocation-free;
-    /// the gathered/broadcast factors inherently transfer ownership).
-    fn parallel_svd_into(&mut self, a_local: &Matrix<T>, phi: &mut Matrix<T>) -> Vec<T> {
-        self.try_parallel_svd_into(a_local, phi)
-            .unwrap_or_else(|e| panic!("parallel_svd failed: {e}"))
-    }
-
-    /// Fallible APMOS round: surfaces permanent communication failures
-    /// (dead ranks, exhausted retries) instead of panicking.
+    /// Fallible APMOS round writing this rank's mode block into `phi`
+    /// (reused across calls, so the local assembly is allocation-free once
+    /// warm): surfaces permanent communication failures (dead ranks,
+    /// exhausted retries) instead of panicking.
     fn try_parallel_svd_into(
         &mut self,
         a_local: &Matrix<T>,
         phi: &mut Matrix<T>,
     ) -> Result<Vec<T>, CommError> {
-        let n = a_local.cols();
-        assert!(n > 0, "parallel_svd: empty snapshot set");
-
-        // Hierarchical exchange: re-resolve the plan against the *current*
-        // world (a degraded run may have shrunk below the tree threshold)
-        // and hand the round to the merge-tree engine. The flat plan stays
-        // on the inline path below — bit-for-bit and byte-for-byte the
-        // same exchange as before the tree engine existed.
-        let plan = MergeTreePlan::resolve(&self.cfg, self.comm.size())
-            .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"));
-        if !plan.is_flat() {
-            let result = try_merge_tree_svd_into(
-                self.comm,
-                self.cfg,
-                a_local,
-                &plan,
-                &mut self.rng,
-                &mut self.ws,
-                None,
-                phi,
-            );
-            return match result {
-                Ok((s, info)) => {
-                    self.tree_info = Some(info);
-                    Ok(s)
-                }
-                Err(TreeSvdError::Comm(e)) => Err(e),
-                Err(TreeSvdError::Plan(e)) => {
-                    unreachable!("plan errors surface at resolve time: {e}")
-                }
-            };
-        }
-
-        let r1 = self.cfg.r1.min(n);
-        let mixed = self.cfg.precision == Precision::Mixed;
-
-        // Local right vectors by the method of snapshots, truncated to r1.
-        let (mut wlocal, slocal) = generate_right_vectors(a_local, r1);
-        // Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ — a column scaling, since Σ̃ is diagonal; done in
-        // place since Ṽⁱ is moved into the gather anyway.
-        for i in 0..wlocal.rows() {
-            for (v, &s) in wlocal.row_mut(i).iter_mut().zip(&slocal) {
-                *v *= s;
-            }
-        }
-
-        // Gather W at rank 0 and factorize there.
-        let wglobal = gather_blocks(self.comm, self.cfg.tree_collectives, mixed, wlocal, 0)?;
-        // Root-ness = who holds the gathered blocks (see `qr_round` on
-        // death-round transitions).
-        let factors = if let Some(parts) = wglobal {
-            let w = Matrix::hstack_all(&parts);
-            let p = w.rows().min(w.cols());
-            let r2 = self.cfg.r2.min(p);
-            let (x, s) = self.small_factorize(&w, r2);
-            Some((x.first_columns(r2), s[..r2.min(s.len())].to_vec()))
-        } else {
-            None
-        };
-        let (x, s) = bcast_factors(self.comm, self.cfg.tree_collectives, mixed, factors, 0)?;
-
-        // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
-        let k = self.cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
-        let inv_s: Vec<T> = s[..k].iter().map(|&v| T::ONE / v).collect();
-        matmul_into(a_local.view(), x.block(0, x.rows(), 0, k), phi);
-        for i in 0..phi.rows() {
-            for (v, &is) in phi.row_mut(i).iter_mut().zip(&inv_s) {
-                *v *= is;
-            }
-        }
-        Ok(s[..k].to_vec())
-    }
-
-    /// Rank 0's inner SVD of a small gathered factor: randomized when
-    /// `low_rank` (through the mixed f32-sketch pipeline in mixed mode),
-    /// dense otherwise.
-    fn small_factorize(&mut self, w: &Matrix<T>, rank: usize) -> (Matrix<T>, Vec<T>) {
-        if self.cfg.low_rank {
-            if self.cfg.precision == Precision::Mixed {
-                let (x, s) = mixed_low_rank_svd(&w.cast::<f64>(), rank, &mut self.rng);
-                (x.cast(), s.into_iter().map(T::from_f64).collect())
-            } else {
-                low_rank_svd(w, rank, &mut self.rng)
-            }
-        } else {
-            let f = svd_with(w, self.cfg.method);
-            (f.u, f.s)
-        }
+        let plan = self.plan();
+        let (s, info) = try_merge_tree_svd_into(
+            self.comm,
+            self.cfg,
+            a_local,
+            &plan,
+            &mut self.rng,
+            &mut self.ws,
+            None,
+            phi,
+        )?;
+        self.tree_info = Some(info);
+        Ok(s)
     }
 
     /// TSQR (Listing 4): factorizes the row-distributed matrix as
@@ -468,14 +392,17 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// the SVD of the final `R` (step I2/2 of the Levy–Lindenbaum loop).
     pub fn parallel_qr(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Matrix<T>, Vec<T>) {
         let mut qlocal = Matrix::zeros(0, 0);
-        let (unew, snew) = self.parallel_qr_into(a_local, &mut qlocal);
+        let (unew, snew) = self
+            .try_parallel_qr_into(a_local, &mut qlocal)
+            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"));
         (qlocal, unew, snew)
     }
 
-    /// TSQR round writing `Q_local` into a caller-owned buffer. Local `Q`,
-    /// the root's stacked-R re-QR factors and the QR scratch persist on the
-    /// instance; only the `O(n²)` matrices whose ownership moves through
-    /// the communicator are freshly allocated.
+    /// Fallible TSQR round writing `Q_local` into a caller-owned buffer.
+    /// Local `Q`, the root's stacked-R re-QR factors and the QR scratch
+    /// persist on the instance (an errored round leaves them in place and
+    /// the instance reusable); only the `O(n²)` matrices whose ownership
+    /// moves through the communicator are freshly allocated.
     ///
     /// Both QR stages route through `qr_thin_into`, which dispatches to
     /// the blocked compact-WY factorization for wide-enough panels (see
@@ -484,46 +411,14 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// stays on the unblocked reference path with its serial reflector
     /// fallback — no thread-pool handoff for a factorization that takes
     /// microseconds.
-    fn parallel_qr_into(
-        &mut self,
-        a_local: &Matrix<T>,
-        qlocal: &mut Matrix<T>,
-    ) -> (Matrix<T>, Vec<T>) {
-        self.try_parallel_qr_into(a_local, qlocal)
-            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"))
-    }
-
-    /// Fallible TSQR round: surfaces permanent communication failures
-    /// instead of panicking. The persistent factor buffers are restored on
-    /// every exit path, so an errored round leaves the instance reusable.
     fn try_parallel_qr_into(
         &mut self,
         a_local: &Matrix<T>,
         qlocal: &mut Matrix<T>,
     ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        // Take the persistent buffers out of self so the communicator and
-        // RNG can be borrowed freely in the body; restored before
-        // propagating either outcome.
-        let mut local_q = std::mem::replace(&mut self.qr_q, Matrix::zeros(0, 0));
-        let mut gq = std::mem::replace(&mut self.qr_gq, Matrix::zeros(0, 0));
-        let mut gr = std::mem::replace(&mut self.qr_gr, Matrix::zeros(0, 0));
-        let result = self.qr_round(a_local, qlocal, &mut local_q, &mut gq, &mut gr);
-        self.qr_q = local_q;
-        self.qr_gq = gq;
-        self.qr_gr = gr;
-        result
-    }
-
-    /// The TSQR round proper, operating on buffers held by the caller.
-    fn qr_round(
-        &mut self,
-        a_local: &Matrix<T>,
-        qlocal: &mut Matrix<T>,
-        local_q: &mut Matrix<T>,
-        gq: &mut Matrix<T>,
-        gr: &mut Matrix<T>,
-    ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        let mixed = self.cfg.precision == Precision::Mixed;
+        let (mixed, plan) = (self.mixed(), self.plan());
+        let Self { comm, cfg, rng, ws, qr_q: local_q, qr_gq: gq, qr_gr: gr, .. } = self;
+        let comm = *comm;
         let n = a_local.cols();
         assert!(
             a_local.rows() >= n,
@@ -535,19 +430,19 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         // Local thin QR; R is n x n because the block is tall. R is moved
         // into the gather, so it is built in a fresh matrix.
         let mut local_r = Matrix::zeros(0, 0);
-        qr_thin_into(a_local.view(), local_q, &mut local_r, &mut self.ws);
+        qr_thin_into(a_local.view(), local_q, &mut local_r, ws);
 
         // Gather the R factors, stack (reusing their storage), and
         // re-factorize at rank 0. The world shape is read only after the
         // gather: its collective round boundary is where injected rank
         // deaths activate, and the scatter below must address the
         // post-transition world (root-ness = who holds the gathered Rs).
-        let r_global = gather_blocks(self.comm, self.cfg.tree_collectives, mixed, local_r, 0)?;
-        let rank = self.comm.rank();
-        let size = self.comm.size();
+        let r_global = gather_blocks(comm, &plan, mixed, local_r, 0)?;
+        let rank = comm.rank();
+        let size = comm.size();
         let have_rfinal = if let Some(parts) = r_global {
             let stack = Matrix::vstack_owned(parts);
-            qr_thin_into(stack.view(), gq, gr, &mut self.ws);
+            qr_thin_into(stack.view(), gq, gr, ws);
             // Scatter each rank's n-row block of the stacked Q; rank 0's
             // own block is consumed as a view, never copied. Mixed mode
             // demotes the scattered blocks to f32 on the wire.
@@ -555,45 +450,32 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
                 let block = gq.block(dst * n, (dst + 1) * n, 0, n);
                 if mixed {
                     let demoted: Matrix<f32> = block.to_matrix().cast();
-                    self.comm.try_send(demoted, dst, TAG_QR_SCATTER + dst as u64)?;
+                    comm.try_send(demoted, dst, TAG_QR_SCATTER + dst as u64)?;
                 } else {
-                    self.comm.try_send(block.to_matrix(), dst, TAG_QR_SCATTER + dst as u64)?;
+                    comm.try_send(block.to_matrix(), dst, TAG_QR_SCATTER + dst as u64)?;
                 }
             }
             matmul_into(local_q.view(), gq.block(0, n, 0, n), qlocal);
             true
         } else {
             if mixed {
-                let block = self.comm.try_recv::<Matrix<f32>>(0, TAG_QR_SCATTER + rank as u64)?;
+                let block = comm.try_recv::<Matrix<f32>>(0, TAG_QR_SCATTER + rank as u64)?;
                 let promoted: Matrix<T> = block.cast();
                 matmul_into(local_q.view(), promoted.view(), qlocal);
             } else {
-                let block = self.comm.try_recv::<Matrix<T>>(0, TAG_QR_SCATTER + rank as u64)?;
+                let block = comm.try_recv::<Matrix<T>>(0, TAG_QR_SCATTER + rank as u64)?;
                 matmul_into(local_q.view(), block.view(), qlocal);
             }
             false
         };
 
-        // SVD of the small final R at rank 0 (randomized if configured),
-        // broadcast to everyone.
-        let factors = if have_rfinal {
-            let rank_cap = self.cfg.k.min(n);
-            let (unew, snew) = if self.cfg.low_rank {
-                if mixed {
-                    let (x, s) = mixed_low_rank_svd(&gr.cast::<f64>(), rank_cap, &mut self.rng);
-                    (x.cast(), s.into_iter().map(T::from_f64).collect())
-                } else {
-                    low_rank_svd(gr, rank_cap, &mut self.rng)
-                }
-            } else {
-                let f = svd_with(gr, self.cfg.method);
-                (f.u, f.s)
-            };
-            Some((unew, snew))
-        } else {
-            None
-        };
-        bcast_factors(self.comm, self.cfg.tree_collectives, mixed, factors, 0)
+        // SVD of the small final R at rank 0, broadcast to everyone.
+        let factors = have_rfinal.then(|| {
+            let f = cfg.inner_svd(gr, cfg.k.min(n), rng);
+            (f.u, f.s, ())
+        });
+        let (unew, snew, ()) = bcast_factors(comm, &plan, mixed, factors, 0)?;
+        Ok((unew, snew))
     }
 
     /// Ingest the first local batch `A0ⁱ` (`Mᵢ x B`) — Listing 2's
@@ -750,59 +632,44 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// this rank's block into the gather; when the tracker is finished,
     /// [`ParallelStreamingSvd::into_gathered_modes`] moves it instead.
     pub fn gather_modes(&self, root: usize) -> Option<Matrix<T>> {
-        if self.cfg.precision == Precision::Mixed {
-            let demoted = self.ulocal.cast::<f32>();
-            let blocks = if self.cfg.tree_collectives {
-                tree_gather(self.comm, demoted, root)
-            } else {
-                self.comm.gather(demoted, root)
-            };
-            return blocks.map(|b| Matrix::vstack_owned(b.iter().map(|p| p.cast::<T>()).collect()));
-        }
-        let blocks = if self.cfg.tree_collectives {
-            tree_gather(self.comm, self.ulocal.clone(), root)
-        } else {
-            self.comm.gather(self.ulocal.clone(), root)
-        };
-        blocks.map(|b| Matrix::vstack_all(&b))
+        gather_rows(self.comm, &self.plan(), self.mixed(), self.ulocal.clone(), root)
     }
 
     /// Consume the tracker and gather the distributed modes at `root`,
     /// moving this rank's block into the collective (no snapshot copy) and
     /// assembling the result by reusing the gathered storage.
     pub fn into_gathered_modes(self, root: usize) -> Option<Matrix<T>> {
-        if self.cfg.precision == Precision::Mixed {
-            return self.gather_modes(root);
-        }
-        let blocks = if self.cfg.tree_collectives {
-            tree_gather(self.comm, self.ulocal, root)
-        } else {
-            self.comm.gather(self.ulocal, root)
-        };
-        blocks.map(Matrix::vstack_owned)
+        gather_rows(self.comm, &self.plan(), self.mixed(), self.ulocal, root)
     }
 
     /// Gather the distributed modes into the global `M x K` matrix on
-    /// *every* rank — [`ParallelStreamingSvd::gather_modes`] followed by a
-    /// broadcast, both tree-structured when `cfg.tree_collectives` is set
-    /// so no stage funnels flat through rank 0.
+    /// *every* rank — a gather at rank 0 followed by a broadcast, both
+    /// over the plan's collective shape so a tree-configured run never
+    /// funnels flat through rank 0.
     pub fn allgather_modes(&self) -> Matrix<T> {
-        if self.cfg.precision == Precision::Mixed {
-            let demoted = self.ulocal.cast::<f32>();
-            let blocks = if self.cfg.tree_collectives {
-                tree_allgather(self.comm, demoted)
-            } else {
-                self.comm.allgather(demoted)
-            };
-            return Matrix::vstack_owned(blocks.iter().map(|p| p.cast::<T>()).collect());
-        }
-        let blocks = if self.cfg.tree_collectives {
-            tree_allgather(self.comm, self.ulocal.clone())
+        let plan = self.plan();
+        let blocks = if self.mixed() {
+            plan.try_allgather(self.comm, self.ulocal.cast::<f32>())
+                .map(|b| b.iter().map(|p| p.cast::<T>()).collect())
         } else {
-            self.comm.allgather(self.ulocal.clone())
+            plan.try_allgather(self.comm, self.ulocal.clone())
         };
-        Matrix::vstack_owned(blocks)
+        Matrix::vstack_owned(blocks.unwrap_or_else(|e| panic!("allgather_modes failed: {e}")))
     }
+}
+
+/// Gather every rank's row block at `root` and stack them in rank order,
+/// reusing the gathered storage.
+fn gather_rows<C: Communicator, T: Scalar>(
+    comm: &C,
+    plan: &MergeTreePlan,
+    mixed: bool,
+    block: Matrix<T>,
+    root: usize,
+) -> Option<Matrix<T>> {
+    gather_blocks(comm, plan, mixed, block, root)
+        .unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
+        .map(Matrix::vstack_owned)
 }
 
 /// Checkpointing is defined on the `f64` instantiation only — the
@@ -1087,32 +954,52 @@ mod tests {
     }
 
     #[test]
-    fn tree_collectives_give_identical_results() {
-        // The deterministic path must produce bit-identical factorizations
-        // whether the gather/broadcast run flat or as binomial trees.
+    fn plan_changes_collective_shape_not_bits() {
+        // From a shared post-initialize state, the TSQR rounds and the mode
+        // gather move identical payloads whether the plan routes them flat
+        // (depth 1) or over binomial trees (deeper): bit-identical results,
+        // fewer messages into rank 0. The APMOS round itself re-compresses
+        // at interior nodes, so end to end a deeper plan agrees with the
+        // flat one to round-off only (nothing is truncated at r1 = N).
         let a = decaying_matrix(72, 24, 9);
-        let base = SvdConfig::new(4).with_forget_factor(0.95).with_r1(12).with_r2(8);
-        let run = |cfg: SvdConfig| {
-            let blocks = split_rows(&a, 5);
+        let blocks = split_rows(&a, 5);
+        let run = |init_cfg: SvdConfig, cfg: SvdConfig| {
             let world = World::new(5);
-            world.run(|comm| {
-                let mut d = ParallelStreamingSvd::new(comm, cfg);
-                d.fit_batched(&blocks[comm.rank()], 8);
+            let out = world.run(|comm| {
+                let b = &blocks[comm.rank()];
+                let mut d = ParallelStreamingSvd::new(comm, init_cfg);
+                d.initialize(&b.submatrix(0, b.rows(), 0, 8));
+                let mut d = ParallelStreamingSvd::restore(comm, cfg, d.into_checkpoint());
+                d.fit_batched(&b.submatrix(0, b.rows(), 8, 24), 8);
                 (d.gather_modes(0), d.singular_values().to_vec())
-            })
+            });
+            let (modes, sigma) = out.into_iter().next().unwrap();
+            (modes.expect("root gathered"), sigma, world.stats().recv_messages(0))
         };
-        let flat = run(base);
-        let tree = run(base.with_tree_collectives(true));
-        assert_eq!(flat[0].1, tree[0].1, "singular values must be bit-identical");
-        assert_eq!(flat[0].0, tree[0].0, "modes must be bit-identical");
+        let flat = SvdConfig::new(4)
+            .with_forget_factor(0.95)
+            .with_r1(24)
+            .with_r2(24)
+            .with_precision(Precision::F64)
+            .with_tree_fanout(0)
+            .with_tree_depth(0);
+        let tree = flat.with_tree_fanout(2);
+        let (flat_modes, flat_sigma, flat_msgs) = run(flat, flat);
+        let (modes, sigma, msgs) = run(flat, tree);
+        assert_eq!(sigma, flat_sigma, "singular values must be bit-identical");
+        assert_eq!(modes, flat_modes, "modes must be bit-identical");
+        assert!(msgs < flat_msgs, "tree collectives must unload rank 0: {msgs} vs {flat_msgs}");
+        let (modes, sigma, _) = run(tree, tree);
+        assert!(spectrum_error(&flat_sigma, &sigma) < 1e-10, "{flat_sigma:?} vs {sigma:?}");
+        assert!(max_principal_angle(&flat_modes, &modes) < 1e-7);
     }
 
     #[test]
     fn allgather_modes_matches_root_gather_on_every_rank() {
         let a = decaying_matrix(64, 12, 11);
         let base = SvdConfig::new(3).with_forget_factor(1.0).with_r1(8).with_r2(6);
-        for tree in [false, true] {
-            let cfg = base.with_tree_collectives(tree);
+        for fanout in [0usize, 2] {
+            let cfg = base.with_tree_fanout(fanout).with_tree_depth(0);
             let blocks = split_rows(&a, 4);
             let world = World::new(4);
             let out = world.run(|comm| {
@@ -1123,7 +1010,7 @@ mod tests {
             });
             let root_copy = out[0].1.as_ref().unwrap();
             for (rank, (everywhere, _)) in out.iter().enumerate() {
-                assert_eq!(everywhere, root_copy, "rank {rank} (tree={tree}) diverged");
+                assert_eq!(everywhere, root_copy, "rank {rank} (fanout={fanout}) diverged");
             }
         }
     }

@@ -24,15 +24,13 @@
 use psvd_data::stream::SnapshotSource;
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::randomized::{mixed_randomized_svd, randomized_svd};
-use psvd_linalg::svd::svd_with;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
-use psvd_linalg::{Matrix, Scalar, Svd};
+use psvd_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 
-use crate::config::{Precision, SvdConfig};
+use crate::config::SvdConfig;
 
 /// Streaming truncated SVD of a (conceptually unbounded) snapshot stream.
 ///
@@ -144,36 +142,13 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         self.ws.reset_stats();
     }
 
-    fn small_svd(&mut self, a: &Matrix<T>) -> Svd<T> {
-        if self.cfg.low_rank {
-            let rank = self.cfg.k.min(a.rows().min(a.cols()));
-            if self.cfg.precision == Precision::Mixed {
-                // f32 range finding, f64 re-orthogonalization and factors,
-                // narrowed back to the driver dtype (exact when T = f64).
-                let f = mixed_randomized_svd(
-                    &a.cast::<f64>(),
-                    &self.cfg.randomized(rank),
-                    &mut self.rng,
-                );
-                Svd {
-                    u: f.u.cast(),
-                    s: f.s.iter().map(|&x| T::from_f64(x)).collect(),
-                    vt: f.vt.cast(),
-                }
-            } else {
-                randomized_svd(a, &self.cfg.randomized(rank), &mut self.rng)
-            }
-        } else {
-            svd_with(a, self.cfg.method)
-        }
-    }
-
     /// SVD the small triangular factor sitting in `rbuf`, then form the
     /// next mode matrix `Q · U'_K` in the spare buffer and swap it in.
     /// All temporaries besides the `O((K+B)²)` SVD factors are reused.
     fn finish_update(&mut self) {
         let rbuf = std::mem::replace(&mut self.rbuf, Matrix::zeros(0, 0));
-        let f = self.small_svd(&rbuf);
+        let rank = self.cfg.k.min(rbuf.rows().min(rbuf.cols()));
+        let f = self.cfg.inner_svd(&rbuf, rank, &mut self.rng);
         self.rbuf = rbuf;
         let k = self.cfg.k.min(f.s.len());
         matmul_into(self.qbuf.view(), f.u.block(0, f.u.rows(), 0, k), &mut self.next_modes);

@@ -27,7 +27,6 @@ pub mod fft;
 pub mod gemm;
 pub mod hessenberg;
 pub mod lanczos;
-pub mod lu;
 pub mod matrix;
 pub mod norms;
 pub mod par;

@@ -112,6 +112,16 @@ pub fn randomized_range_finder_into<T: Scalar, R: rand::Rng>(
     ws.give(rwork);
 }
 
+/// The one randomized-SVD body (Eqs. 9–11): given a range basis `q`
+/// orthonormal at the working dtype, factorize the small projection
+/// `Ã = QᵀA`, lift its left factor `U = Q Ũ` and keep `rank` triplets.
+fn svd_in_range<T: Scalar>(a: &Matrix<T>, q: &Matrix<T>, rank: usize) -> Svd<T> {
+    let small = matmul_tn(q, a); // l x n
+    let f = svd(&small);
+    let u = matmul(q, &f.u);
+    Svd { u, s: f.s, vt: f.vt }.truncated(rank)
+}
+
 /// Randomized truncated SVD of `a`, keeping `cfg.rank` triplets.
 pub fn randomized_svd<T: Scalar, R: rand::Rng>(
     a: &Matrix<T>,
@@ -119,17 +129,7 @@ pub fn randomized_svd<T: Scalar, R: rand::Rng>(
     rng: &mut R,
 ) -> Svd<T> {
     let q = randomized_range_finder(a, cfg, rng);
-    if q.cols() == 0 {
-        return Svd {
-            u: Matrix::zeros(a.rows(), 0),
-            s: Vec::new(),
-            vt: Matrix::zeros(0, a.cols()),
-        };
-    }
-    let small = matmul_tn(&q, a); // l x n
-    let f = svd(&small);
-    let u = matmul(&q, &f.u);
-    Svd { u, s: f.s, vt: f.vt }.truncated(cfg.rank)
+    svd_in_range(a, &q, cfg.rank)
 }
 
 /// The paper's `low_rank_svd(A, K)` helper: returns `(U_K, s_K)` only — the
@@ -146,44 +146,21 @@ pub fn low_rank_svd<T: Scalar, R: rand::Rng>(
 /// Mixed-precision randomized SVD: the memory-bound half of the algorithm
 /// — Gaussian sketch, `AΩ` products, power iterations and the range-basis
 /// QR — runs in f32 (half the bytes through the GEMM engine), then the
-/// basis is promoted to f64 and re-orthogonalized by a second thin QR
-/// before the projection `Ã = QᵀA` and the small dense SVD, which run at
-/// full precision. The promoted-QR step is what recovers f64-level
-/// orthogonality (`‖QᵀQ − I‖ ~ 1e-15`) from an f32 basis; the subspace it
-/// spans is still the f32 sketch's, so singular values agree with the f64
-/// oracle to ~`ε_f32 · σ₁` (the conformance suite pins 1e-5 relative).
-pub fn mixed_randomized_svd<R: rand::Rng>(
-    a: &Matrix<f64>,
+/// basis is promoted to the working dtype and re-orthogonalized by a
+/// second thin QR before the shared projection / small-SVD body, which
+/// runs at full precision. The promoted-QR step is what recovers
+/// f64-level orthogonality (`‖QᵀQ − I‖ ~ 1e-15`) from an f32 basis; the
+/// subspace it spans is still the f32 sketch's, so singular values agree
+/// with the f64 oracle to ~`ε_f32 · σ₁` (the conformance suite pins 1e-5
+/// relative).
+pub fn mixed_randomized_svd<T: Scalar, R: rand::Rng>(
+    a: &Matrix<T>,
     cfg: &RandomizedConfig,
     rng: &mut R,
-) -> Svd<f64> {
-    let a32: Matrix<f32> = a.cast();
-    let q32 = randomized_range_finder(&a32, cfg, rng);
-    if q32.cols() == 0 {
-        return Svd {
-            u: Matrix::zeros(a.rows(), 0),
-            s: Vec::new(),
-            vt: Matrix::zeros(0, a.cols()),
-        };
-    }
-    // Promote and re-orthogonalize: QR of the widened basis spans the same
-    // subspace but is orthonormal at f64 working precision.
-    let q = thin_qr(&q32.cast::<f64>()).q;
-    let small = matmul_tn(&q, a); // l x n, full precision
-    let f = svd(&small);
-    let u = matmul(&q, &f.u);
-    Svd { u, s: f.s, vt: f.vt }.truncated(cfg.rank)
-}
-
-/// Mixed-precision counterpart of [`low_rank_svd`]: `(U_K, s_K)` with the
-/// range finding in f32 and the factors finished in f64.
-pub fn mixed_low_rank_svd<R: rand::Rng>(
-    a: &Matrix<f64>,
-    k: usize,
-    rng: &mut R,
-) -> (Matrix<f64>, Vec<f64>) {
-    let f = mixed_randomized_svd(a, &RandomizedConfig::new(k), rng);
-    (f.u, f.s)
+) -> Svd<T> {
+    let q32 = randomized_range_finder(&a.cast::<f32>(), cfg, rng);
+    let q = thin_qr(&q32.cast::<T>()).q;
+    svd_in_range(a, &q, cfg.rank)
 }
 
 #[cfg(test)]
@@ -291,5 +268,7 @@ mod tests {
         let cfg = RandomizedConfig { rank: 0, oversampling: 0, power_iterations: 0 };
         let f = randomized_svd(&a, &cfg, &mut rng);
         assert!(f.s.is_empty());
+        assert_eq!(f.u.shape(), (10, 0));
+        assert!(mixed_randomized_svd(&a, &cfg, &mut rng).s.is_empty());
     }
 }

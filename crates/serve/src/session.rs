@@ -445,7 +445,14 @@ mod tests {
     fn spec(rows: usize, ranks: usize, batch: usize) -> SessionSpec {
         SessionSpec::new(2, rows)
             .with_svd(
-                SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_tree_depth(0),
+                // F64: these tests pin double-precision bitwise/round-off
+                // contracts whatever PSVD_PRECISION says.
+                SvdConfig::new(2)
+                    .with_r1(4)
+                    .with_r2(4)
+                    .with_precision(psvd_core::Precision::F64)
+                    .with_tree_fanout(0)
+                    .with_tree_depth(0),
             )
             .with_ranks(ranks)
             .with_batch(batch)

@@ -26,7 +26,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "check: clippy OK"
 
 cargo build --release
-cargo test -q
+cargo test -q --no-fail-fast
 echo "check: OK (fmt, clippy, release build, tests)"
 
 if [[ "$WITH_COV" == "1" ]]; then

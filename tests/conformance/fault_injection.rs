@@ -14,8 +14,13 @@ const N: usize = 24;
 const RANKS: usize = 3;
 const BATCH: usize = 8;
 
+/// `tree` selects a fanout-2 merge-tree plan (3 ranks: two levels, every
+/// collective over binomial trees) instead of the paper's flat exchange.
 fn cfg(tree: bool) -> SvdConfig {
-    exact_config(4, BATCH).with_forget_factor(0.95).with_tree_collectives(tree)
+    exact_config(4, BATCH)
+        .with_forget_factor(0.95)
+        .with_tree_fanout(if tree { 2 } else { 0 })
+        .with_tree_depth(0)
 }
 
 /// Stream the whole matrix under a fault plan; returns per-rank
@@ -42,8 +47,8 @@ fn faulted_run(
 fn one_transient_drop_per_collective_is_bitwise_invisible() {
     // Acceptance criterion: with every send's first attempt dropped (so at
     // least one transient drop per collective), the retry path must
-    // reproduce the fault-free factorization bit for bit — on both the
-    // flat and the tree collectives.
+    // reproduce the fault-free factorization bit for bit — under both the
+    // flat plan and a merge tree with tree collectives.
     let a = data_matrix(Spectrum::Geometric, M, N, 31);
     for tree in [false, true] {
         let clean = faulted_run(&a, tree, &FaultPlan::new(8));

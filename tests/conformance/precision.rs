@@ -172,28 +172,34 @@ fn harness_spectra_are_f32_representable() {
 }
 
 /// Mixed-mode determinism: tree and flat collectives demote identically,
-/// so the factorization is bit-identical either way.
+/// so from a shared post-initialize state the TSQR rounds and the mode
+/// gather are bit-identical whether the plan routes them flat or (fanout
+/// 2) over binomial trees.
 #[test]
 fn mixed_tree_and_flat_collectives_bit_identical() {
     let a = data_matrix(crate::harness::Spectrum::Step, 64, 24, 42);
-    let base = SvdConfig::new(4)
+    let flat = SvdConfig::new(4)
         .with_forget_factor(0.95)
         .with_r1(12)
         .with_r2(8)
-        .with_precision(Precision::Mixed);
+        .with_precision(Precision::Mixed)
+        .with_tree_fanout(0)
+        .with_tree_depth(0);
     let run = |cfg: SvdConfig| {
         let blocks = split_rows(&a, 4);
         let world = World::new(4);
         world.run(|comm| {
-            let mut d = ParallelStreamingSvd::new(comm, cfg);
-            d.fit_batched(&blocks[comm.rank()], 8);
+            let b = &blocks[comm.rank()];
+            let mut d = ParallelStreamingSvd::new(comm, flat);
+            d.initialize(&b.submatrix(0, b.rows(), 0, 8));
+            let mut d = ParallelStreamingSvd::restore(comm, cfg, d.into_checkpoint());
+            d.fit_batched(&b.submatrix(0, b.rows(), 8, 24), 8);
             (d.gather_modes(0), d.singular_values().to_vec())
         })
     };
-    let flat = run(base);
-    let tree = run(base.with_tree_collectives(true));
-    assert_eq!(flat[0].1, tree[0].1, "mixed σ must be bit-identical tree vs flat");
-    assert_eq!(flat[0].0, tree[0].0, "mixed modes must be bit-identical tree vs flat");
+    let (flat_out, tree_out) = (run(flat), run(flat.with_tree_fanout(2)));
+    assert_eq!(flat_out[0].1, tree_out[0].1, "mixed σ must be bit-identical tree vs flat");
+    assert_eq!(flat_out[0].0, tree_out[0].0, "mixed modes must be bit-identical tree vs flat");
 }
 
 /// An f32-dtype parallel stream over a `Matrix<f32>` partition: the

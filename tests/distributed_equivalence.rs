@@ -172,3 +172,48 @@ fn simulated_clocks_grow_with_world_size_at_root() {
     let t16 = clock_for(16);
     assert!(t16 > t4, "more ranks -> more gather traffic -> later clock: {t4} vs {t16}");
 }
+
+#[test]
+fn randomized_knobs_reach_the_parallel_driver_and_the_merge_tree() {
+    // Regression: the distributed inner SVDs used to hard-code p = 10,
+    // q = 1. On a slowly decaying spectrum with a thin sketch, power
+    // iterations must change the answer and move it towards the batch
+    // SVD — through the flat exchange (2 ranks) and through interior
+    // merge nodes (4 ranks, fanout 2), APMOS initialize and TSQR updates.
+    let spec: Vec<f64> = (0..40).map(|i| 1.0 / (1.0 + i as f64)).collect();
+    let a = pyparsvd::linalg::random::matrix_with_spectrum(
+        160,
+        40,
+        &spec,
+        &mut pyparsvd::linalg::random::seeded_rng(23),
+    );
+    let k = 5;
+    let (_, s_ref) = batch_truncated_svd(&a, k);
+    for (n_ranks, fanout) in [(2usize, 0usize), (4, 2)] {
+        let sigma_err = |q: usize| {
+            let cfg = SvdConfig::new(k)
+                .with_forget_factor(1.0)
+                .with_r1(40)
+                .with_r2(40)
+                .with_low_rank(true)
+                .with_oversampling(2)
+                .with_power_iterations(q)
+                .with_seed(11)
+                .with_precision(Precision::F64)
+                .with_tree_fanout(fanout)
+                .with_tree_depth(0);
+            let blocks = split_rows(&a, n_ranks);
+            let world = World::new(n_ranks);
+            let out = world.run(|comm| {
+                let mut d = ParallelStreamingSvd::new(comm, cfg);
+                d.fit_batched(&blocks[comm.rank()], 20);
+                d.singular_values().to_vec()
+            });
+            (spectrum_error(&s_ref, &out[0]), out.into_iter().next().unwrap())
+        };
+        let (e0, s0) = sigma_err(0);
+        let (e3, s3) = sigma_err(3);
+        assert_ne!(s0, s3, "{n_ranks} ranks: power_iterations must reach the inner SVDs");
+        assert!(e3 < e0, "{n_ranks} ranks: q = 3 error {e3} should undercut q = 0 error {e0}");
+    }
+}

@@ -15,7 +15,6 @@ use pyparsvd::linalg::norms::orthogonality_error;
 use pyparsvd::linalg::par;
 use pyparsvd::linalg::random::{gaussian_matrix, seeded_rng};
 use pyparsvd::linalg::rot::{rot_block, set_rot_block};
-use pyparsvd::linalg::svd::convergence_stats;
 use pyparsvd::linalg::svd::golub_kahan::{bidiagonal_svd_with_info, golub_kahan_svd_with_info};
 use pyparsvd::linalg::svd::jacobi::jacobi_svd;
 use pyparsvd::linalg::{Matrix, Svd};
@@ -202,14 +201,13 @@ fn auto_heuristic_override_and_clamping() {
 }
 
 #[test]
-fn successful_solves_do_not_bump_failure_counter() {
-    let before = convergence_stats::failures();
+fn successful_solves_report_convergence() {
+    // Asserts on the `SvdInfo` this solve returns: the process-wide
+    // `convergence_stats` counter is shared with sibling tests that bail
+    // out on purpose (its "exactly once per bailout" contract is pinned
+    // in golub_kahan.rs, the only bailout-triggering test in its binary).
     let a = gaussian_matrix(90, 30, &mut seeded_rng(23));
-    let (_, info) = golub_kahan_svd_with_info(&a);
-    assert!(info.converged);
-    assert_eq!(
-        convergence_stats::failures(),
-        before,
-        "converged solves must not be counted as bailouts"
-    );
+    let (f, info) = golub_kahan_svd_with_info(&a);
+    assert!(info.converged, "a Gaussian 90x30 solve must converge: {info:?}");
+    assert!(f.s.iter().all(|s| s.is_finite()));
 }

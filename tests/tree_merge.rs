@@ -1,8 +1,11 @@
-//! Merge-tree APMOS contracts: flat plans are bitwise-pinned to the flat
-//! driver path, non-flat plans stay within the tracked truncation bound,
-//! and the bound itself dominates the observed σ deviation on graded and
-//! clustered spectra (the Weyl / Eckart–Young accounting of
-//! `core/hierarchical.rs`).
+//! Merge-tree APMOS contracts: every spelling of the flat plan runs the
+//! same depth-1 exchange (bitwise equal, two collective rounds, zero
+//! interior bound), non-flat plans stay within the tracked truncation
+//! bound, and the bound itself dominates the observed σ deviation on
+//! graded and clustered spectra (the Weyl / Eckart–Young accounting of
+//! `core/hierarchical.rs`). The independent oracle for the depth-1
+//! exchange itself is `apmos_exact_without_truncation` in
+//! `core/parallel.rs`.
 
 use pyparsvd::data::partition::split_rows;
 use pyparsvd::linalg::random::{matrix_with_spectrum, seeded_rng};
@@ -25,18 +28,14 @@ fn clustered(m: usize, n: usize, seed: u64) -> Matrix {
 }
 
 /// One APMOS round through the driver, returning every rank's view:
-/// assembled modes, the σ estimate, and the tree diagnostics (if any).
-fn driver_round(
-    a: &Matrix,
-    n_ranks: usize,
-    cfg: SvdConfig,
-) -> (Matrix, Vec<f64>, Option<TreeMergeInfo>) {
+/// assembled modes, the σ estimate, and the round's diagnostics.
+fn driver_round(a: &Matrix, n_ranks: usize, cfg: SvdConfig) -> (Matrix, Vec<f64>, TreeMergeInfo) {
     let blocks = split_rows(a, n_ranks);
     let world = World::new(n_ranks);
     let out = world.run(|comm| {
         let mut d = ParallelStreamingSvd::new(comm, cfg);
         let (phi, s) = d.parallel_svd(&blocks[comm.rank()]);
-        (phi, s, d.tree_merge_info().cloned())
+        (phi, s, d.tree_merge_info().cloned().expect("every APMOS round reports"))
     });
     for (_, s, info) in &out {
         assert_eq!(s, &out[0].1, "σ must agree on every rank");
@@ -52,35 +51,63 @@ fn max_sigma_dev(a: &[f64], b: &[f64]) -> f64 {
 }
 
 #[test]
-fn flat_plans_are_bitwise_identical_to_the_flat_driver() {
-    // Fanout >= world, depth 1 and cleared knobs all resolve to the flat
-    // plan; each must reproduce the knob-free driver bit for bit.
+fn every_flat_spelling_is_the_same_depth_1_exchange() {
+    // Cleared knobs, depth 1 and fanout >= world all resolve to the flat
+    // plan: bit-identical results and the depth-1 diagnostics on every
+    // rank (`driver_round` checks cross-rank agreement), whatever the
+    // precision policy or inner-SVD flavour.
     let a = graded(90, 12, 41);
-    let base = SvdConfig::new(3)
+    let f64_base = SvdConfig::new(3)
         .with_r1(6)
         .with_r2(6)
         .with_precision(Precision::F64)
         .with_tree_fanout(0)
         .with_tree_depth(0);
-    for n_ranks in WORLDS {
-        let (modes, sigma, info) = driver_round(&a, n_ranks, base);
-        assert!(info.is_none(), "flat default must not engage the tree engine");
-        for cfg in [
-            base.with_tree_depth(1),
-            base.with_tree_fanout(n_ranks.max(2)),
-            base.with_tree_fanout(100),
-        ] {
-            let (m2, s2, i2) = driver_round(&a, n_ranks, cfg);
-            assert!(
-                i2.is_none(),
-                "{n_ranks} ranks, {:?}/{:?}: plan should resolve flat",
-                cfg.tree_fanout,
-                cfg.tree_depth
-            );
-            assert_eq!(s2, sigma, "{n_ranks} ranks: flat-resolved σ must be bitwise identical");
-            assert_eq!(m2, modes, "{n_ranks} ranks: flat-resolved modes must be bitwise identical");
+    for base in [
+        f64_base,
+        f64_base.with_precision(Precision::Mixed),
+        f64_base.with_low_rank(true).with_seed(7),
+    ] {
+        for n_ranks in WORLDS {
+            let (modes, sigma, info) = driver_round(&a, n_ranks, base);
+            assert_eq!(info.fanouts, vec![n_ranks], "{n_ranks} ranks: one level, whole world");
+            assert_eq!(info.merges, 0, "{n_ranks} ranks: no interior merge at depth 1");
+            assert_eq!(info.interior_bound(), 0.0);
+            for cfg in [
+                base.with_tree_depth(1),
+                base.with_tree_fanout(n_ranks.max(2)),
+                base.with_tree_fanout(100),
+            ] {
+                let (m2, s2, i2) = driver_round(&a, n_ranks, cfg);
+                assert_eq!(i2.depth(), 1, "{n_ranks} ranks, {cfg:?}: plan should resolve flat");
+                assert_eq!(i2.merges, 0);
+                assert_eq!(s2, sigma, "{n_ranks} ranks: flat-resolved σ must be bitwise identical");
+                assert_eq!(m2, modes, "{n_ranks} ranks: flat-resolved modes must be identical");
+            }
         }
     }
+}
+
+#[test]
+fn a_depth_1_round_is_two_collective_rounds() {
+    // The paper's exchange: P − 1 factors into rank 0, P − 1 broadcast
+    // copies out (the diagnostics ride the factor broadcast) — so fault
+    // schedules keyed on collective rounds keep two rounds per APMOS.
+    const P: usize = 4;
+    let a = graded(64, 12, 46);
+    let cfg = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0).with_tree_depth(0);
+    let blocks = split_rows(&a, P);
+    let world = World::new(P);
+    let tags = world.run(|comm| {
+        let before = comm.next_collective_tag();
+        let _ = parallel_svd_once(comm, cfg, &blocks[comm.rank()]);
+        comm.next_collective_tag() - before - 1
+    });
+    assert_eq!(tags, vec![2; P], "collective tags claimed per rank");
+    let stats = world.stats();
+    assert_eq!(stats.total_messages(), 2 * (P as u64 - 1));
+    assert_eq!(stats.recv_messages(0), P as u64 - 1, "into the root");
+    assert_eq!(stats.sent_messages(0), P as u64 - 1, "out of the root");
 }
 
 #[test]
@@ -102,7 +129,6 @@ fn fanout_sweep_stays_within_tracked_bound() {
                 assert_eq!(modes, flat_modes, "{n_ranks} ranks fanout {fanout}: bitwise");
                 continue;
             }
-            let info = info.expect("non-flat plan must report diagnostics");
             let expect = MergeTreePlan::uniform(fanout, n_ranks).unwrap();
             assert_eq!(info.fanouts, expect.fanouts(), "{n_ranks} ranks fanout {fanout}");
             let dev = max_sigma_dev(&sigma, &flat_sigma);
@@ -132,21 +158,18 @@ fn depth_sweep_stays_within_tracked_bound() {
         for depth in DEPTHS {
             let cfg = base.with_tree_depth(depth);
             let (modes, sigma, info) = driver_round(&a, n_ranks, cfg);
-            match info {
-                None => {
-                    // Depth 1 (or a world too small to split) resolves flat.
-                    assert_eq!(sigma, flat_sigma, "{n_ranks} ranks depth {depth}: bitwise");
-                    assert_eq!(modes, flat_modes, "{n_ranks} ranks depth {depth}: bitwise");
-                }
-                Some(info) => {
-                    assert!(info.depth() >= 2 && info.depth() <= depth);
-                    let dev = max_sigma_dev(&sigma, &flat_sigma);
-                    assert!(
-                        dev <= info.interior_bound() + 1e-8,
-                        "{n_ranks} ranks depth {depth}: σ deviation {dev} exceeds bound {}",
-                        info.interior_bound()
-                    );
-                }
+            if info.depth() == 1 {
+                // Depth 1 (or a world too small to split) resolves flat.
+                assert_eq!(sigma, flat_sigma, "{n_ranks} ranks depth {depth}: bitwise");
+                assert_eq!(modes, flat_modes, "{n_ranks} ranks depth {depth}: bitwise");
+            } else {
+                assert!(info.depth() <= depth);
+                let dev = max_sigma_dev(&sigma, &flat_sigma);
+                assert!(
+                    dev <= info.interior_bound() + 1e-8,
+                    "{n_ranks} ranks depth {depth}: σ deviation {dev} exceeds bound {}",
+                    info.interior_bound()
+                );
             }
         }
     }
@@ -173,7 +196,6 @@ fn truncation_bound_dominates_on_graded_and_clustered_spectra() {
                 let (_, flat_sigma, _) = driver_round(&a, n_ranks, cfg);
                 for fanout in [2usize, 3] {
                     let (_, sigma, info) = driver_round(&a, n_ranks, cfg.with_tree_fanout(fanout));
-                    let info = info.expect("non-flat plan");
                     let dev = max_sigma_dev(&sigma, &flat_sigma);
                     let bound = info.interior_bound();
                     assert!(
@@ -207,7 +229,7 @@ fn randomized_tree_path_tracks_leading_sigma() {
         .with_tree_fanout(3)
         .with_tree_depth(0);
     let (_, sigma, info) = driver_round(&a, 9, cfg);
-    assert!(info.is_some());
+    assert_eq!(info.depth(), 2, "9 ranks at fanout 3");
     let (_, flat_sigma, _) = driver_round(&a, 9, cfg.with_tree_fanout(0));
     for (got, want) in sigma.iter().zip(&flat_sigma) {
         assert!((got - want).abs() / want < 0.05, "sigma {got} vs {want}");
