@@ -2,7 +2,7 @@
 //!
 //! The paper fixes 1024 grid points per rank and scales to 256 nodes of
 //! Theta, timing the one-shot parallel randomized SVD (no streaming). This
-//! host has a single core, so — per the substitution documented in
+//! host has one or two cores, so — per the substitution documented in
 //! `DESIGN.md` — the *algorithm and all messages run for real* over the
 //! in-process fabric, while time is accounted on per-rank simulated clocks:
 //!
@@ -12,11 +12,12 @@
 //!   (Theta Aries-like parameters) plus per-message endpoint overhead.
 //!
 //! Reported: simulated wall-clock per rank count (max over rank clocks),
-//! weak-scaling efficiency `t(1)/t(N)`, and real traffic volumes, for four
-//! series: the paper's randomized flat-gather configuration, a
-//! deterministic rank-0 baseline, binomial-tree collectives, and two-level
-//! hierarchical APMOS with √P groups (the last two are extensions that
-//! probe, then remove, the rank-0 bottleneck).
+//! weak-scaling efficiency `t(1)/t(N)`, and real traffic volumes, for three
+//! series, all through the one timed engine
+//! [`psvd_core::try_merge_tree_svd_timed`]: the paper's randomized
+//! flat-gather configuration, a deterministic rank-0 baseline, and a
+//! two-level merge tree with ~√P groups (an extension that removes the
+//! rank-0 bottleneck).
 //!
 //! ```text
 //! cargo run -p psvd-bench --release --bin fig1c_weak_scaling            # up to 64 ranks
@@ -24,15 +25,9 @@
 //! ```
 
 use psvd_bench::{calibrate_flops_per_sec, fmt_secs, Table};
-use psvd_comm::collectives::{tree_bcast, tree_gather};
 use psvd_comm::{Communicator, NetworkModel, World};
+use psvd_core::{try_merge_tree_svd_timed, MergeTreePlan, Precision, SvdConfig};
 use psvd_data::burgers::{snapshot_rows, BurgersConfig};
-use psvd_linalg::gemm::matmul;
-use psvd_linalg::randomized::low_rank_svd;
-use psvd_linalg::snapshots::generate_right_vectors;
-use psvd_linalg::svd::svd;
-use psvd_linalg::Matrix;
-use rand::SeedableRng;
 
 /// Per-rank grid points, as in the paper.
 const POINTS_PER_RANK: usize = 1024;
@@ -40,156 +35,20 @@ const POINTS_PER_RANK: usize = 1024;
 const SNAPSHOTS: usize = 128;
 /// APMOS local truncation (paper: 50; scaled with the snapshot count).
 const R1: usize = 16;
-/// Modes.
+/// Modes (= r2: the root truncation).
 const K: usize = 10;
 
-/// APMOS with analytic flop charging on the simulated clocks. Mirrors
-/// `psvd_core::parallel::parallel_svd` phase by phase; the real kernels and
-/// real messages run, and each phase also advances this rank's clock by
-/// `flops / rate`.
-fn apmos_timed<C: Communicator>(
-    comm: &C,
-    a_local: &Matrix,
-    low_rank: bool,
-    tree: bool,
-    rate: f64,
-) -> Vec<f64> {
-    let (m, n) = (a_local.rows() as f64, a_local.cols() as f64);
-
-    // Phase 1 (every rank): Gram + Jacobi eigensolve + W block.
-    comm.advance((2.0 * m * n * n + 25.0 * n * n * n) / rate);
-    let (v, s) = generate_right_vectors(a_local, R1);
-    let wlocal = v.mul_diag(&s);
-
-    // Phase 2: gather W at rank 0 (charged by the network model).
-    let wglobal = if tree { tree_gather(comm, wlocal, 0) } else { comm.gather(wlocal, 0) };
-
-    // Phase 3 (rank 0 only): factorize W.
-    let factors = if comm.rank() == 0 {
-        let w = Matrix::hstack_all(&wglobal.expect("root"));
-        let cols = w.cols() as f64;
-        let l = (K + 10) as f64; // sketch width of the randomized path
-        let flops = if low_rank {
-            // Y = W*Omega, QR(Y), Q^T W, small SVD: ~6 l n cols.
-            6.0 * l * n * cols
-        } else {
-            // Wide input: QR-preprocess of the transpose + dense SVD of the
-            // small square factor.
-            2.0 * cols * n * n + 26.0 * n * n * n
-        };
-        comm.advance(flops / rate);
-        let (x, sv) = if low_rank {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            low_rank_svd(&w, K, &mut rng)
-        } else {
-            let f = svd(&w);
-            (f.u, f.s)
-        };
-        Some((x.first_columns(K), sv[..K.min(sv.len())].to_vec()))
-    } else {
-        None
-    };
-
-    // Phase 4: broadcast the reduced factors.
-    let (x, sv) = if tree { tree_bcast(comm, factors, 0) } else { comm.bcast(factors, 0) };
-
-    // Phase 5 (every rank): assemble the local mode slice.
-    comm.advance((2.0 * m * n * K as f64) / rate);
-    let inv: Vec<f64> = sv.iter().map(|v| 1.0 / v.max(1e-300)).collect();
-    let _phi = matmul(a_local, &x).mul_diag(&inv);
-    sv
-}
-
-/// Two-level APMOS with flop charging: group leaders re-compress their
-/// group's W stack to r1 columns before forwarding (see
-/// `psvd_core::hierarchical`), cutting rank-0 width from `r1·P` to
-/// `r1·P/g` at the cost of a `r1·g`-wide factorization at each leader.
-fn apmos_hier_timed<C: Communicator>(
-    comm: &C,
-    a_local: &Matrix,
-    group_size: usize,
-    rate: f64,
-) -> Vec<f64> {
-    use psvd_linalg::randomized::low_rank_svd as lrsvd;
-    let (m, n) = (a_local.rows() as f64, a_local.cols() as f64);
-    let rank = comm.rank();
-    let size = comm.size();
-    let l = (K + 10) as f64;
-
-    comm.advance((2.0 * m * n * n + 25.0 * n * n * n) / rate);
-    let (v, s) = generate_right_vectors(a_local, R1);
-    let wlocal = v.mul_diag(&s);
-
-    const TAG_L: u64 = 50;
-    const TAG_R: u64 = 51;
-    let leader = (rank / group_size) * group_size;
-    let group_end = (leader + group_size).min(size);
-    let reduced = if rank == leader {
-        let mut blocks = vec![wlocal];
-        for src in leader + 1..group_end {
-            blocks.push(comm.recv::<Matrix>(src, TAG_L));
-        }
-        let stack = Matrix::hstack_all(&blocks);
-        let cols = stack.cols() as f64;
-        comm.advance(6.0 * l * n * cols / rate);
-        let keep = R1.min(stack.rows().min(stack.cols()));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let (x, sv) = lrsvd(&stack, keep, &mut rng);
-        Some(x.first_columns(keep).mul_diag(&sv[..keep.min(sv.len())]))
-    } else {
-        comm.send(wlocal, leader, TAG_L);
-        None
-    };
-
-    let factors = if rank == 0 {
-        let mut blocks = vec![reduced.expect("root is a leader")];
-        let mut src = group_size;
-        while src < size {
-            blocks.push(comm.recv::<Matrix>(src, TAG_R));
-            src += group_size;
-        }
-        let stack = Matrix::hstack_all(&blocks);
-        let cols = stack.cols() as f64;
-        comm.advance(6.0 * l * n * cols / rate);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let (x, sv) = lrsvd(&stack, K, &mut rng);
-        Some((x.first_columns(K), sv[..K.min(sv.len())].to_vec()))
-    } else {
-        if rank == leader {
-            comm.send(reduced.expect("leader"), 0, TAG_R);
-        }
-        None
-    };
-    let (x, sv) = comm.bcast(factors, 0);
-
-    comm.advance((2.0 * m * n * K as f64) / rate);
-    let inv: Vec<f64> = sv.iter().map(|v| 1.0 / v.max(1e-300)).collect();
-    let _phi = matmul(a_local, &x).mul_diag(&inv);
-    sv
-}
-
-/// Which harness variant a series runs.
-#[derive(Clone, Copy)]
-enum Variant {
-    Flat { low_rank: bool, tree: bool },
-    Hierarchical,
-}
-
-fn run_scale(n_ranks: usize, variant: Variant, rate: f64) -> (f64, u64, u64) {
+fn run_scale(n_ranks: usize, svd: SvdConfig, plan: &MergeTreePlan, rate: f64) -> (f64, u64, u64) {
     let cfg = BurgersConfig {
         grid_points: POINTS_PER_RANK * n_ranks,
         snapshots: SNAPSHOTS,
         ..BurgersConfig::default()
     };
     let world = World::with_model(n_ranks, NetworkModel::theta_aries());
-    let group = (n_ranks as f64).sqrt().ceil() as usize;
     let (_, clocks) = world.run_with_clocks(|comm| {
         let r0 = comm.rank() * POINTS_PER_RANK;
         let local = snapshot_rows(&cfg, r0, r0 + POINTS_PER_RANK);
-        match variant {
-            Variant::Flat { low_rank, tree } => apmos_timed(comm, &local, low_rank, tree, rate),
-            Variant::Hierarchical => apmos_hier_timed(comm, &local, group.max(1), rate),
-        }
+        try_merge_tree_svd_timed(comm, svd, &local, plan, rate).expect("fault-free world").1
     });
     let t = clocks.iter().cloned().fold(0.0, f64::max);
     (t, world.stats().total_messages(), world.stats().total_bytes())
@@ -210,19 +69,26 @@ fn main() {
         ranks.push(ranks.last().unwrap() * 2);
     }
 
-    let series: [(Variant, &str); 4] = [
+    let base = SvdConfig::new(K)
+        .with_r1(R1)
+        .with_r2(K)
+        .with_forget_factor(1.0)
+        .with_precision(Precision::F64);
+    type PlanFor = fn(usize) -> MergeTreePlan;
+    let series: [(SvdConfig, PlanFor, &str); 3] = [
         (
-            Variant::Flat { low_rank: true, tree: false },
+            base.with_low_rank(true),
+            MergeTreePlan::flat,
             "randomized, flat gather (paper's configuration)",
         ),
-        (Variant::Flat { low_rank: false, tree: false }, "deterministic, flat gather (baseline)"),
+        (base, MergeTreePlan::flat, "deterministic, flat gather (baseline)"),
         (
-            Variant::Flat { low_rank: true, tree: true },
-            "randomized, binomial-tree collectives (extension)",
+            base.with_low_rank(true),
+            |p| MergeTreePlan::with_depth(2, p).expect("depth 2 is a valid shape"),
+            "randomized, two-level merge tree with ~sqrt(P) groups (extension)",
         ),
-        (Variant::Hierarchical, "randomized, two-level APMOS with sqrt(P) groups (extension)"),
     ];
-    for (variant, label) in series {
+    for (svd, plan_for, label) in series {
         println!("-- {label} --");
         let table = Table::new(&[
             "ranks",
@@ -234,7 +100,7 @@ fn main() {
         ]);
         let mut t1 = None;
         for &n in &ranks {
-            let (t, msgs, bytes) = run_scale(n, variant, rate);
+            let (t, msgs, bytes) = run_scale(n, svd, &plan_for(n), rate);
             let t1v = *t1.get_or_insert(t);
             table.row(&[
                 n.to_string(),

@@ -1,9 +1,10 @@
 //! # psvd-bench
 //!
-//! Benchmark harness for the PyParSVD reproduction. Each `fig*` binary
+//! Figure harness for the PyParSVD reproduction. Each `fig*` binary
 //! regenerates one figure of the paper's evaluation (Section 4.3) and each
-//! `ablation_*` binary sweeps one design knob called out in `DESIGN.md`;
-//! `benches/` holds Criterion kernel benchmarks.
+//! `ablation_*` binary sweeps one design knob called out in `DESIGN.md`.
+//! Performance is measured elsewhere: `benchmark/` (`psvd-e2e`) is the
+//! repository's one benchmark.
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -14,6 +15,7 @@
 //! | `ablation_truncation` | r1/r2 accuracy-vs-traffic sweep |
 //! | `ablation_randomized` | oversampling / power-iteration sweep |
 //! | `ablation_batch_size` | streaming batch-size sweep |
+//! | `ablation_baselines` | Levy–Lindenbaum vs Brand vs Lanczos vs randomized vs one-shot |
 
 use std::time::Instant;
 

@@ -360,7 +360,7 @@ fn scale_columns<T: Scalar>(m: &mut Matrix<T>, d: &[T]) {
 }
 
 /// Charge the simulated clock for a factorization of a `rows x cols`
-/// stack (formulas shared with the weak-scaling bench: deterministic
+/// stack (the one flop model behind `fig1c_weak_scaling`: deterministic
 /// `2·max·min² + 26·min³`, randomized `6·(keep+10)·rows·cols`).
 fn charge_factorize<C: Communicator>(
     comm: &C,
@@ -577,8 +577,8 @@ pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
 
 /// As [`try_merge_tree_svd`], additionally charging modeled local compute
 /// at `compute_rate` flop/s to the communicator's simulated clock — the
-/// entry point of the `tree_scaling` weak-scaling bench (flat series
-/// included).
+/// entry point of `fig1c_weak_scaling` and the simulated-time gate in
+/// `tests/tree_merge.rs` (flat series included).
 pub fn try_merge_tree_svd_timed<C: Communicator, T: Scalar + Payload>(
     comm: &C,
     cfg: SvdConfig,

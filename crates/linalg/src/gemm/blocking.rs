@@ -6,17 +6,9 @@
 //! ([`Blocking::try_new`]) — `MC` must be a multiple of its `mr` and `NC`
 //! of its `nr` so packed strips never straddle a block boundary — and
 //! resolved exactly once per process *per dtype* (the cells live in
-//! [`Scalar::gemm_cells`]):
-//!
-//! 1. `PSVD_GEMM_TUNE` unset / `0` / `off` — the static defaults
-//!    ([`Blocking::default_for`]). With the scalar kernel forced at f64,
-//!    this is bit-for-bit the pre-SIMD engine.
-//! 2. `PSVD_GEMM_TUNE=1` / `on` — the one-shot autotuner runs at first
-//!    GEMM (or when [`crate::gemm::autotune`] is called explicitly) and
-//!    its winner is installed for the process lifetime.
-//! 3. `PSVD_GEMM_TUNE=<path>` — a serialized tuning profile is loaded
-//!    from `<path>` if present and consistent with the active kernel and
-//!    dtype; otherwise the autotuner runs and writes the winner there.
+//! [`Scalar::gemm_cells`]) to the static defaults
+//! ([`Blocking::default_for`]). With the scalar kernel forced at f64, this
+//! is bit-for-bit the pre-SIMD engine.
 //!
 //! Cache capacities are measured in **bytes**, so the defaults are keyed
 //! by element size: `KC` holds a constant K-panel byte footprint
@@ -47,7 +39,7 @@ pub(crate) const DEFAULT_KC_BYTES: usize = 2048;
 pub(crate) const DEFAULT_NC: usize = 4096;
 
 /// Upper bound on the packed-A bytes per thread (16 MiB). Guards against
-/// absurd autotune/profile values; the element cap follows the dtype.
+/// absurd caller-chosen values; the element cap follows the dtype.
 const MAX_PACK_A_BYTES: usize = 1 << 24;
 
 /// The default `KC` for dtype `T` (see [`DEFAULT_KC_BYTES`]).
@@ -143,88 +135,10 @@ impl Blocking {
     }
 }
 
-/// How the process-wide blocking was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockingSource {
-    /// Static defaults (tuning off).
-    Default,
-    /// The in-process autotuner picked it this run.
-    Tuned,
-    /// Loaded from a serialized profile (`PSVD_GEMM_TUNE=<path>`).
-    Profile,
-}
-
-impl BlockingSource {
-    /// Stable lowercase label for bench JSON / logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            BlockingSource::Default => "default",
-            BlockingSource::Tuned => "tuned",
-            BlockingSource::Profile => "profile",
-        }
-    }
-}
-
-/// What `PSVD_GEMM_TUNE` asked for, parsed once.
-pub(crate) enum TuneMode {
-    Off,
-    InProcess,
-    Profile(String),
-}
-
-pub(crate) fn tune_mode() -> &'static TuneMode {
-    static MODE: std::sync::OnceLock<TuneMode> = std::sync::OnceLock::new();
-    MODE.get_or_init(|| match std::env::var("PSVD_GEMM_TUNE") {
-        Err(_) => TuneMode::Off,
-        Ok(v) => {
-            let t = v.trim();
-            if t.is_empty() || t.eq_ignore_ascii_case("0") || t.eq_ignore_ascii_case("off") {
-                TuneMode::Off
-            } else if t.eq_ignore_ascii_case("1")
-                || t.eq_ignore_ascii_case("on")
-                || t.eq_ignore_ascii_case("true")
-            {
-                TuneMode::InProcess
-            } else {
-                TuneMode::Profile(t.to_string())
-            }
-        }
-    })
-}
-
-/// The process-wide blocking for dtype `T`, resolving it on first use per
-/// the module docs. Immutable once returned.
+/// The process-wide blocking for dtype `T`, resolved on first use.
+/// Immutable once returned.
 pub(crate) fn resolved<T: Scalar>() -> Blocking {
-    resolved_with_source::<T>().0
-}
-
-pub(crate) fn resolved_with_source<T: Scalar>() -> (Blocking, BlockingSource) {
-    *T::gemm_cells().blocking.get_or_init(|| {
-        let kern = kernel::selected::<T>();
-        match tune_mode() {
-            TuneMode::Off => (Blocking::default_for(kern), BlockingSource::Default),
-            TuneMode::InProcess => (super::autotune::tune_now(kern).0, BlockingSource::Tuned),
-            TuneMode::Profile(path) => super::autotune::load_or_tune(path, kern),
-        }
-    })
-}
-
-/// Force resolution through the autotuner right now (ignoring an `Off`
-/// tune mode), unless blocking has already been resolved for `T` — the
-/// one-shot result is process-wide and immutable, so call this before
-/// the first large GEMM to take effect. Returns the resolution and
-/// whether this call performed it.
-pub(crate) fn resolve_by_tuning<T: Scalar>() -> ((Blocking, BlockingSource), bool) {
-    let cell = &T::gemm_cells().blocking;
-    let already = cell.get().is_some();
-    let out = *cell.get_or_init(|| {
-        let kern = kernel::selected::<T>();
-        match tune_mode() {
-            TuneMode::Profile(path) => super::autotune::load_or_tune(path, kern),
-            _ => (super::autotune::tune_now(kern).0, BlockingSource::Tuned),
-        }
-    });
-    (out, !already)
+    *T::gemm_cells().blocking.get_or_init(|| Blocking::default_for(kernel::selected::<T>()))
 }
 
 #[cfg(test)]

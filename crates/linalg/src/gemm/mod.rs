@@ -12,9 +12,9 @@
 //!   `std::arch` kernels on x86_64, a portable scalar oracle everywhere;
 //!   override with `PSVD_GEMM_KERNEL`), parallelized over row blocks of
 //!   `C` by the persistent worker pool in [`crate::par`]. Cache blocking
-//!   (`MC`/`KC`/`NC`) comes from validated defaults or the one-shot
-//!   [`autotune`]r (`PSVD_GEMM_TUNE`), and shapes with `m >> n, k` take
-//!   a tall-skinny streaming path that skips A-packing entirely.
+//!   (`MC`/`KC`/`NC`) is the validated static default per kernel and
+//!   dtype, and shapes with `m >> n, k` take a tall-skinny streaming
+//!   path that skips A-packing entirely.
 //!
 //! The top-level functions ([`matmul`], [`matmul_tn`], [`matmul_nt`],
 //! [`gram`], [`matvec`], [`matvec_t`]) pick a tier from the *problem size
@@ -39,12 +39,10 @@ mod tall_skinny;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub mod autotune;
 pub mod packed;
 pub mod reference;
 
-pub use autotune::{autotune, autotune_for, TuneReport, TuneSample};
-pub use blocking::{Blocking, BlockingError, BlockingSource};
+pub use blocking::{Blocking, BlockingError};
 pub use pack::{strip_layout, PackLayoutError};
 
 /// Micro-kernel introspection: the [`MicroKernel`](kernels::MicroKernel)
@@ -56,16 +54,15 @@ pub mod kernels {
     pub use super::kernel::{MAX_MR, MAX_NR, SCALAR_MR, SCALAR_NR};
 }
 
-/// The process-wide cache blocking and how it was obtained (resolving it
-/// on first use — see [`autotune`] and the `PSVD_GEMM_TUNE` modes).
-/// Each element dtype resolves its own blocking; this reports `f64`'s.
-pub fn current_blocking() -> (Blocking, BlockingSource) {
-    blocking::resolved_with_source::<f64>()
+/// The process-wide cache blocking (resolving it on first use). Each
+/// element dtype resolves its own blocking; this reports `f64`'s.
+pub fn current_blocking() -> Blocking {
+    blocking::resolved::<f64>()
 }
 
 /// [`current_blocking`] for a specific element dtype.
-pub fn current_blocking_for<T: Scalar>() -> (Blocking, BlockingSource) {
-    blocking::resolved_with_source::<T>()
+pub fn current_blocking_for<T: Scalar>() -> Blocking {
+    blocking::resolved::<T>()
 }
 
 use crate::matrix::Matrix;

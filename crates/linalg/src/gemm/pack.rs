@@ -6,10 +6,9 @@
 //! the matrix edge so the kernel never branches on partial tiles.
 //!
 //! The strip-geometry invariant — destination length exactly `depth x
-//! tile` — used to be a `debug_assert!`; with blocking parameters now
-//! coming from an autotuner (and, via `PSVD_GEMM_TUNE=<path>`, from a
-//! file on disk) it is promoted to a **checked error** that runs in
-//! release builds too: a mis-sized `MC`/`KC` maps to a strip slice of the
+//! tile` — is a **checked error** that runs in release builds too
+//! ([`super::packed::matmul_with_blocking`] takes caller-chosen
+//! blocking): a mis-sized `MC`/`KC` maps to a strip slice of the
 //! wrong length, and silently reading a stale panel tail would corrupt
 //! results far from the cause. [`strip_layout`] returns the structured
 //! error; the packing routines turn it into an immediate panic with the

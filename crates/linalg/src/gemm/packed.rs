@@ -8,8 +8,7 @@
 //! process startup by CPU-feature detection (see [`super::kernel`]):
 //! explicitly vectorized AVX2/FMA tiles on x86_64, with the portable
 //! scalar tile as the determinism oracle. `MC`/`KC`/`NC` come from the
-//! process-wide [`super::blocking`] resolution (defaults or the one-shot
-//! autotuner).
+//! process-wide [`super::blocking`] resolution.
 //!
 //! Shapes where packing overhead dominates compute — `m >> n, k`, the
 //! tall-skinny products TSQR and the randomized range finder feed this
@@ -50,8 +49,7 @@ pub(crate) fn gemm<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut [T],
 }
 
 /// [`gemm`] with the kernel and blocking pinned explicitly — the entry
-/// the autotuner times candidates through and the kernel-matrix tests
-/// drive every available kernel through.
+/// the kernel-matrix tests drive every available kernel through.
 pub(crate) fn gemm_with<T: Scalar>(
     kern: &dyn MicroKernel<T>,
     blk: Blocking,
@@ -88,7 +86,7 @@ pub(crate) fn full_blocked<T: Scalar>(
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let (mr, nr) = (kern.mr(), kern.nr());
     // Row strips assume they never straddle an MC block edge, and packed-B
-    // chunks that NC is strip-aligned; a blocking tuned for a different
+    // chunks that NC is strip-aligned; a blocking chosen for a different
     // kernel's tile would silently double-count rows.
     assert_eq!(blk.mc % mr, 0, "MC = {} not aligned to kernel {:?} mr = {mr}", blk.mc, kern.name());
     assert_eq!(blk.nc % nr, 0, "NC = {} not aligned to kernel {:?} nr = {nr}", blk.nc, kern.name());

@@ -21,7 +21,7 @@ pub mod alloc_stats {
     //! reshapes within capacity, `from_vec`) does not. Diffing
     //! [`snapshot`] around a steady-state streaming update therefore
     //! measures its transient allocation traffic directly — that is what
-    //! the `gemm_scaling` bench records into `BENCH_alloc.json`.
+    //! `tests/props_views.rs` asserts is zero after warm-up.
     //!
     //! Byte counts are dtype-aware: an `f32` buffer of `len` elements
     //! charges half the bytes of an `f64` one.

@@ -25,7 +25,7 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::blocking::{Blocking, BlockingSource};
+use crate::gemm::blocking::Blocking;
 use crate::gemm::kernel::MicroKernel;
 
 mod sealed {
@@ -41,8 +41,8 @@ pub struct GemmCells<T: Scalar> {
     pub registry: OnceLock<Vec<&'static dyn MicroKernel<T>>>,
     /// The kernel resolved from `PSVD_GEMM_KERNEL` / CPU detection.
     pub selected: OnceLock<&'static dyn MicroKernel<T>>,
-    /// The resolved cache-blocking triple and where it came from.
-    pub blocking: OnceLock<(Blocking, BlockingSource)>,
+    /// The resolved cache-blocking triple.
+    pub blocking: OnceLock<Blocking>,
 }
 
 impl<T: Scalar> GemmCells<T> {

@@ -137,6 +137,8 @@ pub enum ServeError {
         /// Rows the chunk carried.
         got: usize,
     },
+    /// `open` was handed a spec no session can run; the reason says why.
+    InvalidSpec(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -151,6 +153,7 @@ impl std::fmt::Display for ServeError {
             ServeError::ShapeMismatch { expected, got } => {
                 write!(f, "snapshot has {got} rows, session expects {expected}")
             }
+            ServeError::InvalidSpec(why) => write!(f, "invalid session spec: {why}"),
         }
     }
 }
@@ -245,7 +248,7 @@ impl SvdServer {
 
     /// Open a session under `tenant`.
     pub fn open(&self, tenant: &str, spec: SessionSpec) -> Result<(), ServeError> {
-        let spec = spec.validated();
+        let spec = spec.try_validated()?;
         let mut map = self.inner.sessions.write().unwrap();
         if map.contains_key(tenant) {
             return Err(ServeError::TenantExists(tenant.to_string()));
@@ -772,14 +775,17 @@ mod tests {
     #[test]
     fn submit_query_close_lifecycle() {
         let server = SvdServer::new(ServeConfig::default().with_workers(2));
-        server.open("a", spec(16, 4)).unwrap();
-        assert_eq!(server.open("a", spec(16, 4)), Err(ServeError::TenantExists("a".into())));
+        // Two ranks on a modelled network, so the round's wire time is billed.
+        let spec = spec(16, 4).with_ranks(2).with_network(psvd_comm::NetworkModel::theta_aries());
+        server.open("a", spec).unwrap();
+        assert_eq!(server.open("a", spec), Err(ServeError::TenantExists("a".into())));
         assert!(matches!(server.singular_values("a"), Err(ServeError::NotReady(_))));
         server.submit("a", chunk(16, 10, 1)).unwrap();
         server.drain();
         server.flush("a").unwrap();
         server.drain();
         assert_eq!(server.session_rounds("a").unwrap(), 2, "8 cols round + 2-col flush");
+        assert!(server.stats().snapshot().sim_comm_nanos > 0, "network model billed no wire time");
         let model = server.model("a").unwrap();
         assert_eq!(model.snapshots_seen, 10);
         let sigma = server.singular_values("a").unwrap();

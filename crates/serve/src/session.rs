@@ -29,6 +29,7 @@ use psvd_linalg::Matrix;
 
 use crate::chaos::ChaosSpec;
 use crate::queue::CoalescedBatches;
+use crate::server::ServeError;
 
 /// Everything that defines a tenant's session.
 #[derive(Clone, Copy, Debug)]
@@ -83,30 +84,45 @@ impl SessionSpec {
         self
     }
 
+    /// The spec, or [`ServeError::InvalidSpec`] naming the first condition
+    /// it violates. (The embedded [`SvdConfig`] checks its own fields and
+    /// still panics on them.)
+    pub fn try_validated(self) -> Result<Self, ServeError> {
+        let _ = self.svd.validated();
+        let invalid = |why: String| Err(ServeError::InvalidSpec(why));
+        if self.ranks == 0 {
+            return invalid("sessions need at least one rank".into());
+        }
+        if self.batch == 0 {
+            return invalid("batch width must be positive".into());
+        }
+        let min_block = block_len(self.rows, self.ranks, self.ranks - 1);
+        if min_block < self.batch.max(self.svd.k) {
+            return invalid(format!(
+                "smallest row block ({min_block} rows) must cover the batch width ({}) and K ({})",
+                self.batch, self.svd.k
+            ));
+        }
+        if self.chaos.is_some() {
+            if self.ranks < 2 {
+                return invalid(
+                    "chaos needs ranks >= 2: a single-rank round performs no communication".into(),
+                );
+            }
+            if self.svd.low_rank {
+                return invalid(
+                    "chaos replay guarantees bitwise recovery only on the deterministic path \
+                     (the randomized path reseeds its RNG per restore)"
+                        .into(),
+                );
+            }
+        }
+        Ok(self)
+    }
+
     /// Panics if the spec is unusable; returns `self` otherwise.
     pub fn validated(self) -> Self {
-        let _ = self.svd.validated();
-        assert!(self.ranks >= 1, "sessions need at least one rank");
-        assert!(self.batch > 0, "batch width must be positive");
-        let min_block = block_len(self.rows, self.ranks, self.ranks - 1);
-        assert!(
-            min_block >= self.batch.max(self.svd.k),
-            "smallest row block ({min_block} rows) must cover the batch width ({}) and K ({})",
-            self.batch,
-            self.svd.k
-        );
-        if self.chaos.is_some() {
-            assert!(
-                self.ranks >= 2,
-                "chaos needs ranks >= 2: a single-rank round performs no communication"
-            );
-            assert!(
-                !self.svd.low_rank,
-                "chaos replay guarantees bitwise recovery only on the deterministic path \
-                 (the randomized path reseeds its RNG per restore)"
-            );
-        }
-        self
+        self.try_validated().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

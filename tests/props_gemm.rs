@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use psvd_linalg::gemm::{self, kernels, packed, reference, Blocking, BlockingError};
 use psvd_linalg::par;
 use psvd_linalg::random::{gaussian_matrix, seeded_rng};
-use psvd_linalg::Matrix;
+use psvd_linalg::{Matrix, Scalar};
 
 /// Absolute tolerance for packed-vs-reference comparisons: the two tiers
 /// sum in different orders, so they differ by rounding only. Gaussian
@@ -298,30 +298,34 @@ fn kernel_matrix_boundary_shapes() {
     }
 }
 
-/// Bitwise determinism across thread counts, per fixed kernel, on both a
-/// square-ish shape (full blocked path) and a tall-skinny shape (the
-/// streaming path with a partial bottom strip).
+/// Bitwise determinism across thread counts, per fixed (dtype, kernel),
+/// on both a square-ish shape (full blocked path) and a tall-skinny shape
+/// (the streaming path with a partial bottom strip).
 #[test]
 fn every_kernel_is_thread_count_invariant() {
-    for &(m, k, n) in &[(137usize, 95usize, 71usize), (2048, 48, 32), (2043, 64, 24)] {
-        let a = rand_mat(m, k, 41);
-        let b = rand_mat(k, n, 42);
-        for &kern in kernels::available::<f64>() {
-            par::set_num_threads(1);
-            let baseline = packed::matmul_with(kern, &a, &b);
-            for threads in [2usize, 3, 4, 8] {
-                par::set_num_threads(threads);
-                let c = packed::matmul_with(kern, &a, &b);
-                assert_eq!(
-                    c,
-                    baseline,
-                    "{} ({m},{k},{n}) x {threads} threads changed bits",
-                    kern.name()
-                );
+    fn check<T: Scalar>() {
+        for &(m, k, n) in &[(137usize, 95usize, 71usize), (2048, 48, 32), (2043, 64, 24)] {
+            let a: Matrix<T> = rand_mat(m, k, 41).cast();
+            let b: Matrix<T> = rand_mat(k, n, 42).cast();
+            for &kern in kernels::available::<T>() {
+                par::set_num_threads(1);
+                let baseline = packed::matmul_with(kern, &a, &b);
+                for threads in [2usize, 3, 4, 8] {
+                    par::set_num_threads(threads);
+                    let c = packed::matmul_with(kern, &a, &b);
+                    assert!(
+                        c == baseline,
+                        "{} {} ({m},{k},{n}) x {threads} threads changed bits",
+                        T::NAME,
+                        kern.name()
+                    );
+                }
+                par::set_num_threads(0);
             }
-            par::set_num_threads(0);
         }
     }
+    check::<f64>();
+    check::<f32>();
 }
 
 /// The tall-skinny dispatch shape (the streaming-SVD regime that used to
@@ -335,8 +339,8 @@ fn tall_skinny_dispatch_matches_reference() {
     assert!(diff < TOL, "tall-skinny dispatch diverged by {diff}");
 }
 
-/// Blocking validation: the autotuner's inputs are checked against the
-/// kernel tile, so a bad profile or grid candidate fails loudly.
+/// Blocking validation: caller-chosen parameters are checked against the
+/// kernel tile, and the process resolution is the selected kernel's default.
 #[test]
 fn blocking_validation_rejects_misaligned_parameters() {
     let scalar = kernels::by_name::<f64>("scalar").expect("scalar kernel always present");
@@ -354,26 +358,5 @@ fn blocking_validation_rejects_misaligned_parameters() {
         let d = Blocking::default_for(kern);
         assert!(Blocking::try_new(d.mc, d.kc, d.nc, kern).is_ok(), "{}", kern.name());
     }
-}
-
-/// `autotune()` reports the process resolution: a blocking valid for the
-/// selected kernel, with a coherent source label. (If another test
-/// already resolved blocking, the existing resolution is reported — the
-/// one-shot result is immutable by design.)
-#[test]
-fn autotune_reports_valid_blocking() {
-    let report = gemm::autotune();
-    let kern = kernels::selected::<f64>();
-    assert_eq!(report.kernel, kern.name());
-    assert!(
-        Blocking::try_new(report.blocking.mc, report.blocking.kc, report.blocking.nc, kern).is_ok()
-    );
-    assert!(["default", "tuned", "profile"].contains(&report.source.label()));
-    let (blk, source) = gemm::current_blocking();
-    assert_eq!(blk, report.blocking);
-    assert_eq!(source.label(), report.source.label());
-    for cand in &report.candidates {
-        assert!(cand.gflops >= 0.0);
-        assert!(Blocking::try_new(cand.mc, cand.kc, cand.nc, kern).is_ok());
-    }
+    assert_eq!(gemm::current_blocking(), Blocking::default_for(kernels::selected::<f64>()));
 }

@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use pyparsvd::linalg::Matrix;
 use pyparsvd::prelude::*;
-use pyparsvd::serve::{BatchQueue, ChaosSpec, CoalescedBatches, SessionSpec, SessionState};
+use pyparsvd::serve::{
+    BatchQueue, ChaosSpec, CoalescedBatches, ServeError, SessionSpec, SessionState,
+};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -240,4 +242,26 @@ fn arrival_runt_boundary_case() {
 #[test]
 fn evict_before_first_batch_case() {
     check_eviction_any_point(12, 2, 2, 2, 3, 0);
+}
+
+/// The front door: a spec no session can run is a typed error from `open`,
+/// never a panic, and the server goes on serving its other tenants.
+#[test]
+fn hostile_specs_are_typed_errors_not_panics() {
+    let server = SvdServer::new(ServeConfig::default().with_workers(1));
+    server.open("good", spec(12, 2, 4)).unwrap();
+    for (why, hostile) in [
+        ("ranks = 0", spec(12, 0, 4)),
+        ("batch = 0", spec(12, 2, 0)),
+        ("rows < ranks * batch", spec(7, 2, 4)),
+        ("chaos on one rank", spec(12, 1, 4).with_chaos(ChaosSpec::new(1).with_drop_prob(0.1))),
+    ] {
+        let got = server.open("bad", hostile);
+        assert!(matches!(got, Err(ServeError::InvalidSpec(_))), "{why}: {got:?}");
+    }
+    assert_eq!(server.session_count(), 1, "no hostile spec left a session behind");
+    server.submit("good", snapshots(12, 4, 0)).unwrap();
+    server.drain();
+    assert_eq!(server.singular_values("good").unwrap().len(), 2);
+    server.shutdown();
 }

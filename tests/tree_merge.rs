@@ -5,8 +5,10 @@
 //! graded and clustered spectra (the Weyl / Eckart–Young accounting of
 //! `core/hierarchical.rs`). The independent oracle for the depth-1
 //! exchange itself is `apmos_exact_without_truncation` in
-//! `core/parallel.rs`.
+//! `core/parallel.rs`. The last two tests hold the reason the tree
+//! exists: on modelled clocks it beats the flat gather as the world grows.
 
+use pyparsvd::core::try_merge_tree_svd_timed;
 use pyparsvd::data::partition::split_rows;
 use pyparsvd::linalg::random::{matrix_with_spectrum, seeded_rng};
 use pyparsvd::linalg::validate::max_principal_angle;
@@ -234,6 +236,86 @@ fn randomized_tree_path_tracks_leading_sigma() {
     for (got, want) in sigma.iter().zip(&flat_sigma) {
         assert!((got - want).abs() / want < 0.05, "sigma {got} vs {want}");
     }
+}
+
+/// One timed one-shot run on a Theta-Aries-modelled world: 16 rows per
+/// rank of a ~6-mode field with geometrically decaying weights, 24
+/// snapshots, `r1 = K = 4` (so interior merges discard real, tracked
+/// energy), compute charged at a fixed 25 GFLOP/s. Kernels and messages
+/// run for real; only time is modelled, so every number is deterministic.
+/// Returns (max rank clock, rank-0 ingress bytes, σ, interior bound).
+fn timed_run(world_size: usize, plan: &MergeTreePlan) -> (f64, u64, Vec<f64>, f64) {
+    const ROWS: usize = 16;
+    const RATE: f64 = 25e9;
+    let cfg = SvdConfig::new(4)
+        .with_r1(4)
+        .with_r2(4)
+        .with_forget_factor(1.0)
+        .with_precision(Precision::F64);
+    let world = World::with_model(world_size, NetworkModel::theta_aries());
+    let (out, clocks) = world.run_with_clocks(|comm| {
+        let a = Matrix::from_fn(ROWS, 24, |i, j| {
+            let g = (comm.rank() * ROWS + i) as f64;
+            (0..6)
+                .map(|p| {
+                    let pf = p as f64;
+                    0.6f64.powi(p) * (g * (pf + 1.0) * 0.37 + j as f64 * (pf * 1.3 + 0.41)).sin()
+                })
+                .sum()
+        });
+        try_merge_tree_svd_timed(comm, cfg, &a, plan, RATE).expect("fault-free world")
+    });
+    let (_, sigma, info) = &out[0];
+    let slowest = clocks.iter().cloned().fold(0.0, f64::max);
+    (slowest, world.stats().recv_bytes(0), sigma.clone(), info.interior_bound())
+}
+
+/// Flat vs. {fanout 4, fanout 16, depth 2} at `world_size` ranks: every
+/// tree's σ stays within its tracked bound of the flat result, and the
+/// best tree beats the flat gather by >= 2x on the slowest rank's clock.
+/// Prints the best speed-up and its rank-0 ingress reduction.
+fn tree_beats_flat_on_simulated_time(world_size: usize) {
+    let (flat_time, flat_ingress, flat_sigma, _) =
+        timed_run(world_size, &MergeTreePlan::flat(world_size));
+    let mut best = (0.0f64, 0.0f64);
+    for plan in [
+        MergeTreePlan::uniform(4, world_size).unwrap(),
+        MergeTreePlan::uniform(16, world_size).unwrap(),
+        MergeTreePlan::with_depth(2, world_size).unwrap(),
+    ] {
+        let (time, ingress, sigma, bound) = timed_run(world_size, &plan);
+        let dev = max_sigma_dev(&sigma, &flat_sigma);
+        assert!(
+            dev <= bound + 1e-8,
+            "{world_size} ranks {:?}: σ deviation {dev} exceeds tracked bound {bound}",
+            plan.fanouts()
+        );
+        if flat_time / time > best.0 {
+            best = (flat_time / time, flat_ingress as f64 / ingress as f64);
+        }
+    }
+    assert!(
+        best.0 >= 2.0,
+        "{world_size} ranks: no tree beat the flat gather by 2x on simulated time (best {:.2}x)",
+        best.0
+    );
+    println!(
+        "{world_size} ranks: best tree {:.3}x flat on simulated time, rank-0 ingress {:.1}x down",
+        best.0, best.1
+    );
+}
+
+#[test]
+fn tree_beats_flat_on_simulated_time_at_256_ranks() {
+    tree_beats_flat_on_simulated_time(256);
+}
+
+/// DESIGN.md's 4096-rank figures, reproducible on demand:
+/// `cargo test --release --test tree_merge -- --ignored --nocapture`.
+#[test]
+#[ignore = "spawns 4096 rank threads four times; run on demand"]
+fn tree_beats_flat_on_simulated_time_at_4096_ranks() {
+    tree_beats_flat_on_simulated_time(4096);
 }
 
 #[test]
