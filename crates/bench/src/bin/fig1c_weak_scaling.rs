@@ -13,8 +13,8 @@
 //!
 //! Reported: simulated wall-clock per rank count (max over rank clocks),
 //! weak-scaling efficiency `t(1)/t(N)`, and real traffic volumes, for three
-//! series, all through the one timed engine
-//! [`psvd_core::try_merge_tree_svd_timed`]: the paper's randomized
+//! series, all through the one engine ([`psvd_core::try_merge_tree_svd`]
+//! with a compute rate): the paper's randomized
 //! flat-gather configuration, a deterministic rank-0 baseline, and a
 //! two-level merge tree with ~√P groups (an extension that removes the
 //! rank-0 bottleneck).
@@ -26,7 +26,7 @@
 
 use psvd_bench::{calibrate_flops_per_sec, fmt_secs, Table};
 use psvd_comm::{Communicator, NetworkModel, World};
-use psvd_core::{try_merge_tree_svd_timed, MergeTreePlan, Precision, SvdConfig};
+use psvd_core::{try_merge_tree_svd, MergeTreePlan, Precision, SvdConfig};
 use psvd_data::burgers::{snapshot_rows, BurgersConfig};
 
 /// Per-rank grid points, as in the paper.
@@ -48,7 +48,7 @@ fn run_scale(n_ranks: usize, svd: SvdConfig, plan: &MergeTreePlan, rate: f64) ->
     let (_, clocks) = world.run_with_clocks(|comm| {
         let r0 = comm.rank() * POINTS_PER_RANK;
         let local = snapshot_rows(&cfg, r0, r0 + POINTS_PER_RANK);
-        try_merge_tree_svd_timed(comm, svd, &local, plan, rate).expect("fault-free world").1
+        try_merge_tree_svd(comm, svd, &local, plan, Some(rate)).expect("fault-free world").1
     });
     let t = clocks.iter().cloned().fold(0.0, f64::max);
     (t, world.stats().total_messages(), world.stats().total_bytes())

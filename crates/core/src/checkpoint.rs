@@ -13,9 +13,6 @@ use std::path::Path;
 
 use psvd_linalg::Matrix;
 
-use crate::config::SvdConfig;
-use crate::serial::SerialStreamingSvd;
-
 const MAGIC: &[u8; 8] = b"PSVDCKP1";
 
 /// A serializable snapshot of a streaming tracker's state.
@@ -132,30 +129,11 @@ impl SvdCheckpoint {
     }
 }
 
-impl SerialStreamingSvd {
-    /// Capture the current state (must be initialized).
-    pub fn checkpoint(&self) -> SvdCheckpoint {
-        assert!(self.is_initialized(), "checkpoint of an uninitialized tracker");
-        SvdCheckpoint {
-            modes: self.modes().clone(),
-            singular_values: self.singular_values().to_vec(),
-            iteration: self.iteration(),
-            snapshots_seen: self.snapshots_seen(),
-        }
-    }
-
-    /// Rebuild a tracker from a checkpoint; further `incorporate_data`
-    /// calls continue the stream exactly where it stopped.
-    pub fn restore(cfg: SvdConfig, ckpt: SvdCheckpoint) -> Self {
-        let mut s = SerialStreamingSvd::new(cfg);
-        s.restore_state(ckpt.modes, ckpt.singular_values, ckpt.iteration, ckpt.snapshots_seen);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SvdConfig;
+    use crate::serial::SerialStreamingSvd;
     use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
 
     fn tracker_after(n_batches: usize) -> (SerialStreamingSvd, Matrix) {

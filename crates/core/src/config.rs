@@ -72,6 +72,37 @@ fn env_tree_knob(name: &str) -> Option<usize> {
     }
 }
 
+/// Why an [`SvdConfig`] cannot drive a factorization.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ConfigError {
+    /// `k == 0`: there is nothing to track.
+    ZeroK,
+    /// The forget factor lies outside `(0, 1]` (or is NaN).
+    ForgetFactor(f64),
+    /// `r1 == 0`: no local right vectors would be communicated.
+    ZeroR1,
+    /// `r2 < k`: the driver reconstructs `K` modes from `r2` columns.
+    R2BelowK { r2: usize, k: usize },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::ZeroK => write!(f, "K must be positive"),
+            ConfigError::ForgetFactor(ff) => {
+                write!(f, "forget factor must be in (0, 1], got {ff}")
+            }
+            ConfigError::ZeroR1 => write!(f, "r1 must be positive"),
+            ConfigError::R2BelowK { r2, k } => write!(
+                f,
+                "r2 ({r2}) must be at least K ({k}): the driver reconstructs K modes from r2 columns"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Parameters of the streaming / distributed / randomized SVD.
 ///
 /// Defaults follow the paper: `forget_factor = 0.95`, `r1 = 50`
@@ -209,22 +240,26 @@ impl SvdConfig {
         self
     }
 
+    /// The configuration, or the first condition it violates.
+    pub fn try_validated(self) -> Result<Self, ConfigError> {
+        if self.k == 0 {
+            return Err(ConfigError::ZeroK);
+        }
+        if !(self.forget_factor > 0.0 && self.forget_factor <= 1.0) {
+            return Err(ConfigError::ForgetFactor(self.forget_factor));
+        }
+        if self.r1 == 0 {
+            return Err(ConfigError::ZeroR1);
+        }
+        if self.r2 < self.k {
+            return Err(ConfigError::R2BelowK { r2: self.r2, k: self.k });
+        }
+        Ok(self)
+    }
+
     /// Panics if the configuration is unusable; returns `self` otherwise.
     pub fn validated(self) -> Self {
-        assert!(self.k > 0, "K must be positive");
-        assert!(
-            self.forget_factor > 0.0 && self.forget_factor <= 1.0,
-            "forget factor must be in (0, 1], got {}",
-            self.forget_factor
-        );
-        assert!(self.r1 >= 1, "r1 must be positive");
-        assert!(
-            self.r2 >= self.k,
-            "r2 ({}) must be at least K ({}): the driver reconstructs K modes from r2 columns",
-            self.r2,
-            self.k
-        );
-        self
+        self.try_validated().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The randomized-range-finder configuration for rank `rank`.

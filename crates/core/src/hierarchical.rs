@@ -46,14 +46,15 @@
 use psvd_comm::collectives::{try_tree_bcast, try_tree_gather};
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_linalg::gemm::matmul_into;
-use psvd_linalg::qr::qr_thin_into;
 use psvd_linalg::snapshots::generate_right_vectors;
 use psvd_linalg::workspace::Workspace;
 use psvd_linalg::{Matrix, Scalar, Svd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{Precision, SvdConfig};
+use crate::config::SvdConfig;
+use crate::update::{factor_truncate, Ctx, LocalQr};
+use crate::wire;
 
 /// Why a merge-tree plan could not be built from the requested shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -325,28 +326,28 @@ fn tail_energy<T: Scalar>(w: &Matrix<T>, s: &[T], keep: usize) -> f64 {
     (total - kept).max(0.0).sqrt()
 }
 
-/// Interior-node factorization of a group stack. Tall stacks go through
-/// the blocked thin QR (packed-GEMM trailing updates, scratch from `ws`)
-/// and hand the small square `R` to the inner SVD; wide stacks hand over
-/// directly. The randomized path is seeded per merge, so results do not
-/// depend on how many merges a rank happened to host.
+/// Interior-node factorization of a group stack. Tall stacks take the
+/// shared factor-and-truncate step of [`crate::update`] (blocked thin QR
+/// with scratch from `ws`, small SVD of `R`, `Q·U'`); wide stacks hand
+/// over to the inner SVD directly. The randomized path is seeded per
+/// merge, so results do not depend on how many merges a rank happened to
+/// host.
 fn interior_factorize<T: Scalar>(
     stack: &Matrix<T>,
     keep: usize,
     cfg: &SvdConfig,
     ws: &mut Workspace,
     q: &mut Matrix<T>,
-    r: &mut Matrix<T>,
+    qr: &mut LocalQr<T>,
 ) -> (Matrix<T>, Vec<T>) {
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(stack.cols() as u64));
     if stack.rows() < stack.cols() {
         let f = cfg.inner_svd(stack, keep, &mut rng);
         return (f.u, f.s);
     }
-    qr_thin_into(stack.view(), q, r, ws);
-    let f = cfg.inner_svd(r, keep, &mut rng);
     let mut x = Matrix::zeros(0, 0);
-    matmul_into(q.view(), f.u.view(), &mut x);
+    let mut ctx = Ctx { cfg, rng: &mut rng, ws };
+    let Ok(f) = factor_truncate(qr, &mut ctx, stack, keep, usize::MAX, q, &mut x);
     (x, f.s)
 }
 
@@ -380,36 +381,6 @@ fn charge_factorize<C: Communicator>(
     comm.advance(flops / rate);
 }
 
-fn send_factor<C: Communicator, T: Scalar>(
-    comm: &C,
-    mixed: bool,
-    fac: Matrix<T>,
-    bounds: &[f64],
-    merges: u64,
-    dest: usize,
-    tag: u64,
-) -> Result<(), CommError> {
-    if mixed {
-        comm.try_send((fac.cast::<f32>(), bounds.to_vec(), merges), dest, tag)
-    } else {
-        comm.try_send((fac, bounds.to_vec(), merges), dest, tag)
-    }
-}
-
-fn recv_factor<C: Communicator, T: Scalar>(
-    comm: &C,
-    mixed: bool,
-    src: usize,
-    tag: u64,
-) -> Result<(Matrix<T>, Vec<f64>, u64), CommError> {
-    if mixed {
-        let (m, b, c) = comm.try_recv::<(Matrix<f32>, Vec<f64>, u64)>(src, tag)?;
-        Ok((m.cast::<T>(), b, c))
-    } else {
-        comm.try_recv::<(Matrix<T>, Vec<f64>, u64)>(src, tag)
-    }
-}
-
 /// APMOS over a merge tree, writing this rank's block of the `K` leading
 /// global left singular vectors into `phi` and returning the singular
 /// values plus the executed tree's diagnostics (both identical on all
@@ -435,7 +406,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     let cfg = cfg.validated();
     let n = a_local.cols();
     assert!(n > 0, "merge_tree_svd: empty snapshot set");
-    let mixed = cfg.precision == Precision::Mixed;
+    let mixed = wire::mixed(&cfg);
     let depth = plan.depth();
 
     // Claim every level's collective tag up front, identically on all
@@ -463,18 +434,15 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     // QR factor buffers reused across levels; the kernels' transients come
     // from `ws`, so repeated merges are allocation-free once warm.
     let mut qbuf = Matrix::zeros(0, 0);
-    let mut rbuf = Matrix::zeros(0, 0);
+    let mut qr = LocalQr::new();
 
     let mut stride = 1usize;
     for (l, &f) in plan.fanouts().iter().enumerate() {
         let next_stride = stride.saturating_mul(f);
         let last = l + 1 == depth;
-        if mixed {
-            // Normalize this level's contribution to wire precision, the
-            // leader's own block included, so every block of a stack is
-            // rounded identically whether or not it crossed the wire.
-            fac = fac.cast::<f32>().cast();
-        }
+        // Normalize this level's contribution to wire precision, the
+        // leader's own block included.
+        fac = wire::pack(mixed, fac).unpack();
         if rank.is_multiple_of(next_stride) {
             // Leader: collect the group's factors in rank order.
             let mut blocks = vec![std::mem::replace(&mut fac, Matrix::zeros(0, 0))];
@@ -484,12 +452,12 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
                     _ => break,
                 };
                 let (child, child_bounds, child_merges) =
-                    recv_factor::<C, T>(comm, mixed, src, level_tags[l])?;
+                    comm.try_recv::<(wire::Wire<T>, Vec<f64>, u64)>(src, level_tags[l])?;
                 for (b, cb) in bounds.iter_mut().zip(&child_bounds) {
                     *b += cb;
                 }
                 merges += child_merges;
-                blocks.push(child);
+                blocks.push(child.unpack());
             }
             if last || blocks.len() > 1 {
                 let stack = Matrix::hstack_all(&blocks);
@@ -502,7 +470,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
                     if let Some(rate) = compute_rate {
                         charge_factorize(comm, &cfg, stack.rows(), stack.cols(), keep, rate);
                     }
-                    let (x, s) = interior_factorize(&stack, keep, &cfg, ws, &mut qbuf, &mut rbuf);
+                    let (x, s) = interior_factorize(&stack, keep, &cfg, ws, &mut qbuf, &mut qr);
                     bounds[l] += tail_energy(&stack, &s, keep.min(s.len()));
                     merges += 1;
                     // Re-compressed group factor: X̃ · diag(σ̃), scaled in
@@ -520,7 +488,8 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         } else {
             let leader = rank - (rank % next_stride);
             let owned = std::mem::replace(&mut fac, Matrix::zeros(0, 0));
-            send_factor(comm, mixed, owned, &bounds, merges, leader, level_tags[l])?;
+            let packed = (wire::pack(mixed, owned), bounds.clone(), merges);
+            comm.try_send(packed, leader, level_tags[l])?;
             break;
         }
         stride = next_stride;
@@ -543,7 +512,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         None
     };
     let (x, s, (per_level_bound, root_tail, merges)) =
-        crate::parallel::bcast_factors(comm, plan, mixed, factors, 0)?;
+        wire::bcast_factors(comm, plan, mixed, factors, 0)?;
 
     // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
     let k = cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
@@ -561,49 +530,30 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
 
 /// One-shot merge-tree SVD with a fresh RNG/workspace (the convenience
 /// entry point mirroring [`crate::parallel::parallel_svd_once`]).
+/// `compute_rate` is [`try_merge_tree_svd_into`]'s: `Some(flop/s)` charges
+/// modeled local compute to the simulated clock, as `fig1c_weak_scaling`
+/// and the simulated-time gate in `tests/tree_merge.rs` do.
 pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
     comm: &C,
     cfg: SvdConfig,
     a_local: &Matrix<T>,
     plan: &MergeTreePlan,
+    compute_rate: Option<f64>,
 ) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), CommError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ws = Workspace::new();
     let mut phi = Matrix::zeros(0, 0);
-    let (s, info) =
-        try_merge_tree_svd_into(comm, cfg, a_local, plan, &mut rng, &mut ws, None, &mut phi)?;
+    let (s, info) = try_merge_tree_svd_into(
+        comm,
+        cfg,
+        a_local,
+        plan,
+        &mut rng,
+        &mut ws,
+        compute_rate,
+        &mut phi,
+    )?;
     Ok((phi, s, info))
-}
-
-/// As [`try_merge_tree_svd`], additionally charging modeled local compute
-/// at `compute_rate` flop/s to the communicator's simulated clock — the
-/// entry point of `fig1c_weak_scaling` and the simulated-time gate in
-/// `tests/tree_merge.rs` (flat series included).
-pub fn try_merge_tree_svd_timed<C: Communicator, T: Scalar + Payload>(
-    comm: &C,
-    cfg: SvdConfig,
-    a_local: &Matrix<T>,
-    plan: &MergeTreePlan,
-    compute_rate: f64,
-) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), CommError> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut ws = Workspace::new();
-    let mut phi = Matrix::zeros(0, 0);
-    let rate = Some(compute_rate);
-    let (s, info) =
-        try_merge_tree_svd_into(comm, cfg, a_local, plan, &mut rng, &mut ws, rate, &mut phi)?;
-    Ok((phi, s, info))
-}
-
-/// Panicking convenience wrapper over [`try_merge_tree_svd`].
-pub fn merge_tree_svd<C: Communicator, T: Scalar + Payload>(
-    comm: &C,
-    cfg: SvdConfig,
-    a_local: &Matrix<T>,
-    plan: &MergeTreePlan,
-) -> (Matrix<T>, Vec<T>, TreeMergeInfo) {
-    try_merge_tree_svd(comm, cfg, a_local, plan)
-        .unwrap_or_else(|e| panic!("merge_tree_svd failed: {e}"))
 }
 
 #[cfg(test)]
@@ -614,6 +564,7 @@ mod tests {
     use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
     use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 
+    use crate::config::Precision;
     use crate::serial::batch_truncated_svd;
 
     fn decaying(m: usize, n: usize, seed: u64) -> Matrix {
@@ -633,7 +584,9 @@ mod tests {
         let cfg = cfg.with_precision(Precision::F64); // round-off-level tolerances below
         let blocks = split_rows(a, n_ranks);
         let world = World::new(n_ranks);
-        let out = world.run(|comm| merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan));
+        let out = world.run(|comm| {
+            try_merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan, None).expect("fault-free")
+        });
         let modes = Matrix::vstack_all(&out.iter().map(|(p, _, _)| p.clone()).collect::<Vec<_>>());
         (modes, out[0].1.clone())
     }
@@ -696,7 +649,7 @@ mod tests {
             let blocks = split_rows(&a, 8);
             let world = World::new(8);
             world.run(|comm| {
-                let _ = merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan);
+                let _ = try_merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan, None);
             });
             world.stats().recv_bytes(0)
         };
@@ -768,8 +721,8 @@ mod tests {
             let plan = MergeTreePlan::uniform(fanout, 1).unwrap();
             let world = World::new(1);
             let cfg = SvdConfig::new(3).with_r1(8).with_r2(8);
-            let out =
-                world.run(|comm| try_merge_tree_svd(comm, cfg, &a, &plan).expect("degenerate"));
+            let out = world
+                .run(|comm| try_merge_tree_svd(comm, cfg, &a, &plan, None).expect("degenerate"));
             assert!(spectrum_error(&s_ref, &out[0].1) < 1e-8, "fanout {fanout}");
         }
     }
@@ -797,7 +750,8 @@ mod tests {
         let cfg = SvdConfig::new(3).with_r1(4).with_r2(4);
         let world = World::new(6);
         let out = world.run(|comm| {
-            let (_, _, info) = merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan);
+            let (_, _, info) = try_merge_tree_svd(comm, cfg, &blocks[comm.rank()], &plan, None)
+                .expect("fault-free");
             info
         });
         for info in &out {

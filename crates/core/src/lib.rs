@@ -7,12 +7,18 @@
 //!
 //! 1. **Streaming** ([`serial::SerialStreamingSvd`]): Levy–Lindenbaum
 //!    batch-wise updates of the `K` leading left singular vectors with a
-//!    forget factor.
-//! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): APMOS for the
-//!    one-shot distributed SVD (one exchange, [`hierarchical`]'s merge
-//!    tree; depth 1 is the paper's flat gather) and TSQR for the
-//!    distributed QR inside the streaming loop, over any
-//!    [`psvd_comm::Communicator`].
+//!    forget factor. The update — state, `[ff·U·D | A]` stack, thin QR →
+//!    inner SVD → `Q·U'_K`, ingestion loop, checkpoint capture — is written
+//!    once (the private `update` module); a driver supplies how a tall
+//!    stack is QR-factored and how the first batch is factored.
+//! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): the same update
+//!    with TSQR as the QR and one APMOS round (one exchange,
+//!    [`hierarchical`]'s merge tree, entry points [`try_merge_tree_svd`] /
+//!    [`try_merge_tree_svd_into`]; depth 1 is the paper's flat gather) as
+//!    the first-batch factorization, over any
+//!    [`psvd_comm::Communicator`]. Whether a matrix crosses it as `f32`
+//!    (`Precision::Mixed`) is decided in one place, the private `wire`
+//!    module.
 //! 3. **Randomized**: every inner factorization may use the randomized
 //!    low-rank SVD (`SvdConfig::with_low_rank(true)`, tuned by
 //!    `with_oversampling` / `with_power_iterations` in every driver).
@@ -39,14 +45,15 @@ pub mod postprocess;
 pub mod serial;
 pub mod spod;
 pub mod streaming_dmd;
+mod update;
+mod wire;
 
 pub use brand::BrandIncrementalSvd;
 pub use checkpoint::SvdCheckpoint;
-pub use config::{Precision, SvdConfig};
+pub use config::{ConfigError, Precision, SvdConfig};
 pub use dmd::{dmd, Dmd};
 pub use hierarchical::{
-    merge_tree_svd, try_merge_tree_svd, try_merge_tree_svd_into, try_merge_tree_svd_timed,
-    MergeTreePlan, PlanError, TreeMergeInfo,
+    try_merge_tree_svd, try_merge_tree_svd_into, MergeTreePlan, PlanError, TreeMergeInfo,
 };
 pub use parallel::{parallel_svd_once, DegradedInfo, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};

@@ -1,99 +1,50 @@
 //! Distributed streaming SVD (Listings 2–4 of the paper).
 //!
 //! Each rank owns a row block `Aⁱ` (`Mᵢ x N`) of the global snapshot
-//! matrix. Two collective kernels do all the work:
+//! matrix. The streaming driver (Listing 2) is the Levy–Lindenbaum tracker
+//! of [`crate::update`] — the very loop the serial driver runs — handed
+//! the two collective kernels in place of the local thin QR:
 //!
-//! - [`ParallelStreamingSvd::parallel_svd`] — APMOS (Algorithm 2), handed
-//!   to the one exchange there is, the merge-tree engine of
-//!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from
-//!   the configuration and the current world. With no tree knob set the
-//!   plan has depth 1, which *is* the paper's Listing 3: right vectors
-//!   truncated to `r1`, gathered at rank 0 into `W = [Ṽ¹Σ̃¹, …]`,
-//!   factorized there, the `r2`-truncated `(X̃, Λ̃)` broadcast back,
-//!   `Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j` assembled locally;
-//! - [`ParallelStreamingSvd::parallel_qr`] — TSQR (Benson et al.): local
-//!   thin QR, R-blocks stacked and re-factorized at rank 0, global Q blocks
-//!   scattered back, plus the SVD of the final `R` for the streaming update.
-//!   Its gather/broadcast (and the mode gathers) follow the plan's
-//!   collective shape: flat for a flat plan, binomial trees for a deeper
-//!   one — same payloads, same bits.
+//! - [`ParallelStreamingSvd::parallel_svd`] factors the first batch: one
+//!   APMOS round (Algorithm 2) through the merge-tree engine of
+//!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from the
+//!   configuration and the current world (depth 1, the default, *is* the
+//!   paper's Listing 3);
+//! - [`ParallelStreamingSvd::parallel_qr`] factors every later stack —
+//!   TSQR (Benson et al.): local thin QR, R-blocks stacked and
+//!   re-factorized at rank 0, global Q blocks scattered back, plus the SVD
+//!   of the final `R`. Its gather/broadcast (and the mode gathers) follow
+//!   the plan's collective shape: flat for a flat plan, binomial trees for
+//!   a deeper one — same payloads, same bits.
 //!
-//! The streaming driver (Listing 2) is the Levy–Lindenbaum loop of
-//! [`crate::serial`] with both kernels swapped in. Every inner SVD — here,
-//! in the serial driver and at the merge-tree nodes — is
-//! `SvdConfig::inner_svd`, which may be randomized (`low_rank`, honouring
-//! `oversampling` / `power_iterations`): the paper's third building block.
+//! What the driver itself adds is the world bookkeeping around each round
+//! ([`DegradedInfo`]) and the mode gathers. Every matrix on the wire goes
+//! through [`crate::wire`]; every inner SVD is `SvdConfig::inner_svd`,
+//! which may be randomized — the paper's third building block.
 //!
 //! The paper's Listing 4 negates `qglobal`/`rfinal` ("trick for
 //! consistency"); our QR canonicalizes to a non-negative `R` diagonal
 //! instead, which achieves cross-rank consistency without the sign hack.
 //!
-//! Dense products (`matmul`, QR, the rank-0 SVDs) go through
-//! `psvd_linalg::gemm`, whose packed engine threads large problems on the
-//! shared worker pool. `World::run` registers its rank count with
-//! `psvd_linalg::par`, so each rank's kernels default to an equal share of
-//! the machine rather than oversubscribing it; results are bitwise
-//! identical for any kernel thread count (see DESIGN.md, "Threading
+//! `World::run` registers its rank count with `psvd_linalg::par`, so each
+//! rank's kernels default to an equal share of the machine; results are
+//! bitwise identical for any kernel thread count (DESIGN.md, "Threading
 //! model").
 
 use std::io;
 
 use psvd_comm::{CommError, Communicator, Payload};
-use psvd_data::stream::SnapshotSource;
+use psvd_data::stream::{MatrixBatchSource, SnapshotSource};
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::workspace::{Workspace, WorkspaceStats};
-use psvd_linalg::{Matrix, Scalar};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use psvd_linalg::workspace::WorkspaceStats;
+use psvd_linalg::{Matrix, Scalar, Svd};
 
-use crate::config::{Precision, SvdConfig};
+use crate::checkpoint::SvdCheckpoint;
+use crate::config::SvdConfig;
 use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo};
-
-/// Gather `m` at `root` over the plan's collective shape. In
-/// mixed-precision mode every block is demoted to `f32` *before* entering
-/// the collective (so root and non-root contributions are charged — and
-/// rounded — identically, whatever the shape) and promoted back on
-/// receipt; otherwise blocks travel at the native dtype.
-fn gather_blocks<C: Communicator, T: Scalar>(
-    comm: &C,
-    plan: &MergeTreePlan,
-    mixed: bool,
-    m: Matrix<T>,
-    root: usize,
-) -> Result<Option<Vec<Matrix<T>>>, CommError> {
-    if mixed {
-        let parts = plan.try_gather(comm, m.cast::<f32>(), root)?;
-        Ok(parts.map(|ps| ps.into_iter().map(|p| p.cast::<T>()).collect()))
-    } else {
-        plan.try_gather(comm, m, root)
-    }
-}
-
-/// Broadcast `(factor matrix, singular values, extra)` from `root` over
-/// the plan's collective shape; `extra` is whatever small payload rides
-/// along (the APMOS diagnostics, `()` for TSQR). In mixed-precision mode
-/// the matrix travels as `f32` and the singular values as `f64` (they are
-/// `K` numbers — demoting them would halve nothing and cost the σ
-/// accuracy contract); every rank, root included, consumes the promoted
-/// wire copy so all ranks hold bit-identical factors.
-pub(crate) fn bcast_factors<C: Communicator, T: Scalar + Payload, E: Payload + Clone>(
-    comm: &C,
-    plan: &MergeTreePlan,
-    mixed: bool,
-    factors: Option<(Matrix<T>, Vec<T>, E)>,
-    root: usize,
-) -> Result<(Matrix<T>, Vec<T>, E), CommError> {
-    if mixed {
-        let demoted = factors.map(|(x, s, e)| {
-            (x.cast::<f32>(), s.iter().map(|v| v.to_f64()).collect::<Vec<f64>>(), e)
-        });
-        let (x, s, e) = plan.try_bcast(comm, demoted, root)?;
-        Ok((x.cast::<T>(), s.into_iter().map(T::from_f64).collect(), e))
-    } else {
-        plan.try_bcast(comm, factors, root)
-    }
-}
+use crate::update::{forward_tracker_accessors, Ctx, TallQr, Tracker};
+use crate::wire;
 
 /// Tag base for the TSQR Q-block scatter (the paper uses `tag = rank + 10`).
 const TAG_QR_SCATTER: u64 = 10;
@@ -162,43 +113,30 @@ pub struct DegradedInfo {
 /// Distributed streaming truncated SVD over a row-partitioned snapshot
 /// stream. One instance lives on each rank, driven in SPMD style.
 ///
-/// Like the serial driver, every `O(Mᵢ)` per-batch temporary lives in
-/// per-instance buffers reused across updates; after warm-up a streaming
-/// round's only allocations are the small `O(n²)` factors that transfer
-/// ownership through the communicator (gathered `R` blocks, scattered `Q`
-/// blocks, broadcast SVD factors) — those are inherent to message passing
-/// and are accounted by the communicator's traffic statistics.
+/// As in the serial driver every `O(Mᵢ)` per-batch temporary is reused
+/// across updates; after warm-up a round's only allocations are the small
+/// `O(n²)` factors whose ownership moves through the communicator
+/// (gathered `R` blocks, scattered `Q` blocks, broadcast SVD factors),
+/// accounted by the communicator's traffic statistics.
 ///
-/// Generic over the element dtype `T` (default `f64`); in mixed-precision
-/// mode (`cfg.precision == Mixed`) every matrix crossing the communicator
-/// is demoted to `f32` on the wire and promoted back on receipt, and the
-/// root's randomized inner SVDs run the f32-sketch / f64-re-orthogonalize
-/// pipeline — see DESIGN.md, "Scalar genericity & mixed precision".
+/// Generic over the element dtype `T` (default `f64`); under
+/// `cfg.precision == Mixed` every matrix crosses the communicator as `f32`
+/// and the root's randomized inner SVDs sketch in f32 — see DESIGN.md,
+/// "Scalar genericity & mixed precision".
 pub struct ParallelStreamingSvd<'a, C: Communicator, T: Scalar = f64> {
+    tracker: Tracker<T>,
+    link: WorldLink<'a, C, T>,
+}
+
+/// This rank's end of the world: the communicator, the collective
+/// kernels' persistent buffers, and what has been seen of the world.
+struct WorldLink<'a, C: Communicator, T: Scalar> {
     comm: &'a C,
-    cfg: SvdConfig,
-    ulocal: Matrix<T>,
-    singular_values: Vec<T>,
-    iteration: usize,
-    snapshots_seen: usize,
-    rng: StdRng,
-    /// Scratch arena feeding the QR kernels.
-    ws: Workspace,
-    /// Persistent `[ff·U·D | A_i]` stack buffer.
-    stack: Matrix<T>,
     /// Persistent local thin-QR `Q` factor (TSQR step 1).
-    qr_q: Matrix<T>,
-    /// Persistent global `Q`/`R` factors of the stacked R re-QR (root only).
-    qr_gq: Matrix<T>,
-    qr_gr: Matrix<T>,
-    /// Persistent `Q_local · block` product buffer.
-    qlocal: Matrix<T>,
-    /// Buffer the next mode block is formed in before swapping into place.
-    next_ulocal: Matrix<T>,
-    /// Down-weighted singular values `ff · s`.
-    weighted: Vec<T>,
-    /// Persistent landing buffer for pull-based ingestion (`fit_source`).
-    ingest: Matrix<T>,
+    local_q: Matrix<T>,
+    /// Persistent `Q`/`R` factors of the stacked-R re-QR (root only).
+    gq: Matrix<T>,
+    gr: Matrix<T>,
     /// World size at construction.
     initial_world: usize,
     /// World size as of the last completed operation.
@@ -209,128 +147,23 @@ pub struct ParallelStreamingSvd<'a, C: Communicator, T: Scalar = f64> {
     tree_info: Option<TreeMergeInfo>,
 }
 
-impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
-    /// New driver on this rank.
-    pub fn new(comm: &'a C, cfg: SvdConfig) -> Self {
-        let cfg = cfg.validated();
-        let size = comm.size();
-        // Surface an unusable tree configuration here, like `validated()`
-        // does for the numeric knobs, rather than mid-stream.
-        MergeTreePlan::resolve(&cfg, size)
-            .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"));
-        Self {
-            comm,
-            initial_world: size,
-            world_size: size,
-            degraded: None,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            ulocal: Matrix::zeros(0, 0),
-            singular_values: Vec::new(),
-            iteration: 0,
-            snapshots_seen: 0,
-            ws: Workspace::new(),
-            stack: Matrix::zeros(0, 0),
-            qr_q: Matrix::zeros(0, 0),
-            qr_gq: Matrix::zeros(0, 0),
-            qr_gr: Matrix::zeros(0, 0),
-            qlocal: Matrix::zeros(0, 0),
-            next_ulocal: Matrix::zeros(0, 0),
-            weighted: Vec::new(),
-            ingest: Matrix::zeros(0, 0),
-            tree_info: None,
-        }
-    }
+/// The merge-tree plan `cfg` asks for on `comm`'s *current* world (a
+/// degraded run may have shrunk below the tree threshold since
+/// construction, where an unusable configuration was already rejected).
+fn plan_for<C: Communicator>(cfg: &SvdConfig, comm: &C) -> MergeTreePlan {
+    MergeTreePlan::resolve(cfg, comm.size())
+        .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"))
+}
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SvdConfig {
-        &self.cfg
-    }
-
-    /// The communicator driving this rank.
-    pub fn comm(&self) -> &C {
-        self.comm
-    }
-
-    /// True once `initialize` has run.
-    pub fn is_initialized(&self) -> bool {
-        self.snapshots_seen > 0
-    }
-
-    /// Number of streaming updates performed so far (excluding init).
-    pub fn iteration(&self) -> usize {
-        self.iteration
-    }
-
-    /// Total snapshots ingested.
-    pub fn snapshots_seen(&self) -> usize {
-        self.snapshots_seen
-    }
-
-    /// This rank's rows of the current global modes (`Mᵢ x K`).
-    pub fn local_modes(&self) -> &Matrix<T> {
-        &self.ulocal
-    }
-
-    /// Current estimate of the leading singular values (identical on all
-    /// ranks).
-    pub fn singular_values(&self) -> &[T] {
-        &self.singular_values
-    }
-
-    /// Consume the tracker, handing out this rank's modes and the singular
-    /// values without copying them.
-    pub fn into_modes(self) -> (Matrix<T>, Vec<T>) {
-        (self.ulocal, self.singular_values)
-    }
-
-    /// Allocation accounting for the internal scratch arena (see
-    /// [`crate::serial::SerialStreamingSvd::scratch_stats`]).
-    pub fn scratch_stats(&self) -> WorkspaceStats {
-        self.ws.stats()
-    }
-
-    /// Reset the scratch-arena counters.
-    pub fn reset_scratch_stats(&mut self) {
-        self.ws.reset_stats();
-    }
-
-    /// `Some` once the run has survived a permanent rank failure (requires
-    /// `cfg.allow_degraded`).
-    pub fn degraded(&self) -> Option<&DegradedInfo> {
-        self.degraded.as_ref()
-    }
-
-    /// Diagnostics of the latest APMOS round: executed plan and the
-    /// tracked truncation-error bound (`fanouts == [P]`, zero interior
-    /// bound for the paper's flat exchange). `None` before the first round.
-    pub fn tree_merge_info(&self) -> Option<&TreeMergeInfo> {
-        self.tree_info.as_ref()
-    }
-
-    /// The merge-tree plan for the *current* world (a degraded run may
-    /// have shrunk below the tree threshold since construction, where an
-    /// unusable configuration was already rejected).
-    fn plan(&self) -> MergeTreePlan {
-        MergeTreePlan::resolve(&self.cfg, self.comm.size())
-            .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"))
-    }
-
-    fn mixed(&self) -> bool {
-        self.cfg.precision == Precision::Mixed
-    }
-
+impl<C: Communicator, T: Scalar> WorldLink<'_, C, T> {
     /// Reconcile the tracked world size with the communicator's. A shrink
     /// means some rank died since the last operation: record it if the
-    /// configuration tolerates degraded runs, error out otherwise. Called
-    /// before and after every fallible driver operation, so a failure is
-    /// reported at the latest by the next call after the collective round
-    /// in which it happened.
-    fn note_world(&mut self) -> Result<(), CommError> {
+    /// configuration tolerates degraded runs, error out otherwise.
+    fn note_world(&mut self, tracker: &Tracker<T>) -> Result<(), CommError> {
         let alive = self.comm.size();
         if alive < self.world_size {
             let failed = self.comm.failed_ranks();
-            if !self.cfg.allow_degraded {
+            if !tracker.config().allow_degraded {
                 let rank = failed.first().copied().unwrap_or(usize::MAX);
                 return Err(CommError::RankDead { rank });
             }
@@ -345,7 +178,7 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
                         initial_ranks: self.initial_world,
                         surviving_ranks: alive,
                         failed_ranks: failed,
-                        detected_at_iteration: self.iteration,
+                        detected_at_iteration: tracker.iteration(),
                     });
                 }
             }
@@ -353,72 +186,39 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         Ok(())
     }
 
-    /// APMOS distributed SVD (Listing 3): returns this rank's block of the
-    /// `K` leading global left singular vectors and the singular values.
-    pub fn parallel_svd(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Vec<T>) {
-        let mut phi = Matrix::zeros(0, 0);
-        let s = self
-            .try_parallel_svd_into(a_local, &mut phi)
-            .unwrap_or_else(|e| panic!("parallel_svd failed: {e}"));
-        (phi, s)
-    }
-
-    /// Fallible APMOS round writing this rank's mode block into `phi`
-    /// (reused across calls, so the local assembly is allocation-free once
-    /// warm): surfaces permanent communication failures (dead ranks,
-    /// exhausted retries) instead of panicking.
-    fn try_parallel_svd_into(
+    /// One fallible driver operation between two world checks, so a rank
+    /// failure is reported at the latest by the call after the collective
+    /// round in which it happened. The leading check and `op` fail before
+    /// anything is committed; the trailing check runs *after* `op`
+    /// committed, so its `RankDead` leaves the new factorization in place.
+    fn round(
         &mut self,
-        a_local: &Matrix<T>,
-        phi: &mut Matrix<T>,
-    ) -> Result<Vec<T>, CommError> {
-        let plan = self.plan();
-        let (s, info) = try_merge_tree_svd_into(
-            self.comm,
-            self.cfg,
-            a_local,
-            &plan,
-            &mut self.rng,
-            &mut self.ws,
-            None,
-            phi,
-        )?;
-        self.tree_info = Some(info);
-        Ok(s)
+        tracker: &mut Tracker<T>,
+        op: impl FnOnce(&mut Tracker<T>, &mut Self) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        self.note_world(tracker)?;
+        op(tracker, self)?;
+        self.note_world(tracker)
     }
+}
 
-    /// TSQR (Listing 4): factorizes the row-distributed matrix as
-    /// `A = Q R`, returning `(Q_local, U_R, s_R)` where `U_R Σ_R V_Rᵀ` is
-    /// the SVD of the final `R` (step I2/2 of the Levy–Lindenbaum loop).
-    pub fn parallel_qr(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Matrix<T>, Vec<T>) {
-        let mut qlocal = Matrix::zeros(0, 0);
-        let (unew, snew) = self
-            .try_parallel_qr_into(a_local, &mut qlocal)
-            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"));
-        (qlocal, unew, snew)
-    }
+impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
+    type Error = CommError;
 
-    /// Fallible TSQR round writing `Q_local` into a caller-owned buffer.
-    /// Local `Q`, the root's stacked-R re-QR factors and the QR scratch
-    /// persist on the instance (an errored round leaves them in place and
-    /// the instance reusable); only the `O(n²)` matrices whose ownership
-    /// moves through the communicator are freshly allocated.
-    ///
-    /// Both QR stages route through `qr_thin_into`, which dispatches to
-    /// the blocked compact-WY factorization for wide-enough panels (see
-    /// `PSVD_QR_BLOCK` in DESIGN.md): the tall local stage gets the
-    /// packed-GEMM trailing updates, while the small `pn x n` root stage
-    /// stays on the unblocked reference path with its serial reflector
-    /// fallback — no thread-pool handoff for a factorization that takes
-    /// microseconds.
-    fn try_parallel_qr_into(
+    /// TSQR (Listing 4). Local `Q`, the root's stacked-R re-QR factors and
+    /// the QR scratch persist (an errored round leaves them in place and
+    /// the instance reusable). Both QR stages are `qr_thin_into`: the tall
+    /// local stage takes the blocked compact-WY path, the small `pn x n`
+    /// root stage stays on the unblocked one (`PSVD_QR_BLOCK`, DESIGN.md).
+    fn qr_svd(
         &mut self,
+        ctx: &mut Ctx<'_>,
         a_local: &Matrix<T>,
+        rank: usize,
         qlocal: &mut Matrix<T>,
-    ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        let (mixed, plan) = (self.mixed(), self.plan());
-        let Self { comm, cfg, rng, ws, qr_q: local_q, qr_gq: gq, qr_gr: gr, .. } = self;
-        let comm = *comm;
+    ) -> Result<Svd<T>, CommError> {
+        let (comm, cfg) = (self.comm, ctx.cfg);
+        let (mixed, plan) = (wire::mixed(cfg), plan_for(cfg, comm));
         let n = a_local.cols();
         assert!(
             a_local.rows() >= n,
@@ -430,52 +230,129 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         // Local thin QR; R is n x n because the block is tall. R is moved
         // into the gather, so it is built in a fresh matrix.
         let mut local_r = Matrix::zeros(0, 0);
-        qr_thin_into(a_local.view(), local_q, &mut local_r, ws);
+        qr_thin_into(a_local.view(), &mut self.local_q, &mut local_r, ctx.ws);
 
         // Gather the R factors, stack (reusing their storage), and
         // re-factorize at rank 0. The world shape is read only after the
         // gather: its collective round boundary is where injected rank
         // deaths activate, and the scatter below must address the
         // post-transition world (root-ness = who holds the gathered Rs).
-        let r_global = gather_blocks(comm, &plan, mixed, local_r, 0)?;
-        let rank = comm.rank();
-        let size = comm.size();
+        let r_global = plan.try_gather(comm, wire::pack(mixed, local_r), 0)?;
         let have_rfinal = if let Some(parts) = r_global {
-            let stack = Matrix::vstack_owned(parts);
-            qr_thin_into(stack.view(), gq, gr, ws);
+            let stack = wire::vstack(parts);
+            qr_thin_into(stack.view(), &mut self.gq, &mut self.gr, ctx.ws);
             // Scatter each rank's n-row block of the stacked Q; rank 0's
-            // own block is consumed as a view, never copied. Mixed mode
-            // demotes the scattered blocks to f32 on the wire.
-            for dst in 1..size {
-                let block = gq.block(dst * n, (dst + 1) * n, 0, n);
-                if mixed {
-                    let demoted: Matrix<f32> = block.to_matrix().cast();
-                    comm.try_send(demoted, dst, TAG_QR_SCATTER + dst as u64)?;
-                } else {
-                    comm.try_send(block.to_matrix(), dst, TAG_QR_SCATTER + dst as u64)?;
-                }
+            // own block is consumed as a view, never copied.
+            for dst in 1..comm.size() {
+                let block = self.gq.block(dst * n, (dst + 1) * n, 0, n).to_matrix();
+                comm.try_send(wire::pack(mixed, block), dst, TAG_QR_SCATTER + dst as u64)?;
             }
-            matmul_into(local_q.view(), gq.block(0, n, 0, n), qlocal);
+            matmul_into(self.local_q.view(), self.gq.block(0, n, 0, n), qlocal);
             true
         } else {
-            if mixed {
-                let block = comm.try_recv::<Matrix<f32>>(0, TAG_QR_SCATTER + rank as u64)?;
-                let promoted: Matrix<T> = block.cast();
-                matmul_into(local_q.view(), promoted.view(), qlocal);
-            } else {
-                let block = comm.try_recv::<Matrix<T>>(0, TAG_QR_SCATTER + rank as u64)?;
-                matmul_into(local_q.view(), block.view(), qlocal);
-            }
+            let tag = TAG_QR_SCATTER + comm.rank() as u64;
+            let block = comm.try_recv::<wire::Wire<T>>(0, tag)?.unpack();
+            matmul_into(self.local_q.view(), block.view(), qlocal);
             false
         };
 
         // SVD of the small final R at rank 0, broadcast to everyone.
         let factors = have_rfinal.then(|| {
-            let f = cfg.inner_svd(gr, cfg.k.min(n), rng);
+            let f = cfg.inner_svd(&self.gr, rank, ctx.rng);
             (f.u, f.s, ())
         });
-        let (unew, snew, ()) = bcast_factors(comm, &plan, mixed, factors, 0)?;
-        Ok((unew, snew))
+        let (u, s, ()) = wire::bcast_factors(comm, &plan, mixed, factors, 0)?;
+        Ok(Svd { u, s, vt: Matrix::zeros(0, 0) })
+    }
+
+    /// One APMOS round (Listing 3) over the resolved merge-tree plan.
+    fn first_batch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        a_local: &Matrix<T>,
+        _q: &mut Matrix<T>,
+        phi: &mut Matrix<T>,
+    ) -> Result<Vec<T>, CommError> {
+        let plan = plan_for(ctx.cfg, self.comm);
+        let (s, info) = try_merge_tree_svd_into(
+            self.comm, *ctx.cfg, a_local, &plan, ctx.rng, ctx.ws, None, phi,
+        )?;
+        self.tree_info = Some(info);
+        Ok(s)
+    }
+}
+
+impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
+    /// New driver on this rank.
+    pub fn new(comm: &'a C, cfg: SvdConfig) -> Self {
+        Self::over(comm, Tracker::new(cfg))
+    }
+
+    fn over(comm: &'a C, tracker: Tracker<T>) -> Self {
+        let size = comm.size();
+        // Surface an unusable tree configuration here, like `validated()`
+        // does for the numeric knobs, rather than mid-stream.
+        plan_for(tracker.config(), comm);
+        let link = WorldLink {
+            comm,
+            local_q: Matrix::zeros(0, 0),
+            gq: Matrix::zeros(0, 0),
+            gr: Matrix::zeros(0, 0),
+            initial_world: size,
+            world_size: size,
+            degraded: None,
+            tree_info: None,
+        };
+        Self { tracker, link }
+    }
+
+    forward_tracker_accessors!();
+
+    /// The communicator driving this rank.
+    pub fn comm(&self) -> &C {
+        self.link.comm
+    }
+
+    /// This rank's rows of the current global modes (`Mᵢ x K`).
+    pub fn local_modes(&self) -> &Matrix<T> {
+        self.tracker.modes()
+    }
+
+    /// `Some` once the run has survived a permanent rank failure (requires
+    /// `cfg.allow_degraded`).
+    pub fn degraded(&self) -> Option<&DegradedInfo> {
+        self.link.degraded.as_ref()
+    }
+
+    /// Diagnostics of the latest APMOS round: executed plan and the
+    /// tracked truncation-error bound (`fanouts == [P]`, zero interior
+    /// bound for the paper's flat exchange). `None` before the first round.
+    pub fn tree_merge_info(&self) -> Option<&TreeMergeInfo> {
+        self.link.tree_info.as_ref()
+    }
+
+    /// APMOS distributed SVD (Listing 3): returns this rank's block of the
+    /// `K` leading global left singular vectors and the singular values.
+    pub fn parallel_svd(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Vec<T>) {
+        let (mut q, mut phi) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let s = self
+            .link
+            .first_batch(&mut self.tracker.ctx(), a_local, &mut q, &mut phi)
+            .unwrap_or_else(|e| panic!("parallel_svd failed: {e}"));
+        (phi, s)
+    }
+
+    /// TSQR (Listing 4): factorizes the row-distributed matrix as
+    /// `A = Q R`, returning `(Q_local, U_R, s_R)` where `U_R Σ_R V_Rᵀ` is
+    /// the SVD of the final `R` (step I2/2 of the Levy–Lindenbaum loop).
+    pub fn parallel_qr(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Matrix<T>, Vec<T>) {
+        let mut qlocal = Matrix::zeros(0, 0);
+        let rank = self.tracker.config().k.min(a_local.cols());
+        let f = self
+            .link
+            .qr_svd(&mut self.tracker.ctx(), a_local, rank, &mut qlocal)
+            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"));
+        (qlocal, f.u, f.s)
     }
 
     /// Ingest the first local batch `A0ⁱ` (`Mᵢ x B`) — Listing 2's
@@ -489,16 +366,7 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// `cfg.allow_degraded` a surviving rank records the shrink in
     /// [`ParallelStreamingSvd::degraded`] and keeps going.
     pub fn try_initialize(&mut self, a_local: &Matrix<T>) -> Result<&mut Self, CommError> {
-        assert!(!self.is_initialized(), "initialize called twice");
-        self.note_world()?;
-        let mut phi = std::mem::replace(&mut self.next_ulocal, Matrix::zeros(0, 0));
-        let s = self.try_parallel_svd_into(a_local, &mut phi);
-        self.next_ulocal = phi;
-        let s = s?;
-        std::mem::swap(&mut self.ulocal, &mut self.next_ulocal);
-        self.singular_values = s;
-        self.snapshots_seen = a_local.cols();
-        self.note_world()?;
+        self.link.round(&mut self.tracker, |t, link| t.initialize(link, a_local))?;
         Ok(self)
     }
 
@@ -511,53 +379,20 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
 
     /// Fallible [`ParallelStreamingSvd::incorporate_data`] (see
     /// [`ParallelStreamingSvd::try_initialize`] for the failure contract).
-    /// An errored update leaves the previous factorization intact.
+    ///
+    /// An `Err` is one of two kinds, and the tracker is whole after either
+    /// — modes, σ, `iteration` and `snapshots_seen` all belong to the same
+    /// step. *Pre-commit* (the leading world check, or any failure inside
+    /// the TSQR round): the previous factorization is intact, counters
+    /// included. *Post-commit* (`RankDead` from the trailing world check,
+    /// when a peer died during a round this rank completed, without
+    /// `cfg.allow_degraded`): the update is already in place. Ranks of one
+    /// world may thus sit at different steps after a failed round; a
+    /// caller that resumes restarts every rank from one step's checkpoints.
     pub fn try_incorporate_data(&mut self, a_local: &Matrix<T>) -> Result<&mut Self, CommError> {
-        assert!(self.is_initialized(), "incorporate_data before initialize");
-        assert_eq!(a_local.rows(), self.ulocal.rows(), "batch row count changed mid-stream");
-        if a_local.cols() == 0 {
-            return Ok(self);
+        if self.tracker.admits(a_local) {
+            self.link.round(&mut self.tracker, |t, link| t.update(link, a_local))?;
         }
-        self.note_world()?;
-        self.iteration += 1;
-
-        // Build [ff * U_{i-1} D_{i-1} | A_i] row by row in the persistent
-        // stack buffer — same multiplies as mul_diag + hstack, no
-        // transient matrices.
-        let (m, k0) = self.ulocal.shape();
-        let ff = T::from_f64(self.cfg.forget_factor);
-        self.weighted.clear();
-        self.weighted.extend(self.singular_values.iter().map(|s| *s * ff));
-        self.stack.reshape_for_overwrite(m, k0 + a_local.cols());
-        for i in 0..m {
-            let dst = self.stack.row_mut(i);
-            for ((d, &u), &w) in dst[..k0].iter_mut().zip(self.ulocal.row(i)).zip(&self.weighted) {
-                *d = u * w;
-            }
-            dst[k0..].copy_from_slice(a_local.row(i));
-        }
-
-        let stack = std::mem::replace(&mut self.stack, Matrix::zeros(0, 0));
-        let mut qlocal = std::mem::replace(&mut self.qlocal, Matrix::zeros(0, 0));
-        let round = self.try_parallel_qr_into(&stack, &mut qlocal);
-        self.stack = stack;
-        let (unew, snew) = match round {
-            Ok(f) => f,
-            Err(e) => {
-                // Leave the previous factorization (and counters) intact.
-                self.qlocal = qlocal;
-                self.iteration -= 1;
-                return Err(e);
-            }
-        };
-        let k = self.cfg.k.min(snew.len());
-        matmul_into(qlocal.view(), unew.block(0, unew.rows(), 0, k), &mut self.next_ulocal);
-        std::mem::swap(&mut self.ulocal, &mut self.next_ulocal);
-        self.qlocal = qlocal;
-        self.singular_values.clear();
-        self.singular_values.extend_from_slice(&snew[..k]);
-        self.snapshots_seen += a_local.cols();
-        self.note_world()?;
         Ok(self)
     }
 
@@ -574,20 +409,11 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         a_local: &Matrix<T>,
         batch: usize,
     ) -> Result<&mut Self, CommError> {
-        assert!(batch > 0, "batch size must be positive");
-        let n = a_local.cols();
-        let mut c0 = 0;
-        while c0 < n {
-            let c1 = (c0 + batch).min(n);
-            let chunk = a_local.submatrix(0, a_local.rows(), c0, c1);
-            if self.is_initialized() {
-                self.try_incorporate_data(&chunk)?;
-            } else {
-                self.try_initialize(&chunk)?;
-            }
-            c0 = c1;
+        match self.try_fit_source(&mut MatrixBatchSource::new(a_local, batch)) {
+            Ok(d) => Ok(d),
+            Err(IngestError::Comm(e)) => Err(e),
+            Err(IngestError::Io(e)) => panic!("in-core sources cannot fail: {e}"),
         }
-        Ok(self)
     }
 
     /// Stream every batch a [`SnapshotSource`] yields — the pull-based
@@ -612,19 +438,11 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         &mut self,
         source: &mut S,
     ) -> Result<&mut Self, IngestError> {
-        let mut ingest = std::mem::replace(&mut self.ingest, Matrix::zeros(0, 0));
-        let result = (|| {
-            while source.next_batch_into(&mut ingest)? {
-                if self.is_initialized() {
-                    self.try_incorporate_data(&ingest)?;
-                } else {
-                    self.try_initialize(&ingest)?;
-                }
-            }
-            Ok(())
-        })();
-        self.ingest = ingest;
-        result.map(|()| self)
+        let Self { tracker, link } = self;
+        tracker.fit_source(source, |t, batch| {
+            link.round(t, |t, link| t.step(link, batch)).map_err(IngestError::Comm)
+        })?;
+        Ok(self)
     }
 
     /// Gather the distributed modes into the global `M x K` matrix at
@@ -632,14 +450,15 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// this rank's block into the gather; when the tracker is finished,
     /// [`ParallelStreamingSvd::into_gathered_modes`] moves it instead.
     pub fn gather_modes(&self, root: usize) -> Option<Matrix<T>> {
-        gather_rows(self.comm, &self.plan(), self.mixed(), self.ulocal.clone(), root)
+        gather_rows(self.link.comm, self.tracker.config(), self.tracker.modes().clone(), root)
     }
 
     /// Consume the tracker and gather the distributed modes at `root`,
     /// moving this rank's block into the collective (no snapshot copy) and
     /// assembling the result by reusing the gathered storage.
     pub fn into_gathered_modes(self, root: usize) -> Option<Matrix<T>> {
-        gather_rows(self.comm, &self.plan(), self.mixed(), self.ulocal, root)
+        let (comm, cfg) = (self.link.comm, *self.tracker.config());
+        gather_rows(comm, &cfg, self.tracker.into_modes().0, root)
     }
 
     /// Gather the distributed modes into the global `M x K` matrix on
@@ -647,14 +466,12 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// over the plan's collective shape so a tree-configured run never
     /// funnels flat through rank 0.
     pub fn allgather_modes(&self) -> Matrix<T> {
-        let plan = self.plan();
-        let blocks = if self.mixed() {
-            plan.try_allgather(self.comm, self.ulocal.cast::<f32>())
-                .map(|b| b.iter().map(|p| p.cast::<T>()).collect())
-        } else {
-            plan.try_allgather(self.comm, self.ulocal.clone())
-        };
-        Matrix::vstack_owned(blocks.unwrap_or_else(|e| panic!("allgather_modes failed: {e}")))
+        let (comm, cfg) = (self.link.comm, self.tracker.config());
+        let mine = wire::pack(wire::mixed(cfg), self.tracker.modes().clone());
+        let blocks = plan_for(cfg, comm)
+            .try_allgather(comm, mine)
+            .unwrap_or_else(|e| panic!("allgather_modes failed: {e}"));
+        wire::vstack(blocks)
     }
 }
 
@@ -662,56 +479,36 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
 /// reusing the gathered storage.
 fn gather_rows<C: Communicator, T: Scalar>(
     comm: &C,
-    plan: &MergeTreePlan,
-    mixed: bool,
+    cfg: &SvdConfig,
     block: Matrix<T>,
     root: usize,
 ) -> Option<Matrix<T>> {
-    gather_blocks(comm, plan, mixed, block, root)
+    plan_for(cfg, comm)
+        .try_gather(comm, wire::pack(wire::mixed(cfg), block), root)
         .unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
-        .map(Matrix::vstack_owned)
+        .map(wire::vstack)
 }
 
 /// Checkpointing is defined on the `f64` instantiation only — the
-/// on-disk [`crate::checkpoint::SvdCheckpoint`] format is fixed at
-/// double precision.
+/// on-disk [`SvdCheckpoint`] format is fixed at double precision.
 impl<'a, C: Communicator> ParallelStreamingSvd<'a, C> {
     /// Capture this rank's state for checkpointing (one checkpoint file
     /// per rank; pair with [`ParallelStreamingSvd::restore`]). Copies the
     /// mode block — use [`ParallelStreamingSvd::into_checkpoint`] when the
     /// tracker is done streaming.
-    pub fn checkpoint(&self) -> crate::checkpoint::SvdCheckpoint {
-        assert!(self.is_initialized(), "checkpoint of an uninitialized tracker");
-        crate::checkpoint::SvdCheckpoint {
-            modes: self.ulocal.clone(),
-            singular_values: self.singular_values.clone(),
-            iteration: self.iteration,
-            snapshots_seen: self.snapshots_seen,
-        }
+    pub fn checkpoint(&self) -> SvdCheckpoint {
+        self.tracker.checkpoint()
     }
 
     /// Consume the tracker into its checkpoint without copying the modes.
-    pub fn into_checkpoint(self) -> crate::checkpoint::SvdCheckpoint {
-        assert!(self.is_initialized(), "checkpoint of an uninitialized tracker");
-        crate::checkpoint::SvdCheckpoint {
-            modes: self.ulocal,
-            singular_values: self.singular_values,
-            iteration: self.iteration,
-            snapshots_seen: self.snapshots_seen,
-        }
+    pub fn into_checkpoint(self) -> SvdCheckpoint {
+        self.tracker.into_checkpoint()
     }
 
     /// Rebuild this rank's tracker from its checkpoint; the stream resumes
     /// bit-exactly (all ranks must restore from the same streaming step).
-    pub fn restore(comm: &'a C, cfg: SvdConfig, ckpt: crate::checkpoint::SvdCheckpoint) -> Self {
-        assert!(ckpt.snapshots_seen > 0, "restored state must be initialized");
-        assert_eq!(ckpt.modes.cols(), ckpt.singular_values.len(), "inconsistent checkpoint");
-        let mut d = Self::new(comm, cfg);
-        d.ulocal = ckpt.modes;
-        d.singular_values = ckpt.singular_values;
-        d.iteration = ckpt.iteration;
-        d.snapshots_seen = ckpt.snapshots_seen;
-        d
+    pub fn restore(comm: &'a C, cfg: SvdConfig, ckpt: SvdCheckpoint) -> Self {
+        Self::over(comm, Tracker::restore(cfg, ckpt))
     }
 }
 
@@ -736,6 +533,7 @@ mod tests {
     use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
     use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 
+    use crate::config::Precision;
     use crate::serial::{batch_truncated_svd, SerialStreamingSvd};
 
     fn decaying_matrix(m: usize, n: usize, seed: u64) -> Matrix {

@@ -1,7 +1,8 @@
 //! Serial streaming SVD — Levy & Lindenbaum's sequential Karhunen–Loève
 //! basis extraction (Algorithm 1 / Listing 1 of the paper).
 //!
-//! The `K` leading left singular vectors are updated batch by batch:
+//! The `K` leading left singular vectors are updated batch by batch by the
+//! shared tracker of [`crate::update`], factoring with the local thin QR:
 //!
 //! 1. `initialize(A0)`: thin QR of the first batch, SVD of the small `R`,
 //!    keep `K` columns of `Q·U'`.
@@ -16,204 +17,77 @@
 //! descending singular values, so no re-sorting is needed.
 //!
 //! "Serial" refers to the streaming algorithm, not the arithmetic: the
-//! `O(M (K+B)²)` per-batch work (thin QR and the `matmul` forming `Q·U'`)
-//! runs on `psvd_linalg`'s threaded kernels when the batch is large enough
-//! to pay for dispatch, with bitwise-identical results at any thread
-//! count.
+//! per-batch QR and `Q·U'` product run on `psvd_linalg`'s threaded kernels
+//! when the batch is large enough, bitwise identical at any thread count.
 
-use psvd_data::stream::SnapshotSource;
-use psvd_linalg::gemm::matmul_into;
-use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::workspace::{Workspace, WorkspaceStats};
-use psvd_linalg::{Matrix, Scalar};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io;
 
-use crate::config::SvdConfig;
+use psvd_data::stream::{MatrixBatchSource, SnapshotSource};
+use psvd_linalg::workspace::WorkspaceStats;
+use psvd_linalg::{Matrix, Scalar};
 
-/// Streaming truncated SVD of a (conceptually unbounded) snapshot stream.
+use crate::checkpoint::SvdCheckpoint;
+use crate::config::SvdConfig;
+use crate::update::{forward_tracker_accessors, LocalQr, Tracker};
+
+/// Streaming truncated SVD of a (conceptually unbounded) snapshot stream:
+/// the shared [`crate::update`] tracker, advanced by the local thin QR —
+/// for the first batch and for every `[ff·U·D | A_i]` stack after it.
 ///
-/// Every per-batch temporary — the `[ff·U·D | A_i]` stack, the thin-QR
-/// factors and the updated mode matrix — lives in per-instance buffers
-/// reused across updates, so a steady-state `incorporate_data` call
-/// performs no transient matrix allocations (the `O((K+B)²)` core SVD
-/// still allocates its small factors; see DESIGN.md). Verified via
+/// Every per-batch temporary lives in per-instance buffers reused across
+/// updates, so a steady-state `incorporate_data` call performs no
+/// transient matrix allocations (the `O((K+B)²)` core SVD still allocates
+/// its small factors; see DESIGN.md) — verified via
 /// [`SerialStreamingSvd::scratch_stats`].
 ///
-/// Generic over the element dtype `T` (default `f64`): every buffer,
-/// factorization and product runs at `T`'s precision, and the
-/// per-dtype determinism contract of the underlying kernels carries
-/// through — the stream is bitwise reproducible at any thread count for
-/// a fixed dtype. `cfg.precision == Mixed` additionally swaps the
-/// randomized inner SVD for the f32-range-finder /
-/// f64-re-orthogonalization pipeline.
+/// Generic over the element dtype `T` (default `f64`): everything runs at
+/// `T`'s precision, bitwise reproducible at any thread count for a fixed
+/// dtype. `cfg.precision == Mixed` additionally swaps the randomized inner
+/// SVD for the f32-range-finder / f64-re-orthogonalization pipeline.
 pub struct SerialStreamingSvd<T: Scalar = f64> {
-    cfg: SvdConfig,
-    modes: Matrix<T>,
-    singular_values: Vec<T>,
-    iteration: usize,
-    snapshots_seen: usize,
-    rng: StdRng,
-    /// Scratch arena feeding the QR kernel.
-    ws: Workspace,
-    /// Persistent `[ff·U·D | A_i]` stack buffer.
-    stack: Matrix<T>,
-    /// Persistent thin-QR factor buffers.
-    qbuf: Matrix<T>,
-    rbuf: Matrix<T>,
-    /// Buffer the next mode matrix is formed in before swapping into place.
-    next_modes: Matrix<T>,
-    /// Down-weighted singular values `ff · s`.
-    weighted: Vec<T>,
-    /// Persistent landing buffer for pull-based ingestion (`fit_source`).
-    ingest: Matrix<T>,
+    tracker: Tracker<T>,
+    qr: LocalQr<T>,
 }
 
 impl<T: Scalar> SerialStreamingSvd<T> {
     /// New driver; call [`SerialStreamingSvd::initialize`] with the first
     /// batch before incorporating further data.
     pub fn new(cfg: SvdConfig) -> Self {
-        let cfg = cfg.validated();
-        Self {
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            modes: Matrix::zeros(0, 0),
-            singular_values: Vec::new(),
-            iteration: 0,
-            snapshots_seen: 0,
-            ws: Workspace::new(),
-            stack: Matrix::zeros(0, 0),
-            qbuf: Matrix::zeros(0, 0),
-            rbuf: Matrix::zeros(0, 0),
-            next_modes: Matrix::zeros(0, 0),
-            weighted: Vec::new(),
-            ingest: Matrix::zeros(0, 0),
-        }
+        Self { tracker: Tracker::new(cfg), qr: LocalQr::new() }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SvdConfig {
-        &self.cfg
-    }
-
-    /// True once `initialize` has run.
-    pub fn is_initialized(&self) -> bool {
-        self.snapshots_seen > 0
-    }
-
-    /// Number of streaming updates performed so far (excluding init).
-    pub fn iteration(&self) -> usize {
-        self.iteration
-    }
-
-    /// Total snapshots ingested.
-    pub fn snapshots_seen(&self) -> usize {
-        self.snapshots_seen
-    }
+    forward_tracker_accessors!();
 
     /// Current estimate of the `K` leading left singular vectors (`M x K`,
     /// fewer columns if fewer snapshots have been seen).
     pub fn modes(&self) -> &Matrix<T> {
-        &self.modes
-    }
-
-    /// Current estimate of the `K` leading singular values.
-    pub fn singular_values(&self) -> &[T] {
-        &self.singular_values
-    }
-
-    /// Consume the tracker, handing out the modes and singular values
-    /// without copying them.
-    pub fn into_modes(self) -> (Matrix<T>, Vec<T>) {
-        (self.modes, self.singular_values)
-    }
-
-    /// Allocation accounting for the internal scratch arena: after the
-    /// first update has warmed the buffers, further same-shape updates
-    /// report zero additional misses and zero fresh bytes.
-    pub fn scratch_stats(&self) -> WorkspaceStats {
-        self.ws.stats()
-    }
-
-    /// Reset the scratch-arena counters (e.g. after warm-up, before
-    /// measuring a steady-state window).
-    pub fn reset_scratch_stats(&mut self) {
-        self.ws.reset_stats();
-    }
-
-    /// SVD the small triangular factor sitting in `rbuf`, then form the
-    /// next mode matrix `Q · U'_K` in the spare buffer and swap it in.
-    /// All temporaries besides the `O((K+B)²)` SVD factors are reused.
-    fn finish_update(&mut self) {
-        let rbuf = std::mem::replace(&mut self.rbuf, Matrix::zeros(0, 0));
-        let rank = self.cfg.k.min(rbuf.rows().min(rbuf.cols()));
-        let f = self.cfg.inner_svd(&rbuf, rank, &mut self.rng);
-        self.rbuf = rbuf;
-        let k = self.cfg.k.min(f.s.len());
-        matmul_into(self.qbuf.view(), f.u.block(0, f.u.rows(), 0, k), &mut self.next_modes);
-        std::mem::swap(&mut self.modes, &mut self.next_modes);
-        self.singular_values.clear();
-        self.singular_values.extend_from_slice(&f.s[..k]);
+        self.tracker.modes()
     }
 
     /// Ingest the first batch `A0` (`M x B`).
     pub fn initialize(&mut self, a0: &Matrix<T>) -> &mut Self {
-        assert!(!self.is_initialized(), "initialize called twice");
-        assert!(a0.cols() > 0, "first batch is empty");
-        qr_thin_into(a0.view(), &mut self.qbuf, &mut self.rbuf, &mut self.ws);
-        self.finish_update();
-        self.snapshots_seen = a0.cols();
+        let Ok(()) = self.tracker.initialize(&mut self.qr, a0);
         self
     }
 
     /// Ingest a further batch `Ai` (`M x B`), down-weighting history by the
     /// forget factor.
     pub fn incorporate_data(&mut self, ai: &Matrix<T>) -> &mut Self {
-        assert!(self.is_initialized(), "incorporate_data before initialize");
-        assert_eq!(ai.rows(), self.modes.rows(), "batch row count changed mid-stream");
-        if ai.cols() == 0 {
-            return self;
-        }
-        self.iteration += 1;
-
-        // Build [ff * U_{i-1} D_{i-1} | A_i] row by row in the persistent
-        // stack buffer — the same multiplies as mul_diag + hstack, without
-        // materializing either intermediate.
-        let (m, k0) = self.modes.shape();
-        let ff = T::from_f64(self.cfg.forget_factor);
-        self.weighted.clear();
-        self.weighted.extend(self.singular_values.iter().map(|s| *s * ff));
-        self.stack.reshape_for_overwrite(m, k0 + ai.cols());
-        for i in 0..m {
-            let dst = self.stack.row_mut(i);
-            for ((d, &u), &w) in dst[..k0].iter_mut().zip(self.modes.row(i)).zip(&self.weighted) {
-                *d = u * w;
-            }
-            dst[k0..].copy_from_slice(ai.row(i));
-        }
-
-        // Thin QR of the stack, SVD of the small triangular factor. The QR
-        // dispatches to the blocked compact-WY path once `k0 + B` crosses
-        // the panel threshold (see `PSVD_QR_BLOCK` in DESIGN.md), so the
-        // per-batch factorization cost is dominated by packed GEMM.
-        qr_thin_into(self.stack.view(), &mut self.qbuf, &mut self.rbuf, &mut self.ws);
-        self.finish_update();
-        self.snapshots_seen += ai.cols();
+        let Ok(()) = self.tracker.update(&mut self.qr, ai);
         self
     }
 
     /// Modal coefficients of a snapshot: `c = Uᵀ x` (length = mode count).
     pub fn project(&self, snapshot: &[T]) -> Vec<T> {
         assert!(self.is_initialized(), "project before initialize");
-        assert_eq!(snapshot.len(), self.modes.rows(), "snapshot length mismatch");
-        psvd_linalg::gemm::matvec_t(&self.modes, snapshot)
+        assert_eq!(snapshot.len(), self.modes().rows(), "snapshot length mismatch");
+        psvd_linalg::gemm::matvec_t(self.modes(), snapshot)
     }
 
     /// Reconstruct a snapshot from modal coefficients: `x ≈ U c`.
     pub fn reconstruct(&self, coefficients: &[T]) -> Vec<T> {
         assert!(self.is_initialized(), "reconstruct before initialize");
-        psvd_linalg::gemm::matvec(&self.modes, coefficients)
+        psvd_linalg::gemm::matvec(self.modes(), coefficients)
     }
 
     /// How much of a snapshot the tracked subspace misses:
@@ -231,65 +105,44 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         (num / den.max(T::MIN_POSITIVE)).sqrt().to_f64()
     }
 
-    /// Overwrite the tracker's state (used by checkpoint restore).
-    pub(crate) fn restore_state(
-        &mut self,
-        modes: Matrix<T>,
-        singular_values: Vec<T>,
-        iteration: usize,
-        snapshots_seen: usize,
-    ) {
-        assert!(snapshots_seen > 0, "restored state must be initialized");
-        assert_eq!(modes.cols(), singular_values.len(), "inconsistent checkpoint");
-        self.modes = modes;
-        self.singular_values = singular_values;
-        self.iteration = iteration;
-        self.snapshots_seen = snapshots_seen;
-    }
-
     /// Stream an entire matrix in `batch`-column chunks: `initialize` on the
     /// first, `incorporate_data` on the rest.
     pub fn fit_batched(&mut self, data: &Matrix<T>, batch: usize) -> &mut Self {
-        assert!(batch > 0, "batch size must be positive");
-        let n = data.cols();
-        let mut c0 = 0;
-        while c0 < n {
-            let c1 = (c0 + batch).min(n);
-            let chunk = data.submatrix(0, data.rows(), c0, c1);
-            if self.is_initialized() {
-                self.incorporate_data(&chunk);
-            } else {
-                self.initialize(&chunk);
-            }
-            c0 = c1;
-        }
-        self
+        self.fit_source(&mut MatrixBatchSource::new(data, batch))
+            .unwrap_or_else(|e| panic!("in-core sources cannot fail: {e}"))
     }
 
     /// Stream every batch a [`SnapshotSource`] yields — the pull-based
     /// ingestion path. With a
     /// [`psvd_data::prefetch::SnapshotPrefetcher`] source, batch `k+1`'s
     /// IO and decode run on the prefetch thread while this loop is inside
-    /// `incorporate_data` on batch `k`; with an in-core
-    /// [`psvd_data::stream::MatrixBatchSource`] it reduces to
-    /// [`SerialStreamingSvd::fit_batched`]. Batches land in one persistent
-    /// buffer, so the steady-state loop keeps its zero transient O(M)
-    /// allocation guarantee. IO failures surface as [`io::Error`] with the
-    /// last successful update's factorization intact.
+    /// `incorporate_data` on batch `k`; [`SerialStreamingSvd::fit_batched`]
+    /// is this loop over an in-core
+    /// [`psvd_data::stream::MatrixBatchSource`]. Batches land in one
+    /// persistent buffer, so the steady-state loop keeps its zero
+    /// transient O(M) allocation guarantee. IO failures surface as
+    /// [`io::Error`] with the last successful update's factorization
+    /// intact.
     pub fn fit_source<S: SnapshotSource<T>>(&mut self, source: &mut S) -> io::Result<&mut Self> {
-        let mut ingest = std::mem::replace(&mut self.ingest, Matrix::zeros(0, 0));
-        let result = (|| {
-            while source.next_batch_into(&mut ingest)? {
-                if self.is_initialized() {
-                    self.incorporate_data(&ingest);
-                } else {
-                    self.initialize(&ingest);
-                }
-            }
-            Ok(())
-        })();
-        self.ingest = ingest;
-        result.map(|()| self)
+        let Self { tracker, qr } = self;
+        tracker.fit_source(source, |t, batch| {
+            let Ok(()) = t.step(qr, batch);
+            io::Result::Ok(())
+        })?;
+        Ok(self)
+    }
+}
+
+impl SerialStreamingSvd {
+    /// Capture the current state (must be initialized).
+    pub fn checkpoint(&self) -> SvdCheckpoint {
+        self.tracker.checkpoint()
+    }
+
+    /// Rebuild a tracker from a checkpoint; further `incorporate_data`
+    /// calls continue the stream exactly where it stopped.
+    pub fn restore(cfg: SvdConfig, ckpt: SvdCheckpoint) -> Self {
+        Self { tracker: Tracker::restore(cfg, ckpt), qr: LocalQr::new() }
     }
 }
 

@@ -401,8 +401,7 @@ impl SvdServer {
         // an empty queue — so this cannot wait forever.)
         {
             let mut sched = self.inner.sched.lock().unwrap();
-            while sched.in_flight.contains_key(tenant) || sched.queue.iter().any(|t| t == tenant)
-            {
+            while sched.in_flight.contains_key(tenant) || sched.queue.iter().any(|t| t == tenant) {
                 sched = self.inner.idle_cv.wait(sched).unwrap();
             }
         }

@@ -23,7 +23,7 @@
 //! chaos-soak suite holds across thousands of session-updates.
 
 use psvd_comm::{Communicator, FaultComm, FaultPlan, FaultStats, NetworkModel, SelfComm, World};
-use psvd_core::{IngestError, ParallelStreamingSvd, SvdCheckpoint, SvdConfig};
+use psvd_core::{IngestError, MergeTreePlan, ParallelStreamingSvd, SvdCheckpoint, SvdConfig};
 use psvd_data::partition::block_len;
 use psvd_linalg::Matrix;
 
@@ -85,13 +85,19 @@ impl SessionSpec {
     }
 
     /// The spec, or [`ServeError::InvalidSpec`] naming the first condition
-    /// it violates. (The embedded [`SvdConfig`] checks its own fields and
-    /// still panics on them.)
+    /// it violates — the embedded [`SvdConfig`]'s own fields and the
+    /// merge-tree shape it asks for on `ranks` included, so nothing a
+    /// round's drivers would reject at construction gets past `open`.
     pub fn try_validated(self) -> Result<Self, ServeError> {
-        let _ = self.svd.validated();
         let invalid = |why: String| Err(ServeError::InvalidSpec(why));
+        if let Err(e) = self.svd.try_validated() {
+            return invalid(e.to_string());
+        }
         if self.ranks == 0 {
             return invalid("sessions need at least one rank".into());
+        }
+        if let Err(e) = MergeTreePlan::resolve(&self.svd, self.ranks) {
+            return invalid(e.to_string());
         }
         if self.batch == 0 {
             return invalid("batch width must be positive".into());
@@ -352,8 +358,7 @@ impl SessionState {
         let word = |i: usize| {
             u64::from_le_bytes(data[8 + i * 8..16 + i * 8].try_into().expect("sized")) as usize
         };
-        let (rows, ranks, rounds, replays, nparts) =
-            (word(0), word(1), word(2), word(3), word(4));
+        let (rows, ranks, rounds, replays, nparts) = (word(0), word(1), word(2), word(3), word(4));
         if rows != spec.rows || ranks != spec.ranks {
             return Err(bad("session blob does not match the spec"));
         }

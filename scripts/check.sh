@@ -29,12 +29,10 @@ cargo build --release
 cargo test -q --no-fail-fast
 echo "check: OK (fmt, clippy, release build, tests)"
 
-if [[ "$WITH_COV" == "1" ]]; then
-    if ! command -v cargo-llvm-cov >/dev/null 2>&1; then
-        echo "check: cargo-llvm-cov not installed; skipping coverage" >&2
-        echo "check: (install with: cargo install cargo-llvm-cov)" >&2
-        exit 0
-    fi
+if [[ "$WITH_COV" == "1" ]] && ! command -v cargo-llvm-cov >/dev/null 2>&1; then
+    echo "check: cargo-llvm-cov not installed; skipping coverage" >&2
+    echo "check: (install with: cargo install cargo-llvm-cov)" >&2
+elif [[ "$WITH_COV" == "1" ]]; then
     # COV_FLOOR_LINES is the ratcheted line-coverage floor, kept two points
     # below the last measured workspace coverage so only a >=2pt regression
     # fails the gate. Bump it here (and only here) when coverage climbs.
@@ -43,3 +41,6 @@ if [[ "$WITH_COV" == "1" ]]; then
         --html --output-dir target/llvm-cov
     echo "check: coverage OK (floor ${COV_FLOOR_LINES}% lines; HTML at target/llvm-cov/html)"
 fi
+
+# The number every PR reports: tracked Rust lines outside benchmark/.
+scripts/loc.sh | tail -n 1

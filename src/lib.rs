@@ -56,9 +56,8 @@ pub mod prelude {
         CommError, Communicator, FaultComm, FaultPlan, NetworkModel, RetryPolicy, SelfComm, World,
     };
     pub use psvd_core::{
-        batch_truncated_svd, merge_tree_svd, parallel_svd_once, try_merge_tree_svd, DegradedInfo,
-        MergeTreePlan, ParallelStreamingSvd, PlanError, Precision, SerialStreamingSvd, SvdConfig,
-        TreeMergeInfo,
+        batch_truncated_svd, parallel_svd_once, try_merge_tree_svd, DegradedInfo, MergeTreePlan,
+        ParallelStreamingSvd, PlanError, Precision, SerialStreamingSvd, SvdConfig, TreeMergeInfo,
     };
     pub use psvd_data::{BurgersConfig, Era5Config};
     pub use psvd_linalg::{svd, Matrix, RandomizedConfig, Svd, SvdMethod};

@@ -8,7 +8,7 @@ use psvd_data::partition::split_rows;
 use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 use psvd_linalg::Matrix;
 
-use crate::harness::{data_matrix, exact_config, Spectrum};
+use crate::harness::{assert_whole, data_matrix, exact_config, Spectrum};
 
 const M: usize = 64;
 const N: usize = 32;
@@ -24,6 +24,9 @@ fn cfg() -> SvdConfig {
 struct RankOutcome {
     /// `Err` only on the victim.
     fate: Result<(), CommError>,
+    /// Workspace misses during the last update that completed — on a
+    /// survivor, a clean round on the shrunken world after the death round.
+    last_update_misses: u64,
     /// Checkpoint taken after the first update, before the death round.
     ckpt: Option<SvdCheckpoint>,
     /// Final local modes and singular values (survivors only).
@@ -48,15 +51,19 @@ fn death_run(a: &Matrix) -> Vec<RankOutcome> {
         d.try_incorporate_data(&b.submatrix(0, rows, 8, 16)).expect("update one too");
         let ckpt = Some(d.checkpoint());
         let mut fate = Ok(());
+        let mut last_update_misses = 0;
         for c0 in [16usize, 24] {
+            let before = d.scratch_stats().misses;
             if let Err(e) = d.try_incorporate_data(&b.submatrix(0, rows, c0, c0 + BATCH)) {
                 fate = Err(e);
                 break;
             }
+            last_update_misses = d.scratch_stats().misses - before;
         }
+        assert_whole(&d, BATCH);
         let degraded = d.degraded().cloned();
         let (modes, sigma) = d.into_modes();
-        RankOutcome { fate, ckpt, modes, sigma, degraded }
+        RankOutcome { fate, last_update_misses, ckpt, modes, sigma, degraded }
     })
 }
 
@@ -65,8 +72,12 @@ fn rank_death_degrades_and_reports() {
     let a = data_matrix(Spectrum::Geometric, M, N, 50);
     let out = death_run(&a);
 
-    // The victim sees its own death as a permanent error.
+    // The victim sees its own death as a permanent error — mid-round, so
+    // before the commit: it still holds exactly what it checkpointed.
     assert_eq!(out[VICTIM].fate, Err(CommError::RankDead { rank: VICTIM }));
+    let pre = out[VICTIM].ckpt.as_ref().unwrap();
+    assert_eq!(out[VICTIM].sigma, pre.singular_values, "victim σ rolled back");
+    assert_eq!(out[VICTIM].modes, pre.modes, "victim modes rolled back");
 
     // Survivors complete and report the shrink.
     for (r, o) in out.iter().enumerate() {
@@ -79,6 +90,9 @@ fn rank_death_degrades_and_reports() {
         assert_eq!(info.surviving_ranks, RANKS - 1);
         assert_eq!(info.failed_ranks, vec![VICTIM]);
         assert_eq!(info.detected_at_iteration, 2);
+        // The death round left every persistent buffer in place: the next
+        // round on the surviving world draws all its QR scratch from them.
+        assert_eq!(o.last_update_misses, 0, "rank {r}: scratch lost in the death round");
         crate::harness::assert_descending(&o.sigma);
         // Every survivor agrees on the spectrum.
         assert_eq!(o.sigma, out[(VICTIM + 1) % RANKS].sigma);
@@ -170,22 +184,42 @@ fn death_without_allow_degraded_is_a_hard_error_everywhere() {
     let plan = FaultPlan::new(78).with_death(VICTIM, 5);
     let strict = cfg().with_allow_degraded(false);
     let world = World::new(RANKS);
+    // Per rank: the failing call's error, and the state before and after it.
     let out = world.run(|comm| {
         let fc = FaultComm::new(comm, plan.clone());
         let b = &blocks[comm.rank()];
         let rows = b.rows();
         let mut d = ParallelStreamingSvd::new(&fc, strict);
-        d.try_initialize(&b.submatrix(0, rows, 0, 8))?;
-        for c0 in [8usize, 16, 24] {
-            d.try_incorporate_data(&b.submatrix(0, rows, c0, c0 + BATCH))?;
-        }
-        Ok::<(), CommError>(())
+        d.try_initialize(&b.submatrix(0, rows, 0, 8)).expect("init precedes the death");
+        d.try_incorporate_data(&b.submatrix(0, rows, 8, 16)).expect("update one too");
+        let pre = d.checkpoint();
+        let fate = d.try_incorporate_data(&b.submatrix(0, rows, 16, 24)).map(|_| ());
+        assert_whole(&d, BATCH);
+        (fate, pre, d.into_checkpoint())
     });
-    for (r, fate) in out.iter().enumerate() {
+    for (r, (fate, _, _)) in out.iter().enumerate() {
         assert_eq!(
             *fate,
             Err(CommError::RankDead { rank: VICTIM }),
             "rank {r} must refuse to continue degraded"
         );
+    }
+
+    // An errored round never leaves a torn tracker. The victim failed
+    // mid-round (pre-commit) and holds the pre-call state; the survivors
+    // finished the round on the shrunken world and learnt of the death
+    // from the trailing world check (post-commit), so they hold what a
+    // fault-free survivor world produces from the same pre-call state.
+    let survivors: Vec<usize> = (0..RANKS).filter(|&r| r != VICTIM).collect();
+    let twin = World::new(RANKS - 1).run(|comm| {
+        let phys = survivors[comm.rank()];
+        let b = &blocks[phys];
+        let mut d = ParallelStreamingSvd::restore(comm, strict, out[phys].1.clone());
+        d.incorporate_data(&b.submatrix(0, b.rows(), 16, 24));
+        d.into_checkpoint()
+    });
+    assert_eq!(out[VICTIM].2, out[VICTIM].1, "victim: pre-call state, bit for bit");
+    for (i, &phys) in survivors.iter().enumerate() {
+        assert_eq!(out[phys].2, twin[i], "rank {phys}: post-call state, bit for bit");
     }
 }

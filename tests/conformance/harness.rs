@@ -1,7 +1,8 @@
 //! Shared machinery for the conformance suite: synthetic spectra, the
 //! serial oracle, and the paper-contract assertions.
 
-use psvd_core::{batch_truncated_svd, SerialStreamingSvd, SvdConfig};
+use psvd_comm::Communicator;
+use psvd_core::{batch_truncated_svd, ParallelStreamingSvd, SerialStreamingSvd, SvdConfig};
 use psvd_linalg::norms::orthogonality_error;
 use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
 use psvd_linalg::Matrix;
@@ -67,6 +68,15 @@ pub fn assert_descending(s: &[f64]) {
 pub fn assert_orthonormal(q: &Matrix, tol: f64) {
     let err = orthogonality_error(q);
     assert!(err < tol, "orthogonality error {err} exceeds {tol}");
+}
+
+/// A tracker fed `batch`-column batches is whole when its modes, σ and
+/// both counters belong to one streaming step — what every rank must hold
+/// after an `Err`, whether the error came before the commit or after it.
+pub fn assert_whole<C: Communicator>(d: &ParallelStreamingSvd<'_, C>, batch: usize) {
+    assert_eq!(d.local_modes().cols(), d.singular_values().len(), "modes and σ from one step");
+    let seen = if d.is_initialized() { batch * (d.iteration() + 1) } else { 0 };
+    assert_eq!(d.snapshots_seen(), seen, "counters from one step");
 }
 
 /// The serial streaming oracle: final `(modes, singular values)` of the

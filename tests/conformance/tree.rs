@@ -8,7 +8,7 @@ use psvd_core::{ParallelStreamingSvd, SvdConfig, TreeMergeInfo};
 use psvd_data::partition::split_rows;
 use psvd_linalg::Matrix;
 
-use crate::harness::{data_matrix, exact_config, Spectrum};
+use crate::harness::{assert_whole, data_matrix, exact_config, Spectrum};
 
 const M: usize = 72;
 const N: usize = 24;
@@ -25,8 +25,9 @@ fn tree_cfg() -> SvdConfig {
 type FaultedRank = (Option<Matrix>, Vec<f64>, Option<TreeMergeInfo>, FaultStats);
 
 /// One rank's view of a run with an injected death: its fate, local
-/// modes, σ and the tree diagnostics.
-type DeathRank = (Result<(), CommError>, Matrix, Vec<f64>, Option<TreeMergeInfo>);
+/// modes, σ, the tree diagnostics and the workspace misses of its last
+/// update.
+type DeathRank = (Result<(), CommError>, Matrix, Vec<f64>, Option<TreeMergeInfo>, u64);
 
 /// Stream the whole matrix through the tree-configured driver under a
 /// fault plan; returns per-rank `(modes at 0, σ, tree info, fault stats)`.
@@ -87,14 +88,19 @@ fn tree_death_run(a: &Matrix) -> Vec<DeathRank> {
         let rows = b.rows();
         let cfg = tree_cfg().with_allow_degraded(true);
         let mut d = ParallelStreamingSvd::new(&fc, cfg);
+        let mut misses = 0;
         let fate = (|| {
             d.try_initialize(&b.submatrix(0, rows, 0, BATCH))?;
             d.try_incorporate_data(&b.submatrix(0, rows, BATCH, 2 * BATCH))?;
+            let warm = d.scratch_stats().misses;
+            d.try_incorporate_data(&b.submatrix(0, rows, 2 * BATCH, 3 * BATCH))?;
+            misses = d.scratch_stats().misses - warm;
             Ok(())
         })();
+        assert_whole(&d, BATCH);
         let info = d.tree_merge_info().cloned();
         let (modes, sigma) = d.into_modes();
-        (fate, modes, sigma, info)
+        (fate, modes, sigma, info, misses)
     })
 }
 
@@ -103,17 +109,20 @@ fn tree_round_death_degrades_onto_the_survivors() {
     let a = data_matrix(Spectrum::Geometric, M, N, 62);
     let out = tree_death_run(&a);
 
-    // The victim sees its own death; it never produced a tree round.
+    // The victim sees its own death; it never produced a tree round, and
+    // the failed initialize left it the empty tracker it was.
     assert_eq!(out[1].0, Err(CommError::RankDead { rank: 1 }));
     assert!(out[1].3.is_none(), "the victim must not report an executed tree");
+    assert!(out[1].1.is_empty() && out[1].2.is_empty(), "the victim must hold no factorization");
 
     // Survivors complete with an executed 2-level tree (the plan was
     // resolved on the 4-rank world; capacity 4 covers the 3 survivors).
-    for (r, (fate, _, sigma, info)) in out.iter().enumerate() {
+    for (r, (fate, _, sigma, info, misses)) in out.iter().enumerate() {
         if r == 1 {
             continue;
         }
         assert_eq!(*fate, Ok(()), "rank {r} should have survived");
+        assert_eq!(*misses, 0, "rank {r}: a clean round on the surviving world reuses its scratch");
         assert_eq!(info.as_ref().expect("tree engaged").fanouts, vec![2, 2], "rank {r}");
         crate::harness::assert_descending(sigma);
         assert_eq!(sigma, &out[0].2, "survivors agree on the spectrum");
@@ -139,6 +148,7 @@ fn degraded_tree_run_is_a_bitwise_restart_of_the_survivors() {
         let mut d = ParallelStreamingSvd::new(comm, cfg);
         d.initialize(&b.submatrix(0, rows, 0, BATCH));
         d.incorporate_data(&b.submatrix(0, rows, BATCH, 2 * BATCH));
+        d.incorporate_data(&b.submatrix(0, rows, 2 * BATCH, 3 * BATCH));
         let info = d.tree_merge_info().cloned();
         let (modes, sigma) = d.into_modes();
         (modes, sigma, info)

@@ -255,6 +255,11 @@ fn hostile_specs_are_typed_errors_not_panics() {
         ("batch = 0", spec(12, 2, 0)),
         ("rows < ranks * batch", spec(7, 2, 4)),
         ("chaos on one rank", spec(12, 1, 4).with_chaos(ChaosSpec::new(1).with_drop_prob(0.1))),
+        ("K = 0", spec(12, 2, 4).with_svd(SvdConfig::new(0))),
+        ("r2 < K", spec(12, 2, 4).with_svd(SvdConfig::new(2).with_r2(1))),
+        ("r1 = 0", spec(12, 2, 4).with_svd(SvdConfig::new(2).with_r1(0))),
+        ("forget factor > 1", spec(12, 2, 4).with_svd(SvdConfig::new(2).with_forget_factor(1.5))),
+        ("fanout 1 on two ranks", spec(12, 2, 4).with_svd(SvdConfig::new(2).with_tree_fanout(1))),
     ] {
         let got = server.open("bad", hostile);
         assert!(matches!(got, Err(ServeError::InvalidSpec(_))), "{why}: {got:?}");

@@ -8,7 +8,6 @@
 //! `core/parallel.rs`. The last two tests hold the reason the tree
 //! exists: on modelled clocks it beats the flat gather as the world grows.
 
-use pyparsvd::core::try_merge_tree_svd_timed;
 use pyparsvd::data::partition::split_rows;
 use pyparsvd::linalg::random::{matrix_with_spectrum, seeded_rng};
 use pyparsvd::linalg::validate::max_principal_angle;
@@ -263,7 +262,7 @@ fn timed_run(world_size: usize, plan: &MergeTreePlan) -> (f64, u64, Vec<f64>, f6
                 })
                 .sum()
         });
-        try_merge_tree_svd_timed(comm, cfg, &a, plan, RATE).expect("fault-free world")
+        try_merge_tree_svd(comm, cfg, &a, plan, Some(RATE)).expect("fault-free world")
     });
     let (_, sigma, info) = &out[0];
     let slowest = clocks.iter().cloned().fold(0.0, f64::max);
