@@ -1,16 +1,14 @@
 //! Ablation A5: streaming/truncated SVD algorithm baselines.
 //!
 //! The paper builds on Levy–Lindenbaum; the incremental-SVD literature it
-//! cites (Sarwar et al.) uses Brand-style updates, and Krylov methods
-//! (Golub–Kahan–Lanczos) are the classic iterative alternative when the
-//! matrix fits in memory. This harness runs all four on the same tall
-//! snapshot matrices and reports accuracy vs the exact truncated SVD and
-//! wall time:
+//! cites (Sarwar et al.) uses Brand-style updates, and the randomized SVD is
+//! the one-shot alternative when the matrix fits in memory. This harness
+//! runs all three on the same tall snapshot matrices and reports accuracy
+//! vs the exact truncated SVD and wall time:
 //!
 //! - `levy-lindenbaum` — this library's streaming driver (QR of the full
 //!   `M x (K+B)` stack per batch);
 //! - `brand` — residual-QR incremental updates (`O(MKB + MB²)` per batch);
-//! - `lanczos` — GKL bidiagonalization with full reorthogonalization;
 //! - `randomized` — one-shot randomized SVD (q = 2);
 //! - `one-shot` — the deterministic truncated SVD (ground truth, also timed).
 //!
@@ -21,7 +19,6 @@
 use psvd_bench::{fmt_secs, time_it, Table};
 use psvd_core::{batch_truncated_svd, BrandIncrementalSvd, SerialStreamingSvd, SvdConfig};
 use psvd_data::burgers::{snapshot_matrix, BurgersConfig};
-use psvd_linalg::lanczos::{lanczos_svd, LanczosConfig};
 use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
 use psvd_linalg::randomized::{randomized_svd, RandomizedConfig};
 use psvd_linalg::validate::{max_principal_angle, spectrum_error};
@@ -56,12 +53,6 @@ fn compare(name: &str, data: &Matrix, k: usize, batch: usize) {
     });
     report("brand", t_brand, brand.singular_values(), brand.modes());
 
-    let (lanc, t_lanc) = time_it(|| {
-        let mut rng = seeded_rng(3);
-        lanczos_svd(data, &LanczosConfig::new(k), &mut rng)
-    });
-    report("lanczos", t_lanc, &lanc.s, &lanc.u);
-
     let (rand_svd, t_rand) = time_it(|| {
         let mut rng = seeded_rng(4);
         randomized_svd(data, &RandomizedConfig::new(k).with_power_iterations(2), &mut rng)
@@ -86,6 +77,5 @@ fn main() {
     compare("synthetic (geometric decay)", &synthetic, 10, 16);
 
     println!("expected: streaming methods trade a little accuracy for batch-sized memory;");
-    println!("brand undercuts levy-lindenbaum in time (residual-QR vs full-stack QR);");
-    println!("lanczos and randomized are fastest but need the full matrix resident.");
+    println!("brand undercuts levy-lindenbaum in time (residual-QR vs full-stack QR).");
 }

@@ -11,6 +11,9 @@
 //! psvd info burgers.ncs
 //! psvd svd burgers.ncs --k 10 --ranks 4 --batch 50 --values-out sv.csv
 //! psvd validate burgers.ncs --k 6 --ranks 4
+//! psvd pod burgers.ncs --k 4                  # psvd-core
+//! psvd dmd burgers.ncs --k 5 --dt 0.05        # psvd-modal
+//! psvd spod burgers.ncs --nfft 64 --dt 0.05   # psvd-modal
 //! ```
 
 pub mod args;
@@ -107,7 +110,7 @@ fn cmd_dmd(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let data = read_input(a)?;
     let k = a.usize_or("k", 6)?;
     let dt = a.f64_or("dt", 1.0)?;
-    let d = psvd_core::dmd::dmd(&data, k, dt);
+    let d = psvd_modal::dmd::dmd(&data, k, dt);
     let mut out = vec![format!("DMD, rank {} (requested {k}), dt = {dt}:", d.rank)];
     out.push(format!("{:>14} {:>12} {:>14}", "freq (cyc/t)", "growth", "|amplitude|"));
     for ((w, b), _) in d.continuous_eigenvalues().iter().zip(&d.amplitudes).zip(&d.eigenvalues) {
@@ -131,11 +134,11 @@ fn cmd_spod(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let nfft = a.usize_or("nfft", 64)?;
     let dt = a.f64_or("dt", 1.0)?;
     let k = a.usize_or("k", 3)?;
-    let cfg = psvd_core::spod::SpodConfig::new(nfft, dt).with_n_modes(k);
+    let cfg = psvd_modal::spod::SpodConfig::new(nfft, dt).with_n_modes(k);
     if cfg.segment_count(data.cols()) == 0 {
         return Err(format!("record too short: {} snapshots < segment length {nfft}", data.cols()));
     }
-    let s = psvd_core::spod::spod(&data, &cfg);
+    let s = psvd_modal::spod::spod(&data, &cfg);
     let mut out = vec![format!(
         "SPOD (mean-subtracted): {} segments of {nfft} snapshots, {} frequency bins:",
         s.n_segments,

@@ -24,7 +24,7 @@
 
 use psvd_linalg::gemm::{matmul_into, matmul_tn_into};
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::svd::svd_with;
+use psvd_linalg::svd::svd;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
 use psvd_linalg::Matrix;
 
@@ -129,7 +129,7 @@ impl BrandIncrementalSvd {
     pub fn initialize(&mut self, a0: &Matrix) -> &mut Self {
         assert!(!self.is_initialized(), "initialize called twice");
         assert!(a0.cols() > 0, "first batch is empty");
-        let f = svd_with(a0, self.cfg.method);
+        let f = svd(a0);
         let k = self.cfg.k.min(f.s.len());
         self.modes = f.u.first_columns(k);
         self.singular_values = f.s[..k].to_vec();
@@ -210,7 +210,7 @@ impl BrandIncrementalSvd {
             }
         }
 
-        let f = svd_with(&self.qcore, self.cfg.method);
+        let f = svd(&self.qcore);
         let k_new = self.cfg.k.min(f.s.len());
 
         // U <- [U J_keep] U'[:, :k_new].
@@ -231,7 +231,7 @@ impl BrandIncrementalSvd {
                     *x *= s;
                 }
             }
-            let f = svd_with(&self.jr, self.cfg.method);
+            let f = svd(&self.jr);
             matmul_into(self.jq.view(), f.u.view(), &mut self.next_modes);
             std::mem::swap(&mut self.modes, &mut self.next_modes);
             self.singular_values = f.s;

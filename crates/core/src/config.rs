@@ -1,8 +1,7 @@
 //! Configuration shared by the serial and parallel drivers.
 
 use psvd_linalg::randomized::{mixed_randomized_svd, randomized_svd};
-use psvd_linalg::svd::svd_with;
-use psvd_linalg::{Matrix, Scalar, Svd, SvdMethod};
+use psvd_linalg::{svd, Matrix, Scalar, Svd};
 use rand::rngs::StdRng;
 
 /// Arithmetic / wire precision for a streaming run.
@@ -127,8 +126,6 @@ pub struct SvdConfig {
     pub power_iterations: usize,
     /// Seed for the randomized path (advanced deterministically per call).
     pub seed: u64,
-    /// Dense SVD kernel for the deterministic path.
-    pub method: SvdMethod,
     /// Continue on a shrunken world after a permanent rank failure (the
     /// dead rank's row block is excised and the run reports a
     /// `DegradedInfo`) instead of erroring out of the fallible driver
@@ -158,7 +155,6 @@ impl SvdConfig {
             oversampling: 10,
             power_iterations: 1,
             seed: 0,
-            method: SvdMethod::default(),
             allow_degraded: false,
             precision: Precision::from_env(),
             tree_fanout: env_tree_knob("PSVD_TREE_FANOUT"),
@@ -193,12 +189,6 @@ impl SvdConfig {
     /// Builder: randomized-path seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: dense kernel.
-    pub fn with_method(mut self, method: SvdMethod) -> Self {
-        self.method = method;
         self
     }
 
@@ -273,7 +263,7 @@ impl SvdConfig {
 
     /// The one inner SVD of a small factor — the serial update's `R`, the
     /// TSQR root's `R`, the APMOS root stack and every merge-tree node all
-    /// come here. Dense (`method`, all triplets) unless `low_rank`, in
+    /// come here. Dense ([`svd()`], all triplets) unless `low_rank`, in
     /// which case the randomized SVD keeps `rank` triplets under this
     /// configuration's `oversampling` / `power_iterations`, sketching in
     /// f32 when the precision policy is [`Precision::Mixed`].
@@ -284,7 +274,7 @@ impl SvdConfig {
         rng: &mut StdRng,
     ) -> Svd<T> {
         if !self.low_rank {
-            svd_with(a, self.method)
+            svd(a)
         } else if self.precision == Precision::Mixed {
             mixed_randomized_svd(a, &self.randomized(rank), rng)
         } else {

@@ -37,26 +37,20 @@
 pub mod brand;
 pub mod checkpoint;
 pub mod config;
-pub mod dmd;
 pub mod hierarchical;
 pub mod parallel;
 pub mod pod;
 pub mod postprocess;
 pub mod serial;
-pub mod spod;
-pub mod streaming_dmd;
 mod update;
 mod wire;
 
 pub use brand::BrandIncrementalSvd;
 pub use checkpoint::SvdCheckpoint;
 pub use config::{ConfigError, Precision, SvdConfig};
-pub use dmd::{dmd, Dmd};
 pub use hierarchical::{
     try_merge_tree_svd, try_merge_tree_svd_into, MergeTreePlan, PlanError, TreeMergeInfo,
 };
 pub use parallel::{parallel_svd_once, DegradedInfo, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};
 pub use serial::{batch_truncated_svd, SerialStreamingSvd};
-pub use spod::{spod, Spod, SpodConfig};
-pub use streaming_dmd::StreamingDmd;

@@ -2,7 +2,7 @@
 //!
 //! Each rank owns a row block `Aⁱ` (`Mᵢ x N`) of the global snapshot
 //! matrix. The streaming driver (Listing 2) is the Levy–Lindenbaum tracker
-//! of [`crate::update`] — the very loop the serial driver runs — handed
+//! of `crate::update` — the very loop the serial driver runs — handed
 //! the two collective kernels in place of the local thin QR:
 //!
 //! - [`ParallelStreamingSvd::parallel_svd`] factors the first batch: one
@@ -19,7 +19,7 @@
 //!
 //! What the driver itself adds is the world bookkeeping around each round
 //! ([`DegradedInfo`]) and the mode gathers. Every matrix on the wire goes
-//! through [`crate::wire`]; every inner SVD is `SvdConfig::inner_svd`,
+//! through `crate::wire`; every inner SVD is `SvdConfig::inner_svd`,
 //! which may be randomized — the paper's third building block.
 //!
 //! The paper's Listing 4 negates `qglobal`/`rfinal` ("trick for

@@ -2,7 +2,7 @@
 //! basis extraction (Algorithm 1 / Listing 1 of the paper).
 //!
 //! The `K` leading left singular vectors are updated batch by batch by the
-//! shared tracker of [`crate::update`], factoring with the local thin QR:
+//! shared tracker of `crate::update`, factoring with the local thin QR:
 //!
 //! 1. `initialize(A0)`: thin QR of the first batch, SVD of the small `R`,
 //!    keep `K` columns of `Q·U'`.
@@ -31,7 +31,7 @@ use crate::config::SvdConfig;
 use crate::update::{forward_tracker_accessors, LocalQr, Tracker};
 
 /// Streaming truncated SVD of a (conceptually unbounded) snapshot stream:
-/// the shared [`crate::update`] tracker, advanced by the local thin QR —
+/// the shared `crate::update` tracker, advanced by the local thin QR —
 /// for the first batch and for every `[ff·U·D | A_i]` stack after it.
 ///
 /// Every per-batch temporary lives in per-instance buffers reused across

@@ -37,9 +37,9 @@
 //!
 //! The codec is lossless and decode order is fixed, so the bytes landing
 //! in `dst` are identical whether they arrive through the prefetcher, the
-//! synchronous path, or an in-core [`MatrixBatchSource`]
-//! (`crate::stream`): f64 out-of-core results are bitwise identical to
-//! in-core results at any thread count.
+//! synchronous path, or an in-core [`crate::stream::MatrixBatchSource`]:
+//! f64 out-of-core results are bitwise identical to in-core results at any
+//! thread count.
 
 use std::io;
 use std::path::Path;

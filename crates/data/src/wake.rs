@@ -156,7 +156,7 @@ mod tests {
         // The end-to-end property this generator exists to certify.
         let cfg = WakeConfig::tiny();
         let d = generate(&cfg);
-        let result = psvd_core::dmd::dmd(&d, 5, cfg.dt);
+        let result = psvd_modal::dmd::dmd(&d, 5, cfg.dt);
         let freqs: Vec<f64> = result.frequencies().iter().map(|f| f.abs()).collect();
         let f_s = cfg.shedding_frequency;
         assert!(
@@ -178,7 +178,7 @@ mod tests {
     fn dmd_measures_planted_growth_rate() {
         let cfg = WakeConfig { growth_rate: 0.15, ..WakeConfig::tiny() };
         let d = generate(&cfg);
-        let result = psvd_core::dmd::dmd(&d, 5, cfg.dt);
+        let result = psvd_modal::dmd::dmd(&d, 5, cfg.dt);
         // The fundamental's continuous eigenvalue must carry Re ~ 0.15.
         let target = result
             .continuous_eigenvalues()

@@ -123,11 +123,11 @@ impl Blocking {
         Ok(Blocking { mc, kc, nc })
     }
 
-    /// The static defaults for a kernel: `MC` is [`DEFAULT_MC`] rounded
+    /// The static defaults for a kernel: `MC` is `DEFAULT_MC` rounded
     /// down to the kernel's `mr` (exactly 128 for the scalar oracle, so
     /// the pre-SIMD engine's blocking is reproduced verbatim; `MC` never
     /// affects bits in any case), `KC` holds a constant byte footprint
-    /// ([`default_kc`]), `NC` is the fixed default.
+    /// (`default_kc`), `NC` is the fixed default.
     pub fn default_for<T: Scalar>(kernel: &dyn MicroKernel<T>) -> Self {
         let mc = (DEFAULT_MC / kernel.mr()).max(1) * kernel.mr();
         Blocking::try_new(mc, default_kc::<T>(), DEFAULT_NC, kernel)

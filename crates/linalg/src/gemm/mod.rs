@@ -2,7 +2,7 @@
 //!
 //! Two tiers share one public API:
 //!
-//! * [`reference`] — simple cache-blocked serial loops. These are the
+//! * [`mod@reference`] — simple cache-blocked serial loops. These are the
 //!   semantic ground truth: easy to audit, tested directly against naive
 //!   triple loops, and used verbatim for problems too small to amortize
 //!   packing and thread dispatch.

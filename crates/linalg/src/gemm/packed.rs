@@ -5,14 +5,14 @@
 //! once into NR-wide strips (all K-panels), and each thread packs its own
 //! `MC x KC` blocks of `op(A)` into MR-tall row strips. The innermost
 //! computation is an `MR x NR` register-tile [`MicroKernel`] selected at
-//! process startup by CPU-feature detection (see [`super::kernel`]):
+//! process startup by CPU-feature detection (see `super::kernel`):
 //! explicitly vectorized AVX2/FMA tiles on x86_64, with the portable
 //! scalar tile as the determinism oracle. `MC`/`KC`/`NC` come from the
-//! process-wide [`super::blocking`] resolution.
+//! process-wide `super::blocking` resolution.
 //!
 //! Shapes where packing overhead dominates compute — `m >> n, k`, the
 //! tall-skinny products TSQR and the randomized range finder feed this
-//! engine — skip the full blocked path for [`super::tall_skinny`], which
+//! engine — skip the full blocked path for `super::tall_skinny`, which
 //! packs the (tiny) `op(B)` once and streams `op(A)` row-panels straight
 //! through the kernel. The two paths are bitwise identical per (kernel,
 //! `KC`), so the dispatch heuristic is a pure speed decision.

@@ -9,6 +9,13 @@
 //! regime the paper targets: data matrices that are very tall (`M >> N`)
 //! whose *small* core factorizations (`N x N`-ish) happen over and over.
 //!
+//! These are the paper's kernels and nothing else — its algorithms are
+//! "expressed entirely in terms of QR/SVD/GEMM" — and every module is
+//! reached by a benchmark workload, a paper figure or a tier-1 oracle
+//! (DESIGN.md, "Reachability"). What is built *on* the SVD but is not the
+//! paper's algorithm (DMD, SPOD, pseudoinverse, and the complex / FFT /
+//! nonsymmetric-eigen kernels under them) lives in `psvd-modal`.
+//!
 //! ```
 //! use psvd_linalg::{Matrix, svd::svd};
 //!
@@ -18,25 +25,15 @@
 //! assert!(f.s.windows(2).all(|w| w[0] >= w[1]));
 //! ```
 
-pub mod cholesky;
-pub mod cmatrix;
-pub mod complex;
 pub mod eig;
-pub mod eig_general;
-pub mod fft;
 pub mod gemm;
-pub mod hessenberg;
-pub mod lanczos;
 pub mod matrix;
 pub mod norms;
 pub mod par;
-pub mod pinv;
 pub mod qr;
 pub mod random;
 pub mod randomized;
-pub mod rot;
 pub mod scalar;
-pub mod schur;
 pub mod snapshots;
 pub mod svd;
 pub mod validate;
@@ -45,12 +42,9 @@ pub mod workspace;
 pub mod wy;
 
 pub use gemm::{gram_into, matmul_acc_into, matmul_into, matmul_nt_into, matmul_tn_into};
-pub use lanczos::{lanczos_svd, LanczosConfig};
 pub use matrix::{alloc_stats, Matrix};
-pub use pinv::{lstsq, pseudoinverse};
 pub use qr::{qr_block, qr_thin_into, set_qr_block, thin_qr, QrFactors};
 pub use randomized::{low_rank_svd, randomized_svd, RandomizedConfig};
-pub use rot::{rot_block, set_rot_block, RotAccumulator, RotStats};
 pub use scalar::Scalar;
 pub use snapshots::generate_right_vectors;
 pub use svd::{convergence_stats, svd, svd_with, truncated_svd, Svd, SvdInfo, SvdMethod};

@@ -278,16 +278,6 @@ impl<T: Scalar> Matrix<T> {
         self.cols = cols;
     }
 
-    /// Reshape in place to the `n x n` identity, reusing the buffer
-    /// whenever its capacity suffices. The rotation accumulator re-opens
-    /// its window matrices through this without allocating.
-    pub fn reshape_identity(&mut self, n: usize) {
-        self.reshape_zeroed(n, n);
-        for i in 0..n {
-            self.data[i * n + i] = T::ONE;
-        }
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Matrix<T> {
         let mut t = Matrix::zeros(self.cols, self.rows);

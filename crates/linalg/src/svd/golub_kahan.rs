@@ -9,7 +9,6 @@
 use crate::gemm::matmul_into;
 use crate::matrix::Matrix;
 use crate::qr::{apply_reflector, apply_reflector_right, qr_block, qr_thin_into};
-use crate::rot::{rot_block, RotAccumulator};
 use crate::scalar::Scalar;
 use crate::svd::{convergence_stats, Svd, SvdInfo};
 use crate::workspace::Workspace;
@@ -159,39 +158,31 @@ fn bidiagonalize_dense<T: Scalar>(a: &Matrix<T>) -> (Matrix<T>, Vec<T>, Vec<T>, 
     (u, d, e, v)
 }
 
-/// A factor matrix paired with the accumulator recording its rotations.
-/// Keeps the QR-iteration call sites at "rotate these columns" while the
-/// accumulator decides between the direct level-1 update and the windowed
-/// level-3 path.
-struct Rotated<'a, T: Scalar> {
-    m: &'a mut Matrix<T>,
-    acc: &'a mut RotAccumulator<T>,
-}
-
-impl<T: Scalar> Rotated<'_, T> {
-    #[inline]
-    fn rotate(&mut self, j: usize, k: usize, c: T, s: T, ws: &mut Workspace) {
-        self.acc.rotate(self.m, j, k, c, s, ws);
-    }
-
-    fn flush(&mut self, ws: &mut Workspace) {
-        self.acc.flush(self.m, ws);
+/// Rotate columns `j` and `k` of `m`: `col_j ← c*col_j + s*col_k`,
+/// `col_k ← -s*col_j + c*col_k`. Applied one rotation at a time: `svd_with`
+/// QR-preprocesses every `m >= 2n` input, so through `svd()` the factors
+/// rotated here are `n x n`, where batching rotations into a window costs
+/// the same `O(n)` per rotation plus a flush (measured in DESIGN.md, "Why
+/// the kernel rotates directly").
+#[inline]
+fn rotate_cols<T: Scalar>(m: &mut Matrix<T>, j: usize, k: usize, c: T, s: T) {
+    for i in 0..m.rows() {
+        let a = m[(i, j)];
+        let b = m[(i, k)];
+        m[(i, j)] = c * a + s * b;
+        m[(i, k)] = -s * a + c * b;
     }
 }
 
 /// One implicit-shift Golub–Kahan SVD step on the block `d[p..=q]`,
-/// `e[p..q]`, with rotations recorded against `u` and `v`. The rotation
-/// parameters derive only from `d`/`e`, which the accumulators never
-/// touch — so the bidiagonal (and hence every singular value) is bitwise
-/// independent of how the factor updates are batched.
+/// `e[p..q]`, with the rotations applied to `u` and `v`.
 fn gk_step<T: Scalar>(
     d: &mut [T],
     e: &mut [T],
     p: usize,
     q: usize,
-    u: &mut Rotated<'_, T>,
-    v: &mut Rotated<'_, T>,
-    ws: &mut Workspace,
+    u: &mut Matrix<T>,
+    v: &mut Matrix<T>,
 ) {
     // Wilkinson shift from the trailing 2x2 of Bᵀ B.
     let eq2 = if q >= 2 && q - 1 > p { e[q - 2] } else { T::ZERO };
@@ -227,7 +218,7 @@ fn gk_step<T: Scalar>(
         d[k] = f;
         e[k] = ek;
         d[k + 1] = dk1;
-        v.rotate(k, k + 1, c, s, ws);
+        rotate_cols(v, k, k + 1, c, s);
 
         // Left rotation on rows (k, k+1): annihilates the bulge at (k+1, k).
         let (c2, s2, r2) = givens(d[k], g);
@@ -242,20 +233,13 @@ fn gk_step<T: Scalar>(
             y = e[k];
             z = g2;
         }
-        u.rotate(k, k + 1, c2, s2, ws);
+        rotate_cols(u, k, k + 1, c2, s2);
     }
 }
 
 /// When `d[k]` is negligible (k < q), chase `e[k]` away with left rotations
 /// against the rows below, zeroing row `k`'s coupling.
-fn zero_diag_row_chase<T: Scalar>(
-    d: &mut [T],
-    e: &mut [T],
-    k: usize,
-    q: usize,
-    u: &mut Rotated<'_, T>,
-    ws: &mut Workspace,
-) {
+fn zero_diag_row_chase<T: Scalar>(d: &mut [T], e: &mut [T], k: usize, q: usize, u: &mut Matrix<T>) {
     let mut f = e[k];
     e[k] = T::ZERO;
     for j in k + 1..=q {
@@ -266,20 +250,13 @@ fn zero_diag_row_chase<T: Scalar>(
             e[j] *= c;
         }
         // U ← U Lᵀ with L mixing rows (j, k).
-        u.rotate(j, k, c, s, ws);
+        rotate_cols(u, j, k, c, s);
     }
 }
 
 /// When `d[q]` is negligible, chase `e[q-1]` away with right rotations
 /// against the columns to the left.
-fn zero_diag_col_chase<T: Scalar>(
-    d: &mut [T],
-    e: &mut [T],
-    p: usize,
-    q: usize,
-    v: &mut Rotated<'_, T>,
-    ws: &mut Workspace,
-) {
+fn zero_diag_col_chase<T: Scalar>(d: &mut [T], e: &mut [T], p: usize, q: usize, v: &mut Matrix<T>) {
     let mut f = e[q - 1];
     e[q - 1] = T::ZERO;
     for j in (p..q).rev() {
@@ -289,7 +266,7 @@ fn zero_diag_col_chase<T: Scalar>(
             f = -s * e[j - 1];
             e[j - 1] *= c;
         }
-        v.rotate(j, q, c, s, ws);
+        rotate_cols(v, j, q, c, s);
     }
 }
 
@@ -309,9 +286,8 @@ pub fn bidiagonal_svd_with_info<T: Scalar>(
     u: Matrix<T>,
     v: Matrix<T>,
 ) -> (Svd<T>, SvdInfo) {
-    let cap_u = rot_block(u.rows(), u.cols());
-    let cap_v = rot_block(v.rows(), v.cols());
-    bidiagonal_svd_impl(d, e, u, v, cap_u, cap_v, None)
+    let n = d.len();
+    bidiagonal_svd_budgeted(d, e, u, v, 60 * n * n + 100)
 }
 
 /// [`bidiagonal_svd_with_info`] under an explicit QR-sweep budget instead
@@ -321,40 +297,11 @@ pub fn bidiagonal_svd_with_info<T: Scalar>(
 /// once — the hook tests use to exercise the non-convergence path, since a
 /// well-posed spectrum never trips the default cap.
 pub fn bidiagonal_svd_budgeted<T: Scalar>(
-    d: Vec<T>,
-    e: Vec<T>,
-    u: Matrix<T>,
-    v: Matrix<T>,
-    max_iter: usize,
-) -> (Svd<T>, SvdInfo) {
-    let cap_u = rot_block(u.rows(), u.cols());
-    let cap_v = rot_block(v.rows(), v.cols());
-    bidiagonal_svd_impl(d, e, u, v, cap_u, cap_v, Some(max_iter))
-}
-
-/// The QR iteration with explicit rotation-window capacities, so tests can
-/// pit the accumulated path against the direct reference without touching
-/// the process-wide knob.
-#[cfg(test)]
-fn bidiagonal_svd_caps<T: Scalar>(
-    d: Vec<T>,
-    e: Vec<T>,
-    u: Matrix<T>,
-    v: Matrix<T>,
-    cap_u: usize,
-    cap_v: usize,
-) -> (Svd<T>, SvdInfo) {
-    bidiagonal_svd_impl(d, e, u, v, cap_u, cap_v, None)
-}
-
-fn bidiagonal_svd_impl<T: Scalar>(
     mut d: Vec<T>,
     mut e: Vec<T>,
     mut u: Matrix<T>,
     mut v: Matrix<T>,
-    cap_u: usize,
-    cap_v: usize,
-    budget: Option<usize>,
+    max_iter: usize,
 ) -> (Svd<T>, SvdInfo) {
     let n = d.len();
     if n == 0 {
@@ -364,62 +311,48 @@ fn bidiagonal_svd_impl<T: Scalar>(
     let bnorm =
         d.iter().chain(e.iter()).fold(T::ZERO, |acc, x| acc.max(x.abs())).max(T::MIN_POSITIVE);
 
-    let max_iter = budget.unwrap_or(60 * n * n + 100);
     let mut iter = 0;
     let mut converged = true;
-    let mut ws = Workspace::new();
-    let mut acc_u = RotAccumulator::new(cap_u);
-    let mut acc_v = RotAccumulator::new(cap_v);
-    {
-        let mut u = Rotated { m: &mut u, acc: &mut acc_u };
-        let mut v = Rotated { m: &mut v, acc: &mut acc_v };
-        loop {
-            // Deflate negligible superdiagonals.
-            for k in 0..n.saturating_sub(1) {
-                if e[k].abs()
-                    <= eps * (d[k].abs() + d[k + 1].abs()) + eps * bnorm * T::from_f64(1e-2)
-                {
-                    e[k] = T::ZERO;
-                }
+    loop {
+        // Deflate negligible superdiagonals.
+        for k in 0..n.saturating_sub(1) {
+            if e[k].abs() <= eps * (d[k].abs() + d[k + 1].abs()) + eps * bnorm * T::from_f64(1e-2) {
+                e[k] = T::ZERO;
             }
-            // Largest unreduced block end.
-            let q = match (0..n.saturating_sub(1)).rev().find(|&k| e[k] != T::ZERO) {
-                Some(k) => k + 1,
-                None => break,
-            };
-            // Block start.
-            let mut p = q - 1;
-            while p > 0 && e[p - 1] != T::ZERO {
-                p -= 1;
-            }
-
-            iter += 1;
-            if iter > max_iter {
-                // Bail out with whatever has converged so the caller still
-                // gets a usable (if less accurate) result — and say so.
-                converged = false;
-                convergence_stats::record_failure();
-                break;
-            }
-
-            // Zero diagonals force deflation chases.
-            if d[q].abs() <= eps * bnorm {
-                d[q] = T::ZERO;
-                zero_diag_col_chase(&mut d, &mut e, p, q, &mut v, &mut ws);
-                continue;
-            }
-            if let Some(k) = (p..q).find(|&k| d[k].abs() <= eps * bnorm) {
-                d[k] = T::ZERO;
-                zero_diag_row_chase(&mut d, &mut e, k, q, &mut u, &mut ws);
-                continue;
-            }
-
-            gk_step(&mut d, &mut e, p, q, &mut u, &mut v, &mut ws);
         }
-        // The iteration only reads `d`/`e`; the factors see their pending
-        // windows exactly once, here.
-        u.flush(&mut ws);
-        v.flush(&mut ws);
+        // Largest unreduced block end.
+        let q = match (0..n.saturating_sub(1)).rev().find(|&k| e[k] != T::ZERO) {
+            Some(k) => k + 1,
+            None => break,
+        };
+        // Block start.
+        let mut p = q - 1;
+        while p > 0 && e[p - 1] != T::ZERO {
+            p -= 1;
+        }
+
+        iter += 1;
+        if iter > max_iter {
+            // Bail out with whatever has converged so the caller still
+            // gets a usable (if less accurate) result — and say so.
+            converged = false;
+            convergence_stats::record_failure();
+            break;
+        }
+
+        // Zero diagonals force deflation chases.
+        if d[q].abs() <= eps * bnorm {
+            d[q] = T::ZERO;
+            zero_diag_col_chase(&mut d, &mut e, p, q, &mut v);
+            continue;
+        }
+        if let Some(k) = (p..q).find(|&k| d[k].abs() <= eps * bnorm) {
+            d[k] = T::ZERO;
+            zero_diag_row_chase(&mut d, &mut e, k, q, &mut u);
+            continue;
+        }
+
+        gk_step(&mut d, &mut e, p, q, &mut u, &mut v);
     }
 
     // Make singular values non-negative (flip U columns).
@@ -569,28 +502,6 @@ mod tests {
         let a = Matrix::from_columns(&[vec![3.0, 4.0, 0.0]]);
         let f = golub_kahan_svd(&a);
         assert!((f.s[0] - 5.0).abs() < 1e-13);
-    }
-
-    #[test]
-    fn accumulated_matches_direct_reference() {
-        // Drive the window capacities explicitly so the comparison is
-        // independent of the process-wide knob (which other tests share).
-        let a = Matrix::from_fn(160, 24, |i, j| ((i * 7 + j * 11) as f64 * 0.13).sin() + 0.02);
-        let (u, d, e, v) = bidiagonalize(&a);
-        let (direct, di) = bidiagonal_svd_caps(d.clone(), e.clone(), u.clone(), v.clone(), 1, 1);
-        assert!(di.converged);
-        for (cap_u, cap_v) in [(24, 24), (4, 4), (8, 24)] {
-            let (acc, ai) =
-                bidiagonal_svd_caps(d.clone(), e.clone(), u.clone(), v.clone(), cap_u, cap_v);
-            assert!(ai.converged);
-            assert_eq!(ai.iterations, di.iterations, "iteration path must not depend on caps");
-            assert_eq!(direct.s, acc.s, "singular values must be bitwise identical");
-            assert!((&acc.u - &direct.u).max_abs() < 1e-12, "U diverged at caps ({cap_u},{cap_v})");
-            assert!(
-                (&acc.vt - &direct.vt).max_abs() < 1e-12,
-                "V diverged at caps ({cap_u},{cap_v})"
-            );
-        }
     }
 
     #[test]

@@ -7,33 +7,17 @@
 //! it the reference kernel that all other SVD paths in this workspace are
 //! tested against.
 //!
-//! Two sweep strategies share the extraction code:
+//! Each pair `(p, q)` reads its column moments straight from `U` and
+//! rotates the full `m`-row columns in place — level-1 and memory-bound, but
+//! with the high-relative-accuracy property intact (a per-sweep Gram matrix
+//! would give it up to the usual `κ²` effect).
 //!
-//! - **Direct** (the reference): each pair `(p, q)` reads its column
-//!   moments straight from `U` and rotates the full `m`-row columns in
-//!   place — level-1, memory-bound, but with the high-relative-accuracy
-//!   property intact. Small factors (per [`crate::rot::rot_block`]) and
-//!   `PSVD_ROT_BLOCK=1` always take this path.
-//! - **Accumulated**: per sweep, one level-3 Gram product `B = UᵀU`
-//!   supplies every pair's moments; each rotation updates `B` by its
-//!   congruence `B ← RᵀBR` (cache-resident, `O(n)` per pair) and is
-//!   *recorded* into [`crate::rot::RotAccumulator`] windows for `U` and
-//!   `V`, which are applied by GEMM once per sweep. The trajectory differs
-//!   from the direct path in rounding only; singular values and modes
-//!   agree to the documented `≤1e-12 · σ₁` contract. The Gram detour does
-//!   give up the tiny-singular-value relative accuracy (the usual `κ²`
-//!   effect), which is why the shape heuristic keeps small problems — the
-//!   ones used as accuracy references — on the direct path.
-//!
-//! Expects `m >= n`; the dispatcher in [`crate::svd`] transposes wider
+//! Expects `m >= n`; the dispatcher in [`crate::svd()`] transposes wider
 //! matrices before calling in.
 
-use crate::gemm::gram_into;
 use crate::matrix::Matrix;
-use crate::rot::{rot_block, RotAccumulator};
 use crate::scalar::Scalar;
 use crate::svd::{convergence_stats, Svd, SvdInfo};
-use crate::workspace::Workspace;
 
 /// Maximum number of sweeps over all column pairs.
 const MAX_SWEEPS: usize = 60;
@@ -47,47 +31,10 @@ pub fn jacobi_svd<T: Scalar>(a: &Matrix<T>) -> Svd<T> {
 pub fn jacobi_svd_with_info<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
     let (m, n) = a.shape();
     assert!(m >= n, "jacobi_svd requires m >= n (got {m}x{n}); use svd() for wide input");
-    jacobi_svd_caps(a, rot_block(m, n))
-}
-
-/// The sweep loop with an explicit rotation-window capacity, so tests can
-/// pit the accumulated path against the direct reference without touching
-/// the process-wide knob.
-pub(crate) fn jacobi_svd_caps<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo) {
-    let (m, n) = a.shape();
     if n == 0 {
         let f = Svd { u: Matrix::zeros(m, 0), s: Vec::new(), vt: Matrix::zeros(0, 0) };
         return (f, SvdInfo { iterations: 0, converged: true });
     }
-    if cap <= 1 {
-        jacobi_direct(a)
-    } else {
-        jacobi_accumulated(a, cap)
-    }
-}
-
-/// Jacobi rotation for the pair `(p, q)` with moments `alpha = ‖u_p‖²`,
-/// `beta = ‖u_q‖²`, `gamma = u_p·u_q`: returns `(c, s, t)` zeroing the
-/// inner product, or `None` when the pair is already orthogonal (or
-/// degenerate) at tolerance `eps`.
-#[inline]
-fn pair_rotation<T: Scalar>(alpha: T, beta: T, gamma: T, eps: T) -> Option<(T, T, T)> {
-    if alpha == T::ZERO || beta == T::ZERO {
-        return None;
-    }
-    if gamma.abs() <= eps * (alpha * beta).sqrt() {
-        return None;
-    }
-    let zeta = (beta - alpha) / (T::from_f64(2.0) * gamma);
-    let t = zeta.signum() / (zeta.abs() + (T::ONE + zeta * zeta).sqrt());
-    let c = T::ONE / (T::ONE + t * t).sqrt();
-    let s = c * t;
-    Some((c, s, t))
-}
-
-/// The direct reference path: moments from `U`, rotations applied in place.
-fn jacobi_direct<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
-    let (m, n) = a.shape();
     let mut u = a.clone();
     let mut v = Matrix::identity(n);
     let eps = T::EPSILON;
@@ -110,7 +57,7 @@ fn jacobi_direct<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
                     beta += uq * uq;
                     gamma += up * uq;
                 }
-                let Some((c, s, _)) = pair_rotation(alpha, beta, gamma, eps) else {
+                let Some((c, s)) = pair_rotation(alpha, beta, gamma, eps) else {
                     continue;
                 };
                 off_diagonal = true;
@@ -139,77 +86,26 @@ fn jacobi_direct<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
     (extract(&u, &v), SvdInfo { iterations: sweeps, converged })
 }
 
-/// The accumulated path: per-sweep Gram moments, congruence-maintained,
-/// with `U`/`V` rotations recorded into level-3 windows.
-fn jacobi_accumulated<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo) {
-    let (_, n) = a.shape();
-    let mut u = a.clone();
-    let mut v = Matrix::identity(n);
-    let eps = T::EPSILON;
-    let mut ws = Workspace::new();
-    let mut acc_u = RotAccumulator::new(cap);
-    let mut acc_v = RotAccumulator::new(cap);
-    let mut b = Matrix::zeros(0, 0);
-
-    let mut sweeps = 0;
-    let mut converged = false;
-    while sweeps < MAX_SWEEPS {
-        sweeps += 1;
-        // One level-3 product supplies every pair's moments for the sweep;
-        // U must be current first.
-        acc_u.flush(&mut u, &mut ws);
-        gram_into(u.view(), &mut b);
-        let mut off_diagonal = false;
-        for p in 0..n {
-            for q in p + 1..n {
-                let alpha = b[(p, p)];
-                let beta = b[(q, q)];
-                let gamma = b[(p, q)];
-                let Some((c, s, t)) = pair_rotation(alpha, beta, gamma, eps) else {
-                    continue;
-                };
-                off_diagonal = true;
-                // Congruence update B ← RᵀBR, with the analytically exact
-                // values substituted where rounding would otherwise leave
-                // residue: the (p,q) product is zeroed by construction and
-                // the diagonal obeys the standard t·gamma transfer.
-                for i in 0..n {
-                    let bp = b[(i, p)];
-                    let bq = b[(i, q)];
-                    b[(i, p)] = c * bp - s * bq;
-                    b[(i, q)] = s * bp + c * bq;
-                }
-                for j in 0..n {
-                    let bp = b[(p, j)];
-                    let bq = b[(q, j)];
-                    b[(p, j)] = c * bp - s * bq;
-                    b[(q, j)] = s * bp + c * bq;
-                }
-                b[(p, p)] = alpha - t * gamma;
-                b[(q, q)] = beta + t * gamma;
-                b[(p, q)] = T::ZERO;
-                b[(q, p)] = T::ZERO;
-                // `u_p ← c·u_p − s·u_q, u_q ← s·u_p + c·u_q` in the
-                // accumulator's convention is `rotate(p, q, c, −s)`.
-                acc_u.rotate(&mut u, p, q, c, -s, &mut ws);
-                acc_v.rotate(&mut v, p, q, c, -s, &mut ws);
-            }
-        }
-        if !off_diagonal {
-            converged = true;
-            break;
-        }
+/// Jacobi rotation for the pair `(p, q)` with moments `alpha = ‖u_p‖²`,
+/// `beta = ‖u_q‖²`, `gamma = u_p·u_q`: returns `(c, s)` zeroing the
+/// inner product, or `None` when the pair is already orthogonal (or
+/// degenerate) at tolerance `eps`.
+#[inline]
+fn pair_rotation<T: Scalar>(alpha: T, beta: T, gamma: T, eps: T) -> Option<(T, T)> {
+    if alpha == T::ZERO || beta == T::ZERO {
+        return None;
     }
-    acc_u.flush(&mut u, &mut ws);
-    acc_v.flush(&mut v, &mut ws);
-    if !converged {
-        convergence_stats::record_failure();
+    if gamma.abs() <= eps * (alpha * beta).sqrt() {
+        return None;
     }
-    (extract(&u, &v), SvdInfo { iterations: sweeps, converged })
+    let zeta = (beta - alpha) / (T::from_f64(2.0) * gamma);
+    let t = zeta.signum() / (zeta.abs() + (T::ONE + zeta * zeta).sqrt());
+    let c = T::ONE / (T::ONE + t * t).sqrt();
+    Some((c, c * t))
 }
 
 /// Extract singular values (column norms of `u`, descending), normalized
-/// `U`, and `Vᵀ` — shared by both sweep strategies.
+/// `U`, and `Vᵀ`.
 fn extract<T: Scalar>(u: &Matrix<T>, v: &Matrix<T>) -> Svd<T> {
     let (m, n) = u.shape();
     let mut order: Vec<usize> = (0..n).collect();
@@ -327,43 +223,6 @@ mod tests {
         for (got, want) in f.s.iter().zip(&d) {
             assert!((got - want).abs() / want < 1e-9, "sigma {got} vs {want}");
         }
-    }
-
-    #[test]
-    fn accumulated_matches_direct_reference() {
-        let a = Matrix::from_fn(150, 16, |i, j| ((i * 5 + j * 9) as f64 * 0.17).sin() + 0.03);
-        let (direct, di) = jacobi_svd_caps(&a, 1);
-        let (acc, ai) = jacobi_svd_caps(&a, 16);
-        assert!(di.converged && ai.converged);
-        let s0 = direct.s[0];
-        for (x, y) in direct.s.iter().zip(&acc.s) {
-            assert!((x - y).abs() <= 1e-12 * s0, "sigma diverged: {x} vs {y}");
-        }
-        // Modes are only pinned down (up to sign) where the spectrum is
-        // well separated; clustered directions legitimately differ between
-        // the two trajectories, so compare the separated ones and the full
-        // reconstruction.
-        for k in 0..direct.s.len() {
-            let gap_lo = if k > 0 { direct.s[k - 1] - direct.s[k] } else { f64::INFINITY };
-            let gap_hi =
-                if k + 1 < direct.s.len() { direct.s[k] - direct.s[k + 1] } else { f64::INFINITY };
-            if gap_lo.min(gap_hi) < 1e-3 * s0 {
-                continue;
-            }
-            let dot: f64 = (0..a.rows()).map(|i| direct.u[(i, k)] * acc.u[(i, k)]).sum();
-            let sign = if dot < 0.0 { -1.0 } else { 1.0 };
-            for i in 0..a.rows() {
-                let (x, y) = (direct.u[(i, k)], sign * acc.u[(i, k)]);
-                assert!((x - y).abs() < 1e-10, "U mode {k} diverged: {x} vs {y}");
-            }
-            for i in 0..a.cols() {
-                let (x, y) = (direct.vt[(k, i)], sign * acc.vt[(k, i)]);
-                assert!((x - y).abs() < 1e-10, "V mode {k} diverged: {x} vs {y}");
-            }
-        }
-        assert!(orthogonality_error(&acc.u) < 1e-10);
-        assert!(orthogonality_error(&acc.vt.transpose()) < 1e-10);
-        assert!(acc.reconstruction_error(&a) < 1e-12);
     }
 
     #[test]

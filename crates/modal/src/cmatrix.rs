@@ -3,7 +3,7 @@
 //! column utilities.
 
 use crate::complex::Complex;
-use crate::matrix::Matrix;
+use psvd_linalg::matrix::Matrix;
 use std::ops::{Index, IndexMut};
 
 /// A dense row-major complex matrix.
@@ -232,7 +232,7 @@ pub fn cvec_dot(a: &[Complex], b: &[Complex]) -> Complex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random::{gaussian_matrix, seeded_rng};
+    use psvd_linalg::random::{gaussian_matrix, seeded_rng};
 
     fn random_cmatrix(n: usize, seed: u64) -> CMatrix {
         let re = gaussian_matrix(n, n, &mut seeded_rng(seed));

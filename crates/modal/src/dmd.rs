@@ -14,9 +14,9 @@
 //! Φ = Y V Σ⁻¹ W Λ⁻¹      (exact DMD modes)
 //! ```
 
-use psvd_linalg::cmatrix::CMatrix;
-use psvd_linalg::complex::Complex;
-use psvd_linalg::eig_general::general_eig;
+use crate::cmatrix::CMatrix;
+use crate::complex::Complex;
+use crate::eig_general::general_eig;
 use psvd_linalg::gemm::{matmul, matmul_tn};
 use psvd_linalg::Matrix;
 

@@ -9,8 +9,8 @@
 
 use crate::cmatrix::{cvec_norm, CMatrix};
 use crate::complex::Complex;
-use crate::matrix::Matrix;
 use crate::schur::{real_schur, schur_eigenvalues};
+use psvd_linalg::matrix::Matrix;
 
 /// A general eigendecomposition: `values[i]`, `vectors` column `i` with
 /// `A v_i ≈ λ_i v_i`. Complex conjugate pairs appear adjacently.
@@ -136,7 +136,7 @@ fn canonical_phase(v: &mut [Complex]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random::{gaussian_matrix, seeded_rng};
+    use psvd_linalg::random::{gaussian_matrix, seeded_rng};
 
     fn check(a: &Matrix, tol: f64) -> GeneralEig {
         let e = general_eig(a);

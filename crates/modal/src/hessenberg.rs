@@ -4,7 +4,7 @@
 //! Francis QR iteration requires Hessenberg structure to run in `O(n²)`
 //! per step.
 
-use crate::matrix::Matrix;
+use psvd_linalg::matrix::Matrix;
 
 /// Hessenberg factorization `a = q * h * qᵀ` with orthogonal `q` and
 /// upper-Hessenberg `h` (zero below the first subdiagonal).
@@ -94,9 +94,9 @@ pub fn hessenberg(a: &Matrix) -> HessenbergFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::matmul;
-    use crate::norms::orthogonality_error;
-    use crate::random::{gaussian_matrix, seeded_rng};
+    use psvd_linalg::gemm::matmul;
+    use psvd_linalg::norms::orthogonality_error;
+    use psvd_linalg::random::{gaussian_matrix, seeded_rng};
 
     #[test]
     fn reconstructs_and_q_orthogonal() {

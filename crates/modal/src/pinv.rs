@@ -3,11 +3,11 @@
 //! Section 2 of the paper motivates the SVD through exactly these
 //! applications: `A⁺ = V Σ⁺ Uᵀ` (reciprocating the nonzero singular values)
 //! and the minimum-norm least-squares solution `x = A⁺ b`. Both use the
-//! thin SVD from this crate with a relative rank cutoff.
+//! thin SVD from `psvd-linalg` with a relative rank cutoff.
 
-use crate::gemm::{matmul, matvec, matvec_t};
-use crate::matrix::Matrix;
-use crate::svd::{svd, Svd};
+use psvd_linalg::gemm::{matmul, matvec, matvec_t};
+use psvd_linalg::matrix::Matrix;
+use psvd_linalg::svd::{svd, Svd};
 
 /// Default relative cutoff: singular values below `rcond * s_max` are
 /// treated as zero (NumPy's `pinv` uses a similar machine-epsilon-scaled
@@ -81,7 +81,7 @@ pub fn lstsq_with(a: &Matrix, b: &[f64], rcond: f64) -> LstsqSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random::{gaussian_matrix, matrix_with_spectrum, seeded_rng};
+    use psvd_linalg::random::{gaussian_matrix, matrix_with_spectrum, seeded_rng};
 
     fn penrose_conditions(a: &Matrix, p: &Matrix, tol: f64) {
         // The four Moore–Penrose conditions.

@@ -8,7 +8,7 @@
 
 use crate::complex::Complex;
 use crate::hessenberg::hessenberg;
-use crate::matrix::Matrix;
+use psvd_linalg::matrix::Matrix;
 
 /// The real Schur factorization `a = q * t * qᵀ`.
 #[derive(Clone, Debug)]
@@ -329,9 +329,9 @@ pub fn schur_eigenvalues(t: &Matrix) -> Vec<Complex> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::matmul;
-    use crate::norms::orthogonality_error;
-    use crate::random::{gaussian_matrix, seeded_rng};
+    use psvd_linalg::gemm::matmul;
+    use psvd_linalg::norms::orthogonality_error;
+    use psvd_linalg::random::{gaussian_matrix, seeded_rng};
 
     fn check_schur(a: &Matrix, tol: f64) -> SchurFactors {
         let f = real_schur(a);
@@ -398,11 +398,11 @@ mod tests {
 
     #[test]
     fn symmetric_matches_jacobi_eigensolver() {
-        let g = crate::gemm::gram(&gaussian_matrix(12, 6, &mut seeded_rng(7)));
+        let g = psvd_linalg::gemm::gram(&gaussian_matrix(12, 6, &mut seeded_rng(7)));
         let f = check_schur(&g, 1e-9);
         let mut schur_ev: Vec<f64> = schur_eigenvalues(&f.t).iter().map(|z| z.re).collect();
         schur_ev.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let jac = crate::eig::sym_eig(&g);
+        let jac = psvd_linalg::eig::sym_eig(&g);
         for (a, b) in schur_ev.iter().zip(&jac.values) {
             assert!((a - b).abs() < 1e-8 * jac.values[0].max(1.0), "{a} vs {b}");
         }

@@ -7,9 +7,9 @@
 //! frequency the segment realizations form a small snapshot matrix whose
 //! SVD yields the SPOD modes and the modal energy spectrum.
 
-use psvd_linalg::cmatrix::CMatrix;
-use psvd_linalg::complex::Complex;
-use psvd_linalg::fft::{fft, fft_frequencies};
+use crate::cmatrix::CMatrix;
+use crate::complex::Complex;
+use crate::fft::{fft, fft_frequencies};
 use psvd_linalg::Matrix;
 
 /// SPOD estimation parameters.
@@ -302,7 +302,7 @@ mod tests {
                 if peak.energies[b] < 1e-10 {
                     continue;
                 }
-                let dot = psvd_linalg::cmatrix::cvec_dot(&phi.col(a), &phi.col(b));
+                let dot = crate::cmatrix::cvec_dot(&phi.col(a), &phi.col(b));
                 let target = if a == b { 1.0 } else { 0.0 };
                 assert!((dot.abs() - target).abs() < 1e-6, "<phi_{a}, phi_{b}> = {dot:?}");
             }

@@ -14,7 +14,7 @@
 //! most once and no two workers can ever run rounds for the same session
 //! concurrently — work is cut and committed in the same order, keeping
 //! the published model a pure function of the column stream at any
-//! worker count. See [`Inner::process`] for why no racing submit is
+//! worker count. See `Inner::process` for why no racing submit is
 //! lost.
 
 use std::collections::{HashMap, VecDeque};
@@ -139,6 +139,11 @@ pub enum ServeError {
     },
     /// `open` was handed a spec no session can run; the reason says why.
     InvalidSpec(String),
+    /// A submitted chunk holds a NaN or an infinity; nothing was queued.
+    NonFinite {
+        /// The tenant whose chunk was refused.
+        tenant: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -154,6 +159,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "snapshot has {got} rows, session expects {expected}")
             }
             ServeError::InvalidSpec(why) => write!(f, "invalid session spec: {why}"),
+            ServeError::NonFinite { tenant } => {
+                write!(f, "chunk for tenant {tenant:?} holds a non-finite value")
+            }
         }
     }
 }
@@ -283,6 +291,13 @@ impl SvdServer {
             });
         }
         let cols = chunk.cols() as u64;
+        // A non-finite value that reaches the factorization poisons the
+        // tenant for good (the round panics or commits a NaN model while
+        // `submit` keeps answering `Ok`); refuse it at the door instead.
+        if !chunk.all_finite() {
+            self.inner.stats.snapshots_rejected.fetch_add(cols, Ordering::Relaxed);
+            return Err(ServeError::NonFinite { tenant: tenant.to_string() });
+        }
         let ready = {
             let mut q = session.queue.lock().unwrap();
             match q.push(chunk) {

@@ -10,8 +10,8 @@
 //! ```
 
 use pyparsvd::linalg::gemm::matvec;
-use pyparsvd::linalg::pinv::{lstsq, pseudoinverse};
 use pyparsvd::linalg::random::{seeded_rng, StandardNormal};
+use pyparsvd::modal::pinv::{lstsq, pseudoinverse};
 use pyparsvd::prelude::*;
 use rand::distributions::Distribution;
 

@@ -21,11 +21,11 @@
 //! cargo run --release --example modal_analysis
 //! ```
 
-use pyparsvd::core::dmd::dmd;
 use pyparsvd::core::pod::pod;
 use pyparsvd::core::postprocess::sparkline;
-use pyparsvd::core::spod::{spod, SpodConfig};
 use pyparsvd::linalg::random::{seeded_rng, StandardNormal};
+use pyparsvd::modal::dmd::dmd;
+use pyparsvd::modal::spod::{spod, SpodConfig};
 use pyparsvd::prelude::*;
 use rand::distributions::Distribution;
 

@@ -11,10 +11,10 @@
 //! cargo run --release --example vortex_shedding
 //! ```
 
-use pyparsvd::core::dmd::dmd;
 use pyparsvd::core::pod::pod;
 use pyparsvd::core::postprocess::{sparkline, write_mode_pgm};
 use pyparsvd::data::wake::{generate, WakeConfig};
+use pyparsvd::modal::dmd::dmd;
 
 fn main() {
     let cfg = WakeConfig {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification gate: formatting, lints, build, tests.
 #
-#   scripts/check.sh            # fmt --check + clippy -D warnings + tier-1 tests
+#   scripts/check.sh            # fmt --check + clippy + rustdoc (-D warnings) + tier-1 tests
 #   scripts/check.sh --fix      # apply cargo fmt instead of checking, then gate
 #   scripts/check.sh --cov      # additionally run cargo llvm-cov with the
 #                               # line-coverage floor (needs cargo-llvm-cov)
@@ -25,9 +25,13 @@ echo "check: fmt OK"
 cargo clippy --workspace --all-targets -- -D warnings
 echo "check: clippy OK"
 
+# A deleted or moved module must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
+echo "check: rustdoc OK"
+
 cargo build --release
 cargo test -q --no-fail-fast
-echo "check: OK (fmt, clippy, release build, tests)"
+echo "check: OK (fmt, clippy, rustdoc, release build, tests)"
 
 if [[ "$WITH_COV" == "1" ]] && ! command -v cargo-llvm-cov >/dev/null 2>&1; then
     echo "check: cargo-llvm-cov not installed; skipping coverage" >&2

@@ -12,6 +12,9 @@
 //! - [`data`] — workload generators (Burgers, synthetic ERA5) and the
 //!   `ncsim` parallel-IO container;
 //! - [`core`] — the streaming / distributed / randomized SVD drivers;
+//! - [`modal`] — what the SVD is for, beside the paper's algorithm: DMD,
+//!   SPOD, pseudoinverse / least squares and the complex, FFT and
+//!   nonsymmetric-eigen kernels under them;
 //! - [`serve`] — the multi-tenant SVD-as-a-service daemon (session
 //!   manager, ingestion queues, checkpoint-backed eviction, chaos layer).
 //!
@@ -48,6 +51,7 @@ pub use psvd_comm as comm;
 pub use psvd_core as core;
 pub use psvd_data as data;
 pub use psvd_linalg as linalg;
+pub use psvd_modal as modal;
 pub use psvd_serve as serve;
 
 /// The common imports for applications.

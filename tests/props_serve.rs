@@ -244,8 +244,9 @@ fn evict_before_first_batch_case() {
     check_eviction_any_point(12, 2, 2, 2, 3, 0);
 }
 
-/// The front door: a spec no session can run is a typed error from `open`,
-/// never a panic, and the server goes on serving its other tenants.
+/// The front door: a spec no session can run is a typed error from `open`
+/// and a non-finite chunk a typed error from `submit` — never a panic or a
+/// poisoned model — and the server goes on serving its other tenants.
 #[test]
 fn hostile_specs_are_typed_errors_not_panics() {
     let server = SvdServer::new(ServeConfig::default().with_workers(1));
@@ -265,8 +266,24 @@ fn hostile_specs_are_typed_errors_not_panics() {
         assert!(matches!(got, Err(ServeError::InvalidSpec(_))), "{why}: {got:?}");
     }
     assert_eq!(server.session_count(), 1, "no hostile spec left a session behind");
+    server.open("other", spec(12, 2, 4)).unwrap();
+    server.submit("other", snapshots(12, 4, 1)).unwrap();
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut chunk = snapshots(12, 4, 0);
+        chunk[(5, 2)] = bad;
+        let got = server.submit("good", chunk);
+        assert!(
+            matches!(&got, Err(ServeError::NonFinite { tenant }) if tenant == "good"),
+            "{bad}: {got:?}"
+        );
+    }
+    assert_eq!(server.stats().snapshot().snapshots_rejected, 8, "both chunks' columns counted");
     server.submit("good", snapshots(12, 4, 0)).unwrap();
     server.drain();
-    assert_eq!(server.singular_values("good").unwrap().len(), 2);
+    for tenant in ["good", "other"] {
+        assert_eq!(server.singular_values(tenant).unwrap().len(), 2);
+        let coeffs = server.project(tenant, snapshots(12, 1, 2).as_slice()).unwrap();
+        assert!(coeffs.iter().all(|c| c.is_finite()), "{tenant}: {coeffs:?}");
+    }
     server.shutdown();
 }
