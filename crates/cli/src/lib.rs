@@ -266,7 +266,9 @@ fn cmd_svd(a: &ParsedArgs) -> Result<Vec<String>, String> {
         .with_forget_factor(a.f64_or("ff", 0.95)?)
         .with_r1(a.usize_or("r1", 50)?)
         .with_r2(a.usize_or("r2", k)?.max(k))
-        .with_low_rank(a.switch("low-rank"));
+        .with_low_rank(a.switch("low-rank"))
+        .try_validated()
+        .map_err(|e| e.to_string())?;
     let run = run_svd(file, cfg, ranks, batch)?;
 
     let mut out = Vec::new();
@@ -296,8 +298,18 @@ fn cmd_validate(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let file = a.one_positional("input file")?;
     let k = a.usize_or("k", 6)?;
     let ranks = a.usize_or("ranks", 4)?;
+    if ranks < 2 {
+        return Err(format!(
+            "validate compares serial with parallel: --ranks must be at least 2, got {ranks}"
+        ));
+    }
     let batch = a.usize_or("batch", 64)?;
-    let cfg = SvdConfig::new(k).with_forget_factor(1.0).with_r1(10_000).with_r2(10_000);
+    let cfg = SvdConfig::new(k)
+        .with_forget_factor(1.0)
+        .with_r1(10_000)
+        .with_r2(10_000)
+        .try_validated()
+        .map_err(|e| e.to_string())?;
 
     let serial = run_svd(file, cfg, 1, batch)?;
     let parallel = run_svd(file, cfg, ranks, batch)?;
@@ -401,6 +413,19 @@ mod tests {
         // Parallel SVD matches serial (validate passes).
         let out = run(&argv(&["validate", &file, "--k", "4", "--ranks", "3"])).unwrap();
         assert!(out.iter().any(|l| l.contains("PASS")));
+
+        // Bad numeric arguments are typed errors naming the violated
+        // condition, not panics; validate needs a parallel side to compare.
+        for (args, want) in [
+            (vec!["svd", &file, "--k", "0"], "K must be positive"),
+            (vec!["svd", &file, "--ff", "2.0"], "forget factor must be in (0, 1]"),
+            (vec!["svd", &file, "--r1", "0"], "r1 must be positive"),
+            (vec!["validate", &file, "--ranks", "0"], "--ranks must be at least 2"),
+            (vec!["validate", &file, "--ranks", "1"], "--ranks must be at least 2"),
+        ] {
+            let err = run(&argv(&args)).expect_err(&args.join(" "));
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
 
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&sv_csv).ok();

@@ -13,7 +13,8 @@ use crate::communicator::Communicator;
 use crate::error::CommError;
 use crate::payload::Payload;
 
-/// Fallible binomial-tree gather (see [`tree_gather`]).
+/// Binomial-tree gather: like [`Communicator::gather`] (one value per rank,
+/// rank order, `Some` at root only) but in `O(log P)` rounds.
 pub fn try_tree_gather<C: Communicator, T: Payload>(
     comm: &C,
     value: T,
@@ -52,13 +53,8 @@ pub fn try_tree_gather<C: Communicator, T: Payload>(
     Ok(Some(acc.into_iter().map(|(_, v)| v).collect()))
 }
 
-/// Binomial-tree gather: like [`Communicator::gather`] (one value per rank,
-/// rank order, `Some` at root only) but in `O(log P)` rounds.
-pub fn tree_gather<C: Communicator, T: Payload>(comm: &C, value: T, root: usize) -> Option<Vec<T>> {
-    try_tree_gather(comm, value, root).unwrap_or_else(|e| panic!("tree_gather failed: {e}"))
-}
-
-/// Fallible binomial-tree broadcast (see [`tree_bcast`]).
+/// Binomial-tree broadcast: like [`Communicator::bcast`] but in
+/// `O(log P)` rounds.
 pub fn try_tree_bcast<C: Communicator, T: Payload + Clone>(
     comm: &C,
     value: Option<T>,
@@ -106,56 +102,6 @@ pub fn try_tree_bcast<C: Communicator, T: Payload + Clone>(
     Ok(v)
 }
 
-/// Binomial-tree broadcast: like [`Communicator::bcast`] but in
-/// `O(log P)` rounds.
-pub fn tree_bcast<C: Communicator, T: Payload + Clone>(
-    comm: &C,
-    value: Option<T>,
-    root: usize,
-) -> T {
-    try_tree_bcast(comm, value, root).unwrap_or_else(|e| panic!("tree_bcast failed: {e}"))
-}
-
-/// Fallible tree allreduce (see [`tree_allreduce_sum`]).
-pub fn try_tree_allreduce_sum<C: Communicator>(
-    comm: &C,
-    value: Vec<f64>,
-) -> Result<Vec<f64>, CommError> {
-    let n = value.len();
-    let gathered = try_tree_gather(comm, value, 0)?;
-    let summed = gathered.map(|parts| {
-        let mut acc = vec![0.0; n];
-        for part in parts {
-            assert_eq!(part.len(), n, "tree_allreduce_sum: length mismatch");
-            for (a, x) in acc.iter_mut().zip(&part) {
-                *a += x;
-            }
-        }
-        acc
-    });
-    try_tree_bcast(comm, summed, 0)
-}
-
-/// Tree-based allreduce (sum): tree-gather at rank 0, sum, tree-bcast.
-pub fn tree_allreduce_sum<C: Communicator>(comm: &C, value: Vec<f64>) -> Vec<f64> {
-    try_tree_allreduce_sum(comm, value).unwrap_or_else(|e| panic!("tree_allreduce_sum failed: {e}"))
-}
-
-/// Fallible tree allgather (see [`tree_allgather`]).
-pub fn try_tree_allgather<C: Communicator, T: Payload + Clone>(
-    comm: &C,
-    value: T,
-) -> Result<Vec<T>, CommError> {
-    let gathered = try_tree_gather(comm, value, 0)?;
-    try_tree_bcast(comm, gathered, 0)
-}
-
-/// Tree-based allgather: tree-gather at rank 0, tree-bcast the assembled
-/// vector. Same result as [`Communicator::allgather`], `O(log P)` rounds.
-pub fn tree_allgather<C: Communicator, T: Payload + Clone>(comm: &C, value: T) -> Vec<T> {
-    try_tree_allgather(comm, value).unwrap_or_else(|e| panic!("tree_allgather failed: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,10 +109,10 @@ mod tests {
     use crate::thread_comm::World;
 
     #[test]
-    fn tree_gather_matches_flat_gather() {
+    fn try_tree_gather_matches_flat_gather() {
         for size in [1usize, 2, 3, 4, 5, 7, 8, 9, 16] {
             let w = World::new(size);
-            let out = w.run(|c| tree_gather(c, c.rank() as f64 * 2.0, 0));
+            let out = w.run(|c| try_tree_gather(c, c.rank() as f64 * 2.0, 0).unwrap());
             let expected: Vec<f64> = (0..size).map(|r| r as f64 * 2.0).collect();
             assert_eq!(out[0], Some(expected), "size {size}");
             assert!(out[1..].iter().all(Option::is_none));
@@ -174,9 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_gather_nonzero_root() {
+    fn try_tree_gather_nonzero_root() {
         let w = World::new(6);
-        let out = w.run(|c| tree_gather(c, c.rank(), 4));
+        let out = w.run(|c| try_tree_gather(c, c.rank(), 4).unwrap());
         assert_eq!(out[4], Some(vec![0, 1, 2, 3, 4, 5]));
         for (r, o) in out.iter().enumerate() {
             assert_eq!(o.is_some(), r == 4);
@@ -184,12 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_bcast_matches_flat_bcast() {
+    fn try_tree_bcast_matches_flat_bcast() {
         for size in [1usize, 2, 3, 5, 8, 13] {
             let w = World::new(size);
             let out = w.run(|c| {
                 let v = if c.rank() == 0 { Some(vec![1.5, 2.5]) } else { None };
-                tree_bcast(c, v, 0)
+                try_tree_bcast(c, v, 0).unwrap()
             });
             for v in out {
                 assert_eq!(v, vec![1.5, 2.5], "size {size}");
@@ -198,38 +144,14 @@ mod tests {
     }
 
     #[test]
-    fn tree_bcast_nonzero_root() {
+    fn try_tree_bcast_nonzero_root() {
         let w = World::new(7);
         let out = w.run(|c| {
             let v = if c.rank() == 3 { Some(c.rank() as f64) } else { None };
-            tree_bcast(c, v, 3)
+            try_tree_bcast(c, v, 3).unwrap()
         });
         for v in out {
             assert_eq!(v, 3.0);
-        }
-    }
-
-    #[test]
-    fn tree_allreduce_sums() {
-        let w = World::new(9);
-        let out = w.run(|c| tree_allreduce_sum(c, vec![c.rank() as f64, 1.0]));
-        for v in out {
-            assert_eq!(v, vec![36.0, 9.0]);
-        }
-    }
-
-    #[test]
-    fn tree_allgather_matches_flat_allgather() {
-        for size in [1usize, 2, 3, 5, 8, 11] {
-            let w = World::new(size);
-            let out = w.run(|c| {
-                let tree = tree_allgather(c, c.rank() as f64 + 0.5);
-                let flat = c.allgather(c.rank() as f64 + 0.5);
-                (tree, flat)
-            });
-            for (tree, flat) in out {
-                assert_eq!(tree, flat, "size {size}");
-            }
         }
     }
 
@@ -238,9 +160,9 @@ mod tests {
         // Collective tag sequencing must keep tree and flat rounds separate.
         let w = World::new(4);
         let out = w.run(|c| {
-            let a = tree_gather(c, c.rank(), 0);
+            let a = try_tree_gather(c, c.rank(), 0).unwrap();
             let b = c.gather(c.rank() * 10, 0);
-            let d = tree_bcast(c, a.map(|v| v.len()), 0);
+            let d = try_tree_bcast(c, a.map(|v| v.len()), 0).unwrap();
             (b, d)
         });
         assert_eq!(out[0].0, Some(vec![0, 10, 20, 30]));
@@ -250,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_gather_reduces_root_overhead_at_scale() {
+    fn try_tree_gather_reduces_root_overhead_at_scale() {
         // With per-message endpoint overhead only, the flat gather charges
         // the root O(P) overheads; the tree charges O(log P).
         let model = NetworkModel { latency: 0.0, bandwidth: f64::INFINITY, overhead: 1e-6 };
@@ -262,7 +184,7 @@ mod tests {
         });
         let tree = World::with_model(size, model);
         let (_, tree_clocks) = tree.run_with_clocks(|c| {
-            tree_gather(c, 0.0f64, 0);
+            try_tree_gather(c, 0.0f64, 0).unwrap();
         });
         assert!(
             tree_clocks[0] < flat_clocks[0] / 2.0,
@@ -280,7 +202,7 @@ mod tests {
         let size = 8;
         let w = World::new(size);
         w.run(|c| {
-            tree_gather(c, vec![0.0f64; 100], 0);
+            try_tree_gather(c, vec![0.0f64; 100], 0).unwrap();
         });
         assert_eq!(w.stats().total_messages() as usize, size - 1);
     }

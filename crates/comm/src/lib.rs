@@ -33,10 +33,7 @@ pub mod payload;
 pub mod stats;
 pub mod thread_comm;
 
-pub use collectives::{
-    tree_allgather, tree_allreduce_sum, tree_bcast, tree_gather, try_tree_allgather,
-    try_tree_allreduce_sum, try_tree_bcast, try_tree_gather,
-};
+pub use collectives::{try_tree_bcast, try_tree_gather};
 pub use communicator::{Communicator, SelfComm};
 pub use error::{CommError, CorruptionKind};
 pub use fault::{FaultComm, FaultEntry, FaultKind, FaultPlan, FaultStats, RankDeath, RetryPolicy};

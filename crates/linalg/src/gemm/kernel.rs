@@ -3,49 +3,56 @@
 //! The packed engine's innermost computation is an `MR x NR` register-tile
 //! update. This module defines the [`MicroKernel`] trait that tile lives
 //! behind — generic over the sealed [`Scalar`] element type, `f64` by
-//! default — the portable [`ScalarKernel`] (the bitwise determinism oracle
+//! default — the portable `ScalarKernel` (the bitwise determinism oracle
 //! for *each* dtype — its floating-point op sequence is exactly the
-//! pre-SIMD engine's), and the per-dtype process-wide selection logic:
+//! pre-SIMD engine's), and the per-dtype process-wide selection logic.
+//! Two kernels exist, and each names where it runs:
 //!
-//! 1. `PSVD_GEMM_KERNEL=<name>` forces a kernel by name (`scalar`, and on
-//!    x86_64 with the matching CPU features `avx2` / `fma`; the names are
-//!    dtype-agnostic — at f32 they resolve to the double-width `_ps`
-//!    variants); an unknown or unavailable name panics with the available
-//!    list, so misconfigured tests fail loudly instead of silently
-//!    measuring the wrong kernel.
-//! 2. Otherwise the widest kernel the CPU supports is detected once at
-//!    first use (`fma` > `avx2` > `scalar` on x86_64; `scalar` elsewhere).
+//! * `scalar` — every host; the only kernel on non-x86_64 hosts and on
+//!   x86_64 hosts without both AVX2 and FMA, the oracle every property
+//!   test compares against, and the whole tier-1 suite under the CI leg
+//!   `PSVD_GEMM_KERNEL=scalar`.
+//! * `fma` (`super::x86`) — x86_64 hosts reporting AVX2 and FMA: every
+//!   benchmark workload on such a host.
+//!
+//! Selection:
+//!
+//! 1. `PSVD_GEMM_KERNEL=<name>` forces a kernel by name (`scalar`, or
+//!    `fma` where the CPU has it; the names are dtype-agnostic — at f32
+//!    `fma` resolves to the double-width `_ps` tile); an unknown or
+//!    unavailable name panics with the available list, so misconfigured
+//!    tests fail loudly instead of silently measuring the wrong kernel.
+//! 2. Otherwise `fma` when the CPU reports AVX2 and FMA, else `scalar`,
+//!    detected once at first use.
 //!
 //! Selection happens once per process *per dtype* (the registries live in
 //! [`Scalar::gemm_cells`] — Rust has no generic statics) and is immutable
-//! afterwards, which is what keeps the per-(kernel, blocking,
-//! thread-count, dtype) bitwise determinism contract meaningful: within a
-//! process, every GEMM at a given dtype sees the same kernel. Tests and
-//! benches that want a *different* kernel pass one explicitly via
-//! [`crate::gemm::packed::matmul_with`] and friends instead of mutating
-//! global state.
+//! afterwards, which is what keeps the per-(kernel, thread-count, dtype)
+//! bitwise determinism contract meaningful: within a process, every GEMM
+//! at a given dtype sees the same kernel. Tests that want a *different*
+//! kernel pass one explicitly via [`crate::gemm::packed::matmul_with`] and
+//! friends instead of mutating global state.
 //!
 //! ## Rounding classes
 //!
-//! Kernels whose per-element update is round(mul) then round(add) in
-//! ascending `k` ([`MicroKernel::fused`] `== false`) are **bitwise
-//! identical** to the scalar oracle at the same dtype — the AVX2 kernels
-//! are pure-SIMD data parallelism, not a reassociation. Fused kernels
-//! (`fma`) round once per multiply-add and therefore differ from the
-//! oracle at the last ulp; they are still bitwise deterministic across
-//! thread counts and shapes, just a distinct rounding class. Rounding
-//! classes never mix across dtypes: an f32 kernel's results relate to the
-//! f32 oracle, not to any f64 path.
+//! A kernel whose per-element update is round(mul) then round(add) in
+//! ascending `k` ([`MicroKernel::fused`] `== false`) is bitwise identical
+//! to the scalar oracle at the same dtype. The fused kernel (`fma`)
+//! rounds once per multiply-add and therefore differs from the oracle at
+//! the last ulp; it is still bitwise deterministic across thread counts
+//! and shapes, just a distinct rounding class. Rounding classes never mix
+//! across dtypes: an f32 kernel's results relate to the f32 oracle, not
+//! to any f64 path.
 
 use crate::scalar::Scalar;
 
 /// Hard upper bound on micro-tile rows any kernel may declare. The engine
 /// sizes its stack accumulator tile from these, so they are compile-time
 /// constants rather than per-kernel queries.
-pub const MAX_MR: usize = 8;
+pub(crate) const MAX_MR: usize = 8;
 /// Hard upper bound on micro-tile columns any kernel may declare
 /// (16 admits the double-width f32 SIMD tiles).
-pub const MAX_NR: usize = 16;
+pub(crate) const MAX_NR: usize = 16;
 
 /// One register-tile micro-kernel: `acc += A-strip * B-strip` over a
 /// single K-panel, at element type `T`.
@@ -63,15 +70,15 @@ pub trait MicroKernel<T: Scalar = f64>: Sync {
     /// JSON.
     fn name(&self) -> &'static str;
 
-    /// Micro-tile rows (`<=` [`MAX_MR`]; the engine's row partition and
+    /// Micro-tile rows (`<= MAX_MR` = 8; the engine's row partition and
     /// `MC` must be multiples of this).
     fn mr(&self) -> usize;
 
-    /// Micro-tile columns (`<=` [`MAX_NR`]).
+    /// Micro-tile columns (`<= MAX_NR` = 16).
     fn nr(&self) -> usize;
 
     /// True when the kernel contracts multiply-add into a single rounding
-    /// (FMA). Non-fused kernels are bitwise identical to [`ScalarKernel`]
+    /// (FMA). Non-fused kernels are bitwise identical to the `scalar` oracle
     /// at the same dtype.
     fn fused(&self) -> bool {
         false
@@ -102,12 +109,12 @@ pub trait MicroKernel<T: Scalar = f64>: Sync {
 /// dtypes with the identical op sequence. Its per-element op sequence is
 /// exactly the pre-SIMD packed engine's, which makes it the determinism
 /// oracle every other kernel (of the same dtype) is validated against.
-pub struct ScalarKernel;
+pub(crate) struct ScalarKernel;
 
 /// Micro-tile rows of the scalar oracle.
-pub const SCALAR_MR: usize = 4;
+const SCALAR_MR: usize = 4;
 /// Micro-tile columns of the scalar oracle.
-pub const SCALAR_NR: usize = 8;
+const SCALAR_NR: usize = 8;
 
 impl<T: Scalar> MicroKernel<T> for ScalarKernel {
     fn name(&self) -> &'static str {
@@ -164,42 +171,39 @@ impl<T: Scalar> MicroKernel<T> for ScalarKernel {
 
 static SCALAR: ScalarKernel = ScalarKernel;
 
-/// Detect the f64 kernels this host can run (scalar first, widest last).
+/// Detect the f64 kernels this host can run (scalar first, preferred last).
 pub(crate) fn detect_f64() -> Vec<&'static dyn MicroKernel<f64>> {
     #[allow(unused_mut)]
     let mut list: Vec<&'static dyn MicroKernel<f64>> = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            list.push(&super::x86::AVX2);
-            if std::arch::is_x86_feature_detected!("fma") {
-                list.push(&super::x86::FMA);
-            }
-        }
+    if has_fma() {
+        list.push(&super::x86::FMA);
     }
     list
 }
 
-/// Detect the f32 kernels this host can run (scalar first, widest last).
-/// The SIMD variants carry the same `name()`s as their f64 siblings but
-/// run 8-lane `_ps` tiles twice as wide.
+/// Detect the f32 kernels this host can run (scalar first, preferred
+/// last). `fma` carries the same `name()` as at f64 but runs an 8-lane
+/// `_ps` tile twice as wide.
 pub(crate) fn detect_f32() -> Vec<&'static dyn MicroKernel<f32>> {
     #[allow(unused_mut)]
     let mut list: Vec<&'static dyn MicroKernel<f32>> = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            list.push(&super::x86::AVX2_F32);
-            if std::arch::is_x86_feature_detected!("fma") {
-                list.push(&super::x86::FMA_F32);
-            }
-        }
+    if has_fma() {
+        list.push(&super::x86::FMA_F32);
     }
     list
 }
 
+/// Whether the CPU can run the `fma` kernels (they use AVX2 loads and
+/// FMA3 multiply-adds).
+#[cfg(target_arch = "x86_64")]
+fn has_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
 /// Every micro-kernel this process can run at dtype `T`, detection-ordered
-/// from portable to widest (`scalar` first, preferred kernel last).
+/// from portable to preferred (`scalar` first, `fma` last where present).
 /// `scalar` is always present.
 pub fn available<T: Scalar>() -> &'static [&'static dyn MicroKernel<T>] {
     T::gemm_cells().registry.get_or_init(T::detect_kernels).as_slice()
@@ -211,7 +215,7 @@ pub fn by_name<T: Scalar>(name: &str) -> Option<&'static dyn MicroKernel<T>> {
 }
 
 /// Resolve a kernel from an optional override string (the testable core
-/// of [`selected`]): `None` picks the widest available kernel; `Some`
+/// of [`selected`]): `None` picks the preferred available kernel; `Some`
 /// must name an available kernel exactly.
 pub(crate) fn choose<T: Scalar>(over: Option<&str>) -> Result<&'static dyn MicroKernel<T>, String> {
     match over {
@@ -285,16 +289,31 @@ mod tests {
         assert!(err.contains("no-such-kernel"), "error should name the bad kernel: {err}");
         assert!(err.contains("scalar"), "error should list available kernels: {err}");
         assert!(choose::<f32>(Some("no-such-kernel")).is_err());
+        // The AVX2-only kernel is gone: its name is as unknown as any other.
+        let err = choose::<f64>(Some("avx2")).err().expect("avx2 must be rejected");
+        assert!(err.contains("not available") && err.contains("available kernels"), "{err}");
+        assert!(choose::<f32>(Some("avx2")).is_err());
     }
 
     #[test]
     fn choose_default_prefers_widest() {
-        fn probe<T: Scalar>() {
+        #[cfg(target_arch = "x86_64")]
+        let want = if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+        {
+            "fma"
+        } else {
+            "scalar"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "scalar";
+        fn probe<T: Scalar>(want: &str) {
             let k = choose::<T>(None).unwrap();
+            assert_eq!(k.name(), want);
             assert_eq!(k.name(), available::<T>().last().unwrap().name());
         }
-        probe::<f64>();
-        probe::<f32>();
+        probe::<f64>(want);
+        probe::<f32>(want);
     }
 
     #[test]

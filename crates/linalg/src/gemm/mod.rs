@@ -1,31 +1,37 @@
 //! Matrix multiplication kernels.
 //!
-//! Two tiers share one public API:
+//! Three tiers share one public API, and the product functions choose
+//! among them in one place (`product`), from the problem shape only:
 //!
-//! * [`mod@reference`] — simple cache-blocked serial loops. These are the
-//!   semantic ground truth: easy to audit, tested directly against naive
-//!   triple loops, and used verbatim for problems too small to amortize
-//!   packing and thread dispatch.
-//! * [`packed`] — a BLIS-style packed-panel engine whose inner `MR x NR`
-//!   register tile is a [`kernels::MicroKernel`] selected once per
-//!   process by runtime CPU-feature detection (explicit AVX2/FMA
-//!   `std::arch` kernels on x86_64, a portable scalar oracle everywhere;
-//!   override with `PSVD_GEMM_KERNEL`), parallelized over row blocks of
-//!   `C` by the persistent worker pool in [`crate::par`]. Cache blocking
-//!   (`MC`/`KC`/`NC`) is the validated static default per kernel and
-//!   dtype, and shapes with `m >> n, k` take a tall-skinny streaming
-//!   path that skips A-packing entirely.
+//! * [`mod@reference`] — simple cache-blocked serial loops, taken below
+//!   `2mkn = 2^20` flops. These are the semantic ground truth: easy to
+//!   audit, tested directly against naive triple loops, and used verbatim
+//!   for problems too small to amortize packing and thread dispatch.
+//! * [`packed`] full blocked — a BLIS-style packed-panel engine whose
+//!   inner `MR x NR` register tile is a [`kernels::MicroKernel`] selected
+//!   once per process by runtime CPU-feature detection (the FMA
+//!   `std::arch` kernel on x86_64 hosts with AVX2 and FMA, the portable
+//!   scalar oracle everywhere else; override with `PSVD_GEMM_KERNEL`),
+//!   parallelized over row blocks of `C` by the persistent worker pool in
+//!   [`crate::par`]. Cache blocking (`MC`/`KC`/`NC`) is derived from the
+//!   kernel and dtype on every call.
+//! * the packed engine's tall-skinny path — shapes with `m >> n, k` (the
+//!   `Q·U'` of `tall_stream`, `era5_ooc` and `burgers_dist`) skip
+//!   A-packing entirely and stream `op(A)` through the same kernel,
+//!   bitwise identical to the full blocked path.
 //!
-//! The top-level functions ([`matmul`], [`matmul_tn`], [`matmul_nt`],
-//! [`gram`], [`matvec`], [`matvec_t`]) pick a tier from the *problem size
-//! only* — never from the thread count — so a given problem always takes
-//! the same code path and, because the engine partitions output elements
-//! (no split-K reductions), produces bitwise-identical results for every
-//! value of `PSVD_NUM_THREADS`, including 1. The full determinism
-//! contract is per (kernel, blocking, thread-count): with the kernel and
-//! blocking fixed — and both are immutable once resolved for a process —
-//! any thread count gives the same bits, and `PSVD_GEMM_KERNEL=scalar`
-//! with default blocking reproduces the pre-SIMD engine bit-for-bit.
+//! DESIGN.md "SIMD micro-kernels" names the workload shapes that take
+//! each tier and kernel, with the timings that keep them.
+//!
+//! Because the tier is a pure function of the *problem size* — never of
+//! the thread count — a given problem always takes the same code path
+//! and, because the engine partitions output elements (no split-K
+//! reductions), produces bitwise-identical results for every value of
+//! `PSVD_NUM_THREADS`, including 1. The full determinism contract is per
+//! (kernel, thread-count): with the kernel fixed — and it is immutable
+//! once resolved for a process — any thread count gives the same bits,
+//! and `PSVD_GEMM_KERNEL=scalar` reproduces the pre-SIMD engine
+//! bit-for-bit.
 //!
 //! Transpose-aware variants avoid materializing explicit transposes for
 //! the `AᵀB` / `ABᵀ` patterns the SVD drivers hit constantly (Gram
@@ -42,27 +48,14 @@ mod x86;
 pub mod packed;
 pub mod reference;
 
-pub use blocking::{Blocking, BlockingError};
-pub use pack::{strip_layout, PackLayoutError};
+pub use blocking::Blocking;
 
 /// Micro-kernel introspection: the [`MicroKernel`](kernels::MicroKernel)
 /// trait, the host's available kernel list, name lookup, and the
-/// process-wide selection. Tests and benches drive specific kernels
-/// through [`packed::matmul_with`] and friends; nothing here is mutable.
+/// process-wide selection. Tests drive specific kernels through
+/// [`packed::matmul_with`] and friends; nothing here is mutable.
 pub mod kernels {
-    pub use super::kernel::{available, by_name, selected, MicroKernel, ScalarKernel};
-    pub use super::kernel::{MAX_MR, MAX_NR, SCALAR_MR, SCALAR_NR};
-}
-
-/// The process-wide cache blocking (resolving it on first use). Each
-/// element dtype resolves its own blocking; this reports `f64`'s.
-pub fn current_blocking() -> Blocking {
-    blocking::resolved::<f64>()
-}
-
-/// [`current_blocking`] for a specific element dtype.
-pub fn current_blocking_for<T: Scalar>() -> Blocking {
-    blocking::resolved::<T>()
+    pub use super::kernel::{available, by_name, selected, MicroKernel};
 }
 
 use crate::matrix::Matrix;
@@ -77,42 +70,36 @@ const PAR_MIN_FLOPS: usize = 1 << 20;
 /// Flop count (`2mn`) above which matrix-vector products are threaded.
 const PAR_MIN_MV_FLOPS: usize = 1 << 18;
 
+/// `C += op(A) * op(B)` into `c` at row stride `ldc`: the one tier
+/// decision every matrix product takes — a pure function of the problem
+/// *shape*, never of strides or thread count.
+fn product<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut [T], ldc: usize) {
+    if 2 * a.rows() * a.cols() * b.cols() >= PAR_MIN_FLOPS {
+        packed::gemm(a, b, c, ldc);
+    } else {
+        reference::gemm_view(a, b, c, ldc);
+    }
+}
+
 /// `C = A * B`.
 pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul: inner dimensions mismatch {}x{} * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    if 2 * a.rows() * a.cols() * b.cols() >= PAR_MIN_FLOPS {
-        packed::matmul(a, b)
-    } else {
-        reference::matmul(a, b)
-    }
+    let mut c = Matrix::zeros(0, 0);
+    matmul_into(a.view(), b.view(), &mut c);
+    c
 }
 
 /// `C = Aᵀ * B` without materializing `Aᵀ`.
 pub fn matmul_tn<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn: row counts must match");
-    if 2 * a.cols() * a.rows() * b.cols() >= PAR_MIN_FLOPS {
-        packed::matmul_tn(a, b)
-    } else {
-        reference::matmul_tn(a, b)
-    }
+    let mut c = Matrix::zeros(0, 0);
+    matmul_tn_into(a.view(), b.view(), &mut c);
+    c
 }
 
 /// `C = A * Bᵀ` without materializing `Bᵀ`.
 pub fn matmul_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(a.cols(), b.cols(), "matmul_nt: column counts must match");
-    if 2 * a.rows() * a.cols() * b.rows() >= PAR_MIN_FLOPS {
-        packed::matmul_nt(a, b)
-    } else {
-        reference::matmul_nt(a, b)
-    }
+    let mut c = Matrix::zeros(0, 0);
+    matmul_nt_into(a.view(), b.view(), &mut c);
+    c
 }
 
 /// `y = A * x`.
@@ -145,14 +132,11 @@ pub fn gram<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
 
 // --- View-consuming `_into` entry points ---------------------------------
 //
-// Same tier dispatch as the allocating functions above — a pure function
-// of the problem *shape*, never of strides or thread count — so each
-// `_into` call is bitwise identical to its allocating counterpart and
-// stays bitwise deterministic across thread counts. Outputs are reshaped
-// in place: when the destination buffer already has enough capacity, the
-// call performs zero heap allocation. Input views borrow their matrices
-// immutably while `c` is borrowed mutably, so input/output aliasing is
-// rejected at compile time.
+// The allocating products above are these on a fresh matrix. Outputs are
+// reshaped in place: when the destination buffer already has enough
+// capacity, the call performs zero heap allocation. Input views borrow
+// their matrices immutably while `c` is borrowed mutably, so input/output
+// aliasing is rejected at compile time.
 
 /// `C = A * B` written into `c`. Bitwise identical to [`matmul`].
 pub fn matmul_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut Matrix<T>) {
@@ -166,48 +150,31 @@ pub fn matmul_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut Matr
         b.cols()
     );
     c.reshape_zeroed(a.rows(), b.cols());
-    let ldc = b.cols();
-    if 2 * a.rows() * a.cols() * b.cols() >= PAR_MIN_FLOPS {
-        packed::gemm(a, b, c.as_mut_slice(), ldc);
-    } else {
-        reference::gemm_view(a, b, c.as_mut_slice(), ldc);
-    }
+    product(a, b, c.as_mut_slice(), b.cols());
 }
 
 /// `C = Aᵀ * B` written into `c` without materializing `Aᵀ`. Bitwise
 /// identical to [`matmul_tn`].
 pub fn matmul_tn_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut Matrix<T>) {
     assert_eq!(a.rows(), b.rows(), "matmul_tn: row counts must match");
-    let at = a.transposed();
-    c.reshape_zeroed(at.rows(), b.cols());
-    let ldc = b.cols();
-    if 2 * at.rows() * at.cols() * b.cols() >= PAR_MIN_FLOPS {
-        packed::gemm(at, b, c.as_mut_slice(), ldc);
-    } else {
-        reference::gemm_view(at, b, c.as_mut_slice(), ldc);
-    }
+    c.reshape_zeroed(a.cols(), b.cols());
+    product(a.transposed(), b, c.as_mut_slice(), b.cols());
 }
 
 /// `C = A * Bᵀ` written into `c` without materializing `Bᵀ`. Bitwise
 /// identical to [`matmul_nt`].
 pub fn matmul_nt_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut Matrix<T>) {
     assert_eq!(a.cols(), b.cols(), "matmul_nt: column counts must match");
-    let bt = b.transposed();
-    c.reshape_zeroed(a.rows(), bt.cols());
-    let ldc = bt.cols();
-    if 2 * a.rows() * a.cols() * bt.cols() >= PAR_MIN_FLOPS {
-        packed::gemm(a, bt, c.as_mut_slice(), ldc);
-    } else {
-        reference::gemm_view(a, bt, c.as_mut_slice(), ldc);
-    }
+    c.reshape_zeroed(a.rows(), b.rows());
+    product(a, b.transposed(), c.as_mut_slice(), b.rows());
 }
 
 /// `C += A * B` accumulated into a mutable strided view with unit column
 /// stride (e.g. a [`Matrix::block_mut`] trailing-matrix region). This is
 /// the update primitive of the blocked compact-WY factorizations: both
-/// engines accumulate per output element in ascending `k`, so the tier
-/// dispatch (a pure function of the problem shape) keeps results bitwise
-/// deterministic across thread counts, exactly like [`matmul_into`].
+/// tiers accumulate per output element in ascending `k`, so the tier
+/// dispatch keeps results bitwise deterministic across thread counts,
+/// exactly like [`matmul_into`].
 pub fn matmul_acc_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut MatViewMut<'_, T>) {
     assert_eq!(
         a.cols(),
@@ -224,12 +191,7 @@ pub fn matmul_acc_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut 
         "matmul_acc_into: output shape mismatch"
     );
     assert_eq!(c.cs, 1, "matmul_acc_into: output must have unit column stride");
-    let ldc = c.rs;
-    if 2 * a.rows() * a.cols() * b.cols() >= PAR_MIN_FLOPS {
-        packed::gemm(a, b, c.data, ldc);
-    } else {
-        reference::gemm_view(a, b, c.data, ldc);
-    }
+    product(a, b, c.data, c.rs);
 }
 
 /// `G = AᵀA` written into `g`. Bitwise identical to [`gram`].

@@ -6,62 +6,13 @@
 //! the matrix edge so the kernel never branches on partial tiles.
 //!
 //! The strip-geometry invariant — destination length exactly `depth x
-//! tile` — is a **checked error** that runs in release builds too
-//! ([`super::packed::matmul_with_blocking`] takes caller-chosen
-//! blocking): a mis-sized `MC`/`KC` maps to a strip slice of the
-//! wrong length, and silently reading a stale panel tail would corrupt
-//! results far from the cause. [`strip_layout`] returns the structured
-//! error; the packing routines turn it into an immediate panic with the
-//! full geometry in the message.
+//! tile` — is asserted in release builds too: a strip slice of the wrong
+//! length means the blocking (`MC`/`KC`/`NC`) and the kernel tile
+//! disagree, and silently reading a stale panel tail would corrupt
+//! results far from the cause.
 
 use crate::scalar::Scalar;
 use crate::view::MatView;
-
-/// A packed-buffer strip whose length disagrees with its tile geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackLayoutError {
-    /// What was being packed (`"A"` or `"B"`).
-    pub operand: &'static str,
-    /// K-panel depth of the strip.
-    pub depth: usize,
-    /// Tile edge (`mr` for A strips, `nr` for B strips).
-    pub tile: usize,
-    /// Actual destination-slice length.
-    pub len: usize,
-}
-
-impl std::fmt::Display for PackLayoutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "packed-buffer tile misalignment: {} strip of depth {} x tile {} needs exactly {} \
-             elements, destination has {} — blocking parameters (MC/KC/NC) are inconsistent \
-             with the kernel tile",
-            self.operand,
-            self.depth,
-            self.tile,
-            self.depth * self.tile,
-            self.len
-        )
-    }
-}
-
-impl std::error::Error for PackLayoutError {}
-
-/// Check that a strip destination of `len` elements exactly holds `depth`
-/// steps of a `tile`-wide micro-tile edge.
-pub fn strip_layout(
-    operand: &'static str,
-    depth: usize,
-    tile: usize,
-    len: usize,
-) -> Result<(), PackLayoutError> {
-    if len == depth * tile && tile > 0 {
-        Ok(())
-    } else {
-        Err(PackLayoutError { operand, depth, tile, len })
-    }
-}
 
 /// Pack one NR-wide strip of `op(B)`: rows `[kb, kb + kc)`, columns
 /// `[j0, j0 + nr)` clipped to the view edge and zero-padded, into `dst`
@@ -75,7 +26,11 @@ pub(crate) fn pack_b_strip<T: Scalar>(
     nr: usize,
     dst: &mut [T],
 ) {
-    strip_layout("B", kc, nr, dst.len()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        dst.len(),
+        kc * nr,
+        "packed-buffer tile misalignment: B strip {kc} deep x {nr} wide"
+    );
     let jcount = nr.min(b.cols.saturating_sub(j0));
     // Identical strip contents either way; the loop order just keeps
     // source reads on the unit-stride axis of op(B).
@@ -114,7 +69,11 @@ pub(crate) fn pack_a_strip<T: Scalar>(
     mr: usize,
     dst: &mut [T],
 ) {
-    strip_layout("A", kc, mr, dst.len()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        dst.len(),
+        kc * mr,
+        "packed-buffer tile misalignment: A strip {mr} tall x {kc} deep"
+    );
     debug_assert!(rows <= mr);
     // Strip contents are order-independent; read along the unit-stride
     // axis of op(A).
@@ -149,17 +108,6 @@ mod tests {
 
     fn sample(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| (i * 100 + j) as f64)
-    }
-
-    #[test]
-    fn strip_layout_accepts_exact_and_rejects_everything_else() {
-        assert!(strip_layout("A", 16, 4, 64).is_ok());
-        let err = strip_layout("A", 16, 4, 60).unwrap_err();
-        assert_eq!(err, PackLayoutError { operand: "A", depth: 16, tile: 4, len: 60 });
-        assert!(err.to_string().contains("needs exactly 64"));
-        // Oversized buffers are just as wrong: a stale tail would be read.
-        assert!(strip_layout("B", 16, 8, 136).is_err());
-        assert!(strip_layout("B", 16, 0, 0).is_err(), "zero tile is never valid");
     }
 
     #[test]

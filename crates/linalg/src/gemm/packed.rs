@@ -5,10 +5,10 @@
 //! once into NR-wide strips (all K-panels), and each thread packs its own
 //! `MC x KC` blocks of `op(A)` into MR-tall row strips. The innermost
 //! computation is an `MR x NR` register-tile [`MicroKernel`] selected at
-//! process startup by CPU-feature detection (see `super::kernel`):
-//! explicitly vectorized AVX2/FMA tiles on x86_64, with the portable
-//! scalar tile as the determinism oracle. `MC`/`KC`/`NC` come from the
-//! process-wide `super::blocking` resolution.
+//! process startup by CPU-feature detection (see `super::kernel`): the
+//! FMA tile on x86_64 hosts with AVX2 and FMA, the portable scalar tile
+//! (the determinism oracle) everywhere else. `MC`/`KC`/`NC` are
+//! [`Blocking::default_for`] that kernel.
 //!
 //! Shapes where packing overhead dominates compute — `m >> n, k`, the
 //! tall-skinny products TSQR and the randomized range finder feed this
@@ -24,13 +24,13 @@
 //! mutably. Every `C` element accumulates its K-panel partial sums in
 //! ascending panel order on whichever single thread owns it, so the
 //! floating-point op sequence per element is a function of (kernel,
-//! blocking, problem shape) only — results are bitwise identical for any
-//! thread count. The K dimension is never split across threads.
+//! problem shape) only — results are bitwise identical for any thread
+//! count. The K dimension is never split across threads.
 //!
 //! Transposition is free here: `op(A)`/`op(B)` are strided views
 //! resolved during packing, after which N/T/NT all run the same kernel.
 
-use super::blocking::{self, Blocking};
+use super::blocking::Blocking;
 use super::kernel::{self, MicroKernel, MAX_MR, MAX_NR};
 use super::pack::{pack_a_strip, pack_b_strip};
 use super::tall_skinny;
@@ -40,19 +40,18 @@ use crate::scalar::Scalar;
 use crate::view::MatView;
 
 /// `C += op(A) * op(B)` through the engine with the process-selected
-/// kernel and blocking (any size), written to `c` with row stride `ldc`
-/// (`ldc = n` for a dense output). `op(X)` is any strided [`MatView`] —
-/// normal, transposed or a sub-block; packing resolves the strides, after
-/// which every layout runs the same micro-kernel.
+/// kernel (any size), written to `c` with row stride `ldc` (`ldc = n`
+/// for a dense output). `op(X)` is any strided [`MatView`] — normal,
+/// transposed or a sub-block; packing resolves the strides, after which
+/// every layout runs the same micro-kernel.
 pub(crate) fn gemm<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut [T], ldc: usize) {
-    gemm_with(kernel::selected::<T>(), blocking::resolved::<T>(), a, b, c, ldc)
+    gemm_with(kernel::selected::<T>(), a, b, c, ldc)
 }
 
-/// [`gemm`] with the kernel and blocking pinned explicitly — the entry
-/// the kernel-matrix tests drive every available kernel through.
+/// [`gemm`] with the kernel pinned explicitly — the entry the
+/// kernel-matrix tests drive every available kernel through.
 pub(crate) fn gemm_with<T: Scalar>(
     kern: &dyn MicroKernel<T>,
-    blk: Blocking,
     a: MatView<'_, T>,
     b: MatView<'_, T>,
     c: &mut [T],
@@ -65,6 +64,7 @@ pub(crate) fn gemm_with<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    let blk = Blocking::default_for(kern);
     if tall_skinny::applies(kern, m, k, n) {
         tall_skinny::gemm(kern, blk.kc, a, b, c, ldc);
     } else {
@@ -86,8 +86,8 @@ pub(crate) fn full_blocked<T: Scalar>(
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let (mr, nr) = (kern.mr(), kern.nr());
     // Row strips assume they never straddle an MC block edge, and packed-B
-    // chunks that NC is strip-aligned; a blocking chosen for a different
-    // kernel's tile would silently double-count rows.
+    // chunks that NC is strip-aligned; a kernel tile the default blocking
+    // does not fit would silently double-count rows.
     assert_eq!(blk.mc % mr, 0, "MC = {} not aligned to kernel {:?} mr = {mr}", blk.mc, kern.name());
     assert_eq!(blk.nc % nr, 0, "NC = {} not aligned to kernel {:?} nr = {nr}", blk.nc, kern.name());
     let mut jc = 0;
@@ -250,35 +250,10 @@ pub fn matmul_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 }
 
 /// [`matmul`] with the micro-kernel pinned explicitly. This is the
-/// kernel-matrix entry for tests and benches: no global state is touched,
-/// so different kernels can be compared concurrently. The process-wide
-/// blocking is used when it is aligned to this kernel's tile (always true
-/// for the selected kernel); otherwise the kernel's own defaults — `MC`
-/// must be a multiple of the kernel `mr`, and a blocking resolved for a
-/// different tile shape need not be.
+/// kernel-matrix entry for tests: no global state is touched, so
+/// different kernels can be compared concurrently.
 pub fn matmul_with<T: Scalar>(
     kern: &dyn MicroKernel<T>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
-    matmul_with_blocking(kern, blocking_for(kern), a, b)
-}
-
-/// The process blocking when compatible with `kern`'s tile, else the
-/// kernel's defaults.
-fn blocking_for<T: Scalar>(kern: &dyn MicroKernel<T>) -> Blocking {
-    let blk = blocking::resolved::<T>();
-    if blk.mc.is_multiple_of(kern.mr()) && blk.nc.is_multiple_of(kern.nr()) {
-        blk
-    } else {
-        Blocking::default_for(kern)
-    }
-}
-
-/// [`matmul`] with both the micro-kernel and the blocking pinned.
-pub fn matmul_with_blocking<T: Scalar>(
-    kern: &dyn MicroKernel<T>,
-    blk: Blocking,
     a: &Matrix<T>,
     b: &Matrix<T>,
 ) -> Matrix<T> {
@@ -293,7 +268,7 @@ pub fn matmul_with_blocking<T: Scalar>(
     );
     let mut c = Matrix::zeros(a.rows(), b.cols());
     let ldc = c.cols();
-    gemm_with(kern, blk, a.view(), b.view(), c.as_mut_slice(), ldc);
+    gemm_with(kern, a.view(), b.view(), c.as_mut_slice(), ldc);
     c
 }
 
@@ -306,7 +281,7 @@ pub fn matmul_tn_with<T: Scalar>(
     assert_eq!(a.rows(), b.rows(), "matmul_tn: row counts must match");
     let mut c = Matrix::zeros(a.cols(), b.cols());
     let ldc = c.cols();
-    gemm_with(kern, blocking_for(kern), a.view().transposed(), b.view(), c.as_mut_slice(), ldc);
+    gemm_with(kern, a.view().transposed(), b.view(), c.as_mut_slice(), ldc);
     c
 }
 
@@ -319,7 +294,7 @@ pub fn matmul_nt_with<T: Scalar>(
     assert_eq!(a.cols(), b.cols(), "matmul_nt: column counts must match");
     let mut c = Matrix::zeros(a.rows(), b.rows());
     let ldc = c.cols();
-    gemm_with(kern, blocking_for(kern), a.view(), b.view().transposed(), c.as_mut_slice(), ldc);
+    gemm_with(kern, a.view(), b.view().transposed(), c.as_mut_slice(), ldc);
     c
 }
 

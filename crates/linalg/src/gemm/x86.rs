@@ -1,27 +1,21 @@
-//! Explicitly vectorized x86_64 micro-kernels (`std::arch` intrinsics).
+//! The x86_64 FMA micro-kernels (`std::arch` intrinsics), one per dtype.
 //!
-//! Four kernels behind [`MicroKernel`], two per dtype:
-//!
-//! * [`AVX2`] (f64) — a 4x8 tile of `_mm256_mul_pd` + `_mm256_add_pd`.
-//!   Pure data parallelism over the scalar oracle's op sequence (same two
-//!   roundings per update, same ascending-k order), so its results are
-//!   **bitwise identical** to the scalar kernel — useful both as a faster
-//!   drop-in where FMA is absent and as evidence that vectorization
-//!   itself never moves a bit.
 //! * [`FMA`] (f64) — a 6x8 tile of `_mm256_fmadd_pd`: 12 ymm accumulators
 //!   plus the two B vectors and one rotating A broadcast exactly fill the
 //!   16-register budget with nothing spilled (the classic Haswell DGEMM
 //!   shape); the single-rounded fused update doubles peak flops but is a
 //!   distinct rounding class (`fused() == true`), last-ulp different from
-//!   the oracle.
-//! * [`AVX2_F32`] / [`FMA_F32`] — the same two tile shapes at f32 with
-//!   the column dimension doubled (4x16 and 6x16): a 256-bit ymm holds 8
-//!   single-precision lanes instead of 4, so the same 12-accumulator
-//!   register budget covers twice the tile area and twice the flops per
-//!   cycle. Same rounding-class split: the f32 AVX2 kernel is bitwise
-//!   identical to the f32 scalar oracle, the f32 FMA kernel is fused.
+//!   the scalar oracle.
+//! * [`FMA_F32`] — the same tile at f32 with the column dimension doubled
+//!   (6x16): a 256-bit ymm holds 8 single-precision lanes instead of 4, so
+//!   the same 12-accumulator register budget covers twice the tile area
+//!   and twice the flops per cycle.
 //!
-//! All kernels implement the strided-A entry by broadcasting straight
+//! These are the kernels every benchmark workload runs on an x86_64 host
+//! with AVX2 and FMA; a host without both runs the portable `scalar`
+//! kernel.
+//!
+//! Both kernels implement the strided-A entry by broadcasting straight
 //! from the row-major operand, which is what lets the tall-skinny path
 //! skip A packing without changing a bit: broadcast-from-memory reads the
 //! same values the packed strip would hold, and the flop order is
@@ -30,65 +24,21 @@
 //! # Safety
 //!
 //! The statics below are only ever handed out by `kernel::available()`
-//! after `is_x86_feature_detected!` confirms the matching CPU features,
-//! so the `unsafe` trait-method bodies' only obligation is the documented
+//! after `is_x86_feature_detected!` confirms AVX2 and FMA, so the
+//! `unsafe` trait-method bodies' only obligation is the documented
 //! slice/pointer geometry.
 
 use std::arch::x86_64::{
-    __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_fmadd_pd, _mm256_fmadd_ps,
-    _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps,
-    _mm256_storeu_pd, _mm256_storeu_ps,
+    __m256, __m256d, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+    _mm256_set1_pd, _mm256_set1_ps, _mm256_storeu_pd, _mm256_storeu_ps,
 };
 
 use super::kernel::MicroKernel;
 
-/// The 4x8 AVX2 f64 multiply-add kernel (bitwise equal to `scalar`).
-pub(crate) static AVX2: Avx2Kernel = Avx2Kernel;
 /// The 6x8 FMA f64 kernel (fused rounding class).
 pub(crate) static FMA: FmaKernel = FmaKernel;
-/// The 4x16 AVX2 f32 multiply-add kernel (bitwise equal to the f32
-/// `scalar` oracle).
-pub(crate) static AVX2_F32: Avx2KernelF32 = Avx2KernelF32;
 /// The 6x16 FMA f32 kernel (fused rounding class).
 pub(crate) static FMA_F32: FmaKernelF32 = FmaKernelF32;
-
-pub(crate) struct Avx2Kernel;
-
-const AVX2_MR: usize = 4;
-const AVX2_NR: usize = 8;
-
-impl MicroKernel<f64> for Avx2Kernel {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn mr(&self) -> usize {
-        AVX2_MR
-    }
-
-    fn nr(&self) -> usize {
-        AVX2_NR
-    }
-
-    fn run(&self, astrip: &[f64], bstrip: &[f64], acc: &mut [f64]) {
-        // SAFETY: only reachable once AVX2 detection has passed (see
-        // module docs); slice geometry is the trait contract.
-        unsafe { avx2_4x8(astrip, bstrip, acc) }
-    }
-
-    unsafe fn run_strided(
-        &self,
-        kc: usize,
-        ap: *const f64,
-        ars: usize,
-        bstrip: &[f64],
-        acc: &mut [f64],
-    ) {
-        // SAFETY: feature detection as above; pointer geometry is the
-        // caller's contract.
-        unsafe { avx2_4x8_strided(kc, ap, ars, bstrip, acc) }
-    }
-}
 
 pub(crate) struct FmaKernel;
 
@@ -128,43 +78,6 @@ impl MicroKernel<f64> for FmaKernel {
         // SAFETY: feature detection as above; pointer geometry is the
         // caller's contract.
         unsafe { fma_6x8_strided(kc, ap, ars, bstrip, acc) }
-    }
-}
-
-pub(crate) struct Avx2KernelF32;
-
-const AVX2_F32_MR: usize = 4;
-const AVX2_F32_NR: usize = 16;
-
-impl MicroKernel<f32> for Avx2KernelF32 {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn mr(&self) -> usize {
-        AVX2_F32_MR
-    }
-
-    fn nr(&self) -> usize {
-        AVX2_F32_NR
-    }
-
-    fn run(&self, astrip: &[f32], bstrip: &[f32], acc: &mut [f32]) {
-        // SAFETY: only reachable once AVX2 detection has passed.
-        unsafe { avx2_4x16(astrip, bstrip, acc) }
-    }
-
-    unsafe fn run_strided(
-        &self,
-        kc: usize,
-        ap: *const f32,
-        ars: usize,
-        bstrip: &[f32],
-        acc: &mut [f32],
-    ) {
-        // SAFETY: feature detection as above; pointer geometry is the
-        // caller's contract.
-        unsafe { avx2_4x16_strided(kc, ap, ars, bstrip, acc) }
     }
 }
 
@@ -252,37 +165,6 @@ unsafe fn store_tile_f32<const ROWS: usize>(c: &[[__m256; 2]; ROWS], acc: &mut [
     }
 }
 
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_4x8(astrip: &[f64], bstrip: &[f64], acc: &mut [f64]) {
-    let mut c = load_tile::<AVX2_MR>(acc);
-    for (avals, bvals) in astrip.chunks_exact(AVX2_MR).zip(bstrip.chunks_exact(AVX2_NR)) {
-        let b0 = _mm256_loadu_pd(bvals.as_ptr());
-        let b1 = _mm256_loadu_pd(bvals.as_ptr().add(4));
-        for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_pd(avals[ir]);
-            row[0] = _mm256_add_pd(row[0], _mm256_mul_pd(ai, b0));
-            row[1] = _mm256_add_pd(row[1], _mm256_mul_pd(ai, b1));
-        }
-    }
-    store_tile(&c, acc);
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_4x8_strided(kc: usize, ap: *const f64, ars: usize, bstrip: &[f64], acc: &mut [f64]) {
-    debug_assert!(bstrip.len() >= kc * AVX2_NR);
-    let mut c = load_tile::<AVX2_MR>(acc);
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_pd(bstrip.as_ptr().add(kk * AVX2_NR));
-        let b1 = _mm256_loadu_pd(bstrip.as_ptr().add(kk * AVX2_NR + 4));
-        for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_pd(*ap.add(ir * ars + kk));
-            row[0] = _mm256_add_pd(row[0], _mm256_mul_pd(ai, b0));
-            row[1] = _mm256_add_pd(row[1], _mm256_mul_pd(ai, b1));
-        }
-    }
-    store_tile(&c, acc);
-}
-
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fma_6x8(astrip: &[f64], bstrip: &[f64], acc: &mut [f64]) {
     let mut c = load_tile::<FMA_MR>(acc);
@@ -312,43 +194,6 @@ unsafe fn fma_6x8_strided(kc: usize, ap: *const f64, ars: usize, bstrip: &[f64],
         }
     }
     store_tile(&c, acc);
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_4x16(astrip: &[f32], bstrip: &[f32], acc: &mut [f32]) {
-    let mut c = load_tile_f32::<AVX2_F32_MR>(acc);
-    for (avals, bvals) in astrip.chunks_exact(AVX2_F32_MR).zip(bstrip.chunks_exact(AVX2_F32_NR)) {
-        let b0 = _mm256_loadu_ps(bvals.as_ptr());
-        let b1 = _mm256_loadu_ps(bvals.as_ptr().add(8));
-        for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_ps(avals[ir]);
-            row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(ai, b0));
-            row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(ai, b1));
-        }
-    }
-    store_tile_f32(&c, acc);
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_4x16_strided(
-    kc: usize,
-    ap: *const f32,
-    ars: usize,
-    bstrip: &[f32],
-    acc: &mut [f32],
-) {
-    debug_assert!(bstrip.len() >= kc * AVX2_F32_NR);
-    let mut c = load_tile_f32::<AVX2_F32_MR>(acc);
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bstrip.as_ptr().add(kk * AVX2_F32_NR));
-        let b1 = _mm256_loadu_ps(bstrip.as_ptr().add(kk * AVX2_F32_NR + 8));
-        for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_ps(*ap.add(ir * ars + kk));
-            row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(ai, b0));
-            row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(ai, b1));
-        }
-    }
-    store_tile_f32(&c, acc);
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]

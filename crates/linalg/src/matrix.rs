@@ -245,12 +245,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Set row `i` from a slice.
-    pub fn set_row(&mut self, i: usize, values: &[T]) {
-        assert_eq!(values.len(), self.cols, "row length mismatch");
-        self.row_mut(i).copy_from_slice(values);
-    }
-
     /// Reshape in place to `rows x cols`, zeroing the contents. Reuses
     /// the existing buffer whenever its capacity suffices — the
     /// allocation-free path every `_into` kernel relies on.

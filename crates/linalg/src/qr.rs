@@ -204,15 +204,6 @@ pub fn qr_thin_into<T: Scalar>(
     canonicalize_qr(q, r);
 }
 
-/// Thin Householder QR without sign canonicalization.
-pub fn householder_qr<T: Scalar>(a: &Matrix<T>) -> QrFactors<T> {
-    let mut ws = Workspace::new();
-    let mut q = Matrix::zeros(0, 0);
-    let mut r = Matrix::zeros(0, 0);
-    householder_into(a.view(), &mut q, &mut r, &mut ws);
-    QrFactors { q, r }
-}
-
 /// The factorization core: identical arithmetic (hence identical bits) to
 /// the historical allocating implementation, but every temporary — the
 /// working copy of `A`, the Householder vectors, and their stored norms —

@@ -2,18 +2,16 @@
 //!
 //! [`Scalar`] is implemented for exactly `f64` and `f32` (the trait is
 //! sealed — downstream crates can consume the generic APIs but cannot add
-//! element types, which is what lets the SIMD kernel registries, blocking
-//! resolution and workspace pools enumerate the dtypes statically).
+//! element types, which is what lets the GEMM kernel registries and
+//! workspace pools enumerate the dtypes statically).
 //!
 //! Each impl carries:
 //!
 //! - the IEEE constants the factorization stack needs (`EPSILON`,
 //!   `MIN_POSITIVE`, ∞) at its own precision,
-//! - the 256-bit SIMD lane mapping (`SIMD_LANES`: 4 for `f64`, 8 for
-//!   `f32`) that the AVX2/FMA micro-kernels key their tile widths on,
-//! - the per-dtype process-wide cells (kernel registry, selected kernel,
-//!   resolved blocking) — Rust has no generic statics, so each dtype hosts
-//!   its own `OnceLock`s behind trait hooks, and
+//! - the per-dtype process-wide GEMM cells (kernel registry, selected
+//!   kernel) — Rust has no generic statics, so each dtype hosts its own
+//!   `OnceLock`s behind trait hooks, and
 //! - the workspace pool hook that lets one [`crate::workspace::Workspace`]
 //!   arena serve both precisions with honest byte-based accounting.
 //!
@@ -25,7 +23,6 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::blocking::Blocking;
 use crate::gemm::kernel::MicroKernel;
 
 mod sealed {
@@ -41,13 +38,11 @@ pub struct GemmCells<T: Scalar> {
     pub registry: OnceLock<Vec<&'static dyn MicroKernel<T>>>,
     /// The kernel resolved from `PSVD_GEMM_KERNEL` / CPU detection.
     pub selected: OnceLock<&'static dyn MicroKernel<T>>,
-    /// The resolved cache-blocking triple.
-    pub blocking: OnceLock<Blocking>,
 }
 
 impl<T: Scalar> GemmCells<T> {
     pub const fn new() -> Self {
-        Self { registry: OnceLock::new(), selected: OnceLock::new(), blocking: OnceLock::new() }
+        Self { registry: OnceLock::new(), selected: OnceLock::new() }
     }
 }
 
@@ -91,8 +86,6 @@ pub trait Scalar:
     const MIN_POSITIVE: Self;
     /// Positive infinity.
     const INFINITY: Self;
-    /// Lanes per 256-bit SIMD vector (4 for `f64`, 8 for `f32`).
-    const SIMD_LANES: usize;
     /// Stable lowercase dtype label for profiles / bench JSON ("f64", "f32").
     const NAME: &'static str;
 
@@ -126,7 +119,7 @@ pub trait Scalar:
     fn gemm_cells() -> &'static GemmCells<Self>;
 
     /// The kernels this build/CPU can run at this dtype, scalar oracle
-    /// first, fastest last (mirrors the f64-only detection order).
+    /// first, preferred last.
     #[doc(hidden)]
     fn detect_kernels() -> Vec<&'static dyn MicroKernel<Self>>;
 
@@ -182,7 +175,6 @@ impl Scalar for f64 {
     const EPSILON: Self = f64::EPSILON;
     const MIN_POSITIVE: Self = f64::MIN_POSITIVE;
     const INFINITY: Self = f64::INFINITY;
-    const SIMD_LANES: usize = 4;
     const NAME: &'static str = "f64";
 
     #[inline(always)]
@@ -224,7 +216,6 @@ impl Scalar for f32 {
     const EPSILON: Self = f32::EPSILON;
     const MIN_POSITIVE: Self = f32::MIN_POSITIVE;
     const INFINITY: Self = f32::INFINITY;
-    const SIMD_LANES: usize = 8;
     const NAME: &'static str = "f32";
 
     #[inline(always)]
@@ -269,7 +260,6 @@ mod tests {
         assert_eq!(<f64 as Scalar>::EPSILON, f64::EPSILON);
         assert_eq!(<f32 as Scalar>::EPSILON, f32::EPSILON);
         assert_eq!(<f64 as Scalar>::MIN_POSITIVE, f64::MIN_POSITIVE);
-        assert_eq!(<f32 as Scalar>::SIMD_LANES, 2 * <f64 as Scalar>::SIMD_LANES);
         assert_eq!(<f64 as Scalar>::NAME, "f64");
         assert_eq!(<f32 as Scalar>::NAME, "f32");
     }

@@ -159,12 +159,6 @@ impl<T: Scalar> MatViewMut<'_, T> {
         self.data[i * self.rs + j * self.cs]
     }
 
-    /// Mutable element `(i, j)`.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut T {
-        &mut self.data[i * self.rs + j * self.cs]
-    }
-
     /// Shared re-borrow of this view.
     pub fn as_view(&self) -> MatView<'_, T> {
         MatView { data: self.data, rows: self.rows, cols: self.cols, rs: self.rs, cs: self.cs }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification gate: formatting, lints, build, tests.
 #
-#   scripts/check.sh            # fmt --check + clippy + rustdoc (-D warnings) + tier-1 tests
+#   scripts/check.sh            # fmt --check + clippy + rustdoc (-D warnings) + README
+#                               # env-knob table + tier-1 tests
 #   scripts/check.sh --fix      # apply cargo fmt instead of checking, then gate
 #   scripts/check.sh --cov      # additionally run cargo llvm-cov with the
 #                               # line-coverage floor (needs cargo-llvm-cov)
@@ -28,6 +29,16 @@ echo "check: clippy OK"
 # A deleted or moved module must not leave a dangling intra-doc link.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 echo "check: rustdoc OK"
+
+# Every "PSVD_*" literal the code reads has a row in README's env table,
+# and every row names a knob the code still reads.
+code_knobs=$(grep -rhoE '"PSVD_[A-Z0-9_]+"' crates src | tr -d '"' | sort -u)
+readme_knobs=$(grep -oE '^\| `PSVD_[A-Z0-9_]+`' README.md | grep -oE 'PSVD_[A-Z0-9_]+' | sort -u)
+if ! diff <(echo "$code_knobs") <(echo "$readme_knobs"); then
+    echo "check: PSVD_* literals under crates/ and src/ (<) differ from README's env table (>)" >&2
+    exit 1
+fi
+echo "check: env-knob table OK ($(wc -l <<<"$code_knobs") knobs)"
 
 cargo build --release
 cargo test -q --no-fail-fast

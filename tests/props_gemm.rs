@@ -1,11 +1,11 @@
 //! Property tests for the packed parallel GEMM engine: agreement with the
 //! serial reference kernels on arbitrary rectangular shapes (including
 //! degenerate and tile-boundary-straddling ones), the micro-kernel matrix
-//! (every available SIMD kernel against the scalar oracle), and bitwise
+//! (every available kernel against the scalar oracle), and bitwise
 //! determinism across kernel thread counts per fixed kernel.
 
 use proptest::prelude::*;
-use psvd_linalg::gemm::{self, kernels, packed, reference, Blocking, BlockingError};
+use psvd_linalg::gemm::{self, kernels, packed, reference, Blocking};
 use psvd_linalg::par;
 use psvd_linalg::random::{gaussian_matrix, seeded_rng};
 use psvd_linalg::{Matrix, Scalar};
@@ -169,11 +169,12 @@ fn small_problems_take_reference_path_exactly() {
 
 // --- Micro-kernel matrix ----------------------------------------------
 //
-// Every kernel the host can run, against the scalar determinism oracle.
-// Non-fused kernels (pure SIMD data parallelism over the oracle's op
-// sequence) must match the oracle bit for bit; fused (FMA) kernels round
-// once per multiply-add and get a rounding tolerance instead — but both
-// classes must be bitwise self-consistent across thread counts.
+// Every kernel the host can run ({scalar, fma} on an x86_64 host with
+// AVX2 and FMA, {scalar} elsewhere), against the scalar determinism
+// oracle. A non-fused kernel must match the oracle bit for bit; the fused
+// (FMA) kernel rounds once per multiply-add and gets a rounding tolerance
+// instead — but both classes must be bitwise self-consistent across
+// thread counts.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -337,26 +338,4 @@ fn tall_skinny_dispatch_matches_reference() {
     let b = rand_mat(64, 64, 52);
     let diff = (&gemm::matmul(&a, &b) - &reference::matmul(&a, &b)).max_abs();
     assert!(diff < TOL, "tall-skinny dispatch diverged by {diff}");
-}
-
-/// Blocking validation: caller-chosen parameters are checked against the
-/// kernel tile, and the process resolution is the selected kernel's default.
-#[test]
-fn blocking_validation_rejects_misaligned_parameters() {
-    let scalar = kernels::by_name::<f64>("scalar").expect("scalar kernel always present");
-    assert!(Blocking::try_new(128, 256, 4096, scalar).is_ok());
-    assert!(matches!(
-        Blocking::try_new(127, 256, 4096, scalar),
-        Err(BlockingError::McMisaligned { .. })
-    ));
-    assert!(matches!(
-        Blocking::try_new(128, 256, 4097, scalar),
-        Err(BlockingError::NcMisaligned { .. })
-    ));
-    assert!(matches!(Blocking::try_new(128, 0, 4096, scalar), Err(BlockingError::Zero(_))));
-    for &kern in kernels::available::<f64>() {
-        let d = Blocking::default_for(kern);
-        assert!(Blocking::try_new(d.mc, d.kc, d.nc, kern).is_ok(), "{}", kern.name());
-    }
-    assert_eq!(gemm::current_blocking(), Blocking::default_for(kernels::selected::<f64>()));
 }
