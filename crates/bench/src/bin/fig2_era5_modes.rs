@@ -20,7 +20,7 @@ use psvd_comm::{Communicator, World};
 use psvd_core::postprocess::{sparkline, write_modes_csv};
 use psvd_core::{ParallelStreamingSvd, SvdConfig};
 use psvd_data::era5::{generate, Era5Config};
-use psvd_data::ncsim::{self, NcsimReader};
+use psvd_data::ncsim::{write_v2, NcsimReader, V2Options};
 use psvd_linalg::validate::max_principal_angle;
 use psvd_linalg::Matrix;
 
@@ -38,7 +38,8 @@ fn main() {
 
     let (dataset, t_gen) = time_it(|| generate(&cfg));
     let path = std::env::temp_dir().join(format!("fig2_era5_{}.ncs", std::process::id()));
-    ncsim::write(&path, "surface_pressure", &dataset.snapshots).expect("write ncsim");
+    write_v2(&path, "surface_pressure", &dataset.snapshots, V2Options::default())
+        .expect("write ncsim");
     println!(
         "generated + wrote container in {} ({:.1} MB)",
         fmt_secs(t_gen),

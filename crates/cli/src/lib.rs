@@ -26,7 +26,7 @@ use psvd_core::postprocess::{write_modes_csv, write_singular_values_csv};
 use psvd_core::{ParallelStreamingSvd, Precision, SerialStreamingSvd, SvdConfig};
 use psvd_data::burgers::{snapshot_matrix, BurgersConfig};
 use psvd_data::era5::{generate as generate_era5, Era5Config};
-use psvd_data::ncsim::{self, NcsimReader};
+use psvd_data::ncsim::{write_v2, NcsimReader, V2Options};
 use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 use psvd_linalg::Matrix;
 
@@ -167,7 +167,7 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
                 ..BurgersConfig::default()
             };
             let data = snapshot_matrix(&cfg);
-            ncsim::write(path, "burgers_u", &data).map_err(|e| e.to_string())?;
+            write_v2(path, "burgers_u", &data, V2Options::default()).map_err(|e| e.to_string())?;
             Ok(vec![format!(
                 "wrote {} ({} x {} snapshots, Re = {})",
                 out, cfg.grid_points, cfg.snapshots, cfg.reynolds
@@ -182,7 +182,8 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
                 ..Era5Config::default()
             };
             let d = generate_era5(&cfg);
-            ncsim::write(path, "surface_pressure", &d.snapshots).map_err(|e| e.to_string())?;
+            write_v2(path, "surface_pressure", &d.snapshots, V2Options::default())
+                .map_err(|e| e.to_string())?;
             Ok(vec![format!(
                 "wrote {} ({} x {} grid, {} snapshots, {} planted modes)",
                 out, cfg.nlat, cfg.nlon, cfg.snapshots, cfg.n_modes
@@ -197,7 +198,7 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
                 ..psvd_data::wake::WakeConfig::default()
             };
             let d = psvd_data::wake::generate(&cfg);
-            ncsim::write(path, "vorticity", &d).map_err(|e| e.to_string())?;
+            write_v2(path, "vorticity", &d, V2Options::default()).map_err(|e| e.to_string())?;
             Ok(vec![format!(
                 "wrote {} ({} x {} grid, {} snapshots, shedding at {} Hz)",
                 out, cfg.nx, cfg.ny, cfg.snapshots, cfg.shedding_frequency
@@ -211,7 +212,7 @@ fn cmd_info(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let file = a.one_positional("input file")?;
     let reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
     let h = reader.header();
-    let mut lines = vec![
+    Ok(vec![
         format!("file      : {file}"),
         format!("variable  : {}", h.name),
         format!("rows (M)  : {}", h.rows),
@@ -219,11 +220,8 @@ fn cmd_info(a: &ParsedArgs) -> Result<Vec<String>, String> {
         format!("version   : v{}", h.version),
         format!("dtype     : {}", h.dtype.name()),
         format!("data size : {:.1} MB", (h.rows * h.cols * h.dtype.size()) as f64 / 1e6),
-    ];
-    if h.version >= 2 {
-        lines.push(format!("chunk rows: {}", h.chunk_rows));
-    }
-    Ok(lines)
+        format!("chunk rows: {}", h.chunk_rows),
+    ])
 }
 
 struct SvdRun {
@@ -381,22 +379,17 @@ mod tests {
         let info = run(&argv(&["info", &file])).unwrap();
         assert!(info.iter().any(|l| l.contains("256")));
         assert!(info.iter().any(|l| l.contains("48")));
-        assert!(info.iter().any(|l| l.contains("v1")));
+        assert!(info.iter().any(|l| l.contains("v2")));
         assert!(info.iter().any(|l| l.contains("f64")));
+        assert!(info.iter().any(|l| l.contains("chunk rows: 256")));
 
-        // A chunked v2 file reports its version, dtype and chunking too,
-        // with the byte size scaled by the element width.
+        // An f32 file reports its dtype and chunking too, with the byte
+        // size scaled by the element width.
         let v2 = tmp("pipeline_v2.ncs");
         let small: Matrix<f32> = Matrix::from_fn(64, 8, |i, j| (i + j) as f32);
-        ncsim::write_v2(
-            Path::new(&v2),
-            "u",
-            &small,
-            ncsim::V2Options { chunk_rows: 16, ..Default::default() },
-        )
-        .unwrap();
+        let opts = V2Options { chunk_rows: 16, ..Default::default() };
+        write_v2(Path::new(&v2), "u", &small, opts).unwrap();
         let info = run(&argv(&["info", &v2])).unwrap();
-        assert!(info.iter().any(|l| l.contains("v2")));
         assert!(info.iter().any(|l| l.contains("f32")));
         assert!(info.iter().any(|l| l.contains("chunk rows: 16")));
         assert!(info.iter().any(|l| l.contains("0.0 MB"))); // 64*8*4 bytes

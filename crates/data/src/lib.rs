@@ -7,8 +7,8 @@
 //!   structures, substituting for the non-redistributable ERA5 record;
 //! - [`stream`]: column-batch adapters feeding the streaming SVD;
 //! - [`partition`]: balanced row-block domain decomposition;
-//! - [`ncsim`]: a chunked binary container (v1 flat slab, v2 chunked +
-//!   dtype + codec) with per-rank hyperslab reads, standing in for
+//! - [`ncsim`]: the one snapshot container (v2: row-panel chunks, f64 or
+//!   f32, optional codec) with per-rank hyperslab reads, standing in for
 //!   NetCDF4 parallel IO;
 //! - [`prefetch`]: the background reader that overlaps out-of-core IO and
 //!   decode with the SVD update.
@@ -26,4 +26,4 @@ pub use burgers::{snapshot_matrix, BurgersConfig};
 pub use era5::{generate as generate_era5, Era5Config, Era5Data};
 pub use partition::{block_range, split_rows};
 pub use prefetch::{IoStats, SnapshotPrefetcher};
-pub use stream::{column_batches, BatchGenerator, MatrixBatchSource, SnapshotSource};
+pub use stream::{column_batches, MatrixBatchSource, SnapshotSource};

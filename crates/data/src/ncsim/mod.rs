@@ -1,25 +1,15 @@
 //! `ncsim`: a minimal chunked scientific-data container with hyperslab
 //! reads, standing in for the paper's NetCDF4 parallel-IO path.
 //!
-//! Two on-disk versions are supported. **v1** is the original flat slab
-//! (always f64, row-major, no chunking):
-//!
-//! ```text
-//! magic  : 8 bytes  = b"NCSIM\x01\0\0"
-//! name   : u32 length + UTF-8 bytes (variable name)
-//! rows   : u64   (spatial degrees of freedom, M)
-//! cols   : u64   (snapshots, N)
-//! data   : rows * cols f64, row-major
-//! ```
-//!
-//! **v2** adds row-panel chunking, a dtype field (f64/f32) and an optional
-//! dependency-free codec (byte-shuffle + RLE, see [`codec`]):
+//! One on-disk version, v2: row-panel chunks of an f64 or f32 variable,
+//! optionally compressed with a dependency-free codec (byte-shuffle + RLE,
+//! see [`codec`]):
 //!
 //! ```text
 //! magic      : 8 bytes  = b"NCSIM\x02\0\0"
-//! name       : u32 length + UTF-8 bytes
-//! rows       : u64
-//! cols       : u64
+//! name       : u32 length + UTF-8 bytes (variable name, ≤ 4096 bytes)
+//! rows       : u64  (spatial degrees of freedom, M)
+//! cols       : u64  (snapshots, N)
 //! dtype      : u8   (0 = f64, 1 = f32)
 //! codec      : u8   (0 = raw, 1 = byte-shuffle + RLE)
 //! chunk_rows : u64  (rows per panel; last panel may be shorter)
@@ -36,21 +26,20 @@
 //! segments : cols segments, column order; segment = tag byte + payload
 //! ```
 //!
-//! The column-segment layout is what makes v2 streamable: the driver
+//! The column-segment layout is what makes the file streamable: the driver
 //! consumes *column batches* (B snapshots at a time), and columns
 //! `[c0, c1)` of a chunk are one contiguous byte range — so a batch read
 //! costs one seek + one sequential read per chunk regardless of how the
-//! codec changed segment sizes, with no N/B read amplification. Row-major
-//! v1 keeps the complementary property for per-rank *row* blocks
-//! ([`NcsimReader::read_rows`]): one seek + one read, the access pattern
-//! parallel NetCDF performs for a domain-decomposed field. Each rank opens
-//! its own reader (its own file handle), exactly like MPI-IO with
-//! independent access.
+//! codec changed segment sizes, with no N/B read amplification. A per-rank
+//! *row* block ([`NcsimReader::read_rank_block`]) touches only the chunks
+//! it overlaps — the hyperslab parallel NetCDF reads for a
+//! domain-decomposed field. Each rank opens its own reader (its own file
+//! handle), exactly like MPI-IO with independent access.
 //!
 //! All reader entry points return typed [`io::Error`]s — corrupt magic,
-//! unknown versions, truncated files, out-of-range requests and dtype
-//! mismatches are errors, never panics, so a bad file cannot take down a
-//! long streaming run.
+//! unsupported versions (v1 included), truncated files, out-of-range
+//! requests and dtype mismatches are errors, never panics, so a bad file
+//! cannot take down a long streaming run.
 
 pub mod codec;
 
@@ -62,8 +51,15 @@ use std::path::Path;
 use bytes::{Buf, BufMut, BytesMut};
 use psvd_linalg::{Matrix, Scalar};
 
-const MAGIC_V1: &[u8; 8] = b"NCSIM\x01\0\0";
-const MAGIC_V2: &[u8; 8] = b"NCSIM\x02\0\0";
+const MAGIC: &[u8; 8] = b"NCSIM\x02\0\0";
+
+/// Longest variable name the writer emits and the reader accepts.
+const MAX_NAME_BYTES: usize = 4096;
+
+/// Row-panel height when [`V2Options::chunk_rows`] is 0: 8 KiB per column
+/// at f64 — big enough to amortize seek cost, small enough that a panel of
+/// a few thousand columns fits cache-friendly in the prefetch ring.
+const DEFAULT_CHUNK_ROWS: usize = 1024;
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -157,22 +153,10 @@ impl Codec {
     }
 }
 
-/// The default row-panel height: `PSVD_CHUNK_ROWS` if set to a positive
-/// integer, else 1024 (8 KiB/column at f64 — big enough to amortize seek
-/// cost, small enough that a panel of a few thousand columns fits cache-
-/// friendly in the prefetch ring).
-pub fn default_chunk_rows() -> usize {
-    std::env::var("PSVD_CHUNK_ROWS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(1024)
-}
-
 /// Writer-side options for the v2 format.
 #[derive(Clone, Copy, Debug)]
 pub struct V2Options {
-    /// Rows per panel; `0` means [`default_chunk_rows`] (the writer also
+    /// Rows per panel; `0` means the default of 1024 (the writer also
     /// clamps to the matrix height so tiny files get one panel).
     pub chunk_rows: usize,
     /// Segment codec to attempt.
@@ -185,7 +169,7 @@ impl Default for V2Options {
     }
 }
 
-/// Parsed header of an ncsim file (either version).
+/// Parsed header of an ncsim file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NcsimHeader {
     /// Variable name.
@@ -194,13 +178,13 @@ pub struct NcsimHeader {
     pub rows: usize,
     /// Snapshots (matrix columns).
     pub cols: usize,
-    /// Container version (1 or 2).
+    /// Container version (always 2, the one this build reads).
     pub version: u8,
-    /// Element type (always [`Dtype::F64`] for v1).
+    /// Element type.
     pub dtype: Dtype,
-    /// Codec the writer attempted (always [`Codec::Raw`] for v1).
+    /// Codec the writer attempted.
     pub codec: Codec,
-    /// Rows per chunk panel; `0` for the unchunked v1 slab.
+    /// Rows per chunk panel (positive whenever `rows > 0`).
     pub chunk_rows: usize,
 }
 
@@ -216,16 +200,8 @@ impl NcsimHeader {
 }
 
 // ---------------------------------------------------------------------------
-// v1 writer (+ satellite fixes: bulk slab writes, checked size guard)
+// writer
 // ---------------------------------------------------------------------------
-
-/// Write a full matrix as an ncsim v1 file (always f64 — the
-/// backward-compatible format every pre-v2 tool reads).
-pub fn write(path: &Path, name: &str, data: &Matrix) -> io::Result<()> {
-    let mut w = NcsimWriter::create(path, name, data.rows(), data.cols())?;
-    w.write_rows(data.as_slice())?;
-    w.finish()
-}
 
 /// Write a full matrix as an ncsim v2 file at the element type of the
 /// matrix, with the given chunking/codec options.
@@ -239,120 +215,6 @@ pub fn write_v2<T: Scalar>(
     w.write_rows(data.as_slice())?;
     w.finish()
 }
-
-/// Encoded slab size per `write_all` call: large enough to amortize the
-/// syscall, small enough to stay resident in L2.
-const WRITE_SLAB_BYTES: usize = 1 << 20;
-
-/// Incremental row-wise v1 writer, for producing files larger than memory.
-pub struct NcsimWriter {
-    out: BufWriter<File>,
-    rows: usize,
-    cols: usize,
-    written_rows: usize,
-    slab: Vec<u8>,
-}
-
-impl NcsimWriter {
-    /// Create the file and write the header; rows are appended with
-    /// [`NcsimWriter::write_row`] / [`NcsimWriter::write_rows`] and the
-    /// file sealed by [`NcsimWriter::finish`].
-    pub fn create(path: &Path, name: &str, rows: usize, cols: usize) -> io::Result<Self> {
-        // Refuse dimensions whose payload size cannot be represented —
-        // every downstream offset computation relies on this product.
-        rows.checked_mul(cols)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or_else(|| bad_input(format!("{rows} x {cols} f64 payload overflows")))?;
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        let mut header = BytesMut::with_capacity(64 + name.len());
-        header.put_slice(MAGIC_V1);
-        header.put_u32_le(name.len() as u32);
-        header.put_slice(name.as_bytes());
-        header.put_u64_le(rows as u64);
-        header.put_u64_le(cols as u64);
-        out.write_all(&header)?;
-        Ok(Self { out, rows, cols, written_rows: 0, slab: Vec::new() })
-    }
-
-    /// Append one row (must have exactly `cols` values).
-    pub fn write_row(&mut self, row: &[f64]) -> io::Result<()> {
-        if row.len() != self.cols {
-            return Err(bad_input(format!(
-                "row has {} values, file declares {} columns",
-                row.len(),
-                self.cols
-            )));
-        }
-        if self.written_rows >= self.rows {
-            return Err(bad_input(format!(
-                "file declares {} rows, all already written",
-                self.rows
-            )));
-        }
-        self.encode_slab(row)?;
-        self.written_rows += 1;
-        Ok(())
-    }
-
-    /// Append a row-major slab of whole rows in one call (`data.len()`
-    /// must be a multiple of `cols`). This is the bulk path: values are
-    /// encoded into ~1 MiB slabs and handed to the OS in large writes
-    /// instead of one syscall-sized buffer per row.
-    pub fn write_rows(&mut self, data: &[f64]) -> io::Result<()> {
-        if self.cols == 0 {
-            return if data.is_empty() {
-                Ok(())
-            } else {
-                Err(bad_input("write_rows on a zero-column file expects no data"))
-            };
-        }
-        if !data.len().is_multiple_of(self.cols) {
-            return Err(bad_input(format!(
-                "slab of {} values is not a whole number of {}-column rows",
-                data.len(),
-                self.cols
-            )));
-        }
-        let nrows = data.len() / self.cols;
-        if self.written_rows + nrows > self.rows {
-            return Err(bad_input(format!(
-                "slab of {nrows} rows exceeds the {} declared (already wrote {})",
-                self.rows, self.written_rows
-            )));
-        }
-        self.encode_slab(data)?;
-        self.written_rows += nrows;
-        Ok(())
-    }
-
-    fn encode_slab(&mut self, values: &[f64]) -> io::Result<()> {
-        for block in values.chunks(WRITE_SLAB_BYTES / 8) {
-            self.slab.clear();
-            self.slab.reserve(block.len() * 8);
-            for &v in block {
-                self.slab.extend_from_slice(&v.to_le_bytes());
-            }
-            self.out.write_all(&self.slab)?;
-        }
-        Ok(())
-    }
-
-    /// Flush and verify all declared rows were written.
-    pub fn finish(mut self) -> io::Result<()> {
-        if self.written_rows != self.rows {
-            return Err(bad_data(format!(
-                "declared {} rows but wrote {}",
-                self.rows, self.written_rows
-            )));
-        }
-        self.out.flush()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// v2 writer
-// ---------------------------------------------------------------------------
 
 /// Incremental row-wise v2 writer: rows are buffered into panels of
 /// `chunk_rows`, each panel transposed to column segments, encoded, and
@@ -388,11 +250,17 @@ impl<T: Scalar> NcsimV2Writer<T> {
         cols: usize,
         opts: V2Options,
     ) -> io::Result<Self> {
+        if name.len() > MAX_NAME_BYTES {
+            return Err(bad_input(format!(
+                "variable name of {} bytes exceeds the {MAX_NAME_BYTES}-byte limit",
+                name.len()
+            )));
+        }
         let elem = mem::size_of::<T>();
         rows.checked_mul(cols)
             .and_then(|n| n.checked_mul(elem))
             .ok_or_else(|| bad_input(format!("{rows} x {cols} {} payload overflows", T::NAME)))?;
-        let chunk_rows = if opts.chunk_rows == 0 { default_chunk_rows() } else { opts.chunk_rows };
+        let chunk_rows = if opts.chunk_rows == 0 { DEFAULT_CHUNK_ROWS } else { opts.chunk_rows };
         // One panel suffices for short matrices; clamping also keeps the
         // per-segment u32 length guard tight.
         let chunk_rows = chunk_rows.min(rows.max(1));
@@ -408,7 +276,7 @@ impl<T: Scalar> NcsimV2Writer<T> {
         let file = File::create(path)?;
         let mut out = BufWriter::new(file);
         let mut header = BytesMut::with_capacity(64 + name.len());
-        header.put_slice(MAGIC_V2);
+        header.put_slice(MAGIC);
         header.put_u32_le(name.len() as u32);
         header.put_slice(name.as_bytes());
         header.put_u64_le(rows as u64);
@@ -561,39 +429,29 @@ impl<T: Scalar> NcsimV2Writer<T> {
 // reader
 // ---------------------------------------------------------------------------
 
-enum Layout {
-    V1 {
-        data_offset: u64,
-    },
-    V2 {
-        /// Absolute file offset of each chunk's seg-length table.
-        chunk_offsets: Vec<u64>,
-        chunk_lens: Vec<u64>,
-        /// Lazily-built per-chunk cumulative segment offsets
-        /// (`cum[j]` = byte offset of column `j`'s segment within the
-        /// chunk body; `cum[cols]` = body length). Cached after first
-        /// touch so steady-state batch reads re-read no metadata.
-        seg_tables: Vec<Option<Vec<u64>>>,
-    },
-}
-
-/// Reader with hyperslab (row-range and column-range) access for both
-/// container versions.
+/// Reader with hyperslab (row-range and column-range) access.
 pub struct NcsimReader {
     file: BufReader<File>,
     header: NcsimHeader,
-    layout: Layout,
+    /// Absolute file offset of each chunk's seg-length table.
+    chunk_offsets: Vec<u64>,
+    chunk_lens: Vec<u64>,
+    /// Lazily-built per-chunk cumulative segment offsets (`cum[j]` = byte
+    /// offset of column `j`'s segment within the chunk body; `cum[cols]` =
+    /// body length). Cached after first touch so steady-state batch reads
+    /// re-read no metadata.
+    seg_tables: Vec<Option<Vec<u64>>>,
     bytes_read: u64,
     chunks_touched: u64,
-    // Scratch reused across reads (taken/restored around inner calls).
+    // Scratch reused across reads.
     chunkbuf: Vec<u8>,
     colraw: Vec<u8>,
     shuf: Vec<u8>,
 }
 
 impl NcsimReader {
-    /// Open and parse the header of a v1 or v2 file. Unknown `NCSIM`
-    /// versions and non-ncsim files produce typed `InvalidData` errors.
+    /// Open and parse the header of a v2 file. Other `NCSIM` versions
+    /// (v1 included) and non-ncsim files produce typed `InvalidData` errors.
     pub fn open(path: &Path) -> io::Result<Self> {
         let mut file = BufReader::new(File::open(path)?);
         let file_len = file.get_ref().metadata()?.len();
@@ -603,63 +461,26 @@ impl NcsimReader {
             return Err(bad_data("not an ncsim file"));
         }
         let version = magic[5];
-        if version != 1 && version != 2 {
+        if version != 2 {
             return Err(bad_data(format!(
-                "unsupported ncsim version {version} (this build reads v1 and v2)"
+                "unsupported ncsim version {version} (this build reads v2)"
             )));
         }
 
         let mut len4 = [0u8; 4];
         file.read_exact(&mut len4).map_err(|_| bad_data("truncated header"))?;
         let name_len = (&len4[..]).get_u32_le() as usize;
-        if name_len > 4096 {
+        if name_len > MAX_NAME_BYTES {
             return Err(bad_data("unreasonable name length"));
         }
         let mut name_bytes = vec![0u8; name_len];
         file.read_exact(&mut name_bytes).map_err(|_| bad_data("truncated header"))?;
         let name = String::from_utf8(name_bytes).map_err(|_| bad_data("name not UTF-8"))?;
-        let mut dims = [0u8; 16];
-        file.read_exact(&mut dims).map_err(|_| bad_data("truncated header"))?;
-        let mut cursor = &dims[..];
+        let mut fields = [0u8; 26];
+        file.read_exact(&mut fields).map_err(|_| bad_data("truncated header"))?;
+        let mut cursor = &fields[..];
         let rows = cursor.get_u64_le() as usize;
         let cols = cursor.get_u64_le() as usize;
-
-        if version == 1 {
-            let header = NcsimHeader {
-                name,
-                rows,
-                cols,
-                version,
-                dtype: Dtype::F64,
-                codec: Codec::Raw,
-                chunk_rows: 0,
-            };
-            // Reject dimension fields that cannot describe a real file: the
-            // declared payload must fit in the file (guards both corruption
-            // and the multiply overflows it would otherwise cause below).
-            let payload = header.payload_bytes()?;
-            let data_offset = (8 + 4 + header.name.len() + 8 + 8) as u64;
-            if file_len < data_offset + payload {
-                return Err(bad_data(format!(
-                    "file too short for declared {rows}x{cols} payload ({file_len} bytes)"
-                )));
-            }
-            return Ok(Self {
-                file,
-                header,
-                layout: Layout::V1 { data_offset },
-                bytes_read: 0,
-                chunks_touched: 0,
-                chunkbuf: Vec::new(),
-                colraw: Vec::new(),
-                shuf: Vec::new(),
-            });
-        }
-
-        // --- v2 ---
-        let mut tail = [0u8; 10];
-        file.read_exact(&mut tail).map_err(|_| bad_data("truncated v2 header"))?;
-        let mut cursor = &tail[..];
         let dtype_tag = cursor.get_u8();
         let codec_tag = cursor.get_u8();
         let chunk_rows = cursor.get_u64_le() as usize;
@@ -705,7 +526,9 @@ impl NcsimReader {
         Ok(Self {
             file,
             header,
-            layout: Layout::V2 { chunk_offsets, chunk_lens, seg_tables: vec![None; n_chunks] },
+            chunk_offsets,
+            chunk_lens,
+            seg_tables: vec![None; n_chunks],
             bytes_read: 0,
             chunks_touched: 0,
             chunkbuf: Vec::new(),
@@ -734,7 +557,7 @@ impl NcsimReader {
         self.bytes_read
     }
 
-    /// Chunks touched by reads so far (v1 slab reads count as one chunk).
+    /// Chunks touched by reads so far.
     pub fn io_chunks_touched(&self) -> u64 {
         self.chunks_touched
     }
@@ -779,140 +602,18 @@ impl NcsimReader {
         if r1 == r0 || c1 == c0 {
             return Ok(());
         }
-        // Scratch is taken out of `self` so the inner helpers can borrow
-        // the remaining fields disjointly, then restored (even on error).
-        let mut chunkbuf = mem::take(&mut self.chunkbuf);
-        let mut colraw = mem::take(&mut self.colraw);
-        let mut shuf = mem::take(&mut self.shuf);
-        let res = match &self.layout {
-            Layout::V1 { .. } => self.v1_block_into(r0, r1, c0, c1, dst, &mut chunkbuf),
-            Layout::V2 { .. } => {
-                self.v2_block_into(r0, r1, c0, c1, dst, &mut chunkbuf, &mut colraw, &mut shuf)
-            }
-        };
-        self.chunkbuf = chunkbuf;
-        self.colraw = colraw;
-        self.shuf = shuf;
-        res
-    }
-
-    /// Read rows `[r0, r1)` (all columns) into `dst`.
-    pub fn read_rows_into<T: Scalar>(
-        &mut self,
-        r0: usize,
-        r1: usize,
-        dst: &mut Matrix<T>,
-    ) -> io::Result<()> {
-        let cols = self.header.cols;
-        self.read_block_into(r0, r1, 0, cols, dst)
-    }
-
-    /// Read columns `[c0, c1)` (all rows) into `dst` — the column-batch
-    /// access pattern of the streaming drivers.
-    pub fn read_cols_into<T: Scalar>(
-        &mut self,
-        c0: usize,
-        c1: usize,
-        dst: &mut Matrix<T>,
-    ) -> io::Result<()> {
-        let rows = self.header.rows;
-        self.read_block_into(0, rows, c0, c1, dst)
-    }
-
-    /// Read rows `[r0, r1)` as a fresh matrix at the file's element type.
-    pub fn read_rows_as<T: Scalar>(&mut self, r0: usize, r1: usize) -> io::Result<Matrix<T>> {
-        let mut m = Matrix::zeros(0, 0);
-        self.read_rows_into(r0, r1, &mut m)?;
-        Ok(m)
-    }
-
-    /// Read rows `[r0, r1)` — on a v1 slab this is one seek plus one
-    /// contiguous read. (f64 back-compat entry point; use
-    /// [`NcsimReader::read_rows_as`] for f32 files.)
-    pub fn read_rows(&mut self, r0: usize, r1: usize) -> io::Result<Matrix> {
-        self.read_rows_as::<f64>(r0, r1)
-    }
-
-    /// Read the whole variable.
-    pub fn read_all(&mut self) -> io::Result<Matrix> {
-        self.read_rows(0, self.header.rows)
-    }
-
-    /// Read the balanced row block owned by `rank` of `n_ranks` (the
-    /// per-rank hyperslab of a distributed run).
-    pub fn read_rank_block(&mut self, n_ranks: usize, rank: usize) -> io::Result<Matrix> {
-        let (r0, r1) = crate::partition::block_range(self.header.rows, n_ranks, rank);
-        self.read_rows(r0, r1)
-    }
-
-    fn v1_block_into<T: Scalar>(
-        &mut self,
-        r0: usize,
-        r1: usize,
-        c0: usize,
-        c1: usize,
-        dst: &mut Matrix<T>,
-        chunkbuf: &mut Vec<u8>,
-    ) -> io::Result<()> {
-        let Layout::V1 { data_offset } = self.layout else { unreachable!() };
-        let elem = mem::size_of::<T>();
-        let cols = self.header.cols;
-        let seek_to = |r: usize, c: usize| -> io::Result<u64> {
-            r.checked_mul(cols)
-                .and_then(|x| x.checked_add(c))
-                .and_then(|x| x.checked_mul(elem))
-                .map(|x| data_offset + x as u64)
-                .ok_or_else(|| bad_data("offset overflow"))
-        };
-        if c0 == 0 && c1 == cols {
-            // Full-width: one contiguous read straight into dst.
-            self.file.seek(SeekFrom::Start(seek_to(r0, 0)?))?;
-            let nbytes = (r1 - r0) * cols * elem;
-            chunkbuf.clear();
-            chunkbuf.resize(nbytes, 0);
-            self.file
-                .read_exact(chunkbuf)
-                .map_err(|_| bad_data("file truncated inside payload"))?;
-            self.bytes_read += nbytes as u64;
-            self.chunks_touched += 1;
-            for (out, src) in dst.as_mut_slice().iter_mut().zip(chunkbuf.chunks_exact(elem)) {
-                *out = T::get_le_bytes(src);
-            }
-        } else {
-            // Sub-width: one read per row (v1 has no column chunking; the
-            // v2 layout exists precisely to make this pattern cheap).
-            let width = (c1 - c0) * elem;
-            chunkbuf.clear();
-            chunkbuf.resize(width, 0);
-            for r in r0..r1 {
-                self.file.seek(SeekFrom::Start(seek_to(r, c0)?))?;
-                self.file
-                    .read_exact(chunkbuf)
-                    .map_err(|_| bad_data("file truncated inside payload"))?;
-                for (out, src) in dst.row_mut(r - r0).iter_mut().zip(chunkbuf.chunks_exact(elem)) {
-                    *out = T::get_le_bytes(src);
-                }
-            }
-            self.bytes_read += ((r1 - r0) * width) as u64;
-            self.chunks_touched += 1;
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn v2_block_into<T: Scalar>(
-        &mut self,
-        r0: usize,
-        r1: usize,
-        c0: usize,
-        c1: usize,
-        dst: &mut Matrix<T>,
-        chunkbuf: &mut Vec<u8>,
-        colraw: &mut Vec<u8>,
-        shuf: &mut Vec<u8>,
-    ) -> io::Result<()> {
-        let Self { file, layout, header, bytes_read, chunks_touched, .. } = self;
-        let Layout::V2 { chunk_offsets, chunk_lens, seg_tables } = layout else { unreachable!() };
+        let Self {
+            file,
+            header,
+            chunk_offsets,
+            chunk_lens,
+            seg_tables,
+            bytes_read,
+            chunks_touched,
+            chunkbuf,
+            colraw,
+            shuf,
+        } = self;
         let elem = mem::size_of::<T>();
         let cols = header.cols;
         let chunk_rows = header.chunk_rows;
@@ -953,6 +654,20 @@ impl NcsimReader {
             }
         }
         Ok(())
+    }
+
+    /// Read the whole variable (f64 files).
+    pub fn read_all(&mut self) -> io::Result<Matrix> {
+        self.read_rank_block(1, 0)
+    }
+
+    /// Read the balanced row block owned by `rank` of `n_ranks` (the
+    /// per-rank hyperslab of a distributed run; f64 files).
+    pub fn read_rank_block(&mut self, n_ranks: usize, rank: usize) -> io::Result<Matrix> {
+        let (r0, r1) = crate::partition::block_range(self.header.rows, n_ranks, rank);
+        let mut m = Matrix::zeros(0, 0);
+        self.read_block_into(r0, r1, 0, self.header.cols, &mut m)?;
+        Ok(m)
     }
 }
 
@@ -1005,15 +720,28 @@ mod tests {
         p
     }
 
+    fn block<T: Scalar>(
+        r: &mut NcsimReader,
+        r0: usize,
+        r1: usize,
+        c0: usize,
+        c1: usize,
+    ) -> io::Result<Matrix<T>> {
+        let mut m = Matrix::zeros(0, 0);
+        r.read_block_into(r0, r1, c0, c1, &mut m)?;
+        Ok(m)
+    }
+
     #[test]
     fn roundtrip_full() {
         let path = tmpfile("roundtrip");
         let a = Matrix::from_fn(13, 7, |i, j| (i as f64 * 0.5) - j as f64);
-        write(&path, "pressure", &a).unwrap();
+        write_v2(&path, "pressure", &a, V2Options::default()).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
         assert_eq!(r.header().name, "pressure");
-        assert_eq!(r.header().version, 1);
+        assert_eq!(r.header().version, 2);
         assert_eq!(r.header().dtype, Dtype::F64);
+        assert_eq!(r.header().chunk_rows, 13, "the default clamps to the row count");
         assert_eq!(r.rows(), 13);
         assert_eq!(r.cols(), 7);
         assert_eq!(r.read_all().unwrap(), a);
@@ -1024,11 +752,11 @@ mod tests {
     fn hyperslab_matches_slice() {
         let path = tmpfile("hyperslab");
         let a = Matrix::from_fn(20, 5, |i, j| ((i * 5 + j) as f64).cos());
-        write(&path, "v", &a).unwrap();
+        write_v2(&path, "v", &a, V2Options { chunk_rows: 4, codec: Codec::Raw }).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
-        assert_eq!(r.read_rows(3, 11).unwrap(), a.row_block(3, 11));
+        assert_eq!(block::<f64>(&mut r, 3, 11, 0, 5).unwrap(), a.row_block(3, 11));
         // Second read after seek-back also works.
-        assert_eq!(r.read_rows(0, 2).unwrap(), a.row_block(0, 2));
+        assert_eq!(block::<f64>(&mut r, 0, 2, 0, 5).unwrap(), a.row_block(0, 2));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1036,7 +764,7 @@ mod tests {
     fn rank_blocks_tile_file() {
         let path = tmpfile("rankblocks");
         let a = Matrix::from_fn(17, 4, |i, j| (i + j) as f64);
-        write(&path, "v", &a).unwrap();
+        write_v2(&path, "v", &a, V2Options { chunk_rows: 3, codec: Codec::Raw }).unwrap();
         let mut blocks = Vec::new();
         for rank in 0..4 {
             let mut r = NcsimReader::open(&path).unwrap();
@@ -1057,41 +785,46 @@ mod tests {
     #[test]
     fn unknown_version_rejected_gracefully() {
         let path = tmpfile("badversion");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"NCSIM\x03\0\0");
-        bytes.extend_from_slice(&[0u8; 64]);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = match NcsimReader::open(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("unknown version must be rejected"),
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version"), "got: {err}");
+        let mut future = Vec::new();
+        future.extend_from_slice(b"NCSIM\x03\0\0");
+        future.extend_from_slice(&[0u8; 64]);
+        // A complete, well-formed v1 file: the flat row-major f64 slab of
+        // the retired format.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"NCSIM\x01\0\0");
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(b"v");
+        v1.extend_from_slice(&2u64.to_le_bytes());
+        v1.extend_from_slice(&2u64.to_le_bytes());
+        for x in [1.0f64, 2.0, 3.0, 4.0] {
+            v1.extend_from_slice(&x.to_le_bytes());
+        }
+        for (version, bytes) in [(3, future), (1, v1)] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = match NcsimReader::open(&path) {
+                Err(e) => e,
+                Ok(_) => panic!("version {version} must be rejected"),
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("version {version}")), "got: {err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn out_of_bounds_read_rejected() {
         let path = tmpfile("oob");
-        write(&path, "v", &Matrix::zeros(3, 3)).unwrap();
+        write_v2(&path, "v", &Matrix::<f64>::zeros(3, 3), V2Options::default()).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
-        assert!(r.read_rows(2, 5).is_err());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn incremental_writer_must_complete() {
-        let path = tmpfile("incomplete");
-        let mut w = NcsimWriter::create(&path, "v", 3, 2).unwrap();
-        w.write_row(&[1.0, 2.0]).unwrap();
-        assert!(w.finish().is_err(), "finish must fail when rows are missing");
+        assert!(block::<f64>(&mut r, 2, 5, 0, 3).is_err());
+        assert!(block::<f64>(&mut r, 0, 3, 2, 4).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_name_ok() {
         let path = tmpfile("noname");
-        write(&path, "", &Matrix::zeros(1, 1)).unwrap();
+        write_v2(&path, "", &Matrix::<f64>::zeros(1, 1), V2Options::default()).unwrap();
         let r = NcsimReader::open(&path).unwrap();
         assert_eq!(r.header().name, "");
         std::fs::remove_file(&path).unwrap();
@@ -1100,14 +833,15 @@ mod tests {
     #[test]
     fn writer_rejects_overflowing_dimensions() {
         let path = tmpfile("overflow");
-        assert!(NcsimWriter::create(&path, "v", usize::MAX / 4, usize::MAX / 4).is_err());
+        let (rows, cols) = (usize::MAX / 4, usize::MAX / 4);
+        assert!(NcsimV2Writer::<f64>::create(&path, "v", rows, cols, V2Options::default()).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn writer_slab_rejects_ragged_and_excess_rows() {
         let path = tmpfile("slabguards");
-        let mut w = NcsimWriter::create(&path, "v", 2, 3).unwrap();
+        let mut w = NcsimV2Writer::<f64>::create(&path, "v", 2, 3, V2Options::default()).unwrap();
         assert!(w.write_rows(&[1.0; 4]).is_err(), "4 values is not whole 3-col rows");
         assert!(w.write_rows(&[1.0; 9]).is_err(), "3 rows exceeds the 2 declared");
         w.write_rows(&[1.0; 6]).unwrap();
@@ -1123,13 +857,12 @@ mod tests {
         let mut r = NcsimReader::open(&path).unwrap();
         assert_eq!(r.header().version, 2);
         assert_eq!(r.header().dtype, Dtype::of::<T>());
-        let back: Matrix<T> = r.read_rows_as(0, 23).unwrap();
-        assert_eq!(back, a);
+        assert_eq!(block::<T>(&mut r, 0, 23, 0, 6).unwrap(), a);
         // Hyperslabs in both dimensions match in-core slicing.
         let mut blk = Matrix::zeros(0, 0);
         r.read_block_into(5, 14, 2, 5, &mut blk).unwrap();
         assert_eq!(blk, a.submatrix(5, 14, 2, 5));
-        r.read_cols_into(1, 4, &mut blk).unwrap();
+        r.read_block_into(0, 23, 1, 4, &mut blk).unwrap();
         assert_eq!(blk, a.submatrix(0, 23, 1, 4));
         std::fs::remove_file(&path).unwrap();
     }
@@ -1150,25 +883,9 @@ mod tests {
         let a: Matrix<f32> = Matrix::from_fn(8, 3, |i, j| (i + j) as f32);
         write_v2(&path, "v", &a, V2Options::default()).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
-        let err = r.read_rows(0, 8).unwrap_err();
+        let err = block::<f64>(&mut r, 0, 8, 0, 3).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let ok: Matrix<f32> = r.read_rows_as(0, 8).unwrap();
-        assert_eq!(ok, a);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_read_into_works_generically() {
-        let path = tmpfile("v1generic");
-        let a = Matrix::from_fn(10, 4, |i, j| (i * 4 + j) as f64);
-        write(&path, "v", &a).unwrap();
-        let mut r = NcsimReader::open(&path).unwrap();
-        let mut dst: Matrix<f64> = Matrix::zeros(0, 0);
-        r.read_cols_into(1, 3, &mut dst).unwrap();
-        assert_eq!(dst, a.submatrix(0, 10, 1, 3));
-        // f32 request against an f64 file is a typed error, not a cast.
-        let mut wrong: Matrix<f32> = Matrix::zeros(0, 0);
-        assert!(r.read_cols_into(1, 3, &mut wrong).is_err());
+        assert_eq!(block::<f32>(&mut r, 0, 8, 0, 3).unwrap(), a);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1202,8 +919,7 @@ mod tests {
         write_v2(&path, "v", &a, V2Options { chunk_rows: 16, codec: Codec::Raw }).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
         assert_eq!(r.io_bytes_read(), 0);
-        let mut dst = Matrix::zeros(0, 0);
-        r.read_cols_into::<f64>(0, 4, &mut dst).unwrap();
+        block::<f64>(&mut r, 0, 64, 0, 4).unwrap();
         assert_eq!(r.io_chunks_touched(), 4, "64 rows / 16-row chunks");
         assert!(r.io_bytes_read() >= (64 * 4 * 8) as u64);
         std::fs::remove_file(&path).unwrap();

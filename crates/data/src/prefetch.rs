@@ -424,16 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_stream_through_the_same_api() {
-        let path = tmpfile("v1");
-        let a = Matrix::from_fn(30, 7, |i, j| ((i + j) as f64).cos());
-        crate::ncsim::write(&path, "v", &a).unwrap();
-        let mut pf = SnapshotPrefetcher::<f64>::open(&path, 3).unwrap();
-        assert_eq!(Matrix::hstack_all(&collect(&mut pf)), a);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn dropping_mid_stream_joins_worker() {
         let path = tmpfile("dropmid");
         let a = Matrix::from_fn(100, 40, |i, j| (i + j) as f64);

@@ -1,20 +1,18 @@
 //! Streaming batch access to snapshot data.
 //!
 //! The streaming SVD consumes data in column batches (`B` snapshots at a
-//! time). These adapters slice an existing matrix into batches or generate
-//! batches lazily from a column closure, so the full `M x N` matrix never
-//! needs to exist in memory — the whole point of the streaming algorithm.
+//! time). These adapters slice an in-core matrix into batches.
 //!
-//! [`SnapshotSource`] is the pull-based contract uniting all ingestion
-//! paths: in-core slicing ([`MatrixBatchSource`]), synthetic generation
-//! ([`BatchGenerator`]) and the out-of-core prefetcher
-//! ([`crate::prefetch::SnapshotPrefetcher`]). Batches land in a
+//! [`SnapshotSource`] is the pull-based contract uniting the ingestion
+//! paths, among them in-core slicing ([`MatrixBatchSource`]) and the
+//! out-of-core prefetcher ([`crate::prefetch::SnapshotPrefetcher`]), which streams
+//! from disk so the full `M x N` matrix never needs to exist in memory —
+//! the whole point of the streaming algorithm. Batches land in a
 //! caller-provided [`Matrix`], so the steady-state driver loop keeps its
 //! zero transient O(M) allocation guarantee no matter where data comes
 //! from.
 
 use std::io;
-use std::marker::PhantomData;
 
 use psvd_linalg::{Matrix, Scalar};
 
@@ -87,76 +85,6 @@ impl<T: Scalar> SnapshotSource<T> for MatrixBatchSource<'_, T> {
     }
 }
 
-/// Lazily generates column batches from a per-column closure, never holding
-/// more than one batch in memory.
-pub struct BatchGenerator<T, F> {
-    rows: usize,
-    total_cols: usize,
-    batch: usize,
-    next_col: usize,
-    column_fn: F,
-    _elem: PhantomData<T>,
-}
-
-impl<T: Scalar, F: FnMut(usize) -> Vec<T>> BatchGenerator<T, F> {
-    /// `column_fn(j)` must return column `j` (length `rows`).
-    pub fn new(rows: usize, total_cols: usize, batch: usize, column_fn: F) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        Self { rows, total_cols, batch, next_col: 0, column_fn, _elem: PhantomData }
-    }
-
-    /// Number of batches this generator will yield in total.
-    pub fn batch_count(&self) -> usize {
-        self.total_cols.div_ceil(self.batch)
-    }
-
-    fn fill(&mut self, dst: &mut Matrix<T>) -> bool {
-        if self.next_col >= self.total_cols {
-            return false;
-        }
-        let c0 = self.next_col;
-        let c1 = (c0 + self.batch).min(self.total_cols);
-        dst.reshape_for_overwrite(self.rows, c1 - c0);
-        for (jj, j) in (c0..c1).enumerate() {
-            let col = (self.column_fn)(j);
-            assert_eq!(col.len(), self.rows, "column {j} has wrong length");
-            for (i, &v) in col.iter().enumerate() {
-                dst.row_mut(i)[jj] = v;
-            }
-        }
-        self.next_col = c1;
-        true
-    }
-}
-
-impl<T: Scalar, F: FnMut(usize) -> Vec<T>> Iterator for BatchGenerator<T, F> {
-    type Item = Matrix<T>;
-
-    fn next(&mut self) -> Option<Matrix<T>> {
-        let mut m = Matrix::zeros(0, 0);
-        if self.fill(&mut m) {
-            Some(m)
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.total_cols - self.next_col).div_ceil(self.batch);
-        (left, Some(left))
-    }
-}
-
-impl<T: Scalar, F: FnMut(usize) -> Vec<T>> SnapshotSource<T> for BatchGenerator<T, F> {
-    fn next_batch_into(&mut self, dst: &mut Matrix<T>) -> io::Result<bool> {
-        Ok(self.fill(dst))
-    }
-
-    fn batches_hint(&self) -> Option<usize> {
-        Some(self.batch_count())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,42 +116,12 @@ mod tests {
     }
 
     #[test]
-    fn generator_matches_slicing() {
-        let a = Matrix::from_fn(5, 7, |i, j| ((i * 7 + j) as f64).sin());
-        let from_slices: Vec<Matrix> = column_batches(&a, 2).collect();
-        let gen = BatchGenerator::new(5, 7, 2, |j| a.col(j));
-        let from_gen: Vec<Matrix> = gen.collect();
-        assert_eq!(from_slices, from_gen);
-    }
-
-    #[test]
-    fn generator_size_hint() {
-        let gen = BatchGenerator::new(3, 10, 4, |j| vec![j as f64; 3]);
-        assert_eq!(gen.batch_count(), 3);
-        assert_eq!(gen.size_hint(), (3, Some(3)));
-        assert_eq!(gen.count(), 3);
-    }
-
-    #[test]
     fn matrix_source_matches_slicing_and_reuses_dst() {
         let a = Matrix::from_fn(6, 9, |i, j| ((i * 9 + j) as f64).cos());
         let expect: Vec<Matrix> = column_batches(&a, 4).collect();
         let mut src = MatrixBatchSource::new(&a, 4);
         assert_eq!(src.batches_hint(), Some(3));
         let mut dst = Matrix::zeros(6, 4); // warmed to the widest batch
-        for e in &expect {
-            assert!(src.next_batch_into(&mut dst).unwrap());
-            assert_eq!(&dst, e);
-        }
-        assert!(!src.next_batch_into(&mut dst).unwrap());
-    }
-
-    #[test]
-    fn generator_as_source_matches_iterator() {
-        let a = Matrix::from_fn(5, 7, |i, j| ((i * 7 + j) as f64).sin());
-        let expect: Vec<Matrix> = BatchGenerator::new(5, 7, 3, |j| a.col(j)).collect();
-        let mut src = BatchGenerator::new(5, 7, 3, |j| a.col(j));
-        let mut dst = Matrix::zeros(0, 0);
         for e in &expect {
             assert!(src.next_batch_into(&mut dst).unwrap());
             assert_eq!(&dst, e);

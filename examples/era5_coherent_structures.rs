@@ -14,7 +14,7 @@
 
 use pyparsvd::core::postprocess::{sparkline, write_modes_csv};
 use pyparsvd::data::era5::{generate, Era5Config};
-use pyparsvd::data::ncsim::{self, NcsimReader};
+use pyparsvd::data::ncsim::{write_v2, NcsimReader, V2Options};
 use pyparsvd::linalg::validate::max_principal_angle;
 use pyparsvd::prelude::*;
 
@@ -35,7 +35,8 @@ fn main() {
 
     // Parallel-IO path: one file, per-rank hyperslab reads.
     let path = std::env::temp_dir().join(format!("era5_demo_{}.ncs", std::process::id()));
-    ncsim::write(&path, "surface_pressure", &dataset.snapshots).expect("write ncsim");
+    write_v2(&path, "surface_pressure", &dataset.snapshots, V2Options::default())
+        .expect("write ncsim");
     println!("wrote {} ({} MB)", path.display(), dataset.snapshots.byte_mb());
 
     let n_ranks = 8;

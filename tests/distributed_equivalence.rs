@@ -2,7 +2,7 @@
 //! rank counts, the ncsim parallel-IO path, and traffic accounting.
 
 use pyparsvd::data::burgers::{snapshot_matrix, BurgersConfig};
-use pyparsvd::data::ncsim::{self, NcsimReader};
+use pyparsvd::data::ncsim::{write_v2, NcsimReader, V2Options};
 use pyparsvd::data::partition::split_rows;
 use pyparsvd::linalg::validate::{max_principal_angle, spectrum_error};
 use pyparsvd::prelude::*;
@@ -71,7 +71,7 @@ fn randomized_parallel_close_to_deterministic_parallel() {
 fn ncsim_hyperslab_pipeline_matches_in_memory() {
     let data = burgers_data();
     let path = std::env::temp_dir().join(format!("psvd_it_ncsim_{}.ncs", std::process::id()));
-    ncsim::write(&path, "u", &data).unwrap();
+    write_v2(&path, "u", &data, V2Options::default()).unwrap();
 
     let k = 3;
     let cfg = SvdConfig::new(k).with_forget_factor(1.0).with_r1(48).with_r2(48);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use pyparsvd::core::{SerialStreamingSvd, SvdCheckpoint, SvdConfig};
-use pyparsvd::data::ncsim::{self, write_v2, Codec, NcsimReader, V2Options};
+use pyparsvd::data::ncsim::{write_v2, Codec, NcsimReader, NcsimV2Writer, V2Options};
 use pyparsvd::linalg::Matrix;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -50,7 +50,7 @@ proptest! {
     fn ncsim_truncated_files_rejected(cut in 1usize..100) {
         let path = tmp("truncated");
         let a = Matrix::from_fn(8, 8, |i, j| (i * 8 + j) as f64);
-        ncsim::write(&path, "v", &a).unwrap();
+        write_v2(&path, "v", &a, V2Options::default()).unwrap();
         let full = std::fs::read(&path).unwrap();
         let cut = cut.min(full.len() - 1);
         std::fs::write(&path, &full[..full.len() - cut]).unwrap();
@@ -131,8 +131,8 @@ fn regression_checkpoint_bitflip_flip_15() {
 fn ncsim_header_only_file() {
     // A file containing exactly the header (zero-row variable) roundtrips.
     let path = tmp("header_only");
-    let a = Matrix::zeros(0, 5);
-    ncsim::write(&path, "empty", &a).unwrap();
+    let a: Matrix = Matrix::zeros(0, 5);
+    write_v2(&path, "empty", &a, V2Options::default()).unwrap();
     let mut r = NcsimReader::open(&path).unwrap();
     assert_eq!(r.rows(), 0);
     assert_eq!(r.cols(), 5);
@@ -144,11 +144,21 @@ fn ncsim_header_only_file() {
 fn ncsim_large_name_rejected() {
     // Corrupt the name length field to a huge value: reader must refuse.
     let path = tmp("bigname");
-    let a = Matrix::zeros(2, 2);
-    ncsim::write(&path, "ok", &a).unwrap();
+    let a: Matrix = Matrix::zeros(2, 2);
+    write_v2(&path, "ok", &a, V2Options::default()).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[8..12].copy_from_slice(&(u32::MAX).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     assert!(NcsimReader::open(&path).is_err());
+    std::fs::remove_file(&path).ok();
+
+    // The writer refuses, before creating the file, any name its own
+    // reader would refuse; the longest accepted name round-trips.
+    let long = "x".repeat(5000);
+    let err = NcsimV2Writer::<f64>::create(&path, &long, 2, 2, V2Options::default()).err();
+    assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
+    assert!(!path.exists(), "a refused name must not leave a file behind");
+    write_v2(&path, &long[..4096], &a, V2Options::default()).unwrap();
+    assert_eq!(NcsimReader::open(&path).unwrap().header().name.len(), 4096);
     std::fs::remove_file(&path).ok();
 }
