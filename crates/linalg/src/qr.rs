@@ -24,19 +24,34 @@ use std::sync::OnceLock;
 /// Below this many flops (`4 · v.len() · columns`) a reflector sweep runs
 /// on the calling thread: the p×p root factorization of TSQR and the short
 /// panel columns of the blocked path would otherwise spend more time in
-/// thread-pool handoff than in arithmetic. The serial path executes the
-/// identical per-column instruction sequence, so the cutoff never changes
-/// bits — only where they are computed.
+/// thread-pool handoff than in arithmetic. Above it the sweep's columns are
+/// split into one contiguous chunk per thread (grain 16). Every column gets
+/// the identical op sequence either way, so the cutoff never changes bits —
+/// only where they are computed.
 const REFLECTOR_PAR_MIN_FLOPS: usize = 1 << 15;
+
+/// Columns per tile of a reflector sweep. A tile's dot products live in a
+/// stack array, so the sweep allocates nothing, and each row's share of a
+/// tile is one contiguous run of the row-major buffer.
+const SWEEP_TILE: usize = 64;
 
 /// Apply `H = I - 2 v vᵀ / vnorm2` to rows `[k, k + v.len())` of columns
 /// `[j0, j1)` of the row-major buffer `data` (row stride `ld`).
 ///
-/// Columns are independent, so the sweep is partitioned across the kernel
-/// thread pool; each column's dot/update runs the exact serial instruction
-/// sequence, keeping the factorization bitwise identical at any thread
-/// count. Small sweeps (see [`REFLECTOR_PAR_MIN_FLOPS`]) skip the pool
-/// entirely.
+/// The sweep walks memory in row order. Each thread owns a contiguous
+/// chunk of columns and takes it [`SWEEP_TILE`] columns at a time: one pass
+/// over the rows accumulates `w[j] += v[i]·a[i][j]`, then
+/// `s[j] = 2·w[j] / vnorm2`, then a second pass applies
+/// `a[i][j] -= s[j]·v[i]`. Every column sees the adds of a column-by-column
+/// dot/update in the same order, so the result is bitwise independent of
+/// the tile width and of the thread count. Small sweeps (see
+/// [`REFLECTOR_PAR_MIN_FLOPS`]) skip the pool entirely.
+///
+/// `next` (length `v.len() - 1`), when given, receives rows `k + 1 ..` of
+/// column `j0` as they leave the second pass: the factorization loops read
+/// the next Householder vector from there instead of walking a column of
+/// the row-major buffer.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_reflector<T: Scalar>(
     data: &mut [T],
     ld: usize,
@@ -45,22 +60,49 @@ pub(crate) fn apply_reflector<T: Scalar>(
     j1: usize,
     v: &[T],
     vnorm2: T,
+    next: Option<&mut [T]>,
 ) {
+    // The raw-pointer rows below stay inside `data` and `next`.
+    assert!(j0 <= j1 && j1 <= ld && (v.is_empty() || (k + v.len() - 1) * ld + j1 <= data.len()));
     let cols = j1 - j0;
+    let next = next.map(|n| {
+        assert_eq!(n.len() + 1, v.len());
+        par::SendPtr(n.as_mut_ptr())
+    });
     let two = T::from_f64(2.0);
     let ptr = par::SendPtr(data.as_mut_ptr());
     let body = |c0: usize, c1: usize| {
-        for j in j0 + c0..j0 + c1 {
-            let mut dot = T::ZERO;
-            for (idx, vi) in v.iter().enumerate() {
-                // SAFETY: each column j belongs to exactly one chunk.
-                dot += *vi * unsafe { *ptr.get().add((k + idx) * ld + j) };
+        let mut t0 = c0;
+        while t0 < c1 {
+            let tw = SWEEP_TILE.min(c1 - t0);
+            let at = |i: usize| (k + i) * ld + j0 + t0;
+            let mut w = [T::ZERO; SWEEP_TILE];
+            for (i, vi) in v.iter().enumerate() {
+                // SAFETY: the assert above keeps the run inside `data`, and
+                // columns [t0, t0 + tw) belong to this chunk alone.
+                let row = unsafe { std::slice::from_raw_parts(ptr.get().add(at(i)), tw) };
+                for (wj, x) in w.iter_mut().zip(row) {
+                    *wj += *vi * *x;
+                }
             }
-            let s = two * dot / vnorm2;
-            for (idx, vi) in v.iter().enumerate() {
+            for wj in &mut w[..tw] {
+                *wj = two * *wj / vnorm2;
+            }
+            // Column j0 opens the first tile of the first chunk.
+            let capture = if t0 == 0 { next } else { None };
+            for (i, vi) in v.iter().enumerate() {
                 // SAFETY: as above; writes stay within this chunk's columns.
-                unsafe { *ptr.get().add((k + idx) * ld + j) -= s * *vi };
+                let row = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(at(i)), tw) };
+                for (x, sj) in row.iter_mut().zip(&w) {
+                    *x -= *sj * *vi;
+                }
+                if let (Some(n), true) = (capture, i > 0) {
+                    // SAFETY: only the chunk owning column j0 writes `next`,
+                    // and `i - 1 < v.len() - 1 = next.len()`.
+                    unsafe { *n.get().add(i - 1) = row[0] };
+                }
             }
+            t0 += tw;
         }
     };
     if 4 * v.len() * cols < REFLECTOR_PAR_MIN_FLOPS {
@@ -232,45 +274,15 @@ fn householder_into<T: Scalar>(
     let mut vs = ws.take(p, m);
     let mut vn = ws.take(1, p);
 
+    let mut have_v = false;
     for k in 0..p {
-        // Build the reflector annihilating R[k+1.., k].
-        let vlen = m - k;
-        {
-            let vrow = &mut vs.row_mut(k)[..vlen];
-            for (idx, vv) in vrow.iter_mut().enumerate() {
-                *vv = work[(k + idx, k)];
-            }
-        }
-        let alpha = {
-            let v = &vs.row(k)[..vlen];
-            let norm = v.iter().map(|x| *x * *x).sum::<T>().sqrt();
-            if v[0] >= T::ZERO {
-                -norm
-            } else {
-                norm
-            }
-        };
-        if alpha == T::ZERO {
-            // Column already zero below (and at) the diagonal: identity reflector.
-            continue;
-        }
-        vs[(k, 0)] -= alpha;
-        let vnorm2: T = vs.row(k)[..vlen].iter().map(|x| *x * *x).sum();
-        if vnorm2 == T::ZERO {
-            continue;
-        }
-        vn[(0, k)] = vnorm2;
-        // Apply H = I - 2 v vᵀ / (vᵀv) to R[k.., k..], columns in parallel.
-        apply_reflector(work.as_mut_slice(), n, k, k, n, &vs.row(k)[..vlen], vnorm2);
-        // Clean the annihilated entries exactly.
-        work[(k, k)] = alpha;
-        for i in k + 1..m {
-            work[(i, k)] = T::ZERO;
-        }
+        have_v = reduce_column(&mut work, &mut vs, vn.row_mut(0), k, n, have_v);
     }
 
     // Form thin Q by applying the reflectors (in reverse) to the first p
-    // columns of the identity.
+    // columns of the identity. Reflector k acts on columns [k, p) only:
+    // columns [0, k) are still e_0 .. e_{k-1}, supported above its rows, so
+    // for finite input their dots are exactly +0 and would change no bit.
     q.reshape_zeroed(m, p);
     for i in 0..p {
         q[(i, i)] = T::ONE;
@@ -280,7 +292,7 @@ fn householder_into<T: Scalar>(
         if vnorm2 == T::ZERO {
             continue;
         }
-        apply_reflector(q.as_mut_slice(), p, k, 0, p, &vs.row(k)[..m - k], vnorm2);
+        apply_reflector(q.as_mut_slice(), p, k, k, p, &vs.row(k)[..m - k], vnorm2, None);
     }
 
     r_out.reshape_for_overwrite(p, n);
@@ -340,39 +352,11 @@ fn householder_blocked_into<T: Scalar>(
     while k0 < p {
         let nbk = nb.min(p - k0);
         // Panel reduction: reflectors k0 .. k0+nbk, applied only within
-        // the panel's columns.
-        for j in 0..nbk {
-            let k = k0 + j;
-            let vlen = m - k;
-            {
-                let vrow = &mut vs.row_mut(k)[..vlen];
-                for (idx, vv) in vrow.iter_mut().enumerate() {
-                    *vv = work[(k + idx, k)];
-                }
-            }
-            let alpha = {
-                let v = &vs.row(k)[..vlen];
-                let norm = v.iter().map(|x| *x * *x).sum::<T>().sqrt();
-                if v[0] >= T::ZERO {
-                    -norm
-                } else {
-                    norm
-                }
-            };
-            if alpha == T::ZERO {
-                continue;
-            }
-            vs[(k, 0)] -= alpha;
-            let vnorm2: T = vs.row(k)[..vlen].iter().map(|x| *x * *x).sum();
-            if vnorm2 == T::ZERO {
-                continue;
-            }
-            vn[(0, k)] = vnorm2;
-            apply_reflector(work.as_mut_slice(), n, k, k, k0 + nbk, &vs.row(k)[..vlen], vnorm2);
-            work[(k, k)] = alpha;
-            for i in k + 1..m {
-                work[(i, k)] = T::ZERO;
-            }
+        // the panel's columns. The panel's first vector is gathered: the
+        // trailing update below has rewritten its column since any sweep.
+        let mut have_v = false;
+        for k in k0..k0 + nbk {
+            have_v = reduce_column(&mut work, &mut vs, vn.row_mut(0), k, k0 + nbk, have_v);
         }
         // Trailing update through the packed GEMM engine.
         if k0 + nbk < n {
@@ -405,6 +389,66 @@ fn householder_blocked_into<T: Scalar>(
     ws.give(vn);
 }
 
+/// Reduce column `k` of the row-major working copy `work` (`m x n`): build
+/// the Householder vector `v_k` in row `k` of `vs` (`p x m`) and its `‖v‖²`
+/// in `vn[k]`, apply the reflector to columns `(k, j1)`, then put `alpha`
+/// on the diagonal and exact zeros on rows `k + 1 .. p` of column `k`.
+///
+/// Column `k` is left out of the sweep because its result is overwritten,
+/// and its rows `p ..` are never read again. `have_v` says reflector
+/// `k - 1`'s sweep already left `v_k` in `vs`; otherwise column `k` is
+/// gathered. Returns whether this sweep captured `v_{k+1}`, which it does
+/// whenever column `k + 1` is swept and reflector `k + 1` exists. An
+/// identity reflector (`‖v‖² = 0`) sweeps nothing and captures nothing.
+fn reduce_column<T: Scalar>(
+    work: &mut Matrix<T>,
+    vs: &mut Matrix<T>,
+    vn: &mut [T],
+    k: usize,
+    j1: usize,
+    have_v: bool,
+) -> bool {
+    let (m, n) = work.shape();
+    let p = vs.rows();
+    let vlen = m - k;
+    if !have_v {
+        for (idx, vv) in vs.row_mut(k)[..vlen].iter_mut().enumerate() {
+            *vv = work[(k + idx, k)];
+        }
+    }
+    let alpha = {
+        let v = &vs.row(k)[..vlen];
+        let norm = v.iter().map(|x| *x * *x).sum::<T>().sqrt();
+        if v[0] >= T::ZERO {
+            -norm
+        } else {
+            norm
+        }
+    };
+    if alpha == T::ZERO {
+        // Column already zero below (and at) the diagonal: identity reflector.
+        return false;
+    }
+    vs[(k, 0)] -= alpha;
+    let vnorm2: T = vs.row(k)[..vlen].iter().map(|x| *x * *x).sum();
+    if vnorm2 == T::ZERO {
+        return false;
+    }
+    vn[k] = vnorm2;
+    let capture = k + 1 < j1.min(p);
+    if k + 1 < j1 {
+        // Row k of `vs` is v_k; row k + 1 receives v_{k+1}.
+        let (done, rest) = vs.as_mut_slice().split_at_mut((k + 1) * m);
+        let next = if capture { Some(&mut rest[..vlen - 1]) } else { None };
+        apply_reflector(work.as_mut_slice(), n, k, k + 1, j1, &done[k * m..][..vlen], vnorm2, next);
+    }
+    work[(k, k)] = alpha;
+    for i in k + 1..p {
+        work[(i, k)] = T::ZERO;
+    }
+    capture
+}
+
 /// Flip signs so that `diag(R) >= 0`, adjusting `Q` columns to keep `QR`
 /// unchanged.
 pub fn canonicalize<T: Scalar>(f: &mut QrFactors<T>) {
@@ -413,15 +457,31 @@ pub fn canonicalize<T: Scalar>(f: &mut QrFactors<T>) {
 
 /// [`canonicalize`] on loose factors (the `_into` pipelines keep `q` and
 /// `r` in separate caller-owned buffers).
+///
+/// `Q`'s flagged columns are negated in row order, 64 columns per pass
+/// over the rows, rather than one strided walk per column.
 pub fn canonicalize_qr<T: Scalar>(q: &mut Matrix<T>, r: &mut Matrix<T>) {
-    let p = r.rows();
-    for k in 0..p.min(r.cols()) {
-        if r[(k, k)] < T::ZERO {
-            for j in 0..r.cols() {
-                r[(k, j)] = -r[(k, j)];
-            }
+    let p = r.rows().min(r.cols());
+    for t0 in (0..p).step_by(SWEEP_TILE) {
+        let tw = SWEEP_TILE.min(p - t0);
+        let mut flip = [false; SWEEP_TILE];
+        for (j, f) in flip[..tw].iter_mut().enumerate() {
+            *f = r[(t0 + j, t0 + j)] < T::ZERO;
+        }
+        if flip.iter().any(|&f| f) {
             for i in 0..q.rows() {
-                q[(i, k)] = -q[(i, k)];
+                for (x, &f) in q.row_mut(i)[t0..t0 + tw].iter_mut().zip(&flip) {
+                    if f {
+                        *x = -*x;
+                    }
+                }
+            }
+        }
+    }
+    for k in 0..p {
+        if r[(k, k)] < T::ZERO {
+            for x in r.row_mut(k) {
+                *x = -*x;
             }
         }
     }
@@ -620,6 +680,179 @@ mod tests {
         assert_eq!(s.misses, 0, "warm workspace must serve every take");
         assert_eq!(s.fresh_bytes, 0);
         assert!(s.takes > 0);
+    }
+
+    /// The column-walk reflector sweep the row sweep replaced, frozen as
+    /// its bitwise oracle: one column at a time, dot then update.
+    fn oracle_apply_reflector<T: Scalar>(
+        data: &mut [T],
+        ld: usize,
+        k: usize,
+        j0: usize,
+        j1: usize,
+        v: &[T],
+        vnorm2: T,
+    ) {
+        let two = T::from_f64(2.0);
+        for j in j0..j1 {
+            let mut dot = T::ZERO;
+            for (idx, vi) in v.iter().enumerate() {
+                dot += *vi * data[(k + idx) * ld + j];
+            }
+            let s = two * dot / vnorm2;
+            for (idx, vi) in v.iter().enumerate() {
+                data[(k + idx) * ld + j] -= s * *vi;
+            }
+        }
+    }
+
+    /// The column-walk unblocked factorization and canonicalization, frozen
+    /// as the oracle: gathers every `v_k`, sweeps the full trailing matrix
+    /// and every column of `Q`, and zeroes all of column `k` below the
+    /// diagonal.
+    fn oracle_unblocked_qr<T: Scalar>(a: &Matrix<T>) -> (Matrix<T>, Matrix<T>) {
+        let (m, n) = a.shape();
+        let p = m.min(n);
+        let mut work = a.clone();
+        let mut vs = Matrix::zeros(p, m);
+        let mut vn = vec![T::ZERO; p];
+        for k in 0..p {
+            let vlen = m - k;
+            for idx in 0..vlen {
+                vs[(k, idx)] = work[(k + idx, k)];
+            }
+            let norm = vs.row(k)[..vlen].iter().map(|x| *x * *x).sum::<T>().sqrt();
+            let alpha = if vs[(k, 0)] >= T::ZERO { -norm } else { norm };
+            if alpha == T::ZERO {
+                continue;
+            }
+            vs[(k, 0)] -= alpha;
+            let vnorm2: T = vs.row(k)[..vlen].iter().map(|x| *x * *x).sum();
+            if vnorm2 == T::ZERO {
+                continue;
+            }
+            vn[k] = vnorm2;
+            oracle_apply_reflector(work.as_mut_slice(), n, k, k, n, &vs.row(k)[..vlen], vnorm2);
+            work[(k, k)] = alpha;
+            for i in k + 1..m {
+                work[(i, k)] = T::ZERO;
+            }
+        }
+        let mut q = Matrix::zeros(m, p);
+        for i in 0..p {
+            q[(i, i)] = T::ONE;
+        }
+        for k in (0..p).rev() {
+            if vn[k] != T::ZERO {
+                oracle_apply_reflector(q.as_mut_slice(), p, k, 0, p, &vs.row(k)[..m - k], vn[k]);
+            }
+        }
+        let mut r = work.submatrix(0, p, 0, n);
+        for k in 0..p {
+            if r[(k, k)] < T::ZERO {
+                for j in 0..n {
+                    r[(k, j)] = -r[(k, j)];
+                }
+                for i in 0..m {
+                    q[(i, k)] = -q[(i, k)];
+                }
+            }
+        }
+        (q, r)
+    }
+
+    /// The unblocked core plus canonicalization, called directly so no
+    /// panel-width knob can route it elsewhere.
+    fn unblocked_qr<T: Scalar>(a: &Matrix<T>) -> (Matrix<T>, Matrix<T>) {
+        let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        householder_into(a.view(), &mut q, &mut r, &mut Workspace::new());
+        canonicalize_qr(&mut q, &mut r);
+        (q, r)
+    }
+
+    fn bits<T: Scalar>(xs: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for x in xs {
+            x.put_le_bytes(&mut out);
+        }
+        out
+    }
+
+    fn mat<T: Scalar>(r: usize, c: usize, seed: f64) -> Matrix<T> {
+        Matrix::from_fn(r, c, |i, j| T::from_f64(((i * 37 + j * 11) as f64 * seed).sin() + 0.1))
+    }
+
+    fn sweep_matches_column_walk<T: Scalar>() {
+        let (m, k, j0) = (80, 5, 3);
+        let v: Vec<T> = (0..m - k)
+            .map(|i| T::from_f64((i as f64 * 0.61).cos() + if i == 0 { 1.5 } else { 0.0 }))
+            .collect();
+        let vnorm2: T = v.iter().map(|x| *x * *x).sum();
+        // 130 columns cross the parallel cutoff (4 · 75 · 130 > 2^15).
+        for w in [1, 15, 16, 17, 63, 64, 65, 130] {
+            let ld = j0 + w + 4;
+            let a: Matrix<T> = mat(m, ld, 0.37);
+            let mut want = a.clone();
+            oracle_apply_reflector(want.as_mut_slice(), ld, k, j0, j0 + w, &v, vnorm2);
+            let mut got = a.clone();
+            apply_reflector(got.as_mut_slice(), ld, k, j0, j0 + w, &v, vnorm2, None);
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{} width {w}", T::NAME);
+            // The capturing sweep writes the same bits and hands back rows
+            // k + 1 .. of column j0.
+            let mut next = vec![T::ZERO; m - k - 1];
+            let mut got = a.clone();
+            apply_reflector(got.as_mut_slice(), ld, k, j0, j0 + w, &v, vnorm2, Some(&mut next));
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{} width {w}", T::NAME);
+            let col: Vec<T> = want.col_iter(j0).skip(k + 1).collect();
+            assert_eq!(bits(&next), bits(&col), "{} capture, width {w}", T::NAME);
+        }
+    }
+
+    #[test]
+    fn row_sweep_is_bitwise_the_column_walk() {
+        sweep_matches_column_walk::<f64>();
+        sweep_matches_column_walk::<f32>();
+    }
+
+    fn unblocked_matches_column_walk<T: Scalar>() {
+        let zero = T::ZERO;
+        let signed_zeros =
+            Matrix::from_fn(40, 12, |i, j| if (i + j) % 3 == 0 { -zero } else { zero });
+        let mut zero_col: Matrix<T> = mat(60, 10, 0.9);
+        zero_col.set_col(3, &[zero; 60]);
+        // Columns 0..3 are (3, 4, 0, …): reflector 0 maps columns 1 and 2
+        // to exactly (−5, 0, …), so reflectors 1 and 2 are identities and
+        // the vector after each must be gathered, not captured.
+        let mut dup: Matrix<T> = mat(30, 8, 0.53);
+        let mut c = [zero; 30];
+        c[0] = T::from_f64(3.0);
+        c[1] = T::from_f64(4.0);
+        for j in 0..3 {
+            dup.set_col(j, &c);
+        }
+        let cases = [
+            ("3000x32", mat(3000, 32, 0.7)),
+            ("signed zeros", signed_zeros),
+            ("zero column", zero_col),
+            ("duplicated columns", dup.clone()),
+            ("wide 8x25", mat(8, 25, 0.5)),
+            ("45x13", mat(45, 13, 0.37)),
+        ];
+        for (name, a) in &cases {
+            let (q, r) = unblocked_qr(a);
+            let (oq, or) = oracle_unblocked_qr(a);
+            assert_eq!((q.shape(), r.shape()), (oq.shape(), or.shape()), "{} {name}", T::NAME);
+            assert_eq!(bits(q.as_slice()), bits(oq.as_slice()), "{} {name}: Q", T::NAME);
+            assert_eq!(bits(r.as_slice()), bits(or.as_slice()), "{} {name}: R", T::NAME);
+        }
+        let (_, r) = unblocked_qr(&dup);
+        assert!(r[(1, 1)] == zero && r[(2, 2)] == zero, "identity reflectors not hit");
+    }
+
+    #[test]
+    fn unblocked_qr_is_bitwise_the_column_walk() {
+        unblocked_matches_column_walk::<f64>();
+        unblocked_matches_column_walk::<f32>();
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn bidiagonalize_dense<T: Scalar>(a: &Matrix<T>) -> (Matrix<T>, Vec<T>, Vec<T>, 
             let vn2: T = lvs.row(k)[..vlen].iter().map(|x| *x * *x).sum();
             if vn2 > T::ZERO {
                 lvn[k] = vn2;
-                apply_reflector(b.as_mut_slice(), n, k, k, n, &lvs.row(k)[..vlen], vn2);
+                apply_reflector(b.as_mut_slice(), n, k, k, n, &lvs.row(k)[..vlen], vn2, None);
                 b[(k, k)] = alpha;
                 for i in k + 1..m {
                     b[(i, k)] = T::ZERO;

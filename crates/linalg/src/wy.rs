@@ -139,8 +139,8 @@ pub(crate) fn apply_block_left<T: Scalar>(
 /// site. Then during backward accumulation column `j < off + k0` of `x` is
 /// still the unit vector `e_j`, supported strictly above panel `k0`'s row
 /// range, so every application can be restricted to the trailing columns —
-/// roughly halving the flops versus a full-width sweep. (The unblocked
-/// reference below has no such restriction and works on arbitrary `x`.)
+/// roughly halving the flops versus a full-width sweep. The unblocked
+/// form below makes the same restriction under the same contract.
 pub(crate) fn accumulate_reverse<T: Scalar>(
     vs: &Matrix<T>,
     vn: &[T],
@@ -180,9 +180,11 @@ pub(crate) fn accumulate_reverse<T: Scalar>(
 }
 
 /// The `nb = 1` reference form of [`accumulate_reverse`]: one reflector at
-/// a time, full column width — the exact op sequence of the historical
-/// unblocked accumulation loops, kept for small problems where panel
-/// assembly overhead dominates.
+/// a time, kept for small problems where panel assembly overhead
+/// dominates. Same contract: `x` starts as leading identity columns.
+/// Reflector `k` is applied to columns `[off + k, cols)` only; the columns
+/// before are still unit vectors supported above its rows, which for
+/// finite input it would leave bitwise unchanged (the dot is exactly `+0`).
 pub(crate) fn accumulate_reverse_unblocked<T: Scalar>(
     vs: &Matrix<T>,
     vn: &[T],
@@ -193,7 +195,7 @@ pub(crate) fn accumulate_reverse_unblocked<T: Scalar>(
     let (rows, cols) = x.shape();
     for k in (0..count).rev() {
         let vnorm2 = vn[k];
-        if vnorm2 == T::ZERO {
+        if vnorm2 == T::ZERO || off + k >= cols {
             continue;
         }
         let vlen = rows - off - k;
@@ -201,10 +203,11 @@ pub(crate) fn accumulate_reverse_unblocked<T: Scalar>(
             x.as_mut_slice(),
             cols,
             off + k,
-            0,
+            off + k,
             cols,
             &vs.row(k)[..vlen],
             vnorm2,
+            None,
         );
     }
 }

@@ -143,6 +143,22 @@ fn blocked_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
+fn unblocked_bitwise_identical_across_thread_counts() {
+    let _g = lock_knob();
+    // The early reflectors sweep 32+ columns of 4000 rows, past the serial
+    // cutoff, so the grain-16 column partition genuinely splits.
+    let a = gaussian_matrix(4000, 40, &mut seeded_rng(5));
+    par::set_num_threads(1);
+    let base = qr_with_block(&a, 1);
+    for threads in [2usize, 4, 8] {
+        par::set_num_threads(threads);
+        let f = qr_with_block(&a, 1);
+        assert_eq!(f.q, base.q, "Q bits changed at {threads} threads");
+        assert_eq!(f.r, base.r, "R bits changed at {threads} threads");
+    }
+}
+
+#[test]
 fn blocked_path_reuses_workspace() {
     let _g = lock_knob();
     set_qr_block(16);
