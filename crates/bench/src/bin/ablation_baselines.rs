@@ -1,14 +1,13 @@
 //! Ablation A5: streaming/truncated SVD algorithm baselines.
 //!
-//! The paper builds on Levy–Lindenbaum; the incremental-SVD literature it
-//! cites (Sarwar et al.) uses Brand-style updates, and the randomized SVD is
-//! the one-shot alternative when the matrix fits in memory. This harness
-//! runs all three on the same tall snapshot matrices and reports accuracy
-//! vs the exact truncated SVD and wall time:
+//! The paper builds on Levy–Lindenbaum, and the randomized SVD is the
+//! one-shot alternative when the matrix fits in memory. This harness runs
+//! both on the same tall snapshot matrices and reports accuracy vs the
+//! exact truncated SVD and wall time:
 //!
-//! - `levy-lindenbaum` — this library's streaming driver (QR of the full
-//!   `M x (K+B)` stack per batch);
-//! - `brand` — residual-QR incremental updates (`O(MKB + MB²)` per batch);
+//! - `levy-lindenbaum` — this library's streaming driver (each batch
+//!   projected onto the modes, only the `M x B` residual QR'd:
+//!   `O(MKB + MB²)` per batch);
 //! - `randomized` — one-shot randomized SVD (q = 2);
 //! - `one-shot` — the deterministic truncated SVD (ground truth, also timed).
 //!
@@ -17,7 +16,7 @@
 //! ```
 
 use psvd_bench::{fmt_secs, time_it, Table};
-use psvd_core::{batch_truncated_svd, BrandIncrementalSvd, SerialStreamingSvd, SvdConfig};
+use psvd_core::{batch_truncated_svd, SerialStreamingSvd, SvdConfig};
 use psvd_data::burgers::{snapshot_matrix, BurgersConfig};
 use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
 use psvd_linalg::randomized::{randomized_svd, RandomizedConfig};
@@ -46,13 +45,6 @@ fn compare(name: &str, data: &Matrix, k: usize, batch: usize) {
     });
     report("levy-lindenbaum", t_ll, ll.singular_values(), ll.modes());
 
-    let (brand, t_brand) = time_it(|| {
-        let mut s = BrandIncrementalSvd::new(SvdConfig::new(k).with_forget_factor(1.0));
-        s.fit_batched(data, batch);
-        s
-    });
-    report("brand", t_brand, brand.singular_values(), brand.modes());
-
     let (rand_svd, t_rand) = time_it(|| {
         let mut rng = seeded_rng(4);
         randomized_svd(data, &RandomizedConfig::new(k).with_power_iterations(2), &mut rng)
@@ -76,6 +68,5 @@ fn main() {
     let synthetic = matrix_with_spectrum(8192, 128, &spec, &mut rng);
     compare("synthetic (geometric decay)", &synthetic, 10, 16);
 
-    println!("expected: streaming methods trade a little accuracy for batch-sized memory;");
-    println!("brand undercuts levy-lindenbaum in time (residual-QR vs full-stack QR).");
+    println!("expected: streaming trades a little accuracy for batch-sized memory.");
 }

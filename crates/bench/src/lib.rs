@@ -15,7 +15,7 @@
 //! | `ablation_truncation` | r1/r2 accuracy-vs-traffic sweep |
 //! | `ablation_randomized` | oversampling / power-iteration sweep |
 //! | `ablation_batch_size` | streaming batch-size sweep |
-//! | `ablation_baselines` | Levy–Lindenbaum vs Brand vs randomized vs one-shot |
+//! | `ablation_baselines` | Levy–Lindenbaum vs randomized vs one-shot |
 
 use std::time::Instant;
 

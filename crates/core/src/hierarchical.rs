@@ -347,8 +347,8 @@ fn interior_factorize<T: Scalar>(
     }
     let mut x = Matrix::zeros(0, 0);
     let mut ctx = Ctx { cfg, rng: &mut rng, ws };
-    let Ok(f) = factor_truncate(qr, &mut ctx, stack, keep, usize::MAX, q, &mut x);
-    (x, f.s)
+    let Ok(s) = factor_truncate(qr, &mut ctx, stack, keep, usize::MAX, q, &mut x);
+    (x, s)
 }
 
 /// `m · diag(d)` in place: scales column `j` by `d[j]`.

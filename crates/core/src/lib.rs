@@ -7,12 +7,15 @@
 //!
 //! 1. **Streaming** ([`serial::SerialStreamingSvd`]): Levy–Lindenbaum
 //!    batch-wise updates of the `K` leading left singular vectors with a
-//!    forget factor. The update — state, `[ff·U·D | A]` stack, thin QR →
-//!    inner SVD → `Q·U'_K`, ingestion loop, checkpoint capture — is written
-//!    once (the private `update` module); a driver supplies how a tall
-//!    stack is QR-factored and how the first batch is factored.
+//!    forget factor. The update — state, projection of each batch onto the
+//!    modes, thin QR of the `M x B` residual → inner SVD of the small core
+//!    → `[U | J]·U'_K`, the full `[ff·U·D | A]` stack when the measured
+//!    `UᵀU` is not `I` to within [`ortho_gate`], ingestion loop, checkpoint
+//!    capture — is written once (the private `update` module); a driver
+//!    supplies how small matrices are summed, how a tall matrix is
+//!    QR-factored, and how the first batch is factored.
 //! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): the same update
-//!    with TSQR as the QR and one APMOS round (one exchange,
+//!    with allreduces as the sums, TSQR as the QR and one APMOS round (one exchange,
 //!    [`hierarchical`]'s merge tree, entry points [`try_merge_tree_svd`] /
 //!    [`try_merge_tree_svd_into`]; depth 1 is the paper's flat gather) as
 //!    the first-batch factorization, over any
@@ -34,7 +37,6 @@
 //! assert!(svd.singular_values().windows(2).all(|w| w[0] >= w[1]));
 //! ```
 
-pub mod brand;
 pub mod checkpoint;
 pub mod config;
 pub mod hierarchical;
@@ -45,7 +47,6 @@ pub mod serial;
 mod update;
 mod wire;
 
-pub use brand::BrandIncrementalSvd;
 pub use checkpoint::SvdCheckpoint;
 pub use config::{ConfigError, Precision, SvdConfig};
 pub use hierarchical::{
@@ -54,3 +55,4 @@ pub use hierarchical::{
 pub use parallel::{parallel_svd_once, DegradedInfo, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};
 pub use serial::{batch_truncated_svd, SerialStreamingSvd};
+pub use update::ortho_gate;

@@ -10,12 +10,18 @@
 //!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from the
 //!   configuration and the current world (depth 1, the default, *is* the
 //!   paper's Listing 3);
-//! - [`ParallelStreamingSvd::parallel_qr`] factors every later stack —
-//!   TSQR (Benson et al.): local thin QR, R-blocks stacked and
-//!   re-factorized at rank 0, global Q blocks scattered back, plus the SVD
-//!   of the final `R`. Its gather/broadcast (and the mode gathers) follow
-//!   the plan's collective shape: flat for a flat plan, binomial trees for
-//!   a deeper one — same payloads, same bits.
+//! - [`ParallelStreamingSvd::parallel_qr`] factors every later batch's
+//!   `Mᵢ x B` residual (or, when the modes measure as not orthonormal, the
+//!   whole `[ff·U·D | A]` stack) — TSQR (Benson et al.): local thin QR,
+//!   R-blocks stacked and re-factorized at rank 0, global Q blocks
+//!   scattered back, plus the SVD of the final `R`;
+//! - the projection's `UᵀU` and `UᵀA` are summed by an allreduce (gather
+//!   at rank 0, broadcast back), `UᵀU` at native precision under every
+//!   wire policy.
+//!
+//! Every gather and broadcast (and the mode gathers) follows the plan's
+//! collective shape: flat for a flat plan, binomial trees for a deeper
+//! one — same payloads, same bits.
 //!
 //! What the driver itself adds is the world bookkeeping around each round
 //! ([`DegradedInfo`]) and the mode gathers. Every matrix on the wire goes
@@ -38,12 +44,12 @@ use psvd_data::stream::{MatrixBatchSource, SnapshotSource};
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
 use psvd_linalg::workspace::WorkspaceStats;
-use psvd_linalg::{Matrix, Scalar, Svd};
+use psvd_linalg::{Matrix, Scalar};
 
 use crate::checkpoint::SvdCheckpoint;
 use crate::config::SvdConfig;
 use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo};
-use crate::update::{forward_tracker_accessors, Ctx, TallQr, Tracker};
+use crate::update::{forward_tracker_accessors, qr_svd, Ctx, TallQr, Tracker};
 use crate::wire;
 
 /// Tag base for the TSQR Q-block scatter (the paper uses `tag = rank + 10`).
@@ -205,18 +211,44 @@ impl<C: Communicator, T: Scalar> WorldLink<'_, C, T> {
 impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
     type Error = CommError;
 
+    /// One allreduce over the plan's collective shape: gathered at rank
+    /// 0, summed there in rank order (so a flat and a tree plan give the
+    /// same bits) and broadcast back. `x` is packed by the wire rule on
+    /// both legs; `exact` never is.
+    fn sum(
+        &mut self,
+        cfg: &SvdConfig,
+        exact: Matrix<T>,
+        x: Matrix<T>,
+    ) -> Result<(Matrix<T>, Matrix<T>), CommError> {
+        let (plan, mixed) = (plan_for(cfg, self.comm), wire::mixed(cfg));
+        let total = plan.try_gather(self.comm, (exact, wire::pack(mixed, x)), 0)?.map(|parts| {
+            let mut parts = parts.into_iter().map(|(e, x)| (e, x.unpack()));
+            let (mut e_sum, mut x_sum) = parts.next().expect("the root's own part");
+            for (e, x) in parts {
+                for (acc, v) in [(&mut e_sum, e), (&mut x_sum, x)] {
+                    for (a, &y) in acc.as_mut_slice().iter_mut().zip(v.as_slice()) {
+                        *a += y;
+                    }
+                }
+            }
+            (e_sum, wire::pack(mixed, x_sum))
+        });
+        let (exact, x) = plan.try_bcast(self.comm, total, 0)?;
+        Ok((exact, x.unpack()))
+    }
+
     /// TSQR (Listing 4). Local `Q`, the root's stacked-R re-QR factors and
     /// the QR scratch persist (an errored round leaves them in place and
     /// the instance reusable). Both QR stages are `qr_thin_into`: the tall
     /// local stage takes the blocked compact-WY path, the small `pn x n`
     /// root stage stays on the unblocked one (`PSVD_QR_BLOCK`, DESIGN.md).
-    fn qr_svd(
+    fn qr(
         &mut self,
         ctx: &mut Ctx<'_>,
         a_local: &Matrix<T>,
-        rank: usize,
         qlocal: &mut Matrix<T>,
-    ) -> Result<Svd<T>, CommError> {
+    ) -> Result<Option<&Matrix<T>>, CommError> {
         let (comm, cfg) = (self.comm, ctx.cfg);
         let (mixed, plan) = (wire::mixed(cfg), plan_for(cfg, comm));
         let n = a_local.cols();
@@ -238,7 +270,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         // deaths activate, and the scatter below must address the
         // post-transition world (root-ness = who holds the gathered Rs).
         let r_global = plan.try_gather(comm, wire::pack(mixed, local_r), 0)?;
-        let have_rfinal = if let Some(parts) = r_global {
+        if let Some(parts) = r_global {
             let stack = wire::vstack(parts);
             qr_thin_into(stack.view(), &mut self.gq, &mut self.gr, ctx.ws);
             // Scatter each rank's n-row block of the stacked Q; rank 0's
@@ -248,21 +280,26 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
                 comm.try_send(wire::pack(mixed, block), dst, TAG_QR_SCATTER + dst as u64)?;
             }
             matmul_into(self.local_q.view(), self.gq.block(0, n, 0, n), qlocal);
-            true
+            Ok(Some(&self.gr))
         } else {
             let tag = TAG_QR_SCATTER + comm.rank() as u64;
             let block = comm.try_recv::<wire::Wire<T>>(0, tag)?.unpack();
             matmul_into(self.local_q.view(), block.view(), qlocal);
-            false
-        };
+            Ok(None)
+        }
+    }
 
-        // SVD of the small final R at rank 0, broadcast to everyone.
-        let factors = have_rfinal.then(|| {
-            let f = cfg.inner_svd(&self.gr, rank, ctx.rng);
-            (f.u, f.s, ())
-        });
-        let (u, s, ()) = wire::bcast_factors(comm, &plan, mixed, factors, 0)?;
-        Ok(Svd { u, s, vt: Matrix::zeros(0, 0) })
+    /// The root's small factors, broadcast over the plan's collective
+    /// shape through the wire rule.
+    fn bcast(
+        &mut self,
+        cfg: &SvdConfig,
+        factors: Option<(Matrix<T>, Vec<T>)>,
+    ) -> Result<(Matrix<T>, Vec<T>), CommError> {
+        let (plan, mixed) = (plan_for(cfg, self.comm), wire::mixed(cfg));
+        let sent = factors.map(|(u, s)| (u, s, ()));
+        let (u, s, ()) = wire::bcast_factors(self.comm, &plan, mixed, sent, 0)?;
+        Ok((u, s))
     }
 
     /// One APMOS round (Listing 3) over the resolved merge-tree plan.
@@ -348,11 +385,9 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     pub fn parallel_qr(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Matrix<T>, Vec<T>) {
         let mut qlocal = Matrix::zeros(0, 0);
         let rank = self.tracker.config().k.min(a_local.cols());
-        let f = self
-            .link
-            .qr_svd(&mut self.tracker.ctx(), a_local, rank, &mut qlocal)
+        let (u, s) = qr_svd(&mut self.link, &mut self.tracker.ctx(), a_local, rank, &mut qlocal)
             .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"));
-        (qlocal, f.u, f.s)
+        (qlocal, u, s)
     }
 
     /// Ingest the first local batch `A0ⁱ` (`Mᵢ x B`) — Listing 2's
@@ -371,7 +406,9 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     }
 
     /// Ingest a further local batch — Listing 2's `incorporate_data`:
-    /// stack `ff·U·D` with the new data, TSQR, small SVD, truncate to `K`.
+    /// project the modes out of it, TSQR the residual, SVD the small core,
+    /// truncate to `K` (the full `ff·U·D` stack when the modes measure as
+    /// not orthonormal).
     pub fn incorporate_data(&mut self, a_local: &Matrix<T>) -> &mut Self {
         self.try_incorporate_data(a_local)
             .unwrap_or_else(|e| panic!("incorporate_data failed: {e}"))

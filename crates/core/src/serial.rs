@@ -6,11 +6,15 @@
 //!
 //! 1. `initialize(A0)`: thin QR of the first batch, SVD of the small `R`,
 //!    keep `K` columns of `Q·U'`.
-//! 2. `incorporate_data(Ai)`: stack the down-weighted current factorization
-//!    `ff · U·diag(s)` with the new batch, thin-QR the stack, SVD the small
-//!    triangular factor, keep `K` columns.
+//! 2. `incorporate_data(Ai)`: project the current modes out of the batch
+//!    (twice), thin-QR only the `M x B` residual, SVD the small core
+//!    `[[ff·diag(s), UᵀAi], [0, R]]`, keep `K` columns of `[U | J]·U'`.
+//!    This is algebraically the paper's update, which thin-QRs the whole
+//!    `[ff·U·diag(s) | Ai]` stack; that full stack is still what an update
+//!    factors when the modes it measures are not orthonormal.
 //!
-//! Cost per batch is `O(M (K+B)²)` with `O(M K)` memory — never `O(M N)`.
+//! Cost per batch is `O(MKB + MB²)` (the full stack's is `O(M (K+B)²)`),
+//! with `O(M K)` memory — never `O(M N)`.
 //!
 //! Divergence from the paper's Listing 1, documented per `DESIGN.md`: the
 //! listing sorts `argsort(dtildei)[::-1]` but our SVD kernels already return
@@ -32,7 +36,7 @@ use crate::update::{forward_tracker_accessors, LocalQr, Tracker};
 
 /// Streaming truncated SVD of a (conceptually unbounded) snapshot stream:
 /// the shared `crate::update` tracker, advanced by the local thin QR —
-/// for the first batch and for every `[ff·U·D | A_i]` stack after it.
+/// of the first batch, and of every batch's residual after it.
 ///
 /// Every per-batch temporary lives in per-instance buffers reused across
 /// updates, so a steady-state `incorporate_data` call performs no
@@ -346,6 +350,50 @@ mod tests {
         assert_eq!(by_slice.singular_values(), by_source.singular_values());
         assert_eq!(by_slice.modes(), by_source.modes());
         assert_eq!(by_source.snapshots_seen(), 28);
+    }
+
+    fn decaying(m: usize, n: usize, seed: u64) -> Matrix {
+        let spec: Vec<f64> = (0..n.min(m)).map(|i| 6.0 * 0.7f64.powi(i as i32)).collect();
+        matrix_with_spectrum(m, n, &spec, &mut seeded_rng(seed))
+    }
+
+    #[test]
+    fn exact_on_low_rank_stream() {
+        // Rank 3 < K = 5: every batch after the first lies in the span of
+        // the modes, so each residual is round-off.
+        let mut rng = seeded_rng(1);
+        let a = matrix_with_spectrum(60, 32, &[5.0, 2.0, 1.0], &mut rng);
+        let mut s = SerialStreamingSvd::new(config_exact(5));
+        s.fit_batched(&a, 8);
+        let (u_ref, s_ref) = batch_truncated_svd(&a, 3);
+        assert!(spectrum_error(&s_ref, &s.singular_values()[..3]) < 1e-8);
+        assert!(max_principal_angle(&u_ref, &s.modes().first_columns(3)) < 1e-5);
+        assert_eq!(s.full_stack_updates(), 0, "orthonormal modes must project");
+    }
+
+    #[test]
+    fn tracks_batch_svd_on_decaying_spectrum() {
+        let a = decaying(80, 40, 2);
+        let mut s = SerialStreamingSvd::new(config_exact(6));
+        s.fit_batched(&a, 10);
+        let (_, s_ref) = batch_truncated_svd(&a, 6);
+        for (got, want) in s.singular_values()[..3].iter().zip(&s_ref[..3]) {
+            assert!((got - want).abs() / want < 0.05, "sigma {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn basis_stays_orthonormal_over_many_updates() {
+        let m = 40;
+        let mut s = SerialStreamingSvd::new(SvdConfig::new(4).with_forget_factor(0.99));
+        s.initialize(&decaying(m, 6, 100));
+        for i in 0..100 {
+            s.incorporate_data(&decaying(m, 6, i));
+            let err = orthogonality_error(s.modes());
+            assert!(err < 1e-8, "drift after {} updates: {err}", i + 1);
+        }
+        assert_eq!(s.full_stack_updates(), 0, "every update must have projected");
+        assert!(s.ortho_drift() <= crate::ortho_gate::<f64>(s.config().precision));
     }
 
     #[test]

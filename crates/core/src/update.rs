@@ -2,30 +2,72 @@
 //! written once under every caller.
 //!
 //! A streaming update, the first-batch factorization and a merge-tree
-//! interior node are one factor-merge (Iwen & Ong, PAPERS.md): thin-QR a
-//! stack of weighted factors, SVD the small `R`, keep the leading columns
-//! of `Q·U'`. [`factor_truncate`] is that step; [`Tracker`] is the state it
-//! advances — modes, σ, counters, RNG, scratch and every persistent
-//! buffer — with the one ingestion loop and checkpoint capture/restore.
+//! interior node are one factor-merge (Iwen & Ong, PAPERS.md): the SVD of
+//! a stack of weighted factors, truncated. It takes one of two forms here.
 //!
-//! What differs between callers is handed in as a [`TallQr`]: how a tall
-//! stack is QR-factored and how the first batch is factored. [`LocalQr`]
-//! is the in-process answer (serial driver, tree nodes); the distributed
-//! driver supplies TSQR and one APMOS round. Nothing here knows which.
+//! - [`factor_truncate`] thin-QRs the whole stack, SVDs the small `R` and
+//!   keeps the leading columns of `Q·U'`. It factors the first batch,
+//!   every merge-tree node, and any update whose modes are not
+//!   orthonormal.
+//! - The projection update ([`Tracker::update`]) does not re-factor the
+//!   modes `U`, which are orthonormal already. It projects `U` out of the
+//!   batch twice (`L = UᵀA`, `H = A − U·L`), thin-QRs only the `M×B`
+//!   residual `H = J·R`, SVDs the `(K+B)`-square core
+//!   `[[ff·D, L], [0, R]]` and forms `[U | J]·U'`: `O(MKB + MB²)` where
+//!   the full stack costs `O(M(K+B)²)`. Each update first measures
+//!   `G = UᵀU` and takes the full stack instead when `max|G − I|`
+//!   exceeds [`ortho_gate`]. The choice depends on the modes' bits alone,
+//!   so checkpoint restarts and thread counts cannot change it. Below the
+//!   gate, `G` and the measured `UᵀJ` are folded into the core through
+//!   the Cholesky factor of the Gram matrix of `[U | J]`, so neither the
+//!   drift of `U` nor a residual `J` that leans into `span(U)` costs
+//!   accuracy.
+//!
+//! [`Tracker`] is the state both advance — modes, σ, counters, RNG,
+//! scratch and every persistent buffer — with the one ingestion loop and
+//! checkpoint capture/restore.
+//!
+//! What differs between callers is handed in as a [`TallQr`]: how small
+//! matrices are summed over the world, how a tall matrix is QR-factored,
+//! how the root's small factors reach every rank, and how the first batch
+//! is factored. [`LocalQr`] is the in-process answer (serial driver, tree
+//! nodes); the distributed driver supplies an allreduce, TSQR, a
+//! broadcast and one APMOS round. Nothing here knows which.
 
 use std::convert::Infallible;
 use std::io;
 
 use psvd_data::stream::SnapshotSource;
-use psvd_linalg::gemm::matmul_into;
+use psvd_linalg::gemm::{matmul_acc_into, matmul_into, matmul_tn_into};
 use psvd_linalg::qr::qr_thin_into;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
-use psvd_linalg::{Matrix, Scalar, Svd};
+use psvd_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::checkpoint::SvdCheckpoint;
-use crate::config::SvdConfig;
+use crate::config::{Precision, SvdConfig};
+
+/// The orthonormality gate, in ulps (see [`ortho_gate`]).
+const ORTHO_GATE_ULPS: f64 = 1024.0;
+
+/// The smallest pivot the Cholesky factor of the residual basis `J` may
+/// have once `U` is projected out of it: below it, a column of `J` lies
+/// mostly in `span(U)` (a zero residual column gives Householder an
+/// arbitrary unit vector), and the update re-factors the full stack.
+const RESIDUAL_PIVOT_FLOOR: f64 = 0.5;
+
+/// The largest `max|UᵀU − I|` at which a streaming update still projects
+/// the batch onto the modes: 1024 ulps of the precision the modes are
+/// carried at. That is `T`'s (2.3e-13 at `f64`), or `f32`'s under
+/// `Precision::Mixed`, whose `f32` wire rounds every factor that reaches
+/// a rank. Above it the update re-factors the full `[ff·U·D | A]` stack,
+/// which re-orthonormalizes the modes. A constant, not a knob.
+pub fn ortho_gate<T: Scalar>(precision: Precision) -> f64 {
+    let eps = T::EPSILON.to_f64();
+    let carried = if precision == Precision::Mixed { eps.max(f32::EPSILON.into()) } else { eps };
+    ORTHO_GATE_ULPS * carried
+}
 
 /// What every factorization draws on: the configuration, the RNG of a
 /// randomized inner SVD, and the QR scratch arena.
@@ -35,24 +77,40 @@ pub(crate) struct Ctx<'a> {
     pub ws: &'a mut Workspace,
 }
 
-/// The step a caller supplies to the update.
+/// The steps a caller supplies to the update.
 pub(crate) trait TallQr<T: Scalar> {
     /// `Infallible` in-process, `CommError` over a communicator.
     type Error;
 
+    /// Sum two small matrices over the world in one collective: `exact`
+    /// at native precision whatever the wire policy, `x` through the wire
+    /// rule. The identity in-process.
+    fn sum(
+        &mut self,
+        cfg: &SvdConfig,
+        exact: Matrix<T>,
+        x: Matrix<T>,
+    ) -> Result<(Matrix<T>, Matrix<T>), Self::Error>;
+
     /// QR-factor the tall `stack` (the caller's rows of it), leaving those
-    /// rows of `Q` in `q`, and return the inner SVD of the small `R`, asked
-    /// for `rank` triplets. Only `u` and `s` are consumed.
-    fn qr_svd(
+    /// rows of `Q` in `q`. Returns `R` on the root and `None` elsewhere.
+    fn qr(
         &mut self,
         ctx: &mut Ctx<'_>,
         stack: &Matrix<T>,
-        rank: usize,
         q: &mut Matrix<T>,
-    ) -> Result<Svd<T>, Self::Error>;
+    ) -> Result<Option<&Matrix<T>>, Self::Error>;
+
+    /// Hand the root's small factor and spectrum to every rank (`factors`
+    /// is `Some` exactly on the root). The identity in-process.
+    fn bcast(
+        &mut self,
+        cfg: &SvdConfig,
+        factors: Option<(Matrix<T>, Vec<T>)>,
+    ) -> Result<(Matrix<T>, Vec<T>), Self::Error>;
 
     /// Factor the first batch: its `K` leading left vectors into `modes`,
-    /// σ returned. By default the same QR path as every later update.
+    /// σ returned. By default [`factor_truncate`], like a full-stack update.
     fn first_batch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -61,14 +119,30 @@ pub(crate) trait TallQr<T: Scalar> {
         modes: &mut Matrix<T>,
     ) -> Result<Vec<T>, Self::Error> {
         let k = ctx.cfg.k;
-        Ok(factor_truncate(self, ctx, a0, k, k, q, modes)?.s)
+        factor_truncate(self, ctx, a0, k, k, q, modes)
     }
+}
+
+/// QR `stack` through the driver, SVD its `R` on the root for `rank`
+/// triplets, and hand `(U', σ)` to every rank.
+pub(crate) fn qr_svd<T: Scalar, F: TallQr<T> + ?Sized>(
+    qr: &mut F,
+    ctx: &mut Ctx<'_>,
+    stack: &Matrix<T>,
+    rank: usize,
+    q: &mut Matrix<T>,
+) -> Result<(Matrix<T>, Vec<T>), F::Error> {
+    let factors = qr.qr(ctx, stack, q)?.map(|r| {
+        let f = ctx.cfg.inner_svd(r, rank, ctx.rng);
+        (f.u, f.s)
+    });
+    qr.bcast(ctx.cfg, factors)
 }
 
 /// Factor-and-truncate: QR `stack`, SVD its `R` for `keep` triplets, write
 /// the leading `cols` columns of `Q·U'` to `out` (`usize::MAX`: all the
 /// SVD returned — a tree node measures the discarded tail before it
-/// truncates). Returns the inner SVD; its `s` is the new spectrum.
+/// truncates). Returns the new spectrum.
 pub(crate) fn factor_truncate<T: Scalar, F: TallQr<T> + ?Sized>(
     qr: &mut F,
     ctx: &mut Ctx<'_>,
@@ -77,17 +151,17 @@ pub(crate) fn factor_truncate<T: Scalar, F: TallQr<T> + ?Sized>(
     cols: usize,
     q: &mut Matrix<T>,
     out: &mut Matrix<T>,
-) -> Result<Svd<T>, F::Error> {
+) -> Result<Vec<T>, F::Error> {
     let rank = keep.min(stack.rows().min(stack.cols()));
-    let f = qr.qr_svd(ctx, stack, rank, q)?;
-    let k = cols.min(f.s.len());
-    matmul_into(q.view(), f.u.block(0, f.u.rows(), 0, k), out);
-    Ok(f)
+    let (u, s) = qr_svd(qr, ctx, stack, rank, q)?;
+    let k = cols.min(s.len());
+    matmul_into(q.view(), u.block(0, u.rows(), 0, k), out);
+    Ok(s)
 }
 
 /// The in-process [`TallQr`]: `qr_thin_into` (blocked compact-WY once the
 /// stack is wide enough, see `PSVD_QR_BLOCK` in DESIGN.md) into a
-/// persistent `R`, then `SvdConfig::inner_svd`.
+/// persistent `R`; sums and broadcasts are the identity.
 pub(crate) struct LocalQr<T: Scalar>(Matrix<T>);
 
 impl<T: Scalar> LocalQr<T> {
@@ -99,15 +173,31 @@ impl<T: Scalar> LocalQr<T> {
 impl<T: Scalar> TallQr<T> for LocalQr<T> {
     type Error = Infallible;
 
-    fn qr_svd(
+    fn sum(
+        &mut self,
+        _: &SvdConfig,
+        exact: Matrix<T>,
+        x: Matrix<T>,
+    ) -> Result<(Matrix<T>, Matrix<T>), Infallible> {
+        Ok((exact, x))
+    }
+
+    fn qr(
         &mut self,
         ctx: &mut Ctx<'_>,
         stack: &Matrix<T>,
-        rank: usize,
         q: &mut Matrix<T>,
-    ) -> Result<Svd<T>, Infallible> {
+    ) -> Result<Option<&Matrix<T>>, Infallible> {
         qr_thin_into(stack.view(), q, &mut self.0, ctx.ws);
-        Ok(ctx.cfg.inner_svd(&self.0, rank, ctx.rng))
+        Ok(Some(&self.0))
+    }
+
+    fn bcast(
+        &mut self,
+        _: &SvdConfig,
+        factors: Option<(Matrix<T>, Vec<T>)>,
+    ) -> Result<(Matrix<T>, Vec<T>), Infallible> {
+        Ok(factors.expect("in-process, this rank is the root"))
     }
 }
 
@@ -124,16 +214,34 @@ pub(crate) struct Tracker<T: Scalar> {
     rng: StdRng,
     /// Scratch arena feeding the QR kernels.
     ws: Workspace,
-    /// Persistent `[ff·U·D | A_i]` stack.
+    /// Persistent `[ff·U·D | A_i]` stack, or the projection's residual `H`.
     stack: Matrix<T>,
-    /// The caller's rows of the stack's `Q` factor.
+    /// The caller's rows of the stack's `Q`, or of the residual's `J`.
     q: Matrix<T>,
     /// Where the next modes are formed before swapping into place.
     next_modes: Matrix<T>,
     /// Down-weighted singular values `ff · s`.
     weighted: Vec<T>,
+    /// The measured `G = UᵀU`, summed over the world; then its upper
+    /// Cholesky factor `S` (`G = SᵀS`).
+    gram: Matrix<T>,
+    /// `L = UᵀA` summed over the world: `L₁`, then `L₁ + L₂`.
+    proj: Matrix<T>,
+    /// The projection's `K x B` coefficients: `−G⁻¹L₁`, `L₂`, `−G⁻¹L₂`,
+    /// then `X = S⁻ᵀUᵀJ`.
+    coef: Matrix<T>,
+    /// The residual's `R` (root only), and the Cholesky factor `T` of the
+    /// Gram matrix of its `J` with `U` projected out.
+    resid_r: Matrix<T>,
+    resid_chol: Matrix<T>,
+    /// The root's small core (see `core_svd`).
+    core: Matrix<T>,
     /// Landing buffer of the ingestion loop.
     ingest: Matrix<T>,
+    /// `max|UᵀU − I|` measured by the latest update.
+    ortho_drift: f64,
+    /// Updates that re-factored the full stack because of `ortho_drift`.
+    full_stack_updates: usize,
 }
 
 impl<T: Scalar> Tracker<T> {
@@ -151,7 +259,15 @@ impl<T: Scalar> Tracker<T> {
             q: Matrix::zeros(0, 0),
             next_modes: Matrix::zeros(0, 0),
             weighted: Vec::new(),
+            gram: Matrix::zeros(0, 0),
+            proj: Matrix::zeros(0, 0),
+            coef: Matrix::zeros(0, 0),
+            resid_r: Matrix::zeros(0, 0),
+            resid_chol: Matrix::zeros(0, 0),
+            core: Matrix::zeros(0, 0),
             ingest: Matrix::zeros(0, 0),
+            ortho_drift: 0.0,
+            full_stack_updates: 0,
         }
     }
 
@@ -177,6 +293,14 @@ impl<T: Scalar> Tracker<T> {
 
     pub(crate) fn singular_values(&self) -> &[T] {
         &self.singular_values
+    }
+
+    pub(crate) fn ortho_drift(&self) -> f64 {
+        self.ortho_drift
+    }
+
+    pub(crate) fn full_stack_updates(&self) -> usize {
+        self.full_stack_updates
     }
 
     pub(crate) fn into_modes(self) -> (Matrix<T>, Vec<T>) {
@@ -228,8 +352,9 @@ impl<T: Scalar> Tracker<T> {
     }
 
     /// Ingest a further batch `Ai` (`M x B`), down-weighting history by
-    /// the forget factor. A failed step commits nothing: modes, σ and both
-    /// counters stay exactly what they were.
+    /// the forget factor: the projection update while the modes measure
+    /// orthonormal, the full stack otherwise. A failed step commits
+    /// nothing: modes, σ and both counters stay exactly what they were.
     pub(crate) fn update<F: TallQr<T>>(
         &mut self,
         qr: &mut F,
@@ -238,8 +363,128 @@ impl<T: Scalar> Tracker<T> {
         if !self.admits(ai) {
             return Ok(());
         }
-        // [ff · U_{i-1} D_{i-1} | A_i], row by row in the persistent stack:
-        // the same multiplies as mul_diag + hstack, neither materialized.
+        let drift = self.measure(qr, ai)?;
+        // NaN fails the comparison, so non-finite modes re-factor too.
+        let gated = drift <= ortho_gate::<T>(self.cfg.precision);
+        let (sigma, projected) = match if gated { self.project(qr, ai)? } else { None } {
+            Some(sigma) => (sigma, true),
+            None => (self.refactor(qr, ai)?, false),
+        };
+        self.ortho_drift = drift;
+        self.full_stack_updates += usize::from(!projected);
+        self.iteration += 1;
+        self.commit(&sigma, ai.cols());
+        Ok(())
+    }
+
+    /// `G = UᵀU` and `L₁ = UᵀA`, summed over the world in one collective
+    /// into `gram` and `proj`; returns `max|G − I|` (NaN unless finite).
+    fn measure<F: TallQr<T>>(&mut self, qr: &mut F, a: &Matrix<T>) -> Result<f64, F::Error> {
+        matmul_tn_into(self.modes.view(), self.modes.view(), &mut self.gram);
+        matmul_tn_into(self.modes.view(), a.view(), &mut self.proj);
+        let take = |m: &mut Matrix<T>| std::mem::replace(m, Matrix::zeros(0, 0));
+        (self.gram, self.proj) = qr.sum(&self.cfg, take(&mut self.gram), take(&mut self.proj))?;
+        let g = &self.gram;
+        let eye = |i: usize, j: usize| if i == j { T::ONE } else { T::ZERO };
+        let dev = (0..g.rows()).flat_map(|i| (0..g.cols()).map(move |j| g[(i, j)] - eye(i, j)));
+        let drift = dev.map(|d| d.abs().to_f64()).fold(0.0, f64::max);
+        Ok(if g.all_finite() { drift } else { f64::NAN })
+    }
+
+    /// The projection update, given `G` in `gram` and `L₁` in `proj`;
+    /// returns σ with the next modes in the spare buffer, or `None` when
+    /// the residual basis is too close to `span(U)` and the full stack
+    /// must be factored instead. `H` lives in the stack buffer and `J` in
+    /// `q`, so it needs no `O(M)` memory the full stack does not.
+    ///
+    /// Neither `UᵀU = I` nor `UᵀJ = 0` is assumed: both are measured, and
+    /// the core is formed in the coordinates of the orthonormal basis the
+    /// Cholesky factor of the Gram matrix of `[U | J]` defines, at `O(K³)`
+    /// cost. Drift that `U` carries in is therefore not carried forward,
+    /// and an ill-conditioned residual costs no accuracy.
+    fn project<F: TallQr<T>>(
+        &mut self,
+        qr: &mut F,
+        a: &Matrix<T>,
+    ) -> Result<Option<Vec<T>>, F::Error> {
+        let Self {
+            cfg,
+            modes: u,
+            singular_values,
+            rng,
+            ws,
+            stack: h,
+            q: j,
+            next_modes,
+            gram: chol,
+            proj,
+            coef,
+            core,
+            resid_r,
+            resid_chol,
+            ..
+        } = self;
+        let (m, k0) = u.shape();
+        // Within the gate G is I to a few hundred ulps: every pivot is ~1.
+        cholesky_upper(chol, T::ZERO);
+        // H = A − U·G⁻¹L₁.
+        coef.reshape_for_overwrite(k0, a.cols());
+        coef.as_mut_slice().copy_from_slice(proj.as_slice());
+        neg_gram_solve(chol, coef);
+        h.reshape_for_overwrite(m, a.cols());
+        h.as_mut_slice().copy_from_slice(a.as_slice());
+        matmul_acc_into(u.view(), coef.view(), &mut h.view_mut());
+        // Twice is enough: L₂ = UᵀH over the world, H −= U·G⁻¹L₂ and
+        // L = L₁ + L₂. One pass leaves an O(ε·κ) part of A in span(U)
+        // inside H, which the QR would turn into directions in span(U).
+        matmul_tn_into(u.view(), h.view(), coef);
+        let none = || Matrix::zeros(0, 0);
+        (_, *coef) = qr.sum(cfg, none(), std::mem::replace(coef, none()))?;
+        for (l, &c) in proj.as_mut_slice().iter_mut().zip(coef.as_slice()) {
+            *l += c;
+        }
+        neg_gram_solve(chol, coef);
+        matmul_acc_into(u.view(), coef.view(), &mut h.view_mut());
+        // H = J·R through the driver's tall QR, then X = S⁻ᵀUᵀJ and the
+        // Cholesky factor T of I − XᵀX, the Gram matrix of J with U
+        // projected out, on every rank alike.
+        let mut ctx = Ctx { cfg, rng, ws };
+        let root = match qr.qr(&mut ctx, h, j)? {
+            Some(r) => {
+                resid_r.clone_from(r);
+                true
+            }
+            None => false,
+        };
+        matmul_tn_into(u.view(), j.view(), coef);
+        (_, *coef) = qr.sum(ctx.cfg, none(), std::mem::replace(coef, none()))?;
+        solve_upper_t(chol, coef, 0);
+        let p = coef.cols();
+        resid_chol.reshape_zeroed(p, p);
+        matmul_acc_into(coef.view().transposed(), coef.view(), &mut resid_chol.view_mut());
+        resid_chol.as_mut_slice().iter_mut().for_each(|v| *v = -*v);
+        for i in 0..p {
+            resid_chol[(i, i)] += T::ONE;
+        }
+        if !cholesky_upper(resid_chol, T::from_f64(RESIDUAL_PIVOT_FLOOR)) {
+            return Ok(None);
+        }
+        let factors = root.then(|| {
+            core_svd(&mut ctx, core, chol, resid_chol, coef, proj, resid_r, singular_values)
+        });
+        let (w, s) = qr.bcast(ctx.cfg, factors)?;
+        // [U | J]·W, as two GEMMs on every rank.
+        let kk = w.cols();
+        matmul_into(u.view(), w.block(0, k0, 0, kk), next_modes);
+        matmul_acc_into(j.view(), w.block(k0, k0 + p, 0, kk), &mut next_modes.view_mut());
+        Ok(Some(s))
+    }
+
+    /// The full-stack update: thin-QR `[ff · U_{i-1} D_{i-1} | A_i]`,
+    /// which re-orthonormalizes whatever modes it was handed.
+    fn refactor<F: TallQr<T>>(&mut self, qr: &mut F, ai: &Matrix<T>) -> Result<Vec<T>, F::Error> {
+        // Built row by row in the persistent stack: the same multiplies as
+        // mul_diag + hstack, neither materialized.
         let (m, k0) = self.modes.shape();
         let ff = T::from_f64(self.cfg.forget_factor);
         self.weighted.clear();
@@ -253,10 +498,7 @@ impl<T: Scalar> Tracker<T> {
             dst[k0..].copy_from_slice(ai.row(i));
         }
         let Self { cfg, rng, ws, stack, q, next_modes, .. } = self;
-        let f = factor_truncate(qr, &mut Ctx { cfg, rng, ws }, stack, cfg.k, cfg.k, q, next_modes)?;
-        self.iteration += 1;
-        self.commit(&f.s, ai.cols());
-        Ok(())
+        factor_truncate(qr, &mut Ctx { cfg, rng, ws }, stack, cfg.k, cfg.k, q, next_modes)
     }
 
     /// One batch of a stream: `initialize` on the first, `update` after.
@@ -292,6 +534,131 @@ impl<T: Scalar> Tracker<T> {
         self.ingest = ingest;
         result
     }
+}
+
+/// The root's half of the projection update. With `[U | J]` the basis,
+/// `S` the Cholesky factor of `UᵀU`, `X = S⁻ᵀUᵀJ` and `TᵀT = I − XᵀX`,
+/// the upper-triangular `F = [[S, X], [0, T]]` has `FᵀF` equal to the Gram
+/// matrix of `[U | J]`, so `[U | J]·F⁻¹` is orthonormal and
+/// `[ff·U·D | A] = [U | J]·F⁻¹·Core` for the core
+/// `[[S·ff·D, S⁻ᵀL + X·R], [0, T·R]]`. Returns its σ and `W = F⁻¹·U'_K`,
+/// from which every rank forms the modes `[U | J]·W`.
+#[allow(clippy::too_many_arguments)]
+fn core_svd<T: Scalar>(
+    ctx: &mut Ctx<'_>,
+    core: &mut Matrix<T>,
+    s_chol: &Matrix<T>,
+    t_chol: &Matrix<T>,
+    x: &Matrix<T>,
+    l: &Matrix<T>,
+    r: &Matrix<T>,
+    sigma: &[T],
+) -> (Matrix<T>, Vec<T>) {
+    let (k0, b, p) = (l.rows(), l.cols(), r.rows());
+    let ff = T::from_f64(ctx.cfg.forget_factor);
+    core.reshape_zeroed(k0 + p, k0 + b);
+    for i in 0..k0 {
+        let row = core.row_mut(i);
+        for (jj, (c, &s)) in row[..k0].iter_mut().zip(sigma).enumerate().skip(i) {
+            *c = s_chol[(i, jj)] * ff * s;
+        }
+        row[k0..].copy_from_slice(l.row(i));
+    }
+    solve_upper_t(s_chol, core, k0);
+    // S⁻ᵀL + X·R, then T·R: both products of small triangular factors.
+    for i in 0..k0 + p {
+        let (f, skip) = if i < k0 { (x.row(i), 0) } else { (t_chol.row(i - k0), i - k0) };
+        let row = &mut core.row_mut(i)[k0..];
+        for (t, &c) in f.iter().enumerate().skip(skip) {
+            for (v, &rv) in row.iter_mut().zip(r.row(t)) {
+                *v += c * rv;
+            }
+        }
+    }
+    let f = ctx.cfg.inner_svd(core, ctx.cfg.k.min(core.rows().min(core.cols())), ctx.rng);
+    let kk = ctx.cfg.k.min(f.s.len());
+    // W_bot = T⁻¹U'_bot, then W_top = S⁻¹(U'_top − X·W_bot).
+    let mut bot = f.u.submatrix(k0, k0 + p, 0, kk);
+    solve_upper(t_chol, &mut bot);
+    let mut top = f.u.submatrix(0, k0, 0, kk);
+    for i in 0..k0 {
+        for (t, &c) in x.row(i).iter().enumerate() {
+            for (v, &y) in top.row_mut(i).iter_mut().zip(bot.row(t)) {
+                *v -= c * y;
+            }
+        }
+    }
+    solve_upper(s_chol, &mut top);
+    let mut s = f.s;
+    s.truncate(kk);
+    (Matrix::vstack_owned(vec![top, bot]), s)
+}
+
+/// Overwrite the symmetric `g` with its upper Cholesky factor `S`
+/// (`G = SᵀS`). Returns `false`, leaving `g` garbage, as soon as a pivot
+/// is not above `floor` (NaN included).
+fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: T) -> bool {
+    let n = g.rows();
+    for i in 0..n {
+        for k in 0..i {
+            let f = g[(k, i)];
+            for jj in i..n {
+                let v = g[(k, jj)];
+                g[(i, jj)] -= f * v;
+            }
+        }
+        let d2 = g[(i, i)];
+        if d2.partial_cmp(&(floor * floor)) != Some(std::cmp::Ordering::Greater) {
+            return false;
+        }
+        let d = d2.sqrt();
+        g.row_mut(i)[i..].iter_mut().for_each(|v| *v /= d);
+        g.row_mut(i)[..i].iter_mut().for_each(|v| *v = T::ZERO);
+    }
+    true
+}
+
+/// `X ← S⁻ᵀX` on the trailing columns `c0..` of `x`'s first `S.rows()`
+/// rows: forward substitution with the lower-triangular `Sᵀ`.
+fn solve_upper_t<T: Scalar>(s: &Matrix<T>, x: &mut Matrix<T>, c0: usize) {
+    let cols = x.cols();
+    for i in 0..s.rows() {
+        let (done, rest) = x.as_mut_slice().split_at_mut(i * cols);
+        let xi = &mut rest[c0..cols];
+        for k in 0..i {
+            let f = s[(k, i)];
+            for (v, &y) in xi.iter_mut().zip(&done[k * cols + c0..(k + 1) * cols]) {
+                *v -= f * y;
+            }
+        }
+        let d = s[(i, i)];
+        xi.iter_mut().for_each(|v| *v /= d);
+    }
+}
+
+/// `X ← S⁻¹X` on the first `S.rows()` rows of `x`: back substitution.
+fn solve_upper<T: Scalar>(s: &Matrix<T>, x: &mut Matrix<T>) {
+    let cols = x.cols();
+    for i in (0..s.rows()).rev() {
+        let (head, done) = x.as_mut_slice().split_at_mut((i + 1) * cols);
+        let xi = &mut head[i * cols..];
+        for k in i + 1..s.rows() {
+            let f = s[(i, k)];
+            for (v, &y) in xi.iter_mut().zip(&done[(k - i - 1) * cols..(k - i) * cols]) {
+                *v -= f * y;
+            }
+        }
+        let d = s[(i, i)];
+        xi.iter_mut().for_each(|v| *v /= d);
+    }
+}
+
+/// `X ← −G⁻¹X = −S⁻¹S⁻ᵀX`: projection coefficients, negated for the
+/// accumulating GEMM that subtracts `U·G⁻¹X`.
+fn neg_gram_solve<T: Scalar>(s: &Matrix<T>, x: &mut Matrix<T>) {
+    solve_upper_t(s, x, 0);
+    solve_upper(s, x);
+    x.as_mut_slice().iter_mut().for_each(|v| *v = -*v);
 }
 
 /// Checkpointing is defined on the `f64` instantiation only — the on-disk
@@ -352,6 +719,19 @@ macro_rules! forward_tracker_accessors {
         /// on every rank of a distributed run).
         pub fn singular_values(&self) -> &[T] {
             self.tracker.singular_values()
+        }
+
+        /// `max|UᵀU − I|` of the modes the latest update was handed, as
+        /// it measured them to choose between projecting the batch and
+        /// re-factoring the full stack (`0` before the first update).
+        pub fn ortho_drift(&self) -> f64 {
+            self.tracker.ortho_drift()
+        }
+
+        /// How many updates re-factored the full stack because their
+        /// modes measured above `psvd_core::ortho_gate`.
+        pub fn full_stack_updates(&self) -> usize {
+            self.tracker.full_stack_updates()
         }
 
         /// Consume the tracker, handing out its (rows of the) modes and

@@ -3,11 +3,13 @@
 //! Under `Precision::Mixed` every `Matrix<T>` crossing the communicator is
 //! demoted to `f32` before it enters the exchange and promoted back on
 //! receipt; otherwise it travels at its native dtype. TSQR's R gather and
-//! Q scatter, the mode gathers, the factor broadcast and the merge tree's
-//! factor sends all ship a [`Wire`], so that decision — and the only
-//! demotion in the crate — is [`pack`]. Whatever rides along (singular
-//! values, tree diagnostics) keeps full precision: it is `O(K)` numbers,
-//! demoting them would halve nothing and cost the σ accuracy contract.
+//! Q scatter, the projection's `UᵀA` sums, the mode gathers, the factor
+//! broadcast and the merge tree's factor sends all ship a [`Wire`], so
+//! that decision — and the only demotion in the crate — is [`pack`].
+//! Whatever rides along (singular values, tree diagnostics, the measured
+//! `UᵀU`) keeps full precision: it is `O(K)` or `O(K²)` numbers, and
+//! demoting it would cost the σ accuracy contract or, for `UᵀU`, hide the
+//! very drift it measures.
 
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_linalg::{Matrix, Scalar};

@@ -36,11 +36,13 @@ struct RankOutcome {
 }
 
 /// Stream 4 batches over 4 ranks; the victim dies at the start of the
-/// second update (collective round 5: init and update one take two rounds
-/// each). Survivors checkpoint after update one and finish the stream.
+/// second update (collective round 11: init takes two rounds, and update
+/// one, which projects, takes eight: three allreduces of two rounds each,
+/// the TSQR gather and the factor broadcast). Survivors checkpoint after
+/// update one and finish the stream.
 fn death_run(a: &Matrix) -> Vec<RankOutcome> {
     let blocks = split_rows(a, RANKS);
-    let plan = FaultPlan::new(77).with_death(VICTIM, 5);
+    let plan = FaultPlan::new(77).with_death(VICTIM, 11);
     let world = World::new(RANKS);
     world.run(|comm| {
         let fc = FaultComm::new(comm, plan.clone());
@@ -181,7 +183,7 @@ fn death_replay_is_deterministic_across_kernel_thread_counts() {
 fn death_without_allow_degraded_is_a_hard_error_everywhere() {
     let a = data_matrix(Spectrum::Geometric, M, N, 52);
     let blocks = split_rows(&a, RANKS);
-    let plan = FaultPlan::new(78).with_death(VICTIM, 5);
+    let plan = FaultPlan::new(78).with_death(VICTIM, 11);
     let strict = cfg().with_allow_degraded(false);
     let world = World::new(RANKS);
     // Per rank: the failing call's error, and the state before and after it.
