@@ -27,6 +27,7 @@ use psvd_core::{ParallelStreamingSvd, Precision, SerialStreamingSvd, SvdConfig};
 use psvd_data::burgers::{snapshot_matrix, BurgersConfig};
 use psvd_data::era5::{generate as generate_era5, Era5Config};
 use psvd_data::ncsim::{write_v2, NcsimReader, V2Options};
+use psvd_data::partition::block_len;
 use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 use psvd_linalg::Matrix;
 
@@ -237,13 +238,28 @@ fn run_svd(file: &str, cfg: SvdConfig, ranks: usize, batch: usize) -> Result<Svd
         s.fit_batched(&data, batch.min(data.cols()).max(1));
         Ok(SvdRun { singular_values: s.singular_values().to_vec(), modes: s.modes().clone() })
     } else {
+        let (rows, cols) = {
+            let reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
+            (reader.rows(), reader.header().cols)
+        };
+        // Every batch after the first QR-factors up to K + batch columns of
+        // each rank's rows (TSQR), which needs that block tall.
+        let batch = batch.min(cols).max(1);
+        let min_block = block_len(rows, ranks, ranks - 1);
+        if cols > batch && min_block < cfg.k + batch {
+            return Err(format!(
+                "--ranks {ranks}: the smallest row block ({min_block} rows) must cover K + the \
+                 batch width ({} + {batch}); use fewer ranks or a smaller --batch",
+                cfg.k
+            ));
+        }
         let world = World::new(ranks);
         let out = world.run(|comm| -> Result<_, String> {
             let mut reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
             let local =
                 reader.read_rank_block(comm.size(), comm.rank()).map_err(|e| e.to_string())?;
             let mut d = ParallelStreamingSvd::new(comm, cfg);
-            d.fit_batched(&local, batch.min(local.cols()).max(1));
+            d.fit_batched(&local, batch);
             Ok((d.gather_modes(0), d.singular_values().to_vec()))
         });
         let mut results = Vec::new();
@@ -415,6 +431,8 @@ mod tests {
             (vec!["svd", &file, "--r1", "0"], "r1 must be positive"),
             (vec!["validate", &file, "--ranks", "0"], "--ranks must be at least 2"),
             (vec!["validate", &file, "--ranks", "1"], "--ranks must be at least 2"),
+            (vec!["svd", &file, "--k", "4", "--ranks", "32", "--batch", "16"], "(4 + 16)"),
+            (vec!["validate", &file, "--k", "4", "--ranks", "32", "--batch", "16"], "(4 + 16)"),
         ] {
             let err = run(&argv(&args)).expect_err(&args.join(" "));
             assert!(err.contains(want), "{args:?}: {err}");

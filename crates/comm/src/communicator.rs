@@ -1,19 +1,19 @@
 //! The [`Communicator`] trait: MPI-flavored point-to-point and collective
 //! operations, plus a per-rank simulated clock.
 //!
-//! The collectives are provided as default methods built on `send`/`recv`,
-//! mirroring how the paper's listings use mpi4py: `gather` concentrates at a
-//! root (the APMOS `W` assembly), `bcast` fans the reduced factors back out,
-//! and `send`/`recv` carry the TSQR `Q` blocks. SPMD discipline applies: all
-//! ranks must call collectives in the same order.
+//! The trait carries exactly the four operations the paper's listings use
+//! through mpi4py: `gather` concentrates at a root (the APMOS `W`
+//! assembly), `bcast` fans the reduced factors back out, and `send`/`recv`
+//! carry the TSQR `Q` blocks. SPMD discipline applies: all ranks must call
+//! collectives in the same order.
 //!
-//! Every operation also exists in a fallible `try_*` form returning
-//! [`CommError`]. The collectives are implemented once, in the fallible
-//! form; the infallible classics are thin unwrapping wrappers, so reliable
+//! Each operation is written once, in its fallible `try_*` form returning
+//! [`CommError`]: a backend implements `try_send`/`try_recv`, and the
+//! collectives are default methods built on them. The infallible names are
+//! derived from the fallible ones by panicking on the error, so reliable
 //! backends ([`SelfComm`], [`ThreadComm`](crate::thread_comm::ThreadComm))
-//! pay nothing and fault-injecting backends
-//! ([`FaultComm`](crate::fault::FaultComm)) surface failures without a
-//! parallel code path.
+//! and the fault-injecting [`FaultComm`](crate::fault::FaultComm) share one
+//! code path.
 
 use crate::error::CommError;
 use crate::payload::Payload;
@@ -30,12 +30,16 @@ pub trait Communicator {
     fn size(&self) -> usize;
 
     /// Point-to-point send. Non-blocking buffered semantics (like
-    /// `MPI_Bsend`): never blocks on the receiver.
-    fn send<T: Payload>(&self, value: T, dest: usize, tag: u64);
+    /// `MPI_Bsend`): never blocks on the receiver. Reliable backends never
+    /// fail; a fault-injecting backend may consume (lose) the payload and
+    /// report why. Transient failures recover by re-sending an identical
+    /// copy.
+    fn try_send<T: Payload>(&self, value: T, dest: usize, tag: u64) -> Result<(), CommError>;
 
     /// Blocking receive matching `(source, tag)`. Out-of-order messages from
-    /// the same source are buffered until their tag is requested.
-    fn recv<T: Payload>(&self, source: usize, tag: u64) -> T;
+    /// the same source are buffered until their tag is requested. Reliable
+    /// backends never fail.
+    fn try_recv<T: Payload>(&self, source: usize, tag: u64) -> Result<T, CommError>;
 
     /// Next tag for an internal collective round (must advance identically
     /// on every rank).
@@ -70,26 +74,14 @@ pub trait Communicator {
     /// this rank's allocation ledger; the default is a no-op.
     fn record_payload_alloc(&self, _bytes: usize) {}
 
-    /// Fallible point-to-point send. Reliable backends never fail; a
-    /// fault-injecting backend may consume (lose) the payload and report
-    /// why. Transient failures recover by re-sending an identical copy.
-    fn try_send<T: Payload>(&self, value: T, dest: usize, tag: u64) -> Result<(), CommError> {
-        self.send(value, dest, tag);
-        Ok(())
-    }
-
-    /// Fallible blocking receive. Reliable backends never fail.
-    fn try_recv<T: Payload>(&self, source: usize, tag: u64) -> Result<T, CommError> {
-        Ok(self.recv(source, tag))
-    }
-
     /// Ranks of the *initial* world that have died (physical numbering).
     /// Empty for backends without a fault model.
     fn failed_ranks(&self) -> Vec<usize> {
         Vec::new()
     }
 
-    /// Fallible gather (see [`Communicator::gather`]).
+    /// Gather one value per rank at `root` (rank order). Returns `Some(all)`
+    /// at the root, `None` elsewhere.
     fn try_gather<T: Payload>(&self, value: T, root: usize) -> Result<Option<Vec<T>>, CommError> {
         let tag = self.next_collective_tag();
         if self.rank() == root {
@@ -107,7 +99,8 @@ pub trait Communicator {
         }
     }
 
-    /// Fallible broadcast (see [`Communicator::bcast`]).
+    /// Broadcast from `root`. `value` must be `Some` at the root and is
+    /// ignored elsewhere (mirroring mpi4py's `comm.bcast(x, root)`).
     fn try_bcast<T: Payload + Clone>(&self, value: Option<T>, root: usize) -> Result<T, CommError> {
         let tag = self.next_collective_tag();
         if self.renumbered(root) {
@@ -134,108 +127,24 @@ pub trait Communicator {
         }
     }
 
-    /// Fallible scatter (see [`Communicator::scatter`]).
-    fn try_scatter<T: Payload>(&self, values: Option<Vec<T>>, root: usize) -> Result<T, CommError> {
-        let tag = self.next_collective_tag();
-        if self.renumbered(root) {
-            // Same hazard as `try_bcast`: the values were computed by a
-            // rank that died at this boundary.
-            return Err(CommError::RankDead { rank: root });
-        }
-        if self.rank() == root {
-            let values = values.expect("scatter: root must supply values");
-            assert_eq!(values.len(), self.size(), "scatter: need one value per rank");
-            // One reverse pass: sends go out in descending rank order and
-            // the root's own slot is moved out, never cloned.
-            let mut own = None;
-            for (dst, v) in values.into_iter().enumerate().rev() {
-                if dst == root {
-                    own = Some(v);
-                } else {
-                    self.try_send(v, dst, tag)?;
-                }
-            }
-            Ok(own.expect("scatter: missing root slot"))
-        } else {
-            self.try_recv(root, tag)
-        }
+    /// [`Communicator::try_send`], panicking on failure.
+    fn send<T: Payload>(&self, value: T, dest: usize, tag: u64) {
+        self.try_send(value, dest, tag).unwrap_or_else(|e| panic!("send failed: {e}"));
     }
 
-    /// Fallible allgather (see [`Communicator::allgather`]).
-    fn try_allgather<T: Payload + Clone>(&self, value: T) -> Result<Vec<T>, CommError> {
-        let gathered = self.try_gather(value, 0)?;
-        self.try_bcast(gathered, 0)
+    /// [`Communicator::try_recv`], panicking on failure.
+    fn recv<T: Payload>(&self, source: usize, tag: u64) -> T {
+        self.try_recv(source, tag).unwrap_or_else(|e| panic!("recv failed: {e}"))
     }
 
-    /// Fallible elementwise-sum allreduce (see
-    /// [`Communicator::allreduce_sum`]).
-    fn try_allreduce_sum(&self, value: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        let n = value.len();
-        let gathered = self.try_gather(value, 0)?;
-        let summed = gathered.map(|parts| {
-            let mut acc = vec![0.0; n];
-            for part in parts {
-                assert_eq!(part.len(), n, "allreduce_sum: length mismatch across ranks");
-                for (a, x) in acc.iter_mut().zip(&part) {
-                    *a += x;
-                }
-            }
-            acc
-        });
-        self.try_bcast(summed, 0)
-    }
-
-    /// Fallible max allreduce (see [`Communicator::allreduce_max`]).
-    fn try_allreduce_max(&self, value: f64) -> Result<f64, CommError> {
-        let gathered = self.try_gather(value, 0)?;
-        let m = gathered.map(|v| v.into_iter().fold(f64::NEG_INFINITY, f64::max));
-        self.try_bcast(m, 0)
-    }
-
-    /// Fallible barrier (see [`Communicator::barrier`]).
-    fn try_barrier(&self) -> Result<(), CommError> {
-        let t = self.try_allreduce_max(self.now())?;
-        self.set_now(t);
-        Ok(())
-    }
-
-    /// Gather one value per rank at `root` (rank order). Returns `Some(all)`
-    /// at the root, `None` elsewhere.
+    /// [`Communicator::try_gather`], panicking on failure.
     fn gather<T: Payload>(&self, value: T, root: usize) -> Option<Vec<T>> {
         self.try_gather(value, root).unwrap_or_else(|e| panic!("gather failed: {e}"))
     }
 
-    /// Broadcast from `root`. `value` must be `Some` at the root and is
-    /// ignored elsewhere (mirroring mpi4py's `comm.bcast(x, root)`).
+    /// [`Communicator::try_bcast`], panicking on failure.
     fn bcast<T: Payload + Clone>(&self, value: Option<T>, root: usize) -> T {
         self.try_bcast(value, root).unwrap_or_else(|e| panic!("bcast failed: {e}"))
-    }
-
-    /// Scatter one value to each rank from `root`. `values` must be `Some`
-    /// with length `size` at the root.
-    fn scatter<T: Payload>(&self, values: Option<Vec<T>>, root: usize) -> T {
-        self.try_scatter(values, root).unwrap_or_else(|e| panic!("scatter failed: {e}"))
-    }
-
-    /// All ranks obtain every rank's value (gather at 0, then broadcast).
-    fn allgather<T: Payload + Clone>(&self, value: T) -> Vec<T> {
-        self.try_allgather(value).unwrap_or_else(|e| panic!("allgather failed: {e}"))
-    }
-
-    /// Elementwise sum across ranks, result everywhere.
-    fn allreduce_sum(&self, value: Vec<f64>) -> Vec<f64> {
-        self.try_allreduce_sum(value).unwrap_or_else(|e| panic!("allreduce_sum failed: {e}"))
-    }
-
-    /// Maximum of a scalar across ranks, result everywhere.
-    fn allreduce_max(&self, value: f64) -> f64 {
-        self.try_allreduce_max(value).unwrap_or_else(|e| panic!("allreduce_max failed: {e}"))
-    }
-
-    /// Barrier: returns once every rank has entered. Also synchronizes
-    /// simulated clocks to the global maximum, like a real barrier would.
-    fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("barrier failed: {e}"));
     }
 }
 
@@ -269,12 +178,13 @@ impl Communicator for SelfComm {
         1
     }
 
-    fn send<T: Payload>(&self, value: T, dest: usize, tag: u64) {
+    fn try_send<T: Payload>(&self, value: T, dest: usize, tag: u64) -> Result<(), CommError> {
         assert_eq!(dest, 0, "SelfComm: only rank 0 exists");
         self.pending.borrow_mut().push((tag, Box::new(value)));
+        Ok(())
     }
 
-    fn recv<T: Payload>(&self, source: usize, tag: u64) -> T {
+    fn try_recv<T: Payload>(&self, source: usize, tag: u64) -> Result<T, CommError> {
         assert_eq!(source, 0, "SelfComm: only rank 0 exists");
         let mut pending = self.pending.borrow_mut();
         let idx = pending
@@ -282,9 +192,9 @@ impl Communicator for SelfComm {
             .position(|(t, _)| *t == tag)
             .unwrap_or_else(|| panic!("SelfComm: no buffered message with tag {tag}"));
         let (_, payload) = pending.remove(idx);
-        *payload
+        Ok(*payload
             .downcast::<T>()
-            .unwrap_or_else(|_| panic!("SelfComm: payload type mismatch for tag {tag}"))
+            .unwrap_or_else(|_| panic!("SelfComm: payload type mismatch for tag {tag}")))
     }
 
     fn next_collective_tag(&self) -> u64 {
@@ -305,10 +215,8 @@ mod tests {
         assert_eq!(c.size(), 1);
         assert_eq!(c.gather(5.0f64, 0), Some(vec![5.0]));
         assert_eq!(c.bcast(Some(vec![1.0, 2.0]), 0), vec![1.0, 2.0]);
-        assert_eq!(c.allgather(3.0f64), vec![3.0]);
-        assert_eq!(c.allreduce_sum(vec![1.0, 2.0]), vec![1.0, 2.0]);
-        assert_eq!(c.allreduce_max(9.0), 9.0);
-        c.barrier();
+        assert_eq!(c.try_gather(3.0f64, 0), Ok(Some(vec![3.0])));
+        assert_eq!(c.try_bcast(Some(9.0f64), 0), Ok(9.0));
     }
 
     #[test]
@@ -336,11 +244,5 @@ mod tests {
     fn selfcomm_missing_message_panics() {
         let c = SelfComm::new();
         let _: f64 = c.recv(0, 42);
-    }
-
-    #[test]
-    fn selfcomm_scatter() {
-        let c = SelfComm::new();
-        assert_eq!(c.scatter(Some(vec![11.0f64]), 0), 11.0);
     }
 }

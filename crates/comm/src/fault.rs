@@ -309,11 +309,13 @@ struct DelayedSend<C> {
 /// A [`Communicator`] wrapper that replays a [`FaultPlan`] over any inner
 /// transport.
 ///
-/// Transient faults (drops, delays, corruptions) are recovered internally
-/// by the [`RetryPolicy`], so the classic infallible operations behave
-/// exactly as on the reliable transport — bit-identically, since retries
-/// re-deliver the original payloads. Permanent failures (rank death,
-/// retry exhaustion) surface through the `try_*` operations; after a
+/// Only `try_send`/`try_recv` are written here; the collectives and the
+/// infallible names are the trait's. Transient faults (drops, delays,
+/// corruptions) are recovered internally by the [`RetryPolicy`], so every
+/// operation behaves exactly as on the reliable transport —
+/// bit-identically, since retries re-deliver the original payloads.
+/// Permanent failures (rank death, retry exhaustion) surface through the
+/// `try_*` operations (the infallible names panic with them); after a
 /// death, `rank()`/`size()` renumber the survivors densely so collectives
 /// keep working on the shrunken world.
 pub struct FaultComm<'a, C: Communicator> {
@@ -479,14 +481,6 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
         self.dead.borrow().iter().filter(|&&d| !d).count()
     }
 
-    fn send<T: Payload>(&self, value: T, dest: usize, tag: u64) {
-        self.try_send(value, dest, tag).unwrap_or_else(|e| panic!("send failed: {e}"));
-    }
-
-    fn recv<T: Payload>(&self, source: usize, tag: u64) -> T {
-        self.try_recv(source, tag).unwrap_or_else(|e| panic!("recv failed: {e}"))
-    }
-
     fn try_send<T: Payload>(&self, value: T, dest: usize, tag: u64) -> Result<(), CommError> {
         self.dead_guard()?;
         self.flush_due();
@@ -495,10 +489,7 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
         let mut attempt = 0u32;
         loop {
             match self.plan.fault_for(self.phys_rank, op, attempt, OpClass::Send) {
-                None => {
-                    self.inner.send(value, phys_dest, tag);
-                    return Ok(());
-                }
+                None => return self.inner.try_send(value, phys_dest, tag),
                 Some(FaultKind::Delay { release_after_ops }) => {
                     self.stats.borrow_mut().delays += 1;
                     self.delayed.borrow_mut().push(DelayedSend {
@@ -539,14 +530,14 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
         loop {
             match self.plan.fault_for(self.phys_rank, op, attempt, OpClass::Recv) {
                 None => {
-                    return Ok(match delivered.take() {
-                        Some(v) => v,
-                        None => self.inner.recv(phys_src, tag),
-                    })
+                    return match delivered.take() {
+                        Some(v) => Ok(v),
+                        None => self.inner.try_recv(phys_src, tag),
+                    }
                 }
                 Some(kind @ (FaultKind::Truncate | FaultKind::Corrupt)) => {
                     if delivered.is_none() {
-                        delivered = Some(self.inner.recv(phys_src, tag));
+                        delivered = Some(self.inner.try_recv(phys_src, tag)?);
                     }
                     let expected = delivered.as_ref().map_or(0, Payload::byte_len);
                     let (ckind, got) = match kind {
@@ -641,12 +632,34 @@ mod tests {
     use crate::communicator::SelfComm;
     use crate::thread_comm::World;
 
+    /// Every rank's value on every rank: a gather at 0, then a broadcast
+    /// (two collective rounds).
+    fn try_gather_bcast<C: Communicator>(c: &C, x: f64) -> Result<Vec<f64>, CommError> {
+        let gathered = c.try_gather(x, 0)?;
+        c.try_bcast(gathered, 0)
+    }
+
+    /// Elementwise sum over the world, summed at rank 0 in rank order and
+    /// broadcast back.
+    fn sum_everywhere<C: Communicator>(c: &C, x: Vec<f64>) -> Vec<f64> {
+        let total = c.gather(x, 0).map(|parts| {
+            let mut acc = vec![0.0; parts[0].len()];
+            for part in parts {
+                for (a, v) in acc.iter_mut().zip(part) {
+                    *a += v;
+                }
+            }
+            acc
+        });
+        c.bcast(total, 0)
+    }
+
     #[test]
     fn fault_free_plan_is_transparent() {
         let w = World::new(3);
         let out = w.run(|c| {
             let fc = FaultComm::new(c, FaultPlan::new(1));
-            let all = fc.allgather(fc.rank() as f64);
+            let all = try_gather_bcast(&fc, fc.rank() as f64).unwrap();
             (all, fc.stats())
         });
         for (all, stats) in out {
@@ -706,7 +719,7 @@ mod tests {
             let w = World::new(3);
             w.run(|c| {
                 let fc = FaultComm::new(c, FaultPlan::new(11).with_corrupt_prob(p));
-                let s = fc.allreduce_sum(vec![fc.rank() as f64, 1.0]);
+                let s = sum_everywhere(&fc, vec![fc.rank() as f64, 1.0]);
                 (s, fc.stats())
             })
         };
@@ -715,6 +728,7 @@ mod tests {
         for ((cv, _), (fv, _)) in clean.iter().zip(&faulty) {
             assert_eq!(cv, fv);
         }
+        assert_eq!(clean[0].0, vec![3.0, 3.0]);
         let total: u64 = faulty.iter().map(|(_, s)| s.truncations + s.corruptions).sum();
         assert!(total > 0, "corruption plan must have injected something");
     }
@@ -737,6 +751,20 @@ mod tests {
         });
         assert_eq!(out[1].0, 50.0);
         assert!(out[0].1.delays > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "send failed: gave up after 4 attempts; last failure: message to \
+                               rank 0 (tag 7) was dropped")]
+    fn derived_send_panics_with_exhausted_retries() {
+        // FaultComm writes only `try_send`; the trait's `send` turns its
+        // `RetriesExhausted` into the panic.
+        let c = SelfComm::new();
+        let fc = FaultComm::new(
+            &c,
+            FaultPlan::new(0).with_drop_prob(1.0).with_faulty_attempts(u32::MAX),
+        );
+        fc.send(1.0f64, 0, 7);
     }
 
     #[test]
@@ -821,16 +849,16 @@ mod tests {
 
     #[test]
     fn rank_death_shrinks_world_consistently() {
-        // An allgather is two collective rounds (gather + bcast); dying at
-        // round 3 is the boundary between the first and second allgather.
+        // A gather plus a broadcast is two collective rounds; dying at
+        // round 3 is the boundary between the first and second pair.
         let plan = FaultPlan::new(13).with_death(1, 3);
         let w = World::new(3);
         let out = w.run(|c| {
             let fc = FaultComm::new(c, plan.clone());
             // Rounds 1-2: everyone participates.
-            let first = fc.try_allgather(fc.rank() as f64).map(|v| v.len());
+            let first = try_gather_bcast(&fc, fc.rank() as f64).map(|v| v.len());
             // Rounds 3+: rank 1 is dead; survivors renumber to 0..2.
-            let second = fc.try_allgather(fc.rank() as f64).map(|v| v.len());
+            let second = try_gather_bcast(&fc, fc.rank() as f64).map(|v| v.len());
             (first, second, fc.size(), fc.failed_ranks())
         });
         assert_eq!(out[0].0, Ok(3));
@@ -850,7 +878,7 @@ mod tests {
         let w = World::new(3);
         let out = w.run(|c| {
             let fc = FaultComm::new(c, plan.clone());
-            let r = fc.try_allgather(c.rank() as f64);
+            let r = try_gather_bcast(&fc, c.rank() as f64);
             (fc.rank(), fc.size(), r)
         });
         // Physical 1 and 2 become virtual 0 and 1.
@@ -871,7 +899,7 @@ mod tests {
                 let fc = FaultComm::new(c, plan.clone());
                 let mut acc = Vec::new();
                 for _ in 0..5 {
-                    acc = fc.allreduce_sum(vec![fc.rank() as f64, acc.len() as f64]);
+                    acc = sum_everywhere(&fc, vec![fc.rank() as f64, acc.len() as f64]);
                 }
                 (acc, fc.stats())
             })

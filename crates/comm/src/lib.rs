@@ -3,8 +3,9 @@
 //! In-process message-passing substrate standing in for MPI (Rust MPI
 //! bindings being thin, per the reproduction plan in `DESIGN.md`). A
 //! [`World`] spawns one thread per rank; each thread drives an SPMD closure
-//! through a [`Communicator`] offering the exact operations the paper's
-//! listings use (`gather`, `bcast`, `send`, `recv`), plus:
+//! through a [`Communicator`] offering exactly the operations the paper's
+//! listings use (`gather`, `bcast`, `send`, `recv`), each written once in
+//! fallible `try_*` form, plus:
 //!
 //! - **traffic recording** ([`TrafficStats`]): every message's byte volume is
 //!   counted per rank, so benchmarks can report real communication volumes;
@@ -20,8 +21,11 @@
 //! use psvd_comm::{Communicator, World};
 //!
 //! let world = World::new(4);
-//! let sums = world.run(|comm| comm.allreduce_sum(vec![comm.rank() as f64]));
-//! assert!(sums.iter().all(|v| v == &vec![6.0]));
+//! let sums = world.run(|comm| {
+//!     let total = comm.gather(comm.rank() as f64, 0).map(|all| all.iter().sum::<f64>());
+//!     comm.bcast(total, 0)
+//! });
+//! assert_eq!(sums, vec![6.0; 4]);
 //! ```
 
 pub mod collectives;

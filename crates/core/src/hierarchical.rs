@@ -250,17 +250,6 @@ impl MergeTreePlan {
             try_tree_bcast(comm, value, root)
         }
     }
-
-    /// Every rank obtains every rank's payload: gather at rank 0, then
-    /// broadcast, both over this plan's collective shape.
-    pub(crate) fn try_allgather<C: Communicator, P: Payload + Clone>(
-        &self,
-        comm: &C,
-        value: P,
-    ) -> Result<Vec<P>, CommError> {
-        let gathered = self.try_gather(comm, value, 0)?;
-        self.try_bcast(comm, gathered, 0)
-    }
 }
 
 /// Diagnostics of a merge-tree round, reported on every rank alongside

@@ -10,11 +10,11 @@
 //!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from the
 //!   configuration and the current world (depth 1, the default, *is* the
 //!   paper's Listing 3);
-//! - [`ParallelStreamingSvd::parallel_qr`] factors every later batch's
+//! - TSQR (Benson et al., Listing 4) factors every later batch's
 //!   `Mᵢ x B` residual (or, when the modes measure as not orthonormal, the
-//!   whole `[ff·U·D | A]` stack) — TSQR (Benson et al.): local thin QR,
-//!   R-blocks stacked and re-factorized at rank 0, global Q blocks
-//!   scattered back, plus the SVD of the final `R`;
+//!   whole `[ff·U·D | A]` stack): local thin QR, R-blocks stacked and
+//!   re-factorized at rank 0, each rank's global Q block sent back
+//!   point-to-point, plus the SVD of the final `R`;
 //! - the projection's `UᵀU` and `UᵀA` are summed by an allreduce (gather
 //!   at rank 0, broadcast back), `UᵀU` at native precision under every
 //!   wire policy.
@@ -49,7 +49,7 @@ use psvd_linalg::{Matrix, Scalar};
 use crate::checkpoint::SvdCheckpoint;
 use crate::config::SvdConfig;
 use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo};
-use crate::update::{forward_tracker_accessors, qr_svd, Ctx, TallQr, Tracker};
+use crate::update::{forward_tracker_accessors, Ctx, TallQr, Tracker};
 use crate::wire;
 
 /// Tag base for the TSQR Q-block scatter (the paper uses `tag = rank + 10`).
@@ -240,9 +240,11 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
 
     /// TSQR (Listing 4). Local `Q`, the root's stacked-R re-QR factors and
     /// the QR scratch persist (an errored round leaves them in place and
-    /// the instance reusable). Both QR stages are `qr_thin_into`: the tall
-    /// local stage takes the blocked compact-WY path, the small `pn x n`
-    /// root stage stays on the unblocked one (`PSVD_QR_BLOCK`, DESIGN.md).
+    /// the instance reusable). Both QR stages are `qr_thin_into`, whose
+    /// panel width is a function of shape alone: `min(rows, cols)` below
+    /// 48 runs the unblocked path, below 128 compact-WY panels of 16,
+    /// otherwise panels of 32 (DESIGN.md, "Panel width"). So the `pn x n`
+    /// root stage blocks exactly when `n ≥ 48`, like the local stage.
     fn qr(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -254,7 +256,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         let n = a_local.cols();
         assert!(
             a_local.rows() >= n,
-            "parallel_qr: local block must be tall ({} rows < {} cols); \
+            "TSQR: local block must be tall ({} rows < {} cols); \
              use more snapshots per rank or fewer ranks",
             a_local.rows(),
             n
@@ -379,17 +381,6 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         (phi, s)
     }
 
-    /// TSQR (Listing 4): factorizes the row-distributed matrix as
-    /// `A = Q R`, returning `(Q_local, U_R, s_R)` where `U_R Σ_R V_Rᵀ` is
-    /// the SVD of the final `R` (step I2/2 of the Levy–Lindenbaum loop).
-    pub fn parallel_qr(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Matrix<T>, Vec<T>) {
-        let mut qlocal = Matrix::zeros(0, 0);
-        let rank = self.tracker.config().k.min(a_local.cols());
-        let (u, s) = qr_svd(&mut self.link, &mut self.tracker.ctx(), a_local, rank, &mut qlocal)
-            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"));
-        (qlocal, u, s)
-    }
-
     /// Ingest the first local batch `A0ⁱ` (`Mᵢ x B`) — Listing 2's
     /// `initialize`: one APMOS pass.
     pub fn initialize(&mut self, a_local: &Matrix<T>) -> &mut Self {
@@ -434,23 +425,10 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     }
 
     /// Stream this rank's row block of an entire dataset in `batch`-column
-    /// chunks.
+    /// chunks. Panics if a collective round fails permanently.
     pub fn fit_batched(&mut self, a_local: &Matrix<T>, batch: usize) -> &mut Self {
-        self.try_fit_batched(a_local, batch).unwrap_or_else(|e| panic!("fit_batched failed: {e}"))
-    }
-
-    /// Fallible [`ParallelStreamingSvd::fit_batched`]: stops at the first
-    /// batch whose collective round fails permanently.
-    pub fn try_fit_batched(
-        &mut self,
-        a_local: &Matrix<T>,
-        batch: usize,
-    ) -> Result<&mut Self, CommError> {
-        match self.try_fit_source(&mut MatrixBatchSource::new(a_local, batch)) {
-            Ok(d) => Ok(d),
-            Err(IngestError::Comm(e)) => Err(e),
-            Err(IngestError::Io(e)) => panic!("in-core sources cannot fail: {e}"),
-        }
+        self.try_fit_source(&mut MatrixBatchSource::new(a_local, batch))
+            .unwrap_or_else(|e| panic!("fit_batched failed: {e}"))
     }
 
     /// Stream every batch a [`SnapshotSource`] yields — the pull-based
@@ -459,15 +437,10 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// [`psvd_data::prefetch::SnapshotPrefetcher`], its own file handle
     /// and reader thread — the MPI-IO independent-access pattern), so
     /// batch `k+1`'s IO and decode overlap batch `k`'s collective update.
-    /// Panics on failure; see [`ParallelStreamingSvd::try_fit_source`].
-    pub fn fit_source<S: SnapshotSource<T>>(&mut self, source: &mut S) -> &mut Self {
-        self.try_fit_source(source).unwrap_or_else(|e| panic!("fit_source failed: {e}"))
-    }
-
-    /// Fallible [`ParallelStreamingSvd::fit_source`]: IO failures surface
-    /// as [`IngestError::Io`], permanent collective failures as
-    /// [`IngestError::Comm`]; either way the last successful update's
-    /// factorization stays intact. All ranks must fail or succeed
+    ///
+    /// IO failures surface as [`IngestError::Io`], permanent collective
+    /// failures as [`IngestError::Comm`]; either way the last successful
+    /// update's factorization stays intact. All ranks must fail or succeed
     /// together for the SPMD stream to stay consistent — an IO error is
     /// local to this rank, so callers tolerating per-rank faults should
     /// pair this with `cfg.allow_degraded`.
@@ -496,19 +469,6 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     pub fn into_gathered_modes(self, root: usize) -> Option<Matrix<T>> {
         let (comm, cfg) = (self.link.comm, *self.tracker.config());
         gather_rows(comm, &cfg, self.tracker.into_modes().0, root)
-    }
-
-    /// Gather the distributed modes into the global `M x K` matrix on
-    /// *every* rank — a gather at rank 0 followed by a broadcast, both
-    /// over the plan's collective shape so a tree-configured run never
-    /// funnels flat through rank 0.
-    pub fn allgather_modes(&self) -> Matrix<T> {
-        let (comm, cfg) = (self.link.comm, self.tracker.config());
-        let mine = wire::pack(wire::mixed(cfg), self.tracker.modes().clone());
-        let blocks = plan_for(cfg, comm)
-            .try_allgather(comm, mine)
-            .unwrap_or_else(|e| panic!("allgather_modes failed: {e}"));
-        wire::vstack(blocks)
     }
 }
 
@@ -572,6 +532,19 @@ mod tests {
 
     use crate::config::Precision;
     use crate::serial::{batch_truncated_svd, SerialStreamingSvd};
+    use crate::update::qr_svd;
+
+    /// TSQR through the driver's link: this rank's rows of `Q`, and the
+    /// SVD `(U_R, σ_R)` of the final `R` for `K` triplets.
+    fn tsqr<C: Communicator>(
+        d: &mut ParallelStreamingSvd<'_, C>,
+        a_local: &Matrix,
+    ) -> (Matrix, Matrix, Vec<f64>) {
+        let mut q = Matrix::zeros(0, 0);
+        let rank = d.tracker.config().k.min(a_local.cols());
+        let (u, s) = qr_svd(&mut d.link, &mut d.tracker.ctx(), a_local, rank, &mut q).unwrap();
+        (q, u, s)
+    }
 
     fn decaying_matrix(m: usize, n: usize, seed: u64) -> Matrix {
         let spec: Vec<f64> = (0..n.min(m)).map(|i| 8.0 * 0.6f64.powi(i as i32)).collect();
@@ -629,7 +602,7 @@ mod tests {
         let blocks = split_rows(&a, 4);
         let out = world.run(|comm| {
             let mut d = ParallelStreamingSvd::new(comm, cfg);
-            d.parallel_qr(&blocks[comm.rank()])
+            tsqr(&mut d, &blocks[comm.rank()])
         });
         // Stacked local Qs form the global Q.
         let q = Matrix::vstack_all(&out.iter().map(|(q, _, _)| q.clone()).collect::<Vec<_>>());
@@ -830,27 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_modes_matches_root_gather_on_every_rank() {
-        let a = decaying_matrix(64, 12, 11);
-        let base = SvdConfig::new(3).with_forget_factor(1.0).with_r1(8).with_r2(6);
-        for fanout in [0usize, 2] {
-            let cfg = base.with_tree_fanout(fanout).with_tree_depth(0);
-            let blocks = split_rows(&a, 4);
-            let world = World::new(4);
-            let out = world.run(|comm| {
-                let mut d = ParallelStreamingSvd::new(comm, cfg);
-                d.fit_batched(&blocks[comm.rank()], 6);
-                let everywhere = d.allgather_modes();
-                (everywhere, d.gather_modes(0))
-            });
-            let root_copy = out[0].1.as_ref().unwrap();
-            for (rank, (everywhere, _)) in out.iter().enumerate() {
-                assert_eq!(everywhere, root_copy, "rank {rank} (fanout={fanout}) diverged");
-            }
-        }
-    }
-
-    #[test]
     // The tall-block assertion fires inside the rank thread; the harness
     // surfaces it as a join failure on the spawning thread.
     #[should_panic(expected = "rank thread panicked")]
@@ -860,7 +812,7 @@ mod tests {
         world.run(|comm| {
             let mut d = ParallelStreamingSvd::new(comm, cfg);
             let wide = Matrix::<f64>::zeros(3, 8);
-            let _ = d.parallel_qr(&wide);
+            let _ = tsqr(&mut d, &wide);
         });
     }
 }

@@ -159,9 +159,11 @@ pub(crate) fn factor_truncate<T: Scalar, F: TallQr<T> + ?Sized>(
     Ok(s)
 }
 
-/// The in-process [`TallQr`]: `qr_thin_into` (blocked compact-WY once the
-/// stack is wide enough, see `PSVD_QR_BLOCK` in DESIGN.md) into a
-/// persistent `R`; sums and broadcasts are the identity.
+/// The in-process [`TallQr`]: `qr_thin_into` into a persistent `R`; sums
+/// and broadcasts are the identity. The QR's panel width is a function of
+/// shape alone: a stack with fewer than 48 columns (or rows) runs the
+/// unblocked path, below 128 compact-WY panels of 16, otherwise panels of
+/// 32 (DESIGN.md, "Panel width").
 pub(crate) struct LocalQr<T: Scalar>(Matrix<T>);
 
 impl<T: Scalar> LocalQr<T> {

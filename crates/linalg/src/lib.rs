@@ -43,7 +43,7 @@ pub mod wy;
 
 pub use gemm::{gram_into, matmul_acc_into, matmul_into, matmul_nt_into, matmul_tn_into};
 pub use matrix::{alloc_stats, Matrix};
-pub use qr::{qr_block, qr_thin_into, set_qr_block, thin_qr, QrFactors};
+pub use qr::{qr_thin_into, thin_qr, QrFactors};
 pub use randomized::{low_rank_svd, randomized_svd, RandomizedConfig};
 pub use scalar::Scalar;
 pub use snapshots::generate_right_vectors;

@@ -18,8 +18,6 @@ use crate::scalar::Scalar;
 use crate::view::MatView;
 use crate::workspace::Workspace;
 use crate::wy;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Below this many flops (`4 · v.len() · columns`) a reflector sweep runs
 /// on the calling thread: the p×p root factorization of TSQR and the short
@@ -154,58 +152,19 @@ pub(crate) fn apply_reflector_right<T: Scalar>(
     }
 }
 
-/// Process-wide programmatic override of the QR/bidiagonalization panel
-/// width (`0` = resolve from the `PSVD_QR_BLOCK` env var, then the shape
-/// heuristic). Takes precedence over the environment so tests and benches
-/// can switch block sizes without re-execing.
-static QR_BLOCK: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the compact-WY panel width for all subsequent factorizations.
-/// `nb = 1` forces the unblocked reference path; `0` restores automatic
-/// resolution (env var, then shape heuristic). The effective width is
-/// always clamped to `min(m, n)` per call.
-///
-/// Note that unlike the thread count, the panel width changes the
-/// floating-point result (within contract tolerances): callers comparing
-/// runs bitwise must pin `nb`.
-pub fn set_qr_block(nb: usize) {
-    QR_BLOCK.store(nb, Ordering::Relaxed);
-}
-
-/// `PSVD_QR_BLOCK`, read once per process (consistent with how the kernel
-/// thread count is resolved in [`crate::par`]).
-fn env_qr_block() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PSVD_QR_BLOCK").ok().and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0)
-    })
-}
-
-/// Shape-based default panel width. Small factorizations stay on the
-/// unblocked path (panel assembly + T recurrence overhead beats the GEMM
-/// gain below ~48 columns); medium and large ones use panels sized so the
+/// The compact-WY panel width of an `m x n` factorization, a pure function
+/// of shape: `p = min(m, n)` below 48 stays on the unblocked path (panel
+/// assembly and the `T` recurrence cost more than the GEMM saves), below
+/// 128 takes panels of 16, and larger shapes panels of 32, sized so the
 /// `(Y, T)` pair stays cache-resident while the trailing GEMM runs at full
-/// packed-kernel throughput. A pure function of shape, so the dispatch
-/// decision — like everything downstream of it — is independent of the
-/// thread count.
-fn auto_qr_block(p: usize) -> usize {
-    if p < 48 {
-        1
-    } else if p < 128 {
-        16
-    } else {
-        32
+/// packed-kernel throughput. The width changes rounding (unlike the thread
+/// count), so it depends on nothing but the shape.
+pub(crate) fn qr_block(m: usize, n: usize) -> usize {
+    match m.min(n) {
+        0..48 => 1,
+        48..128 => 16,
+        _ => 32,
     }
-}
-
-/// The panel width an `m x n` factorization will actually use, after the
-/// programmatic override, `PSVD_QR_BLOCK`, the shape heuristic, and the
-/// `min(m, n)` clamp. Exposed so benches and tests can report / pin it.
-pub fn qr_block(m: usize, n: usize) -> usize {
-    let p = m.min(n).max(1);
-    let cfg = QR_BLOCK.load(Ordering::Relaxed);
-    let nb = if cfg > 0 { cfg } else { env_qr_block().unwrap_or_else(|| auto_qr_block(p)) };
-    nb.min(p)
 }
 
 /// The result of a QR factorization: `a = q * r`.
@@ -761,13 +720,17 @@ mod tests {
         (q, r)
     }
 
-    /// The unblocked core plus canonicalization, called directly so no
-    /// panel-width knob can route it elsewhere.
-    fn unblocked_qr<T: Scalar>(a: &Matrix<T>) -> (Matrix<T>, Matrix<T>) {
+    /// QR at an explicit panel width (`1` = the unblocked core), clamped
+    /// to `min(m, n)` as `qr_thin_into` would, then canonicalized.
+    fn qr_at<T: Scalar>(a: &Matrix<T>, nb: usize) -> QrFactors<T> {
         let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        householder_into(a.view(), &mut q, &mut r, &mut Workspace::new());
+        let mut ws = Workspace::new();
+        match nb.min(a.rows().min(a.cols())) {
+            0 | 1 => householder_into(a.view(), &mut q, &mut r, &mut ws),
+            nb => householder_blocked_into(a.view(), &mut q, &mut r, nb, &mut ws),
+        }
         canonicalize_qr(&mut q, &mut r);
-        (q, r)
+        QrFactors { q, r }
     }
 
     fn bits<T: Scalar>(xs: &[T]) -> Vec<u8> {
@@ -839,13 +802,13 @@ mod tests {
             ("45x13", mat(45, 13, 0.37)),
         ];
         for (name, a) in &cases {
-            let (q, r) = unblocked_qr(a);
+            let QrFactors { q, r } = qr_at(a, 1);
             let (oq, or) = oracle_unblocked_qr(a);
             assert_eq!((q.shape(), r.shape()), (oq.shape(), or.shape()), "{} {name}", T::NAME);
             assert_eq!(bits(q.as_slice()), bits(oq.as_slice()), "{} {name}: Q", T::NAME);
             assert_eq!(bits(r.as_slice()), bits(or.as_slice()), "{} {name}: R", T::NAME);
         }
-        let (_, r) = unblocked_qr(&dup);
+        let r = qr_at(&dup, 1).r;
         assert!(r[(1, 1)] == zero && r[(2, 2)] == zero, "identity reflectors not hit");
     }
 
@@ -853,6 +816,136 @@ mod tests {
     fn unblocked_qr_is_bitwise_the_column_walk() {
         unblocked_matches_column_walk::<f64>();
         unblocked_matches_column_walk::<f32>();
+    }
+
+    fn assert_contract(a: &Matrix, f: &QrFactors) {
+        assert!(reconstruction_error(a, f) < 1e-12, "A != QR for {:?}", a.shape());
+        assert!(orthogonality_error(&f.q) < 1e-12, "Q not orthonormal for {:?}", a.shape());
+        for i in 0..f.r.rows().min(f.r.cols()) {
+            assert!(f.r[(i, i)] >= 0.0, "negative R diagonal at {i}");
+            for j in 0..i {
+                assert_eq!(f.r[(i, j)], 0.0, "R not upper triangular at ({i},{j})");
+            }
+        }
+    }
+
+    fn gaussian(m: usize, n: usize, seed: u64) -> Matrix {
+        crate::random::gaussian_matrix(m, n, &mut crate::random::seeded_rng(seed))
+    }
+
+    #[test]
+    fn blocked_matches_unblocked_reference() {
+        for (idx, (m, n)) in [(200, 64), (96, 96), (64, 150)].into_iter().enumerate() {
+            let a = gaussian(m, n, 1000 + idx as u64); // tall, square, wide
+            let base = qr_at(&a, 1);
+            assert_contract(&a, &base);
+            for nb in [4, 8, 16, 32, 64] {
+                let f = qr_at(&a, nb);
+                assert_contract(&a, &f);
+                assert!((&f.q - &base.q).max_abs() < 1e-12, "Q diverged at nb={nb}, {m}x{n}");
+                assert!((&f.r - &base.r).max_abs() < 1e-12, "R diverged at nb={nb}, {m}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn strided_view_factors_like_materialized_copy() {
+        // 197 x 65 takes panels of 16. The working copy normalizes strides
+        // up front, so a view is bitwise indistinguishable from its copy.
+        assert_eq!(qr_block(197, 65), 16);
+        let a = gaussian(220, 80, 7);
+        let blk = a.block(3, 200, 5, 70);
+        let cpy = a.submatrix(3, 200, 5, 70);
+        let mut ws = Workspace::new();
+        let (mut q1, mut r1) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let (mut q2, mut r2) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        qr_thin_into(blk, &mut q1, &mut r1, &mut ws);
+        qr_thin_into(cpy.view(), &mut q2, &mut r2, &mut ws);
+        assert_eq!(q1, q2);
+        assert_eq!(r1, r2);
+        assert_contract(&cpy, &QrFactors { q: q1, r: r1 });
+    }
+
+    #[test]
+    fn rank_deficient_and_zero_inputs() {
+        // Rank-deficient: trailing Q columns are non-unique, so compare the
+        // factorization contract rather than entries.
+        let mut a = gaussian(120, 30, 21);
+        let dup = a.col(0);
+        for j in 30 - 8..30 {
+            a.set_col(j, &dup); // rank <= 23
+        }
+        let wide = a.hstack(&a);
+        for nb in [1, 8, 32] {
+            let f = qr_at(&wide, nb);
+            assert!(reconstruction_error(&wide, &f) < 1e-12);
+            assert!(orthogonality_error(&f.q) < 1e-12);
+            for i in 0..f.r.rows() {
+                assert!(f.r[(i, i)] >= 0.0);
+            }
+        }
+        // Zero matrix: R must be exactly zero at any width.
+        let z = Matrix::<f64>::zeros(80, 60);
+        for nb in [1, 16] {
+            let f = qr_at(&z, nb);
+            assert_eq!(f.r, Matrix::zeros(60, 60), "nb={nb}");
+            assert!(orthogonality_error(&f.q) < 1e-14);
+        }
+    }
+
+    /// Factor `a` at width `nb` on 1 thread, then on 2, 4 and 8: the bits
+    /// must not move.
+    fn assert_thread_invariant(a: &Matrix, nb: usize) {
+        par::set_num_threads(1);
+        let base = qr_at(a, nb);
+        for threads in [2usize, 4, 8] {
+            par::set_num_threads(threads);
+            let f = qr_at(a, nb);
+            assert_eq!(f.q, base.q, "Q bits changed at {threads} threads, nb={nb}");
+            assert_eq!(f.r, base.r, "R bits changed at {threads} threads, nb={nb}");
+        }
+        par::set_num_threads(0);
+    }
+
+    #[test]
+    fn blocked_bitwise_identical_across_thread_counts() {
+        // Big enough that the WY trailing updates cross the packed-GEMM
+        // parallel threshold, so the row partition genuinely splits.
+        assert_thread_invariant(&gaussian(600, 128, 3), 32);
+    }
+
+    #[test]
+    fn unblocked_bitwise_identical_across_thread_counts() {
+        // The early reflectors sweep 32+ columns of 4000 rows, past the
+        // serial cutoff, so the grain-16 column partition genuinely splits.
+        assert_thread_invariant(&gaussian(4000, 40, 5), 1);
+    }
+
+    #[test]
+    fn blocked_path_reuses_workspace() {
+        let a = gaussian(120, 64, 11);
+        assert_eq!(qr_block(120, 64), 16);
+        let mut ws = Workspace::new();
+        let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        qr_thin_into(a.view(), &mut q, &mut r, &mut ws);
+        ws.reset_stats();
+        for _ in 0..5 {
+            qr_thin_into(a.view(), &mut q, &mut r, &mut ws);
+        }
+        let s = ws.stats();
+        assert_eq!(s.misses, 0, "warm workspace must serve every blocked-path take");
+        assert_eq!(s.fresh_bytes, 0);
+        assert!(s.takes > 0);
+    }
+
+    #[test]
+    fn panel_width_is_a_function_of_shape() {
+        // Small problems stay unblocked, large ones get cache-sized panels;
+        // only min(m, n) decides.
+        let cases = [(45, 13, 1), (30, 6, 1), (47, 900, 1), (200, 64, 16), (127, 127, 16)];
+        for (m, n, nb) in cases.into_iter().chain([(16384, 128, 32), (4096, 256, 32)]) {
+            assert_eq!(qr_block(m, n), nb, "{m}x{n}");
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! The per-instance counters ([`Workspace::stats`]) make the reuse
 //! observable: `misses` and `fresh_bytes` stop growing once the pool is
 //! warm, which is exactly what `tests/props_views.rs` asserts for a
-//! 50-batch streaming run, and what `tests/props_qr_blocked.rs` asserts
-//! for the blocked compact-WY QR, whose panel buffers (`Y`, `S`, `T`,
+//! 50-batch streaming run, and what `qr.rs`'s `blocked_path_reuses_workspace`
+//! asserts for the blocked compact-WY QR, whose panel buffers (`Y`, `S`, `T`,
 //! the GEMM temporaries) all cycle through the same pool.
 
 use crate::matrix::{alloc_stats, Matrix};

@@ -517,6 +517,20 @@ impl Inner {
         }
     }
 
+    /// The live state behind a held slot lock, rehydrating it from the
+    /// eviction blob first if the session was spilled.
+    fn live<'s>(&self, session: &Session, slot: &'s mut Slot) -> &'s mut SessionState {
+        if let Slot::Evicted(blob) = &*slot {
+            let state = SessionState::from_bytes(session.spec, blob)
+                .expect("eviction blob must decode: it was encoded by this server");
+            *slot = Slot::Live(Box::new(state));
+            self.resident.fetch_add(1, Ordering::Relaxed);
+            self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
+        }
+        let Slot::Live(state) = slot else { unreachable!() };
+        state
+    }
+
     /// The session's model, rehydrating from the eviction blob on demand.
     fn model_of(&self, session: &Arc<Session>) -> Result<Arc<SessionModel>, ServeError> {
         if let Some(m) = session.model.read().unwrap().clone() {
@@ -525,14 +539,7 @@ impl Inner {
         // No published model: either the session never committed a round,
         // or it was evicted. Rehydrate under the slot lock.
         let mut slot = session.slot.lock().unwrap();
-        if let Slot::Evicted(blob) = &*slot {
-            let state = SessionState::from_bytes(session.spec, blob)
-                .expect("eviction blob must decode: it was encoded by this server");
-            *slot = Slot::Live(Box::new(state));
-            self.resident.fetch_add(1, Ordering::Relaxed);
-            self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
-        }
-        let Slot::Live(state) = &*slot else { unreachable!() };
+        let state = self.live(session, &mut slot);
         if !state.is_initialized() {
             return Err(ServeError::NotReady(session.tenant.clone()));
         }
@@ -584,14 +591,7 @@ impl Inner {
         }
         if let Some(work) = work {
             let mut slot = session.slot.lock().unwrap();
-            if let Slot::Evicted(blob) = &*slot {
-                let state = SessionState::from_bytes(session.spec, blob)
-                    .expect("eviction blob must decode: it was encoded by this server");
-                *slot = Slot::Live(Box::new(state));
-                self.resident.fetch_add(1, Ordering::Relaxed);
-                self.stats.rehydrations.fetch_add(1, Ordering::Relaxed);
-            }
-            let Slot::Live(state) = &mut *slot else { unreachable!() };
+            let state = self.live(&session, &mut slot);
             let report = match &session.spec.chaos {
                 Some(spec) => {
                     let plan = spec.plan_for(&session.tenant, state.rounds(), session.spec.ranks);

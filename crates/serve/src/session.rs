@@ -102,11 +102,13 @@ impl SessionSpec {
         if self.batch == 0 {
             return invalid("batch width must be positive".into());
         }
+        // A full-stack update QR-factors `K + batch` columns of every
+        // rank's block, and TSQR needs that block tall.
         let min_block = block_len(self.rows, self.ranks, self.ranks - 1);
-        if min_block < self.batch.max(self.svd.k) {
+        if min_block < self.svd.k + self.batch {
             return invalid(format!(
-                "smallest row block ({min_block} rows) must cover the batch width ({}) and K ({})",
-                self.batch, self.svd.k
+                "smallest row block ({min_block} rows) must cover K + the batch width ({} + {})",
+                self.svd.k, self.batch
             ));
         }
         if self.chaos.is_some() {
@@ -632,6 +634,25 @@ mod tests {
         let back = SessionState::from_bytes(sp, &faulted.to_bytes()).unwrap();
         assert_eq!(back.replays(), replays);
         assert_eq!(back.rounds(), faulted.rounds());
+    }
+
+    #[test]
+    fn row_blocks_must_hold_a_full_stack_update() {
+        // 8 rows on 2 ranks, K = 4, batch 4: the first round would commit,
+        // but a full-stack update factors K + batch = 8 columns of a 4-row
+        // block.
+        let err = SessionSpec::new(4, 8).with_batch(4).with_ranks(2).try_validated().unwrap_err();
+        assert!(err.to_string().contains("K + the batch width (4 + 4)"), "{err}");
+        // Twice the rows: every round commits.
+        let sp = SessionSpec::new(4, 16)
+            .with_svd(SvdConfig::new(4).with_precision(psvd_core::Precision::F64))
+            .with_batch(4)
+            .with_ranks(2);
+        let mut st = SessionState::new(sp);
+        for r in rounds_of(&data(16, 16, 2), 4) {
+            st.update(&r);
+        }
+        assert_eq!(st.snapshots_seen(), 16);
     }
 
     #[test]

@@ -65,7 +65,8 @@ fn main() {
         // Fixed stable step from the *global* initial velocity bound
         // (viscous Burgers dissipates, so the bound holds for all time).
         let local_max = u.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
-        let global_max = comm.allreduce_max(local_max);
+        let maxima = comm.gather(local_max, 0);
+        let global_max = comm.bcast(maxima.map(|m| m.into_iter().fold(0.0, f64::max)), 0);
         let dt = stable_dt(dx, nu, global_max.max(1e-6));
 
         let sample_dt = cfg.final_time / cfg.snapshots as f64;

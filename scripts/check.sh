@@ -38,7 +38,15 @@ if ! diff <(echo "$code_knobs") <(echo "$readme_knobs"); then
     echo "check: PSVD_* literals under crates/ and src/ (<) differ from README's env table (>)" >&2
     exit 1
 fi
-echo "check: env-knob table OK ($(wc -l <<<"$code_knobs") knobs)"
+# Infallible twins: every `unwrap_or_else(|e| panic!` under crates/ is a name
+# that panics on its fallible twin's error. The count may only go down.
+MAX_PANIC_WRAPPERS=14
+panic_wrappers=$(grep -rF 'unwrap_or_else(|e| panic!' crates | wc -l)
+if ((panic_wrappers > MAX_PANIC_WRAPPERS)); then
+    echo "check: $panic_wrappers unwrap_or_else(|e| panic!(…)) sites under crates/, above $MAX_PANIC_WRAPPERS" >&2
+    exit 1
+fi
+echo "check: env-knob table OK ($(wc -l <<<"$code_knobs") knobs), $panic_wrappers panic wrappers (max $MAX_PANIC_WRAPPERS)"
 
 cargo build --release
 cargo test -q --no-fail-fast

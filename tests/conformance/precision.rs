@@ -146,7 +146,7 @@ fn mixed_mode_halves_wire_traffic() {
         world.run(|comm| {
             let mut d = ParallelStreamingSvd::new(comm, cfg);
             d.fit_batched(&blocks[comm.rank()], 8);
-            let _ = d.allgather_modes();
+            let _ = d.gather_modes(0);
         });
         world.stats().total_bytes()
     };

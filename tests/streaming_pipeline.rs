@@ -165,7 +165,7 @@ fn out_of_core_parallel_ranks_stream_independent_hyperslabs() {
         let (r0, r1) = block_range(rows, comm.size(), comm.rank());
         let mut pf = SnapshotPrefetcher::<f64>::open_rows(&path, r0, r1, batch).unwrap();
         let mut d = ParallelStreamingSvd::new(comm, cfg);
-        d.fit_source(&mut pf);
+        d.try_fit_source(&mut pf).unwrap();
         (d.singular_values().to_vec(), d.local_modes().clone())
     });
 
