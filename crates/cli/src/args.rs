@@ -79,6 +79,14 @@ impl ParsedArgs {
         }
     }
 
+    /// A `usize` flag with a default that must be positive.
+    pub fn positive_or(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.usize_or(name, default)? {
+            0 => Err(format!("--{name} must be positive")),
+            n => Ok(n),
+        }
+    }
+
     /// An `f64` flag with a default.
     pub fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
         match self.get(name) {

@@ -11,9 +11,7 @@
 //! psvd info burgers.ncs
 //! psvd svd burgers.ncs --k 10 --ranks 4 --batch 50 --values-out sv.csv
 //! psvd validate burgers.ncs --k 6 --ranks 4
-//! psvd pod burgers.ncs --k 4                  # psvd-core
-//! psvd dmd burgers.ncs --k 5 --dt 0.05        # psvd-modal
-//! psvd spod burgers.ncs --nfft 64 --dt 0.05   # psvd-modal
+//! psvd pod burgers.ncs --k 4
 //! ```
 
 pub mod args;
@@ -38,14 +36,11 @@ psvd — streaming, distributed and randomized SVD
 USAGE:
   psvd generate burgers --out FILE [--grid N] [--snapshots N] [--re X]
   psvd generate era5    --out FILE [--nlat N] [--nlon N] [--snapshots N] [--noise X]
-  psvd generate wake    --out FILE [--nx N] [--ny N] [--snapshots N] [--fs HZ]
   psvd info FILE
   psvd svd FILE  [--k K] [--ranks R] [--batch B] [--ff F] [--r1 N] [--r2 N]
                  [--low-rank] [--values-out CSV] [--modes-out CSV] [--quiet]
   psvd validate FILE [--k K] [--ranks R] [--batch B]
-  psvd pod  FILE [--k K] [--modes-out CSV]
-  psvd dmd  FILE [--k K] [--dt X]
-  psvd spod FILE [--nfft N] [--dt X] [--k K]
+  psvd pod FILE [--k K] [--modes-out CSV]
   psvd help
 
 Every command also accepts --threads N to pin the linear-algebra kernel
@@ -75,21 +70,26 @@ pub fn run(argv: &[String]) -> Result<Vec<String>, String> {
         "svd" => cmd_svd(&parsed),
         "validate" => cmd_validate(&parsed),
         "pod" => cmd_pod(&parsed),
-        "dmd" => cmd_dmd(&parsed),
-        "spod" => cmd_spod(&parsed),
         other => Err(format!("unknown command '{other}' (try `psvd help`)")),
     }
 }
 
-fn read_input(a: &ParsedArgs) -> Result<Matrix, String> {
-    let file = a.one_positional("input file")?;
-    let mut reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
-    reader.read_all().map_err(|e| e.to_string())
+/// Open a container for a decomposition: one with no rows or no columns
+/// has nothing to decompose.
+fn open_nonempty(file: &str) -> Result<NcsimReader, String> {
+    let reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
+    let (rows, cols) = (reader.rows(), reader.cols());
+    if rows == 0 || cols == 0 {
+        return Err(format!("{file} holds a {rows} x {cols} matrix: nothing to decompose"));
+    }
+    Ok(reader)
 }
 
 fn cmd_pod(a: &ParsedArgs) -> Result<Vec<String>, String> {
-    let data = read_input(a)?;
+    let file = a.one_positional("input file")?;
     let k = a.usize_or("k", 6)?;
+    SvdConfig::new(k).try_validated().map_err(|e| e.to_string())?;
+    let data = open_nonempty(file)?.read_all().map_err(|e| e.to_string())?;
     let p = psvd_core::pod::pod(&data, k);
     let total: f64 = {
         let fluct = psvd_core::pod::subtract_mean(&data, &p.mean);
@@ -107,54 +107,6 @@ fn cmd_pod(a: &ParsedArgs) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-fn cmd_dmd(a: &ParsedArgs) -> Result<Vec<String>, String> {
-    let data = read_input(a)?;
-    let k = a.usize_or("k", 6)?;
-    let dt = a.f64_or("dt", 1.0)?;
-    let d = psvd_modal::dmd::dmd(&data, k, dt);
-    let mut out = vec![format!("DMD, rank {} (requested {k}), dt = {dt}:", d.rank)];
-    out.push(format!("{:>14} {:>12} {:>14}", "freq (cyc/t)", "growth", "|amplitude|"));
-    for ((w, b), _) in d.continuous_eigenvalues().iter().zip(&d.amplitudes).zip(&d.eigenvalues) {
-        out.push(format!(
-            "{:>14.5} {:>12.5} {:>14.4}",
-            w.im / (2.0 * std::f64::consts::PI),
-            w.re,
-            b.abs()
-        ));
-    }
-    out.push(format!("reconstruction error: {:.3e}", d.reconstruction_error(&data)));
-    Ok(out)
-}
-
-fn cmd_spod(a: &ParsedArgs) -> Result<Vec<String>, String> {
-    let raw = read_input(a)?;
-    // Standard SPOD practice: analyze fluctuations about the temporal mean
-    // (otherwise a steady base flow puts all the energy in the f = 0 bin).
-    let mean = psvd_core::pod::temporal_mean(&raw);
-    let data = psvd_core::pod::subtract_mean(&raw, &mean);
-    let nfft = a.usize_or("nfft", 64)?;
-    let dt = a.f64_or("dt", 1.0)?;
-    let k = a.usize_or("k", 3)?;
-    let cfg = psvd_modal::spod::SpodConfig::new(nfft, dt).with_n_modes(k);
-    if cfg.segment_count(data.cols()) == 0 {
-        return Err(format!("record too short: {} snapshots < segment length {nfft}", data.cols()));
-    }
-    let s = psvd_modal::spod::spod(&data, &cfg);
-    let mut out = vec![format!(
-        "SPOD (mean-subtracted): {} segments of {nfft} snapshots, {} frequency bins:",
-        s.n_segments,
-        s.frequencies.len()
-    )];
-    out.push(format!("{:>12} {:>14} {:>14}", "freq", "energy (sum)", "lead mode share"));
-    for f in &s.frequencies {
-        let total: f64 = f.energies.iter().sum();
-        let share = if total > 0.0 { f.energies[0] / total } else { 0.0 };
-        out.push(format!("{:>12.5} {:>14.5e} {:>14.2}", f.frequency, total, share));
-    }
-    out.push(format!("peak frequency: {:.5}", s.peak_frequency()));
-    Ok(out)
-}
-
 fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let kind = a.one_positional("dataset kind (burgers|era5)")?;
     let out = a.require("out")?;
@@ -162,8 +114,8 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
     match kind {
         "burgers" => {
             let cfg = BurgersConfig {
-                grid_points: a.usize_or("grid", 2048)?,
-                snapshots: a.usize_or("snapshots", 200)?,
+                grid_points: a.positive_or("grid", 2048)?,
+                snapshots: a.positive_or("snapshots", 200)?,
                 reynolds: a.f64_or("re", 1000.0)?,
                 ..BurgersConfig::default()
             };
@@ -176,9 +128,9 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
         }
         "era5" => {
             let cfg = Era5Config {
-                nlat: a.usize_or("nlat", 48)?,
-                nlon: a.usize_or("nlon", 72)?,
-                snapshots: a.usize_or("snapshots", 512)?,
+                nlat: a.positive_or("nlat", 48)?,
+                nlon: a.positive_or("nlon", 72)?,
+                snapshots: a.positive_or("snapshots", 512)?,
                 noise_level: a.f64_or("noise", 0.1)?,
                 ..Era5Config::default()
             };
@@ -190,22 +142,7 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
                 out, cfg.nlat, cfg.nlon, cfg.snapshots, cfg.n_modes
             )])
         }
-        "wake" => {
-            let cfg = psvd_data::wake::WakeConfig {
-                nx: a.usize_or("nx", 96)?,
-                ny: a.usize_or("ny", 48)?,
-                snapshots: a.usize_or("snapshots", 256)?,
-                shedding_frequency: a.f64_or("fs", 1.1)?,
-                ..psvd_data::wake::WakeConfig::default()
-            };
-            let d = psvd_data::wake::generate(&cfg);
-            write_v2(path, "vorticity", &d, V2Options::default()).map_err(|e| e.to_string())?;
-            Ok(vec![format!(
-                "wrote {} ({} x {} grid, {} snapshots, shedding at {} Hz)",
-                out, cfg.nx, cfg.ny, cfg.snapshots, cfg.shedding_frequency
-            )])
-        }
-        other => Err(format!("unknown dataset kind '{other}' (burgers|era5|wake)")),
+        other => Err(format!("unknown dataset kind '{other}' (burgers|era5)")),
     }
 }
 
@@ -232,15 +169,14 @@ struct SvdRun {
 
 fn run_svd(file: &str, cfg: SvdConfig, ranks: usize, batch: usize) -> Result<SvdRun, String> {
     if ranks <= 1 {
-        let mut reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
-        let data = reader.read_all().map_err(|e| e.to_string())?;
+        let data = open_nonempty(file)?.read_all().map_err(|e| e.to_string())?;
         let mut s = SerialStreamingSvd::new(cfg);
         s.fit_batched(&data, batch.min(data.cols()).max(1));
         Ok(SvdRun { singular_values: s.singular_values().to_vec(), modes: s.modes().clone() })
     } else {
         let (rows, cols) = {
-            let reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
-            (reader.rows(), reader.header().cols)
+            let reader = open_nonempty(file)?;
+            (reader.rows(), reader.cols())
         };
         // Every batch after the first QR-factors up to K + batch columns of
         // each rank's rows (TSQR), which needs that block tall.
@@ -425,6 +361,14 @@ mod tests {
 
         // Bad numeric arguments are typed errors naming the violated
         // condition, not panics; validate needs a parallel side to compare.
+        // A zero size writes no file, and an empty container is refused.
+        let never = tmp("never.ncs");
+        let no_rows = tmp("no_rows.ncs");
+        let no_cols = tmp("no_cols.ncs");
+        write_v2(Path::new(&no_rows), "u", &Matrix::<f64>::zeros(0, 8), V2Options::default())
+            .unwrap();
+        write_v2(Path::new(&no_cols), "u", &Matrix::<f64>::zeros(64, 0), V2Options::default())
+            .unwrap();
         for (args, want) in [
             (vec!["svd", &file, "--k", "0"], "K must be positive"),
             (vec!["svd", &file, "--ff", "2.0"], "forget factor must be in (0, 1]"),
@@ -433,10 +377,28 @@ mod tests {
             (vec!["validate", &file, "--ranks", "1"], "--ranks must be at least 2"),
             (vec!["svd", &file, "--k", "4", "--ranks", "32", "--batch", "16"], "(4 + 16)"),
             (vec!["validate", &file, "--k", "4", "--ranks", "32", "--batch", "16"], "(4 + 16)"),
+            (vec!["pod", &file, "--k", "0"], "K must be positive"),
+            (
+                vec!["generate", "burgers", "--out", &never, "--grid", "0"],
+                "--grid must be positive",
+            ),
+            (vec!["generate", "burgers", "--out", &never, "--snapshots", "0"], "--snapshots"),
+            (vec!["generate", "era5", "--out", &never, "--nlat", "0"], "--nlat must be positive"),
+            (vec!["generate", "era5", "--out", &never, "--nlon", "0"], "--nlon must be positive"),
+            (vec!["generate", "era5", "--out", &never, "--snapshots", "0"], "--snapshots"),
+            (vec!["svd", &no_rows], "0 x 8 matrix"),
+            (vec!["svd", &no_cols, "--ranks", "2"], "64 x 0 matrix"),
+            (vec!["validate", &no_rows], "0 x 8 matrix"),
+            (vec!["validate", &no_cols], "64 x 0 matrix"),
+            (vec!["pod", &no_rows], "0 x 8 matrix"),
+            (vec!["pod", &no_cols], "64 x 0 matrix"),
         ] {
             let err = run(&argv(&args)).expect_err(&args.join(" "));
             assert!(err.contains(want), "{args:?}: {err}");
         }
+        assert!(!Path::new(&never).exists(), "a rejected size must not create its file");
+        std::fs::remove_file(&no_rows).ok();
+        std::fs::remove_file(&no_cols).ok();
 
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&sv_csv).ok();
@@ -483,71 +445,16 @@ mod tests {
     }
 
     #[test]
-    fn wake_dmd_pipeline() {
-        let file = tmp("wake.ncs");
-        run(&argv(&[
-            "generate",
-            "wake",
-            "--out",
-            &file,
-            "--nx",
-            "32",
-            "--ny",
-            "16",
-            "--snapshots",
-            "128",
-            "--fs",
-            "1.1",
-        ]))
-        .unwrap();
-        let out = run(&argv(&["dmd", &file, "--k", "5", "--dt", "0.05"])).unwrap();
-        // The shedding frequency must appear in the eigenvalue table.
-        assert!(
-            out.iter().any(|l| l.contains("1.10000") || l.contains("-1.10000")),
-            "shedding frequency missing from: {out:?}"
-        );
-        std::fs::remove_file(&file).ok();
-    }
-
-    #[test]
-    fn pod_and_spod_commands() {
-        let file = tmp("analysis.ncs");
-        run(&argv(&[
-            "generate",
-            "wake",
-            "--out",
-            &file,
-            "--nx",
-            "24",
-            "--ny",
-            "12",
-            "--snapshots",
-            "192",
-        ]))
-        .unwrap();
+    fn pod_command() {
+        let file = tmp("pod.ncs");
+        run(&argv(&["generate", "burgers", "--out", &file, "--grid", "256", "--snapshots", "48"]))
+            .unwrap();
         let modes_csv = tmp("pod_modes.csv");
-        let pod_out = run(&argv(&["pod", &file, "--k", "4", "--modes-out", &modes_csv])).unwrap();
-        assert!(pod_out.iter().any(|l| l.contains("cumulative energy")));
+        let out = run(&argv(&["pod", &file, "--k", "4", "--modes-out", &modes_csv])).unwrap();
+        assert_eq!(out.iter().filter(|l| l.contains("cumulative energy")).count(), 4);
         assert!(std::fs::read_to_string(&modes_csv).unwrap().starts_with("point,mode_0"));
-
-        let spod_out = run(&argv(&["spod", &file, "--nfft", "64", "--dt", "0.05"])).unwrap();
-        assert!(spod_out.iter().any(|l| l.contains("peak frequency")));
-        // Peak should be near the 1.1 Hz shedding (bin width 1/(64*0.05) ~ 0.31).
-        let peak_line = spod_out.iter().find(|l| l.contains("peak frequency")).unwrap();
-        let peak: f64 = peak_line.split(':').nth(1).unwrap().trim().parse().unwrap();
-        assert!((peak - 1.1).abs() < 0.32, "peak {peak}");
-
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&modes_csv).ok();
-    }
-
-    #[test]
-    fn spod_rejects_short_records() {
-        let file = tmp("short.ncs");
-        run(&argv(&["generate", "burgers", "--out", &file, "--grid", "64", "--snapshots", "16"]))
-            .unwrap();
-        assert!(run(&argv(&["spod", &file, "--nfft", "64"])).is_err());
-        std::fs::remove_file(&file).ok();
     }
 
     #[test]

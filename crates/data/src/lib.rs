@@ -20,7 +20,6 @@ pub mod partition;
 pub mod prefetch;
 pub mod solver;
 pub mod stream;
-pub mod wake;
 
 pub use burgers::{snapshot_matrix, BurgersConfig};
 pub use era5::{generate as generate_era5, Era5Config, Era5Data};

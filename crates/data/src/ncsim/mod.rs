@@ -405,6 +405,11 @@ impl<T: Scalar> NcsimV2Writer<T> {
     /// Flush the final partial panel, verify all declared rows were
     /// written, and patch the chunk-length table.
     pub fn finish(mut self) -> io::Result<()> {
+        // A zero-column file's chunks hold no segments: the zeroed chunk
+        // table written at create time is already complete.
+        if self.cols == 0 {
+            return self.out.flush();
+        }
         if self.pending_rows > 0 {
             self.flush_chunk()?;
         }
@@ -744,6 +749,17 @@ mod tests {
         assert_eq!(r.header().chunk_rows, 13, "the default clamps to the row count");
         assert_eq!(r.rows(), 13);
         assert_eq!(r.cols(), 7);
+        assert_eq!(r.read_all().unwrap(), a);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn roundtrip_zero_columns() {
+        let path = tmpfile("zero_cols");
+        let a = Matrix::<f64>::zeros(9, 0);
+        write_v2(&path, "v", &a, V2Options { chunk_rows: 4, codec: Codec::Raw }).unwrap();
+        let mut r = NcsimReader::open(&path).unwrap();
+        assert_eq!((r.rows(), r.cols()), (9, 0));
         assert_eq!(r.read_all().unwrap(), a);
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,7 +1,8 @@
 //! Minimal complex arithmetic (no external crates).
 //!
-//! Supports the FFT, the general eigensolver, and DMD's complex
-//! eigenvalues/modes. Only what those callers need — this is not a general
+//! The scalar of the removed DMD / SPOD stack (its FFT, general eigensolver
+//! and complex modes), kept with its tests as the base a restored stack
+//! builds on; nothing on the paper's path uses it. This is not a general
 //! complex-analysis library.
 
 use std::fmt;

@@ -46,7 +46,36 @@ if ((panic_wrappers > MAX_PANIC_WRAPPERS)); then
     echo "check: $panic_wrappers unwrap_or_else(|e| panic!(…)) sites under crates/, above $MAX_PANIC_WRAPPERS" >&2
     exit 1
 fi
-echo "check: env-knob table OK ($(wc -l <<<"$code_knobs") knobs), $panic_wrappers panic wrappers (max $MAX_PANIC_WRAPPERS)"
+# Every public module of the paper's crates has a row in DESIGN.md's
+# "Reachability" table (as `crate::mod` or bare `mod`), and every
+# `parent::mod` the table names is still a `pub mod` of that crate or module.
+reach_crates=(linalg core data comm serve)
+reach_names=$(awk '/^## Reachability/ { f = 1; next } /^## / { f = 0 } f && /^\| `/' DESIGN.md |
+    cut -d'|' -f2 | grep -oE '`[a-z0-9_:]+`' | tr -d '`' | sort -u)
+reach_modules=0
+for c in "${reach_crates[@]}"; do
+    for m in $(grep -oE '^pub mod [a-z0-9_]+' "crates/$c/src/lib.rs" | cut -d' ' -f3); do
+        reach_modules=$((reach_modules + 1))
+        if ! grep -qxE "($c::)?$m" <<<"$reach_names"; then
+            echo "check: pub mod $c::$m has no row in DESIGN.md's Reachability table" >&2
+            exit 1
+        fi
+    done
+done
+for name in $(grep -F '::' <<<"$reach_names"); do
+    parent=${name%%::*}
+    if [[ " ${reach_crates[*]} " == *" $parent "* ]]; then
+        files=("crates/$parent/src/lib.rs")
+    else
+        files=()
+        for c in "${reach_crates[@]}"; do files+=("crates/$c/src/$parent.rs" "crates/$c/src/$parent/mod.rs"); done
+    fi
+    if ! grep -qsE "^pub mod ${name#*::};" "${files[@]}"; then
+        echo "check: DESIGN.md's Reachability table names \`$name\`, which is no longer a module" >&2
+        exit 1
+    fi
+done
+echo "check: env-knob table OK ($(wc -l <<<"$code_knobs") knobs), Reachability table OK ($reach_modules modules), $panic_wrappers panic wrappers (max $MAX_PANIC_WRAPPERS)"
 
 cargo build --release
 cargo test -q --no-fail-fast
