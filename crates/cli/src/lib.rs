@@ -171,7 +171,7 @@ fn run_svd(file: &str, cfg: SvdConfig, ranks: usize, batch: usize) -> Result<Svd
     if ranks <= 1 {
         let data = open_nonempty(file)?.read_all().map_err(|e| e.to_string())?;
         let mut s = SerialStreamingSvd::new(cfg);
-        s.fit_batched(&data, batch.min(data.cols()).max(1));
+        s.fit_batched(&data, batch.min(data.cols()));
         Ok(SvdRun { singular_values: s.singular_values().to_vec(), modes: s.modes().clone() })
     } else {
         let (rows, cols) = {
@@ -180,7 +180,7 @@ fn run_svd(file: &str, cfg: SvdConfig, ranks: usize, batch: usize) -> Result<Svd
         };
         // Every batch after the first QR-factors up to K + batch columns of
         // each rank's rows (TSQR), which needs that block tall.
-        let batch = batch.min(cols).max(1);
+        let batch = batch.min(cols);
         let min_block = block_len(rows, ranks, ranks - 1);
         if cols > batch && min_block < cfg.k + batch {
             return Err(format!(
@@ -210,8 +210,8 @@ fn run_svd(file: &str, cfg: SvdConfig, ranks: usize, batch: usize) -> Result<Svd
 fn cmd_svd(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let file = a.one_positional("input file")?;
     let k = a.usize_or("k", 10)?;
-    let ranks = a.usize_or("ranks", 1)?;
-    let batch = a.usize_or("batch", 64)?;
+    let ranks = a.positive_or("ranks", 1)?;
+    let batch = a.positive_or("batch", 64)?;
     let cfg = SvdConfig::new(k)
         .with_forget_factor(a.f64_or("ff", 0.95)?)
         .with_r1(a.usize_or("r1", 50)?)
@@ -253,7 +253,7 @@ fn cmd_validate(a: &ParsedArgs) -> Result<Vec<String>, String> {
             "validate compares serial with parallel: --ranks must be at least 2, got {ranks}"
         ));
     }
-    let batch = a.usize_or("batch", 64)?;
+    let batch = a.positive_or("batch", 64)?;
     let cfg = SvdConfig::new(k)
         .with_forget_factor(1.0)
         .with_r1(10_000)
@@ -375,6 +375,9 @@ mod tests {
             (vec!["svd", &file, "--r1", "0"], "r1 must be positive"),
             (vec!["validate", &file, "--ranks", "0"], "--ranks must be at least 2"),
             (vec!["validate", &file, "--ranks", "1"], "--ranks must be at least 2"),
+            (vec!["svd", &file, "--ranks", "0"], "--ranks must be positive"),
+            (vec!["svd", &file, "--batch", "0"], "--batch must be positive"),
+            (vec!["validate", &file, "--ranks", "2", "--batch", "0"], "--batch must be positive"),
             (vec!["svd", &file, "--k", "4", "--ranks", "32", "--batch", "16"], "(4 + 16)"),
             (vec!["validate", &file, "--k", "4", "--ranks", "32", "--batch", "16"], "(4 + 16)"),
             (vec!["pod", &file, "--k", "0"], "K must be positive"),

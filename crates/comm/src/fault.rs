@@ -390,11 +390,6 @@ impl<'a, C: Communicator> FaultComm<'a, C> {
         self.initial_size
     }
 
-    /// True once this rank's scheduled death has fired.
-    pub fn is_dead(&self) -> bool {
-        self.my_death.get()
-    }
-
     /// Release every delayed message immediately.
     pub fn flush_delayed(&self) {
         let pending = std::mem::take(&mut *self.delayed.borrow_mut());

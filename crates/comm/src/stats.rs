@@ -103,15 +103,6 @@ impl TrafficStats {
         self.sent_bytes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// The largest per-rank (messages, bytes) send load — the bottleneck
-    /// rank's traffic, which dominates simulated time at rank 0 for
-    /// gather/broadcast-heavy algorithms like APMOS.
-    pub fn max_rank_load(&self) -> (u64, u64) {
-        let m = self.sent_messages.iter().map(|c| c.load(Ordering::Relaxed)).max().unwrap_or(0);
-        let b = self.sent_bytes.iter().map(|c| c.load(Ordering::Relaxed)).max().unwrap_or(0);
-        (m, b)
-    }
-
     /// Reset all counters.
     pub fn reset(&self) {
         for v in [
@@ -170,14 +161,5 @@ mod tests {
         assert_eq!(s.alloc_count(1), 1);
         assert_eq!(s.total_alloc_count(), 3);
         assert_eq!(s.total_alloc_bytes(), 147);
-    }
-
-    #[test]
-    fn max_rank_load_finds_bottleneck() {
-        let s = TrafficStats::new(3);
-        s.record_send(0, 10);
-        s.record_send(1, 100);
-        s.record_send(1, 100);
-        assert_eq!(s.max_rank_load(), (2, 200));
     }
 }

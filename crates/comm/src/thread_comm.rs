@@ -135,14 +135,6 @@ impl ThreadComm {
             self.pending.borrow_mut().push_back(env);
         }
     }
-
-    /// Charge the simulated clock for `flops` floating point operations at
-    /// `flops_per_sec` (the drivers know the flop counts of their kernels).
-    pub fn charge_flops(&self, flops: f64, flops_per_sec: f64) {
-        if flops_per_sec > 0.0 {
-            self.advance(flops / flops_per_sec);
-        }
-    }
 }
 
 /// A fixed-size world from which rank closures are spawned.
@@ -405,15 +397,6 @@ mod tests {
         // Root pays (size-1) per-message receive overheads on top of the
         // first sender's departure overhead (arrival = 1 us): size total.
         assert!((clocks[0] - size as f64 * 1e-6).abs() < 1e-15, "root {}", clocks[0]);
-    }
-
-    #[test]
-    fn compute_charging() {
-        let w = World::with_model(1, NetworkModel::free());
-        let (_, clocks) = w.run_with_clocks(|c| {
-            c.charge_flops(2e9, 1e9); // 2 gigaflops at 1 GF/s = 2 s
-        });
-        assert!((clocks[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]

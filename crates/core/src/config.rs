@@ -11,10 +11,7 @@ use rand::rngs::StdRng;
 /// [`crate::ParallelStreamingSvd`], default `f64`); this enum selects the
 /// *policy* layered on top:
 ///
-/// - `F64` / `F32`: run everything at the driver's native dtype. The two
-///   variants exist so entry points that construct drivers from the
-///   environment (benches, the conformance harness) can pick the
-///   instantiation; inside a driver both behave identically.
+/// - `F64`: run everything at the driver's native dtype.
 /// - `Mixed`: keep all local factorization arithmetic at the native
 ///   dtype (f64 re-orthogonalization, f64 final factors) but demote
 ///   every matrix payload crossing the communicator to `f32`, halving
@@ -26,48 +23,30 @@ use rand::rngs::StdRng;
 ///   conformance suite pins 1e-5 relative); results remain bitwise
 ///   deterministic across thread counts and collective shapes.
 ///
-/// `SvdConfig::new` seeds this from `PSVD_PRECISION` (`f64`, `f32`,
-/// `mixed`; unset means `f64`), so a whole test or bench process can be
+/// `SvdConfig::new` seeds this from `PSVD_PRECISION` (`f64`, `mixed`;
+/// unset means `f64`), so a whole test or bench process can be
 /// flipped from the environment; `with_precision` overrides per config.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Precision {
     /// Native f64 everywhere (the default).
     #[default]
     F64,
-    /// Native f32 everywhere (honored by dtype-choosing entry points).
-    F32,
     /// Native-precision math with f32 wire payloads and f32 range finding.
     Mixed,
 }
 
 impl Precision {
-    /// Read `PSVD_PRECISION` (`f64` | `f32` | `mixed`, case-insensitive);
+    /// Read `PSVD_PRECISION` (`f64` | `mixed`, case-insensitive);
     /// unset or empty means [`Precision::F64`]. Panics on other values.
     pub fn from_env() -> Self {
         match std::env::var("PSVD_PRECISION") {
             Err(_) => Precision::F64,
             Ok(v) => match v.to_ascii_lowercase().as_str() {
                 "" | "f64" => Precision::F64,
-                "f32" => Precision::F32,
                 "mixed" => Precision::Mixed,
-                other => panic!("PSVD_PRECISION must be f64, f32 or mixed, got {other:?}"),
+                other => panic!("PSVD_PRECISION must be f64 or mixed, got {other:?}"),
             },
         }
-    }
-}
-
-/// Read a numeric tree knob from the environment: unset, empty or `0`
-/// mean "not configured" (`None`). Panics on non-numeric values so typos
-/// fail loudly rather than silently running flat.
-fn env_tree_knob(name: &str) -> Option<usize> {
-    match std::env::var(name) {
-        Err(_) => None,
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            Err(_) => panic!("{name} must be a non-negative integer, got {v:?}"),
-        },
     }
 }
 
@@ -134,13 +113,9 @@ pub struct SvdConfig {
     /// Arithmetic / wire precision policy (see [`Precision`]).
     pub precision: Precision,
     /// Merge-tree fanout: children per interior merge node in the
-    /// hierarchical APMOS exchange. `None` (with `tree_depth` also `None`)
-    /// keeps the flat rank-0 gather; see
-    /// [`crate::MergeTreePlan::resolve`].
+    /// hierarchical APMOS exchange. `None` keeps the flat rank-0 gather;
+    /// see [`crate::MergeTreePlan::resolve`].
     pub tree_fanout: Option<usize>,
-    /// Merge-tree depth: number of merge levels. Fanout per level is
-    /// derived as roughly the `depth`-th root of the world size.
-    pub tree_depth: Option<usize>,
 }
 
 impl SvdConfig {
@@ -157,8 +132,7 @@ impl SvdConfig {
             seed: 0,
             allow_degraded: false,
             precision: Precision::from_env(),
-            tree_fanout: env_tree_knob("PSVD_TREE_FANOUT"),
-            tree_depth: env_tree_knob("PSVD_TREE_DEPTH"),
+            tree_fanout: psvd_linalg::par::env_knob("PSVD_TREE_FANOUT").filter(|&f| f > 0),
         }
     }
 
@@ -208,13 +182,6 @@ impl SvdConfig {
     /// `0` clears the knob back to "unset".
     pub fn with_tree_fanout(mut self, fanout: usize) -> Self {
         self.tree_fanout = if fanout == 0 { None } else { Some(fanout) };
-        self
-    }
-
-    /// Builder: merge-tree depth (overrides the `PSVD_TREE_DEPTH` seed).
-    /// `0` clears the knob back to "unset".
-    pub fn with_tree_depth(mut self, depth: usize) -> Self {
-        self.tree_depth = if depth == 0 { None } else { Some(depth) };
         self
     }
 
@@ -341,12 +308,9 @@ mod tests {
 
     #[test]
     fn tree_builders_set_and_clear() {
-        let c = SvdConfig::new(3).with_tree_fanout(4).with_tree_depth(2);
+        let c = SvdConfig::new(3).with_tree_fanout(4);
         assert_eq!(c.tree_fanout, Some(4));
-        assert_eq!(c.tree_depth, Some(2));
-        let cleared = c.with_tree_fanout(0).with_tree_depth(0);
-        assert_eq!(cleared.tree_fanout, None);
-        assert_eq!(cleared.tree_depth, None);
+        assert_eq!(c.with_tree_fanout(0).tree_fanout, None);
     }
 
     #[test]

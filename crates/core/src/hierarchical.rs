@@ -150,8 +150,7 @@ impl MergeTreePlan {
         while fanout.checked_pow(depth as u32).map(|c| c < world).unwrap_or(false) {
             fanout += 1;
         }
-        let plan = Self::uniform(fanout, world)?;
-        Ok(plan.capped(depth, world))
+        Self::uniform(fanout, world)
     }
 
     /// An explicit per-level fanout list (leaf level first). The product
@@ -173,37 +172,14 @@ impl MergeTreePlan {
         }
     }
 
-    /// Resolve the plan a configuration asks for: an explicit
-    /// `tree_fanout` wins (optionally capped by `tree_depth`), a bare
-    /// `tree_depth` derives its fanout from the world size, and neither
-    /// knob keeps the flat gather — the backward-compatible default.
+    /// Resolve the plan a configuration asks for: a `tree_fanout` gives
+    /// the uniform plan, no fanout keeps the flat gather — the
+    /// backward-compatible default.
     pub fn resolve(cfg: &SvdConfig, world: usize) -> Result<Self, PlanError> {
-        match (cfg.tree_fanout, cfg.tree_depth) {
-            (None, None) => Ok(Self::flat(world)),
-            (Some(f), None) => Self::uniform(f, world),
-            (None, Some(d)) => Self::with_depth(d, world),
-            (Some(f), Some(d)) => {
-                if d == 0 {
-                    return Err(PlanError::ZeroDepth);
-                }
-                Ok(Self::uniform(f, world)?.capped(d, world))
-            }
+        match cfg.tree_fanout {
+            None => Ok(Self::flat(world)),
+            Some(f) => Self::uniform(f, world),
         }
-    }
-
-    /// Collapse everything past `depth - 1` levels into one final level so
-    /// the plan has at most `depth` levels.
-    fn capped(self, depth: usize, world: usize) -> Self {
-        if self.fanouts.len() <= depth {
-            return self;
-        }
-        let mut fanouts: Vec<usize> = self.fanouts[..depth - 1].to_vec();
-        let mut remaining = world;
-        for &f in &fanouts {
-            remaining = remaining.div_ceil(f);
-        }
-        fanouts.push(remaining.max(1));
-        Self { fanouts }
     }
 
     /// Number of merge levels (1 = the flat gather).
@@ -282,12 +258,6 @@ impl TreeMergeInfo {
         // fold from +0.0: the std float `Sum` identity is -0.0, which would
         // leak a negative zero for depth-1 (no interior levels) trees.
         self.per_level_bound.iter().fold(0.0, |acc, b| acc + b)
-    }
-
-    /// Bound on the deviation from the *untruncated* factorization:
-    /// interior merges plus the shared root truncation.
-    pub fn total_bound(&self) -> f64 {
-        self.interior_bound() + self.root_tail
     }
 }
 
@@ -690,14 +660,10 @@ mod tests {
     #[test]
     fn plan_resolution_precedence() {
         let world = 64;
-        let flat = SvdConfig::new(2).with_tree_fanout(0).with_tree_depth(0);
+        let flat = SvdConfig::new(2).with_tree_fanout(0);
         assert!(MergeTreePlan::resolve(&flat, world).unwrap().is_flat());
         let fan = flat.with_tree_fanout(4);
         assert_eq!(MergeTreePlan::resolve(&fan, world).unwrap().fanouts(), &[4, 4, 4]);
-        let dep = flat.with_tree_depth(2);
-        assert_eq!(MergeTreePlan::resolve(&dep, world).unwrap().fanouts(), &[8, 8]);
-        let both = flat.with_tree_fanout(4).with_tree_depth(2);
-        assert_eq!(MergeTreePlan::resolve(&both, world).unwrap().fanouts(), &[4, 16]);
     }
 
     // ---- degenerate worlds ---------------------------------------------

@@ -789,8 +789,7 @@ mod tests {
             .with_r1(24)
             .with_r2(24)
             .with_precision(Precision::F64)
-            .with_tree_fanout(0)
-            .with_tree_depth(0);
+            .with_tree_fanout(0);
         let tree = flat.with_tree_fanout(2);
         let (flat_modes, flat_sigma, flat_msgs) = run(flat, flat);
         let (modes, sigma, msgs) = run(flat, tree);

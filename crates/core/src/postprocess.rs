@@ -55,35 +55,6 @@ pub fn write_series_csv(
     out.flush()
 }
 
-/// Write a mode (one column of `u`, reshaped to `nrows x ncols`) as a
-/// binary PGM grayscale image — the Figure-2-style map output. Values are
-/// linearly mapped to [0, 255] over the mode's own range (diverging fields
-/// center near mid-gray since modes are roughly symmetric about zero).
-pub fn write_mode_pgm(
-    path: &Path,
-    u: &Matrix,
-    mode: usize,
-    nrows: usize,
-    ncols: usize,
-) -> io::Result<()> {
-    assert!(mode < u.cols(), "mode index out of range");
-    assert_eq!(nrows * ncols, u.rows(), "grid shape must match mode length");
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for v in u.col_iter(mode) {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    let span = (hi - lo).max(f64::MIN_POSITIVE);
-    let mut out = BufWriter::new(File::create(path)?);
-    write!(out, "P5\n{ncols} {nrows}\n255\n")?;
-    let pixels: Vec<u8> = u
-        .col_iter(mode)
-        .map(|v| (((v - lo) / span) * 255.0).round().clamp(0.0, 255.0) as u8)
-        .collect();
-    out.write_all(&pixels)?;
-    out.flush()
-}
-
 /// A one-line unicode sparkline of a series (resampled to `width` cells).
 pub fn sparkline(values: &[f64], width: usize) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -174,29 +145,6 @@ mod tests {
     fn series_csv_rejects_ragged() {
         let path = tmp("ragged");
         let _ = write_series_csv(&path, &[0.0, 1.0], &["a"], &[&[1.0]]);
-    }
-
-    #[test]
-    fn pgm_writer_emits_valid_header_and_pixels() {
-        let path = tmp("pgm");
-        // 3x4 grid, mode 0 is a ramp: min -> 0, max -> 255.
-        let u = Matrix::from_fn(12, 1, |i, _| i as f64);
-        write_mode_pgm(&path, &u, 0, 3, 4).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let header = b"P5\n4 3\n255\n";
-        assert_eq!(&bytes[..header.len()], header);
-        let pixels = &bytes[header.len()..];
-        assert_eq!(pixels.len(), 12);
-        assert_eq!(pixels[0], 0);
-        assert_eq!(pixels[11], 255);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "grid shape")]
-    fn pgm_rejects_shape_mismatch() {
-        let u = Matrix::zeros(10, 1);
-        let _ = write_mode_pgm(&tmp("pgm_bad"), &u, 0, 3, 4);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use psvd_linalg::qr::thin_qr;
 use psvd_linalg::random::{seeded_rng, StandardNormal};
 use psvd_linalg::Matrix;
 use rand::distributions::Distribution;
-use rand::Rng;
 
 /// Configuration of the synthetic ERA5-like dataset.
 #[derive(Clone, Copy, Debug)]
@@ -154,57 +153,6 @@ pub fn generate(cfg: &Era5Config) -> Era5Data {
     Era5Data { snapshots, true_modes, amplitudes, config: *cfg }
 }
 
-/// Generate only the rows `[r0, r1)` of the snapshot matrix (what one rank
-/// of a distributed run would hold). Noise streams are per-grid-point, so
-/// the block exactly matches the corresponding rows of a full generation.
-pub fn generate_rows(cfg: &Era5Config, r0: usize, r1: usize) -> Matrix {
-    assert!(r0 <= r1 && r1 <= cfg.dof(), "row range out of bounds");
-    let n = cfg.snapshots;
-
-    // The orthonormalization of planted patterns is global, so build the
-    // full mode matrix (cheap: M x n_modes) and slice.
-    let m = cfg.dof();
-    let raw = Matrix::from_fn(m, cfg.n_modes, |idx, k| {
-        let i = idx / cfg.nlon;
-        let j = idx % cfg.nlon;
-        spatial_pattern(k, cfg.nlat, cfg.nlon, i, j)
-    });
-    let modes = thin_qr(&raw).q;
-    let amplitudes: Vec<f64> = (0..cfg.n_modes).map(|k| 10.0 * 0.5f64.powi(k as i32)).collect();
-
-    let mut block = Matrix::zeros(r1 - r0, n);
-    for t in 0..n {
-        for k in 0..cfg.n_modes {
-            let a = amplitudes[k] * temporal_coefficient(k, t, n);
-            for (bi, idx) in (r0..r1).enumerate() {
-                block[(bi, t)] += a * modes[(idx, k)];
-            }
-        }
-    }
-    if cfg.noise_level > 0.0 {
-        let mut rng = seeded_rng(cfg.seed);
-        let sigma_noise = cfg.noise_level * amplitudes[cfg.n_modes - 1];
-        let innovation = sigma_noise * (1.0 - cfg.noise_ar * cfg.noise_ar).sqrt();
-        let normal = StandardNormal;
-        for idx in 0..m {
-            // Advance the per-point stream even for rows outside the block so
-            // the RNG stays aligned with a full generation.
-            let mut state = sigma_noise * normal.sample(&mut rng);
-            if idx >= r0 && idx < r1 {
-                for t in 0..n {
-                    block[(idx - r0, t)] += state;
-                    state = cfg.noise_ar * state + innovation * normal.sample(&mut rng);
-                }
-            } else {
-                for _ in 0..n {
-                    state = cfg.noise_ar * state + innovation * rng.sample(StandardNormal);
-                }
-            }
-        }
-    }
-    block
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,18 +206,6 @@ mod tests {
         let a = generate(&cfg);
         let b = generate(&cfg);
         assert_eq!(a.snapshots, b.snapshots);
-    }
-
-    #[test]
-    fn row_block_matches_full_generation() {
-        let cfg = Era5Config { snapshots: 16, ..Era5Config::tiny() };
-        let full = generate(&cfg);
-        let block = generate_rows(&cfg, 50, 120);
-        let expected = full.snapshots.row_block(50, 120);
-        assert!(
-            (&block - &expected).max_abs() < 1e-12,
-            "row-block generation must match the slice of a full generation"
-        );
     }
 
     #[test]

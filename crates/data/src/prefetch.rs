@@ -55,12 +55,9 @@ use crate::ncsim::{Dtype, NcsimReader};
 use crate::stream::SnapshotSource;
 
 /// The prefetch depth: `PSVD_PREFETCH_DEPTH` if set (0 = synchronous),
-/// else 2 (classic double buffering).
+/// else 2 (classic double buffering). A malformed value panics.
 pub fn default_depth() -> usize {
-    std::env::var("PSVD_PREFETCH_DEPTH")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(2)
+    psvd_linalg::par::env_knob("PSVD_PREFETCH_DEPTH").unwrap_or(2)
 }
 
 /// Counters describing one prefetcher's IO pipeline, snapshot via

@@ -12,10 +12,7 @@
 //! These are the paper's kernels and nothing else — its algorithms are
 //! "expressed entirely in terms of QR/SVD/GEMM" — and every module is
 //! reached by a benchmark workload, a paper figure or a tier-1 oracle
-//! (DESIGN.md, "Reachability"). Two modules sit beside them, reached only
-//! by their own tests: [`pinv`] (pseudoinverse and least squares on top of
-//! [`svd`](mod@svd)) and [`complex`] (the scalar of the removed DMD / SPOD
-//! stack).
+//! (DESIGN.md, "Reachability").
 //!
 //! ```
 //! use psvd_linalg::{Matrix, svd::svd};
@@ -26,13 +23,11 @@
 //! assert!(f.s.windows(2).all(|w| w[0] >= w[1]));
 //! ```
 
-pub mod complex;
 pub mod eig;
 pub mod gemm;
 pub mod matrix;
 pub mod norms;
 pub mod par;
-pub mod pinv;
 pub mod qr;
 pub mod random;
 pub mod randomized;

@@ -158,15 +158,6 @@ impl<T: Scalar> Matrix<T> {
         m
     }
 
-    /// A rectangular `rows x cols` matrix with `diag` on the main diagonal.
-    pub fn from_diag_rect(rows: usize, cols: usize, diag: &[T]) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        for (i, &d) in diag.iter().enumerate().take(rows.min(cols)) {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -413,19 +404,6 @@ impl<T: Scalar> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
-    /// Horizontal concatenation `[self | other]` written into `out`,
-    /// reshaping it (allocation-free when `out`'s buffer is big enough).
-    /// Bitwise identical to [`hstack`](Matrix::hstack).
-    pub fn hstack_into(&self, other: &Matrix<T>, out: &mut Matrix<T>) {
-        assert_eq!(self.rows, other.rows, "hstack: row count mismatch");
-        out.reshape_for_overwrite(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            let row = out.row_mut(i);
-            row[..self.cols].copy_from_slice(self.row(i));
-            row[self.cols..].copy_from_slice(other.row(i));
-        }
-    }
-
     /// Elementwise map into a new matrix.
     pub fn map(&self, f: impl Fn(T) -> T) -> Matrix<T> {
         alloc_stats::record::<T>(self.data.len());
@@ -513,11 +491,6 @@ impl<T: Scalar> Matrix<T> {
     /// Euclidean norm of column `j`.
     pub fn col_norm(&self, j: usize) -> T {
         self.col_iter(j).map(|x| x * x).sum::<T>().sqrt()
-    }
-
-    /// Dot product of columns `a` and `b`.
-    pub fn col_dot(&self, a: usize, b: usize) -> T {
-        self.col_iter(a).zip(self.col_iter(b)).map(|(x, y)| x * y).sum()
     }
 
     /// True if all entries are finite.
@@ -744,14 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn diag_rect() {
-        let m = Matrix::from_diag_rect(3, 2, &[5.0, 6.0]);
-        assert_eq!(m[(0, 0)], 5.0);
-        assert_eq!(m[(1, 1)], 6.0);
-        assert_eq!(m[(2, 0)], 0.0);
-    }
-
-    #[test]
     fn all_finite_detects_nan() {
         let mut m = Matrix::<f64>::zeros(2, 2);
         assert!(m.all_finite());
@@ -762,7 +727,6 @@ mod tests {
     #[test]
     fn col_dot_and_norm() {
         let m = Matrix::from_columns(&[vec![1.0, 0.0], vec![1.0, 1.0]]);
-        assert!((m.col_dot(0, 1) - 1.0).abs() < 1e-15);
         assert!((m.col_norm(1) - 2f64.sqrt()).abs() < 1e-15);
     }
 
@@ -796,15 +760,6 @@ mod tests {
         let c = Matrix::from_fn(3, 3, |i, j| (i * j) as f64);
         let expect = Matrix::vstack_all(&[a.clone(), b.clone(), c.clone()]);
         assert_eq!(Matrix::vstack_owned(vec![a, b, c]), expect);
-    }
-
-    #[test]
-    fn hstack_into_matches_hstack() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i + j) as f64);
-        let b = Matrix::from_fn(3, 4, |i, j| (i * j) as f64);
-        let mut out = Matrix::zeros(0, 0);
-        a.hstack_into(&b, &mut out);
-        assert_eq!(out, a.hstack(&b));
     }
 
     #[test]

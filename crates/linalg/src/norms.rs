@@ -1,6 +1,6 @@
 //! Norms and orthogonality diagnostics.
 
-use crate::gemm::{gram, matvec, matvec_t};
+use crate::gemm::gram;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
@@ -19,52 +19,9 @@ pub fn orthogonality_error<T: Scalar>(q: &Matrix<T>) -> f64 {
     err
 }
 
-/// Power-iteration estimate of the spectral norm `‖A‖_2`.
-///
-/// Deterministic start vector (all ones, normalized); `iters` rounds of
-/// `x ← AᵀA x` normalization. Good to a few digits for diagnostics.
-pub fn spectral_norm_estimate<T: Scalar>(a: &Matrix<T>, iters: usize) -> f64 {
-    if a.rows() == 0 || a.cols() == 0 {
-        return 0.0;
-    }
-    let n = a.cols();
-    let mut x = vec![T::from_f64(1.0 / (n as f64).sqrt()); n];
-    let mut sigma = T::ZERO;
-    for _ in 0..iters {
-        let y = matvec(a, &x);
-        let z = matvec_t(a, &y);
-        let norm = z.iter().map(|v| *v * *v).sum::<T>().sqrt();
-        if norm == T::ZERO {
-            return 0.0;
-        }
-        for (xi, zi) in x.iter_mut().zip(&z) {
-            *xi = *zi / norm;
-        }
-        sigma = norm.sqrt();
-    }
-    sigma.to_f64()
-}
-
-/// Relative Frobenius distance `‖A − B‖_F / max(1, ‖A‖_F)`.
-pub fn relative_error<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> f64 {
-    (a - b).frobenius_norm().to_f64() / a.frobenius_norm().to_f64().max(1.0)
-}
-
-/// Euclidean norm of a vector.
-pub fn vec_norm<T: Scalar>(v: &[T]) -> T {
-    v.iter().map(|x| *x * *x).sum::<T>().sqrt()
-}
-
-/// Dot product of two equal-length vectors.
-pub fn vec_dot<T: Scalar>(a: &[T], b: &[T]) -> T {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| *x * *y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qr::thin_qr;
 
     #[test]
     fn orthogonality_of_identity() {
@@ -75,37 +32,5 @@ mod tests {
     fn orthogonality_detects_skew() {
         let m = Matrix::from_columns(&[vec![1.0, 0.0], vec![1.0, 1.0]]);
         assert!(orthogonality_error(&m) > 0.5);
-    }
-
-    #[test]
-    fn spectral_norm_of_diagonal() {
-        let a = Matrix::from_diag(&[3.0, 1.0, 0.5]);
-        let est = spectral_norm_estimate(&a, 50);
-        assert!((est - 3.0).abs() < 1e-8, "estimate {est}");
-    }
-
-    #[test]
-    fn spectral_norm_orthogonal_is_one() {
-        let a = Matrix::from_fn(30, 5, |i, j| ((i + 2 * j) as f64).sin());
-        let q = thin_qr(&a).q;
-        let est = spectral_norm_estimate(&q, 50);
-        assert!((est - 1.0).abs() < 1e-6, "estimate {est}");
-    }
-
-    #[test]
-    fn spectral_norm_zero_matrix() {
-        assert_eq!(spectral_norm_estimate(&Matrix::<f64>::zeros(4, 3), 10), 0.0);
-    }
-
-    #[test]
-    fn relative_error_zero_for_equal() {
-        let a = Matrix::filled(3, 3, 2.0);
-        assert_eq!(relative_error(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn vec_helpers() {
-        assert!((vec_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert!((vec_dot(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-15);
     }
 }

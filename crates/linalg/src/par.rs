@@ -47,15 +47,28 @@ static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 /// Number of in-process communicator ranks currently running (>= 1).
 static COMM_RANKS: AtomicUsize = AtomicUsize::new(1);
 
-/// `PSVD_NUM_THREADS`, parsed once per process. `None` when unset/invalid.
+/// `PSVD_NUM_THREADS`, parsed once per process. `None` when unset or `0`.
 fn env_threads() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PSVD_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n| n > 0)
-    })
+    *ENV.get_or_init(|| env_knob("PSVD_NUM_THREADS").filter(|&n| n > 0))
+}
+
+/// A numeric `PSVD_*` knob from the environment: `None` when unset or
+/// empty. Panics on anything but a non-negative integer, so a typo fails
+/// loudly instead of silently running the default.
+pub fn env_knob(name: &str) -> Option<usize> {
+    std::env::var(name).ok().and_then(|v| parse_knob(name, &v))
+}
+
+/// The pure parse behind [`env_knob`].
+fn parse_knob(name: &str, value: &str) -> Option<usize> {
+    match value.trim() {
+        "" => None,
+        v => match v.parse::<usize>() {
+            Ok(n) => Some(n),
+            Err(_) => panic!("{name} must be a non-negative integer, got {value:?}"),
+        },
+    }
 }
 
 /// Logical CPUs visible to this process.
@@ -347,5 +360,25 @@ mod tests {
         // In auto mode the count is hardware/comm_ranks but never 0.
         assert!(num_threads() >= 1);
         set_comm_ranks(1);
+    }
+
+    #[test]
+    fn knob_values_parse_strictly() {
+        assert_eq!(parse_knob("PSVD_NUM_THREADS", "4"), Some(4));
+        assert_eq!(parse_knob("PSVD_NUM_THREADS", " 3 "), Some(3));
+        assert_eq!(parse_knob("PSVD_PREFETCH_DEPTH", "0"), Some(0));
+        assert_eq!(parse_knob("PSVD_PREFETCH_DEPTH", ""), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "PSVD_NUM_THREADS must be a non-negative integer, got \"four\"")]
+    fn thread_knob_rejects_a_word() {
+        parse_knob("PSVD_NUM_THREADS", "four");
+    }
+
+    #[test]
+    #[should_panic(expected = "PSVD_PREFETCH_DEPTH must be a non-negative integer, got \"2x\"")]
+    fn depth_knob_rejects_a_suffix() {
+        parse_knob("PSVD_PREFETCH_DEPTH", "2x");
     }
 }

@@ -27,20 +27,6 @@ pub fn generate_right_vectors<T: Scalar>(a: &Matrix<T>, k: usize) -> (Matrix<T>,
     (v, s)
 }
 
-/// As [`generate_right_vectors`], but discards directions whose singular
-/// value falls below `rtol * s_max` (the truncation the APMOS paper applies
-/// before communicating, to avoid shipping noise directions).
-pub fn generate_right_vectors_tol<T: Scalar>(
-    a: &Matrix<T>,
-    k: usize,
-    rtol: f64,
-) -> (Matrix<T>, Vec<T>) {
-    let (v, s) = generate_right_vectors(a, k);
-    let smax = s.first().copied().unwrap_or(T::ZERO).to_f64();
-    let keep = s.iter().take_while(|&&x| x.to_f64() > rtol * smax).count().max(1).min(s.len());
-    (v.first_columns(keep), s[..keep].to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,15 +68,6 @@ mod tests {
         let (v, s) = generate_right_vectors(&a, 100);
         assert_eq!(v.cols(), 4);
         assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn tolerance_truncation_drops_noise() {
-        let mut rng = seeded_rng(8);
-        let a = matrix_with_spectrum(40, 6, &[10.0, 5.0], &mut rng);
-        let (v, s) = generate_right_vectors_tol(&a, 6, 1e-8);
-        assert_eq!(s.len(), 2, "only two directions above tolerance: {s:?}");
-        assert_eq!(v.cols(), 2);
     }
 
     #[test]

@@ -107,25 +107,6 @@ impl<T: Scalar> Svd<T> {
     pub fn v(&self) -> Matrix<T> {
         self.vt.transpose()
     }
-
-    /// 2-norm condition number `σ_max / σ_min` (`f64::INFINITY` for
-    /// singular or empty input).
-    pub fn condition_number(&self) -> f64 {
-        match (self.s.first(), self.s.last()) {
-            (Some(&hi), Some(&lo)) if lo > T::ZERO => hi.to_f64() / lo.to_f64(),
-            _ => f64::INFINITY,
-        }
-    }
-
-    /// Fraction of total squared energy captured by the leading `k`
-    /// triplets (Eckart–Young: the best possible rank-`k` share).
-    pub fn energy_fraction(&self, k: usize) -> f64 {
-        let total: f64 = self.s.iter().map(|x| x.to_f64() * x.to_f64()).sum();
-        if total == 0.0 {
-            return 1.0;
-        }
-        self.s[..k.min(self.s.len())].iter().map(|x| x.to_f64() * x.to_f64()).sum::<f64>() / total
-    }
 }
 
 /// Which dense kernel factorizes the (preprocessed) core matrix.
@@ -243,20 +224,6 @@ mod tests {
         let f = svd(&a);
         assert_eq!(f.v().shape(), (4, 4));
         assert_eq!(f.v()[(1, 2)], f.vt[(2, 1)]);
-    }
-
-    #[test]
-    fn condition_number_and_energy() {
-        let a = Matrix::from_diag(&[4.0, 2.0, 1.0]);
-        let f = svd(&a);
-        assert!((f.condition_number() - 4.0).abs() < 1e-12);
-        // energy: 16 + 4 + 1 = 21; leading 1 -> 16/21.
-        assert!((f.energy_fraction(1) - 16.0 / 21.0).abs() < 1e-12);
-        assert!((f.energy_fraction(3) - 1.0).abs() < 1e-14);
-        assert!((f.energy_fraction(99) - 1.0).abs() < 1e-14);
-        // Singular matrix -> infinite condition number.
-        let g = svd(&Matrix::from_diag(&[1.0, 0.0]));
-        assert!(g.condition_number().is_infinite());
     }
 
     #[test]

@@ -41,25 +41,6 @@ pub fn align_signs(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Per-mode error `‖a_j − ±b_j‖_2` after sign alignment (which is applied
-/// on the fly — `b` is never copied).
-pub fn mode_errors(a: &Matrix, b: &Matrix) -> Vec<f64> {
-    let signs = column_signs(a, b);
-    (0..a.cols())
-        .map(|j| {
-            let s = signs[j];
-            a.col_iter(j)
-                .zip(b.col_iter(j))
-                .map(|(x, y)| {
-                    let d = x - s * y;
-                    d * d
-                })
-                .sum::<f64>()
-                .sqrt()
-        })
-        .collect()
-}
-
 /// Pointwise absolute error of mode `j` after sign alignment — the exact
 /// series plotted in Figure 1(a,b) of the paper. Sign alignment is applied
 /// on the fly; `b` is never copied.
@@ -102,19 +83,6 @@ mod tests {
         let b = Matrix::from_columns(&[vec![-1.0, 0.0], vec![0.0, 1.0]]);
         let aligned = align_signs(&a, &b);
         assert_eq!(aligned, a);
-    }
-
-    #[test]
-    fn mode_errors_zero_for_sign_flips() {
-        let mut rng = seeded_rng(3);
-        let q = thin_qr(&gaussian_matrix(20, 4, &mut rng)).q;
-        let mut flipped = q.clone();
-        flipped.scale_col_mut(1, -1.0);
-        flipped.scale_col_mut(3, -1.0);
-        let errs = mode_errors(&q, &flipped);
-        for e in errs {
-            assert!(e < 1e-14);
-        }
     }
 
     #[test]

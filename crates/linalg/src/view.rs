@@ -42,20 +42,6 @@ impl<T: Scalar> Clone for MatView<'_, T> {
 impl<T: Scalar> Copy for MatView<'_, T> {}
 
 impl<'a, T: Scalar> MatView<'a, T> {
-    /// Build a view from raw parts. Panics if any addressable element
-    /// would fall outside `data`.
-    pub fn from_parts(data: &'a [T], rows: usize, cols: usize, rs: usize, cs: usize) -> Self {
-        if rows > 0 && cols > 0 {
-            let last = (rows - 1) * rs + (cols - 1) * cs;
-            assert!(
-                last < data.len(),
-                "view exceeds backing slice: last index {last} >= len {}",
-                data.len()
-            );
-        }
-        Self { data, rows, cols, rs, cs }
-    }
-
     /// Row count.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -329,12 +315,5 @@ mod tests {
     fn out_of_range_block_panics() {
         let m = sample(3, 3);
         let _ = m.block(0, 4, 0, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds backing slice")]
-    fn from_parts_bounds_checked() {
-        let data = [0.0; 5];
-        let _ = MatView::<f64>::from_parts(&data, 2, 3, 3, 1);
     }
 }

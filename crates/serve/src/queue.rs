@@ -25,7 +25,7 @@ use psvd_linalg::Matrix;
 pub struct QueueFull {
     /// Snapshots already pending.
     pub pending: usize,
-    /// The configured depth (`PSVD_SERVE_QUEUE_DEPTH`).
+    /// The configured depth (`ServeConfig::queue_depth`).
     pub depth: usize,
 }
 

@@ -29,49 +29,28 @@ use crate::queue::BatchQueue;
 use crate::session::{SessionModel, SessionSpec, SessionState};
 use crate::stats::ServeStats;
 
-/// Read a `usize` server knob from the environment; unset or empty means
-/// `default`. Panics on non-numeric values so typos fail loudly.
-fn env_knob(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) if v.is_empty() => default,
-        Ok(v) => v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("{name} must be a non-negative integer, got {v:?}")),
-    }
-}
-
-/// Server-wide configuration. `Default` seeds every field from the
-/// environment (`PSVD_SERVE_*`), mirroring how `SvdConfig::new` seeds
-/// its knobs; the builders override per instance.
+/// Server-wide configuration: `Default` gives the documented defaults,
+/// the builders override per instance.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Resident (non-evicted) session cap; beyond it the least-recently
-    /// touched idle session is spilled. `PSVD_SERVE_SESSIONS`, default 64.
+    /// touched idle session is spilled. Default 64.
     pub sessions: usize,
-    /// Per-session pending-snapshot cap (backpressure).
-    /// `PSVD_SERVE_QUEUE_DEPTH`, default 1024.
+    /// Per-session pending-snapshot cap (backpressure). Default 1024.
     pub queue_depth: usize,
     /// Evict sessions untouched for this many committed rounds of server
-    /// time (`0` = only the cap evicts). `PSVD_SERVE_IDLE_ROUNDS`,
-    /// default 0.
+    /// time (`0` = only the cap evicts). Default 0.
     pub idle_rounds: usize,
-    /// Worker threads draining the queues. `PSVD_SERVE_WORKERS`, default 2.
+    /// Worker threads draining the queues. Default 2.
     pub workers: usize,
     /// Most canonical batches coalesced into one round (fairness bound).
-    /// `PSVD_SERVE_ROUND_BATCHES`, default 4.
+    /// Default 4.
     pub round_batches: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            sessions: env_knob("PSVD_SERVE_SESSIONS", 64),
-            queue_depth: env_knob("PSVD_SERVE_QUEUE_DEPTH", 1024),
-            idle_rounds: env_knob("PSVD_SERVE_IDLE_ROUNDS", 0),
-            workers: env_knob("PSVD_SERVE_WORKERS", 2),
-            round_batches: env_knob("PSVD_SERVE_ROUND_BATCHES", 4),
-        }
+        Self { sessions: 64, queue_depth: 1024, idle_rounds: 0, workers: 2, round_batches: 4 }
     }
 }
 
@@ -776,9 +755,7 @@ mod tests {
 
     fn spec(rows: usize, batch: usize) -> SessionSpec {
         SessionSpec::new(2, rows)
-            .with_svd(
-                SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_tree_depth(0),
-            )
+            .with_svd(SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0))
             .with_batch(batch)
     }
 

@@ -474,8 +474,7 @@ mod tests {
                     .with_r1(4)
                     .with_r2(4)
                     .with_precision(psvd_core::Precision::F64)
-                    .with_tree_fanout(0)
-                    .with_tree_depth(0),
+                    .with_tree_fanout(0),
             )
             .with_ranks(ranks)
             .with_batch(batch)

@@ -2,7 +2,7 @@
 # One-command verification gate: formatting, lints, build, tests.
 #
 #   scripts/check.sh            # fmt --check + clippy + rustdoc (-D warnings) + README
-#                               # env-knob table + tier-1 tests
+#                               # env-knob table and cap + tier-1 tests
 #   scripts/check.sh --fix      # apply cargo fmt instead of checking, then gate
 #   scripts/check.sh --cov      # additionally run cargo llvm-cov with the
 #                               # line-coverage floor (needs cargo-llvm-cov)
@@ -36,6 +36,14 @@ code_knobs=$(grep -rhoE '"PSVD_[A-Z0-9_]+"' crates src | tr -d '"' | sort -u)
 readme_knobs=$(grep -oE '^\| `PSVD_[A-Z0-9_]+`' README.md | grep -oE 'PSVD_[A-Z0-9_]+' | sort -u)
 if ! diff <(echo "$code_knobs") <(echo "$readme_knobs"); then
     echo "check: PSVD_* literals under crates/ and src/ (<) differ from README's env table (>)" >&2
+    exit 1
+fi
+# Environment knobs: a new setting is a config field and a builder, not
+# another PSVD_* variable. The count may only go down.
+MAX_KNOBS=5
+knobs=$(wc -l <<<"$code_knobs")
+if ((knobs > MAX_KNOBS)); then
+    echo "check: $knobs distinct \"PSVD_*\" literals under crates/ and src/, above $MAX_KNOBS" >&2
     exit 1
 fi
 # Infallible twins: every `unwrap_or_else(|e| panic!` under crates/ is a name
@@ -75,7 +83,7 @@ for name in $(grep -F '::' <<<"$reach_names"); do
         exit 1
     fi
 done
-echo "check: env-knob table OK ($(wc -l <<<"$code_knobs") knobs), Reachability table OK ($reach_modules modules), $panic_wrappers panic wrappers (max $MAX_PANIC_WRAPPERS)"
+echo "check: env-knob table OK ($knobs knobs (max $MAX_KNOBS)), Reachability table OK ($reach_modules modules), $panic_wrappers panic wrappers (max $MAX_PANIC_WRAPPERS)"
 
 cargo build --release
 cargo test -q --no-fail-fast

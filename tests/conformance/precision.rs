@@ -183,8 +183,7 @@ fn mixed_tree_and_flat_collectives_bit_identical() {
         .with_r1(12)
         .with_r2(8)
         .with_precision(Precision::Mixed)
-        .with_tree_fanout(0)
-        .with_tree_depth(0);
+        .with_tree_fanout(0);
     let run = |cfg: SvdConfig| {
         let blocks = split_rows(&a, 4);
         let world = World::new(4);
@@ -213,7 +212,7 @@ fn f32_parallel_driver_runs_end_to_end() {
         .with_forget_factor(1.0)
         .with_r1(16)
         .with_r2(16)
-        .with_precision(Precision::F32);
+        .with_precision(Precision::F64);
     let blocks = split_rows(&a32, 2);
     let world = World::new(2);
     let out = world.run(|comm| {
@@ -225,7 +224,7 @@ fn f32_parallel_driver_runs_end_to_end() {
     // Oracle: the f64 *streaming* driver on the same stream (the batch
     // SVD is not the reference here — K-truncation between batches is
     // part of the contract, not an error term).
-    let mut oracle = SerialStreamingSvd::new(cfg.with_precision(Precision::F64));
+    let mut oracle = SerialStreamingSvd::new(cfg);
     oracle.fit_batched(&a, 4);
     let sigma_max = oracle.singular_values()[0];
     for (got, want) in out[0].iter().zip(oracle.singular_values()) {

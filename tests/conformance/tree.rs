@@ -17,7 +17,7 @@ const BATCH: usize = 8;
 /// Exact-config base with the merge tree pinned on (fanout 2) regardless
 /// of the environment's `PSVD_TREE_*` seeding.
 fn tree_cfg() -> SvdConfig {
-    exact_config(4, BATCH).with_forget_factor(0.95).with_tree_fanout(2).with_tree_depth(0)
+    exact_config(4, BATCH).with_forget_factor(0.95).with_tree_fanout(2)
 }
 
 /// One rank's view of a faulted run: modes gathered at 0, σ, the tree

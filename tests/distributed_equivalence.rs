@@ -134,7 +134,7 @@ fn weak_scaling_traffic_per_rank_is_flat() {
     let n = 24;
     // Pin the flat gather: a PSVD_TREE_FANOUT-seeded merge tree changes
     // the per-rank payload shape (bounds ride the wire) by design.
-    let cfg = SvdConfig::new(3).with_r1(8).with_r2(6).with_tree_fanout(0).with_tree_depth(0);
+    let cfg = SvdConfig::new(3).with_r1(8).with_r2(6).with_tree_fanout(0);
     let mut per_rank = Vec::new();
     for n_ranks in [2, 4, 8] {
         let world = World::new(n_ranks);
@@ -200,8 +200,7 @@ fn randomized_knobs_reach_the_parallel_driver_and_the_merge_tree() {
                 .with_power_iterations(q)
                 .with_seed(11)
                 .with_precision(Precision::F64)
-                .with_tree_fanout(fanout)
-                .with_tree_depth(0);
+                .with_tree_fanout(fanout);
             let blocks = split_rows(&a, n_ranks);
             let world = World::new(n_ranks);
             let out = world.run(|comm| {

@@ -26,7 +26,7 @@ fn snapshots(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 fn spec(rows: usize, ranks: usize, batch: usize) -> SessionSpec {
     SessionSpec::new(2, rows)
-        .with_svd(SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_tree_depth(0))
+        .with_svd(SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0))
         .with_ranks(ranks)
         .with_batch(batch)
 }

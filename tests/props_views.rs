@@ -182,20 +182,6 @@ proptest! {
     }
 
     #[test]
-    fn hstack_into_bitwise_matches_hstack(
-        rows in 1usize..20,
-        c1 in 0usize..10,
-        c2 in 0usize..10,
-        seed in 0u64..1_000,
-    ) {
-        let a = rand_mat(rows, c1, seed);
-        let b = rand_mat(rows, c2, seed.wrapping_add(11));
-        let mut out = Matrix::zeros(0, 0);
-        a.hstack_into(&b, &mut out);
-        prop_assert_eq!(out, a.hstack(&b));
-    }
-
-    #[test]
     fn col_views_agree_with_col_copy(
         m in 1usize..30,
         n in 1usize..12,

@@ -24,7 +24,7 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 fn svd_cfg() -> SvdConfig {
-    SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_tree_depth(0)
+    SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0)
 }
 
 fn tenant_ranks(idx: usize) -> usize {

@@ -53,17 +53,13 @@ fn max_sigma_dev(a: &[f64], b: &[f64]) -> f64 {
 
 #[test]
 fn every_flat_spelling_is_the_same_depth_1_exchange() {
-    // Cleared knobs, depth 1 and fanout >= world all resolve to the flat
-    // plan: bit-identical results and the depth-1 diagnostics on every
-    // rank (`driver_round` checks cross-rank agreement), whatever the
+    // A cleared knob and any fanout >= world resolve to the flat plan:
+    // bit-identical results and the depth-1 diagnostics on every rank
+    // (`driver_round` checks cross-rank agreement), whatever the
     // precision policy or inner-SVD flavour.
     let a = graded(90, 12, 41);
-    let f64_base = SvdConfig::new(3)
-        .with_r1(6)
-        .with_r2(6)
-        .with_precision(Precision::F64)
-        .with_tree_fanout(0)
-        .with_tree_depth(0);
+    let f64_base =
+        SvdConfig::new(3).with_r1(6).with_r2(6).with_precision(Precision::F64).with_tree_fanout(0);
     for base in [
         f64_base,
         f64_base.with_precision(Precision::Mixed),
@@ -74,11 +70,7 @@ fn every_flat_spelling_is_the_same_depth_1_exchange() {
             assert_eq!(info.fanouts, vec![n_ranks], "{n_ranks} ranks: one level, whole world");
             assert_eq!(info.merges, 0, "{n_ranks} ranks: no interior merge at depth 1");
             assert_eq!(info.interior_bound(), 0.0);
-            for cfg in [
-                base.with_tree_depth(1),
-                base.with_tree_fanout(n_ranks.max(2)),
-                base.with_tree_fanout(100),
-            ] {
+            for cfg in [base.with_tree_fanout(n_ranks.max(2)), base.with_tree_fanout(100)] {
                 let (m2, s2, i2) = driver_round(&a, n_ranks, cfg);
                 assert_eq!(i2.depth(), 1, "{n_ranks} ranks, {cfg:?}: plan should resolve flat");
                 assert_eq!(i2.merges, 0);
@@ -96,7 +88,7 @@ fn a_depth_1_round_is_two_collective_rounds() {
     // schedules keyed on collective rounds keep two rounds per APMOS.
     const P: usize = 4;
     let a = graded(64, 12, 46);
-    let cfg = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0).with_tree_depth(0);
+    let cfg = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0);
     let blocks = split_rows(&a, P);
     let world = World::new(P);
     let tags = world.run(|comm| {
@@ -114,12 +106,8 @@ fn a_depth_1_round_is_two_collective_rounds() {
 #[test]
 fn fanout_sweep_stays_within_tracked_bound() {
     let a = graded(90, 12, 42);
-    let base = SvdConfig::new(3)
-        .with_r1(6)
-        .with_r2(6)
-        .with_precision(Precision::F64)
-        .with_tree_fanout(0)
-        .with_tree_depth(0);
+    let base =
+        SvdConfig::new(3).with_r1(6).with_r2(6).with_precision(Precision::F64).with_tree_fanout(0);
     for n_ranks in WORLDS {
         let (flat_modes, flat_sigma, _) = driver_round(&a, n_ranks, base);
         for fanout in FANOUTS {
@@ -148,16 +136,13 @@ fn fanout_sweep_stays_within_tracked_bound() {
 #[test]
 fn depth_sweep_stays_within_tracked_bound() {
     let a = graded(90, 12, 43);
-    let base = SvdConfig::new(3)
-        .with_r1(6)
-        .with_r2(6)
-        .with_precision(Precision::F64)
-        .with_tree_fanout(0)
-        .with_tree_depth(0);
+    let base =
+        SvdConfig::new(3).with_r1(6).with_r2(6).with_precision(Precision::F64).with_tree_fanout(0);
     for n_ranks in WORLDS {
         let (flat_modes, flat_sigma, _) = driver_round(&a, n_ranks, base);
         for depth in DEPTHS {
-            let cfg = base.with_tree_depth(depth);
+            let plan = MergeTreePlan::with_depth(depth, n_ranks).unwrap();
+            let cfg = base.with_tree_fanout(plan.fanouts()[0]);
             let (modes, sigma, info) = driver_round(&a, n_ranks, cfg);
             if info.depth() == 1 {
                 // Depth 1 (or a world too small to split) resolves flat.
@@ -191,8 +176,7 @@ fn truncation_bound_dominates_on_graded_and_clustered_spectra() {
                 .with_r1(4)
                 .with_r2(4)
                 .with_precision(Precision::F64)
-                .with_tree_fanout(0)
-                .with_tree_depth(0);
+                .with_tree_fanout(0);
             for n_ranks in [5usize, 8, 9] {
                 let (_, flat_sigma, _) = driver_round(&a, n_ranks, cfg);
                 for fanout in [2usize, 3] {
@@ -227,8 +211,7 @@ fn randomized_tree_path_tracks_leading_sigma() {
         .with_power_iterations(2)
         .with_seed(5)
         .with_precision(Precision::F64)
-        .with_tree_fanout(3)
-        .with_tree_depth(0);
+        .with_tree_fanout(3);
     let (_, sigma, info) = driver_round(&a, 9, cfg);
     assert_eq!(info.depth(), 2, "9 ranks at fanout 3");
     let (_, flat_sigma, _) = driver_round(&a, 9, cfg.with_tree_fanout(0));
@@ -325,7 +308,7 @@ fn fanout_one_is_rejected_at_driver_construction() {
     // join panic) instead of hanging mid-stream.
     let a = graded(24, 8, 45);
     let blocks = split_rows(&a, 2);
-    let cfg = SvdConfig::new(2).with_r1(8).with_r2(8).with_tree_fanout(1).with_tree_depth(0);
+    let cfg = SvdConfig::new(2).with_r1(8).with_r2(8).with_tree_fanout(1);
     let world = World::new(2);
     world.run(|comm| {
         let _ = ParallelStreamingSvd::<_, f64>::new(comm, cfg);
