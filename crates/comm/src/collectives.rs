@@ -20,9 +20,6 @@ pub fn try_tree_gather<C: Communicator, T: Payload>(
     value: T,
     root: usize,
 ) -> Result<Option<Vec<T>>, CommError> {
-    // Claim the tag before reading the world shape: a collective round
-    // boundary is where fault-injected rank deaths activate, and the tree
-    // must be built over the post-transition world.
     let tag = comm.next_collective_tag();
     let size = comm.size();
     let rank = comm.rank();
@@ -60,13 +57,7 @@ pub fn try_tree_bcast<C: Communicator, T: Payload + Clone>(
     value: Option<T>,
     root: usize,
 ) -> Result<T, CommError> {
-    // Tag first — see `try_tree_gather` on death-round transitions.
     let tag = comm.next_collective_tag();
-    if comm.renumbered(root) {
-        // The value-holder died at this boundary (see the flat
-        // `try_bcast`): fail the round consistently on every rank.
-        return Err(CommError::RankDead { rank: root });
-    }
     let size = comm.size();
     let rank = comm.rank();
     let relative = (rank + size - root) % size;

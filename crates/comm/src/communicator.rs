@@ -45,18 +45,6 @@ pub trait Communicator {
     /// on every rank).
     fn next_collective_tag(&self) -> u64;
 
-    /// Did the collective boundary opened by the *most recent*
-    /// [`Communicator::next_collective_tag`] change which rank occupies
-    /// `index`? Reliable fixed-world backends never renumber; a
-    /// fault-injecting backend whose rank deaths shrink the world answers
-    /// `true` when a death at that boundary shifted `index`'s occupant.
-    /// Every rank answers identically (the schedule is shared), so
-    /// collectives can fail a doomed round consistently instead of
-    /// deadlocking on a root whose pre-boundary state died with its rank.
-    fn renumbered(&self, _index: usize) -> bool {
-        false
-    }
-
     /// Simulated clock (seconds). Zero for communicators without a model.
     fn now(&self) -> f64 {
         0.0
@@ -65,20 +53,11 @@ pub trait Communicator {
     /// Advance the simulated clock by `secs` of modeled compute.
     fn advance(&self, _secs: f64) {}
 
-    /// Raise the simulated clock to at least `t`.
-    fn set_now(&self, _t: f64) {}
-
     /// Record that a collective had to materialize a fresh copy of a payload
     /// (e.g. the per-destination clones a broadcast root makes). Backends
     /// with counters ([`TrafficStats`](crate::stats::TrafficStats)) charge
     /// this rank's allocation ledger; the default is a no-op.
     fn record_payload_alloc(&self, _bytes: usize) {}
-
-    /// Ranks of the *initial* world that have died (physical numbering).
-    /// Empty for backends without a fault model.
-    fn failed_ranks(&self) -> Vec<usize> {
-        Vec::new()
-    }
 
     /// Gather one value per rank at `root` (rank order). Returns `Some(all)`
     /// at the root, `None` elsewhere.
@@ -103,14 +82,6 @@ pub trait Communicator {
     /// ignored elsewhere (mirroring mpi4py's `comm.bcast(x, root)`).
     fn try_bcast<T: Payload + Clone>(&self, value: Option<T>, root: usize) -> Result<T, CommError> {
         let tag = self.next_collective_tag();
-        if self.renumbered(root) {
-            // The rank that computed the broadcast value died at this very
-            // boundary and a survivor was renumbered into the root slot
-            // without the value. Every rank reaches this same conclusion
-            // from the shared schedule, so the whole round fails cleanly
-            // instead of the new root panicking / its peers blocking.
-            return Err(CommError::RankDead { rank: root });
-        }
         if self.rank() == root {
             let v = value.expect("bcast: root must supply a value");
             for dst in 0..self.size() {

@@ -6,7 +6,8 @@
 //! communicator can report through the `try_*` operations; transient
 //! failures ([`CommError::is_transient`]) are retryable — the payload can
 //! be re-sent or re-delivered and the operation completes bit-identically
-//! — while permanent ones mean the world itself changed shape.
+//! — while permanent ones stop the run, whose recovery is a restart from
+//! checkpoints.
 
 use std::fmt;
 
@@ -34,7 +35,7 @@ pub enum CommError {
     /// The message never left this rank (send-side loss). Transient: the
     /// payload was consumed, but re-sending an identical copy recovers.
     Dropped {
-        /// Destination rank (in the sender's current numbering).
+        /// Destination rank.
         dest: usize,
         /// Message tag.
         tag: u64,
@@ -42,7 +43,7 @@ pub enum CommError {
     /// The delivered payload failed validation and was discarded.
     /// Transient: the sender's copy is intact, so retransmission recovers.
     Corrupted {
-        /// Source rank (in the receiver's current numbering).
+        /// Source rank.
         source: usize,
         /// Message tag.
         tag: u64,
@@ -53,10 +54,11 @@ pub enum CommError {
         /// Wire size (or valid prefix) actually delivered.
         got_bytes: usize,
     },
-    /// A rank is gone for good. Permanent: no retry can bring it back; the
-    /// survivors must continue on a shrunken world.
+    /// A rank is gone for good. Permanent and fail-stop: from the
+    /// collective round in which it died, every operation on every rank
+    /// fails with this error, and recovery is a restart from checkpoints.
     RankDead {
-        /// The dead rank's id in the *initial* (physical) numbering.
+        /// The dead rank's id.
         rank: usize,
     },
     /// A bounded-retry policy ran out of attempts on a transient fault.

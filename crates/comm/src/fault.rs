@@ -20,16 +20,17 @@
 //!   fails validation and is discarded; the modeled retransmission delivers
 //!   the sender's intact payload. No extra payload allocation is charged —
 //!   the wrapper keeps the one delivered copy.
-//! - **Rank death** (permanent): at the start of collective round `k` the
-//!   victim's every operation returns [`CommError::RankDead`] and the
-//!   survivors transparently renumber into a dense `0..alive` world, so
-//!   SPMD drivers continue degraded without code changes.
+//! - **Rank death** (permanent, fail-stop): from the start of collective
+//!   round `k`, every operation on *every* rank returns
+//!   [`CommError::RankDead`] naming the victim, as a lost rank brings an
+//!   MPI communicator down. The world never changes size; recovery is a
+//!   restart from checkpoints.
 //!
-//! Transient faults are absorbed inside [`FaultComm`] by a bounded
-//! exponential-backoff [`RetryPolicy`]; the backoff is charged to the
-//! *simulated* clock ([`Communicator::advance`]), never slept, so replays
-//! stay deterministic and fast. Only permanent failures surface through
-//! the `try_*` operations.
+//! Transient faults are absorbed inside [`FaultComm`] by up to
+//! [`MAX_ATTEMPTS`] attempts with exponential backoff; the backoff is
+//! charged to the *simulated* clock ([`Communicator::advance`]), never
+//! slept, so replays stay deterministic and fast. Only permanent failures
+//! surface through the `try_*` operations.
 
 use std::cell::{Cell, RefCell};
 
@@ -67,7 +68,7 @@ impl FaultKind {
 /// An explicit per-operation fault table entry.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultEntry {
-    /// Victim rank (initial/physical numbering).
+    /// Victim rank.
     pub rank: usize,
     /// The rank-local operation index (0-based; sends and receives share
     /// one counter per rank).
@@ -75,48 +76,30 @@ pub struct FaultEntry {
     /// What to inject.
     pub kind: FaultKind,
     /// How many leading attempts of the operation fault before it is let
-    /// through. `u32::MAX` makes the fault persistent (exhausts any
-    /// bounded retry policy).
+    /// through. `u32::MAX` makes the fault persistent (exhausts the
+    /// [`MAX_ATTEMPTS`] budget).
     pub attempts: u32,
 }
 
 /// A scheduled permanent rank failure.
 #[derive(Clone, Copy, Debug)]
 pub struct RankDeath {
-    /// Victim rank (initial/physical numbering).
+    /// Victim rank.
     pub rank: usize,
     /// Collective round (1-based: the `k`-th collective any rank starts)
     /// at whose entry the rank dies.
     pub at_round: u64,
 }
 
-/// Bounded retry with exponential backoff for transient faults.
-///
-/// The backoff is charged to the communicator's simulated clock
-/// ([`Communicator::advance`]) so modeled timings reflect the recovery
-/// cost without real sleeping.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per logical operation (first try included).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in simulated seconds.
-    pub base_backoff: f64,
-    /// Multiplier applied per further retry.
-    pub backoff_factor: f64,
-}
+/// Attempts per logical operation (first try included) before a transient
+/// fault surfaces as [`CommError::RetriesExhausted`].
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_attempts: 4, base_backoff: 1e-6, backoff_factor: 2.0 }
-    }
-}
-
-impl RetryPolicy {
-    /// Simulated seconds to back off before retry number `attempt`
-    /// (1-based).
-    pub fn backoff(&self, attempt: u32) -> f64 {
-        self.base_backoff * self.backoff_factor.powi(attempt.saturating_sub(1) as i32)
-    }
+/// Simulated seconds to back off before retry number `attempt` (1-based):
+/// 1 µs, doubling. Charged to the communicator's simulated clock
+/// ([`Communicator::advance`]), never slept.
+fn backoff(attempt: u32) -> f64 {
+    1e-6 * 2f64.powi(attempt.saturating_sub(1) as i32)
 }
 
 /// Counters of injected faults and recoveries, per [`FaultComm`] instance
@@ -149,8 +132,8 @@ enum OpClass {
 /// Fault decisions are a pure function of `(seed, rank, op, attempt)`
 /// via counter-based hashing, so a plan replays identically regardless of
 /// thread interleaving. Probabilistic faults hit only the first
-/// `faulty_attempts` attempts of an operation (default 1), guaranteeing
-/// that any [`RetryPolicy`] with more attempts recovers; explicit
+/// `faulty_attempts` attempts of an operation (default 1), so with fewer
+/// than [`MAX_ATTEMPTS`] faulty attempts every operation recovers; explicit
 /// [`FaultEntry`] rows override the probabilistic layer per operation.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
@@ -311,83 +294,47 @@ struct DelayedSend<C> {
 ///
 /// Only `try_send`/`try_recv` are written here; the collectives and the
 /// infallible names are the trait's. Transient faults (drops, delays,
-/// corruptions) are recovered internally by the [`RetryPolicy`], so every
-/// operation behaves exactly as on the reliable transport —
+/// corruptions) are retried internally up to [`MAX_ATTEMPTS`] times, so
+/// every operation behaves exactly as on the reliable transport —
 /// bit-identically, since retries re-deliver the original payloads.
 /// Permanent failures (rank death, retry exhaustion) surface through the
-/// `try_*` operations (the infallible names panic with them); after a
-/// death, `rank()`/`size()` renumber the survivors densely so collectives
-/// keep working on the shrunken world.
+/// `try_*` operations (the infallible names panic with them).
 pub struct FaultComm<'a, C: Communicator> {
     inner: &'a C,
     plan: FaultPlan,
-    policy: RetryPolicy,
-    /// This rank's id in the initial (physical) numbering.
-    phys_rank: usize,
-    initial_size: usize,
-    /// Physical ranks that have died (kept consistent across ranks by the
-    /// shared plan's round schedule).
-    dead: RefCell<Vec<bool>>,
-    my_death: Cell<bool>,
+    /// The victim of the first death that fired. Set at the same
+    /// collective round on every rank (the schedule is shared), after
+    /// which every operation fails.
+    dead: Cell<Option<usize>>,
     /// Rank-local operation counter (sends and receives).
     op: Cell<u64>,
     /// Collective rounds started (1-based after the first).
     round: Cell<u64>,
-    /// If deaths fired at the most recent collective boundary, the lowest
-    /// dense index whose occupant changed (`None` when the boundary was
-    /// death-free). Backs [`Communicator::renumbered`].
-    shifted_from: Cell<Option<usize>>,
     delayed: RefCell<Vec<DelayedSend<C>>>,
     stats: RefCell<FaultStats>,
 }
 
 impl<'a, C: Communicator> FaultComm<'a, C> {
-    /// Wrap `inner`, replaying `plan` under the default [`RetryPolicy`].
+    /// Wrap `inner`, replaying `plan`.
     pub fn new(inner: &'a C, plan: FaultPlan) -> Self {
-        Self::with_policy(inner, plan, RetryPolicy::default())
-    }
-
-    /// Wrap `inner` with an explicit retry policy.
-    pub fn with_policy(inner: &'a C, plan: FaultPlan, policy: RetryPolicy) -> Self {
         let size = inner.size();
         for d in plan.deaths() {
             assert!(d.rank < size, "death schedule names rank {} of a {size}-rank world", d.rank);
         }
-        assert!(policy.max_attempts >= 1, "retry policy needs at least one attempt");
         Self {
             inner,
             plan,
-            policy,
-            phys_rank: inner.rank(),
-            initial_size: size,
-            dead: RefCell::new(vec![false; size]),
-            my_death: Cell::new(false),
+            dead: Cell::new(None),
             op: Cell::new(0),
             round: Cell::new(0),
-            shifted_from: Cell::new(None),
             delayed: RefCell::new(Vec::new()),
             stats: RefCell::new(FaultStats::default()),
         }
     }
 
-    /// The plan being replayed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The retry policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Injection/recovery counters for this rank.
     pub fn stats(&self) -> FaultStats {
         *self.stats.borrow()
-    }
-
-    /// World size before any deaths.
-    pub fn initial_size(&self) -> usize {
-        self.initial_size
     }
 
     /// Release every delayed message immediately.
@@ -424,24 +371,9 @@ impl<'a, C: Communicator> FaultComm<'a, C> {
         o
     }
 
-    /// Physical rank for a current (virtual) rank id.
-    fn phys_of(&self, virt: usize) -> usize {
-        let dead = self.dead.borrow();
-        let mut seen = 0;
-        for (p, &d) in dead.iter().enumerate() {
-            if !d {
-                if seen == virt {
-                    return p;
-                }
-                seen += 1;
-            }
-        }
-        panic!("virtual rank {virt} out of range ({seen} ranks alive)");
-    }
-
     /// Charge one backoff interval to the simulated clock.
     fn back_off(&self, attempt: u32) {
-        let b = self.policy.backoff(attempt);
+        let b = backoff(attempt);
         let mut stats = self.stats.borrow_mut();
         stats.retries += 1;
         stats.backoff_secs += b;
@@ -450,10 +382,9 @@ impl<'a, C: Communicator> FaultComm<'a, C> {
     }
 
     fn dead_guard(&self) -> Result<(), CommError> {
-        if self.my_death.get() {
-            Err(CommError::RankDead { rank: self.phys_rank })
-        } else {
-            Ok(())
+        match self.dead.get() {
+            Some(rank) => Err(CommError::RankDead { rank }),
+            None => Ok(()),
         }
     }
 }
@@ -468,35 +399,33 @@ impl<C: Communicator> Drop for FaultComm<'_, C> {
 
 impl<C: Communicator> Communicator for FaultComm<'_, C> {
     fn rank(&self) -> usize {
-        // Virtual id: position among the surviving ranks.
-        self.dead.borrow()[..self.phys_rank].iter().filter(|&&d| !d).count()
+        self.inner.rank()
     }
 
     fn size(&self) -> usize {
-        self.dead.borrow().iter().filter(|&&d| !d).count()
+        self.inner.size()
     }
 
     fn try_send<T: Payload>(&self, value: T, dest: usize, tag: u64) -> Result<(), CommError> {
         self.dead_guard()?;
         self.flush_due();
         let op = self.bump_op();
-        let phys_dest = self.phys_of(dest);
         let mut attempt = 0u32;
         loop {
-            match self.plan.fault_for(self.phys_rank, op, attempt, OpClass::Send) {
-                None => return self.inner.try_send(value, phys_dest, tag),
+            match self.plan.fault_for(self.rank(), op, attempt, OpClass::Send) {
+                None => return self.inner.try_send(value, dest, tag),
                 Some(FaultKind::Delay { release_after_ops }) => {
                     self.stats.borrow_mut().delays += 1;
                     self.delayed.borrow_mut().push(DelayedSend {
                         release_at_op: op + release_after_ops,
-                        deliver: Box::new(move |inner: &C| inner.send(value, phys_dest, tag)),
+                        deliver: Box::new(move |inner: &C| inner.send(value, dest, tag)),
                     });
                     return Ok(());
                 }
                 Some(FaultKind::Drop) => {
                     self.stats.borrow_mut().drops += 1;
                     attempt += 1;
-                    if attempt >= self.policy.max_attempts {
+                    if attempt >= MAX_ATTEMPTS {
                         return Err(CommError::RetriesExhausted {
                             attempts: attempt,
                             last: Box::new(CommError::Dropped { dest, tag }),
@@ -516,23 +445,22 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
         // messages that peer may itself be waiting for (deadlock).
         self.flush_delayed();
         let op = self.bump_op();
-        let phys_src = self.phys_of(source);
         let mut attempt = 0u32;
         // The intact wire copy: pulled off the channel once; a validation
         // failure discards only the modeled mangled view, so the retry
         // ("retransmission") re-delivers this copy without new allocation.
         let mut delivered: Option<T> = None;
         loop {
-            match self.plan.fault_for(self.phys_rank, op, attempt, OpClass::Recv) {
+            match self.plan.fault_for(self.rank(), op, attempt, OpClass::Recv) {
                 None => {
                     return match delivered.take() {
                         Some(v) => Ok(v),
-                        None => self.inner.try_recv(phys_src, tag),
+                        None => self.inner.try_recv(source, tag),
                     }
                 }
                 Some(kind @ (FaultKind::Truncate | FaultKind::Corrupt)) => {
                     if delivered.is_none() {
-                        delivered = Some(self.inner.try_recv(phys_src, tag)?);
+                        delivered = Some(self.inner.try_recv(source, tag)?);
                     }
                     let expected = delivered.as_ref().map_or(0, Payload::byte_len);
                     let (ckind, got) = match kind {
@@ -546,7 +474,7 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
                         }
                     };
                     attempt += 1;
-                    if attempt >= self.policy.max_attempts {
+                    if attempt >= MAX_ATTEMPTS {
                         return Err(CommError::RetriesExhausted {
                             attempts: attempt,
                             last: Box::new(CommError::Corrupted {
@@ -567,41 +495,17 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
 
     fn next_collective_tag(&self) -> u64 {
         // Collective rounds are global synchronization points in SPMD
-        // order: release every delayed message and apply scheduled deaths,
-        // so all ranks agree on the world's shape for the round.
+        // order: release every delayed message (so no peer waits on one
+        // this rank holds), then apply the round's scheduled deaths on
+        // every rank alike.
         self.flush_delayed();
         let r = self.round.get() + 1;
         self.round.set(r);
-        // Dense indices are computed against the pre-boundary world, so
-        // `renumbered` can answer for state captured before this boundary.
-        let mut shifted: Option<usize> = None;
-        {
-            let dead = self.dead.borrow();
-            for d in self.plan.deaths() {
-                if d.at_round == r && !dead[d.rank] {
-                    let idx = (0..d.rank).filter(|&p| !dead[p]).count();
-                    shifted = Some(shifted.map_or(idx, |s| s.min(idx)));
-                }
-            }
-        }
-        self.shifted_from.set(shifted);
-        for d in self.plan.deaths() {
-            if d.at_round == r {
-                self.dead.borrow_mut()[d.rank] = true;
-                if d.rank == self.phys_rank {
-                    self.my_death.set(true);
-                }
-            }
+        if self.dead.get().is_none() {
+            let victim = self.plan.deaths().iter().filter(|d| d.at_round == r).map(|d| d.rank);
+            self.dead.set(victim.min());
         }
         self.inner.next_collective_tag()
-    }
-
-    fn renumbered(&self, index: usize) -> bool {
-        self.shifted_from.get().is_some_and(|from| index >= from)
-    }
-
-    fn failed_ranks(&self) -> Vec<usize> {
-        self.dead.borrow().iter().enumerate().filter_map(|(r, &d)| d.then_some(r)).collect()
     }
 
     fn now(&self) -> f64 {
@@ -610,10 +514,6 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
 
     fn advance(&self, secs: f64) {
         self.inner.advance(secs);
-    }
-
-    fn set_now(&self, t: f64) {
-        self.inner.set_now(t);
     }
 
     fn record_payload_alloc(&self, bytes: usize) {
@@ -775,7 +675,7 @@ mod tests {
         let err = fc.try_send(1.0f64, 0, 7).unwrap_err();
         match err {
             CommError::RetriesExhausted { attempts, last } => {
-                assert_eq!(attempts, RetryPolicy::default().max_attempts);
+                assert_eq!(attempts, MAX_ATTEMPTS);
                 assert_eq!(*last, CommError::Dropped { dest: 0, tag: 7 });
             }
             other => panic!("expected exhaustion, got {other}"),
@@ -800,10 +700,9 @@ mod tests {
 
     #[test]
     fn root_death_at_bcast_boundary_fails_every_rank() {
-        // Rank 0 dies exactly at the second bcast's boundary: the survivor
-        // renumbered into the root slot has no value to broadcast, so the
-        // whole round must fail with the same permanent error on every
-        // rank — not panic on the new root or deadlock its peers.
+        // Rank 0 dies exactly at the second bcast's boundary: the whole
+        // round fails with the same permanent error on every rank — no
+        // rank panics or waits on the dead root.
         let plan = FaultPlan::new(21).with_death(0, 2);
         let w = World::new(3);
         let out = w.run(|c| {
@@ -824,64 +723,46 @@ mod tests {
     }
 
     #[test]
-    fn nonroot_death_at_bcast_boundary_spares_the_round() {
-        // Killing the last rank does not renumber the root: the surviving
-        // ranks complete the broadcast on the shrunken world.
-        let plan = FaultPlan::new(22).with_death(2, 2);
-        let w = World::new(3);
-        let out = w.run(|c| {
-            let fc = FaultComm::new(c, plan.clone());
-            let supply = |v: f64| if fc.rank() == 0 { Some(v) } else { None };
-            let first = fc.try_bcast(supply(7.0), 0);
-            let second = fc.try_bcast(supply(9.0), 0);
-            (first, second)
-        });
-        assert_eq!(out[0].1, Ok(9.0));
-        assert_eq!(out[1].1, Ok(9.0));
-        assert_eq!(out[2].1, Err(CommError::RankDead { rank: 2 }), "the victim itself errors");
-        assert_eq!(out[2].0, Ok(7.0));
-    }
-
-    #[test]
-    fn rank_death_shrinks_world_consistently() {
+    fn rank_death_stops_every_rank_from_its_round() {
         // A gather plus a broadcast is two collective rounds; dying at
         // round 3 is the boundary between the first and second pair.
         let plan = FaultPlan::new(13).with_death(1, 3);
         let w = World::new(3);
         let out = w.run(|c| {
             let fc = FaultComm::new(c, plan.clone());
-            // Rounds 1-2: everyone participates.
-            let first = try_gather_bcast(&fc, fc.rank() as f64).map(|v| v.len());
-            // Rounds 3+: rank 1 is dead; survivors renumber to 0..2.
-            let second = try_gather_bcast(&fc, fc.rank() as f64).map(|v| v.len());
-            (first, second, fc.size(), fc.failed_ranks())
+            let first = try_gather_bcast(&fc, fc.rank() as f64);
+            let second = try_gather_bcast(&fc, fc.rank() as f64);
+            // Point-to-point traffic after the death fails too.
+            let later = fc.try_send(1.0f64, (fc.rank() + 1) % 3, 5);
+            (first, second, later, fc.rank(), fc.size())
         });
-        assert_eq!(out[0].0, Ok(3));
-        assert_eq!(out[1].0, Ok(3));
-        assert_eq!(out[2].0, Ok(3));
-        // The victim errors permanently; survivors see a 2-rank world.
-        assert_eq!(out[1].1, Err(CommError::RankDead { rank: 1 }));
-        assert_eq!(out[0].1, Ok(2));
-        assert_eq!(out[2].1, Ok(2));
-        assert_eq!(out[0].2, 2);
-        assert_eq!(out[0].3, vec![1]);
+        let dead = CommError::RankDead { rank: 1 };
+        for (rank, (first, second, later, r, size)) in out.into_iter().enumerate() {
+            assert_eq!(first, Ok(vec![0.0, 1.0, 2.0]), "rank {rank}: rounds 1-2 precede the death");
+            assert_eq!(second, Err(dead.clone()), "rank {rank}: round 3 fails");
+            assert_eq!(later, Err(dead.clone()), "rank {rank}: every later operation fails");
+            assert_eq!((r, size), (rank, 3), "the world never changes size");
+        }
     }
 
     #[test]
-    fn survivors_renumber_densely() {
-        let plan = FaultPlan::new(17).with_death(0, 1);
-        let w = World::new(3);
-        let out = w.run(|c| {
+    fn death_after_delayed_sends_fails_every_rank_without_hanging() {
+        // Every send is held back: the root enters the death round still
+        // holding its round-2 broadcast, which the other ranks are waiting
+        // on. The round's tag claim must release it before failing, or they
+        // would wait forever and `World::run` would never return.
+        let plan = FaultPlan::new(23).with_delay_prob(1.0, 3).with_death(2, 3);
+        let out = World::new(3).run(|c| {
             let fc = FaultComm::new(c, plan.clone());
-            let r = try_gather_bcast(&fc, c.rank() as f64);
-            (fc.rank(), fc.size(), r)
+            let all = try_gather_bcast(&fc, fc.rank() as f64);
+            let third = fc.try_gather(fc.rank() as f64, 0).map(|_| ());
+            (all, third, fc.stats().delays)
         });
-        // Physical 1 and 2 become virtual 0 and 1.
-        assert_eq!(out[1].0, 0);
-        assert_eq!(out[2].0, 1);
-        assert_eq!(out[1].1, 2);
-        assert_eq!(out[1].2, Ok(vec![1.0, 2.0]));
-        assert!(out[0].2.is_err());
+        for (rank, (all, third, delays)) in out.into_iter().enumerate() {
+            assert_eq!(all, Ok(vec![0.0, 1.0, 2.0]), "rank {rank}: rounds 1-2 precede the death");
+            assert_eq!(third, Err(CommError::RankDead { rank: 2 }), "rank {rank}");
+            assert!(delays > 0, "rank {rank}: the schedule must actually have delayed sends");
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   alpha–beta–overhead cost per message, which lets the weak-scaling
 //!   harness model Theta-scale runs from a single host;
 //! - **deterministic fault injection** ([`FaultComm`] replaying a seeded
-//!   [`FaultPlan`]): drops, delay-reorders, payload corruption and rank
-//!   death, recovered by a bounded-backoff [`RetryPolicy`] or surfaced as
-//!   [`CommError`] through the fallible `try_*` operations.
+//!   [`FaultPlan`]): drops, delay-reorders and payload corruption,
+//!   recovered by bounded retries with backoff, and fail-stop rank death,
+//!   surfaced on every rank as [`CommError`] through the fallible `try_*`
+//!   operations.
 //!
 //! ```
 //! use psvd_comm::{Communicator, World};
@@ -40,7 +41,7 @@ pub mod thread_comm;
 pub use collectives::{try_tree_bcast, try_tree_gather};
 pub use communicator::{Communicator, SelfComm};
 pub use error::{CommError, CorruptionKind};
-pub use fault::{FaultComm, FaultEntry, FaultKind, FaultPlan, FaultStats, RankDeath, RetryPolicy};
+pub use fault::{FaultComm, FaultEntry, FaultKind, FaultPlan, FaultStats, RankDeath};
 pub use model::NetworkModel;
 pub use payload::Payload;
 pub use stats::TrafficStats;

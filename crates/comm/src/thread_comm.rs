@@ -107,12 +107,6 @@ impl Communicator for ThreadComm {
         debug_assert!(secs >= 0.0, "advance: negative time");
         self.clock.set(self.clock.get() + secs);
     }
-
-    fn set_now(&self, t: f64) {
-        if t > self.clock.get() {
-            self.clock.set(t);
-        }
-    }
 }
 
 impl ThreadComm {

@@ -97,9 +97,9 @@ impl SvdCheckpoint {
     }
 
     /// Stack per-rank distributed checkpoints (rank order) into the
-    /// equivalent global checkpoint, e.g. to hand a degraded run's
-    /// surviving row blocks to the serial driver as the restart oracle.
-    /// All parts must come from the same streaming step.
+    /// equivalent global checkpoint, e.g. to publish a served session's
+    /// model or hand a distributed run to the serial driver as its restart
+    /// oracle. All parts must come from the same streaming step.
     pub fn vstack(parts: Vec<SvdCheckpoint>) -> SvdCheckpoint {
         assert!(!parts.is_empty(), "vstack of no checkpoints");
         for p in &parts[1..] {

@@ -105,11 +105,6 @@ pub struct SvdConfig {
     pub power_iterations: usize,
     /// Seed for the randomized path (advanced deterministically per call).
     pub seed: u64,
-    /// Continue on a shrunken world after a permanent rank failure (the
-    /// dead rank's row block is excised and the run reports a
-    /// `DegradedInfo`) instead of erroring out of the fallible driver
-    /// operations.
-    pub allow_degraded: bool,
     /// Arithmetic / wire precision policy (see [`Precision`]).
     pub precision: Precision,
     /// Merge-tree fanout: children per interior merge node in the
@@ -130,7 +125,6 @@ impl SvdConfig {
             oversampling: 10,
             power_iterations: 1,
             seed: 0,
-            allow_degraded: false,
             precision: Precision::from_env(),
             tree_fanout: psvd_linalg::par::env_knob("PSVD_TREE_FANOUT").filter(|&f| f > 0),
         }
@@ -163,12 +157,6 @@ impl SvdConfig {
     /// Builder: randomized-path seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: survive permanent rank failures on the shrunken world.
-    pub fn with_allow_degraded(mut self, allow: bool) -> Self {
-        self.allow_degraded = allow;
         self
     }
 

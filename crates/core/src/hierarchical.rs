@@ -228,8 +228,7 @@ impl MergeTreePlan {
     }
 }
 
-/// Diagnostics of a merge-tree round, reported on every rank alongside
-/// the `DegradedInfo`-style driver state (see
+/// Diagnostics of a merge-tree round, reported on every rank (see
 /// [`crate::ParallelStreamingSvd::tree_merge_info`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TreeMergeInfo {
@@ -369,10 +368,9 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     let depth = plan.depth();
 
     // Claim every level's collective tag up front, identically on all
-    // ranks: collective-round boundaries are where injected rank deaths
-    // activate, so claiming before any exchange pins the world shape for
-    // the whole tree walk — survivors renumber *here*, then agree on the
-    // group structure below.
+    // ranks: a rank that forwards its factor leaves the walk below early,
+    // yet every rank must advance through the same collective rounds
+    // (where injected rank deaths fire) so the tags stay in step.
     let level_tags: Vec<u64> = (0..depth).map(|_| comm.next_collective_tag()).collect();
     let rank = comm.rank();
     let size = comm.size();

@@ -52,7 +52,7 @@ pub use config::{ConfigError, Precision, SvdConfig};
 pub use hierarchical::{
     try_merge_tree_svd, try_merge_tree_svd_into, MergeTreePlan, PlanError, TreeMergeInfo,
 };
-pub use parallel::{parallel_svd_once, DegradedInfo, IngestError, ParallelStreamingSvd};
+pub use parallel::{parallel_svd_once, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};
 pub use serial::{batch_truncated_svd, SerialStreamingSvd};
 pub use update::ortho_gate;

@@ -8,7 +8,7 @@
 //! - [`ParallelStreamingSvd::parallel_svd`] factors the first batch: one
 //!   APMOS round (Algorithm 2) through the merge-tree engine of
 //!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from the
-//!   configuration and the current world (depth 1, the default, *is* the
+//!   configuration and the world size (depth 1, the default, *is* the
 //!   paper's Listing 3);
 //! - TSQR (Benson et al., Listing 4) factors every later batch's
 //!   `Mᵢ x B` residual (or, when the modes measure as not orthonormal, the
@@ -23,9 +23,8 @@
 //! collective shape: flat for a flat plan, binomial trees for a deeper
 //! one — same payloads, same bits.
 //!
-//! What the driver itself adds is the world bookkeeping around each round
-//! ([`DegradedInfo`]) and the mode gathers. Every matrix on the wire goes
-//! through `crate::wire`; every inner SVD is `SvdConfig::inner_svd`,
+//! What the driver itself adds is the mode gathers. Every matrix on the
+//! wire goes through `crate::wire`; every inner SVD is `SvdConfig::inner_svd`,
 //! which may be randomized — the paper's third building block.
 //!
 //! The paper's Listing 4 negates `qglobal`/`rfinal` ("trick for
@@ -97,25 +96,6 @@ impl From<CommError> for IngestError {
     }
 }
 
-/// Report of a run that survived permanent rank failures.
-///
-/// When `cfg.allow_degraded` is set and the communicator's world shrinks
-/// (a fault-injection rank death, in production a failed node), the driver
-/// keeps streaming on the survivors: the dead rank's row block simply
-/// drops out of the global factorization, every collective renumbers onto
-/// the shrunken world, and this record describes what was lost.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegradedInfo {
-    /// World size when the driver was built.
-    pub initial_ranks: usize,
-    /// World size now.
-    pub surviving_ranks: usize,
-    /// Dead ranks, in the initial (physical) numbering.
-    pub failed_ranks: Vec<usize>,
-    /// Driver iteration count when the (latest) failure was detected.
-    pub detected_at_iteration: usize,
-}
-
 /// Distributed streaming truncated SVD over a row-partitioned snapshot
 /// stream. One instance lives on each rank, driven in SPMD style.
 ///
@@ -134,78 +114,20 @@ pub struct ParallelStreamingSvd<'a, C: Communicator, T: Scalar = f64> {
     link: WorldLink<'a, C, T>,
 }
 
-/// This rank's end of the world: the communicator, the collective
-/// kernels' persistent buffers, and what has been seen of the world.
+/// This rank's end of the world: the communicator, the merge-tree plan
+/// every collective follows, and the collective kernels' persistent
+/// buffers.
 struct WorldLink<'a, C: Communicator, T: Scalar> {
     comm: &'a C,
+    /// Resolved once: the world never changes size.
+    plan: MergeTreePlan,
     /// Persistent local thin-QR `Q` factor (TSQR step 1).
     local_q: Matrix<T>,
     /// Persistent `Q`/`R` factors of the stacked-R re-QR (root only).
     gq: Matrix<T>,
     gr: Matrix<T>,
-    /// World size at construction.
-    initial_world: usize,
-    /// World size as of the last completed operation.
-    world_size: usize,
-    /// Set once the run has survived a rank failure.
-    degraded: Option<DegradedInfo>,
     /// Diagnostics of the latest APMOS round (`None` before the first).
     tree_info: Option<TreeMergeInfo>,
-}
-
-/// The merge-tree plan `cfg` asks for on `comm`'s *current* world (a
-/// degraded run may have shrunk below the tree threshold since
-/// construction, where an unusable configuration was already rejected).
-fn plan_for<C: Communicator>(cfg: &SvdConfig, comm: &C) -> MergeTreePlan {
-    MergeTreePlan::resolve(cfg, comm.size())
-        .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"))
-}
-
-impl<C: Communicator, T: Scalar> WorldLink<'_, C, T> {
-    /// Reconcile the tracked world size with the communicator's. A shrink
-    /// means some rank died since the last operation: record it if the
-    /// configuration tolerates degraded runs, error out otherwise.
-    fn note_world(&mut self, tracker: &Tracker<T>) -> Result<(), CommError> {
-        let alive = self.comm.size();
-        if alive < self.world_size {
-            let failed = self.comm.failed_ranks();
-            if !tracker.config().allow_degraded {
-                let rank = failed.first().copied().unwrap_or(usize::MAX);
-                return Err(CommError::RankDead { rank });
-            }
-            self.world_size = alive;
-            match &mut self.degraded {
-                Some(info) => {
-                    info.surviving_ranks = alive;
-                    info.failed_ranks = failed;
-                }
-                None => {
-                    self.degraded = Some(DegradedInfo {
-                        initial_ranks: self.initial_world,
-                        surviving_ranks: alive,
-                        failed_ranks: failed,
-                        detected_at_iteration: tracker.iteration(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One fallible driver operation between two world checks, so a rank
-    /// failure is reported at the latest by the call after the collective
-    /// round in which it happened. The leading check and `op` fail before
-    /// anything is committed; the trailing check runs *after* `op`
-    /// committed, so its `RankDead` leaves the new factorization in place.
-    fn round(
-        &mut self,
-        tracker: &mut Tracker<T>,
-        op: impl FnOnce(&mut Tracker<T>, &mut Self) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
-        self.note_world(tracker)?;
-        op(tracker, self)?;
-        self.note_world(tracker)
-    }
 }
 
 impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
@@ -221,7 +143,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         exact: Matrix<T>,
         x: Matrix<T>,
     ) -> Result<(Matrix<T>, Matrix<T>), CommError> {
-        let (plan, mixed) = (plan_for(cfg, self.comm), wire::mixed(cfg));
+        let (plan, mixed) = (&self.plan, wire::mixed(cfg));
         let total = plan.try_gather(self.comm, (exact, wire::pack(mixed, x)), 0)?.map(|parts| {
             let mut parts = parts.into_iter().map(|(e, x)| (e, x.unpack()));
             let (mut e_sum, mut x_sum) = parts.next().expect("the root's own part");
@@ -252,7 +174,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         qlocal: &mut Matrix<T>,
     ) -> Result<Option<&Matrix<T>>, CommError> {
         let (comm, cfg) = (self.comm, ctx.cfg);
-        let (mixed, plan) = (wire::mixed(cfg), plan_for(cfg, comm));
+        let (mixed, plan) = (wire::mixed(cfg), &self.plan);
         let n = a_local.cols();
         assert!(
             a_local.rows() >= n,
@@ -267,10 +189,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         qr_thin_into(a_local.view(), &mut self.local_q, &mut local_r, ctx.ws);
 
         // Gather the R factors, stack (reusing their storage), and
-        // re-factorize at rank 0. The world shape is read only after the
-        // gather: its collective round boundary is where injected rank
-        // deaths activate, and the scatter below must address the
-        // post-transition world (root-ness = who holds the gathered Rs).
+        // re-factorize at rank 0.
         let r_global = plan.try_gather(comm, wire::pack(mixed, local_r), 0)?;
         if let Some(parts) = r_global {
             let stack = wire::vstack(parts);
@@ -298,9 +217,8 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         cfg: &SvdConfig,
         factors: Option<(Matrix<T>, Vec<T>)>,
     ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        let (plan, mixed) = (plan_for(cfg, self.comm), wire::mixed(cfg));
         let sent = factors.map(|(u, s)| (u, s, ()));
-        let (u, s, ()) = wire::bcast_factors(self.comm, &plan, mixed, sent, 0)?;
+        let (u, s, ()) = wire::bcast_factors(self.comm, &self.plan, wire::mixed(cfg), sent, 0)?;
         Ok((u, s))
     }
 
@@ -312,9 +230,8 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         _q: &mut Matrix<T>,
         phi: &mut Matrix<T>,
     ) -> Result<Vec<T>, CommError> {
-        let plan = plan_for(ctx.cfg, self.comm);
         let (s, info) = try_merge_tree_svd_into(
-            self.comm, *ctx.cfg, a_local, &plan, ctx.rng, ctx.ws, None, phi,
+            self.comm, *ctx.cfg, a_local, &self.plan, ctx.rng, ctx.ws, None, phi,
         )?;
         self.tree_info = Some(info);
         Ok(s)
@@ -328,18 +245,16 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     }
 
     fn over(comm: &'a C, tracker: Tracker<T>) -> Self {
-        let size = comm.size();
-        // Surface an unusable tree configuration here, like `validated()`
+        // An unusable tree configuration surfaces here, like `validated()`
         // does for the numeric knobs, rather than mid-stream.
-        plan_for(tracker.config(), comm);
+        let plan = MergeTreePlan::resolve(tracker.config(), comm.size())
+            .unwrap_or_else(|e| panic!("merge-tree configuration rejected: {e}"));
         let link = WorldLink {
             comm,
+            plan,
             local_q: Matrix::zeros(0, 0),
             gq: Matrix::zeros(0, 0),
             gr: Matrix::zeros(0, 0),
-            initial_world: size,
-            world_size: size,
-            degraded: None,
             tree_info: None,
         };
         Self { tracker, link }
@@ -347,20 +262,9 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
 
     forward_tracker_accessors!();
 
-    /// The communicator driving this rank.
-    pub fn comm(&self) -> &C {
-        self.link.comm
-    }
-
     /// This rank's rows of the current global modes (`Mᵢ x K`).
     pub fn local_modes(&self) -> &Matrix<T> {
         self.tracker.modes()
-    }
-
-    /// `Some` once the run has survived a permanent rank failure (requires
-    /// `cfg.allow_degraded`).
-    pub fn degraded(&self) -> Option<&DegradedInfo> {
-        self.link.degraded.as_ref()
     }
 
     /// Diagnostics of the latest APMOS round: executed plan and the
@@ -388,11 +292,10 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     }
 
     /// Fallible [`ParallelStreamingSvd::initialize`]: permanent
-    /// communication failures surface as [`CommError`]. With
-    /// `cfg.allow_degraded` a surviving rank records the shrink in
-    /// [`ParallelStreamingSvd::degraded`] and keeps going.
+    /// communication failures surface as [`CommError`] (see
+    /// [`ParallelStreamingSvd::try_incorporate_data`] for the contract).
     pub fn try_initialize(&mut self, a_local: &Matrix<T>) -> Result<&mut Self, CommError> {
-        self.link.round(&mut self.tracker, |t, link| t.initialize(link, a_local))?;
+        self.tracker.initialize(&mut self.link, a_local)?;
         Ok(self)
     }
 
@@ -405,21 +308,16 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
             .unwrap_or_else(|e| panic!("incorporate_data failed: {e}"))
     }
 
-    /// Fallible [`ParallelStreamingSvd::incorporate_data`] (see
-    /// [`ParallelStreamingSvd::try_initialize`] for the failure contract).
+    /// Fallible [`ParallelStreamingSvd::incorporate_data`].
     ///
-    /// An `Err` is one of two kinds, and the tracker is whole after either
-    /// — modes, σ, `iteration` and `snapshots_seen` all belong to the same
-    /// step. *Pre-commit* (the leading world check, or any failure inside
-    /// the TSQR round): the previous factorization is intact, counters
-    /// included. *Post-commit* (`RankDead` from the trailing world check,
-    /// when a peer died during a round this rank completed, without
-    /// `cfg.allow_degraded`): the update is already in place. Ranks of one
-    /// world may thus sit at different steps after a failed round; a
-    /// caller that resumes restarts every rank from one step's checkpoints.
+    /// An `Err` commits nothing on any rank: a rank death fails the
+    /// collective round it fires in on every rank, so each rank keeps the
+    /// factorization it held before the call — modes, σ, `iteration` and
+    /// `snapshots_seen` alike. A caller that resumes restarts every rank
+    /// from its checkpoint on a new world.
     pub fn try_incorporate_data(&mut self, a_local: &Matrix<T>) -> Result<&mut Self, CommError> {
         if self.tracker.admits(a_local) {
-            self.link.round(&mut self.tracker, |t, link| t.update(link, a_local))?;
+            self.tracker.update(&mut self.link, a_local)?;
         }
         Ok(self)
     }
@@ -440,18 +338,16 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     ///
     /// IO failures surface as [`IngestError::Io`], permanent collective
     /// failures as [`IngestError::Comm`]; either way the last successful
-    /// update's factorization stays intact. All ranks must fail or succeed
-    /// together for the SPMD stream to stay consistent — an IO error is
-    /// local to this rank, so callers tolerating per-rank faults should
-    /// pair this with `cfg.allow_degraded`.
+    /// update's factorization stays intact. A collective failure stops
+    /// every rank at the same batch; an IO error is local to this rank,
+    /// whose peers then wait in the round it skips, so it must stop the
+    /// whole run.
     pub fn try_fit_source<S: SnapshotSource<T>>(
         &mut self,
         source: &mut S,
     ) -> Result<&mut Self, IngestError> {
         let Self { tracker, link } = self;
-        tracker.fit_source(source, |t, batch| {
-            link.round(t, |t, link| t.step(link, batch)).map_err(IngestError::Comm)
-        })?;
+        tracker.fit_source(source, |t, batch| t.step(link, batch).map_err(IngestError::Comm))?;
         Ok(self)
     }
 
@@ -460,30 +356,27 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// this rank's block into the gather; when the tracker is finished,
     /// [`ParallelStreamingSvd::into_gathered_modes`] moves it instead.
     pub fn gather_modes(&self, root: usize) -> Option<Matrix<T>> {
-        gather_rows(self.link.comm, self.tracker.config(), self.tracker.modes().clone(), root)
+        self.link.gather_rows(self.tracker.config(), self.tracker.modes().clone(), root)
     }
 
     /// Consume the tracker and gather the distributed modes at `root`,
     /// moving this rank's block into the collective (no snapshot copy) and
     /// assembling the result by reusing the gathered storage.
     pub fn into_gathered_modes(self, root: usize) -> Option<Matrix<T>> {
-        let (comm, cfg) = (self.link.comm, *self.tracker.config());
-        gather_rows(comm, &cfg, self.tracker.into_modes().0, root)
+        let cfg = *self.tracker.config();
+        self.link.gather_rows(&cfg, self.tracker.into_modes().0, root)
     }
 }
 
-/// Gather every rank's row block at `root` and stack them in rank order,
-/// reusing the gathered storage.
-fn gather_rows<C: Communicator, T: Scalar>(
-    comm: &C,
-    cfg: &SvdConfig,
-    block: Matrix<T>,
-    root: usize,
-) -> Option<Matrix<T>> {
-    plan_for(cfg, comm)
-        .try_gather(comm, wire::pack(wire::mixed(cfg), block), root)
-        .unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
-        .map(wire::vstack)
+impl<C: Communicator, T: Scalar> WorldLink<'_, C, T> {
+    /// Gather every rank's row block at `root` and stack them in rank
+    /// order, reusing the gathered storage.
+    fn gather_rows(&self, cfg: &SvdConfig, block: Matrix<T>, root: usize) -> Option<Matrix<T>> {
+        self.plan
+            .try_gather(self.comm, wire::pack(wire::mixed(cfg), block), root)
+            .unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
+            .map(wire::vstack)
+    }
 }
 
 /// Checkpointing is defined on the `f64` instantiation only — the

@@ -233,9 +233,18 @@ impl SvdServer {
         Self { inner, workers: Mutex::new(workers) }
     }
 
-    /// Open a session under `tenant`.
+    /// Open a session under `tenant`. A spec no session can run — one
+    /// [`SessionSpec::try_validated`] refuses, or whose batch is wider
+    /// than [`ServeConfig::queue_depth`] — is [`ServeError::InvalidSpec`].
     pub fn open(&self, tenant: &str, spec: SessionSpec) -> Result<(), ServeError> {
         let spec = spec.try_validated()?;
+        let depth = self.inner.cfg.queue_depth;
+        if spec.batch > depth {
+            return Err(ServeError::InvalidSpec(format!(
+                "queue depth {depth} cannot hold one batch of {}",
+                spec.batch
+            )));
+        }
         let mut map = self.inner.sessions.write().unwrap();
         if map.contains_key(tenant) {
             return Err(ServeError::TenantExists(tenant.to_string()));
@@ -243,7 +252,7 @@ impl SvdServer {
         let session = Arc::new(Session {
             tenant: tenant.to_string(),
             spec,
-            queue: Mutex::new(BatchQueue::new(spec.rows, spec.batch, self.inner.cfg.queue_depth)),
+            queue: Mutex::new(BatchQueue::new(spec.rows, spec.batch, depth)),
             slot: Mutex::new(Slot::Live(Box::new(SessionState::new(spec)))),
             model: RwLock::new(None),
             scheduled: AtomicBool::new(false),
@@ -260,7 +269,7 @@ impl SvdServer {
 
     /// Submit a chunk of snapshots (columns) for `tenant`. Returns as
     /// soon as the chunk is queued; a worker picks it up once a full
-    /// canonical batch is pending.
+    /// canonical batch is pending. A zero-column chunk is a no-op.
     pub fn submit(&self, tenant: &str, chunk: Matrix) -> Result<(), ServeError> {
         let session = self.inner.get(tenant)?;
         if chunk.rows() != session.spec.rows {
@@ -268,6 +277,9 @@ impl SvdServer {
                 expected: session.spec.rows,
                 got: chunk.rows(),
             });
+        }
+        if chunk.cols() == 0 {
+            return Ok(());
         }
         let cols = chunk.cols() as u64;
         // A non-finite value that reaches the factorization poisons the
@@ -592,7 +604,6 @@ impl Inner {
             let f = &report.fault;
             s.faults_absorbed
                 .fetch_add(f.drops + f.delays + f.truncations + f.corruptions, Ordering::Relaxed);
-            s.sim_comm_nanos.fetch_add((report.sim_seconds * 1e9) as u64, Ordering::Relaxed);
             let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             session.last_touch.store(now, Ordering::Relaxed);
         }
@@ -766,8 +777,7 @@ mod tests {
     #[test]
     fn submit_query_close_lifecycle() {
         let server = SvdServer::new(ServeConfig::default().with_workers(2));
-        // Two ranks on a modelled network, so the round's wire time is billed.
-        let spec = spec(16, 4).with_ranks(2).with_network(psvd_comm::NetworkModel::theta_aries());
+        let spec = spec(16, 4).with_ranks(2);
         server.open("a", spec).unwrap();
         assert_eq!(server.open("a", spec), Err(ServeError::TenantExists("a".into())));
         assert!(matches!(server.singular_values("a"), Err(ServeError::NotReady(_))));
@@ -776,7 +786,6 @@ mod tests {
         server.flush("a").unwrap();
         server.drain();
         assert_eq!(server.session_rounds("a").unwrap(), 2, "8 cols round + 2-col flush");
-        assert!(server.stats().snapshot().sim_comm_nanos > 0, "network model billed no wire time");
         let model = server.model("a").unwrap();
         assert_eq!(model.snapshots_seen, 10);
         let sigma = server.singular_values("a").unwrap();
@@ -786,6 +795,44 @@ mod tests {
         assert_eq!(closed.singular_values, sigma);
         assert!(matches!(server.submit("a", chunk(16, 1, 0)), Err(ServeError::UnknownTenant(_))));
         assert_eq!(server.session_count(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn batch_wider_than_the_queue_is_refused_at_open() {
+        let server = SvdServer::new(ServeConfig::default().with_queue_depth(4).with_workers(1));
+        let err = server.open("a", spec(32, 8)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid session spec: queue depth 4 cannot hold one batch of 8"
+        );
+        server.open("a", spec(32, 4)).unwrap(); // the refusal poisoned nothing
+        server.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_chaos_probabilities_are_refused_at_open() {
+        let server = SvdServer::new(ServeConfig::default().with_workers(1));
+        let c = crate::ChaosSpec::new(1);
+        for bad in
+            [c.with_drop_prob(1.5), c.with_delay_prob(-0.5, 2), c.with_corrupt_prob(f64::NAN)]
+        {
+            let err = server.open("a", spec(16, 4).with_ranks(2).with_chaos(bad)).unwrap_err();
+            assert!(err.to_string().contains("probability must be in [0, 1]"), "{err}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn zero_column_chunk_is_a_no_op() {
+        let server = SvdServer::new(ServeConfig::default().with_workers(1));
+        server.open("a", spec(16, 4)).unwrap();
+        let before = server.stats().snapshot();
+        assert_eq!(server.submit("a", chunk(16, 0, 0)), Ok(()));
+        assert_eq!(server.stats().snapshot(), before, "no counter moves");
+        server.submit("a", chunk(16, 4, 1)).unwrap(); // the queue still takes work
+        server.drain();
+        assert_eq!(server.model("a").unwrap().snapshots_seen, 4);
         server.shutdown();
     }
 

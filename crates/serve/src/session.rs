@@ -13,16 +13,15 @@
 //!
 //! **Crash recovery contract.** Under a fault plan, transient faults
 //! (drops, delays, corruption) are absorbed by the comm layer's retries
-//! and are bitwise invisible. A permanent fault (rank death) makes the
-//! round fail — and because the driver can detect a death *after* its
-//! local state swap, per-rank results may be at mixed steps. The engine
-//! therefore never commits a partial round: on any rank error it discards
-//! every per-rank result and replays the whole round from the still-held
-//! pre-round checkpoints on a clean world. The committed factorization is
-//! bitwise identical to one that never saw the fault — the property the
-//! chaos-soak suite holds across thousands of session-updates.
+//! and are bitwise invisible. A permanent fault (rank death) fails the
+//! round on every rank. The engine never commits a partial round: on any
+//! rank error it discards every per-rank result and replays the whole
+//! round from the still-held pre-round checkpoints on a clean world. The
+//! committed factorization is bitwise identical to one that never saw the
+//! fault — the property the chaos-soak suite holds across thousands of
+//! session-updates.
 
-use psvd_comm::{Communicator, FaultComm, FaultPlan, FaultStats, NetworkModel, SelfComm, World};
+use psvd_comm::{Communicator, FaultComm, FaultPlan, FaultStats, SelfComm, World};
 use psvd_core::{IngestError, MergeTreePlan, ParallelStreamingSvd, SvdCheckpoint, SvdConfig};
 use psvd_data::partition::block_len;
 use psvd_linalg::Matrix;
@@ -42,8 +41,6 @@ pub struct SessionSpec {
     pub ranks: usize,
     /// Canonical ingestion batch width.
     pub batch: usize,
-    /// Charge round communication to this simulated network.
-    pub network: Option<NetworkModel>,
     /// Fault schedules injected into every round (needs `ranks >= 2`).
     pub chaos: Option<ChaosSpec>,
 }
@@ -51,7 +48,7 @@ pub struct SessionSpec {
 impl SessionSpec {
     /// A `k`-mode session over `rows`-row snapshots with library defaults.
     pub fn new(k: usize, rows: usize) -> Self {
-        Self { svd: SvdConfig::new(k), rows, ranks: 1, batch: 8, network: None, chaos: None }
+        Self { svd: SvdConfig::new(k), rows, ranks: 1, batch: 8, chaos: None }
     }
 
     /// Builder: full driver configuration.
@@ -69,12 +66,6 @@ impl SessionSpec {
     /// Builder: canonical batch width.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Builder: simulated network model for round communication.
-    pub fn with_network(mut self, model: NetworkModel) -> Self {
-        self.network = Some(model);
         self
     }
 
@@ -111,7 +102,15 @@ impl SessionSpec {
                 self.svd.k, self.batch
             ));
         }
-        if self.chaos.is_some() {
+        if let Some(chaos) = self.chaos {
+            let probs = [
+                ("drop", chaos.drop_prob),
+                ("delay", chaos.delay_prob),
+                ("corrupt", chaos.corrupt_prob),
+            ];
+            if let Some((name, p)) = probs.into_iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+                return invalid(format!("chaos {name} probability must be in [0, 1], got {p}"));
+            }
             if self.ranks < 2 {
                 return invalid(
                     "chaos needs ranks >= 2: a single-rank round performs no communication".into(),
@@ -146,8 +145,6 @@ pub struct RoundReport {
     pub replayed: bool,
     /// Injected-fault counters summed over ranks (attempt + replay).
     pub fault: FaultStats,
-    /// Simulated seconds (max rank clock, attempt + replay).
-    pub sim_seconds: f64,
     /// Wire messages across the round's world(s).
     pub messages: u64,
     /// Wire bytes across the round's world(s).
@@ -242,44 +239,39 @@ impl SessionState {
             let prior = self.parts.pop();
             let part = drive(&comm, self.spec.svd, prior, work, 1, 0)
                 .expect("single-rank ingestion cannot fail");
-            report.sim_seconds = comm.now();
             self.parts = vec![part];
         } else {
-            let (results, stats) = self.run_world(work, plan, &mut report);
-            match results {
+            match self.run_world(work, plan, &mut report) {
                 Ok(parts) => self.parts = parts,
                 Err(_) => {
                     // Permanent fault: discard every per-rank result and
                     // replay the whole round from the pre-round
                     // checkpoints on a clean world.
-                    let (replayed, _) = self.run_world(work, None, &mut report);
+                    let replayed = self.run_world(work, None, &mut report);
                     self.parts = replayed.expect("clean replay cannot fail");
                     report.replayed = true;
                     self.replays += 1;
                 }
             }
-            merge_fault(&mut report.fault, &stats);
         }
         self.rounds += 1;
         report
     }
 
-    /// One world-run attempt: every rank restores, ingests, checkpoints.
-    /// `Err` carries the first rank error (the round must not commit).
+    /// One world-run attempt: every rank restores, ingests, checkpoints,
+    /// and the world's traffic and fault counters go to `report`. `Err`
+    /// carries the first rank error (the round must not commit).
     fn run_world(
         &self,
         work: &CoalescedBatches,
         plan: Option<&FaultPlan>,
         report: &mut RoundReport,
-    ) -> (Result<Vec<SvdCheckpoint>, IngestError>, FaultStats) {
+    ) -> Result<Vec<SvdCheckpoint>, IngestError> {
         let ranks = self.spec.ranks;
-        let world = match self.spec.network {
-            Some(m) => World::with_model(ranks, m),
-            None => World::new(ranks),
-        };
+        let world = World::new(ranks);
         let parts = &self.parts;
         let cfg = self.spec.svd;
-        let (out, clocks) = world.run_with_clocks(|comm| {
+        let out = world.run(|comm| {
             let rank = comm.rank();
             let prior = parts.get(rank).cloned();
             match plan {
@@ -291,26 +283,12 @@ impl SessionState {
                 None => (drive(comm, cfg, prior, work, ranks, rank), FaultStats::default()),
             }
         });
-        report.sim_seconds += clocks.iter().cloned().fold(0.0, f64::max);
         report.messages += world.stats().total_messages();
         report.bytes += world.stats().total_bytes();
-        let mut fault = FaultStats::default();
-        let mut parts = Vec::with_capacity(ranks);
-        let mut err = None;
-        for (r, s) in out {
-            merge_fault(&mut fault, &s);
-            match r {
-                Ok(p) => parts.push(p),
-                Err(e) => err = Some(err.unwrap_or(e)),
-            }
+        for (_, s) in &out {
+            merge_fault(&mut report.fault, s);
         }
-        (
-            match err {
-                Some(e) => Err(e),
-                None => Ok(parts),
-            },
-            fault,
-        )
+        out.into_iter().map(|(r, _)| r).collect()
     }
 
     /// The queryable model: global modes (rank blocks vstacked in row

@@ -91,9 +91,6 @@ pub struct ServeStats {
     pub wire_bytes: AtomicU64,
     /// Transient faults absorbed (drops + delays + corruptions).
     pub faults_absorbed: AtomicU64,
-    /// Simulated communication/compute nanoseconds accumulated by session
-    /// worlds running under a `NetworkModel`.
-    pub sim_comm_nanos: AtomicU64,
     /// Query latencies (coarse; see [`LatencyHistogram`]).
     pub query_latency: LatencyHistogram,
 }
@@ -117,7 +114,6 @@ pub struct StatsSnapshot {
     pub wire_messages: u64,
     pub wire_bytes: u64,
     pub faults_absorbed: u64,
-    pub sim_comm_nanos: u64,
 }
 
 impl ServeStats {
@@ -140,7 +136,6 @@ impl ServeStats {
             wire_messages: ld(&self.wire_messages),
             wire_bytes: ld(&self.wire_bytes),
             faults_absorbed: ld(&self.faults_absorbed),
-            sim_comm_nanos: ld(&self.sim_comm_nanos),
         }
     }
 }

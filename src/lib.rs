@@ -53,10 +53,10 @@ pub use psvd_serve as serve;
 /// The common imports for applications.
 pub mod prelude {
     pub use psvd_comm::{
-        CommError, Communicator, FaultComm, FaultPlan, NetworkModel, RetryPolicy, SelfComm, World,
+        CommError, Communicator, FaultComm, FaultPlan, NetworkModel, SelfComm, World,
     };
     pub use psvd_core::{
-        batch_truncated_svd, parallel_svd_once, try_merge_tree_svd, DegradedInfo, MergeTreePlan,
+        batch_truncated_svd, parallel_svd_once, try_merge_tree_svd, MergeTreePlan,
         ParallelStreamingSvd, PlanError, Precision, SerialStreamingSvd, SvdConfig, TreeMergeInfo,
     };
     pub use psvd_data::{BurgersConfig, Era5Config};

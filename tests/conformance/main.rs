@@ -9,8 +9,8 @@
 //! & conformance testing".
 
 mod contracts;
-mod degraded;
 mod fault_injection;
 mod harness;
 mod precision;
+mod rank_death;
 mod tree;
