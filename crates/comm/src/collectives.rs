@@ -85,7 +85,6 @@ pub fn try_tree_bcast<C: Communicator, T: Payload + Clone>(
         let child_rel = relative + m;
         if child_rel < size {
             let child = (child_rel + root) % size;
-            comm.record_payload_alloc(v.byte_len());
             comm.try_send(v.clone(), child, tag)?;
         }
         m >>= 1;

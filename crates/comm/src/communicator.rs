@@ -30,15 +30,13 @@ pub trait Communicator {
     fn size(&self) -> usize;
 
     /// Point-to-point send. Non-blocking buffered semantics (like
-    /// `MPI_Bsend`): never blocks on the receiver. Reliable backends never
-    /// fail; a fault-injecting backend may consume (lose) the payload and
-    /// report why. Transient failures recover by re-sending an identical
-    /// copy.
+    /// `MPI_Bsend`): never blocks on the receiver. Fails only once a rank
+    /// has died (fault-injecting backends); reliable backends never fail.
     fn try_send<T: Payload>(&self, value: T, dest: usize, tag: u64) -> Result<(), CommError>;
 
     /// Blocking receive matching `(source, tag)`. Out-of-order messages from
-    /// the same source are buffered until their tag is requested. Reliable
-    /// backends never fail.
+    /// the same source are buffered until their tag is requested. Fails
+    /// only once a rank has died; reliable backends never fail.
     fn try_recv<T: Payload>(&self, source: usize, tag: u64) -> Result<T, CommError>;
 
     /// Next tag for an internal collective round (must advance identically
@@ -52,12 +50,6 @@ pub trait Communicator {
 
     /// Advance the simulated clock by `secs` of modeled compute.
     fn advance(&self, _secs: f64) {}
-
-    /// Record that a collective had to materialize a fresh copy of a payload
-    /// (e.g. the per-destination clones a broadcast root makes). Backends
-    /// with counters ([`TrafficStats`](crate::stats::TrafficStats)) charge
-    /// this rank's allocation ledger; the default is a no-op.
-    fn record_payload_alloc(&self, _bytes: usize) {}
 
     /// Gather one value per rank at `root` (rank order). Returns `Some(all)`
     /// at the root, `None` elsewhere.
@@ -86,9 +78,6 @@ pub trait Communicator {
             let v = value.expect("bcast: root must supply a value");
             for dst in 0..self.size() {
                 if dst != root {
-                    // The fan-out copy is the only allocation a broadcast
-                    // makes; charge it so zero-copy audits see it.
-                    self.record_payload_alloc(v.byte_len());
                     self.try_send(v.clone(), dst, tag)?;
                 }
             }

@@ -13,10 +13,9 @@
 //!   alpha–beta–overhead cost per message, which lets the weak-scaling
 //!   harness model Theta-scale runs from a single host;
 //! - **deterministic fault injection** ([`FaultComm`] replaying a seeded
-//!   [`FaultPlan`]): drops, delay-reorders and payload corruption,
-//!   recovered by bounded retries with backoff, and fail-stop rank death,
-//!   surfaced on every rank as [`CommError`] through the fallible `try_*`
-//!   operations.
+//!   [`FaultPlan`]): delay-reorders, which exercise the receivers'
+//!   out-of-order tag buffering, and fail-stop rank death, surfaced on
+//!   every rank as [`CommError`] through the fallible `try_*` operations.
 //!
 //! ```
 //! use psvd_comm::{Communicator, World};
@@ -40,8 +39,8 @@ pub mod thread_comm;
 
 pub use collectives::{try_tree_bcast, try_tree_gather};
 pub use communicator::{Communicator, SelfComm};
-pub use error::{CommError, CorruptionKind};
-pub use fault::{FaultComm, FaultEntry, FaultKind, FaultPlan, FaultStats, RankDeath};
+pub use error::CommError;
+pub use fault::{FaultComm, FaultPlan, FaultStats, RankDeath};
 pub use model::NetworkModel;
 pub use payload::Payload;
 pub use stats::TrafficStats;

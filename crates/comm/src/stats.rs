@@ -14,22 +14,13 @@ pub struct TrafficStats {
     sent_bytes: Vec<AtomicU64>,
     recv_messages: Vec<AtomicU64>,
     recv_bytes: Vec<AtomicU64>,
-    alloc_count: Vec<AtomicU64>,
-    alloc_bytes: Vec<AtomicU64>,
 }
 
 impl TrafficStats {
     /// Fresh counters for a world of `size` ranks.
     pub fn new(size: usize) -> Self {
         let mk = || (0..size).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        Self {
-            sent_messages: mk(),
-            sent_bytes: mk(),
-            recv_messages: mk(),
-            recv_bytes: mk(),
-            alloc_count: mk(),
-            alloc_bytes: mk(),
-        }
+        Self { sent_messages: mk(), sent_bytes: mk(), recv_messages: mk(), recv_bytes: mk() }
     }
 
     /// Number of ranks the counters cover.
@@ -45,11 +36,6 @@ impl TrafficStats {
     pub(crate) fn record_recv(&self, rank: usize, bytes: usize) {
         self.recv_messages[rank].fetch_add(1, Ordering::Relaxed);
         self.recv_bytes[rank].fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_payload_alloc(&self, rank: usize, bytes: usize) {
-        self.alloc_count[rank].fetch_add(1, Ordering::Relaxed);
-        self.alloc_bytes[rank].fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Messages sent by `rank`.
@@ -72,27 +58,6 @@ impl TrafficStats {
         self.recv_bytes[rank].load(Ordering::Relaxed)
     }
 
-    /// Payload copies materialized by collectives at `rank` (fan-out
-    /// clones a broadcast root makes, and similar).
-    pub fn alloc_count(&self, rank: usize) -> u64 {
-        self.alloc_count[rank].load(Ordering::Relaxed)
-    }
-
-    /// Bytes of payload copies materialized by collectives at `rank`.
-    pub fn alloc_bytes(&self, rank: usize) -> u64 {
-        self.alloc_bytes[rank].load(Ordering::Relaxed)
-    }
-
-    /// Total payload copies across all ranks.
-    pub fn total_alloc_count(&self) -> u64 {
-        self.alloc_count.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total bytes of payload copies across all ranks.
-    pub fn total_alloc_bytes(&self) -> u64 {
-        self.alloc_bytes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
     /// Total messages across all ranks.
     pub fn total_messages(&self) -> u64 {
         self.sent_messages.iter().map(|c| c.load(Ordering::Relaxed)).sum()
@@ -105,14 +70,7 @@ impl TrafficStats {
 
     /// Reset all counters.
     pub fn reset(&self) {
-        for v in [
-            &self.sent_messages,
-            &self.sent_bytes,
-            &self.recv_messages,
-            &self.recv_bytes,
-            &self.alloc_count,
-            &self.alloc_bytes,
-        ] {
+        for v in [&self.sent_messages, &self.sent_bytes, &self.recv_messages, &self.recv_bytes] {
             for c in v {
                 c.store(0, Ordering::Relaxed);
             }
@@ -142,24 +100,8 @@ mod tests {
     fn reset_clears() {
         let s = TrafficStats::new(1);
         s.record_send(0, 10);
-        s.record_payload_alloc(0, 64);
         s.reset();
         assert_eq!(s.total_bytes(), 0);
         assert_eq!(s.recv_messages(0), 0);
-        assert_eq!(s.total_alloc_count(), 0);
-        assert_eq!(s.total_alloc_bytes(), 0);
-    }
-
-    #[test]
-    fn payload_allocs_tracked_per_rank() {
-        let s = TrafficStats::new(2);
-        s.record_payload_alloc(0, 100);
-        s.record_payload_alloc(0, 40);
-        s.record_payload_alloc(1, 7);
-        assert_eq!(s.alloc_count(0), 2);
-        assert_eq!(s.alloc_bytes(0), 140);
-        assert_eq!(s.alloc_count(1), 1);
-        assert_eq!(s.total_alloc_count(), 3);
-        assert_eq!(s.total_alloc_bytes(), 147);
     }
 }

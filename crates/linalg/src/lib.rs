@@ -45,6 +45,6 @@ pub use qr::{qr_thin_into, thin_qr, QrFactors};
 pub use randomized::{low_rank_svd, randomized_svd, RandomizedConfig};
 pub use scalar::Scalar;
 pub use snapshots::generate_right_vectors;
-pub use svd::{convergence_stats, svd, svd_with, truncated_svd, Svd, SvdInfo, SvdMethod};
+pub use svd::{convergence_stats, svd, svd_with, Svd, SvdInfo, SvdMethod};
 pub use view::{MatView, MatViewMut};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -91,7 +91,7 @@ pub fn set_comm_ranks(n: usize) {
 }
 
 /// Currently registered communicator rank count.
-pub fn comm_ranks() -> usize {
+fn comm_ranks() -> usize {
     COMM_RANKS.load(Ordering::Relaxed).max(1)
 }
 

@@ -451,14 +451,6 @@ pub fn canonicalize_qr<T: Scalar>(q: &mut Matrix<T>, r: &mut Matrix<T>) {
 /// cross-check in tests; the double pass keeps `Q` orthonormal to machine
 /// precision ("twice is enough").
 pub fn mgs_qr<T: Scalar>(a: &Matrix<T>) -> QrFactors<T> {
-    let mut ws = Workspace::new();
-    mgs_qr_with(a, &mut ws)
-}
-
-/// [`mgs_qr`] drawing its wide-matrix tail temporary from a caller-owned
-/// workspace, so repeated factorizations of same-shaped inputs allocate
-/// only the returned factors.
-pub fn mgs_qr_with<T: Scalar>(a: &Matrix<T>, ws: &mut Workspace) -> QrFactors<T> {
     let (m, n) = a.shape();
     let p = m.min(n);
     let mut q = Matrix::zeros(m, p);
@@ -493,15 +485,14 @@ pub fn mgs_qr_with<T: Scalar>(a: &Matrix<T>, ws: &mut Workspace) -> QrFactors<T>
     if n > p {
         // For wide matrices (m < n) the trailing block of R is QᵀA; exact
         // because the square orthonormal Q spans all of R^m. The tail is a
-        // zero-copy view and the product lands in a workspace buffer.
-        let mut qt_tail = ws.take(p, n - p);
+        // zero-copy view.
+        let mut qt_tail = Matrix::zeros(p, n - p);
         crate::gemm::matmul_tn_into(q.view(), a.block(0, m, p, n), &mut qt_tail);
         for i in 0..p {
             for j in 0..n - p {
                 r[(i, p + j)] = qt_tail[(i, j)];
             }
         }
-        ws.give(qt_tail);
     }
     let mut f = QrFactors { q, r };
     canonicalize(&mut f);

@@ -271,12 +271,8 @@ fn zero_diag_col_chase<T: Scalar>(d: &mut [T], e: &mut [T], p: usize, q: usize, 
 }
 
 /// SVD of an upper-bidiagonal matrix given by diagonal `d` and superdiagonal
-/// `e`, with the rotations accumulated into the preexisting factors `u`, `v`.
-pub fn bidiagonal_svd<T: Scalar>(d: Vec<T>, e: Vec<T>, u: Matrix<T>, v: Matrix<T>) -> Svd<T> {
-    bidiagonal_svd_with_info(d, e, u, v).0
-}
-
-/// [`bidiagonal_svd`] plus its convergence report. A non-converged solve
+/// `e`, with the rotations accumulated into the preexisting factors `u`, `v`,
+/// plus its convergence report. A non-converged solve
 /// (iteration limit hit — should never happen) still returns the best
 /// factorization found, and bumps
 /// [`convergence_stats::failures`](crate::svd::convergence_stats).

@@ -154,11 +154,6 @@ fn dense_kernel<T: Scalar>(a: &Matrix<T>, method: SvdMethod) -> Svd<T> {
     }
 }
 
-/// Truncated thin SVD: only the `k` leading triplets, default kernel.
-pub fn truncated_svd<T: Scalar>(a: &Matrix<T>, k: usize) -> Svd<T> {
-    svd(a).truncated(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_svd_is_best_low_rank() {
+    fn truncation_is_best_low_rank() {
         // Eckart–Young sanity: truncated reconstruction error equals the
         // tail singular values' energy.
         let a = wavy(40, 15);

@@ -3,7 +3,7 @@
 //! One master seed drives the whole soak: every `(tenant, round)` gets an
 //! independent [`FaultPlan`] on a sub-seed mixed via
 //! [`FaultPlan::derive_seed`], so a chaos run replays identically — the
-//! same sessions see the same drops, corruptions and deaths at the same
+//! same sessions see the same delayed sends and rank deaths at the same
 //! rounds, regardless of worker scheduling or thread count. A failing
 //! session is reproduced from `(master seed, tenant name, round)` alone.
 
@@ -14,14 +14,10 @@ use psvd_comm::FaultPlan;
 pub struct ChaosSpec {
     /// Master seed; sub-seeded per `(tenant, round)`.
     pub seed: u64,
-    /// Probability a send's payload is dropped (first attempt).
-    pub drop_prob: f64,
     /// Probability a send is delayed for reordering.
     pub delay_prob: f64,
     /// Operations a delayed send is held back for.
     pub delay_ops: u64,
-    /// Probability a receive sees a mangled payload.
-    pub corrupt_prob: f64,
     /// Schedule a rank death every `n`-th round (`0` = never). Deaths are
     /// permanent for the round: the session replays it cleanly from its
     /// checkpoints, which is exactly the recovery path under test.
@@ -34,22 +30,10 @@ impl ChaosSpec {
         Self { seed, ..Self::default() }
     }
 
-    /// Builder: drop probability.
-    pub fn with_drop_prob(mut self, p: f64) -> Self {
-        self.drop_prob = p;
-        self
-    }
-
     /// Builder: delay probability and hold-back window.
     pub fn with_delay_prob(mut self, p: f64, ops: u64) -> Self {
         self.delay_prob = p;
         self.delay_ops = ops;
-        self
-    }
-
-    /// Builder: corruption probability.
-    pub fn with_corrupt_prob(mut self, p: f64) -> Self {
-        self.corrupt_prob = p;
         self
     }
 
@@ -73,9 +57,7 @@ impl ChaosSpec {
     pub fn plan_for(&self, tenant: &str, round: u64, ranks: usize) -> FaultPlan {
         let stream = Self::tenant_stream(tenant);
         let mut plan = FaultPlan::new(FaultPlan::derive_seed(self.seed, stream, round))
-            .with_drop_prob(self.drop_prob)
-            .with_delay_prob(self.delay_prob, self.delay_ops)
-            .with_corrupt_prob(self.corrupt_prob);
+            .with_delay_prob(self.delay_prob, self.delay_ops);
         if self.death_every > 0 && ranks >= 2 && (round + 1).is_multiple_of(self.death_every) {
             // Victim and collective round are themselves seed-derived, so
             // deaths sweep over ranks and phases across the soak.
@@ -92,7 +74,7 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_and_distinct() {
-        let spec = ChaosSpec::new(42).with_drop_prob(0.5).with_death_every(3);
+        let spec = ChaosSpec::new(42).with_delay_prob(0.5, 2).with_death_every(3);
         let a = spec.plan_for("tenant-a", 0, 4);
         let b = spec.plan_for("tenant-a", 0, 4);
         assert_eq!(a.seed(), b.seed(), "same coordinates, same plan");

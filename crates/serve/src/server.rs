@@ -601,9 +601,7 @@ impl Inner {
             s.replays.fetch_add(u64::from(report.replayed), Ordering::Relaxed);
             s.wire_messages.fetch_add(report.messages, Ordering::Relaxed);
             s.wire_bytes.fetch_add(report.bytes, Ordering::Relaxed);
-            let f = &report.fault;
-            s.faults_absorbed
-                .fetch_add(f.drops + f.delays + f.truncations + f.corruptions, Ordering::Relaxed);
+            s.faults_absorbed.fetch_add(report.fault.delays, Ordering::Relaxed);
             let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             session.last_touch.store(now, Ordering::Relaxed);
         }
@@ -815,7 +813,7 @@ mod tests {
         let server = SvdServer::new(ServeConfig::default().with_workers(1));
         let c = crate::ChaosSpec::new(1);
         for bad in
-            [c.with_drop_prob(1.5), c.with_delay_prob(-0.5, 2), c.with_corrupt_prob(f64::NAN)]
+            [c.with_delay_prob(1.5, 2), c.with_delay_prob(-0.5, 2), c.with_delay_prob(f64::NAN, 2)]
         {
             let err = server.open("a", spec(16, 4).with_ranks(2).with_chaos(bad)).unwrap_err();
             assert!(err.to_string().contains("probability must be in [0, 1]"), "{err}");

@@ -11,9 +11,8 @@
 //! `distributed_restart_is_bit_exact`), so the round engine adds nothing
 //! observable to the mathematics.
 //!
-//! **Crash recovery contract.** Under a fault plan, transient faults
-//! (drops, delays, corruption) are absorbed by the comm layer's retries
-//! and are bitwise invisible. A permanent fault (rank death) fails the
+//! **Crash recovery contract.** Under a fault plan, delayed sends only
+//! reorder arrivals and are bitwise invisible. A rank death fails the
 //! round on every rank. The engine never commits a partial round: on any
 //! rank error it discards every per-rank result and replays the whole
 //! round from the still-held pre-round checkpoints on a clean world. The
@@ -103,13 +102,9 @@ impl SessionSpec {
             ));
         }
         if let Some(chaos) = self.chaos {
-            let probs = [
-                ("drop", chaos.drop_prob),
-                ("delay", chaos.delay_prob),
-                ("corrupt", chaos.corrupt_prob),
-            ];
-            if let Some((name, p)) = probs.into_iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
-                return invalid(format!("chaos {name} probability must be in [0, 1], got {p}"));
+            let p = chaos.delay_prob;
+            if !(0.0..=1.0).contains(&p) {
+                return invalid(format!("chaos delay probability must be in [0, 1], got {p}"));
             }
             if self.ranks < 2 {
                 return invalid(
@@ -151,15 +146,6 @@ pub struct RoundReport {
     pub bytes: u64,
 }
 
-fn merge_fault(into: &mut FaultStats, s: &FaultStats) {
-    into.drops += s.drops;
-    into.delays += s.delays;
-    into.truncations += s.truncations;
-    into.corruptions += s.corruptions;
-    into.retries += s.retries;
-    into.backoff_secs += s.backoff_secs;
-}
-
 /// The durable state of one tenant's streaming session.
 #[derive(Clone, Debug)]
 pub struct SessionState {
@@ -188,7 +174,7 @@ impl SessionState {
         self.rounds
     }
 
-    /// Rounds that needed a clean replay after a permanent fault.
+    /// Rounds that needed a clean replay after a rank death.
     pub fn replays(&self) -> u64 {
         self.replays
     }
@@ -213,8 +199,8 @@ impl SessionState {
         self.update_with_plan(work, None)
     }
 
-    /// Stream one round under a fault plan; on a permanent fault the
-    /// round is replayed cleanly from the pre-round checkpoints (see the
+    /// Stream one round under a fault plan; on a rank death the round is
+    /// replayed cleanly from the pre-round checkpoints (see the
     /// module docs for why partial results are never kept).
     pub fn update_chaos(&mut self, work: &CoalescedBatches, plan: &FaultPlan) -> RoundReport {
         self.update_with_plan(work, Some(plan))
@@ -244,7 +230,7 @@ impl SessionState {
             match self.run_world(work, plan, &mut report) {
                 Ok(parts) => self.parts = parts,
                 Err(_) => {
-                    // Permanent fault: discard every per-rank result and
+                    // Rank death: discard every per-rank result and
                     // replay the whole round from the pre-round
                     // checkpoints on a clean world.
                     let replayed = self.run_world(work, None, &mut report);
@@ -285,9 +271,7 @@ impl SessionState {
         });
         report.messages += world.stats().total_messages();
         report.bytes += world.stats().total_bytes();
-        for (_, s) in &out {
-            merge_fault(&mut report.fault, s);
-        }
+        report.fault.delays += out.iter().map(|(_, s)| s.delays).sum::<u64>();
         out.into_iter().map(|(r, _)| r).collect()
     }
 
@@ -573,16 +557,15 @@ mod tests {
         let sp = spec(18, 3, 3);
         let mut clean = SessionState::new(sp);
         let mut faulted = SessionState::new(sp);
-        let plan =
-            FaultPlan::new(77).with_drop_prob(1.0).with_corrupt_prob(0.8).with_delay_prob(0.5, 2);
-        let mut drops = 0;
+        let plan = FaultPlan::new(77).with_delay_prob(1.0, 2);
+        let mut delays = 0;
         for r in rounds_of(&a, 3) {
             clean.update(&r);
             let rep = faulted.update_chaos(&r, &plan);
-            assert!(!rep.replayed, "transient faults must be absorbed by retries");
-            drops += rep.fault.drops;
+            assert!(!rep.replayed, "delayed sends must never fail a round");
+            delays += rep.fault.delays;
         }
-        assert!(drops > 0, "the schedule must actually have dropped sends");
+        assert!(delays > 0, "the schedule must actually have delayed sends");
         assert_eq!(clean.model(), faulted.model());
     }
 

@@ -89,7 +89,7 @@ pub struct ServeStats {
     pub wire_messages: AtomicU64,
     /// Wire bytes across all session worlds.
     pub wire_bytes: AtomicU64,
-    /// Transient faults absorbed (drops + delays + corruptions).
+    /// Delayed sends absorbed: held back, then delivered out of order.
     pub faults_absorbed: AtomicU64,
     /// Query latencies (coarse; see [`LatencyHistogram`]).
     pub query_latency: LatencyHistogram,

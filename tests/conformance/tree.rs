@@ -1,5 +1,5 @@
-//! Merge-tree fault contracts: transient faults inside the hierarchical
-//! exchange recover bitwise, and a rank death inside a tree round fails
+//! Merge-tree fault contracts: delayed sends inside the hierarchical
+//! exchange are bitwise invisible, and a rank death inside a tree round fails
 //! it on every rank — the tree analogue of `rank_death.rs`.
 
 use psvd_comm::{CommError, Communicator, FaultComm, FaultPlan, FaultStats, World};
@@ -41,10 +41,10 @@ fn faulted_tree_run(a: &Matrix, ranks: usize, plan: &FaultPlan) -> Vec<FaultedRa
 }
 
 #[test]
-fn transient_faults_in_the_tree_exchange_are_bitwise_invisible() {
-    // Every send's first attempt dropped, then every payload mangled: the
-    // retry path must reproduce the fault-free tree factorization bit for
-    // bit, and the executed tree shape must be untouched.
+fn delayed_sends_in_the_tree_exchange_are_bitwise_invisible() {
+    // Half, then all, of the sends held back: the out-of-order arrivals
+    // must reproduce the fault-free tree factorization bit for bit, and
+    // the executed tree shape must be untouched.
     let a = data_matrix(Spectrum::Geometric, M, N, 61);
     let clean = faulted_tree_run(&a, 6, &FaultPlan::new(21));
     assert_eq!(
@@ -52,17 +52,13 @@ fn transient_faults_in_the_tree_exchange_are_bitwise_invisible() {
         vec![2, 2, 2],
         "6 ranks at fanout 2 is a depth-3 tree"
     );
-    for (label, plan) in [
-        ("drop", FaultPlan::new(21).with_drop_prob(1.0)),
-        ("corrupt", FaultPlan::new(21).with_corrupt_prob(1.0)),
-    ] {
-        let faulted = faulted_tree_run(&a, 6, &plan);
-        assert_eq!(clean[0].1, faulted[0].1, "singular values ({label})");
-        assert_eq!(clean[0].0, faulted[0].0, "modes ({label})");
-        assert_eq!(clean[0].2, faulted[0].2, "tree diagnostics ({label})");
-        let touched: u64 =
-            faulted.iter().map(|(_, _, _, s)| s.drops + s.corruptions + s.truncations).sum();
-        assert!(touched > 0, "the {label} schedule must actually have fired");
+    for p in [0.5, 1.0] {
+        let faulted = faulted_tree_run(&a, 6, &FaultPlan::new(21).with_delay_prob(p, 2));
+        assert_eq!(clean[0].1, faulted[0].1, "singular values (delay_prob {p})");
+        assert_eq!(clean[0].0, faulted[0].0, "modes (delay_prob {p})");
+        assert_eq!(clean[0].2, faulted[0].2, "tree diagnostics (delay_prob {p})");
+        let delays: u64 = faulted.iter().map(|(_, _, _, s)| s.delays).sum();
+        assert!(delays > 0, "the delay_prob {p} schedule must actually have fired");
     }
 }
 

@@ -84,7 +84,7 @@ proptest! {
     }
 
     #[test]
-    fn truncated_svd_error_is_tail_energy(a in matrix_strategy(16, 12)) {
+    fn truncation_error_is_tail_energy(a in matrix_strategy(16, 12)) {
         let f = svd(&a);
         let k = f.s.len() / 2;
         let trunc = f.truncated(k);
