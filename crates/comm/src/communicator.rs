@@ -4,8 +4,10 @@
 //! The trait carries exactly the four operations the paper's listings use
 //! through mpi4py: `gather` concentrates at a root (the APMOS `W`
 //! assembly), `bcast` fans the reduced factors back out, and `send`/`recv`
-//! carry the TSQR `Q` blocks. SPMD discipline applies: all ranks must call
-//! collectives in the same order.
+//! are what every other exchange is built from — in `psvd-core`, the
+//! merge-tree walks that carry the APMOS factors, the TSQR `R` and `Q`
+//! blocks, the sums and the mode gathers. SPMD discipline applies: all
+//! ranks must call collectives in the same order.
 //!
 //! Each operation is written once, in its fallible `try_*` form returning
 //! [`CommError`]: a backend implements `try_send`/`try_recv`, and the

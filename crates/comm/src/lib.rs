@@ -5,7 +5,9 @@
 //! [`World`] spawns one thread per rank; each thread drives an SPMD closure
 //! through a [`Communicator`] offering exactly the operations the paper's
 //! listings use (`gather`, `bcast`, `send`, `recv`), each written once in
-//! fallible `try_*` form, plus:
+//! fallible `try_*` form. The collectives here are the flat rank-0 ones;
+//! tree-shaped exchanges are `psvd-core`'s merge-tree walks, built on
+//! `try_send`/`try_recv`. On top of that:
 //!
 //! - **traffic recording** ([`TrafficStats`]): every message's byte volume is
 //!   counted per rank, so benchmarks can report real communication volumes;
@@ -28,7 +30,6 @@
 //! assert_eq!(sums, vec![6.0; 4]);
 //! ```
 
-pub mod collectives;
 pub mod communicator;
 pub mod error;
 pub mod fault;
@@ -37,7 +38,6 @@ pub mod payload;
 pub mod stats;
 pub mod thread_comm;
 
-pub use collectives::{try_tree_bcast, try_tree_gather};
 pub use communicator::{Communicator, SelfComm};
 pub use error::CommError;
 pub use fault::{FaultComm, FaultPlan, FaultStats, RankDeath};

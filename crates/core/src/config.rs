@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 /// - `Mixed`: keep all local factorization arithmetic at the native
 ///   dtype (f64 re-orthogonalization, f64 final factors) but demote
 ///   every matrix payload crossing the communicator to `f32`, halving
-///   APMOS gather / TSQR gather+scatter wire bytes, and run the
+///   APMOS gather / TSQR `R` gather and `Q` hand-back wire bytes, and run the
 ///   randomized inner SVDs with an f32 range finder
 ///   ([`psvd_linalg::randomized::mixed_randomized_svd`], selected in
 ///   `SvdConfig::inner_svd` and nowhere else). Singular

@@ -16,7 +16,8 @@
 //! `g` the root sees `r1 · g` columns regardless of the world size, and
 //! every level costs `O(g)` messages per leader. Iwen & Ong (PAPERS.md)
 //! prove the hierarchical form equals the flat one level by level, which
-//! is why one level loop serves both.
+//! is why one walk serves both: APMOS is the plan's walk up with an
+//! SVD-truncate combiner, then its walk down with the root's factors.
 //!
 //! The re-compression is sound for the same reason APMOS itself is: the
 //! Gram identity `W_group W_groupᵀ = Σ_{i∈group} AⁱᵀAⁱ` means the group's
@@ -24,11 +25,12 @@
 //! the global covariance — it is exactly the `r1` truncation applied once
 //! more, per level.
 //!
-//! The plan also decides the *collective shape* of the driver's other
-//! exchanges (factor broadcast, TSQR gather/broadcast, mode gathers): flat
-//! rank-0 collectives for a flat plan, binomial trees for a deeper one —
-//! chosen because rank 0 is the bottleneck. Payloads, and so results, are
-//! identical either way.
+//! The same two walks carry the driver's other exchanges: the
+//! projection sums and TSQR's `R` factors go up concatenated (rank 0
+//! combines them in rank order, so every plan gives the same bits), and
+//! broadcasts and TSQR's `Q` blocks come down, each leader handing a
+//! member its subtree's share. A flat plan is the paper's rank-0 pattern;
+//! a deeper one spreads rank 0's messages over the group leaders.
 //!
 //! # Error-bound accounting
 //!
@@ -43,7 +45,8 @@
 //! at depth 1, and property-tested to dominate the observed deviation
 //! otherwise.
 
-use psvd_comm::collectives::{try_tree_bcast, try_tree_gather};
+use std::ops::Range;
+
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::snapshots::generate_right_vectors;
@@ -68,13 +71,6 @@ pub enum PlanError {
         /// World size the plan was requested for.
         world: usize,
     },
-    /// An explicit level list whose capacity does not cover the world.
-    TooShallow {
-        /// World size the plan was requested for.
-        world: usize,
-        /// Product of the requested fanouts.
-        capacity: usize,
-    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -85,9 +81,6 @@ impl std::fmt::Display for PlanError {
             PlanError::FanoutOne { world } => {
                 write!(f, "merge-tree fanout 1 cannot reduce a world of {world} ranks")
             }
-            PlanError::TooShallow { world, capacity } => {
-                write!(f, "merge-tree capacity {capacity} does not cover {world} ranks")
-            }
         }
     }
 }
@@ -97,9 +90,12 @@ impl std::error::Error for PlanError {}
 /// The shape of a hierarchical merge: children per interior node, leaf
 /// level first. Rank `r` is active at level `l` iff `r` is a multiple of
 /// the level stride `fanouts[0]·…·fanouts[l-1]`; groups are `fanout`
-/// consecutive active ranks, merging into their lowest member. The last
-/// level always lands everything at rank 0, which factorizes the final
-/// stack to `r2` — the only factorization there is at depth 1.
+/// consecutive active ranks, led by their lowest member. The last level
+/// always lands everything at rank 0, which factorizes the final stack to
+/// `r2` — the only factorization there is at depth 1.
+///
+/// Every collective the distributed driver makes walks this shape: up
+/// with the crate's `try_reduce`, down with its `try_fan_out`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeTreePlan {
     fanouts: Vec<usize>,
@@ -153,25 +149,6 @@ impl MergeTreePlan {
         Self::uniform(fanout, world)
     }
 
-    /// An explicit per-level fanout list (leaf level first). The product
-    /// of the fanouts must cover the world.
-    pub fn explicit(fanouts: Vec<usize>, world: usize) -> Result<Self, PlanError> {
-        if fanouts.is_empty() {
-            return Err(PlanError::ZeroDepth);
-        }
-        if fanouts.contains(&0) {
-            return Err(PlanError::ZeroFanout);
-        }
-        if world > 1 && fanouts.contains(&1) {
-            return Err(PlanError::FanoutOne { world });
-        }
-        let capacity = fanouts.iter().try_fold(1usize, |c, &f| c.checked_mul(f));
-        match capacity {
-            Some(c) if c < world => Err(PlanError::TooShallow { world, capacity: c }),
-            _ => Ok(Self { fanouts }),
-        }
-    }
-
     /// Resolve the plan a configuration asks for: a `tree_fanout` gives
     /// the uniform plan, no fanout keeps the flat gather — the
     /// backward-compatible default.
@@ -192,39 +169,103 @@ impl MergeTreePlan {
         &self.fanouts
     }
 
-    /// True when this plan is the flat rank-0 gather.
-    pub fn is_flat(&self) -> bool {
-        self.fanouts.len() == 1
+    /// Level strides: `strides[l]` is the spacing of the ranks active at
+    /// level `l` (`depth + 1` entries, from 1 up to the plan's capacity).
+    fn strides(&self) -> Vec<usize> {
+        let mut strides = vec![1usize];
+        for &f in &self.fanouts {
+            strides.push(strides[strides.len() - 1].saturating_mul(f));
+        }
+        strides
     }
 
-    /// Gather one payload per rank at `root` over this plan's collective
-    /// shape: the paper's flat rank-0 pattern for a flat plan, a binomial
-    /// tree otherwise (see the module docs).
+    /// The walk up, on collective tag `tag`. At each level a leader
+    /// receives its group's parts — its own first, then its members' in
+    /// rank order — folds a group of two or more with `merge(level,
+    /// group)` and forwards a singleton unchanged; every other rank sends
+    /// its part to its leader and is done. Rank 0 gets the last level's
+    /// group unmerged (`Some`); every other rank gets `None`. Each rank
+    /// sends at most once, so one tag serves every level.
+    pub(crate) fn try_reduce<C: Communicator, V: Payload>(
+        &self,
+        comm: &C,
+        tag: u64,
+        mut part: V,
+        mut merge: impl FnMut(usize, Vec<V>) -> V,
+    ) -> Result<Option<Vec<V>>, CommError> {
+        let (rank, size) = (comm.rank(), comm.size());
+        let strides = self.strides();
+        for (l, &f) in self.fanouts.iter().enumerate() {
+            if !rank.is_multiple_of(strides[l + 1]) {
+                comm.try_send(part, rank - rank % strides[l + 1], tag)?;
+                return Ok(None);
+            }
+            let mut group = vec![part];
+            for src in (1..f).map(|j| rank + j * strides[l]).take_while(|&s| s < size) {
+                group.push(comm.try_recv(src, tag)?);
+            }
+            if l + 1 == self.depth() {
+                return Ok(Some(group));
+            }
+            part = if group.len() > 1 { merge(l, group) } else { group.remove(0) };
+        }
+        unreachable!("the last level lands every part at rank 0")
+    }
+
+    /// The walk down, on collective tag `tag`: rank 0 supplies `value`
+    /// (ignored elsewhere), and each leader, top level first, hands each
+    /// member `split(held, offsets)` — `offsets` being the ranks of the
+    /// member's subtree relative to the leader's own. Returns what this
+    /// rank holds at the end: its whole subtree's value, its own part
+    /// first (exactly its own part on a rank that leads no group). Each
+    /// rank receives at most once, so the walk may reuse the tag of a
+    /// [`MergeTreePlan::try_reduce`] it answers.
+    pub(crate) fn try_fan_out<C: Communicator, V: Payload>(
+        &self,
+        comm: &C,
+        tag: u64,
+        value: Option<V>,
+        mut split: impl FnMut(&V, Range<usize>) -> V,
+    ) -> Result<V, CommError> {
+        let (rank, size) = (comm.rank(), comm.size());
+        let strides = self.strides();
+        // The level at which this rank is a member rather than a leader;
+        // rank 0 leads at every level.
+        let joined = (0..self.depth()).find(|&l| !rank.is_multiple_of(strides[l + 1]));
+        let held = match joined {
+            None => value.expect("fan-out: rank 0 must supply the value"),
+            Some(l) => comm.try_recv(rank - rank % strides[l + 1], tag)?,
+        };
+        for l in (0..joined.unwrap_or(self.depth())).rev() {
+            let s = strides[l];
+            for off in (1..self.fanouts[l]).map(|j| j * s).take_while(|&o| rank + o < size) {
+                comm.try_send(split(&held, off..(off + s).min(size - rank)), rank + off, tag)?;
+            }
+        }
+        Ok(held)
+    }
+
+    /// Gather one payload per rank at rank 0, in rank order: the walk up
+    /// with concatenation.
     pub(crate) fn try_gather<C: Communicator, P: Payload>(
         &self,
         comm: &C,
+        tag: u64,
         value: P,
-        root: usize,
     ) -> Result<Option<Vec<P>>, CommError> {
-        if self.is_flat() {
-            comm.try_gather(value, root)
-        } else {
-            try_tree_gather(comm, value, root)
-        }
+        let concat = |_, group: Vec<Vec<P>>| group.into_iter().flatten().collect();
+        let root = self.try_reduce(comm, tag, vec![value], concat)?;
+        Ok(root.map(|group| group.into_iter().flatten().collect()))
     }
 
-    /// Broadcast from `root` over this plan's collective shape.
+    /// Broadcast rank 0's value: the walk down with `clone`.
     pub(crate) fn try_bcast<C: Communicator, P: Payload + Clone>(
         &self,
         comm: &C,
+        tag: u64,
         value: Option<P>,
-        root: usize,
     ) -> Result<P, CommError> {
-        if self.is_flat() {
-            comm.try_bcast(value, root)
-        } else {
-            try_tree_bcast(comm, value, root)
-        }
+        self.try_fan_out(comm, tag, value, |v, _| v.clone())
     }
 }
 
@@ -339,11 +380,33 @@ fn charge_factorize<C: Communicator>(
     comm.advance(flops / rate);
 }
 
+/// One rank's contribution on the way up: its subtree's factor as it
+/// travels, the subtree's per-level bound sums and its merge count.
+type Part<T> = (wire::Wire<T>, Vec<f64>, u64);
+
+/// A group's factors side by side, in rank order, with its subtrees'
+/// bound sums and merge counts added up in the same order.
+fn stack_group<T: Scalar>(group: Vec<Part<T>>) -> (Matrix<T>, Vec<f64>, u64) {
+    let mut parts = group.into_iter();
+    let (first, mut bounds, mut merges) = parts.next().expect("a group holds its leader's part");
+    let mut blocks = vec![first.unpack()];
+    for (fac, child_bounds, child_merges) in parts {
+        for (b, cb) in bounds.iter_mut().zip(&child_bounds) {
+            *b += cb;
+        }
+        merges += child_merges;
+        blocks.push(fac.unpack());
+    }
+    (Matrix::hstack_all(&blocks), bounds, merges)
+}
+
 /// APMOS over a merge tree, writing this rank's block of the `K` leading
 /// global left singular vectors into `phi` and returning the singular
 /// values plus the executed tree's diagnostics (both identical on all
-/// ranks — the diagnostics ride the factor broadcast, so a round claims
-/// `depth + 1` collective tags: two for the paper's flat exchange).
+/// ranks). The factors go up the plan in one [`MergeTreePlan::try_reduce`],
+/// each interior group stacked, re-factorized and truncated back to `r1`;
+/// the root's `(X̃, Λ̃)` and the diagnostics come back down in one
+/// broadcast — two collective rounds at any depth.
 ///
 /// `rng` feeds the root's randomized factorization (the streaming
 /// driver passes its instance RNG); `ws` backs the interior merges' QR
@@ -351,7 +414,7 @@ fn charge_factorize<C: Communicator>(
 /// compute to the communicator's simulated clock so weak-scaling sweeps
 /// see compute and communication on one axis.
 #[allow(clippy::too_many_arguments)]
-pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
+pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     comm: &C,
     cfg: SvdConfig,
     a_local: &Matrix<T>,
@@ -365,15 +428,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     let n = a_local.cols();
     assert!(n > 0, "merge_tree_svd: empty snapshot set");
     let mixed = wire::mixed(&cfg);
-    let depth = plan.depth();
-
-    // Claim every level's collective tag up front, identically on all
-    // ranks: a rank that forwards its factor leaves the walk below early,
-    // yet every rank must advance through the same collective rounds
-    // (where injected rank deaths fire) so the tags stay in step.
-    let level_tags: Vec<u64> = (0..depth).map(|_| comm.next_collective_tag()).collect();
-    let rank = comm.rank();
-    let size = comm.size();
+    let tag = comm.next_collective_tag();
 
     // Leaf: local right vectors by the method of snapshots, truncated to
     // r1 and scaled in place to Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ (a column scaling, since
@@ -386,76 +441,31 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         comm.advance((2.0 * m * nn * nn + 25.0 * nn * nn * nn) / rate);
     }
 
-    let mut bounds = vec![0.0f64; depth.saturating_sub(1)];
-    let mut merges: u64 = 0;
-    // QR factor buffers reused across levels; the kernels' transients come
+    // QR factor buffers reused across merges; the kernels' transients come
     // from `ws`, so repeated merges are allocation-free once warm.
     let mut qbuf = Matrix::zeros(0, 0);
     let mut qr = LocalQr::new();
-
-    let mut stride = 1usize;
-    for (l, &f) in plan.fanouts().iter().enumerate() {
-        let next_stride = stride.saturating_mul(f);
-        let last = l + 1 == depth;
-        // Normalize this level's contribution to wire precision, the
-        // leader's own block included.
-        fac = wire::pack(mixed, fac).unpack();
-        if rank.is_multiple_of(next_stride) {
-            // Leader: collect the group's factors in rank order.
-            let mut blocks = vec![std::mem::replace(&mut fac, Matrix::zeros(0, 0))];
-            for j in 1..f {
-                let src = match j.checked_mul(stride).and_then(|o| rank.checked_add(o)) {
-                    Some(s) if s < size => s,
-                    _ => break,
-                };
-                let (child, child_bounds, child_merges) =
-                    comm.try_recv::<(wire::Wire<T>, Vec<f64>, u64)>(src, level_tags[l])?;
-                for (b, cb) in bounds.iter_mut().zip(&child_bounds) {
-                    *b += cb;
-                }
-                merges += child_merges;
-                blocks.push(child.unpack());
-            }
-            if last || blocks.len() > 1 {
-                let stack = Matrix::hstack_all(&blocks);
-                drop(blocks);
-                if last {
-                    // Root level: the final stack, factorized to r2 below.
-                    fac = stack;
-                } else {
-                    let keep = r1.min(stack.rows().min(stack.cols()));
-                    if let Some(rate) = compute_rate {
-                        charge_factorize(comm, &cfg, stack.rows(), stack.cols(), keep, rate);
-                    }
-                    let (x, s) = interior_factorize(&stack, keep, &cfg, ws, &mut qbuf, &mut qr);
-                    bounds[l] += tail_energy(&stack, &s, keep.min(s.len()));
-                    merges += 1;
-                    // Re-compressed group factor: X̃ · diag(σ̃), scaled in
-                    // place on the truncated copy.
-                    let kk = keep.min(s.len());
-                    let mut xk = x.first_columns(kk);
-                    scale_columns(&mut xk, &s[..kk]);
-                    fac = xk;
-                }
-            } else {
-                // Singleton group (ragged edge of the world): forward the
-                // factor unchanged — nothing to merge, nothing discarded.
-                fac = blocks.pop().expect("own block present");
-            }
-        } else {
-            let leader = rank - (rank % next_stride);
-            let owned = std::mem::replace(&mut fac, Matrix::zeros(0, 0));
-            let packed = (wire::pack(mixed, owned), bounds.clone(), merges);
-            comm.try_send(packed, leader, level_tags[l])?;
-            break;
+    let leaf = (wire::pack(mixed, fac), vec![0.0f64; plan.depth() - 1], 0);
+    let root_group = plan.try_reduce(comm, tag, leaf, |l, group| {
+        let (stack, mut bounds, merges) = stack_group(group);
+        let keep = r1.min(stack.rows().min(stack.cols()));
+        if let Some(rate) = compute_rate {
+            charge_factorize(comm, &cfg, stack.rows(), stack.cols(), keep, rate);
         }
-        stride = next_stride;
-    }
+        let (x, s) = interior_factorize(&stack, keep, &cfg, ws, &mut qbuf, &mut qr);
+        let kk = keep.min(s.len());
+        bounds[l] += tail_energy(&stack, &s, kk);
+        // Re-compressed group factor: X̃ · diag(σ̃), scaled in place on the
+        // truncated copy.
+        let mut xk = x.first_columns(kk);
+        scale_columns(&mut xk, &s[..kk]);
+        (wire::pack(mixed, xk), bounds, merges + 1)
+    })?;
 
     // Rank 0 factorizes the root stack and truncates to r2; factors and
-    // diagnostics fan back out together over the plan's collective shape.
-    let factors = if rank == 0 {
-        let w = fac;
+    // diagnostics come back down together.
+    let factors = root_group.map(|group| {
+        let (w, bounds, merges) = stack_group(group);
         let p = w.rows().min(w.cols());
         let r2 = cfg.r2.min(p);
         if let Some(rate) = compute_rate {
@@ -464,12 +474,10 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         let Svd { u: x, s, .. } = cfg.inner_svd(&w, r2, rng);
         let kept = r2.min(s.len());
         let tail = tail_energy(&w, &s, kept);
-        Some((x.first_columns(r2), s[..kept].to_vec(), (bounds, tail, merges)))
-    } else {
-        None
-    };
+        (x.first_columns(r2), s[..kept].to_vec(), (bounds, tail, merges))
+    });
     let (x, s, (per_level_bound, root_tail, merges)) =
-        wire::bcast_factors(comm, plan, mixed, factors, 0)?;
+        wire::bcast_factors(comm, plan, mixed, factors)?;
 
     // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
     let k = cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
@@ -487,9 +495,9 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
 
 /// One-shot merge-tree SVD with a fresh RNG/workspace (the convenience
 /// entry point mirroring [`crate::parallel::parallel_svd_once`]).
-/// `compute_rate` is [`try_merge_tree_svd_into`]'s: `Some(flop/s)` charges
-/// modeled local compute to the simulated clock, as `fig1c_weak_scaling`
-/// and the simulated-time gate in `tests/tree_merge.rs` do.
+/// `compute_rate`, when `Some(flop/s)`, charges modeled local compute to
+/// the simulated clock, as `fig1c_weak_scaling` and the simulated-time
+/// gate in `tests/tree_merge.rs` do.
 pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
     comm: &C,
     cfg: SvdConfig,
@@ -529,15 +537,10 @@ mod tests {
         matrix_with_spectrum(m, n, &spec, &mut seeded_rng(seed))
     }
 
-    /// One round over `fanouts` (leaf level first); returns the stacked
+    /// One round over the uniform plan of `fanout`; returns the stacked
     /// modes and rank 0's σ.
-    fn run_tree(
-        a: &Matrix,
-        n_ranks: usize,
-        fanouts: &[usize],
-        cfg: SvdConfig,
-    ) -> (Matrix, Vec<f64>) {
-        let plan = MergeTreePlan::explicit(fanouts.to_vec(), n_ranks).unwrap();
+    fn run_tree(a: &Matrix, n_ranks: usize, fanout: usize, cfg: SvdConfig) -> (Matrix, Vec<f64>) {
+        let plan = MergeTreePlan::uniform(fanout, n_ranks).unwrap();
         let cfg = cfg.with_precision(Precision::F64); // round-off-level tolerances below
         let blocks = split_rows(a, n_ranks);
         let world = World::new(n_ranks);
@@ -553,7 +556,7 @@ mod tests {
         let a = decaying(96, 10, 1);
         let k = 4;
         let cfg = SvdConfig::new(k).with_r1(10).with_r2(10).with_forget_factor(1.0);
-        let (modes, s) = run_tree(&a, 8, &[4, 2], cfg);
+        let (modes, s) = run_tree(&a, 8, 4, cfg);
         let (u_ref, s_ref) = batch_truncated_svd(&a, k);
         assert!(spectrum_error(&s_ref, &s) < 1e-8, "{s_ref:?} vs {s:?}");
         assert!(max_principal_angle(&u_ref, &modes) < 1e-6);
@@ -562,14 +565,15 @@ mod tests {
     #[test]
     fn every_plan_shape_matches_the_reference_without_truncation() {
         // Flat (one level spanning the world, or wider) and two-level
-        // shapes must all match the batch reference at r1 = N.
+        // shapes ([2, 2], [3, 2]) must all match the batch reference at
+        // r1 = N.
         let a = decaying(64, 12, 2);
         let k = 3;
         let cfg = SvdConfig::new(k).with_r1(12).with_r2(12);
         let (_, s_ref) = batch_truncated_svd(&a, k);
-        for fanouts in [&[4usize][..], &[100], &[2, 2], &[3, 2]] {
-            let (_, s) = run_tree(&a, 4, fanouts, cfg);
-            assert!(spectrum_error(&s_ref, &s) < 1e-7, "{fanouts:?}: {s:?} vs {s_ref:?}");
+        for fanout in [4, 100, 2, 3] {
+            let (_, s) = run_tree(&a, 4, fanout, cfg);
+            assert!(spectrum_error(&s_ref, &s) < 1e-7, "fanout {fanout}: {s:?} vs {s_ref:?}");
         }
     }
 
@@ -578,7 +582,7 @@ mod tests {
         let a = decaying(120, 24, 3);
         let k = 4;
         let cfg = SvdConfig::new(k).with_r1(8).with_r2(8);
-        let (_, s) = run_tree(&a, 6, &[3, 2], cfg);
+        let (_, s) = run_tree(&a, 6, 3, cfg);
         let (_, s_ref) = batch_truncated_svd(&a, k);
         for (got, want) in s.iter().zip(&s_ref) {
             assert!((got - want).abs() / want < 0.02, "sigma {got} vs {want}");
@@ -589,8 +593,8 @@ mod tests {
     fn two_level_tree_matches_the_flat_exchange() {
         let a = decaying(80, 16, 4);
         let cfg = SvdConfig::new(3).with_r1(10).with_r2(8);
-        let (tree_modes, tree_s) = run_tree(&a, 8, &[2, 4], cfg);
-        let (flat_modes, flat_s) = run_tree(&a, 8, &[8], cfg);
+        let (tree_modes, tree_s) = run_tree(&a, 8, 2, cfg);
+        let (flat_modes, flat_s) = run_tree(&a, 8, 8, cfg);
         assert!(spectrum_error(&flat_s, &tree_s) < 1e-4);
         assert!(max_principal_angle(&flat_modes, &tree_modes) < 1e-3);
     }
@@ -601,8 +605,8 @@ mod tests {
         // pre-compress.
         let a = decaying(128, 32, 5);
         let cfg = SvdConfig::new(3).with_r1(16).with_r2(8);
-        let recv_bytes = |fanouts: &[usize]| {
-            let plan = MergeTreePlan::explicit(fanouts.to_vec(), 8).unwrap();
+        let recv_bytes = |fanout: usize| {
+            let plan = MergeTreePlan::uniform(fanout, 8).unwrap();
             let blocks = split_rows(&a, 8);
             let world = World::new(8);
             world.run(|comm| {
@@ -613,9 +617,55 @@ mod tests {
         // Rank 0 is itself a leader (receives its own group's raw blocks),
         // so the reduction is (g-1 raw + 1 compressed) vs (P-1 raw): with
         // P = 8, g = 4 that is 4/7 ≈ 0.57 of the flat volume.
-        let flat = recv_bytes(&[8]); // every rank sends its raw factor
-        let grouped = recv_bytes(&[4, 2]); // two leaders forward to rank 0
+        let flat = recv_bytes(8); // every rank sends its raw factor
+        let grouped = recv_bytes(4); // [4, 2]: two leaders forward to rank 0
         assert!(grouped * 3 < flat * 2, "grouping must cut rank-0 volume: {grouped} vs {flat}");
+    }
+
+    // ---- the walks -----------------------------------------------------
+
+    #[test]
+    fn the_walks_match_the_flat_collectives_at_every_shape() {
+        // Whatever the plan's shape: the gather is `Communicator::gather`
+        // bit for bit, in rank order; the broadcast hands every rank rank
+        // 0's value; the fan-out hands rank r its own block first, followed
+        // by its subtree's (nothing more on a rank that leads no group).
+        for size in 1usize..=9 {
+            for fanout in [2, 3, 4, size] {
+                let plan = MergeTreePlan::uniform(fanout, size).unwrap();
+                let world = World::new(size);
+                let out = world.run(|c| {
+                    let mine: Vec<f64> = (0..4)
+                        .map(|j| (c.rank() as f64 + 1.0).sqrt() * (j as f64 + 0.37).ln())
+                        .collect();
+                    let flat = c.gather(mine.clone(), 0);
+                    let walked = plan.try_gather(c, c.next_collective_tag(), mine.clone()).unwrap();
+                    let seed = (c.rank() == 0).then(|| mine.clone());
+                    let bcast = plan.try_bcast(c, c.next_collective_tag(), seed).unwrap();
+                    let blocks = (c.rank() == 0).then(|| (0..size).collect::<Vec<_>>());
+                    let split = |v: &Vec<usize>, ranks: Range<usize>| v[ranks].to_vec();
+                    let fanned =
+                        plan.try_fan_out(c, c.next_collective_tag(), blocks, split).unwrap();
+                    let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    (
+                        flat.map(|g| g.iter().map(bits).collect::<Vec<_>>()),
+                        walked.map(|g| g.iter().map(bits).collect::<Vec<_>>()),
+                        bits(&bcast),
+                        fanned,
+                    )
+                });
+                let at = format!("size {size}, fanout {fanout}");
+                let root_bits = out[0].2.clone();
+                for (r, (flat, walked, bcast, fanned)) in out.into_iter().enumerate() {
+                    assert_eq!(walked, flat, "gather at rank {r}, {at}");
+                    assert_eq!(bcast, root_bits, "broadcast at rank {r}, {at}");
+                    assert_eq!(fanned, (r..r + fanned.len()).collect::<Vec<_>>(), "rank {r}, {at}");
+                    if !r.is_multiple_of(plan.fanouts()[0]) {
+                        assert_eq!(fanned, vec![r], "a member holds its own block only, {at}");
+                    }
+                }
+            }
+        }
     }
 
     // ---- plan construction -------------------------------------------
@@ -625,9 +675,9 @@ mod tests {
         assert_eq!(MergeTreePlan::uniform(2, 9).unwrap().fanouts(), &[2, 2, 2, 2]);
         assert_eq!(MergeTreePlan::uniform(4, 5).unwrap().fanouts(), &[4, 2]);
         assert_eq!(MergeTreePlan::uniform(3, 27).unwrap().fanouts(), &[3, 3, 3]);
-        assert!(MergeTreePlan::uniform(4, 4).unwrap().is_flat());
-        assert!(MergeTreePlan::uniform(8, 3).unwrap().is_flat());
-        assert!(MergeTreePlan::uniform(1, 1).unwrap().is_flat());
+        assert_eq!(MergeTreePlan::uniform(4, 4).unwrap().depth(), 1);
+        assert_eq!(MergeTreePlan::uniform(8, 3).unwrap().depth(), 1);
+        assert_eq!(MergeTreePlan::uniform(1, 1).unwrap().depth(), 1);
     }
 
     #[test]
@@ -635,12 +685,6 @@ mod tests {
         assert_eq!(MergeTreePlan::uniform(0, 8), Err(PlanError::ZeroFanout));
         assert_eq!(MergeTreePlan::uniform(1, 8), Err(PlanError::FanoutOne { world: 8 }));
         assert_eq!(MergeTreePlan::with_depth(0, 8), Err(PlanError::ZeroDepth));
-        assert_eq!(MergeTreePlan::explicit(vec![], 4), Err(PlanError::ZeroDepth));
-        assert_eq!(MergeTreePlan::explicit(vec![2, 0], 4), Err(PlanError::ZeroFanout));
-        assert_eq!(
-            MergeTreePlan::explicit(vec![2, 2], 5),
-            Err(PlanError::TooShallow { world: 5, capacity: 4 })
-        );
     }
 
     #[test]
@@ -659,7 +703,7 @@ mod tests {
     fn plan_resolution_precedence() {
         let world = 64;
         let flat = SvdConfig::new(2).with_tree_fanout(0);
-        assert!(MergeTreePlan::resolve(&flat, world).unwrap().is_flat());
+        assert_eq!(MergeTreePlan::resolve(&flat, world).unwrap().depth(), 1);
         let fan = flat.with_tree_fanout(4);
         assert_eq!(MergeTreePlan::resolve(&fan, world).unwrap().fanouts(), &[4, 4, 4]);
     }
@@ -686,7 +730,7 @@ mod tests {
         for (ranks, group) in [(5usize, 2usize), (5, 3), (7, 2), (7, 3), (7, 4)] {
             let a = decaying(8 * ranks, 10, 9 + ranks as u64);
             let cfg = SvdConfig::new(3).with_r1(10).with_r2(10);
-            let (_, s) = run_tree(&a, ranks, &[group, ranks.div_ceil(group)], cfg);
+            let (_, s) = run_tree(&a, ranks, group, cfg);
             let (_, s_ref) = batch_truncated_svd(&a, 3);
             assert!(
                 spectrum_error(&s_ref, &s) < 1e-7,

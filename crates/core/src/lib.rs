@@ -16,8 +16,8 @@
 //!    QR-factored, and how the first batch is factored.
 //! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): the same update
 //!    with allreduces as the sums, TSQR as the QR and one APMOS round (one exchange,
-//!    [`hierarchical`]'s merge tree, entry points [`try_merge_tree_svd`] /
-//!    [`try_merge_tree_svd_into`]; depth 1 is the paper's flat gather) as
+//!    [`hierarchical`]'s merge tree, one-shot entry point
+//!    [`try_merge_tree_svd`]; depth 1 is the paper's flat gather) as
 //!    the first-batch factorization, over any
 //!    [`psvd_comm::Communicator`]. Whether a matrix crosses it as `f32`
 //!    (`Precision::Mixed`) is decided in one place, the private `wire`
@@ -49,9 +49,7 @@ mod wire;
 
 pub use checkpoint::SvdCheckpoint;
 pub use config::{ConfigError, Precision, SvdConfig};
-pub use hierarchical::{
-    try_merge_tree_svd, try_merge_tree_svd_into, MergeTreePlan, PlanError, TreeMergeInfo,
-};
+pub use hierarchical::{try_merge_tree_svd, MergeTreePlan, PlanError, TreeMergeInfo};
 pub use parallel::{parallel_svd_once, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};
 pub use serial::{batch_truncated_svd, SerialStreamingSvd};

@@ -13,15 +13,17 @@
 //! - TSQR (Benson et al., Listing 4) factors every later batch's
 //!   `Mᵢ x B` residual (or, when the modes measure as not orthonormal, the
 //!   whole `[ff·U·D | A]` stack): local thin QR, R-blocks stacked and
-//!   re-factorized at rank 0, each rank's global Q block sent back
-//!   point-to-point, plus the SVD of the final `R`;
+//!   re-factorized at rank 0, each rank's block of the global Q handed
+//!   back down the same tree in the same collective round, plus the SVD
+//!   of the final `R`;
 //! - the projection's `UᵀU` and `UᵀA` are summed by an allreduce (gather
 //!   at rank 0, broadcast back), `UᵀU` at native precision under every
 //!   wire policy.
 //!
-//! Every gather and broadcast (and the mode gathers) follows the plan's
-//! collective shape: flat for a flat plan, binomial trees for a deeper
-//! one — same payloads, same bits.
+//! Every gather and broadcast (and the mode gathers) walks the plan — up
+//! with `MergeTreePlan::try_reduce`, down with `try_fan_out` — so a flat
+//! plan is the paper's rank-0 pattern and a deeper one spreads rank 0's
+//! messages over the group leaders: same payloads, same bits.
 //!
 //! What the driver itself adds is the mode gathers. Every matrix on the
 //! wire goes through `crate::wire`; every inner SVD is `SvdConfig::inner_svd`,
@@ -50,9 +52,6 @@ use crate::config::SvdConfig;
 use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo};
 use crate::update::{forward_tracker_accessors, Ctx, TallQr, Tracker};
 use crate::wire;
-
-/// Tag base for the TSQR Q-block scatter (the paper uses `tag = rank + 10`).
-const TAG_QR_SCATTER: u64 = 10;
 
 /// Failure of a pull-based ingestion round
 /// ([`ParallelStreamingSvd::try_fit_source`]): either the snapshot source
@@ -102,7 +101,7 @@ impl From<CommError> for IngestError {
 /// As in the serial driver every `O(Mᵢ)` per-batch temporary is reused
 /// across updates; after warm-up a round's only allocations are the small
 /// `O(n²)` factors whose ownership moves through the communicator
-/// (gathered `R` blocks, scattered `Q` blocks, broadcast SVD factors),
+/// (gathered `R` blocks, handed-back `Q` blocks, broadcast SVD factors),
 /// accounted by the communicator's traffic statistics.
 ///
 /// Generic over the element dtype `T` (default `f64`); under
@@ -133,18 +132,20 @@ struct WorldLink<'a, C: Communicator, T: Scalar> {
 impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
     type Error = CommError;
 
-    /// One allreduce over the plan's collective shape: gathered at rank
-    /// 0, summed there in rank order (so a flat and a tree plan give the
-    /// same bits) and broadcast back. `x` is packed by the wire rule on
-    /// both legs; `exact` never is.
+    /// One allreduce over the plan: gathered at rank 0, summed there in
+    /// rank order (so a flat and a tree plan give the same bits) and
+    /// broadcast back. `x` is packed by the wire rule on both legs;
+    /// `exact` never is.
     fn sum(
         &mut self,
         cfg: &SvdConfig,
         exact: Matrix<T>,
         x: Matrix<T>,
     ) -> Result<(Matrix<T>, Matrix<T>), CommError> {
-        let (plan, mixed) = (&self.plan, wire::mixed(cfg));
-        let total = plan.try_gather(self.comm, (exact, wire::pack(mixed, x)), 0)?.map(|parts| {
+        let (comm, plan, mixed) = (self.comm, &self.plan, wire::mixed(cfg));
+        let parts =
+            plan.try_gather(comm, comm.next_collective_tag(), (exact, wire::pack(mixed, x)))?;
+        let total = parts.map(|parts| {
             let mut parts = parts.into_iter().map(|(e, x)| (e, x.unpack()));
             let (mut e_sum, mut x_sum) = parts.next().expect("the root's own part");
             for (e, x) in parts {
@@ -156,13 +157,15 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
             }
             (e_sum, wire::pack(mixed, x_sum))
         });
-        let (exact, x) = plan.try_bcast(self.comm, total, 0)?;
+        let (exact, x) = plan.try_bcast(comm, comm.next_collective_tag(), total)?;
         Ok((exact, x.unpack()))
     }
 
-    /// TSQR (Listing 4). Local `Q`, the root's stacked-R re-QR factors and
-    /// the QR scratch persist (an errored round leaves them in place and
-    /// the instance reusable). Both QR stages are `qr_thin_into`, whose
+    /// TSQR (Listing 4) in one collective round: the `R` factors go up
+    /// the plan and each rank's block of the stacked `Q` comes back down
+    /// on the same tag. Local `Q`, the root's stacked-R re-QR factors and
+    /// the QR scratch persist (an errored round leaves the instance
+    /// reusable). Both QR stages are `qr_thin_into`, whose
     /// panel width is a function of shape alone: `min(rows, cols)` below
     /// 48 runs the unblocked path, below 128 compact-WY panels of 16,
     /// otherwise panels of 32 (DESIGN.md, "Panel width"). So the `pn x n`
@@ -189,36 +192,39 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         qr_thin_into(a_local.view(), &mut self.local_q, &mut local_r, ctx.ws);
 
         // Gather the R factors, stack (reusing their storage), and
-        // re-factorize at rank 0.
-        let r_global = plan.try_gather(comm, wire::pack(mixed, local_r), 0)?;
-        if let Some(parts) = r_global {
-            let stack = wire::vstack(parts);
-            qr_thin_into(stack.view(), &mut self.gq, &mut self.gr, ctx.ws);
-            // Scatter each rank's n-row block of the stacked Q; rank 0's
-            // own block is consumed as a view, never copied.
-            for dst in 1..comm.size() {
-                let block = self.gq.block(dst * n, (dst + 1) * n, 0, n).to_matrix();
-                comm.try_send(wire::pack(mixed, block), dst, TAG_QR_SCATTER + dst as u64)?;
-            }
-            matmul_into(self.local_q.view(), self.gq.block(0, n, 0, n), qlocal);
+        // re-factorize at rank 0; the stacked Q then travels down at full
+        // precision, each leader packing the n-row blocks of its members'
+        // subtrees.
+        let tag = comm.next_collective_tag();
+        let stacked = plan.try_gather(comm, tag, wire::pack(mixed, local_r))?.map(|parts| {
+            qr_thin_into(wire::vstack(parts).view(), &mut self.gq, &mut self.gr, ctx.ws);
+            wire::Wire::Native(std::mem::replace(&mut self.gq, Matrix::zeros(0, 0)))
+        });
+        let root = stacked.is_some();
+        let q = plan.try_fan_out(comm, tag, stacked, |q, ranks| {
+            wire::pack(mixed, q.rows(ranks.start * n..ranks.end * n))
+        })?;
+        // This rank's block leads what it holds: rank 0 holds the whole
+        // stacked Q, consumed as a view and kept as scratch.
+        let q = q.unpack();
+        matmul_into(self.local_q.view(), q.block(0, n, 0, n), qlocal);
+        if root {
+            self.gq = q;
             Ok(Some(&self.gr))
         } else {
-            let tag = TAG_QR_SCATTER + comm.rank() as u64;
-            let block = comm.try_recv::<wire::Wire<T>>(0, tag)?.unpack();
-            matmul_into(self.local_q.view(), block.view(), qlocal);
             Ok(None)
         }
     }
 
-    /// The root's small factors, broadcast over the plan's collective
-    /// shape through the wire rule.
+    /// The root's small factors, broadcast down the plan through the wire
+    /// rule.
     fn bcast(
         &mut self,
         cfg: &SvdConfig,
         factors: Option<(Matrix<T>, Vec<T>)>,
     ) -> Result<(Matrix<T>, Vec<T>), CommError> {
         let sent = factors.map(|(u, s)| (u, s, ()));
-        let (u, s, ()) = wire::bcast_factors(self.comm, &self.plan, wire::mixed(cfg), sent, 0)?;
+        let (u, s, ()) = wire::bcast_factors(self.comm, &self.plan, wire::mixed(cfg), sent)?;
         Ok((u, s))
     }
 
@@ -368,14 +374,22 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     }
 }
 
-impl<C: Communicator, T: Scalar> WorldLink<'_, C, T> {
+impl<C: Communicator, T: Scalar + Payload> WorldLink<'_, C, T> {
     /// Gather every rank's row block at `root` and stack them in rank
-    /// order, reusing the gathered storage.
+    /// order, reusing the gathered storage. The walk lands at rank 0; any
+    /// other root is one more hop on the same tag.
     fn gather_rows(&self, cfg: &SvdConfig, block: Matrix<T>, root: usize) -> Option<Matrix<T>> {
-        self.plan
-            .try_gather(self.comm, wire::pack(wire::mixed(cfg), block), root)
-            .unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
-            .map(wire::vstack)
+        let (comm, tag) = (self.comm, self.comm.next_collective_tag());
+        let gather = || -> Result<_, CommError> {
+            let rows = self.plan.try_gather(comm, tag, wire::pack(wire::mixed(cfg), block))?;
+            match rows.map(wire::vstack) {
+                rows if root == 0 => Ok(rows),
+                Some(rows) => comm.try_send(rows, root, tag).map(|()| None),
+                None if comm.rank() == root => comm.try_recv(0, tag).map(Some),
+                None => Ok(None),
+            }
+        };
+        gather().unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
     }
 }
 
@@ -658,10 +672,11 @@ mod tests {
     fn plan_changes_collective_shape_not_bits() {
         // From a shared post-initialize state, the TSQR rounds and the mode
         // gather move identical payloads whether the plan routes them flat
-        // (depth 1) or over binomial trees (deeper): bit-identical results,
-        // fewer messages into rank 0. The APMOS round itself re-compresses
-        // at interior nodes, so end to end a deeper plan agrees with the
-        // flat one to round-off only (nothing is truncated at r1 = N).
+        // (depth 1) or through group leaders (deeper): bit-identical
+        // results, fewer messages into rank 0. The APMOS round itself
+        // re-compresses at interior nodes, so end to end a deeper plan
+        // agrees with the flat one to round-off only (nothing is truncated
+        // at r1 = N).
         let a = decaying_matrix(72, 24, 9);
         let blocks = split_rows(&a, 5);
         let run = |init_cfg: SvdConfig, cfg: SvdConfig| {
@@ -692,6 +707,31 @@ mod tests {
         let (modes, sigma, _) = run(tree, tree);
         assert!(spectrum_error(&flat_sigma, &sigma) < 1e-10, "{flat_sigma:?} vs {sigma:?}");
         assert!(max_principal_angle(&flat_modes, &modes) < 1e-7);
+    }
+
+    #[test]
+    fn tree_tsqr_hands_q_down_through_the_leaders() {
+        // 16 ranks at fanout 4: rank 0 hands Q blocks to its three leaf
+        // members and to the three other leaders, who serve their own
+        // groups — 6 sends from rank 0 instead of the flat plan's 15, in
+        // one collective round either way.
+        const P: usize = 16;
+        let a = decaying_matrix(8 * P, 4, 11);
+        let blocks = split_rows(&a, P);
+        for (fanout, root_sends) in [(0, P as u64 - 1), (4, 6)] {
+            let cfg = SvdConfig::new(2).with_tree_fanout(fanout);
+            let world = World::new(P);
+            let tags = world.run(|comm| {
+                let mut d = ParallelStreamingSvd::new(comm, cfg);
+                let mut q = Matrix::zeros(0, 0);
+                let before = comm.next_collective_tag();
+                d.link.qr(&mut d.tracker.ctx(), &blocks[comm.rank()], &mut q).unwrap();
+                comm.next_collective_tag() - before - 1
+            });
+            assert_eq!(tags, vec![1; P], "fanout {fanout}: TSQR is one collective round");
+            assert_eq!(world.stats().sent_messages(0), root_sends, "fanout {fanout}");
+            assert_eq!(world.stats().total_messages(), 2 * (P as u64 - 1), "fanout {fanout}");
+        }
     }
 
     #[test]

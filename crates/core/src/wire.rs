@@ -2,14 +2,17 @@
 //!
 //! Under `Precision::Mixed` every `Matrix<T>` crossing the communicator is
 //! demoted to `f32` before it enters the exchange and promoted back on
-//! receipt; otherwise it travels at its native dtype. TSQR's R gather and
-//! Q scatter, the projection's `UᵀA` sums, the mode gathers, the factor
-//! broadcast and the merge tree's factor sends all ship a [`Wire`], so
-//! that decision — and the only demotion in the crate — is [`pack`].
+//! receipt; otherwise it travels at its native dtype. Everything that
+//! walks the merge-tree plan as a matrix — TSQR's `R` factors and `Q`
+//! blocks, the projection's `UᵀA` sums, the mode gathers, the factor
+//! broadcast and APMOS's factors — ships as a [`Wire`], so that decision,
+//! and the only demotion in the crate, is [`pack`].
 //! Whatever rides along (singular values, tree diagnostics, the measured
 //! `UᵀU`) keeps full precision: it is `O(K)` or `O(K²)` numbers, and
 //! demoting it would cost the σ accuracy contract or, for `UᵀU`, hide the
 //! very drift it measures.
+
+use std::ops::Range;
 
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_linalg::{Matrix, Scalar};
@@ -47,6 +50,14 @@ impl<T: Scalar> Wire<T> {
             Wire::F32(m) => m.cast(),
         }
     }
+
+    /// Rows `rows` of the matrix a receiver would hold, copied out.
+    pub(crate) fn rows(&self, rows: Range<usize>) -> Matrix<T> {
+        match self {
+            Wire::Native(m) => m.block(rows.start, rows.end, 0, m.cols()).to_matrix(),
+            Wire::F32(m) => m.block(rows.start, rows.end, 0, m.cols()).to_matrix().cast(),
+        }
+    }
 }
 
 /// Received row blocks, promoted and stacked in order (reusing their
@@ -64,9 +75,9 @@ impl<T: Scalar> Payload for Wire<T> {
     }
 }
 
-/// Broadcast `(factor matrix, singular values, extra)` from `root` over
-/// the plan's collective shape; `extra` is whatever small payload rides
-/// along (the APMOS diagnostics, `()` for TSQR). Every rank, root
+/// Broadcast rank 0's `(factor matrix, singular values, extra)` down the
+/// plan in one collective round; `extra` is whatever small payload rides
+/// along (the APMOS diagnostics, `()` for TSQR). Every rank, rank 0
 /// included, consumes the wire copy, so all ranks hold bit-identical
 /// factors; in mixed mode the singular values travel as `f64`.
 pub(crate) fn bcast_factors<C: Communicator, T: Scalar + Payload, E: Payload + Clone>(
@@ -74,16 +85,16 @@ pub(crate) fn bcast_factors<C: Communicator, T: Scalar + Payload, E: Payload + C
     plan: &MergeTreePlan,
     mixed: bool,
     factors: Option<(Matrix<T>, Vec<T>, E)>,
-    root: usize,
 ) -> Result<(Matrix<T>, Vec<T>, E), CommError> {
+    let tag = comm.next_collective_tag();
     if mixed {
         let wide = |s: Vec<T>| s.iter().map(|v| v.to_f64()).collect::<Vec<f64>>();
         let sent = factors.map(|(x, s, e)| (pack(mixed, x), wide(s), e));
-        let (x, s, e) = plan.try_bcast(comm, sent, root)?;
+        let (x, s, e) = plan.try_bcast(comm, tag, sent)?;
         Ok((x.unpack(), s.into_iter().map(T::from_f64).collect(), e))
     } else {
         let sent = factors.map(|(x, s, e)| (pack(mixed, x), s, e));
-        let (x, s, e) = plan.try_bcast(comm, sent, root)?;
+        let (x, s, e) = plan.try_bcast(comm, tag, sent)?;
         Ok((x.unpack(), s, e))
     }
 }

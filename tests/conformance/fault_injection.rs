@@ -15,7 +15,7 @@ const RANKS: usize = 3;
 const BATCH: usize = 8;
 
 /// `tree` selects a fanout-2 merge-tree plan (3 ranks: two levels, every
-/// collective over binomial trees) instead of the paper's flat exchange.
+/// collective walking the tree) instead of the paper's flat exchange.
 fn cfg(tree: bool) -> SvdConfig {
     exact_config(4, BATCH).with_forget_factor(0.95).with_tree_fanout(if tree { 2 } else { 0 })
 }

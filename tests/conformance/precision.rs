@@ -174,7 +174,7 @@ fn harness_spectra_are_f32_representable() {
 /// Mixed-mode determinism: tree and flat collectives demote identically,
 /// so from a shared post-initialize state the TSQR rounds and the mode
 /// gather are bit-identical whether the plan routes them flat or (fanout
-/// 2) over binomial trees.
+/// 2) through group leaders.
 #[test]
 fn mixed_tree_and_flat_collectives_bit_identical() {
     let a = data_matrix(crate::harness::Spectrum::Step, 64, 24, 42);

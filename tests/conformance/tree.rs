@@ -64,13 +64,13 @@ fn delayed_sends_in_the_tree_exchange_are_bitwise_invisible() {
 
 #[test]
 fn tree_round_death_fails_every_rank() {
-    // A fanout-2 initialize on 4 ranks claims its two level tags up front
-    // (rounds 1–2), then broadcasts the factors (round 3). Rank 1 dies at
-    // that broadcast, after the leaves forwarded their factors and left
-    // the walk: every rank must fail, and none may hold a factorization.
+    // A fanout-2 initialize on 4 ranks walks its factors up the tree
+    // (round 1), then broadcasts the factors down it (round 2). Rank 1
+    // dies at that broadcast, after the leaves forwarded their factors:
+    // every rank must fail, and none may hold a factorization.
     let a = data_matrix(Spectrum::Geometric, M, N, 62);
     let blocks = split_rows(&a, 4);
-    let plan = FaultPlan::new(91).with_death(1, 3);
+    let plan = FaultPlan::new(91).with_death(1, 2);
     let out = World::new(4).run(|comm| {
         let fc = FaultComm::new(comm, plan.clone());
         let b = &blocks[comm.rank()];

@@ -2,7 +2,6 @@
 //! sizes, roots, message schedules, and payload shapes.
 
 use proptest::prelude::*;
-use pyparsvd::comm::collectives::{try_tree_bcast, try_tree_gather};
 use pyparsvd::comm::{Communicator, NetworkModel, World};
 
 /// Elementwise sum over the world: gathered at rank 0, summed there in
@@ -20,33 +19,6 @@ fn sum_everywhere<C: Communicator>(c: &C, x: Vec<f64>) -> Vec<f64> {
     c.bcast(total, 0)
 }
 
-#[test]
-fn tree_collectives_bitwise_equal_flat_for_sizes_1_through_9() {
-    // Pins the tree collectives to the flat Communicator default methods:
-    // same payloads, same rank order, bit-for-bit — across every world
-    // size the binomial tree can shape differently (powers of two, odd
-    // sizes, and the degenerate single rank).
-    for size in 1usize..=9 {
-        let w = World::new(size);
-        let out = w.run(|c| {
-            // Irrational-ish payload values so any reassociation of the
-            // data path would show up in the bits.
-            let mine: Vec<f64> =
-                (0..4).map(|j| (c.rank() as f64 + 1.0).sqrt() * (j as f64 + 0.37).ln()).collect();
-            let flat_gather = c.gather(mine.clone(), 0);
-            let tree_gather_out = try_tree_gather(c, mine.clone(), 0).unwrap();
-            let seed = if c.rank() == 0 { Some(mine.clone()) } else { None };
-            let flat_bcast = c.bcast(seed.clone(), 0);
-            let tree_bcast_out = try_tree_bcast(c, seed, 0).unwrap();
-            ((flat_gather, tree_gather_out), (flat_bcast, tree_bcast_out))
-        });
-        for (rank, (gather, bcast)) in out.into_iter().enumerate() {
-            assert_eq!(gather.0, gather.1, "gather diverged at size {size}, rank {rank}");
-            assert_eq!(bcast.0, bcast.1, "bcast diverged at size {size}, rank {rank}");
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -62,23 +34,6 @@ proptest! {
             } else {
                 prop_assert!(o.is_none());
             }
-        }
-    }
-
-    #[test]
-    fn tree_and_flat_collectives_agree(size in 1usize..12, root_seed in 0usize..100) {
-        let root = root_seed % size;
-        let w = World::new(size);
-        let out = w.run(|c| {
-            let flat = c.gather(vec![c.rank() as f64; 3], root);
-            let tree = try_tree_gather(c, vec![c.rank() as f64; 3], root).unwrap();
-            let fb = c.bcast(if c.rank() == root { Some(c.rank()) } else { None }, root);
-            let tb =
-                try_tree_bcast(c, if c.rank() == root { Some(c.rank()) } else { None }, root).unwrap();
-            (flat == tree, fb == tb)
-        });
-        for (g_eq, b_eq) in out {
-            prop_assert!(g_eq && b_eq);
         }
     }
 
@@ -139,7 +94,6 @@ proptest! {
         w.run(|c| {
             let all = c.gather(vec![0.0f64; c.rank() + 1], 0);
             let _ = c.bcast(all, 0);
-            let _ = try_tree_gather(c, c.rank() as f64, 0).unwrap();
             let _ = sum_everywhere(c, vec![c.now()]);
         });
         let sent: u64 = (0..size).map(|r| w.stats().sent_bytes(r)).sum();
@@ -158,8 +112,8 @@ proptest! {
             let _ = sum_everywhere(c, vec![1.0; 10]);
             let mid = c.now();
             assert!(mid >= before, "clock regressed across a collective");
-            let _ = try_tree_bcast(c, (c.rank() == 0).then_some(mid), 0).unwrap();
-            assert!(c.now() >= mid, "clock regressed across a tree broadcast");
+            let _ = c.bcast((c.rank() == 0).then_some(mid), 0);
+            assert!(c.now() >= mid, "clock regressed across a broadcast");
         });
         for t in clocks {
             prop_assert!(t >= 0.0 && t.is_finite());

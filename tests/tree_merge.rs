@@ -1,8 +1,9 @@
 //! Merge-tree APMOS contracts: every spelling of the flat plan runs the
-//! same depth-1 exchange (bitwise equal, two collective rounds, zero
-//! interior bound), non-flat plans stay within the tracked truncation
-//! bound, and the bound itself dominates the observed σ deviation on
-//! graded and clustered spectra (the Weyl / Eckart–Young accounting of
+//! same depth-1 exchange (bitwise equal, zero interior bound), a round
+//! is two collective rounds — one up the plan, one down — at any depth,
+//! non-flat plans stay within the tracked truncation bound, and the
+//! bound itself dominates the observed σ deviation on graded and
+//! clustered spectra (the Weyl / Eckart–Young accounting of
 //! `core/hierarchical.rs`). The independent oracle for the depth-1
 //! exchange itself is `apmos_exact_without_truncation` in
 //! `core/parallel.rs`. The last two tests hold the reason the tree
@@ -85,22 +86,27 @@ fn every_flat_spelling_is_the_same_depth_1_exchange() {
 fn a_depth_1_round_is_two_collective_rounds() {
     // The paper's exchange: P − 1 factors into rank 0, P − 1 broadcast
     // copies out (the diagnostics ride the factor broadcast) — so fault
-    // schedules keyed on collective rounds keep two rounds per APMOS.
+    // schedules keyed on collective rounds keep two rounds per APMOS. A
+    // deeper plan walks the same two rounds: P − 1 messages up, P − 1
+    // down, rank 0 answering exactly the members it heard from.
     const P: usize = 4;
     let a = graded(64, 12, 46);
-    let cfg = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0);
     let blocks = split_rows(&a, P);
-    let world = World::new(P);
-    let tags = world.run(|comm| {
-        let before = comm.next_collective_tag();
-        let _ = parallel_svd_once(comm, cfg, &blocks[comm.rank()]);
-        comm.next_collective_tag() - before - 1
-    });
-    assert_eq!(tags, vec![2; P], "collective tags claimed per rank");
-    let stats = world.stats();
-    assert_eq!(stats.total_messages(), 2 * (P as u64 - 1));
-    assert_eq!(stats.recv_messages(0), P as u64 - 1, "into the root");
-    assert_eq!(stats.sent_messages(0), P as u64 - 1, "out of the root");
+    // (fanout, messages into rank 0): flat, [2, 2] and [3, 2].
+    for (fanout, root_degree) in [(0, P as u64 - 1), (2, 2), (3, 3)] {
+        let cfg = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(fanout);
+        let world = World::new(P);
+        let tags = world.run(|comm| {
+            let before = comm.next_collective_tag();
+            let _ = parallel_svd_once(comm, cfg, &blocks[comm.rank()]);
+            comm.next_collective_tag() - before - 1
+        });
+        assert_eq!(tags, vec![2; P], "fanout {fanout}: collective tags claimed per rank");
+        let stats = world.stats();
+        assert_eq!(stats.total_messages(), 2 * (P as u64 - 1), "fanout {fanout}");
+        assert_eq!(stats.recv_messages(0), root_degree, "fanout {fanout}: into the root");
+        assert_eq!(stats.sent_messages(0), root_degree, "fanout {fanout}: out of the root");
+    }
 }
 
 #[test]
