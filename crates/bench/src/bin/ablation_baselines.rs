@@ -6,7 +6,7 @@
 //! exact truncated SVD and wall time:
 //!
 //! - `levy-lindenbaum` — this library's streaming driver (each batch
-//!   projected onto the modes, only the `M x B` residual QR'd:
+//!   projected onto the modes, only the `M x B` residual factored:
 //!   `O(MKB + MB²)` per batch);
 //! - `randomized` — one-shot randomized SVD (q = 2);
 //! - `one-shot` — the deterministic truncated SVD (ground truth, also timed).

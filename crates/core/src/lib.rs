@@ -8,14 +8,15 @@
 //! 1. **Streaming** ([`serial::SerialStreamingSvd`]): Levy–Lindenbaum
 //!    batch-wise updates of the `K` leading left singular vectors with a
 //!    forget factor. The update — state, projection of each batch onto the
-//!    modes, thin QR of the `M x B` residual → inner SVD of the small core
+//!    modes, CholeskyQR2 of the `M x B` residual → inner SVD of the small core
 //!    → `[U | J]·U'_K`, the full `[ff·U·D | A]` stack when the measured
 //!    `UᵀU` is not `I` to within [`ortho_gate`], ingestion loop, checkpoint
 //!    capture — is written once (the private `update` module); a driver
 //!    supplies how small matrices are summed, how a tall matrix is
 //!    QR-factored, and how the first batch is factored.
 //! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): the same update
-//!    with allreduces as the sums, TSQR as the QR and one APMOS round (one exchange,
+//!    with allreduces as the sums (the residual's Grams among them), TSQR
+//!    as the QR where CholeskyQR2 falls back, and one APMOS round (one exchange,
 //!    [`hierarchical`]'s merge tree, one-shot entry point
 //!    [`try_merge_tree_svd`]; depth 1 is the paper's flat gather) as
 //!    the first-batch factorization, over any

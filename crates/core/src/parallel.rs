@@ -3,22 +3,23 @@
 //! Each rank owns a row block `Aⁱ` (`Mᵢ x N`) of the global snapshot
 //! matrix. The streaming driver (Listing 2) is the Levy–Lindenbaum tracker
 //! of `crate::update` — the very loop the serial driver runs — handed
-//! the two collective kernels in place of the local thin QR:
+//! collective kernels in place of the local sums and thin QR:
 //!
 //! - [`ParallelStreamingSvd::parallel_svd`] factors the first batch: one
 //!   APMOS round (Algorithm 2) through the merge-tree engine of
 //!   [`crate::hierarchical`], under the [`MergeTreePlan`] resolved from the
 //!   configuration and the world size (depth 1, the default, *is* the
 //!   paper's Listing 3);
-//! - TSQR (Benson et al., Listing 4) factors every later batch's
-//!   `Mᵢ x B` residual (or, when the modes measure as not orthonormal, the
-//!   whole `[ff·U·D | A]` stack): local thin QR, R-blocks stacked and
+//! - the projection's sums go through an allreduce (gather at rank 0,
+//!   broadcast back): `UᵀU` with `UᵀA`, `UᵀH` with `HᵀH`, and `UᵀJ₁` with
+//!   `J₁ᵀJ₁`, the last two pairs being CholeskyQR2's Grams of the `Mᵢ x B`
+//!   residual; `UᵀU` travels at native precision under every wire policy;
+//! - TSQR (Benson et al., Listing 4) factors the whole `[ff·U·D | A]`
+//!   stack when the modes measure as not orthonormal, and a residual whose
+//!   Grams refuse CholeskyQR2: local thin QR, R-blocks stacked and
 //!   re-factorized at rank 0, each rank's block of the global Q handed
 //!   back down the same tree in the same collective round, plus the SVD
-//!   of the final `R`;
-//! - the projection's `UᵀU` and `UᵀA` are summed by an allreduce (gather
-//!   at rank 0, broadcast back), `UᵀU` at native precision under every
-//!   wire policy.
+//!   of the final `R`.
 //!
 //! Every gather and broadcast (and the mode gathers) walks the plan — up
 //! with `MergeTreePlan::try_reduce`, down with `try_fan_out` — so a flat
@@ -216,6 +217,11 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         }
     }
 
+    /// Rank 0, where every walk up the plan lands.
+    fn is_root(&self) -> bool {
+        self.comm.rank() == 0
+    }
+
     /// The root's small factors, broadcast down the plan through the wire
     /// rule.
     fn bcast(
@@ -306,7 +312,8 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     }
 
     /// Ingest a further local batch — Listing 2's `incorporate_data`:
-    /// project the modes out of it, TSQR the residual, SVD the small core,
+    /// project the modes out of it, factor the residual (CholeskyQR2 over
+    /// two Gram allreduces, TSQR when they refuse), SVD the small core,
     /// truncate to `K` (the full `ff·U·D` stack when the modes measure as
     /// not orthonormal).
     pub fn incorporate_data(&mut self, a_local: &Matrix<T>) -> &mut Self {
@@ -434,7 +441,7 @@ mod tests {
     use psvd_data::partition::split_rows;
     use psvd_linalg::gemm::matmul;
     use psvd_linalg::norms::orthogonality_error;
-    use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
+    use psvd_linalg::random::{gaussian_matrix, matrix_with_spectrum, seeded_rng};
     use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 
     use crate::config::Precision;
@@ -732,6 +739,142 @@ mod tests {
             assert_eq!(world.stats().sent_messages(0), root_sends, "fanout {fanout}");
             assert_eq!(world.stats().total_messages(), 2 * (P as u64 - 1), "fanout {fanout}");
         }
+    }
+
+    /// `tests/props_streaming.rs`'s adversarial stream, `b` columns a
+    /// batch, built against a serial run: two fresh batches, one inside
+    /// `span(U)`, a near-duplicate of the last fresh one, one whose first
+    /// column is inside `span(U)`, a zero batch and two fresh ones. Returns
+    /// the batches and, after each serial step, σ and the CholeskyQR2
+    /// fallback count.
+    #[allow(clippy::type_complexity)]
+    fn adversarial_stream<T: Scalar>(
+        cfg: SvdConfig,
+        m: usize,
+        b: usize,
+        seed: u64,
+    ) -> (Vec<Matrix<T>>, Vec<(Vec<T>, usize)>) {
+        let spec: Vec<f64> = (0..4 * b).map(|i| 5.0 * 0.6f64.powi(i as i32)).collect();
+        let data = matrix_with_spectrum(m, 4 * b, &spec, &mut seeded_rng(seed)).cast::<T>();
+        let fresh = |i: usize| data.submatrix(0, m, i * b, (i + 1) * b);
+        let gaussian = |rows, seed| gaussian_matrix(rows, b, &mut seeded_rng(seed)).cast::<T>();
+        let mut d = SerialStreamingSvd::<T>::new(cfg);
+        let (mut batches, mut steps) = (Vec::new(), Vec::new());
+        for i in 0..8 {
+            let inside = || matmul(d.modes(), &gaussian(d.modes().cols(), seed + 1));
+            let a = match i {
+                0 | 1 => fresh(i),
+                2 => inside(),
+                3 => &fresh(1) + &gaussian(m, seed + 2).map(|x| x * T::from_f64(1e-8)),
+                4 => inside().submatrix(0, m, 0, 1).hstack(&fresh(2).submatrix(0, m, 1, b)),
+                5 => Matrix::zeros(m, b),
+                _ => fresh(i - 4),
+            };
+            if i == 0 {
+                d.initialize(&a);
+            } else {
+                d.incorporate_data(&a);
+            }
+            steps.push((d.singular_values().to_vec(), d.cholqr_fallbacks()));
+            batches.push(a);
+        }
+        (batches, steps)
+    }
+
+    #[test]
+    fn fresh_batches_take_cholesky_qr2_and_a_smooth_stream_falls_back() {
+        use psvd_data::burgers::{snapshot_matrix, BurgersConfig};
+        let cfg = SvdConfig::new(4).with_precision(Precision::F64);
+        for ff in [0.95, 1.0] {
+            let (_, steps) = adversarial_stream::<f64>(cfg.with_forget_factor(ff), 48, 4, 3);
+            for i in [1, 6, 7] {
+                assert_eq!(steps[i].1, steps[i - 1].1, "ff {ff}: fresh batch {i} fell back");
+            }
+            assert_eq!(steps[5].1, steps[4].1 + 1, "ff {ff}: a zero HᵀH has no pivot");
+        }
+        // Noise-free Burgers, finely sampled in time: a 32-snapshot
+        // residual's singular values run down to round-off, and HᵀH loses
+        // them.
+        let burgers = BurgersConfig { grid_points: 1024, snapshots: 256, ..Default::default() };
+        let mut s = SerialStreamingSvd::new(cfg.with_forget_factor(1.0));
+        s.fit_batched(&snapshot_matrix(&burgers), 32);
+        assert_eq!(s.iteration(), 7);
+        assert_eq!(s.cholqr_fallbacks(), 7, "every smooth residual falls back");
+    }
+
+    /// The adversarial stream on 3 ranks under `fanout`: σ bitwise-equal
+    /// across ranks and within `tol` of the serial run (relative to σ₁)
+    /// after every step, and every rank counting the same fallbacks.
+    fn gate_agrees_across_ranks<T: Scalar + Payload>(ff: f64, fanout: usize, tol: f64) {
+        let (m, b) = (48, 4);
+        let cfg = SvdConfig::new(4)
+            .with_forget_factor(ff)
+            .with_r1(b)
+            .with_r2(b)
+            .with_precision(Precision::F64)
+            .with_tree_fanout(fanout);
+        let (batches, serial) = adversarial_stream::<T>(cfg, m, b, 5);
+        let blocks: Vec<Vec<Matrix<T>>> = batches.iter().map(|a| split_rows(a, 3)).collect();
+        let out = World::new(3).run(|comm| {
+            let mut d = ParallelStreamingSvd::<_, T>::new(comm, cfg);
+            let mut steps = Vec::new();
+            for (i, parts) in blocks.iter().enumerate() {
+                let a = &parts[comm.rank()];
+                if i == 0 {
+                    d.initialize(a);
+                } else {
+                    d.incorporate_data(a);
+                }
+                steps.push((d.singular_values().to_vec(), d.cholqr_fallbacks()));
+            }
+            steps
+        });
+        for (r, steps) in out.iter().enumerate() {
+            assert_eq!(steps, &out[0], "rank {r} disagrees with rank 0 (ff {ff}, fanout {fanout})");
+        }
+        assert!(out[0][7].1 >= 1, "the zero batch takes the tall QR");
+        for (i, ((got, _), (want, _))) in out[0].iter().zip(&serial).enumerate() {
+            let s1 = want[0].to_f64();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                let err = (g.to_f64() - w.to_f64()).abs() / s1;
+                assert!(err <= tol, "step {i}: σ {g} vs serial {w} (ff {ff}, fanout {fanout})");
+            }
+        }
+    }
+
+    #[test]
+    fn cholesky_qr2_gate_agrees_across_ranks_and_plans() {
+        for ff in [0.95, 1.0] {
+            for fanout in [0, 2] {
+                gate_agrees_across_ranks::<f64>(ff, fanout, 1e-10);
+                gate_agrees_across_ranks::<f32>(ff, fanout, 1e-5);
+            }
+        }
+    }
+
+    #[test]
+    fn a_projected_update_takes_at_most_eight_collective_rounds() {
+        // CholeskyQR2 takes seven: UᵀU with UᵀA, UᵀH with HᵀH and UᵀJ₁
+        // with J₁ᵀJ₁, two rounds each, and the factor broadcast. A zero
+        // batch leaves HᵀH without a pivot, and its TSQR takes eight.
+        let a = decaying_matrix(60, 16, 12);
+        let blocks = split_rows(&a, 3);
+        let cfg = SvdConfig::new(4).with_precision(Precision::F64).with_tree_fanout(0);
+        let out = World::new(3).run(|comm| {
+            let b = &blocks[comm.rank()];
+            let mut d = ParallelStreamingSvd::new(comm, cfg);
+            d.initialize(&b.submatrix(0, b.rows(), 0, 8));
+            let rounds = |d: &mut ParallelStreamingSvd<_>, a: &Matrix| {
+                let before = comm.next_collective_tag();
+                d.incorporate_data(a);
+                comm.next_collective_tag() - before - 1
+            };
+            let fresh = rounds(&mut d, &b.submatrix(0, b.rows(), 8, 16));
+            let zero = rounds(&mut d, &Matrix::zeros(b.rows(), 8));
+            (fresh, zero, d.cholqr_fallbacks(), d.full_stack_updates())
+        });
+        assert_eq!(out, vec![(7, 8, 1, 0); 3]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! 1. `initialize(A0)`: thin QR of the first batch, SVD of the small `R`,
 //!    keep `K` columns of `Q·U'`.
 //! 2. `incorporate_data(Ai)`: project the current modes out of the batch
-//!    (twice), thin-QR only the `M x B` residual, SVD the small core
+//!    (twice), factor only the `M x B` residual (CholeskyQR2, or the thin
+//!    QR when its Grams refuse), SVD the small core
 //!    `[[ff·diag(s), UᵀAi], [0, R]]`, keep `K` columns of `[U | J]·U'`.
 //!    This is algebraically the paper's update, which thin-QRs the whole
 //!    `[ff·U·diag(s) | Ai]` stack; that full stack is still what an update
@@ -36,7 +37,8 @@ use crate::update::{forward_tracker_accessors, LocalQr, Tracker};
 
 /// Streaming truncated SVD of a (conceptually unbounded) snapshot stream:
 /// the shared `crate::update` tracker, advanced by the local thin QR —
-/// of the first batch, and of every batch's residual after it.
+/// of the first batch, and of a residual too ill-conditioned for
+/// CholeskyQR2.
 ///
 /// Every per-batch temporary lives in per-instance buffers reused across
 /// updates, so a steady-state `incorporate_data` call performs no

@@ -11,17 +11,24 @@
 //!   orthonormal.
 //! - The projection update ([`Tracker::update`]) does not re-factor the
 //!   modes `U`, which are orthonormal already. It projects `U` out of the
-//!   batch twice (`L = UᵀA`, `H = A − U·L`), thin-QRs only the `M×B`
+//!   batch twice (`L = UᵀA`, `H = A − U·L`), factors only the `M×B`
 //!   residual `H = J·R`, SVDs the `(K+B)`-square core
 //!   `[[ff·D, L], [0, R]]` and forms `[U | J]·U'`: `O(MKB + MB²)` where
 //!   the full stack costs `O(M(K+B)²)`. Each update first measures
 //!   `G = UᵀU` and takes the full stack instead when `max|G − I|`
 //!   exceeds [`ortho_gate`]. The choice depends on the modes' bits alone,
 //!   so checkpoint restarts and thread counts cannot change it. Below the
-//!   gate, `G` and the measured `UᵀJ` are folded into the core through
-//!   the Cholesky factor of the Gram matrix of `[U | J]`, so neither the
-//!   drift of `U` nor a residual `J` that leans into `span(U)` costs
-//!   accuracy.
+//!   gate, `G`, the measured `UᵀJ` and `JᵀJ` are folded into the core
+//!   through the Cholesky factor of the Gram matrix of `[U | J]`, so
+//!   neither the drift of `U` nor a residual `J` that leans into
+//!   `span(U)` costs accuracy.
+//! - The residual is factored by CholeskyQR2 (Yamamoto, Nakatsukasa,
+//!   Yanagisawa & Fukaya 2015): `J₁ = H·chol(HᵀH)⁻¹`, then `J₁ᵀJ₁`
+//!   measured and folded into the core, so the `M`-long work is two Gram
+//!   products and one GEMM and the world sums only `B`-square matrices.
+//!   When those Grams show `H` too ill-conditioned for two passes, the
+//!   update runs the driver's tall QR on the same `H` instead: the
+//!   Householder thin QR in-process, TSQR over a communicator.
 //!
 //! [`Tracker`] is the state both advance — modes, σ, counters, RNG,
 //! scratch and every persistent buffer — with the one ingestion loop and
@@ -94,12 +101,17 @@ pub(crate) trait TallQr<T: Scalar> {
 
     /// QR-factor the tall `stack` (the caller's rows of it), leaving those
     /// rows of `Q` in `q`. Returns `R` on the root and `None` elsewhere.
+    /// It factors the first batch, the full stack, every merge-tree node,
+    /// and a projection residual whose Grams refuse CholeskyQR2.
     fn qr(
         &mut self,
         ctx: &mut Ctx<'_>,
         stack: &Matrix<T>,
         q: &mut Matrix<T>,
     ) -> Result<Option<&Matrix<T>>, Self::Error>;
+
+    /// Whether this rank is the root, the one that forms the small core.
+    fn is_root(&self) -> bool;
 
     /// Hand the root's small factor and spectrum to every rank (`factors`
     /// is `Some` exactly on the root). The identity in-process.
@@ -194,6 +206,10 @@ impl<T: Scalar> TallQr<T> for LocalQr<T> {
         Ok(Some(&self.0))
     }
 
+    fn is_root(&self) -> bool {
+        true
+    }
+
     fn bcast(
         &mut self,
         _: &SvdConfig,
@@ -218,7 +234,8 @@ pub(crate) struct Tracker<T: Scalar> {
     ws: Workspace,
     /// Persistent `[ff·U·D | A_i]` stack, or the projection's residual `H`.
     stack: Matrix<T>,
-    /// The caller's rows of the stack's `Q`, or of the residual's `J`.
+    /// The caller's rows of the stack's `Q`, or of the residual's basis
+    /// (CholeskyQR2's `J₁`, or the tall QR's `J`).
     q: Matrix<T>,
     /// Where the next modes are formed before swapping into place.
     next_modes: Matrix<T>,
@@ -232,8 +249,9 @@ pub(crate) struct Tracker<T: Scalar> {
     /// The projection's `K x B` coefficients: `−G⁻¹L₁`, `L₂`, `−G⁻¹L₂`,
     /// then `X = S⁻ᵀUᵀJ`.
     coef: Matrix<T>,
-    /// The residual's `R` (root only), and the Cholesky factor `T` of the
-    /// Gram matrix of its `J` with `U` projected out.
+    /// The residual's `R` (`R₁` under CholeskyQR2; used on the root only),
+    /// and the Cholesky factor `T` of the Gram matrix of its basis with
+    /// `U` projected out.
     resid_r: Matrix<T>,
     resid_chol: Matrix<T>,
     /// The root's small core (see `core_svd`).
@@ -244,6 +262,9 @@ pub(crate) struct Tracker<T: Scalar> {
     ortho_drift: f64,
     /// Updates that re-factored the full stack because of `ortho_drift`.
     full_stack_updates: usize,
+    /// Projection updates whose Grams refused CholeskyQR2, so that the
+    /// residual went through the driver's tall QR.
+    cholqr_fallbacks: usize,
 }
 
 impl<T: Scalar> Tracker<T> {
@@ -270,6 +291,7 @@ impl<T: Scalar> Tracker<T> {
             ingest: Matrix::zeros(0, 0),
             ortho_drift: 0.0,
             full_stack_updates: 0,
+            cholqr_fallbacks: 0,
         }
     }
 
@@ -386,24 +408,28 @@ impl<T: Scalar> Tracker<T> {
         matmul_tn_into(self.modes.view(), a.view(), &mut self.proj);
         let take = |m: &mut Matrix<T>| std::mem::replace(m, Matrix::zeros(0, 0));
         (self.gram, self.proj) = qr.sum(&self.cfg, take(&mut self.gram), take(&mut self.proj))?;
-        let g = &self.gram;
-        let eye = |i: usize, j: usize| if i == j { T::ONE } else { T::ZERO };
-        let dev = (0..g.rows()).flat_map(|i| (0..g.cols()).map(move |j| g[(i, j)] - eye(i, j)));
-        let drift = dev.map(|d| d.abs().to_f64()).fold(0.0, f64::max);
-        Ok(if g.all_finite() { drift } else { f64::NAN })
+        Ok(identity_deviation(&self.gram))
     }
 
     /// The projection update, given `G` in `gram` and `L₁` in `proj`;
     /// returns σ with the next modes in the spare buffer, or `None` when
     /// the residual basis is too close to `span(U)` and the full stack
-    /// must be factored instead. `H` lives in the stack buffer and `J` in
-    /// `q`, so it needs no `O(M)` memory the full stack does not.
+    /// must be factored instead. `H` lives in the stack buffer and its
+    /// basis in `q`, so it needs no `O(M)` memory the full stack does not;
+    /// every `B`-square factor comes from the workspace.
     ///
-    /// Neither `UᵀU = I` nor `UᵀJ = 0` is assumed: both are measured, and
-    /// the core is formed in the coordinates of the orthonormal basis the
-    /// Cholesky factor of the Gram matrix of `[U | J]` defines, at `O(K³)`
-    /// cost. Drift that `U` carries in is therefore not carried forward,
-    /// and an ill-conditioned residual costs no accuracy.
+    /// `H` is factored by CholeskyQR2 ([`cholesky_qr2`]): two Gram sums
+    /// that ride collectives the update makes anyway, and one GEMM. When
+    /// the Grams say the pass cannot be trusted, the same `H` goes through
+    /// the driver's tall QR instead, bit for bit as before.
+    ///
+    /// Neither `UᵀU = I` nor `UᵀJ = 0` is assumed, nor `J₁ᵀJ₁ = I` of
+    /// CholeskyQR2's basis: all are measured, and the core is formed in the
+    /// coordinates of the orthonormal basis the Cholesky factor of the Gram
+    /// matrix of `[U | J]` defines, at `O((K+B)³)` cost. Drift that `U` carries in
+    /// is therefore not carried forward, an ill-conditioned residual costs
+    /// no accuracy, and CholeskyQR2's second factor `R₂` never has to be
+    /// applied to anything `M` long.
     fn project<F: TallQr<T>>(
         &mut self,
         qr: &mut F,
@@ -424,51 +450,86 @@ impl<T: Scalar> Tracker<T> {
             core,
             resid_r,
             resid_chol,
+            cholqr_fallbacks,
             ..
         } = self;
         let (m, k0) = u.shape();
+        let b = a.cols();
         // Within the gate G is I to a few hundred ulps: every pivot is ~1.
-        cholesky_upper(chol, T::ZERO);
+        cholesky_upper(chol, |_| T::ZERO);
         // H = A − U·G⁻¹L₁.
-        coef.reshape_for_overwrite(k0, a.cols());
+        coef.reshape_for_overwrite(k0, b);
         coef.as_mut_slice().copy_from_slice(proj.as_slice());
         neg_gram_solve(chol, coef);
-        h.reshape_for_overwrite(m, a.cols());
+        h.reshape_for_overwrite(m, b);
         h.as_mut_slice().copy_from_slice(a.as_slice());
         matmul_acc_into(u.view(), coef.view(), &mut h.view_mut());
         // Twice is enough: L₂ = UᵀH over the world, H −= U·G⁻¹L₂ and
         // L = L₁ + L₂. One pass leaves an O(ε·κ) part of A in span(U)
         // inside H, which the QR would turn into directions in span(U).
-        matmul_tn_into(u.view(), h.view(), coef);
-        let none = || Matrix::zeros(0, 0);
-        (_, *coef) = qr.sum(cfg, none(), std::mem::replace(coef, none()))?;
+        // The Gram matrix of the first H rides the same sum, and
+        // HᵀH − L₂ᵀG⁻¹L₂ is that of the second.
+        let (_, sums) = qr.sum(cfg, Matrix::zeros(0, 0), tn_stack(ws, u, h))?;
+        let l2 = sums.block(0, k0, 0, b);
+        coef.view_mut().copy_from(l2);
         for (l, &c) in proj.as_mut_slice().iter_mut().zip(coef.as_slice()) {
             *l += c;
         }
         neg_gram_solve(chol, coef);
         matmul_acc_into(u.view(), coef.view(), &mut h.view_mut());
-        // H = J·R through the driver's tall QR, then X = S⁻ᵀUᵀJ and the
-        // Cholesky factor T of I − XᵀX, the Gram matrix of J with U
-        // projected out, on every rank alike.
+        let mut hgram = ws.take(b, b);
+        hgram.view_mut().copy_from(sums.block(k0, k0 + b, 0, b));
+        matmul_acc_into(l2.transposed(), coef.view(), &mut hgram.view_mut());
+        ws.give(sums);
+        // H = J·R and Y = UᵀJ, the measured Gram of J alongside when J is
+        // CholeskyQR2's J₁; then X = S⁻ᵀY and the Cholesky factor T of
+        // JᵀJ − XᵀX, the Gram matrix of J with U projected out, on every
+        // rank alike.
+        let basis = cholesky_qr2(qr, cfg, ws, u, h, j, hgram, coef, resid_r)?;
         let mut ctx = Ctx { cfg, rng, ws };
-        let root = match qr.qr(&mut ctx, h, j)? {
-            Some(r) => {
-                resid_r.clone_from(r);
-                true
-            }
-            None => false,
+        let root = if basis.is_some() {
+            qr.is_root()
+        } else {
+            *cholqr_fallbacks += 1;
+            let root = match qr.qr(&mut ctx, h, j)? {
+                Some(r) => {
+                    resid_r.clone_from(r);
+                    true
+                }
+                None => false,
+            };
+            matmul_tn_into(u.view(), j.view(), coef);
+            let y = std::mem::replace(coef, Matrix::zeros(0, 0));
+            (_, *coef) = qr.sum(ctx.cfg, Matrix::zeros(0, 0), y)?;
+            root
         };
-        matmul_tn_into(u.view(), j.view(), coef);
-        (_, *coef) = qr.sum(ctx.cfg, none(), std::mem::replace(coef, none()))?;
         solve_upper_t(chol, coef, 0);
         let p = coef.cols();
         resid_chol.reshape_zeroed(p, p);
         matmul_acc_into(coef.view().transposed(), coef.view(), &mut resid_chol.view_mut());
         resid_chol.as_mut_slice().iter_mut().for_each(|v| *v = -*v);
-        for i in 0..p {
-            resid_chol[(i, i)] += T::ONE;
-        }
-        if !cholesky_upper(resid_chol, T::from_f64(RESIDUAL_PIVOT_FLOOR)) {
+        let floor = T::from_f64(RESIDUAL_PIVOT_FLOOR);
+        // The floor is on the pivots of T for an orthonormal J. For
+        // CholeskyQR2's J₁ = J·R₂ the factor is T·R₂, whose pivots are
+        // those of T times those of R₂.
+        let pivots_hold = match basis {
+            None => {
+                for i in 0..p {
+                    resid_chol[(i, i)] += T::ONE;
+                }
+                cholesky_upper(resid_chol, |_| floor)
+            }
+            Some((jgram, r2)) => {
+                for (v, &g) in resid_chol.as_mut_slice().iter_mut().zip(jgram.as_slice()) {
+                    *v += g;
+                }
+                let hold = cholesky_upper(resid_chol, |i| floor * r2[(i, i)]);
+                ctx.ws.give(jgram);
+                ctx.ws.give(r2);
+                hold
+            }
+        };
+        if !pivots_hold {
             return Ok(None);
         }
         let factors = root.then(|| {
@@ -539,9 +600,11 @@ impl<T: Scalar> Tracker<T> {
 }
 
 /// The root's half of the projection update. With `[U | J]` the basis,
-/// `S` the Cholesky factor of `UᵀU`, `X = S⁻ᵀUᵀJ` and `TᵀT = I − XᵀX`,
-/// the upper-triangular `F = [[S, X], [0, T]]` has `FᵀF` equal to the Gram
-/// matrix of `[U | J]`, so `[U | J]·F⁻¹` is orthonormal and
+/// `S` the Cholesky factor of `UᵀU`, `X = S⁻ᵀUᵀJ` and `TᵀT = JᵀJ − XᵀX`
+/// (`JᵀJ` is `I` for a Householder `J`, the measured Gram for
+/// CholeskyQR2's `J₁`), the upper-triangular `F = [[S, X], [0, T]]` has
+/// `FᵀF` equal to the Gram matrix of `[U | J]`, so `[U | J]·F⁻¹` is
+/// orthonormal and
 /// `[ff·U·D | A] = [U | J]·F⁻¹·Core` for the core
 /// `[[S·ff·D, S⁻ᵀL + X·R], [0, T·R]]`. Returns its σ and `W = F⁻¹·U'_K`,
 /// from which every rank forms the modes `[U | J]·W`.
@@ -597,9 +660,9 @@ fn core_svd<T: Scalar>(
 }
 
 /// Overwrite the symmetric `g` with its upper Cholesky factor `S`
-/// (`G = SᵀS`). Returns `false`, leaving `g` garbage, as soon as a pivot
-/// is not above `floor` (NaN included).
-fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: T) -> bool {
+/// (`G = SᵀS`). Returns `false`, leaving `g` garbage, as soon as the
+/// pivot of row `i` is not above `floor(i)` (NaN included).
+fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: impl Fn(usize) -> T) -> bool {
     let n = g.rows();
     for i in 0..n {
         for k in 0..i {
@@ -609,8 +672,8 @@ fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: T) -> bool {
                 g[(i, jj)] -= f * v;
             }
         }
-        let d2 = g[(i, i)];
-        if d2.partial_cmp(&(floor * floor)) != Some(std::cmp::Ordering::Greater) {
+        let (d2, f) = (g[(i, i)], floor(i));
+        if d2.partial_cmp(&(f * f)) != Some(std::cmp::Ordering::Greater) {
             return false;
         }
         let d = d2.sqrt();
@@ -618,6 +681,91 @@ fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: T) -> bool {
         g.row_mut(i)[..i].iter_mut().for_each(|v| *v = T::ZERO);
     }
     true
+}
+
+/// `max|G − I|` of the square `g`; NaN unless every entry is finite.
+fn identity_deviation<T: Scalar>(g: &Matrix<T>) -> f64 {
+    let eye = |i: usize, j: usize| if i == j { T::ONE } else { T::ZERO };
+    let dev = (0..g.rows()).flat_map(|i| (0..g.cols()).map(move |j| g[(i, j)] - eye(i, j)));
+    let dev = dev.map(|d| d.abs().to_f64()).fold(0.0, f64::max);
+    if g.all_finite() {
+        dev
+    } else {
+        f64::NAN
+    }
+}
+
+/// `[U | X]ᵀX` in a workspace buffer: `UᵀX` above `XᵀX`, the pair one
+/// collective sums for a projection and a Gram.
+fn tn_stack<T: Scalar>(ws: &mut Workspace, u: &Matrix<T>, x: &Matrix<T>) -> Matrix<T> {
+    let (k0, b) = (u.cols(), x.cols());
+    let mut out = ws.take(k0 + b, b);
+    matmul_acc_into(u.view().transposed(), x.view(), &mut out.block_mut(0, k0, 0, b));
+    matmul_acc_into(x.view().transposed(), x.view(), &mut out.block_mut(k0, k0 + b, 0, b));
+    out
+}
+
+/// The summed Gram `J₁ᵀJ₁` of CholeskyQR2's first basis and its Cholesky
+/// factor `R₂`.
+type BasisGram<T> = (Matrix<T>, Matrix<T>);
+
+/// CholeskyQR2 of this rank's rows of the twice-projected `H`, given the
+/// summed `HᵀH` in `hgram` (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya
+/// 2015): `R₁ = chol(HᵀH)`, `J₁ = H·R₁⁻¹` into `j`, and `J₁ᵀJ₁` with
+/// `UᵀJ₁` summed in one collective. `H = J·R₂R₁` for the orthonormal
+/// `J = J₁R₂⁻¹`, `R₂ = chol(J₁ᵀJ₁)`, which is never formed: `R₁` goes to
+/// `r`, `UᵀJ₁` to `y`, and the summed `J₁ᵀJ₁` and `R₂` are returned for
+/// the core to fold in.
+///
+/// `None`, with `H` untouched, when the Grams say the pass cannot be
+/// trusted: a pivot of `R₁` is not finite and positive (rounding in
+/// `HᵀH` has taken `H`'s rank), or `max|J₁ᵀJ₁ − I| > ½`, beyond which
+/// one more pass no longer certifies working-precision orthogonality.
+/// Every rank holds the same summed Grams, so every rank decides alike.
+#[allow(clippy::too_many_arguments)]
+fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
+    qr: &mut F,
+    cfg: &SvdConfig,
+    ws: &mut Workspace,
+    u: &Matrix<T>,
+    h: &Matrix<T>,
+    j: &mut Matrix<T>,
+    mut hgram: Matrix<T>,
+    y: &mut Matrix<T>,
+    r: &mut Matrix<T>,
+) -> Result<Option<BasisGram<T>>, F::Error> {
+    let (k0, b) = (u.cols(), h.cols());
+    if !(cholesky_upper(&mut hgram, |_| T::ZERO) && hgram.all_finite()) {
+        ws.give(hgram);
+        return Ok(None);
+    }
+    // J₁ = H·R₁⁻¹ at GEMM rate: R₁⁻ᵀ by forward substitution (the
+    // inverse whose left residual X·R₁ − I is small), then one product.
+    let mut inv = ws.take(b, b);
+    for i in 0..b {
+        inv[(i, i)] = T::ONE;
+    }
+    solve_upper_t(&hgram, &mut inv, 0);
+    matmul_into(h.view(), inv.view().transposed(), j);
+    ws.give(inv);
+    let (_, sums) = qr.sum(cfg, Matrix::zeros(0, 0), tn_stack(ws, u, j))?;
+    let mut jgram = ws.take(b, b);
+    jgram.view_mut().copy_from(sums.block(k0, k0 + b, 0, b));
+    let mut r2 = ws.take(b, b);
+    r2.as_mut_slice().copy_from_slice(jgram.as_slice());
+    let trusted = identity_deviation(&jgram) <= 0.5 && cholesky_upper(&mut r2, |_| T::ZERO);
+    if trusted {
+        y.view_mut().copy_from(sums.block(0, k0, 0, b));
+        r.clone_from(&hgram);
+    }
+    ws.give(sums);
+    ws.give(hgram);
+    if !trusted {
+        ws.give(jgram);
+        ws.give(r2);
+        return Ok(None);
+    }
+    Ok(Some((jgram, r2)))
 }
 
 /// `X ← S⁻ᵀX` on the trailing columns `c0..` of `x`'s first `S.rows()`
@@ -736,6 +884,12 @@ macro_rules! forward_tracker_accessors {
             self.tracker.full_stack_updates()
         }
 
+        /// Projection updates whose Grams refused CholeskyQR2.
+        #[cfg(test)]
+        pub(crate) fn cholqr_fallbacks(&self) -> usize {
+            self.tracker.cholqr_fallbacks()
+        }
+
         /// Consume the tracker, handing out its (rows of the) modes and
         /// the singular values without copying them.
         pub fn into_modes(self) -> (Matrix<T>, Vec<T>) {
@@ -757,3 +911,10 @@ macro_rules! forward_tracker_accessors {
     };
 }
 pub(crate) use forward_tracker_accessors;
+
+#[cfg(test)]
+impl<T: Scalar> Tracker<T> {
+    pub(crate) fn cholqr_fallbacks(&self) -> usize {
+        self.cholqr_fallbacks
+    }
+}

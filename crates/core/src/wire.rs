@@ -4,9 +4,10 @@
 //! demoted to `f32` before it enters the exchange and promoted back on
 //! receipt; otherwise it travels at its native dtype. Everything that
 //! walks the merge-tree plan as a matrix — TSQR's `R` factors and `Q`
-//! blocks, the projection's `UᵀA` sums, the mode gathers, the factor
-//! broadcast and APMOS's factors — ships as a [`Wire`], so that decision,
-//! and the only demotion in the crate, is [`pack`].
+//! blocks, the projection's sums (`UᵀA` and the residual's Grams), the
+//! mode gathers, the factor broadcast and APMOS's factors — ships as a
+//! [`Wire`], so that decision, and the only demotion in the crate, is
+//! [`pack`].
 //! Whatever rides along (singular values, tree diagnostics, the measured
 //! `UᵀU`) keeps full precision: it is `O(K)` or `O(K²)` numbers, and
 //! demoting it would cost the σ accuracy contract or, for `UᵀU`, hide the

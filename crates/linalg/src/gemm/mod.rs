@@ -381,6 +381,22 @@ mod tests {
     }
 
     #[test]
+    fn packed_matvec_t_tiles_bitwise_match_reference() {
+        // Widths either side of the 64-column tile, and one (200) that
+        // splits across threads and into several tiles per thread.
+        let x: Vec<f64> = (0..301).map(|i| (i as f64 * 0.13).sin()).collect();
+        for n in [1, 8, 10, 16, 24, 33, 64, 65, 200] {
+            let a = test_mat(301, n, 0.37);
+            let want = reference::matvec_t(&a, &x);
+            for threads in [1, 4] {
+                par::set_num_threads(threads);
+                assert_eq!(packed::matvec_t(&a, &x), want, "{n} columns, {threads} threads");
+            }
+            par::set_num_threads(0);
+        }
+    }
+
+    #[test]
     fn into_kernels_bitwise_match_allocating() {
         // Straddle the dispatch threshold: 90*97*93*2 < 2^20 < 137*95*171*2.
         for &(m, k, n) in &[(12, 9, 10), (90, 97, 93), (137, 95, 171)] {

@@ -301,16 +301,18 @@ pub fn matmul_nt_with<T: Scalar>(
 /// `AᵀA`, threaded: upper triangle only, mirrored afterwards (~half
 /// the flops of `matmul_tn(a, a)`).
 ///
-/// Deliberately NOT the tile engine: the Gram matrices here are small
-/// squares of very tall inputs (`M >> N`), where the reference rank-1
-/// sweep already streams `A` once at unit stride with `G` cache
-/// resident — packing would re-copy `A` per K-panel for no compute
-/// win. Instead the rank-1 sweep itself is parallelized over row
-/// strips of `G` (strips sized so each carries an equal share of the
-/// triangle). Every `G` element keeps the reference kernel's exact
+/// Not the tile engine: the reference rank-1 sweep, parallelized over
+/// row strips of `G` (strips sized so each carries an equal share of
+/// the triangle). Every `G` element keeps the reference kernel's exact
 /// ascending-`kk` accumulation order, so the result is bitwise equal
 /// to `reference::gram` at every thread count — and independent of the
-/// selected micro-kernel, which this path never touches.
+/// selected micro-kernel, which this path never touches. That is all
+/// it buys: despite half the flops it is slower than the tile engine's
+/// `matmul_tn_into(a, a)` on tall inputs. Medians over two sessions at
+/// one thread on a 2-vCPU x86_64 host (FMA kernel): 21.0–24.4 vs
+/// 13.6–13.8 ms at `8192×100`, 3.0–5.7 vs 2.4–2.9 ms at `60000×8`,
+/// 11.3–12.9 vs 7.6–10.1 ms at `65160×16`. The blocked QR's `YᵀY` still
+/// comes through here, so rerouting it would change the QR's bits.
 pub fn gram<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
     let mut g = Matrix::zeros(a.cols(), a.cols());
     gram_view(a.view(), g.as_mut_slice());
@@ -394,25 +396,36 @@ pub fn matvec<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
     y
 }
 
+/// Columns of `y = Aᵀx` summed in one stack accumulator.
+const MATVEC_T_TILE: usize = 64;
+
 /// `y = Aᵀ * x`, output *columns* partitioned across threads; every
 /// thread sweeps all rows of its column slice in ascending row order —
 /// the exact accumulation order of the reference kernel — so no
 /// reduction is split and results match bitwise at any thread count.
+/// A thread sweeps its slice one 64-column tile at a time
+/// (one tile for every query shape the workloads run), the tile's sums
+/// in a fixed-size local array.
 pub fn matvec_t<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
     assert_eq!(a.rows(), x.len(), "matvec_t: dimension mismatch");
     let n = a.cols();
     let mut y = vec![T::ZERO; n];
     let yptr = SendPtr(y.as_mut_ptr());
-    par::parallel_for(n, 64, |j0, j1| {
+    par::parallel_for(n, MATVEC_T_TILE, |j0, j1| {
         // SAFETY: columns [j0, j1) are this thread's disjoint range,
-        // so these &mut subslices of y never overlap. A real slice
-        // keeps the inner loop autovectorizable.
+        // so these &mut subslices of y never overlap.
         let ys = unsafe { std::slice::from_raw_parts_mut(yptr.get().add(j0), j1 - j0) };
-        for (i, &xi) in x.iter().enumerate() {
-            let arow = &a.row(i)[j0..j1];
-            for (yv, av) in ys.iter_mut().zip(arow) {
-                *yv += *av * xi;
+        for (t, yt) in ys.chunks_mut(MATVEC_T_TILE).enumerate() {
+            let c0 = j0 + t * MATVEC_T_TILE;
+            let mut acc = [T::ZERO; MATVEC_T_TILE];
+            let acc = &mut acc[..yt.len()];
+            for (i, &xi) in x.iter().enumerate() {
+                let arow = &a.row(i)[c0..c0 + acc.len()];
+                for (s, av) in acc.iter_mut().zip(arow) {
+                    *s += *av * xi;
+                }
             }
+            yt.copy_from_slice(acc);
         }
     });
     y

@@ -16,11 +16,11 @@ const RANKS: usize = 4;
 const VICTIM: usize = 1;
 const BATCH: usize = 8;
 /// The factor broadcast of the second update: init takes two collective
-/// rounds and a projected update eight (three allreduces of two rounds
-/// each, the TSQR gather and the factor broadcast), so update two runs
-/// rounds 11–18 and dies in its last one, after every other exchange
-/// completed.
-const DEATH_ROUND: u64 = 18;
+/// rounds and a projected update seven (three allreduces of two rounds
+/// each — `UᵀU` with `UᵀA`, `UᵀH` with `HᵀH`, `UᵀJ₁` with `J₁ᵀJ₁` — and
+/// the factor broadcast), so update two runs rounds 10–16 and dies in its
+/// last one, after every other exchange completed.
+const DEATH_ROUND: u64 = 16;
 
 fn cfg() -> SvdConfig {
     exact_config(4, BATCH).with_forget_factor(0.95)
