@@ -26,7 +26,7 @@
 
 use psvd_bench::{calibrate_flops_per_sec, fmt_secs, Table};
 use psvd_comm::{Communicator, NetworkModel, World};
-use psvd_core::{try_merge_tree_svd, MergeTreePlan, Precision, SvdConfig};
+use psvd_core::{try_merge_tree_svd, MergeTreePlan, SvdConfig};
 use psvd_data::burgers::{snapshot_rows, BurgersConfig};
 
 /// Per-rank grid points, as in the paper.
@@ -69,11 +69,7 @@ fn main() {
         ranks.push(ranks.last().unwrap() * 2);
     }
 
-    let base = SvdConfig::new(K)
-        .with_r1(R1)
-        .with_r2(K)
-        .with_forget_factor(1.0)
-        .with_precision(Precision::F64);
+    let base = SvdConfig::new(K).with_r1(R1).with_r2(K).with_forget_factor(1.0);
     type PlanFor = fn(usize) -> MergeTreePlan;
     let series: [(SvdConfig, PlanFor, &str); 3] = [
         (

@@ -21,7 +21,7 @@ use std::path::Path;
 use args::ParsedArgs;
 use psvd_comm::{Communicator, World};
 use psvd_core::postprocess::{write_modes_csv, write_singular_values_csv};
-use psvd_core::{ParallelStreamingSvd, Precision, SerialStreamingSvd, SvdConfig};
+use psvd_core::{ParallelStreamingSvd, SerialStreamingSvd, SvdConfig};
 use psvd_data::burgers::{snapshot_matrix, BurgersConfig};
 use psvd_data::era5::{generate as generate_era5, Era5Config};
 use psvd_data::ncsim::{write_v2, NcsimReader, V2Options};
@@ -265,11 +265,7 @@ fn cmd_validate(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let parallel = run_svd(file, cfg, ranks, batch)?;
     let spec_err = spectrum_error(&serial.singular_values, &parallel.singular_values);
     let angle = max_principal_angle(&serial.modes, &parallel.modes);
-    // Mixed precision demotes wire payloads to f32, so the parallel run
-    // legitimately departs from the (wire-free) serial one at single
-    // precision; hold it to f32-level agreement instead of f64-level.
-    let (spec_tol, angle_tol) =
-        if cfg.precision == Precision::Mixed { (1e-5, 1e-2) } else { (1e-6, 1e-4) };
+    let (spec_tol, angle_tol) = (1e-6, 1e-4);
     let ok = spec_err < spec_tol && angle < angle_tol;
     let mut out = vec![
         format!("serial vs {ranks}-rank parallel on {file} (K = {k}):"),
@@ -334,18 +330,6 @@ mod tests {
         assert!(info.iter().any(|l| l.contains("v2")));
         assert!(info.iter().any(|l| l.contains("f64")));
         assert!(info.iter().any(|l| l.contains("chunk rows: 256")));
-
-        // An f32 file reports its dtype and chunking too, with the byte
-        // size scaled by the element width.
-        let v2 = tmp("pipeline_v2.ncs");
-        let small: Matrix<f32> = Matrix::from_fn(64, 8, |i, j| (i + j) as f32);
-        let opts = V2Options { chunk_rows: 16, ..Default::default() };
-        write_v2(Path::new(&v2), "u", &small, opts).unwrap();
-        let info = run(&argv(&["info", &v2])).unwrap();
-        assert!(info.iter().any(|l| l.contains("f32")));
-        assert!(info.iter().any(|l| l.contains("chunk rows: 16")));
-        assert!(info.iter().any(|l| l.contains("0.0 MB"))); // 64*8*4 bytes
-        std::fs::remove_file(&v2).ok();
 
         // Serial SVD with CSV output.
         let sv_csv = tmp("sv.csv");
@@ -458,6 +442,37 @@ mod tests {
         assert!(std::fs::read_to_string(&modes_csv).unwrap().starts_with("point,mode_0"));
         std::fs::remove_file(&file).ok();
         std::fs::remove_file(&modes_csv).ok();
+    }
+
+    #[test]
+    fn f32_tagged_files_are_refused_with_a_typed_error() {
+        use psvd_data::ncsim::Dtype;
+        use psvd_data::prefetch::SnapshotPrefetcher;
+        use std::io::ErrorKind;
+
+        let file = tmp("f32_tagged.ncs");
+        let a = Matrix::from_fn(64, 8, |i, j| (i + j) as f64);
+        write_v2(Path::new(&file), "u", &a, V2Options { chunk_rows: 16, ..Default::default() })
+            .unwrap();
+        // The dtype byte follows magic, the name's length and bytes, rows
+        // and cols.
+        let mut bytes = std::fs::read(&file).unwrap();
+        bytes[8 + 4 + "u".len() + 16] = Dtype::F32.tag();
+        std::fs::write(&file, &bytes).unwrap();
+
+        let info = run(&argv(&["info", &file])).unwrap();
+        assert!(info.iter().any(|l| l.contains("dtype     : f32")), "{info:?}");
+        let mut reader = NcsimReader::open(Path::new(&file)).unwrap();
+        let mut dst = Matrix::<f64>::zeros(0, 0);
+        let err = reader.read_block_into(0, 64, 0, 8, &mut dst).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        let err = SnapshotPrefetcher::<f64>::open(Path::new(&file), 2).err().expect("refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        for ranks in ["1", "2"] {
+            let err = run(&argv(&["svd", &file, "--k", "2", "--ranks", ranks])).unwrap_err();
+            assert!(err.contains("file holds f32 data, requested f64"), "{ranks}: {err}");
+        }
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

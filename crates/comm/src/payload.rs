@@ -3,10 +3,8 @@
 //! Every value that travels between ranks implements [`Payload`], which the
 //! traffic recorder uses to charge byte volumes (the sizes a real MPI
 //! implementation would put on the wire for contiguous element buffers).
-//! Matrix payloads are dtype-aware: an `f32` matrix is charged exactly
-//! half the data bytes of its `f64` counterpart (`size_of::<T>()` per
-//! element) — this is the accounting behind the mixed-precision mode's
-//! ~2x wire reduction.
+//! A matrix is charged a 16-byte dims header plus `size_of::<T>()` per
+//! element.
 
 use psvd_linalg::{Matrix, Scalar};
 
@@ -25,12 +23,6 @@ impl Payload for () {
 impl Payload for f64 {
     fn byte_len(&self) -> usize {
         8
-    }
-}
-
-impl Payload for f32 {
-    fn byte_len(&self) -> usize {
-        4
     }
 }
 
@@ -103,15 +95,10 @@ mod tests {
 
     #[test]
     fn matrix_wire_size_is_dtype_aware() {
-        // f32 data bytes are exactly half of f64's for the same shape;
-        // only the 16-byte dims header is dtype-independent.
+        // size_of::<f64>() data bytes per element behind the 16-byte dims
+        // header.
         let wide = Matrix::<f64>::zeros(7, 9);
-        let narrow = Matrix::<f32>::zeros(7, 9);
         assert_eq!(wide.byte_len(), 16 + 8 * 63);
-        assert_eq!(narrow.byte_len(), 16 + 4 * 63);
-        assert_eq!(narrow.byte_len() - 16, (wide.byte_len() - 16) / 2);
-        assert_eq!(1.0f32.byte_len(), 4);
-        assert_eq!(vec![0.0f32; 10].byte_len(), 40);
     }
 
     #[test]

@@ -1,54 +1,8 @@
 //! Configuration shared by the serial and parallel drivers.
 
-use psvd_linalg::randomized::{mixed_randomized_svd, randomized_svd};
+use psvd_linalg::randomized::randomized_svd;
 use psvd_linalg::{svd, Matrix, Scalar, Svd};
 use rand::rngs::StdRng;
-
-/// Arithmetic / wire precision for a streaming run.
-///
-/// The element dtype of a driver is a compile-time choice (the `T`
-/// parameter of [`crate::SerialStreamingSvd`] /
-/// [`crate::ParallelStreamingSvd`], default `f64`); this enum selects the
-/// *policy* layered on top:
-///
-/// - `F64`: run everything at the driver's native dtype.
-/// - `Mixed`: keep all local factorization arithmetic at the native
-///   dtype (f64 re-orthogonalization, f64 final factors) but demote
-///   every matrix payload crossing the communicator to `f32`, halving
-///   APMOS gather / TSQR `R` gather and `Q` hand-back wire bytes, and run the
-///   randomized inner SVDs with an f32 range finder
-///   ([`psvd_linalg::randomized::mixed_randomized_svd`], selected in
-///   `SvdConfig::inner_svd` and nowhere else). Singular
-///   values stay within ~`ε_f32 · σ₁` of the all-f64 run (the
-///   conformance suite pins 1e-5 relative); results remain bitwise
-///   deterministic across thread counts and collective shapes.
-///
-/// `SvdConfig::new` seeds this from `PSVD_PRECISION` (`f64`, `mixed`;
-/// unset means `f64`), so a whole test or bench process can be
-/// flipped from the environment; `with_precision` overrides per config.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Precision {
-    /// Native f64 everywhere (the default).
-    #[default]
-    F64,
-    /// Native-precision math with f32 wire payloads and f32 range finding.
-    Mixed,
-}
-
-impl Precision {
-    /// Read `PSVD_PRECISION` (`f64` | `mixed`, case-insensitive);
-    /// unset or empty means [`Precision::F64`]. Panics on other values.
-    pub fn from_env() -> Self {
-        match std::env::var("PSVD_PRECISION") {
-            Err(_) => Precision::F64,
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "" | "f64" => Precision::F64,
-                "mixed" => Precision::Mixed,
-                other => panic!("PSVD_PRECISION must be f64 or mixed, got {other:?}"),
-            },
-        }
-    }
-}
 
 /// Why an [`SvdConfig`] cannot drive a factorization.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -105,8 +59,6 @@ pub struct SvdConfig {
     pub power_iterations: usize,
     /// Seed for the randomized path (advanced deterministically per call).
     pub seed: u64,
-    /// Arithmetic / wire precision policy (see [`Precision`]).
-    pub precision: Precision,
     /// Merge-tree fanout: children per interior merge node in the
     /// hierarchical APMOS exchange. `None` keeps the flat rank-0 gather;
     /// see [`crate::MergeTreePlan::resolve`].
@@ -125,7 +77,6 @@ impl SvdConfig {
             oversampling: 10,
             power_iterations: 1,
             seed: 0,
-            precision: Precision::from_env(),
             tree_fanout: psvd_linalg::par::env_knob("PSVD_TREE_FANOUT").filter(|&f| f > 0),
         }
     }
@@ -157,12 +108,6 @@ impl SvdConfig {
     /// Builder: randomized-path seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: precision policy (overrides the `PSVD_PRECISION` seed).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -220,20 +165,17 @@ impl SvdConfig {
     /// TSQR root's `R`, the APMOS root stack and every merge-tree node all
     /// come here. Dense ([`svd()`], all triplets) unless `low_rank`, in
     /// which case the randomized SVD keeps `rank` triplets under this
-    /// configuration's `oversampling` / `power_iterations`, sketching in
-    /// f32 when the precision policy is [`Precision::Mixed`].
+    /// configuration's `oversampling` / `power_iterations`.
     pub(crate) fn inner_svd<T: Scalar>(
         &self,
         a: &Matrix<T>,
         rank: usize,
         rng: &mut StdRng,
     ) -> Svd<T> {
-        if !self.low_rank {
-            svd(a)
-        } else if self.precision == Precision::Mixed {
-            mixed_randomized_svd(a, &self.randomized(rank), rng)
-        } else {
+        if self.low_rank {
             randomized_svd(a, &self.randomized(rank), rng)
+        } else {
+            svd(a)
         }
     }
 }
@@ -281,17 +223,6 @@ mod tests {
     #[should_panic(expected = "r2")]
     fn r2_below_k_rejected() {
         let _ = SvdConfig::new(10).with_r2(3).validated();
-    }
-
-    #[test]
-    fn precision_builder_overrides_default() {
-        let c = SvdConfig::new(3);
-        // Whatever the environment seeded, the builder wins.
-        let m = c.with_precision(Precision::Mixed);
-        assert_eq!(m.precision, Precision::Mixed);
-        let back = m.with_precision(Precision::F64);
-        assert_eq!(back.precision, Precision::F64);
-        assert_eq!(Precision::default(), Precision::F64);
     }
 
     #[test]

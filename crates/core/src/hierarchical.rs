@@ -57,7 +57,6 @@ use rand::SeedableRng;
 
 use crate::config::SvdConfig;
 use crate::update::{factor_truncate, Ctx, LocalQr};
-use crate::wire;
 
 /// Why a merge-tree plan could not be built from the requested shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -380,22 +379,22 @@ fn charge_factorize<C: Communicator>(
     comm.advance(flops / rate);
 }
 
-/// One rank's contribution on the way up: its subtree's factor as it
-/// travels, the subtree's per-level bound sums and its merge count.
-type Part<T> = (wire::Wire<T>, Vec<f64>, u64);
+/// One rank's contribution on the way up: its subtree's factor, the
+/// subtree's per-level bound sums and its merge count.
+type Part<T> = (Matrix<T>, Vec<f64>, u64);
 
 /// A group's factors side by side, in rank order, with its subtrees'
 /// bound sums and merge counts added up in the same order.
 fn stack_group<T: Scalar>(group: Vec<Part<T>>) -> (Matrix<T>, Vec<f64>, u64) {
     let mut parts = group.into_iter();
     let (first, mut bounds, mut merges) = parts.next().expect("a group holds its leader's part");
-    let mut blocks = vec![first.unpack()];
+    let mut blocks = vec![first];
     for (fac, child_bounds, child_merges) in parts {
         for (b, cb) in bounds.iter_mut().zip(&child_bounds) {
             *b += cb;
         }
         merges += child_merges;
-        blocks.push(fac.unpack());
+        blocks.push(fac);
     }
     (Matrix::hstack_all(&blocks), bounds, merges)
 }
@@ -427,7 +426,6 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     let cfg = cfg.validated();
     let n = a_local.cols();
     assert!(n > 0, "merge_tree_svd: empty snapshot set");
-    let mixed = wire::mixed(&cfg);
     let tag = comm.next_collective_tag();
 
     // Leaf: local right vectors by the method of snapshots, truncated to
@@ -445,7 +443,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     // from `ws`, so repeated merges are allocation-free once warm.
     let mut qbuf = Matrix::zeros(0, 0);
     let mut qr = LocalQr::new();
-    let leaf = (wire::pack(mixed, fac), vec![0.0f64; plan.depth() - 1], 0);
+    let leaf = (fac, vec![0.0f64; plan.depth() - 1], 0);
     let root_group = plan.try_reduce(comm, tag, leaf, |l, group| {
         let (stack, mut bounds, merges) = stack_group(group);
         let keep = r1.min(stack.rows().min(stack.cols()));
@@ -459,7 +457,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         // truncated copy.
         let mut xk = x.first_columns(kk);
         scale_columns(&mut xk, &s[..kk]);
-        (wire::pack(mixed, xk), bounds, merges + 1)
+        (xk, bounds, merges + 1)
     })?;
 
     // Rank 0 factorizes the root stack and truncates to r2; factors and
@@ -477,7 +475,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         (x.first_columns(r2), s[..kept].to_vec(), (bounds, tail, merges))
     });
     let (x, s, (per_level_bound, root_tail, merges)) =
-        wire::bcast_factors(comm, plan, mixed, factors)?;
+        plan.try_bcast(comm, comm.next_collective_tag(), factors)?;
 
     // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
     let k = cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
@@ -529,7 +527,6 @@ mod tests {
     use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
     use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 
-    use crate::config::Precision;
     use crate::serial::batch_truncated_svd;
 
     fn decaying(m: usize, n: usize, seed: u64) -> Matrix {
@@ -541,7 +538,6 @@ mod tests {
     /// modes and rank 0's σ.
     fn run_tree(a: &Matrix, n_ranks: usize, fanout: usize, cfg: SvdConfig) -> (Matrix, Vec<f64>) {
         let plan = MergeTreePlan::uniform(fanout, n_ranks).unwrap();
-        let cfg = cfg.with_precision(Precision::F64); // round-off-level tolerances below
         let blocks = split_rows(a, n_ranks);
         let world = World::new(n_ranks);
         let out = world.run(|comm| {

@@ -20,9 +20,7 @@
 //!    [`hierarchical`]'s merge tree, one-shot entry point
 //!    [`try_merge_tree_svd`]; depth 1 is the paper's flat gather) as
 //!    the first-batch factorization, over any
-//!    [`psvd_comm::Communicator`]. Whether a matrix crosses it as `f32`
-//!    (`Precision::Mixed`) is decided in one place, the private `wire`
-//!    module.
+//!    [`psvd_comm::Communicator`].
 //! 3. **Randomized**: every inner factorization may use the randomized
 //!    low-rank SVD (`SvdConfig::with_low_rank(true)`, tuned by
 //!    `with_oversampling` / `with_power_iterations` in every driver).
@@ -46,10 +44,9 @@ pub mod pod;
 pub mod postprocess;
 pub mod serial;
 mod update;
-mod wire;
 
 pub use checkpoint::SvdCheckpoint;
-pub use config::{ConfigError, Precision, SvdConfig};
+pub use config::{ConfigError, SvdConfig};
 pub use hierarchical::{try_merge_tree_svd, MergeTreePlan, PlanError, TreeMergeInfo};
 pub use parallel::{parallel_svd_once, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};

@@ -46,12 +46,10 @@ use crate::update::{forward_tracker_accessors, LocalQr, Tracker};
 /// its small factors; see DESIGN.md) — verified via
 /// [`SerialStreamingSvd::scratch_stats`].
 ///
-/// Generic over the element dtype `T` (default `f64`): everything runs at
-/// `T`'s precision, bitwise reproducible at any thread count for a fixed
-/// dtype. `cfg.precision == Mixed` additionally swaps the randomized inner
-/// SVD for the f32-range-finder / f64-re-orthogonalization pipeline.
+/// Generic over the element dtype `T`, which is `f64` (DESIGN.md, "One
+/// dtype"); bitwise reproducible at any thread count.
 pub struct SerialStreamingSvd<T: Scalar = f64> {
-    tracker: Tracker<T>,
+    pub(crate) tracker: Tracker<T>,
     qr: LocalQr<T>,
 }
 
@@ -395,7 +393,7 @@ mod tests {
             assert!(err < 1e-8, "drift after {} updates: {err}", i + 1);
         }
         assert_eq!(s.full_stack_updates(), 0, "every update must have projected");
-        assert!(s.ortho_drift() <= crate::ortho_gate::<f64>(s.config().precision));
+        assert!(s.ortho_drift() <= crate::ortho_gate::<f64>());
     }
 
     #[test]

@@ -53,7 +53,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::checkpoint::SvdCheckpoint;
-use crate::config::{Precision, SvdConfig};
+use crate::config::SvdConfig;
 
 /// The orthonormality gate, in ulps (see [`ortho_gate`]).
 const ORTHO_GATE_ULPS: f64 = 1024.0;
@@ -65,15 +65,11 @@ const ORTHO_GATE_ULPS: f64 = 1024.0;
 const RESIDUAL_PIVOT_FLOOR: f64 = 0.5;
 
 /// The largest `max|UᵀU − I|` at which a streaming update still projects
-/// the batch onto the modes: 1024 ulps of the precision the modes are
-/// carried at. That is `T`'s (2.3e-13 at `f64`), or `f32`'s under
-/// `Precision::Mixed`, whose `f32` wire rounds every factor that reaches
-/// a rank. Above it the update re-factors the full `[ff·U·D | A]` stack,
-/// which re-orthonormalizes the modes. A constant, not a knob.
-pub fn ortho_gate<T: Scalar>(precision: Precision) -> f64 {
-    let eps = T::EPSILON.to_f64();
-    let carried = if precision == Precision::Mixed { eps.max(f32::EPSILON.into()) } else { eps };
-    ORTHO_GATE_ULPS * carried
+/// the batch onto the modes: 1024 ulps of `T` (2.3e-13 at `f64`). Above
+/// it the update re-factors the full `[ff·U·D | A]` stack, which
+/// re-orthonormalizes the modes. A constant, not a knob.
+pub fn ortho_gate<T: Scalar>() -> f64 {
+    ORTHO_GATE_ULPS * T::EPSILON.to_f64()
 }
 
 /// What every factorization draws on: the configuration, the RNG of a
@@ -89,15 +85,9 @@ pub(crate) trait TallQr<T: Scalar> {
     /// `Infallible` in-process, `CommError` over a communicator.
     type Error;
 
-    /// Sum two small matrices over the world in one collective: `exact`
-    /// at native precision whatever the wire policy, `x` through the wire
-    /// rule. The identity in-process.
-    fn sum(
-        &mut self,
-        cfg: &SvdConfig,
-        exact: Matrix<T>,
-        x: Matrix<T>,
-    ) -> Result<(Matrix<T>, Matrix<T>), Self::Error>;
+    /// Sum two small matrices over the world in one collective. The
+    /// identity in-process.
+    fn sum(&mut self, a: Matrix<T>, b: Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), Self::Error>;
 
     /// QR-factor the tall `stack` (the caller's rows of it), leaving those
     /// rows of `Q` in `q`. Returns `R` on the root and `None` elsewhere.
@@ -117,7 +107,6 @@ pub(crate) trait TallQr<T: Scalar> {
     /// is `Some` exactly on the root). The identity in-process.
     fn bcast(
         &mut self,
-        cfg: &SvdConfig,
         factors: Option<(Matrix<T>, Vec<T>)>,
     ) -> Result<(Matrix<T>, Vec<T>), Self::Error>;
 
@@ -148,7 +137,7 @@ pub(crate) fn qr_svd<T: Scalar, F: TallQr<T> + ?Sized>(
         let f = ctx.cfg.inner_svd(r, rank, ctx.rng);
         (f.u, f.s)
     });
-    qr.bcast(ctx.cfg, factors)
+    qr.bcast(factors)
 }
 
 /// Factor-and-truncate: QR `stack`, SVD its `R` for `keep` triplets, write
@@ -187,13 +176,8 @@ impl<T: Scalar> LocalQr<T> {
 impl<T: Scalar> TallQr<T> for LocalQr<T> {
     type Error = Infallible;
 
-    fn sum(
-        &mut self,
-        _: &SvdConfig,
-        exact: Matrix<T>,
-        x: Matrix<T>,
-    ) -> Result<(Matrix<T>, Matrix<T>), Infallible> {
-        Ok((exact, x))
+    fn sum(&mut self, a: Matrix<T>, b: Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), Infallible> {
+        Ok((a, b))
     }
 
     fn qr(
@@ -212,7 +196,6 @@ impl<T: Scalar> TallQr<T> for LocalQr<T> {
 
     fn bcast(
         &mut self,
-        _: &SvdConfig,
         factors: Option<(Matrix<T>, Vec<T>)>,
     ) -> Result<(Matrix<T>, Vec<T>), Infallible> {
         Ok(factors.expect("in-process, this rank is the root"))
@@ -389,7 +372,7 @@ impl<T: Scalar> Tracker<T> {
         }
         let drift = self.measure(qr, ai)?;
         // NaN fails the comparison, so non-finite modes re-factor too.
-        let gated = drift <= ortho_gate::<T>(self.cfg.precision);
+        let gated = drift <= ortho_gate::<T>();
         let (sigma, projected) = match if gated { self.project(qr, ai)? } else { None } {
             Some(sigma) => (sigma, true),
             None => (self.refactor(qr, ai)?, false),
@@ -407,7 +390,7 @@ impl<T: Scalar> Tracker<T> {
         matmul_tn_into(self.modes.view(), self.modes.view(), &mut self.gram);
         matmul_tn_into(self.modes.view(), a.view(), &mut self.proj);
         let take = |m: &mut Matrix<T>| std::mem::replace(m, Matrix::zeros(0, 0));
-        (self.gram, self.proj) = qr.sum(&self.cfg, take(&mut self.gram), take(&mut self.proj))?;
+        (self.gram, self.proj) = qr.sum(take(&mut self.gram), take(&mut self.proj))?;
         Ok(identity_deviation(&self.gram))
     }
 
@@ -469,7 +452,7 @@ impl<T: Scalar> Tracker<T> {
         // inside H, which the QR would turn into directions in span(U).
         // The Gram matrix of the first H rides the same sum, and
         // HᵀH − L₂ᵀG⁻¹L₂ is that of the second.
-        let (_, sums) = qr.sum(cfg, Matrix::zeros(0, 0), tn_stack(ws, u, h))?;
+        let (_, sums) = qr.sum(Matrix::zeros(0, 0), tn_stack(ws, u, h))?;
         let l2 = sums.block(0, k0, 0, b);
         coef.view_mut().copy_from(l2);
         for (l, &c) in proj.as_mut_slice().iter_mut().zip(coef.as_slice()) {
@@ -485,7 +468,7 @@ impl<T: Scalar> Tracker<T> {
         // CholeskyQR2's J₁; then X = S⁻ᵀY and the Cholesky factor T of
         // JᵀJ − XᵀX, the Gram matrix of J with U projected out, on every
         // rank alike.
-        let basis = cholesky_qr2(qr, cfg, ws, u, h, j, hgram, coef, resid_r)?;
+        let basis = cholesky_qr2(qr, ws, u, h, j, hgram, coef, resid_r)?;
         let mut ctx = Ctx { cfg, rng, ws };
         let root = if basis.is_some() {
             qr.is_root()
@@ -500,7 +483,7 @@ impl<T: Scalar> Tracker<T> {
             };
             matmul_tn_into(u.view(), j.view(), coef);
             let y = std::mem::replace(coef, Matrix::zeros(0, 0));
-            (_, *coef) = qr.sum(ctx.cfg, Matrix::zeros(0, 0), y)?;
+            (_, *coef) = qr.sum(Matrix::zeros(0, 0), y)?;
             root
         };
         solve_upper_t(chol, coef, 0);
@@ -535,7 +518,7 @@ impl<T: Scalar> Tracker<T> {
         let factors = root.then(|| {
             core_svd(&mut ctx, core, chol, resid_chol, coef, proj, resid_r, singular_values)
         });
-        let (w, s) = qr.bcast(ctx.cfg, factors)?;
+        let (w, s) = qr.bcast(factors)?;
         // [U | J]·W, as two GEMMs on every rank.
         let kk = w.cols();
         matmul_into(u.view(), w.block(0, k0, 0, kk), next_modes);
@@ -725,7 +708,6 @@ type BasisGram<T> = (Matrix<T>, Matrix<T>);
 #[allow(clippy::too_many_arguments)]
 fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
     qr: &mut F,
-    cfg: &SvdConfig,
     ws: &mut Workspace,
     u: &Matrix<T>,
     h: &Matrix<T>,
@@ -748,7 +730,7 @@ fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
     solve_upper_t(&hgram, &mut inv, 0);
     matmul_into(h.view(), inv.view().transposed(), j);
     ws.give(inv);
-    let (_, sums) = qr.sum(cfg, Matrix::zeros(0, 0), tn_stack(ws, u, j))?;
+    let (_, sums) = qr.sum(Matrix::zeros(0, 0), tn_stack(ws, u, j))?;
     let mut jgram = ws.take(b, b);
     jgram.view_mut().copy_from(sums.block(k0, k0 + b, 0, b));
     let mut r2 = ws.take(b, b);
@@ -884,12 +866,6 @@ macro_rules! forward_tracker_accessors {
             self.tracker.full_stack_updates()
         }
 
-        /// Projection updates whose Grams refused CholeskyQR2.
-        #[cfg(test)]
-        pub(crate) fn cholqr_fallbacks(&self) -> usize {
-            self.tracker.cholqr_fallbacks()
-        }
-
         /// Consume the tracker, handing out its (rows of the) modes and
         /// the singular values without copying them.
         pub fn into_modes(self) -> (Matrix<T>, Vec<T>) {
@@ -914,6 +890,7 @@ pub(crate) use forward_tracker_accessors;
 
 #[cfg(test)]
 impl<T: Scalar> Tracker<T> {
+    /// Projection updates whose Grams refused CholeskyQR2.
     pub(crate) fn cholqr_fallbacks(&self) -> usize {
         self.cholqr_fallbacks
     }

@@ -7,8 +7,8 @@
 //!   structures, substituting for the non-redistributable ERA5 record;
 //! - [`stream`]: column-batch adapters feeding the streaming SVD;
 //! - [`partition`]: balanced row-block domain decomposition;
-//! - [`ncsim`]: the one snapshot container (v2: row-panel chunks, f64 or
-//!   f32, optional codec) with per-rank hyperslab reads, standing in for
+//! - [`ncsim`]: the one snapshot container (v2: row-panel chunks of f64,
+//!   optional codec) with per-rank hyperslab reads, standing in for
 //!   NetCDF4 parallel IO;
 //! - [`prefetch`]: the background reader that overlaps out-of-core IO and
 //!   decode with the SVD update.

@@ -1,7 +1,7 @@
 //! `ncsim`: a minimal chunked scientific-data container with hyperslab
 //! reads, standing in for the paper's NetCDF4 parallel-IO path.
 //!
-//! One on-disk version, v2: row-panel chunks of an f64 or f32 variable,
+//! One on-disk version, v2: row-panel chunks of an f64 variable,
 //! optionally compressed with a dependency-free codec (byte-shuffle + RLE,
 //! see [`codec`]):
 //!
@@ -10,7 +10,7 @@
 //! name       : u32 length + UTF-8 bytes (variable name, ≤ 4096 bytes)
 //! rows       : u64  (spatial degrees of freedom, M)
 //! cols       : u64  (snapshots, N)
-//! dtype      : u8   (0 = f64, 1 = f32)
+//! dtype      : u8   (0 = f64; 1 = f32, named by `psvd info`, refused on read)
 //! codec      : u8   (0 = raw, 1 = byte-shuffle + RLE)
 //! chunk_rows : u64  (rows per panel; last panel may be shorter)
 //! chunk_lens : ceil(rows / chunk_rows) x u64  (byte length of each chunk,
@@ -74,7 +74,7 @@ fn bad_input(msg: impl Into<String>) -> io::Error {
 pub enum Dtype {
     /// IEEE binary64.
     F64,
-    /// IEEE binary32.
+    /// IEEE binary32: a tag the reader recognizes and refuses to decode.
     F32,
 }
 
@@ -109,15 +109,6 @@ impl Dtype {
         match self {
             Dtype::F64 => "f64",
             Dtype::F32 => "f32",
-        }
-    }
-
-    /// The dtype corresponding to a [`Scalar`] element type.
-    pub fn of<T: Scalar>() -> Self {
-        match T::NAME {
-            "f64" => Dtype::F64,
-            "f32" => Dtype::F32,
-            other => unreachable!("Scalar is sealed; unknown dtype {other}"),
         }
     }
 }
@@ -281,7 +272,7 @@ impl<T: Scalar> NcsimV2Writer<T> {
         header.put_slice(name.as_bytes());
         header.put_u64_le(rows as u64);
         header.put_u64_le(cols as u64);
-        header.put_u8(Dtype::of::<T>().tag());
+        header.put_u8(Dtype::F64.tag());
         header.put_u8(opts.codec.tag());
         header.put_u64_le(chunk_rows as u64);
         let table_pos = header.len() as u64;
@@ -567,8 +558,8 @@ impl NcsimReader {
         self.chunks_touched
     }
 
-    fn require_dtype<T: Scalar>(&self) -> io::Result<()> {
-        if self.header.dtype != Dtype::of::<T>() {
+    pub(crate) fn require_dtype<T: Scalar>(&self) -> io::Result<()> {
+        if self.header.dtype != Dtype::F64 {
             return Err(bad_input(format!(
                 "file holds {} data, requested {}",
                 self.header.dtype.name(),
@@ -872,7 +863,7 @@ mod tests {
         write_v2(&path, "field", &a, V2Options { chunk_rows, codec }).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
         assert_eq!(r.header().version, 2);
-        assert_eq!(r.header().dtype, Dtype::of::<T>());
+        assert_eq!(r.header().dtype, Dtype::F64);
         assert_eq!(block::<T>(&mut r, 0, 23, 0, 6).unwrap(), a);
         // Hyperslabs in both dimensions match in-core slicing.
         let mut blk = Matrix::zeros(0, 0);
@@ -888,20 +879,23 @@ mod tests {
         for chunk_rows in [1, 4, 7, 23, 100] {
             v2_roundtrip_case::<f64>("f64", chunk_rows, Codec::Raw);
             v2_roundtrip_case::<f64>("f64", chunk_rows, Codec::ShuffleRle);
-            v2_roundtrip_case::<f32>("f32", chunk_rows, Codec::Raw);
-            v2_roundtrip_case::<f32>("f32", chunk_rows, Codec::ShuffleRle);
         }
     }
 
     #[test]
     fn v2_dtype_mismatch_is_typed_error() {
         let path = tmpfile("dtypemismatch");
-        let a: Matrix<f32> = Matrix::from_fn(8, 3, |i, j| (i + j) as f32);
+        let a = Matrix::from_fn(8, 3, |i, j| (i + j) as f64);
         write_v2(&path, "v", &a, V2Options::default()).unwrap();
+        // Re-tag the header as f32: the dtype byte follows magic, the
+        // name's length and bytes, rows and cols.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8 + 4 + "v".len() + 16] = Dtype::F32.tag();
+        std::fs::write(&path, &bytes).unwrap();
         let mut r = NcsimReader::open(&path).unwrap();
+        assert_eq!(r.header().dtype, Dtype::F32);
         let err = block::<f64>(&mut r, 0, 8, 0, 3).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert_eq!(block::<f32>(&mut r, 0, 8, 0, 3).unwrap(), a);
         std::fs::remove_file(&path).unwrap();
     }
 

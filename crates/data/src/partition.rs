@@ -24,9 +24,7 @@ pub fn block_len(m: usize, n_ranks: usize, rank: usize) -> usize {
     b - a
 }
 
-/// Split a matrix into per-rank row blocks (cloned). Generic over the
-/// element dtype so f32 and mixed-precision pipelines partition the same
-/// way f64 ones do.
+/// Split a matrix into per-rank row blocks (cloned).
 pub fn split_rows<T: Scalar>(a: &Matrix<T>, n_ranks: usize) -> Vec<Matrix<T>> {
     (0..n_ranks)
         .map(|r| {

@@ -108,14 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_batches_stream_without_conversion() {
-        let a: Matrix<f32> = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f32);
-        let batches: Vec<Matrix<f32>> = column_batches(&a, 2).collect();
-        assert_eq!(batches.len(), 3);
-        assert_eq!(Matrix::hstack_all(&batches), a);
-    }
-
-    #[test]
     fn matrix_source_matches_slicing_and_reuses_dst() {
         let a = Matrix::from_fn(6, 9, |i, j| ((i * 9 + j) as f64).cos());
         let expect: Vec<Matrix> = column_batches(&a, 4).collect();

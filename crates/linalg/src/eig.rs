@@ -39,11 +39,9 @@ pub fn sym_eig<T: Scalar>(a: &Matrix<T>) -> SymEig<T> {
     let mut m = Matrix::from_fn(n, n, |i, j| half * (a[(i, j)] + a[(j, i)]));
     let mut v = Matrix::identity(n);
 
-    // Convergence threshold scaled to the dtype's epsilon; the factor is
-    // exactly 1e-15 at f64 (the pre-generic value, preserving bits) and
-    // the epsilon-ratio-scaled equivalent (~5.4e-7) at f32.
+    // Convergence threshold, relative to the largest entry.
     let scale = m.max_abs().max(T::from_f64(1e-300));
-    let tol = T::from_f64(1e-15 * (T::EPSILON.to_f64() / f64::EPSILON)) * scale;
+    let tol = T::from_f64(1e-15) * scale;
 
     for _sweep in 0..MAX_SWEEPS {
         let mut off: T = T::ZERO;

@@ -1,5 +1,5 @@
 //! Cache-blocking parameters (`MC` / `KC` / `NC`): a pure function of the
-//! micro-kernel and the dtype.
+//! micro-kernel.
 //!
 //! The packed engine walks `C` in `MC x NC` macro-tiles fed by `KC`-deep
 //! K-panels. [`Blocking::default_for`] derives the triple from the kernel
@@ -8,15 +8,11 @@
 //! is entered; nothing is configured or cached. With the scalar kernel
 //! forced at f64 this is bit-for-bit the pre-SIMD engine.
 //!
-//! Cache capacities are measured in **bytes**, so `KC` holds a constant
-//! K-panel byte footprint ([`DEFAULT_KC_BYTES`]), which lands on the
-//! historical 256 at f64 and 512 at f32 — twice the reduction depth in the
-//! same L1 working set.
-//!
 //! Only `KC` changes numerical results (each `C` element accumulates one
-//! rounded partial sum per K-panel), and it depends on the dtype alone, so
-//! the bitwise-determinism contract holds per (kernel, thread-count,
-//! dtype). `MC` and `NC` only re-tile loops and never affect a single bit.
+//! rounded partial sum per K-panel), and it is a constant
+//! ([`DEFAULT_KC`]), so the bitwise-determinism contract holds per
+//! (kernel, thread-count). `MC` and `NC` only re-tile loops and never
+//! affect a single bit.
 
 use crate::scalar::Scalar;
 
@@ -24,20 +20,14 @@ use super::kernel::MicroKernel;
 
 /// Default row-block height (rounded down to the kernel's `mr`).
 pub(crate) const DEFAULT_MC: usize = 128;
-/// Default K-panel byte depth: `KC = DEFAULT_KC_BYTES / size_of::<T>()`.
-/// At f64 this is the pre-SIMD engine's 256 (`KC` is the one parameter
-/// that affects rounding, so that value is load-bearing for
-/// scalar-kernel bitwise reproduction); at f32 it is 512.
-pub(crate) const DEFAULT_KC_BYTES: usize = 2048;
+/// K-panel depth: the pre-SIMD engine's 256 (`KC` is the one parameter
+/// that affects rounding, so that value is load-bearing for scalar-kernel
+/// bitwise reproduction).
+pub(crate) const DEFAULT_KC: usize = 256;
 /// Default column-chunk width. Wider than every shape the SVD drivers
 /// produce, so the whole of `op(B)` is packed once per call — exactly the
 /// pre-SIMD engine's behavior.
 pub(crate) const DEFAULT_NC: usize = 4096;
-
-/// The `KC` for dtype `T` (see [`DEFAULT_KC_BYTES`]).
-pub(crate) fn default_kc<T: Scalar>() -> usize {
-    DEFAULT_KC_BYTES / std::mem::size_of::<T>()
-}
 
 /// An `MC`/`KC`/`NC` cache-blocking triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +44,11 @@ impl Blocking {
     /// The blocking the engine uses with `kernel`: `MC` is `DEFAULT_MC`
     /// rounded down to the kernel's `mr` (exactly 128 for the scalar
     /// oracle, so the pre-SIMD engine's blocking is reproduced verbatim;
-    /// `MC` never affects bits in any case), `KC` holds a constant byte
-    /// footprint (`default_kc`), `NC` is the fixed default.
+    /// `MC` never affects bits in any case), `KC` and `NC` are the fixed
+    /// defaults.
     pub fn default_for<T: Scalar>(kernel: &dyn MicroKernel<T>) -> Self {
         let mc = (DEFAULT_MC / kernel.mr()).max(1) * kernel.mr();
-        Blocking { mc, kc: default_kc::<T>(), nc: DEFAULT_NC }
+        Blocking { mc, kc: DEFAULT_KC, nc: DEFAULT_NC }
     }
 }
 
@@ -75,16 +65,6 @@ mod tests {
             assert_eq!(b.nc % kern.nr(), 0, "{}: NC not nr-aligned", kern.name());
             assert!(b.mc <= DEFAULT_MC && b.mc + kern.mr() > DEFAULT_MC);
             assert_eq!((b.kc, b.nc), (256, DEFAULT_NC));
-        }
-        for kern in kernel::available::<f32>() {
-            let b = Blocking::default_for(*kern);
-            assert_eq!(b.mc % kern.mr(), 0, "{}: MC not mr-aligned", kern.name());
-            assert_eq!(b.nc % kern.nr(), 0, "{}: NC not nr-aligned", kern.name());
-            assert_eq!(
-                (b.kc, b.nc),
-                (512, DEFAULT_NC),
-                "f32 K-panels are twice as deep in the same byte budget"
-            );
         }
         // The scalar oracle keeps the pre-SIMD engine's exact MC and KC.
         let b = Blocking::default_for::<f64>(&ScalarKernel);

@@ -2,10 +2,10 @@
 //!
 //! The packed engine's innermost computation is an `MR x NR` register-tile
 //! update. This module defines the [`MicroKernel`] trait that tile lives
-//! behind — generic over the sealed [`Scalar`] element type, `f64` by
-//! default — the portable `ScalarKernel` (the bitwise determinism oracle
-//! for *each* dtype — its floating-point op sequence is exactly the
-//! pre-SIMD engine's), and the per-dtype process-wide selection logic.
+//! behind — generic over the sealed [`Scalar`] element type, which is
+//! `f64` — the portable `ScalarKernel` (the bitwise determinism oracle —
+//! its floating-point op sequence is exactly the pre-SIMD engine's), and
+//! the process-wide selection logic.
 //! Two kernels exist, and each names where it runs:
 //!
 //! * `scalar` — every host; the only kernel on non-x86_64 hosts and on
@@ -18,18 +18,17 @@
 //! Selection:
 //!
 //! 1. `PSVD_GEMM_KERNEL=<name>` forces a kernel by name (`scalar`, or
-//!    `fma` where the CPU has it; the names are dtype-agnostic — at f32
-//!    `fma` resolves to the double-width `_ps` tile); an unknown or
-//!    unavailable name panics with the available list, so misconfigured
-//!    tests fail loudly instead of silently measuring the wrong kernel.
+//!    `fma` where the CPU has it); an unknown or unavailable name panics
+//!    with the available list, so misconfigured tests fail loudly instead
+//!    of silently measuring the wrong kernel.
 //! 2. Otherwise `fma` when the CPU reports AVX2 and FMA, else `scalar`,
 //!    detected once at first use.
 //!
-//! Selection happens once per process *per dtype* (the registries live in
+//! Selection happens once per process (the registry lives in
 //! [`Scalar::gemm_cells`] — Rust has no generic statics) and is immutable
-//! afterwards, which is what keeps the per-(kernel, thread-count, dtype)
-//! bitwise determinism contract meaningful: within a process, every GEMM
-//! at a given dtype sees the same kernel. Tests that want a *different*
+//! afterwards, which is what keeps the per-(kernel, thread-count) bitwise
+//! determinism contract meaningful: within a process, every GEMM sees the
+//! same kernel. Tests that want a *different*
 //! kernel pass one explicitly via [`crate::gemm::packed::matmul_with`] and
 //! friends instead of mutating global state.
 //!
@@ -37,12 +36,10 @@
 //!
 //! A kernel whose per-element update is round(mul) then round(add) in
 //! ascending `k` ([`MicroKernel::fused`] `== false`) is bitwise identical
-//! to the scalar oracle at the same dtype. The fused kernel (`fma`)
-//! rounds once per multiply-add and therefore differs from the oracle at
-//! the last ulp; it is still bitwise deterministic across thread counts
-//! and shapes, just a distinct rounding class. Rounding classes never mix
-//! across dtypes: an f32 kernel's results relate to the f32 oracle, not
-//! to any f64 path.
+//! to the scalar oracle. The fused kernel (`fma`) rounds once per
+//! multiply-add and therefore differs from the oracle at the last ulp; it
+//! is still bitwise deterministic across thread counts and shapes, just a
+//! distinct rounding class.
 
 use crate::scalar::Scalar;
 
@@ -50,9 +47,8 @@ use crate::scalar::Scalar;
 /// sizes its stack accumulator tile from these, so they are compile-time
 /// constants rather than per-kernel queries.
 pub(crate) const MAX_MR: usize = 8;
-/// Hard upper bound on micro-tile columns any kernel may declare
-/// (16 admits the double-width f32 SIMD tiles).
-pub(crate) const MAX_NR: usize = 16;
+/// Hard upper bound on micro-tile columns any kernel may declare.
+pub(crate) const MAX_NR: usize = 8;
 
 /// One register-tile micro-kernel: `acc += A-strip * B-strip` over a
 /// single K-panel, at element type `T`.
@@ -63,8 +59,8 @@ pub(crate) const MAX_NR: usize = 16;
 /// row-major `mr() x nr()` accumulator tile. Every implementation must
 /// accumulate each `acc` element in ascending `kk` — that invariant (plus
 /// the engine never splitting K across threads) is what makes results a
-/// pure function of (kernel, blocking, shape, dtype), independent of
-/// thread count.
+/// pure function of (kernel, blocking, shape), independent of thread
+/// count.
 pub trait MicroKernel<T: Scalar = f64>: Sync {
     /// Stable name used by `PSVD_GEMM_KERNEL`, test matrices and bench
     /// JSON.
@@ -74,12 +70,12 @@ pub trait MicroKernel<T: Scalar = f64>: Sync {
     /// `MC` must be multiples of this).
     fn mr(&self) -> usize;
 
-    /// Micro-tile columns (`<= MAX_NR` = 16).
+    /// Micro-tile columns (`<= MAX_NR` = 8).
     fn nr(&self) -> usize;
 
     /// True when the kernel contracts multiply-add into a single rounding
-    /// (FMA). Non-fused kernels are bitwise identical to the `scalar` oracle
-    /// at the same dtype.
+    /// (FMA). Non-fused kernels are bitwise identical to the `scalar`
+    /// oracle.
     fn fused(&self) -> bool {
         false
     }
@@ -105,10 +101,9 @@ pub trait MicroKernel<T: Scalar = f64>: Sync {
 }
 
 /// The portable reference micro-kernel: a branch-free 4x8 tile whose
-/// fixed-trip loops LLVM unrolls and autovectorizes, implemented for both
-/// dtypes with the identical op sequence. Its per-element op sequence is
-/// exactly the pre-SIMD packed engine's, which makes it the determinism
-/// oracle every other kernel (of the same dtype) is validated against.
+/// fixed-trip loops LLVM unrolls and autovectorizes. Its per-element op
+/// sequence is exactly the pre-SIMD packed engine's, which makes it the
+/// determinism oracle every other kernel is validated against.
 pub(crate) struct ScalarKernel;
 
 /// Micro-tile rows of the scalar oracle.
@@ -182,34 +177,21 @@ pub(crate) fn detect_f64() -> Vec<&'static dyn MicroKernel<f64>> {
     list
 }
 
-/// Detect the f32 kernels this host can run (scalar first, preferred
-/// last). `fma` carries the same `name()` as at f64 but runs an 8-lane
-/// `_ps` tile twice as wide.
-pub(crate) fn detect_f32() -> Vec<&'static dyn MicroKernel<f32>> {
-    #[allow(unused_mut)]
-    let mut list: Vec<&'static dyn MicroKernel<f32>> = vec![&SCALAR];
-    #[cfg(target_arch = "x86_64")]
-    if has_fma() {
-        list.push(&super::x86::FMA_F32);
-    }
-    list
-}
-
-/// Whether the CPU can run the `fma` kernels (they use AVX2 loads and
-/// FMA3 multiply-adds).
+/// Whether the CPU can run the `fma` kernel (it uses AVX2 loads and FMA3
+/// multiply-adds).
 #[cfg(target_arch = "x86_64")]
 fn has_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// Every micro-kernel this process can run at dtype `T`, detection-ordered
+/// Every micro-kernel this process can run, detection-ordered
 /// from portable to preferred (`scalar` first, `fma` last where present).
 /// `scalar` is always present.
 pub fn available<T: Scalar>() -> &'static [&'static dyn MicroKernel<T>] {
     T::gemm_cells().registry.get_or_init(T::detect_kernels).as_slice()
 }
 
-/// Look a kernel up by its stable name, if available on this host at `T`.
+/// Look a kernel up by its stable name, if available on this host.
 pub fn by_name<T: Scalar>(name: &str) -> Option<&'static dyn MicroKernel<T>> {
     available::<T>().iter().copied().find(|k| k.name() == name)
 }
@@ -234,7 +216,7 @@ pub(crate) fn choose<T: Scalar>(over: Option<&str>) -> Result<&'static dyn Micro
     }
 }
 
-/// The process-wide micro-kernel for dtype `T`, resolved once at first
+/// The process-wide micro-kernel, resolved once at first
 /// use from `PSVD_GEMM_KERNEL` or CPU-feature detection (see module docs).
 pub fn selected<T: Scalar>() -> &'static dyn MicroKernel<T> {
     *T::gemm_cells().selected.get_or_init(|| {
@@ -256,7 +238,6 @@ mod tests {
             assert!(by_name::<T>("scalar").is_some());
         }
         probe::<f64>();
-        probe::<f32>();
     }
 
     #[test]
@@ -268,19 +249,6 @@ mod tests {
             }
         }
         probe::<f64>();
-        probe::<f32>();
-    }
-
-    #[test]
-    fn f32_simd_tiles_are_twice_as_wide() {
-        for k64 in available::<f64>() {
-            let k32 = by_name::<f32>(k64.name())
-                .unwrap_or_else(|| panic!("{} missing at f32", k64.name()));
-            assert_eq!(k32.fused(), k64.fused(), "{}: rounding class differs", k64.name());
-            if k64.name() != "scalar" {
-                assert_eq!(k32.nr(), 2 * k64.nr(), "{}: f32 nr must double", k64.name());
-            }
-        }
     }
 
     #[test]
@@ -288,11 +256,9 @@ mod tests {
         let err = choose::<f64>(Some("no-such-kernel")).err().expect("must be rejected");
         assert!(err.contains("no-such-kernel"), "error should name the bad kernel: {err}");
         assert!(err.contains("scalar"), "error should list available kernels: {err}");
-        assert!(choose::<f32>(Some("no-such-kernel")).is_err());
         // The AVX2-only kernel is gone: its name is as unknown as any other.
         let err = choose::<f64>(Some("avx2")).err().expect("avx2 must be rejected");
         assert!(err.contains("not available") && err.contains("available kernels"), "{err}");
-        assert!(choose::<f32>(Some("avx2")).is_err());
     }
 
     #[test]
@@ -313,7 +279,6 @@ mod tests {
             assert_eq!(k.name(), available::<T>().last().unwrap().name());
         }
         probe::<f64>(want);
-        probe::<f32>(want);
     }
 
     #[test]
@@ -351,7 +316,6 @@ mod tests {
             }
         }
         probe::<f64>();
-        probe::<f32>();
     }
 
     #[test]
@@ -397,6 +361,5 @@ mod tests {
             assert!(acc.iter().all(|&v| v == T::from_f64(1.5 * 0.25 * kc as f64)));
         }
         probe::<f64>();
-        probe::<f32>();
     }
 }

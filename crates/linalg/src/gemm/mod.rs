@@ -14,7 +14,7 @@
 //!   scalar oracle everywhere else; override with `PSVD_GEMM_KERNEL`),
 //!   parallelized over row blocks of `C` by the persistent worker pool in
 //!   [`crate::par`]. Cache blocking (`MC`/`KC`/`NC`) is derived from the
-//!   kernel and dtype on every call.
+//!   kernel on every call.
 //! * the packed engine's tall-skinny path — shapes with `m >> n, k` (the
 //!   `Q·U'` of `tall_stream`, `era5_ooc` and `burgers_dist`) skip
 //!   A-packing entirely and stream `op(A)` through the same kernel,
@@ -501,7 +501,7 @@ mod tests {
         for &(m, k, n) in &[(13, 300, 21), (64, 256, 64), (65, 257, 9)] {
             let a = test_mat(m, k, 0.33);
             let b = test_mat(k, n, 0.71);
-            let want = panel_oracle(&a, &b, blocking::default_kc::<f64>());
+            let want = panel_oracle(&a, &b, blocking::DEFAULT_KC);
             for kern in kernels::available::<f64>().iter().filter(|kern| !kern.fused()) {
                 let got = packed::matmul_with(*kern, &a, &b);
                 assert_eq!(got, want, "{} ({m},{k},{n}) moved bits off the oracle", kern.name());
@@ -514,69 +514,12 @@ mod tests {
         let (m, k, n) = (65, 300, 33);
         let a = test_mat(m, k, 0.27);
         let b = test_mat(k, n, 0.81);
-        let want = panel_oracle(&a, &b, blocking::default_kc::<f64>());
+        let want = panel_oracle(&a, &b, blocking::DEFAULT_KC);
         for kern in kernels::available::<f64>().iter().filter(|kern| kern.fused()) {
             let got = packed::matmul_with(*kern, &a, &b);
             let diff = (&got - &want).max_abs();
             assert!(diff < 1e-12, "{} diverged by {diff}", kern.name());
         }
-    }
-
-    /// The same per-element op-order oracle at f32: non-fused f32
-    /// kernels must land on identical bits, panel depth and all.
-    fn panel_oracle_f32(a: &Matrix<f32>, b: &Matrix<f32>, kc: usize) -> Matrix<f32> {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut c = Matrix::<f32>::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut tot = 0.0f32;
-                let mut kb = 0;
-                while kb < k {
-                    let kmax = (kb + kc).min(k);
-                    let mut p = 0.0f32;
-                    for kk in kb..kmax {
-                        p += a[(i, kk)] * b[(kk, j)];
-                    }
-                    tot += p;
-                    kb = kmax;
-                }
-                c[(i, j)] = tot;
-            }
-        }
-        c
-    }
-
-    #[test]
-    fn f32_non_fused_kernels_bitwise_match_panel_oracle() {
-        for &(m, k, n) in &[(13, 600, 21), (65, 513, 9)] {
-            let a = Matrix::<f32>::from_fn(m, k, |i, j| ((i * 31 + j * 17) as f32 * 0.33).sin());
-            let b = Matrix::<f32>::from_fn(k, n, |i, j| ((i * 31 + j * 17) as f32 * 0.71).sin());
-            let want = panel_oracle_f32(&a, &b, blocking::default_kc::<f32>());
-            for kern in kernels::available::<f32>().iter().filter(|kern| !kern.fused()) {
-                let got = packed::matmul_with(*kern, &a, &b);
-                assert_eq!(
-                    got,
-                    want,
-                    "{} f32 ({m},{k},{n}) moved bits off the oracle",
-                    kern.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_matmul_dispatch_matches_reference() {
-        let a = Matrix::<f32>::from_fn(137, 95, |i, j| ((i * 7 + j * 3) as f32 * 0.29).sin());
-        let b = Matrix::<f32>::from_fn(95, 71, |i, j| ((i * 5 + j * 11) as f32 * 0.53).sin());
-        let big = matmul(&a, &b);
-        let small = reference::matmul(&a, &b);
-        let mut worst = 0.0f32;
-        for i in 0..137 {
-            for j in 0..71 {
-                worst = worst.max((big[(i, j)] - small[(i, j)]).abs());
-            }
-        }
-        assert!(worst < 1e-3, "f32 packed vs reference diverged by {worst}");
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! The x86_64 FMA micro-kernels (`std::arch` intrinsics), one per dtype.
+//! The x86_64 FMA micro-kernel (`std::arch` intrinsics).
 //!
-//! * [`FMA`] (f64) — a 6x8 tile of `_mm256_fmadd_pd`: 12 ymm accumulators
-//!   plus the two B vectors and one rotating A broadcast exactly fill the
-//!   16-register budget with nothing spilled (the classic Haswell DGEMM
-//!   shape); the single-rounded fused update doubles peak flops but is a
-//!   distinct rounding class (`fused() == true`), last-ulp different from
-//!   the scalar oracle.
-//! * [`FMA_F32`] — the same tile at f32 with the column dimension doubled
-//!   (6x16): a 256-bit ymm holds 8 single-precision lanes instead of 4, so
-//!   the same 12-accumulator register budget covers twice the tile area
-//!   and twice the flops per cycle.
+//! [`FMA`] is a 6x8 tile of `_mm256_fmadd_pd`: 12 ymm accumulators plus
+//! the two B vectors and one rotating A broadcast exactly fill the
+//! 16-register budget with nothing spilled (the classic Haswell DGEMM
+//! shape); the single-rounded fused update doubles peak flops but is a
+//! distinct rounding class (`fused() == true`), last-ulp different from
+//! the scalar oracle.
 //!
-//! These are the kernels every benchmark workload runs on an x86_64 host
+//! This is the kernel every benchmark workload runs on an x86_64 host
 //! with AVX2 and FMA; a host without both runs the portable `scalar`
 //! kernel.
 //!
-//! Both kernels implement the strided-A entry by broadcasting straight
+//! The kernel implements the strided-A entry by broadcasting straight
 //! from the row-major operand, which is what lets the tall-skinny path
 //! skip A packing without changing a bit: broadcast-from-memory reads the
 //! same values the packed strip would hold, and the flop order is
@@ -23,22 +19,19 @@
 //!
 //! # Safety
 //!
-//! The statics below are only ever handed out by `kernel::available()`
+//! The static below is only ever handed out by `kernel::available()`
 //! after `is_x86_feature_detected!` confirms AVX2 and FMA, so the
 //! `unsafe` trait-method bodies' only obligation is the documented
 //! slice/pointer geometry.
 
 use std::arch::x86_64::{
-    __m256, __m256d, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
-    _mm256_set1_pd, _mm256_set1_ps, _mm256_storeu_pd, _mm256_storeu_ps,
+    __m256d, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_storeu_pd,
 };
 
 use super::kernel::MicroKernel;
 
 /// The 6x8 FMA f64 kernel (fused rounding class).
 pub(crate) static FMA: FmaKernel = FmaKernel;
-/// The 6x16 FMA f32 kernel (fused rounding class).
-pub(crate) static FMA_F32: FmaKernelF32 = FmaKernelF32;
 
 pub(crate) struct FmaKernel;
 
@@ -81,47 +74,6 @@ impl MicroKernel<f64> for FmaKernel {
     }
 }
 
-pub(crate) struct FmaKernelF32;
-
-const FMA_F32_MR: usize = 6;
-const FMA_F32_NR: usize = 16;
-
-impl MicroKernel<f32> for FmaKernelF32 {
-    fn name(&self) -> &'static str {
-        "fma"
-    }
-
-    fn mr(&self) -> usize {
-        FMA_F32_MR
-    }
-
-    fn nr(&self) -> usize {
-        FMA_F32_NR
-    }
-
-    fn fused(&self) -> bool {
-        true
-    }
-
-    fn run(&self, astrip: &[f32], bstrip: &[f32], acc: &mut [f32]) {
-        // SAFETY: only reachable once AVX2+FMA detection has passed.
-        unsafe { fma_6x16(astrip, bstrip, acc) }
-    }
-
-    unsafe fn run_strided(
-        &self,
-        kc: usize,
-        ap: *const f32,
-        ars: usize,
-        bstrip: &[f32],
-        acc: &mut [f32],
-    ) {
-        // SAFETY: feature detection as above; pointer geometry is the
-        // caller's contract.
-        unsafe { fma_6x16_strided(kc, ap, ars, bstrip, acc) }
-    }
-}
-
 /// Load / store helpers for an `ROWS x 8` f64 accumulator tile held as
 /// `[[__m256d; 2]; ROWS]`.
 #[inline]
@@ -140,28 +92,6 @@ unsafe fn store_tile<const ROWS: usize>(c: &[[__m256d; 2]; ROWS], acc: &mut [f64
     for (ir, row) in c.iter().enumerate() {
         _mm256_storeu_pd(acc.as_mut_ptr().add(ir * 8), row[0]);
         _mm256_storeu_pd(acc.as_mut_ptr().add(ir * 8 + 4), row[1]);
-    }
-}
-
-/// Load / store helpers for an `ROWS x 16` f32 accumulator tile held as
-/// `[[__m256; 2]; ROWS]` — same two-vector shape as the f64 tile, twice
-/// the lanes.
-#[inline]
-unsafe fn load_tile_f32<const ROWS: usize>(acc: &[f32]) -> [[__m256; 2]; ROWS] {
-    debug_assert!(acc.len() >= ROWS * 16);
-    let mut c = [[_mm256_set1_ps(0.0); 2]; ROWS];
-    for (ir, row) in c.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_ps(acc.as_ptr().add(ir * 16));
-        row[1] = _mm256_loadu_ps(acc.as_ptr().add(ir * 16 + 8));
-    }
-    c
-}
-
-#[inline]
-unsafe fn store_tile_f32<const ROWS: usize>(c: &[[__m256; 2]; ROWS], acc: &mut [f32]) {
-    for (ir, row) in c.iter().enumerate() {
-        _mm256_storeu_ps(acc.as_mut_ptr().add(ir * 16), row[0]);
-        _mm256_storeu_ps(acc.as_mut_ptr().add(ir * 16 + 8), row[1]);
     }
 }
 
@@ -194,35 +124,4 @@ unsafe fn fma_6x8_strided(kc: usize, ap: *const f64, ars: usize, bstrip: &[f64],
         }
     }
     store_tile(&c, acc);
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_6x16(astrip: &[f32], bstrip: &[f32], acc: &mut [f32]) {
-    let mut c = load_tile_f32::<FMA_F32_MR>(acc);
-    for (avals, bvals) in astrip.chunks_exact(FMA_F32_MR).zip(bstrip.chunks_exact(FMA_F32_NR)) {
-        let b0 = _mm256_loadu_ps(bvals.as_ptr());
-        let b1 = _mm256_loadu_ps(bvals.as_ptr().add(8));
-        for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_ps(avals[ir]);
-            row[0] = _mm256_fmadd_ps(ai, b0, row[0]);
-            row[1] = _mm256_fmadd_ps(ai, b1, row[1]);
-        }
-    }
-    store_tile_f32(&c, acc);
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_6x16_strided(kc: usize, ap: *const f32, ars: usize, bstrip: &[f32], acc: &mut [f32]) {
-    debug_assert!(bstrip.len() >= kc * FMA_F32_NR);
-    let mut c = load_tile_f32::<FMA_F32_MR>(acc);
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bstrip.as_ptr().add(kk * FMA_F32_NR));
-        let b1 = _mm256_loadu_ps(bstrip.as_ptr().add(kk * FMA_F32_NR + 8));
-        for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_ps(*ap.add(ir * ars + kk));
-            row[0] = _mm256_fmadd_ps(ai, b0, row[0]);
-            row[1] = _mm256_fmadd_ps(ai, b1, row[1]);
-        }
-    }
-    store_tile_f32(&c, acc);
 }

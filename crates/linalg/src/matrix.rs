@@ -2,8 +2,7 @@
 //!
 //! This is the workhorse container for the whole workspace. It is deliberately
 //! simple: a `Vec<T>` in row-major order plus the two dimensions, where `T`
-//! is one of the sealed [`Scalar`] dtypes (`f64` by default, so all
-//! pre-generic code and call sites read unchanged). All factorization
+//! is the sealed [`Scalar`] dtype, `f64` (the default). All factorization
 //! kernels in this crate operate on it, and the distributed algorithms in
 //! `psvd-core` ship its row/column blocks between ranks.
 
@@ -23,8 +22,7 @@ pub mod alloc_stats {
     //! measures its transient allocation traffic directly — that is what
     //! `tests/props_views.rs` asserts is zero after warm-up.
     //!
-    //! Byte counts are dtype-aware: an `f32` buffer of `len` elements
-    //! charges half the bytes of an `f64` one.
+    //! Byte counts are `size_of::<T>()` per element.
     //!
     //! The counters are atomics, so they are safe (if noisy) under
     //! concurrent tests; single-threaded measurement is exact.
@@ -410,25 +408,6 @@ impl<T: Scalar> Matrix<T> {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Convert every element to another [`Scalar`] dtype (one rounding
-    /// per element when narrowing `f64 → f32`; exact when widening). This
-    /// is the precision boundary the mixed-precision pipeline crosses —
-    /// see DESIGN.md, "Scalar genericity & mixed precision".
-    pub fn cast<U: Scalar>(&self) -> Matrix<U> {
-        let mut out = Matrix::zeros(0, 0);
-        self.cast_into(&mut out);
-        out
-    }
-
-    /// [`cast`](Matrix::cast) into a caller-owned buffer (allocation-free
-    /// when `out`'s capacity suffices).
-    pub fn cast_into<U: Scalar>(&self, out: &mut Matrix<U>) {
-        out.reshape_for_overwrite(self.rows, self.cols);
-        for (dst, &src) in out.data.iter_mut().zip(&self.data) {
-            *dst = U::from_f64(src.to_f64());
-        }
-    }
-
     /// In-place scale by a scalar.
     pub fn scale_mut(&mut self, s: T) {
         for x in &mut self.data {
@@ -784,32 +763,5 @@ mod tests {
         // did not (pointer stability proves no realloc happened).
         let _ = before;
         assert_eq!(m.shape(), (8, 8));
-    }
-
-    #[test]
-    fn f32_matrix_basic_ops() {
-        let m = Matrix::<f32>::from_fn(3, 3, |i, j| (i * 3 + j) as f32);
-        assert_eq!(m.transpose()[(2, 1)], m[(1, 2)]);
-        assert_eq!(m.max_abs(), 8.0f32);
-        let id = Matrix::<f32>::identity(3);
-        assert_eq!(id.frobenius_norm(), 3.0f32.sqrt());
-    }
-
-    #[test]
-    fn cast_round_trips_and_narrows() {
-        let m = Matrix::from_fn(4, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
-        let narrow: Matrix<f32> = m.cast();
-        assert_eq!(narrow.shape(), m.shape());
-        for (w, n) in m.as_slice().iter().zip(narrow.as_slice()) {
-            assert_eq!(*n, *w as f32, "cast must be a single rounding");
-        }
-        // Widening an f32 matrix is exact.
-        let back: Matrix<f64> = narrow.cast();
-        for (n, b) in narrow.as_slice().iter().zip(back.as_slice()) {
-            assert_eq!(*b, *n as f64);
-        }
-        // Exactly representable values survive the round trip bit-for-bit.
-        let exact = Matrix::from_fn(2, 2, |i, j| (i + 2 * j) as f64);
-        assert_eq!(exact.cast::<f32>().cast::<f64>(), exact);
     }
 }

@@ -35,11 +35,6 @@ pub fn gaussian_matrix<R: rand::Rng>(rows: usize, cols: usize, rng: &mut R) -> M
 /// and shape, the result is bitwise identical, just without the fresh
 /// allocation. This is what lets the workspace-fed randomized range
 /// finder reuse its sketch buffer without changing any output bit.
-///
-/// Generic over the element type: samples are always drawn from the f64
-/// stream and narrowed per element, so an f32 sketch consumes exactly the
-/// RNG state of its f64 counterpart and equals it rounded — the property
-/// the mixed-precision conformance tests pin.
 pub fn fill_gaussian<T: Scalar, R: rand::Rng>(m: &mut Matrix<T>, rng: &mut R) {
     let dist = StandardNormal;
     for x in m.as_mut_slice() {

@@ -13,7 +13,7 @@
 
 use crate::gemm::{matmul, matmul_into, matmul_tn, matmul_tn_into};
 use crate::matrix::Matrix;
-use crate::qr::{qr_thin_into, thin_qr};
+use crate::qr::qr_thin_into;
 use crate::random::fill_gaussian;
 use crate::scalar::Scalar;
 use crate::svd::{svd, Svd};
@@ -112,24 +112,19 @@ pub fn randomized_range_finder_into<T: Scalar, R: rand::Rng>(
     ws.give(rwork);
 }
 
-/// The one randomized-SVD body (Eqs. 9–11): given a range basis `q`
-/// orthonormal at the working dtype, factorize the small projection
-/// `Ã = QᵀA`, lift its left factor `U = Q Ũ` and keep `rank` triplets.
-fn svd_in_range<T: Scalar>(a: &Matrix<T>, q: &Matrix<T>, rank: usize) -> Svd<T> {
-    let small = matmul_tn(q, a); // l x n
-    let f = svd(&small);
-    let u = matmul(q, &f.u);
-    Svd { u, s: f.s, vt: f.vt }.truncated(rank)
-}
-
-/// Randomized truncated SVD of `a`, keeping `cfg.rank` triplets.
+/// Randomized truncated SVD of `a`, keeping `cfg.rank` triplets: the
+/// range basis `Q`, then (Eqs. 9–11) the SVD of the small projection
+/// `Ã = QᵀA`, its left factor lifted to `U = Q Ũ`.
 pub fn randomized_svd<T: Scalar, R: rand::Rng>(
     a: &Matrix<T>,
     cfg: &RandomizedConfig,
     rng: &mut R,
 ) -> Svd<T> {
     let q = randomized_range_finder(a, cfg, rng);
-    svd_in_range(a, &q, cfg.rank)
+    let small = matmul_tn(&q, a); // l x n
+    let f = svd(&small);
+    let u = matmul(&q, &f.u);
+    Svd { u, s: f.s, vt: f.vt }.truncated(cfg.rank)
 }
 
 /// The paper's `low_rank_svd(A, K)` helper: returns `(U_K, s_K)` only — the
@@ -141,26 +136,6 @@ pub fn low_rank_svd<T: Scalar, R: rand::Rng>(
 ) -> (Matrix<T>, Vec<T>) {
     let f = randomized_svd(a, &RandomizedConfig::new(k), rng);
     (f.u, f.s)
-}
-
-/// Mixed-precision randomized SVD: the memory-bound half of the algorithm
-/// — Gaussian sketch, `AΩ` products, power iterations and the range-basis
-/// QR — runs in f32 (half the bytes through the GEMM engine), then the
-/// basis is promoted to the working dtype and re-orthogonalized by a
-/// second thin QR before the shared projection / small-SVD body, which
-/// runs at full precision. The promoted-QR step is what recovers
-/// f64-level orthogonality (`‖QᵀQ − I‖ ~ 1e-15`) from an f32 basis; the
-/// subspace it spans is still the f32 sketch's, so singular values agree
-/// with the f64 oracle to ~`ε_f32 · σ₁` (the conformance suite pins 1e-5
-/// relative).
-pub fn mixed_randomized_svd<T: Scalar, R: rand::Rng>(
-    a: &Matrix<T>,
-    cfg: &RandomizedConfig,
-    rng: &mut R,
-) -> Svd<T> {
-    let q32 = randomized_range_finder(&a.cast::<f32>(), cfg, rng);
-    let q = thin_qr(&q32.cast::<T>()).q;
-    svd_in_range(a, &q, cfg.rank)
 }
 
 #[cfg(test)]
@@ -269,6 +244,5 @@ mod tests {
         let f = randomized_svd(&a, &cfg, &mut rng);
         assert!(f.s.is_empty());
         assert_eq!(f.u.shape(), (10, 0));
-        assert!(mixed_randomized_svd(&a, &cfg, &mut rng).s.is_empty());
     }
 }

@@ -1,25 +1,22 @@
 //! The sealed element-type abstraction behind every dense kernel.
 //!
-//! [`Scalar`] is implemented for exactly `f64` and `f32` (the trait is
-//! sealed — downstream crates can consume the generic APIs but cannot add
-//! element types, which is what lets the GEMM kernel registries and
-//! workspace pools enumerate the dtypes statically).
+//! [`Scalar`] is implemented for exactly one type, `f64` (DESIGN.md, "One
+//! dtype"). The trait is sealed: downstream crates can consume the generic
+//! APIs but cannot add element types.
 //!
-//! Each impl carries:
+//! The impl carries:
 //!
 //! - the IEEE constants the factorization stack needs (`EPSILON`,
-//!   `MIN_POSITIVE`, ∞) at its own precision,
-//! - the per-dtype process-wide GEMM cells (kernel registry, selected
-//!   kernel) — Rust has no generic statics, so each dtype hosts its own
-//!   `OnceLock`s behind trait hooks, and
-//! - the workspace pool hook that lets one [`crate::workspace::Workspace`]
-//!   arena serve both precisions with honest byte-based accounting.
+//!   `MIN_POSITIVE`, ∞),
+//! - the process-wide GEMM cells (kernel registry, selected kernel) —
+//!   Rust has no generic statics, so the dtype hosts its `OnceLock`s
+//!   behind trait hooks, and
+//! - the hook to its free-list in the [`crate::workspace::Workspace`]
+//!   arena.
 //!
-//! Determinism contract per dtype: every numeric method here lowers to the
-//! corresponding `std` float intrinsic on the concrete type, so code
-//! monomorphized at `f64` executes exactly the instruction stream the
-//! pre-generic (f64-only) code did — all f64 results are bitwise
-//! unchanged by this refactor.
+//! Every numeric method lowers to the corresponding `std` float
+//! intrinsic, so code monomorphized at `f64` executes exactly the
+//! instruction stream f64-only code would.
 
 use std::sync::OnceLock;
 
@@ -28,7 +25,6 @@ use crate::gemm::kernel::MicroKernel;
 mod sealed {
     pub trait Sealed {}
     impl Sealed for f64 {}
-    impl Sealed for f32 {}
 }
 
 /// The per-dtype process-wide GEMM resolution state (see module docs).
@@ -52,7 +48,7 @@ impl<T: Scalar> Default for GemmCells<T> {
     }
 }
 
-/// A dense element type: `f64` or `f32`. Sealed.
+/// A dense element type: `f64`. Sealed.
 pub trait Scalar:
     sealed::Sealed
     + Copy
@@ -86,13 +82,13 @@ pub trait Scalar:
     const MIN_POSITIVE: Self;
     /// Positive infinity.
     const INFINITY: Self;
-    /// Stable lowercase dtype label for profiles / bench JSON ("f64", "f32").
+    /// Stable lowercase dtype label for profiles / bench JSON ("f64").
     const NAME: &'static str;
 
-    /// Nearest representable value to `x` (exact for f64; one rounding
-    /// for f32 — used for tolerances and config-derived factors).
+    /// Nearest representable value to `x` (used for tolerances and
+    /// config-derived factors).
     fn from_f64(x: f64) -> Self;
-    /// Widen to f64 (exact for both dtypes).
+    /// Widen to f64.
     fn to_f64(self) -> f64;
 
     /// Append this value's little-endian byte representation to `out`
@@ -123,7 +119,7 @@ pub trait Scalar:
     #[doc(hidden)]
     fn detect_kernels() -> Vec<&'static dyn MicroKernel<Self>>;
 
-    /// This dtype's free-list inside the shared workspace arena.
+    /// This dtype's free-list inside the workspace arena.
     #[doc(hidden)]
     fn workspace_pool(ws: &mut crate::workspace::Workspace) -> &mut Vec<Vec<Self>>;
 }
@@ -210,47 +206,6 @@ impl Scalar for f64 {
     }
 }
 
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const EPSILON: Self = f32::EPSILON;
-    const MIN_POSITIVE: Self = f32::MIN_POSITIVE;
-    const INFINITY: Self = f32::INFINITY;
-    const NAME: &'static str = "f32";
-
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    #[inline(always)]
-    fn put_le_bytes(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    #[inline(always)]
-    fn get_le_bytes(src: &[u8]) -> Self {
-        f32::from_le_bytes(src[..4].try_into().expect("4 bytes for f32"))
-    }
-
-    scalar_common!();
-
-    fn gemm_cells() -> &'static GemmCells<Self> {
-        static CELLS: GemmCells<f32> = GemmCells::new();
-        &CELLS
-    }
-
-    fn detect_kernels() -> Vec<&'static dyn MicroKernel<Self>> {
-        crate::gemm::kernel::detect_f32()
-    }
-
-    fn workspace_pool(ws: &mut crate::workspace::Workspace) -> &mut Vec<Vec<Self>> {
-        ws.pool_f32()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,20 +213,13 @@ mod tests {
     #[test]
     fn constants_match_std() {
         assert_eq!(<f64 as Scalar>::EPSILON, f64::EPSILON);
-        assert_eq!(<f32 as Scalar>::EPSILON, f32::EPSILON);
         assert_eq!(<f64 as Scalar>::MIN_POSITIVE, f64::MIN_POSITIVE);
         assert_eq!(<f64 as Scalar>::NAME, "f64");
-        assert_eq!(<f32 as Scalar>::NAME, "f32");
     }
 
     #[test]
     fn conversions_round_trip() {
         assert_eq!(<f64 as Scalar>::from_f64(1.5).to_f64(), 1.5);
-        assert_eq!(<f32 as Scalar>::from_f64(1.5).to_f64(), 1.5);
-        // f32 narrows: one rounding, then exact widening.
-        let x = 0.1f64;
-        assert_eq!(<f32 as Scalar>::from_f64(x), 0.1f32);
-        assert_eq!(<f32 as Scalar>::from_f64(x).to_f64(), 0.1f32 as f64);
     }
 
     #[test]
@@ -289,7 +237,6 @@ mod tests {
         }
         let vals = [0.0, -0.0, 1.5, -7.25e-3, 1e300, f64::MIN_POSITIVE];
         probe::<f64>(&vals);
-        probe::<f32>(&vals[..4]);
     }
 
     #[test]
@@ -307,6 +254,5 @@ mod tests {
             assert!(!T::INFINITY.is_finite());
         }
         probe::<f64>();
-        probe::<f32>();
     }
 }

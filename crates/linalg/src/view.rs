@@ -304,13 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_views_are_strided_too() {
-        let m = Matrix::<f32>::from_fn(6, 8, |i, j| (i * 100 + j) as f32);
-        assert_eq!(m.block(1, 5, 2, 7).to_matrix(), m.submatrix(1, 5, 2, 7));
-        assert_eq!(m.view().transposed().to_matrix(), m.transpose());
-    }
-
-    #[test]
     #[should_panic(expected = "out of")]
     fn out_of_range_block_panics() {
         let m = sample(3, 3);

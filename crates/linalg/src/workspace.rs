@@ -8,14 +8,8 @@
 //! in `psvd-core` hold one workspace per instance, so a steady-state
 //! update reuses the same few buffers forever.
 //!
-//! One workspace serves **both** [`Scalar`] dtypes: it keeps a separate
-//! free-list per element type (`f64` and `f32` buffers are never
-//! interchangeable — capacities are in elements and the bit patterns
-//! differ), dispatched through [`Scalar::workspace_pool`], while the
-//! counters are shared and **byte-based**. A session that mixes f32
-//! sketch buffers with f64 factor buffers (the mixed-precision pipeline)
-//! therefore reports `fresh_bytes` honestly: an f32 miss charges half
-//! the bytes of an equally-shaped f64 miss.
+//! The free-list is reached through [`Scalar::workspace_pool`], and the
+//! counters are **byte-based** (`size_of::<T>()` per element).
 //!
 //! The per-instance counters ([`Workspace::stats`]) make the reuse
 //! observable: `misses` and `fresh_bytes` stop growing once the pool is
@@ -27,26 +21,23 @@
 use crate::matrix::{alloc_stats, Matrix};
 use crate::scalar::Scalar;
 
-/// Allocation-behavior counters for one [`Workspace`] (shared across
-/// both element-type pools; byte counts are dtype-aware).
+/// Allocation-behavior counters for one [`Workspace`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
-    /// Total `take` calls (any dtype).
+    /// Total `take` calls.
     pub takes: u64,
     /// `take` calls that could not be served from the pool and had to
     /// allocate a fresh buffer.
     pub misses: u64,
     /// Bytes freshly allocated by missing `take`s
-    /// (`elements * size_of::<T>()` for the missing dtype).
+    /// (`elements * size_of::<T>()`).
     pub fresh_bytes: u64,
 }
 
-/// A free-list scratch arena handing out [`Matrix`] buffers for reuse,
-/// with one pool per [`Scalar`] dtype.
+/// A free-list scratch arena handing out [`Matrix`] buffers for reuse.
 #[derive(Default)]
 pub struct Workspace {
     pool_f64: Vec<Vec<f64>>,
-    pool_f32: Vec<Vec<f32>>,
     stats: WorkspaceStats,
 }
 
@@ -62,14 +53,8 @@ impl Workspace {
         &mut self.pool_f64
     }
 
-    /// The `f32` free-list.
-    pub(crate) fn pool_f32(&mut self) -> &mut Vec<Vec<f32>> {
-        &mut self.pool_f32
-    }
-
-    /// Take a `rows x cols` zeroed matrix of dtype `T` (inferred from
-    /// the use site; `f64` everywhere pre-generic code ran), reusing a
-    /// pooled buffer of that dtype when one with enough capacity exists
+    /// Take a `rows x cols` zeroed matrix, reusing a pooled buffer when
+    /// one with enough capacity exists
     /// (best fit: the smallest adequate buffer is chosen,
     /// deterministically).
     pub fn take<T: Scalar>(&mut self, rows: usize, cols: usize) -> Matrix<T> {
@@ -97,7 +82,7 @@ impl Workspace {
         Matrix::from_vec(rows, cols, buf)
     }
 
-    /// Return a matrix's buffer to its dtype's pool for future `take`s.
+    /// Return a matrix's buffer to the pool for future `take`s.
     pub fn give<T: Scalar>(&mut self, m: Matrix<T>) {
         let buf = m.into_vec();
         if buf.capacity() > 0 {
@@ -105,9 +90,9 @@ impl Workspace {
         }
     }
 
-    /// Buffers currently sitting in the pools (both dtypes).
+    /// Buffers currently sitting in the pool.
     pub fn pooled(&self) -> usize {
-        self.pool_f64.len() + self.pool_f32.len()
+        self.pool_f64.len()
     }
 
     /// Allocation counters since construction (or the last
@@ -192,53 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn pools_are_segregated_by_dtype() {
-        // An f32 buffer must never be handed out to an f64 take (and
-        // vice versa), no matter how large its element capacity is.
-        let mut ws = Workspace::new();
-        let wide = ws.take::<f32>(16, 16);
-        ws.give(wide);
-        let d = ws.take::<f64>(2, 2);
-        assert_eq!(ws.stats().misses, 2, "f64 take must not reuse the f32 buffer");
-        ws.give(d);
-        let f = ws.take::<f32>(4, 4);
-        assert_eq!(ws.stats().misses, 2, "f32 take reuses the f32 buffer");
-        ws.give(f);
-    }
-
-    #[test]
     fn fresh_bytes_are_dtype_aware() {
         let mut ws = Workspace::new();
         let a = ws.take::<f64>(8, 8);
-        let b = ws.take::<f32>(8, 8);
         let s = ws.stats();
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.fresh_bytes, 64 * 8 + 64 * 4, "f32 miss charges half the f64 bytes");
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.fresh_bytes, 64 * 8, "a miss charges size_of::<f64>() per element");
         ws.give(a);
-        ws.give(b);
-    }
-
-    #[test]
-    fn mixed_precision_steady_state_has_no_misses() {
-        // Satellite: a session mixing f32 sketch buffers with f64
-        // factor buffers still reaches a zero-miss steady state.
-        let mut ws = Workspace::new();
-        for _ in 0..3 {
-            let sketch = ws.take::<f32>(32, 8);
-            let factor = ws.take::<f64>(32, 8);
-            ws.give(sketch);
-            ws.give(factor);
-        }
-        ws.reset_stats();
-        for _ in 0..10 {
-            let sketch = ws.take::<f32>(32, 8);
-            let factor = ws.take::<f64>(32, 8);
-            ws.give(sketch);
-            ws.give(factor);
-        }
-        let s = ws.stats();
-        assert_eq!(s.takes, 20);
-        assert_eq!(s.misses, 0);
-        assert_eq!(s.fresh_bytes, 0);
     }
 }

@@ -429,15 +429,7 @@ mod tests {
 
     fn spec(rows: usize, ranks: usize, batch: usize) -> SessionSpec {
         SessionSpec::new(2, rows)
-            .with_svd(
-                // F64: these tests pin double-precision bitwise/round-off
-                // contracts whatever PSVD_PRECISION says.
-                SvdConfig::new(2)
-                    .with_r1(4)
-                    .with_r2(4)
-                    .with_precision(psvd_core::Precision::F64)
-                    .with_tree_fanout(0),
-            )
+            .with_svd(SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0))
             .with_ranks(ranks)
             .with_batch(batch)
     }
@@ -604,10 +596,7 @@ mod tests {
         let err = SessionSpec::new(4, 8).with_batch(4).with_ranks(2).try_validated().unwrap_err();
         assert!(err.to_string().contains("K + the batch width (4 + 4)"), "{err}");
         // Twice the rows: every round commits.
-        let sp = SessionSpec::new(4, 16)
-            .with_svd(SvdConfig::new(4).with_precision(psvd_core::Precision::F64))
-            .with_batch(4)
-            .with_ranks(2);
+        let sp = SessionSpec::new(4, 16).with_svd(SvdConfig::new(4)).with_batch(4).with_ranks(2);
         let mut st = SessionState::new(sp);
         for r in rounds_of(&data(16, 16, 2), 4) {
             st.update(&r);

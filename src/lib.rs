@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use psvd_core::{
         batch_truncated_svd, parallel_svd_once, try_merge_tree_svd, MergeTreePlan,
-        ParallelStreamingSvd, PlanError, Precision, SerialStreamingSvd, SvdConfig, TreeMergeInfo,
+        ParallelStreamingSvd, PlanError, SerialStreamingSvd, SvdConfig, TreeMergeInfo,
     };
     pub use psvd_data::{BurgersConfig, Era5Config};
     pub use psvd_linalg::{svd, Matrix, RandomizedConfig, Svd, SvdMethod};

@@ -65,13 +65,7 @@ fn distributed_restart_is_bit_exact() {
 fn distributed_pod_matches_serial_pod() {
     let data = dataset();
     let n_ranks = 4;
-    // Pinned to F64: this asserts the double-precision serial/distributed
-    // equivalence contract regardless of PSVD_PRECISION.
-    let cfg = SvdConfig::new(3)
-        .with_forget_factor(1.0)
-        .with_r1(48)
-        .with_r2(48)
-        .with_precision(Precision::F64);
+    let cfg = SvdConfig::new(3).with_forget_factor(1.0).with_r1(48).with_r2(48);
     let blocks = split_rows(&data, n_ranks);
 
     let serial = pyparsvd::core::pod::pod(&data, 3);

@@ -95,13 +95,7 @@ pub fn batch_oracle(a: &Matrix, k: usize) -> (Matrix, Vec<f64>) {
 
 /// A full-rank (no information discarded) streaming configuration, so the
 /// serial and distributed paths agree to round-off rather than to
-/// truncation error. Pinned to F64: these contracts assert the
-/// double-precision round-off story regardless of `PSVD_PRECISION`
-/// (mixed mode has its own conformance suite in `precision.rs`).
+/// truncation error.
 pub fn exact_config(k: usize, n: usize) -> SvdConfig {
-    SvdConfig::new(k)
-        .with_forget_factor(1.0)
-        .with_r1(n)
-        .with_r2(n)
-        .with_precision(psvd_core::Precision::F64)
+    SvdConfig::new(k).with_forget_factor(1.0).with_r1(n).with_r2(n)
 }

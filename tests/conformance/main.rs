@@ -11,6 +11,5 @@
 mod contracts;
 mod fault_injection;
 mod harness;
-mod precision;
 mod rank_death;
 mod tree;

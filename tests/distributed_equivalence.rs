@@ -16,14 +16,7 @@ fn parallel_matches_serial_across_rank_counts() {
     let data = burgers_data();
     let k = 4;
     let batch = 12;
-    // Pinned to F64: the serial/parallel agreement bound here is a
-    // double-precision round-off contract (mixed mode's looser bound is
-    // covered by the precision conformance suite).
-    let cfg = SvdConfig::new(k)
-        .with_forget_factor(0.95)
-        .with_r1(48)
-        .with_r2(48)
-        .with_precision(Precision::F64);
+    let cfg = SvdConfig::new(k).with_forget_factor(0.95).with_r1(48).with_r2(48);
 
     let mut serial = SerialStreamingSvd::new(cfg);
     serial.fit_batched(&data, batch);
@@ -199,7 +192,6 @@ fn randomized_knobs_reach_the_parallel_driver_and_the_merge_tree() {
                 .with_oversampling(2)
                 .with_power_iterations(q)
                 .with_seed(11)
-                .with_precision(Precision::F64)
                 .with_tree_fanout(fanout);
             let blocks = split_rows(&a, n_ranks);
             let world = World::new(n_ranks);

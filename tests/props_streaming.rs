@@ -9,7 +9,7 @@ use pyparsvd::linalg::gemm::{matmul, matmul_tn};
 use pyparsvd::linalg::norms::orthogonality_error;
 use pyparsvd::linalg::random::{gaussian_matrix, matrix_with_spectrum, seeded_rng};
 use pyparsvd::linalg::validate::{max_principal_angle, spectrum_error};
-use pyparsvd::linalg::{thin_qr, Matrix, Scalar};
+use pyparsvd::linalg::{thin_qr, Matrix};
 use pyparsvd::prelude::*;
 
 /// Random tall snapshot matrices with a controlled decaying spectrum.
@@ -120,24 +120,15 @@ proptest! {
             d.gather_modes(0)
         });
         let modes = out[0].as_ref().unwrap();
-        // Mixed mode ships the gathered blocks over an f32 wire, so the
-        // assembled modes are orthonormal to single precision only.
-        let tol = if cfg.precision == Precision::Mixed { 1e-6 } else { 1e-8 };
-        prop_assert!(orthogonality_error(modes) < tol);
+        prop_assert!(orthogonality_error(modes) < 1e-8);
     }
 }
 
 /// One full-stack update from a driver's state, the projection's oracle:
 /// thin-QR `[ff·U·diag(s) | A]`, SVD its `R`, keep `K` columns of `Q·U'`.
 /// Returns those modes and the stack's whole spectrum.
-fn full_stack_update<T: Scalar>(
-    u: &Matrix<T>,
-    s: &[T],
-    a: &Matrix<T>,
-    ff: f64,
-    k: usize,
-) -> (Matrix<T>, Vec<T>) {
-    let weighted: Vec<T> = s.iter().map(|&x| x * T::from_f64(ff)).collect();
+fn full_stack_update(u: &Matrix, s: &[f64], a: &Matrix, ff: f64, k: usize) -> (Matrix, Vec<f64>) {
+    let weighted: Vec<f64> = s.iter().map(|&x| x * ff).collect();
     let f = thin_qr(&u.mul_diag(&weighted).hstack(a));
     let g = svd(&f.r);
     (matmul(&f.q, &g.u.first_columns(k.min(g.s.len()))), g.s)
@@ -146,8 +137,8 @@ fn full_stack_update<T: Scalar>(
 /// `‖V − U·UᵀV‖_F`, an upper bound on the sine of the largest principal
 /// angle from span(V) to span(U). Unlike an arccosine it resolves angles
 /// down to round-off.
-fn subspace_sin<T: Scalar>(u: &Matrix<T>, v: &Matrix<T>) -> f64 {
-    (v - &matmul(u, &matmul_tn(u, v))).frobenius_norm().to_f64()
+fn subspace_sin(u: &Matrix, v: &Matrix) -> f64 {
+    (v - &matmul(u, &matmul_tn(u, v))).frobenius_norm()
 }
 
 /// Agreement demanded of one projected update against the full stack,
@@ -162,9 +153,9 @@ struct Tol {
 /// oracle run from its previous state: every kept σ (a value either side
 /// lacks counts as a zero), and the subspace of the leading
 /// modes wherever the stack's spectrum separates them from the rest.
-fn step_against_full_stack<T: Scalar>(
-    d: &mut SerialStreamingSvd<T>,
-    a: &Matrix<T>,
+fn step_against_full_stack(
+    d: &mut SerialStreamingSvd,
+    a: &Matrix,
     tol: Tol,
 ) -> Result<(), TestCaseError> {
     let (ff, k) = (d.config().forget_factor, d.config().k);
@@ -173,11 +164,11 @@ fn step_against_full_stack<T: Scalar>(
     d.incorporate_data(a);
     prop_assert_eq!(d.full_stack_updates(), full_before, "orthonormal modes must project");
     let (u, s) = (d.modes(), d.singular_values());
-    let s1 = s_ref[0].to_f64().max(f64::MIN_POSITIVE);
+    let s1 = s_ref[0].max(f64::MIN_POSITIVE);
     prop_assert!(s.len() <= k);
     for (j, want) in s_ref.iter().take(k).enumerate() {
-        let got = s.get(j).map_or(0.0, |v| v.to_f64());
-        let err = (got - want.to_f64()).abs() / s1;
+        let got = s.get(j).copied().unwrap_or(0.0);
+        let err = (got - want).abs() / s1;
         prop_assert!(
             err <= tol.sigma,
             "sigma_{} {} vs full stack {} (rel {:.2e})",
@@ -187,20 +178,20 @@ fn step_against_full_stack<T: Scalar>(
             err
         );
     }
-    let gap = |j: usize| s_ref[j - 1].to_f64() - s_ref.get(j).map_or(0.0, |v| v.to_f64());
-    let separated = |j: &usize| s_ref[j - 1].to_f64() > 1e-6 * s1 && gap(*j) > 1e-3 * s1;
+    let gap = |j: usize| s_ref[j - 1] - s_ref.get(j).copied().unwrap_or(0.0);
+    let separated = |j: &usize| s_ref[j - 1] > 1e-6 * s1 && gap(*j) > 1e-3 * s1;
     if let Some(j) = (1..=s.len()).rev().find(separated) {
         let sin = subspace_sin(&u_ref.first_columns(j), &u.first_columns(j));
         prop_assert!(sin <= tol.angle, "leading {} modes off the full stack by {:.2e}", j, sin);
     }
-    prop_assert!(d.ortho_drift() <= ortho_gate::<T>(d.config().precision));
+    prop_assert!(d.ortho_drift() <= ortho_gate::<f64>());
     Ok(())
 }
 
-/// Stream the adversarial batches through the projection update at dtype
-/// `T`, checking every update against the full stack: `b` columns per
-/// batch, so `K` fills only after a few batches when `b < K`.
-fn projection_tracks_full_stack<T: Scalar>(
+/// Stream the adversarial batches through the projection update,
+/// checking every update against the full stack: `b` columns per batch,
+/// so `K` fills only after a few batches when `b < K`.
+fn projection_tracks_full_stack(
     m: usize,
     k: usize,
     b: usize,
@@ -209,19 +200,19 @@ fn projection_tracks_full_stack<T: Scalar>(
     tol: Tol,
 ) -> Result<(), TestCaseError> {
     let spec: Vec<f64> = (0..4 * b).map(|i| 5.0 * 0.6f64.powi(i as i32)).collect();
-    let data = matrix_with_spectrum(m, 4 * b, &spec, &mut seeded_rng(seed)).cast::<T>();
+    let data = matrix_with_spectrum(m, 4 * b, &spec, &mut seeded_rng(seed));
     let batch = |i: usize| data.submatrix(0, m, i * b, (i + 1) * b);
-    let cfg = SvdConfig::new(k).with_forget_factor(ff).with_precision(Precision::F64);
-    let mut d = SerialStreamingSvd::<T>::new(cfg);
+    let cfg = SvdConfig::new(k).with_forget_factor(ff);
+    let mut d = SerialStreamingSvd::new(cfg);
     d.initialize(&batch(0));
     step_against_full_stack(&mut d, &batch(1), tol)?;
     // A batch inside span(U): its residual is round-off.
-    let coef = gaussian_matrix(d.modes().cols(), b, &mut seeded_rng(seed + 1)).cast::<T>();
+    let coef = gaussian_matrix(d.modes().cols(), b, &mut seeded_rng(seed + 1));
     let inside = matmul(d.modes(), &coef);
     step_against_full_stack(&mut d, &inside, tol)?;
     // A near-duplicate of the last fresh batch: a residual at 1e-8.
-    let noise = gaussian_matrix(m, b, &mut seeded_rng(seed + 2)).cast::<T>();
-    let near = &batch(1) + &noise.map(|x| x * T::from_f64(1e-8));
+    let noise = gaussian_matrix(m, b, &mut seeded_rng(seed + 2));
+    let near = &batch(1) + &noise.map(|x| x * 1e-8);
     step_against_full_stack(&mut d, &near, tol)?;
     // Its first column inside span(U), the rest fresh: a residual whose
     // leading column is zero, so unpivoted QR is not rank-revealing.
@@ -244,19 +235,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let ff = if ff_one { 1.0 } else { 0.95 };
-        projection_tracks_full_stack::<f64>(m, k, b, ff, seed, Tol { sigma: 1e-10, angle: 1e-8 })?;
-    }
-
-    #[test]
-    fn projection_matches_the_full_stack_at_f32(
-        m in 30usize..60,
-        k in 2usize..7,
-        b in 2usize..6,
-        ff_one in any::<bool>(),
-        seed in 0u64..10_000,
-    ) {
-        let ff = if ff_one { 1.0 } else { 0.95 };
-        projection_tracks_full_stack::<f32>(m, k, b, ff, seed, Tol { sigma: 1e-5, angle: 1e-4 })?;
+        projection_tracks_full_stack(m, k, b, ff, seed, Tol { sigma: 1e-10, angle: 1e-8 })?;
     }
 }
 
@@ -271,8 +250,8 @@ fn projection_drift_never_reaches_the_gate() {
     let planted = matrix_with_spectrum(m, 32, &spec, &mut seeded_rng(11));
     for ff in [0.95, 1.0] {
         let mut rng = seeded_rng(12);
-        let cfg = SvdConfig::new(k).with_forget_factor(ff).with_precision(Precision::F64);
-        let gate = ortho_gate::<f64>(cfg.precision);
+        let cfg = SvdConfig::new(k).with_forget_factor(ff);
+        let gate = ortho_gate::<f64>();
         let mut d = SerialStreamingSvd::new(cfg);
         let mut last = &matmul(&planted, &gaussian_matrix(32, b, &mut rng))
             + &gaussian_matrix(m, b, &mut rng).map(|x| 1e-3 * x);

@@ -57,15 +57,10 @@ fn every_flat_spelling_is_the_same_depth_1_exchange() {
     // A cleared knob and any fanout >= world resolve to the flat plan:
     // bit-identical results and the depth-1 diagnostics on every rank
     // (`driver_round` checks cross-rank agreement), whatever the
-    // precision policy or inner-SVD flavour.
+    // inner-SVD flavour.
     let a = graded(90, 12, 41);
-    let f64_base =
-        SvdConfig::new(3).with_r1(6).with_r2(6).with_precision(Precision::F64).with_tree_fanout(0);
-    for base in [
-        f64_base,
-        f64_base.with_precision(Precision::Mixed),
-        f64_base.with_low_rank(true).with_seed(7),
-    ] {
+    let dense = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0);
+    for base in [dense, dense.with_low_rank(true).with_seed(7)] {
         for n_ranks in WORLDS {
             let (modes, sigma, info) = driver_round(&a, n_ranks, base);
             assert_eq!(info.fanouts, vec![n_ranks], "{n_ranks} ranks: one level, whole world");
@@ -112,8 +107,7 @@ fn a_depth_1_round_is_two_collective_rounds() {
 #[test]
 fn fanout_sweep_stays_within_tracked_bound() {
     let a = graded(90, 12, 42);
-    let base =
-        SvdConfig::new(3).with_r1(6).with_r2(6).with_precision(Precision::F64).with_tree_fanout(0);
+    let base = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0);
     for n_ranks in WORLDS {
         let (flat_modes, flat_sigma, _) = driver_round(&a, n_ranks, base);
         for fanout in FANOUTS {
@@ -142,8 +136,7 @@ fn fanout_sweep_stays_within_tracked_bound() {
 #[test]
 fn depth_sweep_stays_within_tracked_bound() {
     let a = graded(90, 12, 43);
-    let base =
-        SvdConfig::new(3).with_r1(6).with_r2(6).with_precision(Precision::F64).with_tree_fanout(0);
+    let base = SvdConfig::new(3).with_r1(6).with_r2(6).with_tree_fanout(0);
     for n_ranks in WORLDS {
         let (flat_modes, flat_sigma, _) = driver_round(&a, n_ranks, base);
         for depth in DEPTHS {
@@ -178,11 +171,7 @@ fn truncation_bound_dominates_on_graded_and_clustered_spectra() {
     for (which, gen) in shapes.iter().enumerate() {
         for seed in [7u64, 19, 31] {
             let a = gen(96, 16, seed);
-            let cfg = SvdConfig::new(3)
-                .with_r1(4)
-                .with_r2(4)
-                .with_precision(Precision::F64)
-                .with_tree_fanout(0);
+            let cfg = SvdConfig::new(3).with_r1(4).with_r2(4).with_tree_fanout(0);
             for n_ranks in [5usize, 8, 9] {
                 let (_, flat_sigma, _) = driver_round(&a, n_ranks, cfg);
                 for fanout in [2usize, 3] {
@@ -216,7 +205,6 @@ fn randomized_tree_path_tracks_leading_sigma() {
         .with_low_rank(true)
         .with_power_iterations(2)
         .with_seed(5)
-        .with_precision(Precision::F64)
         .with_tree_fanout(3);
     let (_, sigma, info) = driver_round(&a, 9, cfg);
     assert_eq!(info.depth(), 2, "9 ranks at fanout 3");
@@ -235,11 +223,7 @@ fn randomized_tree_path_tracks_leading_sigma() {
 fn timed_run(world_size: usize, plan: &MergeTreePlan) -> (f64, u64, Vec<f64>, f64) {
     const ROWS: usize = 16;
     const RATE: f64 = 25e9;
-    let cfg = SvdConfig::new(4)
-        .with_r1(4)
-        .with_r2(4)
-        .with_forget_factor(1.0)
-        .with_precision(Precision::F64);
+    let cfg = SvdConfig::new(4).with_r1(4).with_r2(4).with_forget_factor(1.0);
     let world = World::with_model(world_size, NetworkModel::theta_aries());
     let (out, clocks) = world.run_with_clocks(|comm| {
         let a = Matrix::from_fn(ROWS, 24, |i, j| {
