@@ -136,11 +136,19 @@ mod tests {
     use crate::serial::SerialStreamingSvd;
     use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
 
+    fn config() -> SvdConfig {
+        SvdConfig::new(5).with_forget_factor(0.95)
+    }
+
     fn tracker_after(n_batches: usize) -> (SerialStreamingSvd, Matrix) {
+        stream(config(), n_batches)
+    }
+
+    fn stream(cfg: SvdConfig, n_batches: usize) -> (SerialStreamingSvd, Matrix) {
         let mut rng = seeded_rng(11);
         let spec: Vec<f64> = (0..12).map(|i| 4.0 * 0.7f64.powi(i)).collect();
         let data = matrix_with_spectrum(60, 48, &spec, &mut rng);
-        let mut s = SerialStreamingSvd::new(SvdConfig::new(5).with_forget_factor(0.95));
+        let mut s = SerialStreamingSvd::new(cfg);
         for b in 0..n_batches {
             let chunk = data.submatrix(0, 60, b * 8, (b + 1) * 8);
             if s.is_initialized() {
@@ -176,18 +184,19 @@ mod tests {
     #[test]
     fn resume_is_bit_exact() {
         // Run 6 batches straight vs 3 batches + checkpoint + restore + 3:
-        // final states must be identical.
-        let (straight, data) = tracker_after(6);
-        let (half, _) = tracker_after(3);
-        let cfg = *half.config();
-        let mut resumed = SerialStreamingSvd::restore(cfg, half.checkpoint());
-        for b in 3..6 {
-            resumed.incorporate_data(&data.submatrix(0, 60, b * 8, (b + 1) * 8));
+        // final states must be identical, the randomized path's included.
+        for cfg in [config(), config().with_low_rank(true).with_power_iterations(2)] {
+            let (straight, data) = stream(cfg, 6);
+            let (half, _) = stream(cfg, 3);
+            let mut resumed = SerialStreamingSvd::restore(cfg, half.checkpoint());
+            for b in 3..6 {
+                resumed.incorporate_data(&data.submatrix(0, 60, b * 8, (b + 1) * 8));
+            }
+            assert_eq!(straight.modes(), resumed.modes(), "low_rank {}", cfg.low_rank);
+            assert_eq!(straight.singular_values(), resumed.singular_values());
+            assert_eq!(straight.iteration(), resumed.iteration());
+            assert_eq!(straight.snapshots_seen(), resumed.snapshots_seen());
         }
-        assert_eq!(straight.modes(), resumed.modes());
-        assert_eq!(straight.singular_values(), resumed.singular_values());
-        assert_eq!(straight.iteration(), resumed.iteration());
-        assert_eq!(straight.snapshots_seen(), resumed.snapshots_seen());
     }
 
     #[test]

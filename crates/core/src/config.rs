@@ -3,6 +3,7 @@
 use psvd_linalg::randomized::randomized_svd;
 use psvd_linalg::{svd, Matrix, Scalar, Svd};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Why an [`SvdConfig`] cannot drive a factorization.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -51,13 +52,16 @@ pub struct SvdConfig {
     /// APMOS global truncation: columns of `X`/`Λ` broadcast back.
     pub r2: usize,
     /// Use the randomized low-rank SVD for every inner factorization
-    /// (serial update, TSQR root, APMOS root and merge-tree nodes).
+    /// (serial update, TSQR's final `R`, the projection core, the APMOS
+    /// root and merge-tree nodes).
     pub low_rank: bool,
     /// Oversampling for the randomized path (every driver honours it).
     pub oversampling: usize,
     /// Power iterations for the randomized path (every driver honours it).
     pub power_iterations: usize,
-    /// Seed for the randomized path (advanced deterministically per call).
+    /// Seed for the randomized path. A stream's first batch draws from it
+    /// and each later step from a pure function of it and the step's
+    /// ordinal; a merge-tree node draws from it plus its stack's width.
     pub seed: u64,
     /// Merge-tree fanout: children per interior merge node in the
     /// hierarchical APMOS exchange. `None` keeps the flat rank-0 gather;
@@ -161,19 +165,16 @@ impl SvdConfig {
         }
     }
 
-    /// The one inner SVD of a small factor — the serial update's `R`, the
-    /// TSQR root's `R`, the APMOS root stack and every merge-tree node all
-    /// come here. Dense ([`svd()`], all triplets) unless `low_rank`, in
-    /// which case the randomized SVD keeps `rank` triplets under this
-    /// configuration's `oversampling` / `power_iterations`.
-    pub(crate) fn inner_svd<T: Scalar>(
-        &self,
-        a: &Matrix<T>,
-        rank: usize,
-        rng: &mut StdRng,
-    ) -> Svd<T> {
+    /// The one inner SVD of a small factor — the serial update's `R`,
+    /// TSQR's final `R`, the projection core, the APMOS root stack and
+    /// every merge-tree node all come here. Dense ([`svd()`], all
+    /// triplets) unless `low_rank`, in which case the randomized SVD keeps
+    /// `rank` triplets under this configuration's `oversampling` /
+    /// `power_iterations`, its sketch drawn from a generator seeded with
+    /// `seed`, built here and nowhere else.
+    pub(crate) fn inner_svd<T: Scalar>(&self, a: &Matrix<T>, rank: usize, seed: u64) -> Svd<T> {
         if self.low_rank {
-            randomized_svd(a, &self.randomized(rank), rng)
+            randomized_svd(a, &self.randomized(rank), &mut StdRng::seed_from_u64(seed))
         } else {
             svd(a)
         }

@@ -52,8 +52,6 @@ use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::snapshots::generate_right_vectors;
 use psvd_linalg::workspace::Workspace;
 use psvd_linalg::{Matrix, Scalar, Svd};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::config::SvdConfig;
 use crate::update::{factor_truncate, Ctx, LocalQr};
@@ -338,13 +336,13 @@ fn interior_factorize<T: Scalar>(
     q: &mut Matrix<T>,
     qr: &mut LocalQr<T>,
 ) -> (Matrix<T>, Vec<T>) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(stack.cols() as u64));
+    let seed = cfg.seed.wrapping_add(stack.cols() as u64);
     if stack.rows() < stack.cols() {
-        let f = cfg.inner_svd(stack, keep, &mut rng);
+        let f = cfg.inner_svd(stack, keep, seed);
         return (f.u, f.s);
     }
     let mut x = Matrix::zeros(0, 0);
-    let mut ctx = Ctx { cfg, rng: &mut rng, ws };
+    let mut ctx = Ctx { cfg, seed, ws };
     let Ok(s) = factor_truncate(qr, &mut ctx, stack, keep, usize::MAX, q, &mut x);
     (x, s)
 }
@@ -407,8 +405,8 @@ fn stack_group<T: Scalar>(group: Vec<Part<T>>) -> (Matrix<T>, Vec<f64>, u64) {
 /// the root's `(X̃, Λ̃)` and the diagnostics come back down in one
 /// broadcast — two collective rounds at any depth.
 ///
-/// `rng` feeds the root's randomized factorization (the streaming
-/// driver passes its instance RNG); `ws` backs the interior merges' QR
+/// `seed` seeds the root's randomized factorization (the streaming
+/// driver passes its step's seed); `ws` backs the interior merges' QR
 /// scratch; `compute_rate` (flop/s), when set, charges modeled local
 /// compute to the communicator's simulated clock so weak-scaling sweeps
 /// see compute and communication on one axis.
@@ -418,7 +416,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     cfg: SvdConfig,
     a_local: &Matrix<T>,
     plan: &MergeTreePlan,
-    rng: &mut StdRng,
+    seed: u64,
     ws: &mut Workspace,
     compute_rate: Option<f64>,
     phi: &mut Matrix<T>,
@@ -469,7 +467,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         if let Some(rate) = compute_rate {
             charge_factorize(comm, &cfg, w.rows(), w.cols(), r2, rate);
         }
-        let Svd { u: x, s, .. } = cfg.inner_svd(&w, r2, rng);
+        let Svd { u: x, s, .. } = cfg.inner_svd(&w, r2, seed);
         let kept = r2.min(s.len());
         let tail = tail_energy(&w, &s, kept);
         (x.first_columns(r2), s[..kept].to_vec(), (bounds, tail, merges))
@@ -491,7 +489,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     Ok((s[..k].to_vec(), info))
 }
 
-/// One-shot merge-tree SVD with a fresh RNG/workspace (the convenience
+/// One-shot merge-tree SVD from `cfg.seed` and a fresh workspace (the convenience
 /// entry point mirroring [`crate::parallel::parallel_svd_once`]).
 /// `compute_rate`, when `Some(flop/s)`, charges modeled local compute to
 /// the simulated clock, as `fig1c_weak_scaling` and the simulated-time
@@ -503,7 +501,6 @@ pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
     plan: &MergeTreePlan,
     compute_rate: Option<f64>,
 ) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), CommError> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ws = Workspace::new();
     let mut phi = Matrix::zeros(0, 0);
     let (s, info) = try_merge_tree_svd_into(
@@ -511,7 +508,7 @@ pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
         cfg,
         a_local,
         plan,
-        &mut rng,
+        cfg.seed,
         &mut ws,
         compute_rate,
         &mut phi,

@@ -11,15 +11,20 @@
 //!   configuration and the world size (depth 1, the default, *is* the
 //!   paper's Listing 3);
 //! - the projection's sums go through an allreduce (gather at rank 0,
-//!   broadcast back): `UᵀU` with `UᵀA`, `UᵀH` with `HᵀH`, and `UᵀJ₁` with
-//!   `J₁ᵀJ₁`, the last two pairs being CholeskyQR2's Grams of the `Mᵢ x B`
-//!   residual;
+//!   broadcast back): `Uᵀ[U | A]`, `[U | H]ᵀH` and `[U | J₁]ᵀJ₁`, the last
+//!   two carrying CholeskyQR2's Grams of the `Mᵢ x B` residual;
 //! - TSQR (Benson et al., Listing 4) factors the whole `[ff·U·D | A]`
 //!   stack when the modes measure as not orthonormal, and a residual whose
 //!   Grams refuse CholeskyQR2: local thin QR, R-blocks stacked and
 //!   re-factorized at rank 0, each rank's block of the global Q handed
-//!   back down the same tree in the same collective round, plus the SVD
-//!   of the final `R`.
+//!   back down the same tree in the same collective round together with
+//!   the final `R`.
+//!
+//! After the last collective of an update every rank holds the same small
+//! factors, so every rank forms the small core and takes its SVD itself:
+//! the paper's broadcast of the root's factors is not needed, and a
+//! randomized inner SVD draws the same sketch everywhere, because its seed
+//! is a function of the configured seed and the step's ordinal alone.
 //!
 //! Every gather and broadcast (and the mode gathers) walks the plan — up
 //! with `MergeTreePlan::try_reduce`, down with `try_fan_out` — so a flat
@@ -101,8 +106,8 @@ impl From<CommError> for IngestError {
 /// As in the serial driver every `O(Mᵢ)` per-batch temporary is reused
 /// across updates; after warm-up a round's only allocations are the small
 /// `O(n²)` factors whose ownership moves through the communicator
-/// (gathered `R` blocks, handed-back `Q` blocks, broadcast SVD factors),
-/// accounted by the communicator's traffic statistics.
+/// (gathered `R` blocks, handed-back `Q` blocks and the final `R`, summed
+/// Grams), accounted by the communicator's traffic statistics.
 ///
 /// Generic over the element dtype `T`, which is `f64` (DESIGN.md, "One
 /// dtype").
@@ -120,7 +125,8 @@ struct WorldLink<'a, C: Communicator, T: Scalar> {
     plan: MergeTreePlan,
     /// Persistent local thin-QR `Q` factor (TSQR step 1).
     local_q: Matrix<T>,
-    /// Persistent `Q`/`R` factors of the stacked-R re-QR (root only).
+    /// Persistent `Q`/`R` factors of the stacked-R re-QR: rank 0 factors
+    /// into both, and every rank keeps the final `R` TSQR hands it.
     gq: Matrix<T>,
     gr: Matrix<T>,
     /// Diagnostics of the latest APMOS round (`None` before the first).
@@ -133,28 +139,26 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
     /// One allreduce over the plan: gathered at rank 0, summed there in
     /// rank order (so a flat and a tree plan give the same bits) and
     /// broadcast back.
-    fn sum(&mut self, a: Matrix<T>, b: Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), CommError> {
+    fn sum(&mut self, a: Matrix<T>) -> Result<Matrix<T>, CommError> {
         let (comm, plan) = (self.comm, &self.plan);
-        let total = plan.try_gather(comm, comm.next_collective_tag(), (a, b))?.map(|parts| {
+        let total = plan.try_gather(comm, comm.next_collective_tag(), a)?.map(|parts| {
             let mut parts = parts.into_iter();
-            let (mut a_sum, mut b_sum) = parts.next().expect("the root's own part");
-            for (a, b) in parts {
-                for (acc, v) in [(&mut a_sum, a), (&mut b_sum, b)] {
-                    for (s, &y) in acc.as_mut_slice().iter_mut().zip(v.as_slice()) {
-                        *s += y;
-                    }
+            let mut sum = parts.next().expect("the root's own part");
+            for part in parts {
+                for (s, &y) in sum.as_mut_slice().iter_mut().zip(part.as_slice()) {
+                    *s += y;
                 }
             }
-            (a_sum, b_sum)
+            sum
         });
         plan.try_bcast(comm, comm.next_collective_tag(), total)
     }
 
     /// TSQR (Listing 4) in one collective round: the `R` factors go up
-    /// the plan and each rank's block of the stacked `Q` comes back down
-    /// on the same tag. Local `Q`, the root's stacked-R re-QR factors and
-    /// the QR scratch persist (an errored round leaves the instance
-    /// reusable). Both QR stages are `qr_thin_into`, whose
+    /// the plan and each rank's block of the stacked `Q`, with the final
+    /// `R`, comes back down on the same tag. Local `Q`, the stacked-R
+    /// re-QR factors and the QR scratch persist (an errored round leaves
+    /// the instance reusable). Both QR stages are `qr_thin_into`, whose
     /// panel width is a function of shape alone: `min(rows, cols)` below
     /// 48 runs the unblocked path, below 128 compact-WY panels of 16,
     /// otherwise panels of 32 (DESIGN.md, "Panel width"). So the `pn x n`
@@ -164,7 +168,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         ctx: &mut Ctx<'_>,
         a_local: &Matrix<T>,
         qlocal: &mut Matrix<T>,
-    ) -> Result<Option<&Matrix<T>>, CommError> {
+    ) -> Result<&Matrix<T>, CommError> {
         let (comm, plan) = (self.comm, &self.plan);
         let n = a_local.cols();
         assert!(
@@ -180,39 +184,23 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         qr_thin_into(a_local.view(), &mut self.local_q, &mut local_r, ctx.ws);
 
         // Gather the R factors, stack (reusing their storage), and
-        // re-factorize at rank 0; the stacked Q then travels down, each
-        // leader handing on the n-row blocks of its members' subtrees.
+        // re-factorize at rank 0; the stacked Q and the final R then travel
+        // down, each leader handing on the n-row blocks of its members'
+        // subtrees and a copy of R.
         let tag = comm.next_collective_tag();
         let stacked = plan.try_gather(comm, tag, local_r)?.map(|parts| {
             qr_thin_into(Matrix::vstack_owned(parts).view(), &mut self.gq, &mut self.gr, ctx.ws);
-            std::mem::replace(&mut self.gq, Matrix::zeros(0, 0))
+            let take = |m: &mut Matrix<T>| std::mem::replace(m, Matrix::zeros(0, 0));
+            (take(&mut self.gq), take(&mut self.gr))
         });
-        let root = stacked.is_some();
-        let q = plan.try_fan_out(comm, tag, stacked, |q, ranks| {
-            q.block(ranks.start * n, ranks.end * n, 0, q.cols()).to_matrix()
+        let (q, r) = plan.try_fan_out(comm, tag, stacked, |(q, r), ranks| {
+            (q.block(ranks.start * n, ranks.end * n, 0, q.cols()).to_matrix(), r.clone())
         })?;
         // This rank's block leads what it holds: rank 0 holds the whole
         // stacked Q, consumed as a view and kept as scratch.
         matmul_into(self.local_q.view(), q.block(0, n, 0, n), qlocal);
-        if root {
-            self.gq = q;
-            Ok(Some(&self.gr))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Rank 0, where every walk up the plan lands.
-    fn is_root(&self) -> bool {
-        self.comm.rank() == 0
-    }
-
-    /// The root's small factors, broadcast down the plan.
-    fn bcast(
-        &mut self,
-        factors: Option<(Matrix<T>, Vec<T>)>,
-    ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        self.plan.try_bcast(self.comm, self.comm.next_collective_tag(), factors)
+        (self.gq, self.gr) = (q, r);
+        Ok(&self.gr)
     }
 
     /// One APMOS round (Listing 3) over the resolved merge-tree plan.
@@ -224,7 +212,7 @@ impl<C: Communicator, T: Scalar + Payload> TallQr<T> for WorldLink<'_, C, T> {
         phi: &mut Matrix<T>,
     ) -> Result<Vec<T>, CommError> {
         let (s, info) = try_merge_tree_svd_into(
-            self.comm, *ctx.cfg, a_local, &self.plan, ctx.rng, ctx.ws, None, phi,
+            self.comm, *ctx.cfg, a_local, &self.plan, ctx.seed, ctx.ws, None, phi,
         )?;
         self.tree_info = Some(info);
         Ok(s)
@@ -294,9 +282,9 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
 
     /// Ingest a further local batch — Listing 2's `incorporate_data`:
     /// project the modes out of it, factor the residual (CholeskyQR2 over
-    /// two Gram allreduces, TSQR when they refuse), SVD the small core,
-    /// truncate to `K` (the full `ff·U·D` stack when the modes measure as
-    /// not orthonormal).
+    /// two Gram allreduces, TSQR when they refuse), SVD the small core on
+    /// every rank, truncate to `K` (the full `ff·U·D` stack when the modes
+    /// measure as not orthonormal).
     pub fn incorporate_data(&mut self, a_local: &Matrix<T>) -> &mut Self {
         self.try_incorporate_data(a_local)
             .unwrap_or_else(|e| panic!("incorporate_data failed: {e}"))
@@ -764,10 +752,14 @@ mod tests {
     /// The adversarial stream on 3 ranks under `fanout`: σ bitwise-equal
     /// across ranks and within 1e-10 of the serial run (relative to σ₁)
     /// after every step, and every rank counting the same fallbacks.
-    fn gate_agrees_across_ranks(ff: f64, fanout: usize) {
+    fn gate_agrees_across_ranks(ff: f64, fanout: usize, low_rank: bool) {
         let (m, b) = (48, 4);
-        let cfg =
-            SvdConfig::new(4).with_forget_factor(ff).with_r1(b).with_r2(b).with_tree_fanout(fanout);
+        let cfg = SvdConfig::new(4)
+            .with_forget_factor(ff)
+            .with_r1(b)
+            .with_r2(b)
+            .with_tree_fanout(fanout)
+            .with_low_rank(low_rank);
         let (batches, serial) = adversarial_stream(cfg, m, b, 5);
         let blocks: Vec<Vec<Matrix>> = batches.iter().map(|a| split_rows(a, 3)).collect();
         let out = World::new(3).run(|comm| {
@@ -784,8 +776,9 @@ mod tests {
             }
             steps
         });
+        let case = format!("ff {ff}, fanout {fanout}, low_rank {low_rank}");
         for (r, steps) in out.iter().enumerate() {
-            assert_eq!(steps, &out[0], "rank {r} disagrees with rank 0 (ff {ff}, fanout {fanout})");
+            assert_eq!(steps, &out[0], "rank {r} disagrees with rank 0 ({case})");
         }
         assert!(out[0][7].1 >= 1, "the zero batch takes the tall QR");
         for (i, ((got, _), (want, _))) in out[0].iter().zip(&serial).enumerate() {
@@ -793,7 +786,7 @@ mod tests {
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want) {
                 let err = (g - w).abs() / s1;
-                assert!(err <= 1e-10, "step {i}: σ {g} vs serial {w} (ff {ff}, fanout {fanout})");
+                assert!(err <= 1e-10, "step {i}: σ {g} vs serial {w} ({case})");
             }
         }
     }
@@ -802,33 +795,63 @@ mod tests {
     fn cholesky_qr2_gate_agrees_across_ranks_and_plans() {
         for ff in [0.95, 1.0] {
             for fanout in [0, 2] {
-                gate_agrees_across_ranks(ff, fanout);
+                for low_rank in [false, true] {
+                    gate_agrees_across_ranks(ff, fanout, low_rank);
+                }
             }
         }
     }
 
     #[test]
-    fn a_projected_update_takes_at_most_eight_collective_rounds() {
-        // CholeskyQR2 takes seven: UᵀU with UᵀA, UᵀH with HᵀH and UᵀJ₁
-        // with J₁ᵀJ₁, two rounds each, and the factor broadcast. A zero
-        // batch leaves HᵀH without a pivot, and its TSQR takes eight.
-        let a = decaying_matrix(60, 16, 12);
-        let blocks = split_rows(&a, 3);
-        let cfg = SvdConfig::new(4).with_tree_fanout(0);
-        let out = World::new(3).run(|comm| {
-            let b = &blocks[comm.rank()];
+    fn a_projected_update_takes_at_most_seven_collective_rounds() {
+        // CholeskyQR2 takes six: Uᵀ[U | A], [U | H]ᵀH and [U | J₁]ᵀJ₁, two
+        // rounds each; every rank then solves the core itself. A zero batch
+        // leaves HᵀH without a pivot, and its TSQR takes seven.
+        const P: usize = 3;
+        let (k, b) = (4, 8);
+        let a = decaying_matrix(60, 2 * b, 12);
+        let blocks = split_rows(&a, P);
+        let cfg = SvdConfig::new(k).with_tree_fanout(0);
+        let cols = |r: usize, c0: usize| blocks[r].submatrix(0, blocks[r].rows(), c0, c0 + b);
+        let init = World::new(P).run(|comm| {
             let mut d = ParallelStreamingSvd::new(comm, cfg);
-            d.initialize(&b.submatrix(0, b.rows(), 0, 8));
-            let rounds = |d: &mut ParallelStreamingSvd<_>, a: &Matrix| {
-                let before = comm.next_collective_tag();
-                d.incorporate_data(a);
-                comm.next_collective_tag() - before - 1
-            };
-            let fresh = rounds(&mut d, &b.submatrix(0, b.rows(), 8, 16));
-            let zero = rounds(&mut d, &Matrix::zeros(b.rows(), 8));
-            (fresh, zero, d.tracker.cholqr_fallbacks(), d.full_stack_updates())
+            d.initialize(&cols(comm.rank(), 0));
+            d.into_checkpoint()
         });
-        assert_eq!(out, vec![(7, 8, 1, 0); 3]);
+        // Every rank restored from `ckpts` on a fresh world streams
+        // `batches(rank)`. Per rank: the collective rounds of each update
+        // and the fallback and full-stack counts; then the world's bytes.
+        let run = |ckpts: &[SvdCheckpoint], batches: &(dyn Fn(usize) -> Vec<Matrix> + Sync)| {
+            let world = World::new(P);
+            let out = world.run(|comm| {
+                let mut d = ParallelStreamingSvd::restore(comm, cfg, ckpts[comm.rank()].clone());
+                let mut rounds = Vec::new();
+                for a in batches(comm.rank()) {
+                    let before = comm.next_collective_tag();
+                    d.incorporate_data(&a);
+                    rounds.push(comm.next_collective_tag() - before - 1);
+                }
+                (rounds, d.tracker.cholqr_fallbacks(), d.full_stack_updates())
+            });
+            (out, world.stats().total_bytes())
+        };
+        let zero = |r: usize| Matrix::zeros(blocks[r].rows(), b);
+        let (out, _) = run(&init, &|r| vec![cols(r, b), zero(r)]);
+        assert_eq!(out, vec![(vec![6, 7], 1, 0); P]);
+        // The fresh update moves the three sums and nothing else, each up
+        // and back down the flat plan: P − 1 messages each way.
+        let (_, bytes) = run(&init, &|r| vec![cols(r, b)]);
+        let payload: usize =
+            [(k, k + b), (k + b, b), (k + b, b)].iter().map(|&(r, c)| 16 + 8 * r * c).sum();
+        assert_eq!(bytes, (2 * (P - 1) * payload) as u64);
+        // Modes 1e-6 off unit length re-factor the full stack: Uᵀ[U | A],
+        // then TSQR, whose R rides down with each rank's Q block.
+        let scaled: Vec<SvdCheckpoint> = init
+            .iter()
+            .map(|c| SvdCheckpoint { modes: c.modes.map(|x| x * (1.0 + 1e-6)), ..c.clone() })
+            .collect();
+        let (out, _) = run(&scaled, &|r| vec![cols(r, b)]);
+        assert_eq!(out, vec![(vec![3], 0, 1); P]);
     }
 
     #[test]

@@ -30,16 +30,20 @@
 //!   update runs the driver's tall QR on the same `H` instead: the
 //!   Householder thin QR in-process, TSQR over a communicator.
 //!
-//! [`Tracker`] is the state both advance — modes, σ, counters, RNG,
-//! scratch and every persistent buffer — with the one ingestion loop and
-//! checkpoint capture/restore.
+//! [`Tracker`] is the state both advance — modes, σ, counters, scratch
+//! and every persistent buffer — with the one ingestion loop and
+//! checkpoint capture/restore. It holds no RNG: a randomized inner SVD
+//! draws from [`step_seed`], a pure function of the configured seed and
+//! the step's ordinal, so a restored tracker draws the sketch the
+//! uninterrupted one would have, and every rank draws the same.
 //!
-//! What differs between callers is handed in as a [`TallQr`]: how small
-//! matrices are summed over the world, how a tall matrix is QR-factored,
-//! how the root's small factors reach every rank, and how the first batch
-//! is factored. [`LocalQr`] is the in-process answer (serial driver, tree
-//! nodes); the distributed driver supplies an allreduce, TSQR, a
-//! broadcast and one APMOS round. Nothing here knows which.
+//! What differs between callers is handed in as a [`TallQr`]: how a small
+//! matrix is summed over the world, how a tall matrix is QR-factored, and
+//! how the first batch is factored. [`LocalQr`] is the in-process answer
+//! (serial driver, tree nodes); the distributed driver supplies an
+//! allreduce, TSQR (whose `R` reaches every rank with its `Q` block) and
+//! one APMOS round. Every rank then holds the same small factors and
+//! solves the small core itself. Nothing here knows which.
 
 use std::convert::Infallible;
 use std::io;
@@ -49,8 +53,6 @@ use psvd_linalg::gemm::{matmul_acc_into, matmul_into, matmul_tn_into};
 use psvd_linalg::qr::qr_thin_into;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
 use psvd_linalg::{Matrix, Scalar};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::checkpoint::SvdCheckpoint;
 use crate::config::SvdConfig;
@@ -72,11 +74,23 @@ pub fn ortho_gate<T: Scalar>() -> f64 {
     ORTHO_GATE_ULPS * T::EPSILON.to_f64()
 }
 
-/// What every factorization draws on: the configuration, the RNG of a
+/// The seed of a stream's inner SVD at step `ordinal`: the update count
+/// [`SvdCheckpoint::iteration`] records once the step commits (0 for the
+/// first batch). `seed` itself at ordinal 0, so the first batch draws what
+/// a one-shot factorization draws; after it, `seed` xor SplitMix64's hash
+/// of the ordinal.
+fn step_seed(seed: u64, ordinal: usize) -> u64 {
+    let mut z = (ordinal as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    seed ^ z ^ (z >> 31)
+}
+
+/// What every factorization draws on: the configuration, the seed of a
 /// randomized inner SVD, and the QR scratch arena.
 pub(crate) struct Ctx<'a> {
     pub cfg: &'a SvdConfig,
-    pub rng: &'a mut StdRng,
+    pub seed: u64,
     pub ws: &'a mut Workspace,
 }
 
@@ -85,30 +99,20 @@ pub(crate) trait TallQr<T: Scalar> {
     /// `Infallible` in-process, `CommError` over a communicator.
     type Error;
 
-    /// Sum two small matrices over the world in one collective. The
-    /// identity in-process.
-    fn sum(&mut self, a: Matrix<T>, b: Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), Self::Error>;
+    /// Sum a small matrix over the world in one collective. The identity
+    /// in-process.
+    fn sum(&mut self, a: Matrix<T>) -> Result<Matrix<T>, Self::Error>;
 
     /// QR-factor the tall `stack` (the caller's rows of it), leaving those
-    /// rows of `Q` in `q`. Returns `R` on the root and `None` elsewhere.
-    /// It factors the first batch, the full stack, every merge-tree node,
-    /// and a projection residual whose Grams refuse CholeskyQR2.
+    /// rows of `Q` in `q`, and return `R`, the same on every rank. It
+    /// factors the first batch, the full stack, every merge-tree node, and
+    /// a projection residual whose Grams refuse CholeskyQR2.
     fn qr(
         &mut self,
         ctx: &mut Ctx<'_>,
         stack: &Matrix<T>,
         q: &mut Matrix<T>,
-    ) -> Result<Option<&Matrix<T>>, Self::Error>;
-
-    /// Whether this rank is the root, the one that forms the small core.
-    fn is_root(&self) -> bool;
-
-    /// Hand the root's small factor and spectrum to every rank (`factors`
-    /// is `Some` exactly on the root). The identity in-process.
-    fn bcast(
-        &mut self,
-        factors: Option<(Matrix<T>, Vec<T>)>,
-    ) -> Result<(Matrix<T>, Vec<T>), Self::Error>;
+    ) -> Result<&Matrix<T>, Self::Error>;
 
     /// Factor the first batch: its `K` leading left vectors into `modes`,
     /// σ returned. By default [`factor_truncate`], like a full-stack update.
@@ -124,8 +128,8 @@ pub(crate) trait TallQr<T: Scalar> {
     }
 }
 
-/// QR `stack` through the driver, SVD its `R` on the root for `rank`
-/// triplets, and hand `(U', σ)` to every rank.
+/// QR `stack` through the driver and SVD its `R` for `rank` triplets:
+/// `(U', σ)`, on every rank alike.
 pub(crate) fn qr_svd<T: Scalar, F: TallQr<T> + ?Sized>(
     qr: &mut F,
     ctx: &mut Ctx<'_>,
@@ -133,11 +137,8 @@ pub(crate) fn qr_svd<T: Scalar, F: TallQr<T> + ?Sized>(
     rank: usize,
     q: &mut Matrix<T>,
 ) -> Result<(Matrix<T>, Vec<T>), F::Error> {
-    let factors = qr.qr(ctx, stack, q)?.map(|r| {
-        let f = ctx.cfg.inner_svd(r, rank, ctx.rng);
-        (f.u, f.s)
-    });
-    qr.bcast(factors)
+    let f = ctx.cfg.inner_svd(qr.qr(ctx, stack, q)?, rank, ctx.seed);
+    Ok((f.u, f.s))
 }
 
 /// Factor-and-truncate: QR `stack`, SVD its `R` for `keep` triplets, write
@@ -160,8 +161,8 @@ pub(crate) fn factor_truncate<T: Scalar, F: TallQr<T> + ?Sized>(
     Ok(s)
 }
 
-/// The in-process [`TallQr`]: `qr_thin_into` into a persistent `R`; sums
-/// and broadcasts are the identity. The QR's panel width is a function of
+/// The in-process [`TallQr`]: `qr_thin_into` into a persistent `R`; a sum
+/// is the identity. The QR's panel width is a function of
 /// shape alone: a stack with fewer than 48 columns (or rows) runs the
 /// unblocked path, below 128 compact-WY panels of 16, otherwise panels of
 /// 32 (DESIGN.md, "Panel width").
@@ -176,8 +177,8 @@ impl<T: Scalar> LocalQr<T> {
 impl<T: Scalar> TallQr<T> for LocalQr<T> {
     type Error = Infallible;
 
-    fn sum(&mut self, a: Matrix<T>, b: Matrix<T>) -> Result<(Matrix<T>, Matrix<T>), Infallible> {
-        Ok((a, b))
+    fn sum(&mut self, a: Matrix<T>) -> Result<Matrix<T>, Infallible> {
+        Ok(a)
     }
 
     fn qr(
@@ -185,20 +186,9 @@ impl<T: Scalar> TallQr<T> for LocalQr<T> {
         ctx: &mut Ctx<'_>,
         stack: &Matrix<T>,
         q: &mut Matrix<T>,
-    ) -> Result<Option<&Matrix<T>>, Infallible> {
+    ) -> Result<&Matrix<T>, Infallible> {
         qr_thin_into(stack.view(), q, &mut self.0, ctx.ws);
-        Ok(Some(&self.0))
-    }
-
-    fn is_root(&self) -> bool {
-        true
-    }
-
-    fn bcast(
-        &mut self,
-        factors: Option<(Matrix<T>, Vec<T>)>,
-    ) -> Result<(Matrix<T>, Vec<T>), Infallible> {
-        Ok(factors.expect("in-process, this rank is the root"))
+        Ok(&self.0)
     }
 }
 
@@ -212,7 +202,6 @@ pub(crate) struct Tracker<T: Scalar> {
     singular_values: Vec<T>,
     iteration: usize,
     snapshots_seen: usize,
-    rng: StdRng,
     /// Scratch arena feeding the QR kernels.
     ws: Workspace,
     /// Persistent `[ff·U·D | A_i]` stack, or the projection's residual `H`.
@@ -232,12 +221,11 @@ pub(crate) struct Tracker<T: Scalar> {
     /// The projection's `K x B` coefficients: `−G⁻¹L₁`, `L₂`, `−G⁻¹L₂`,
     /// then `X = S⁻ᵀUᵀJ`.
     coef: Matrix<T>,
-    /// The residual's `R` (`R₁` under CholeskyQR2; used on the root only),
-    /// and the Cholesky factor `T` of the Gram matrix of its basis with
-    /// `U` projected out.
+    /// The residual's `R` (`R₁` under CholeskyQR2), and the Cholesky
+    /// factor `T` of the Gram matrix of its basis with `U` projected out.
     resid_r: Matrix<T>,
     resid_chol: Matrix<T>,
-    /// The root's small core (see `core_svd`).
+    /// The small core every rank forms (see `core_svd`).
     core: Matrix<T>,
     /// Landing buffer of the ingestion loop.
     ingest: Matrix<T>,
@@ -254,7 +242,6 @@ impl<T: Scalar> Tracker<T> {
     pub(crate) fn new(cfg: SvdConfig) -> Self {
         let cfg = cfg.validated();
         Self {
-            rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             modes: Matrix::zeros(0, 0),
             singular_values: Vec::new(),
@@ -322,9 +309,16 @@ impl<T: Scalar> Tracker<T> {
         self.ws.reset_stats();
     }
 
+    /// The seed of the next step's inner SVD: [`step_seed`] at the
+    /// ordinal the checkpoint will record once that step commits.
+    fn seed(&self) -> u64 {
+        step_seed(self.cfg.seed, self.iteration + usize::from(self.is_initialized()))
+    }
+
     /// The factorization context, for running a [`TallQr`] step by hand.
     pub(crate) fn ctx(&mut self) -> Ctx<'_> {
-        Ctx { cfg: &self.cfg, rng: &mut self.rng, ws: &mut self.ws }
+        let seed = self.seed();
+        Ctx { cfg: &self.cfg, seed, ws: &mut self.ws }
     }
 
     /// Swap in the modes just formed in the spare buffer, keep as many
@@ -344,8 +338,9 @@ impl<T: Scalar> Tracker<T> {
     ) -> Result<(), F::Error> {
         assert!(!self.is_initialized(), "initialize called twice");
         assert!(a0.cols() > 0, "first batch is empty");
-        let Self { cfg, rng, ws, q, next_modes, .. } = self;
-        let sigma = qr.first_batch(&mut Ctx { cfg, rng, ws }, a0, q, next_modes)?;
+        let seed = self.seed();
+        let Self { cfg, ws, q, next_modes, .. } = self;
+        let sigma = qr.first_batch(&mut Ctx { cfg, seed, ws }, a0, q, next_modes)?;
         self.commit(&sigma, a0.cols());
         Ok(())
     }
@@ -385,12 +380,20 @@ impl<T: Scalar> Tracker<T> {
     }
 
     /// `G = UᵀU` and `L₁ = UᵀA`, summed over the world in one collective
-    /// into `gram` and `proj`; returns `max|G − I|` (NaN unless finite).
+    /// as the blocks of `[G | L₁] = Uᵀ[U | A]`, into `gram` and `proj`;
+    /// returns `max|G − I|` (NaN unless finite).
     fn measure<F: TallQr<T>>(&mut self, qr: &mut F, a: &Matrix<T>) -> Result<f64, F::Error> {
-        matmul_tn_into(self.modes.view(), self.modes.view(), &mut self.gram);
-        matmul_tn_into(self.modes.view(), a.view(), &mut self.proj);
-        let take = |m: &mut Matrix<T>| std::mem::replace(m, Matrix::zeros(0, 0));
-        (self.gram, self.proj) = qr.sum(take(&mut self.gram), take(&mut self.proj))?;
+        let (u, ws) = (&self.modes, &mut self.ws);
+        let (k0, b) = (u.cols(), a.cols());
+        let mut both = ws.take(k0, k0 + b);
+        matmul_acc_into(u.view().transposed(), u.view(), &mut both.block_mut(0, k0, 0, k0));
+        matmul_acc_into(u.view().transposed(), a.view(), &mut both.block_mut(0, k0, k0, k0 + b));
+        let both = qr.sum(both)?;
+        self.gram.reshape_for_overwrite(k0, k0);
+        self.gram.view_mut().copy_from(both.block(0, k0, 0, k0));
+        self.proj.reshape_for_overwrite(k0, b);
+        self.proj.view_mut().copy_from(both.block(0, k0, k0, k0 + b));
+        self.ws.give(both);
         Ok(identity_deviation(&self.gram))
     }
 
@@ -418,11 +421,11 @@ impl<T: Scalar> Tracker<T> {
         qr: &mut F,
         a: &Matrix<T>,
     ) -> Result<Option<Vec<T>>, F::Error> {
+        let seed = self.seed();
         let Self {
             cfg,
             modes: u,
             singular_values,
-            rng,
             ws,
             stack: h,
             q: j,
@@ -452,7 +455,7 @@ impl<T: Scalar> Tracker<T> {
         // inside H, which the QR would turn into directions in span(U).
         // The Gram matrix of the first H rides the same sum, and
         // HᵀH − L₂ᵀG⁻¹L₂ is that of the second.
-        let (_, sums) = qr.sum(Matrix::zeros(0, 0), tn_stack(ws, u, h))?;
+        let sums = qr.sum(tn_stack(ws, u, h))?;
         let l2 = sums.block(0, k0, 0, b);
         coef.view_mut().copy_from(l2);
         for (l, &c) in proj.as_mut_slice().iter_mut().zip(coef.as_slice()) {
@@ -469,23 +472,12 @@ impl<T: Scalar> Tracker<T> {
         // JᵀJ − XᵀX, the Gram matrix of J with U projected out, on every
         // rank alike.
         let basis = cholesky_qr2(qr, ws, u, h, j, hgram, coef, resid_r)?;
-        let mut ctx = Ctx { cfg, rng, ws };
-        let root = if basis.is_some() {
-            qr.is_root()
-        } else {
+        if basis.is_none() {
             *cholqr_fallbacks += 1;
-            let root = match qr.qr(&mut ctx, h, j)? {
-                Some(r) => {
-                    resid_r.clone_from(r);
-                    true
-                }
-                None => false,
-            };
+            resid_r.clone_from(qr.qr(&mut Ctx { cfg, seed, ws }, h, j)?);
             matmul_tn_into(u.view(), j.view(), coef);
-            let y = std::mem::replace(coef, Matrix::zeros(0, 0));
-            (_, *coef) = qr.sum(Matrix::zeros(0, 0), y)?;
-            root
-        };
+            *coef = qr.sum(std::mem::replace(coef, Matrix::zeros(0, 0)))?;
+        }
         solve_upper_t(chol, coef, 0);
         let p = coef.cols();
         resid_chol.reshape_zeroed(p, p);
@@ -507,19 +499,17 @@ impl<T: Scalar> Tracker<T> {
                     *v += g;
                 }
                 let hold = cholesky_upper(resid_chol, |i| floor * r2[(i, i)]);
-                ctx.ws.give(jgram);
-                ctx.ws.give(r2);
+                ws.give(jgram);
+                ws.give(r2);
                 hold
             }
         };
         if !pivots_hold {
             return Ok(None);
         }
-        let factors = root.then(|| {
-            core_svd(&mut ctx, core, chol, resid_chol, coef, proj, resid_r, singular_values)
-        });
-        let (w, s) = qr.bcast(factors)?;
-        // [U | J]·W, as two GEMMs on every rank.
+        let ctx = Ctx { cfg, seed, ws };
+        let (w, s) = core_svd(&ctx, core, chol, resid_chol, coef, proj, resid_r, singular_values);
+        // [U | J]·W, as two GEMMs.
         let kk = w.cols();
         matmul_into(u.view(), w.block(0, k0, 0, kk), next_modes);
         matmul_acc_into(j.view(), w.block(k0, k0 + p, 0, kk), &mut next_modes.view_mut());
@@ -543,8 +533,9 @@ impl<T: Scalar> Tracker<T> {
             }
             dst[k0..].copy_from_slice(ai.row(i));
         }
-        let Self { cfg, rng, ws, stack, q, next_modes, .. } = self;
-        factor_truncate(qr, &mut Ctx { cfg, rng, ws }, stack, cfg.k, cfg.k, q, next_modes)
+        let seed = self.seed();
+        let Self { cfg, ws, stack, q, next_modes, .. } = self;
+        factor_truncate(qr, &mut Ctx { cfg, seed, ws }, stack, cfg.k, cfg.k, q, next_modes)
     }
 
     /// One batch of a stream: `initialize` on the first, `update` after.
@@ -582,7 +573,8 @@ impl<T: Scalar> Tracker<T> {
     }
 }
 
-/// The root's half of the projection update. With `[U | J]` the basis,
+/// The small half of the projection update, which every rank solves
+/// alike from the same summed factors. With `[U | J]` the basis,
 /// `S` the Cholesky factor of `UᵀU`, `X = S⁻ᵀUᵀJ` and `TᵀT = JᵀJ − XᵀX`
 /// (`JᵀJ` is `I` for a Householder `J`, the measured Gram for
 /// CholeskyQR2's `J₁`), the upper-triangular `F = [[S, X], [0, T]]` has
@@ -593,7 +585,7 @@ impl<T: Scalar> Tracker<T> {
 /// from which every rank forms the modes `[U | J]·W`.
 #[allow(clippy::too_many_arguments)]
 fn core_svd<T: Scalar>(
-    ctx: &mut Ctx<'_>,
+    ctx: &Ctx<'_>,
     core: &mut Matrix<T>,
     s_chol: &Matrix<T>,
     t_chol: &Matrix<T>,
@@ -623,7 +615,7 @@ fn core_svd<T: Scalar>(
             }
         }
     }
-    let f = ctx.cfg.inner_svd(core, ctx.cfg.k.min(core.rows().min(core.cols())), ctx.rng);
+    let f = ctx.cfg.inner_svd(core, ctx.cfg.k.min(core.rows().min(core.cols())), ctx.seed);
     let kk = ctx.cfg.k.min(f.s.len());
     // W_bot = T⁻¹U'_bot, then W_top = S⁻¹(U'_top − X·W_bot).
     let mut bot = f.u.submatrix(k0, k0 + p, 0, kk);
@@ -730,7 +722,7 @@ fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
     solve_upper_t(&hgram, &mut inv, 0);
     matmul_into(h.view(), inv.view().transposed(), j);
     ws.give(inv);
-    let (_, sums) = qr.sum(Matrix::zeros(0, 0), tn_stack(ws, u, j))?;
+    let sums = qr.sum(tn_stack(ws, u, j))?;
     let mut jgram = ws.take(b, b);
     jgram.view_mut().copy_from(sums.block(k0, k0 + b, 0, b));
     let mut r2 = ws.take(b, b);

@@ -6,10 +6,11 @@
 //! session is exactly its per-rank [`SvdCheckpoint`] set, and every
 //! update round is ephemeral: restore drivers over a stack-local
 //! communicator, stream the round's batches through `try_fit_source`,
-//! commit the new checkpoint set. Checkpoint/restore is bit-transparent
-//! on the deterministic path (pinned by `resume_is_bit_exact` /
-//! `distributed_restart_is_bit_exact`), so the round engine adds nothing
-//! observable to the mathematics.
+//! commit the new checkpoint set. Checkpoint/restore is bit-transparent,
+//! the randomized path's included: its sketches are seeded from the
+//! configured seed and the step's ordinal, which the checkpoint records
+//! (pinned by `resume_is_bit_exact` / `distributed_restart_is_bit_exact`).
+//! So the round engine adds nothing observable to the mathematics.
 //!
 //! **Crash recovery contract.** Under a fault plan, delayed sends only
 //! reorder arrivals and are bitwise invisible. A rank death fails the
@@ -32,7 +33,7 @@ use crate::server::ServeError;
 /// Everything that defines a tenant's session.
 #[derive(Clone, Copy, Debug)]
 pub struct SessionSpec {
-    /// Driver configuration (the deterministic path; see `validated`).
+    /// Driver configuration.
     pub svd: SvdConfig,
     /// Global snapshot rows `M`.
     pub rows: usize,
@@ -109,13 +110,6 @@ impl SessionSpec {
             if self.ranks < 2 {
                 return invalid(
                     "chaos needs ranks >= 2: a single-rank round performs no communication".into(),
-                );
-            }
-            if self.svd.low_rank {
-                return invalid(
-                    "chaos replay guarantees bitwise recovery only on the deterministic path \
-                     (the randomized path reseeds its RNG per restore)"
-                        .into(),
                 );
             }
         }

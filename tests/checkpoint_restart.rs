@@ -15,10 +15,17 @@ fn dataset() -> Matrix {
 
 #[test]
 fn distributed_restart_is_bit_exact() {
+    let cfg = SvdConfig::new(4).with_forget_factor(0.95).with_r1(24).with_r2(24);
+    restart_is_bit_exact(cfg);
+    restart_is_bit_exact(cfg.with_low_rank(true).with_power_iterations(2));
+}
+
+/// Six batches over 4 ranks in one world vs three, checkpoints on disk,
+/// and the other three in a fresh world: the same bits.
+fn restart_is_bit_exact(cfg: SvdConfig) {
     let data = dataset();
     let n_ranks = 4;
     let batch = 8;
-    let cfg = SvdConfig::new(4).with_forget_factor(0.95).with_r1(24).with_r2(24);
     let blocks = split_rows(&data, n_ranks);
 
     // Uninterrupted reference: all 6 batches in one world.
@@ -31,7 +38,8 @@ fn distributed_restart_is_bit_exact() {
 
     // Job 1: three batches, then checkpoint each rank to disk.
     let ckpt_path = |rank: usize| {
-        std::env::temp_dir().join(format!("psvd_restart_{}_{rank}.ckp", std::process::id()))
+        let name = format!("psvd_restart_{}_{}_{rank}.ckp", std::process::id(), cfg.low_rank);
+        std::env::temp_dir().join(name)
     };
     let world1 = World::new(n_ranks);
     world1.run(|comm| {
@@ -57,8 +65,9 @@ fn distributed_restart_is_bit_exact() {
         std::fs::remove_file(ckpt_path(rank)).ok();
     }
 
-    assert_eq!(straight[0].1, resumed[0].1, "singular values must be bit-identical");
-    assert_eq!(straight[0].0, resumed[0].0, "modes must be bit-identical");
+    let low_rank = cfg.low_rank;
+    assert_eq!(straight[0].1, resumed[0].1, "singular values must be bit-identical ({low_rank})");
+    assert_eq!(straight[0].0, resumed[0].0, "modes must be bit-identical ({low_rank})");
 }
 
 #[test]

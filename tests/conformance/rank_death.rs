@@ -15,12 +15,13 @@ const N: usize = 32;
 const RANKS: usize = 4;
 const VICTIM: usize = 1;
 const BATCH: usize = 8;
-/// The factor broadcast of the second update: init takes two collective
-/// rounds and a projected update seven (three allreduces of two rounds
-/// each — `UᵀU` with `UᵀA`, `UᵀH` with `HᵀH`, `UᵀJ₁` with `J₁ᵀJ₁` — and
-/// the factor broadcast), so update two runs rounds 10–16 and dies in its
-/// last one, after every other exchange completed.
-const DEATH_ROUND: u64 = 16;
+/// The last round of the second update, the broadcast of the summed
+/// `[U | J₁]ᵀJ₁`: init takes two collective rounds and a projected update
+/// six (three allreduces of two rounds each — `Uᵀ[U | A]`, `[U | H]ᵀH`,
+/// `[U | J₁]ᵀJ₁`; every rank then solves the small core itself), so
+/// update two runs rounds 9–14 and dies in its last one, after every
+/// other exchange completed.
+const DEATH_ROUND: u64 = 14;
 
 fn cfg() -> SvdConfig {
     exact_config(4, BATCH).with_forget_factor(0.95)

@@ -5,7 +5,8 @@
 //! every surviving session's model (singular values AND modes) is
 //! **bitwise identical** to an unfaulted twin replay of the same column
 //! stream. Delays must leave no trace and deaths must be healed by
-//! whole-round replay from checkpoints, with zero numeric residue.
+//! whole-round replay from checkpoints, with zero numeric residue — on the
+//! randomized (`low_rank`) path too, which every fourth tenant takes.
 
 use pyparsvd::prelude::*;
 use pyparsvd::serve::{
@@ -22,8 +23,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-fn svd_cfg() -> SvdConfig {
-    SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0)
+fn svd_cfg(idx: usize) -> SvdConfig {
+    SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_low_rank(idx % 4 == 3)
 }
 
 fn tenant_ranks(idx: usize) -> usize {
@@ -48,7 +49,7 @@ fn chaos_soak_commits_bitwise_clean_models() {
     for idx in 0..SESSIONS {
         let tenant = format!("tenant-{idx:02}");
         let spec = SessionSpec::new(2, ROWS)
-            .with_svd(svd_cfg())
+            .with_svd(svd_cfg(idx))
             .with_ranks(tenant_ranks(idx))
             .with_batch(BATCH)
             .with_chaos(chaos);
@@ -100,7 +101,7 @@ fn chaos_soak_commits_bitwise_clean_models() {
     for (idx, (tenant, stream)) in tenants.iter().enumerate() {
         let served = server.model(tenant).unwrap();
         let twin_spec = SessionSpec::new(2, ROWS)
-            .with_svd(svd_cfg())
+            .with_svd(svd_cfg(idx))
             .with_ranks(tenant_ranks(idx))
             .with_batch(BATCH);
         let mut twin = SessionState::new(twin_spec);
