@@ -49,7 +49,7 @@ use std::convert::Infallible;
 use std::io;
 
 use psvd_data::stream::SnapshotSource;
-use psvd_linalg::gemm::{matmul_acc_into, matmul_into, matmul_tn_into};
+use psvd_linalg::gemm::{matmul_acc_into, matmul_into, matmul_tn_cat_into, matmul_tn_into};
 use psvd_linalg::qr::qr_thin_into;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
 use psvd_linalg::{Matrix, Scalar};
@@ -381,13 +381,14 @@ impl<T: Scalar> Tracker<T> {
 
     /// `G = UᵀU` and `L₁ = UᵀA`, summed over the world in one collective
     /// as the blocks of `[G | L₁] = Uᵀ[U | A]`, into `gram` and `proj`;
-    /// returns `max|G − I|` (NaN unless finite).
+    /// returns `max|G − I|` (NaN unless finite). One column-block product
+    /// ([`matmul_tn_cat_into`]) forms both blocks in one pass over `U`,
+    /// with the bits of two separate products.
     fn measure<F: TallQr<T>>(&mut self, qr: &mut F, a: &Matrix<T>) -> Result<f64, F::Error> {
         let (u, ws) = (&self.modes, &mut self.ws);
         let (k0, b) = (u.cols(), a.cols());
         let mut both = ws.take(k0, k0 + b);
-        matmul_acc_into(u.view().transposed(), u.view(), &mut both.block_mut(0, k0, 0, k0));
-        matmul_acc_into(u.view().transposed(), a.view(), &mut both.block_mut(0, k0, k0, k0 + b));
+        matmul_tn_cat_into(&[u.view()], &[u.view(), a.view()], &mut both.view_mut());
         let both = qr.sum(both)?;
         self.gram.reshape_for_overwrite(k0, k0);
         self.gram.view_mut().copy_from(both.block(0, k0, 0, k0));
@@ -671,12 +672,13 @@ fn identity_deviation<T: Scalar>(g: &Matrix<T>) -> f64 {
 }
 
 /// `[U | X]ᵀX` in a workspace buffer: `UᵀX` above `XᵀX`, the pair one
-/// collective sums for a projection and a Gram.
+/// collective sums for a projection and a Gram — the residual `H`'s, and
+/// CholeskyQR2's `J₁`'s. One column-block product forms both in one pass
+/// over `X`, with the bits of two separate products.
 fn tn_stack<T: Scalar>(ws: &mut Workspace, u: &Matrix<T>, x: &Matrix<T>) -> Matrix<T> {
     let (k0, b) = (u.cols(), x.cols());
     let mut out = ws.take(k0 + b, b);
-    matmul_acc_into(u.view().transposed(), x.view(), &mut out.block_mut(0, k0, 0, b));
-    matmul_acc_into(x.view().transposed(), x.view(), &mut out.block_mut(k0, k0 + b, 0, b));
+    matmul_tn_cat_into(&[u.view(), x.view()], &[x.view()], &mut out.view_mut());
     out
 }
 

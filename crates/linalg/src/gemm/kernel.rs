@@ -56,7 +56,9 @@ pub(crate) const MAX_NR: usize = 8;
 /// `astrip` holds `kc` steps of `mr()` values (packed column-major within
 /// the strip: element `(ir, kk)` at `kk * mr + ir`), `bstrip` holds `kc`
 /// steps of `nr()` values (`(kk, jr)` at `kk * nr + jr`), and `acc` is the
-/// row-major `mr() x nr()` accumulator tile. Every implementation must
+/// row-major `mr() x nr()` accumulator tile;
+/// [`run_rows`](MicroKernel::run_rows) reads the same steps at any stride.
+/// Every implementation must
 /// accumulate each `acc` element in ascending `kk` — that invariant (plus
 /// the engine never splitting K across threads) is what makes results a
 /// pure function of (kernel, blocking, shape), independent of thread
@@ -80,10 +82,44 @@ pub trait MicroKernel<T: Scalar = f64>: Sync {
         false
     }
 
+    /// `acc += A-strip * B-strip` over one K-panel of `kc` steps, both
+    /// operands read where they lie: element `(ir, kk)` of the A strip is
+    /// `*ap.add(kk * ars + ir)` and element `(kk, jr)` of the B strip is
+    /// `*bp.add(kk * brs + jr)`. On packed strips (`ars = mr()`,
+    /// `brs = nr()`) this is [`run`](MicroKernel::run); the K-panel path
+    /// also points both straight into the rows of row-major operands.
+    ///
+    /// # Safety
+    ///
+    /// For every `kk < kc`, `ap` must have `mr()` readable elements at
+    /// offset `kk * ars` and `bp` `nr()` at offset `kk * brs`, and `acc`
+    /// must hold `mr() * nr()` elements.
+    unsafe fn run_rows(
+        &self,
+        kc: usize,
+        ap: *const T,
+        ars: usize,
+        bp: *const T,
+        brs: usize,
+        acc: &mut [T],
+    );
+
     /// `acc += astrip * bstrip` over one K-panel of packed operands.
     /// `astrip.len() == kc * mr()`, `bstrip.len() == kc * nr()`,
-    /// `acc.len() == mr() * nr()`.
-    fn run(&self, astrip: &[T], bstrip: &[T], acc: &mut [T]);
+    /// `acc.len() == mr() * nr()` (checked).
+    fn run(&self, astrip: &[T], bstrip: &[T], acc: &mut [T]) {
+        let (mr, nr) = (self.mr(), self.nr());
+        let kc = astrip.len() / mr;
+        assert!(
+            astrip.len() == kc * mr && bstrip.len() == kc * nr && acc.len() == mr * nr,
+            "micro-kernel strips {} and {} do not make {kc} steps of a {mr}x{nr} tile",
+            astrip.len(),
+            bstrip.len()
+        );
+        // SAFETY: the lengths just checked hold kc packed steps of both
+        // strips and the whole tile.
+        unsafe { self.run_rows(kc, astrip.as_ptr(), mr, bstrip.as_ptr(), nr, acc) }
+    }
 
     /// The same flop sequence as [`run`](MicroKernel::run), reading the A
     /// operand in place instead of from a packed strip: element
@@ -124,18 +160,26 @@ impl<T: Scalar> MicroKernel<T> for ScalarKernel {
         SCALAR_NR
     }
 
-    fn run(&self, astrip: &[T], bstrip: &[T], acc: &mut [T]) {
-        debug_assert_eq!(astrip.len() % SCALAR_MR, 0);
-        debug_assert_eq!(bstrip.len() % SCALAR_NR, 0);
+    unsafe fn run_rows(
+        &self,
+        kc: usize,
+        ap: *const T,
+        ars: usize,
+        bp: *const T,
+        brs: usize,
+        acc: &mut [T],
+    ) {
         // Fixed-size tile on the stack so LLVM keeps the accumulators in
         // vector registers across the K loop (a slice-typed accumulator
         // defeats that). The copies are exact, so the op sequence per
         // element is unchanged.
         let mut tile = [T::ZERO; SCALAR_MR * SCALAR_NR];
         tile.copy_from_slice(&acc[..SCALAR_MR * SCALAR_NR]);
-        for (avals, bvals) in astrip.chunks_exact(SCALAR_MR).zip(bstrip.chunks_exact(SCALAR_NR)) {
-            let (a0, a1, a2, a3) = (avals[0], avals[1], avals[2], avals[3]);
-            for (j, &bj) in bvals.iter().enumerate() {
+        for kk in 0..kc {
+            let (a, b) = (ap.add(kk * ars), bp.add(kk * brs));
+            let (a0, a1, a2, a3) = (*a, *a.add(1), *a.add(2), *a.add(3));
+            for j in 0..SCALAR_NR {
+                let bj = *b.add(j);
                 tile[j] += a0 * bj;
                 tile[SCALAR_NR + j] += a1 * bj;
                 tile[2 * SCALAR_NR + j] += a2 * bj;
@@ -313,6 +357,22 @@ mod tests {
                     kern.name(),
                     T::NAME
                 );
+                // Both strips read in place from the rows of wider
+                // row-major buffers, as the K-panel path reads them.
+                let (lda, ldb) = (mr + 3, nr + 5);
+                let mut arows_t = vec![T::ZERO; kc * lda];
+                let mut brows = vec![T::ZERO; kc * ldb];
+                for kk in 0..kc {
+                    arows_t[kk * lda..kk * lda + mr].copy_from_slice(&astrip[kk * mr..][..mr]);
+                    brows[kk * ldb..kk * ldb + nr].copy_from_slice(&bstrip[kk * nr..][..nr]);
+                }
+                let mut acc_rows = vec![T::ZERO; mr * nr];
+                // SAFETY: both buffers hold kc rows at strides lda >= mr
+                // and ldb >= nr.
+                unsafe {
+                    kern.run_rows(kc, arows_t.as_ptr(), lda, brows.as_ptr(), ldb, &mut acc_rows)
+                };
+                assert_eq!(acc_packed, acc_rows, "{}: in-place rows changed bits", kern.name());
             }
         }
         probe::<f64>();

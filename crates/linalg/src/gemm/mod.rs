@@ -1,6 +1,6 @@
 //! Matrix multiplication kernels.
 //!
-//! Three tiers share one public API, and the product functions choose
+//! Four tiers share one public API, and the product functions choose
 //! among them in one place (`product`), from the problem shape only:
 //!
 //! * [`mod@reference`] — simple cache-blocked serial loops, taken below
@@ -19,6 +19,13 @@
 //!   `Q·U'` of `tall_stream`, `era5_ooc` and `burgers_dist`) skip
 //!   A-packing entirely and stream `op(A)` through the same kernel,
 //!   bitwise identical to the full blocked path.
+//! * the packed engine's K-panel path — inner products with a small `C`
+//!   and a long `k` (the streaming update's `Uᵀ[U | A]` and `[U | H]ᵀH`, a
+//!   WY trailing update's `Yᵀ·C`) walk the `KC`-deep panels once, the
+//!   kernel reading whole strips of the row-major operands in place,
+//!   instead of packing all of `op(B)` first; again bitwise identical to
+//!   the full blocked path. [`matmul_tn_cat_into`] runs it over column
+//!   blocks, `[X₁ | X₂ | …]ᵀ·[Y₁ | Y₂ | …]` in one pass.
 //!
 //! DESIGN.md "SIMD micro-kernels" names the workload shapes that take
 //! each tier and kernel, with the timings that keep them.
@@ -39,6 +46,7 @@
 //! its panel packing, so both layouts run the same micro-kernel.
 
 pub(crate) mod blocking;
+mod inner;
 pub(crate) mod kernel;
 mod pack;
 mod tall_skinny;
@@ -192,6 +200,69 @@ pub fn matmul_acc_into<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut 
     );
     assert_eq!(c.cs, 1, "matmul_acc_into: output must have unit column stride");
     product(a, b, c.data, c.rs);
+}
+
+/// `C += [X₁ | X₂ | …]ᵀ·[Y₁ | Y₂ | …]`: every product `X_iᵀ·Y_j` of the
+/// column blocks, accumulated into its block of `c` (rows at `X_i`'s
+/// offset among the `X`s, columns at `Y_j`'s among the `Y`s), which must
+/// have unit column stride. Every block has the same row count `k`.
+///
+/// Bitwise identical to one [`matmul_acc_into`]`(X_iᵀ, Y_j)` per block
+/// pair, at any thread count. When every pair is at least `2^20` flops and
+/// the stacked shape suits the engine's K-panel path (a small `C`, a long
+/// `k`), that path computes all of them in one pass over the `k` rows, so
+/// a block shared by several pairs — the `U` of the streaming update's
+/// `Uᵀ[U | A]` — is read once. Otherwise the pairs run one by one, each
+/// taking its own tier.
+pub fn matmul_tn_cat_into<T: Scalar>(
+    xs: &[MatView<'_, T>],
+    ys: &[MatView<'_, T>],
+    c: &mut MatViewMut<'_, T>,
+) {
+    check_cat(xs, ys, c);
+    let k = xs.first().map_or(0, |x| x.rows());
+    let small = xs.iter().any(|x| ys.iter().any(|y| 2 * k * x.cols() * y.cols() < PAR_MIN_FLOPS));
+    if small {
+        let ldc = c.rs;
+        each_pair(xs, ys, c.data, ldc, |x, y, c| product(x.transposed(), y, c, ldc));
+    } else {
+        packed::matmul_tn_cat_with(kernels::selected(), xs, ys, c);
+    }
+}
+
+/// The shape checks of a column-block product: equal row counts, and `c`
+/// as tall as the `X`s are wide and as wide as the `Y`s, unit column
+/// stride.
+fn check_cat<T: Scalar>(xs: &[MatView<'_, T>], ys: &[MatView<'_, T>], c: &MatViewMut<'_, T>) {
+    let k = xs.first().map_or(0, |x| x.rows());
+    assert!(
+        xs.iter().chain(ys).all(|v| v.rows() == k),
+        "matmul_tn_cat_into: every block must have {k} rows"
+    );
+    let m: usize = xs.iter().map(|x| x.cols()).sum();
+    let n: usize = ys.iter().map(|y| y.cols()).sum();
+    assert_eq!((c.rows(), c.cols()), (m, n), "matmul_tn_cat_into: output shape mismatch");
+    assert_eq!(c.cs, 1, "matmul_tn_cat_into: output must have unit column stride");
+}
+
+/// Run `f(X_i, Y_j, C_ij)` for every non-empty block pair, `C_ij` the
+/// tail of `c` (row stride `ldc`) from the pair's top-left element.
+fn each_pair<T: Scalar>(
+    xs: &[MatView<'_, T>],
+    ys: &[MatView<'_, T>],
+    c: &mut [T],
+    ldc: usize,
+    mut f: impl FnMut(MatView<'_, T>, MatView<'_, T>, &mut [T]),
+) {
+    let mut i0 = 0;
+    for x in xs.iter().filter(|x| x.cols() > 0) {
+        let mut j0 = 0;
+        for y in ys.iter().filter(|y| y.cols() > 0) {
+            f(*x, *y, &mut c[i0 * ldc + j0..]);
+            j0 += y.cols();
+        }
+        i0 += x.cols();
+    }
 }
 
 /// `G = AᵀA` written into `g`. Bitwise identical to [`gram`].
@@ -572,6 +643,128 @@ mod tests {
             // Square and near-square stay on the full blocked path.
             assert!(!tall_skinny::applies(*kern, 1024, 1024, 1024));
             assert!(!tall_skinny::applies(*kern, 512, 96, 512));
+        }
+    }
+
+    #[test]
+    fn k_panel_heuristic_catches_the_update_inner_products() {
+        // (k, widths of the X blocks, widths of the Y blocks, taken).
+        let cases: [(usize, &[usize], &[usize], bool); 9] = [
+            // tall_stream's Uᵀ[U | A], as one product and as blocks.
+            (60000, &[24], &[32], true),
+            (60000, &[24], &[24, 8], true),
+            // era5_ooc's, and burgers_dist's [U | H]ᵀH.
+            (65160, &[16], &[16, 8], true),
+            (8192, &[110], &[100], true),
+            (8192, &[10, 100], &[100], true),
+            // A WY trailing update's Yᵀ·C.
+            (8192, &[16], &[110], true),
+            // Short k, and C too wide or too tall.
+            (64, &[64], &[64], false),
+            (8192, &[24], &[200], false),
+            (8192, &[200], &[24], false),
+        ];
+        for (k, wx, wy, taken) in cases {
+            let mats = |ws: &[usize]| ws.iter().map(|&w| Matrix::zeros(k, w)).collect::<Vec<_>>();
+            let (xm, ym) = (mats(wx), mats(wy));
+            let (xs, ys) = (views(&xm), views(&ym));
+            for kern in kernels::available::<f64>() {
+                assert_eq!(inner::applies(*kern, &xs, &ys), taken, "{k} {wx:?} {wy:?}");
+            }
+        }
+        // Transposed blocks (a matmul_nt's operands) and tall-skinny
+        // products stay on the packing paths.
+        let (x, y) = (Matrix::<f64>::zeros(24, 60000), Matrix::zeros(32, 60000));
+        let (tall, small) = (Matrix::<f64>::zeros(65536, 64), Matrix::zeros(64, 64));
+        for kern in kernels::available::<f64>() {
+            let (xt, yt) = (x.view().transposed(), y.view().transposed());
+            assert!(!inner::applies(*kern, &[xt], &[yt]));
+            assert!(!inner::applies(*kern, &[tall.view().transposed()], &[small.view()]));
+        }
+    }
+
+    fn views(ms: &[Matrix]) -> Vec<MatView<'_>> {
+        ms.iter().map(|m| m.view()).collect()
+    }
+
+    /// `C += [X₁ | X₂ | …]ᵀ·[Y₁ | Y₂ | …]` as one full blocked product per
+    /// block pair: what the K-panel path must reproduce bit for bit.
+    fn full_blocked_per_pair(
+        kern: &dyn kernels::MicroKernel<f64>,
+        xs: &[MatView<'_>],
+        ys: &[MatView<'_>],
+        c: &mut Matrix,
+    ) {
+        let ldc = c.cols();
+        let blk = Blocking::default_for(kern);
+        each_pair(xs, ys, c.as_mut_slice(), ldc, |x, y, c| {
+            packed::full_blocked(kern, blk, x.transposed(), y, c, ldc)
+        });
+    }
+
+    #[test]
+    fn k_panel_path_bitwise_matches_full_blocked_per_pair() {
+        // Block widths straddle the mr and nr strips (K = 10, B = 100;
+        // K = 7, B = 13), k is no multiple of KC, and C starts nonzero.
+        let cases: [(usize, &[usize], &[usize]); 6] = [
+            (1000, &[10], &[10, 100]),
+            // Too tall a C for the K-panel path: the pairs run one by one.
+            (600, &[100, 100], &[8]),
+            (700, &[10, 100], &[100]),
+            (300, &[7], &[7, 13]),
+            (513, &[7, 13], &[13]),
+            (257, &[24], &[24, 8]),
+        ];
+        for (k, wx, wy) in cases {
+            let mats = |ws: &[usize], seed: f64| -> Vec<Matrix> {
+                ws.iter().enumerate().map(|(i, &w)| test_mat(k, w, seed + i as f64)).collect()
+            };
+            let (xm, ym) = (mats(wx, 0.31), mats(wy, 0.57));
+            // Strided views of the same values: X₁ and Y₁ as blocks of
+            // NaN-padded wider matrices (the K-panel path reads only the
+            // block), and as transposed views of their transposes (the
+            // pairs run one by one).
+            let padded = |a: &Matrix| {
+                Matrix::from_fn(k + 3, a.cols() + 5, |i, j| {
+                    let inside = (2..k + 2).contains(&i) && (1..a.cols() + 1).contains(&j);
+                    if inside {
+                        a[(i - 2, j - 1)]
+                    } else {
+                        f64::NAN
+                    }
+                })
+            };
+            let (xpad, ypad) = (padded(&xm[0]), padded(&ym[0]));
+            let (xt, yt) = (xm[0].transpose(), ym[0].transpose());
+            let (xs, ys) = (views(&xm), views(&ym));
+            let (mut xs_blk, mut ys_blk) = (xs.clone(), ys.clone());
+            xs_blk[0] = xpad.view().block(2, k + 2, 1, wx[0] + 1);
+            ys_blk[0] = ypad.view().block(2, k + 2, 1, wy[0] + 1);
+            let (mut xs_t, mut ys_t) = (xs.clone(), ys.clone());
+            xs_t[0] = xt.view().transposed();
+            ys_t[0] = yt.view().transposed();
+            let (m, n) = (wx.iter().sum::<usize>(), wy.iter().sum::<usize>());
+            let start = test_mat(m, n, 0.93);
+            for kern in kernels::available::<f64>() {
+                let mut want = start.clone();
+                full_blocked_per_pair(*kern, &xs, &ys, &mut want);
+                for threads in [1, 2, 4] {
+                    par::set_num_threads(threads);
+                    let case =
+                        format!("{} k = {k} {wx:?} x {wy:?}, {threads} threads", kern.name());
+                    for (xv, yv) in [(&xs, &ys), (&xs_blk, &ys_blk)] {
+                        let mut got = start.clone();
+                        inner::gemm(*kern, blocking::DEFAULT_KC, xv, yv, got.as_mut_slice(), n);
+                        assert_eq!(got, want, "{case}");
+                    }
+                    for (xv, yv) in [(&xs, &ys), (&xs_blk, &ys_blk), (&xs_t, &ys_t)] {
+                        let mut cat = start.clone();
+                        packed::matmul_tn_cat_with(*kern, xv, yv, &mut cat.view_mut());
+                        assert_eq!(cat, want, "cat {case}");
+                    }
+                }
+                par::set_num_threads(0);
+            }
         }
     }
 

@@ -10,12 +10,18 @@
 //! (the determinism oracle) everywhere else. `MC`/`KC`/`NC` are
 //! [`Blocking::default_for`] that kernel.
 //!
-//! Shapes where packing overhead dominates compute — `m >> n, k`, the
-//! tall-skinny products TSQR and the randomized range finder feed this
-//! engine — skip the full blocked path for `super::tall_skinny`, which
-//! packs the (tiny) `op(B)` once and streams `op(A)` row-panels straight
-//! through the kernel. The two paths are bitwise identical per (kernel,
-//! `KC`), so the dispatch heuristic is a pure speed decision.
+//! Two shape classes skip the full blocked path, where packing costs
+//! more than it saves. `m >> n, k` — the tall-skinny products TSQR and
+//! the randomized range finder feed this engine — goes to
+//! `super::tall_skinny`, which packs the (tiny) `op(B)` once and streams
+//! `op(A)` row-panels straight through the kernel. A small `C` with a
+//! long `k` — the streaming update's inner products — goes to
+//! `super::inner`, which walks the `KC`-deep panels once, reading whole
+//! strips of the row-major operands in place and gathering the rest into
+//! buffers that do not grow with `k`; it also serves the column-block
+//! products of [`super::matmul_tn_cat_into`]. The three paths are
+//! bitwise identical per (kernel, `KC`), so the dispatch heuristics are
+//! pure speed decisions.
 //!
 //! ## Parallel decomposition and determinism
 //!
@@ -33,11 +39,11 @@
 use super::blocking::Blocking;
 use super::kernel::{self, MicroKernel, MAX_MR, MAX_NR};
 use super::pack::{pack_a_strip, pack_b_strip};
-use super::tall_skinny;
+use super::{inner, tall_skinny};
 use crate::matrix::Matrix;
 use crate::par::{self, SendPtr};
 use crate::scalar::Scalar;
-use crate::view::MatView;
+use crate::view::{MatView, MatViewMut};
 
 /// `C += op(A) * op(B)` through the engine with the process-selected
 /// kernel (any size), written to `c` with row stride `ldc` (`ldc = n`
@@ -65,7 +71,10 @@ pub(crate) fn gemm_with<T: Scalar>(
         return;
     }
     let blk = Blocking::default_for(kern);
-    if tall_skinny::applies(kern, m, k, n) {
+    let (xs, ys) = ([a.transposed()], [b]);
+    if inner::applies(kern, &xs, &ys) {
+        inner::gemm(kern, blk.kc, &xs, &ys, c, ldc);
+    } else if tall_skinny::applies(kern, m, k, n) {
         tall_skinny::gemm(kern, blk.kc, a, b, c, ldc);
     } else {
         full_blocked(kern, blk, a, b, c, ldc);
@@ -73,8 +82,9 @@ pub(crate) fn gemm_with<T: Scalar>(
 }
 
 /// The full `MC`/`KC`/`NC` blocked path (bitwise identical to the
-/// tall-skinny path at the same kernel and `KC`; exposed separately so
-/// tests can pin both paths on one shape).
+/// tall-skinny and K-panel paths at the same kernel and `KC`; exposed
+/// separately so tests can pin the paths against each other on one
+/// shape).
 pub(crate) fn full_blocked<T: Scalar>(
     kern: &dyn MicroKernel<T>,
     blk: Blocking,
@@ -296,6 +306,30 @@ pub fn matmul_nt_with<T: Scalar>(
     let ldc = c.cols();
     gemm_with(kern, a.view(), b.view().transposed(), c.as_mut_slice(), ldc);
     c
+}
+
+/// `C += [X₁ | X₂ | …]ᵀ·[Y₁ | Y₂ | …]` through the packed engine with the
+/// micro-kernel pinned, whatever the size: one pass of the K-panel path
+/// when the stacked shape takes it, else one product per block pair.
+/// Either way each `C` element gets the bits its own pair's product
+/// gives. The kernel-matrix entry of [`super::matmul_tn_cat_into`].
+pub fn matmul_tn_cat_with<T: Scalar>(
+    kern: &dyn MicroKernel<T>,
+    xs: &[MatView<'_, T>],
+    ys: &[MatView<'_, T>],
+    c: &mut MatViewMut<'_, T>,
+) {
+    super::check_cat(xs, ys, c);
+    let (m, k, n) = inner::shape(xs, ys);
+    let ldc = c.rs;
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    if inner::applies(kern, xs, ys) {
+        inner::gemm(kern, Blocking::default_for(kern).kc, xs, ys, c.data, ldc);
+    } else {
+        super::each_pair(xs, ys, c.data, ldc, |x, y, c| gemm_with(kern, x.transposed(), y, c, ldc));
+    }
 }
 
 /// `AᵀA`, threaded: upper triangle only, mirrored afterwards (~half

@@ -15,7 +15,9 @@
 //! from the row-major operand, which is what lets the tall-skinny path
 //! skip A packing without changing a bit: broadcast-from-memory reads the
 //! same values the packed strip would hold, and the flop order is
-//! unchanged.
+//! unchanged. The same holds for `run_rows`, which loads each step of both
+//! strips at its own stride: packed strips and the K-panel path's
+//! in-place rows run one loop.
 //!
 //! # Safety
 //!
@@ -55,9 +57,18 @@ impl MicroKernel<f64> for FmaKernel {
         true
     }
 
-    fn run(&self, astrip: &[f64], bstrip: &[f64], acc: &mut [f64]) {
-        // SAFETY: only reachable once AVX2+FMA detection has passed.
-        unsafe { fma_6x8(astrip, bstrip, acc) }
+    unsafe fn run_rows(
+        &self,
+        kc: usize,
+        ap: *const f64,
+        ars: usize,
+        bp: *const f64,
+        brs: usize,
+        acc: &mut [f64],
+    ) {
+        // SAFETY: only reachable once AVX2+FMA detection has passed;
+        // pointer geometry is the caller's contract.
+        unsafe { fma_6x8(kc, ap, ars, bp, brs, acc) }
     }
 
     unsafe fn run_strided(
@@ -96,13 +107,21 @@ unsafe fn store_tile<const ROWS: usize>(c: &[[__m256d; 2]; ROWS], acc: &mut [f64
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fma_6x8(astrip: &[f64], bstrip: &[f64], acc: &mut [f64]) {
+unsafe fn fma_6x8(
+    kc: usize,
+    ap: *const f64,
+    ars: usize,
+    bp: *const f64,
+    brs: usize,
+    acc: &mut [f64],
+) {
     let mut c = load_tile::<FMA_MR>(acc);
-    for (avals, bvals) in astrip.chunks_exact(FMA_MR).zip(bstrip.chunks_exact(FMA_NR)) {
-        let b0 = _mm256_loadu_pd(bvals.as_ptr());
-        let b1 = _mm256_loadu_pd(bvals.as_ptr().add(4));
+    for kk in 0..kc {
+        let (a, b) = (ap.add(kk * ars), bp.add(kk * brs));
+        let b0 = _mm256_loadu_pd(b);
+        let b1 = _mm256_loadu_pd(b.add(4));
         for (ir, row) in c.iter_mut().enumerate() {
-            let ai = _mm256_set1_pd(avals[ir]);
+            let ai = _mm256_set1_pd(*a.add(ir));
             row[0] = _mm256_fmadd_pd(ai, b0, row[0]);
             row[1] = _mm256_fmadd_pd(ai, b1, row[1]);
         }

@@ -24,6 +24,20 @@ pub mod alloc_stats {
     //!
     //! Byte counts are `size_of::<T>()` per element.
     //!
+    //! The GEMM engine's pack buffers are plain `Vec`s, not matrices, and
+    //! are not counted. Per call, for `op(A)` `m × k` and `op(B)` `k × n`,
+    //! `nr`/`mr` the kernel's tile (`⌈n/nr⌉·nr` is `n̄`, `⌈m/mr⌉·mr` is
+    //! `m̄`):
+    //!
+    //! * reference loops: none;
+    //! * full blocked: `k·n̄` for `op(B)`, plus `MC·KC` per thread for
+    //!   `op(A)` — the `k`-long one is what a streaming update of the
+    //!   parent engine zeroed, about 31 MB per `tall_stream` update;
+    //! * tall-skinny: `k·n̄` (`k` is small there), plus `KC·mr` per thread
+    //!   for edge strips;
+    //! * K-panel (`matmul_tn_cat_into` and the update's inner products):
+    //!   `KC·(m̄ + n̄)` per thread at most, independent of `k`.
+    //!
     //! The counters are atomics, so they are safe (if noisy) under
     //! concurrent tests; single-threaded measurement is exact.
 

@@ -9,7 +9,12 @@
 # its own Burgers and ERA5 containers, then runs, under PSVD_TREE_FANOUT
 # 0/2/4 x PSVD_NUM_THREADS 1/4:
 #   svd at ranks 1/3/5/9, svd --low-rank at 3/9, svd --ff 0.95 --r1 12,
-#   svd of the ERA5 container at 5/9, validate at 3/9, and pod.
+#   svd of the ERA5 container at 5/9, validate at 3/9, and pod;
+#   then at the benchmark workloads' sizes, where the update's M-long
+#   products run the packed engine rather than the reference loops:
+#   svd of a 16384x800 Burgers container at --batch 100 --ranks 2, with
+#   and without --low-rank, and at --k 24 --batch 8 --ff 0.95 --ranks 1,
+#   and svd of a 181x360x96 ERA5 container at --batch 8 --ranks 1.
 # Every stdout and CSV is compared with `cmp`. Outputs are written to
 # relative paths from the output directory, so `wrote …` lines carry no
 # side-specific path. Each differing file is listed (a singular-value CSV
@@ -31,6 +36,8 @@ run_matrix() { # $1: the psvd binary, $2: the output directory
     cd "$out"
     "$psvd" generate burgers --grid 2048 --snapshots 200 --out b.ncs >/dev/null
     "$psvd" generate era5 --nlat 46 --nlon 90 --snapshots 96 --out e.ncs >/dev/null
+    "$psvd" generate burgers --grid 16384 --snapshots 800 --out bb.ncs >/dev/null
+    "$psvd" generate era5 --nlat 181 --nlon 360 --snapshots 96 --out be.ncs >/dev/null
     for fanout in 0 2 4; do
         for threads in 1 4; do
             cell=f$fanout.t$threads
@@ -51,6 +58,10 @@ run_matrix() { # $1: the psvd binary, $2: the output directory
             for ranks in 5 9; do svd "era5.r$ranks" e.ncs --k 16 --batch 8 --ranks "$ranks"; done
             for ranks in 3 9; do run "validate.r$ranks" validate b.ncs --k 6 --batch 16 --ranks "$ranks"; done
             run pod pod b.ncs --k 6 --modes-out "pod.$cell.modes.csv"
+            svd big bb.ncs --k 10 --batch 100 --ranks 2
+            svd big.lowrank bb.ncs --k 10 --batch 100 --ranks 2 --low-rank
+            svd big.ff bb.ncs --k 24 --batch 8 --ff 0.95 --ranks 1
+            svd big.era5 be.ncs --k 16 --batch 8 --ranks 1
         done
     done
     cd - >/dev/null

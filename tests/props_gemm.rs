@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use psvd_linalg::gemm::{self, kernels, packed, reference, Blocking};
 use psvd_linalg::par;
 use psvd_linalg::random::{gaussian_matrix, seeded_rng};
-use psvd_linalg::Matrix;
+use psvd_linalg::{MatView, Matrix};
 
 /// Absolute tolerance for packed-vs-reference comparisons: the two tiers
 /// sum in different orders, so they differ by rounding only. Gaussian
@@ -278,4 +278,107 @@ fn tall_skinny_dispatch_matches_reference() {
     let b = rand_mat(64, 64, 52);
     let diff = (&gemm::matmul(&a, &b) - &reference::matmul(&a, &b)).max_abs();
     assert!(diff < TOL, "tall-skinny dispatch diverged by {diff}");
+}
+
+// --- Column-block inner products ---------------------------------------
+
+/// `start + [X₁ | X₂ | …]ᵀ·[Y₁ | Y₂ | …]`, one public `matmul_acc_into`
+/// per block pair.
+fn per_pair_acc(xs: &[Matrix], ys: &[Matrix], start: &Matrix) -> Matrix {
+    let mut c = start.clone();
+    let mut i0 = 0;
+    for x in xs {
+        let mut j0 = 0;
+        for y in ys {
+            let mut blk = c.block_mut(i0, i0 + x.cols(), j0, j0 + y.cols());
+            gemm::matmul_acc_into(x.view().transposed(), y.view(), &mut blk);
+            j0 += y.cols();
+        }
+        i0 += x.cols();
+    }
+    c
+}
+
+fn views(ms: &[Matrix]) -> Vec<MatView<'_>> {
+    ms.iter().map(|m| m.view()).collect()
+}
+
+/// `matmul_tn_cat_into` on `start` at 1, 2 and 4 threads, each asserted
+/// bitwise equal to [`per_pair_acc`].
+fn assert_cat_matches_per_pair(xs: &[Matrix], ys: &[Matrix], start: &Matrix) {
+    let want = per_pair_acc(xs, ys, start);
+    for threads in [1, 2, 4] {
+        par::set_num_threads(threads);
+        let mut got = start.clone();
+        gemm::matmul_tn_cat_into(&views(xs), &views(ys), &mut got.view_mut());
+        assert!(got == want, "k = {}, {threads} threads: bits moved", xs[0].rows());
+    }
+    par::set_num_threads(0);
+}
+
+/// The streaming update's shapes, the blocks straddling `mr`/`nr` strips:
+/// `Uᵀ[U | A]` and `[U | H]ᵀH` at `K = 10, B = 100` and `K = 7, B = 13`,
+/// with every pair over `2^20` flops (one K-panel pass) and with pairs
+/// under it (`serve_mixed`'s 2048 rows: one call per pair, as before).
+#[test]
+fn column_block_product_bitwise_matches_per_pair_calls_at_update_shapes() {
+    for &(m, k0, b) in
+        &[(8192, 10, 100), (12_000, 7, 13), (8192, 7, 13), (2048, 8, 8), (777, 24, 8)]
+    {
+        let u = rand_mat(m, k0, 61);
+        let a = rand_mat(m, b, 62);
+        let meas = [u.clone(), a.clone()];
+        assert_cat_matches_per_pair(std::slice::from_ref(&u), &meas, &rand_mat(k0, k0 + b, 63));
+        assert_cat_matches_per_pair(&meas, std::slice::from_ref(&a), &rand_mat(k0 + b, b, 64));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn column_block_product_bitwise_matches_per_pair_calls(
+        k in 1usize..6000,
+        wx in proptest::collection::vec(1usize..24, 1..4),
+        wy in proptest::collection::vec(1usize..40, 1..4),
+        seed in 0u64..1_000,
+    ) {
+        let mats = |ws: &[usize], s: u64| -> Vec<Matrix> {
+            ws.iter().enumerate().map(|(i, &w)| rand_mat(k, w, s + i as u64)).collect()
+        };
+        let (xs, ys) = (mats(&wx, seed), mats(&wy, seed + 100));
+        let start = rand_mat(wx.iter().sum(), wy.iter().sum(), seed + 200);
+        assert_cat_matches_per_pair(&xs, &ys, &start);
+    }
+
+    /// Every kernel, whatever the size: the kernel-pinned entry against
+    /// one kernel-pinned `matmul_tn_with` per pair.
+    #[test]
+    fn column_block_kernel_matrix_matches_per_pair_products(
+        k in 1usize..3000,
+        wx in proptest::collection::vec(1usize..30, 1..3),
+        wy in proptest::collection::vec(1usize..30, 1..3),
+        seed in 0u64..1_000,
+    ) {
+        let mats = |ws: &[usize], s: u64| -> Vec<Matrix> {
+            ws.iter().enumerate().map(|(i, &w)| rand_mat(k, w, s + i as u64)).collect()
+        };
+        let (xs, ys) = (mats(&wx, seed), mats(&wy, seed + 100));
+        let (xv, yv) = (views(&xs), views(&ys));
+        for &kern in kernels::available::<f64>() {
+            let mut got = Matrix::zeros(wx.iter().sum(), wy.iter().sum());
+            packed::matmul_tn_cat_with(kern, &xv, &yv, &mut got.view_mut());
+            let (mut i0, mut want) = (0, Matrix::zeros(got.rows(), got.cols()));
+            for x in &xs {
+                let mut j0 = 0;
+                for y in &ys {
+                    let pair = packed::matmul_tn_with(kern, x, y);
+                    want.block_mut(i0, i0 + x.cols(), j0, j0 + y.cols()).copy_from(pair.view());
+                    j0 += y.cols();
+                }
+                i0 += x.cols();
+            }
+            prop_assert!(got == want, "{} k = {k} {wx:?} x {wy:?}: bits moved", kern.name());
+        }
+    }
 }
