@@ -17,7 +17,7 @@ pub struct ParsedArgs {
 }
 
 /// Flags that never take a value.
-const SWITCHES: &[&str] = &["low-rank", "help", "quiet"];
+const SWITCHES: &[&str] = &["low-rank", "help", "quiet", "full"];
 
 impl ParsedArgs {
     /// Parse `argv` (excluding the program name).
@@ -128,6 +128,14 @@ mod tests {
         assert!(a.switch("low-rank"));
         assert!((a.f64_or("ff", 1.0).unwrap() - 0.9).abs() < 1e-12);
         assert_eq!(a.usize_or("ranks", 1).unwrap(), 1); // default
+    }
+
+    #[test]
+    fn full_is_a_switch() {
+        let a = parse(&["reproduce", "--full", "extra"]).unwrap();
+        assert!(a.switch("full"));
+        assert_eq!(a.get("full"), None);
+        assert_eq!(a.positional, ["extra"]);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! psvd svd burgers.ncs --k 10 --ranks 4 --batch 50 --values-out sv.csv
 //! psvd validate burgers.ncs --k 6 --ranks 4
 //! psvd pod burgers.ncs --k 4
+//! psvd reproduce [--full]
 //! ```
 
 pub mod args;
+pub mod reproduce;
 
 use std::path::Path;
 
@@ -41,6 +43,7 @@ USAGE:
                  [--low-rank] [--values-out CSV] [--modes-out CSV] [--quiet]
   psvd validate FILE [--k K] [--ranks R] [--batch B]
   psvd pod FILE [--k K] [--modes-out CSV]
+  psvd reproduce [--full]
   psvd help
 
 Every command also accepts --threads N to pin the linear-algebra kernel
@@ -70,6 +73,7 @@ pub fn run(argv: &[String]) -> Result<Vec<String>, String> {
         "svd" => cmd_svd(&parsed),
         "validate" => cmd_validate(&parsed),
         "pod" => cmd_pod(&parsed),
+        "reproduce" => cmd_reproduce(&parsed),
         other => Err(format!("unknown command '{other}' (try `psvd help`)")),
     }
 }
@@ -83,6 +87,17 @@ fn open_nonempty(file: &str) -> Result<NcsimReader, String> {
         return Err(format!("{file} holds a {rows} x {cols} matrix: nothing to decompose"));
     }
     Ok(reader)
+}
+
+/// The paper's figures and the ablations as checked claims
+/// ([`reproduce`]); `--full` runs F1ab, F1c and F2 at the paper's sizes.
+fn cmd_reproduce(a: &ParsedArgs) -> Result<Vec<String>, String> {
+    if let Some(p) = a.positional.first() {
+        return Err(format!(
+            "reproduce takes no argument, got '{p}' (usage: psvd reproduce [--full])"
+        ));
+    }
+    reproduce::run(a.switch("full"))
 }
 
 fn cmd_pod(a: &ParsedArgs) -> Result<Vec<String>, String> {
@@ -505,6 +520,12 @@ mod tests {
     fn threads_flag_rejects_garbage() {
         assert!(run(&argv(&["info", "x.ncs", "--threads", "0"])).is_err());
         assert!(run(&argv(&["info", "x.ncs", "--threads", "many"])).is_err());
+    }
+
+    #[test]
+    fn reproduce_rejects_a_positional_argument() {
+        let err = run(&argv(&["reproduce", "F1ab"])).unwrap_err();
+        assert!(err.contains("takes no argument, got 'F1ab'"), "{err}");
     }
 
     #[test]

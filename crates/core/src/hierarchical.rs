@@ -357,7 +357,7 @@ fn scale_columns<T: Scalar>(m: &mut Matrix<T>, d: &[T]) {
 }
 
 /// Charge the simulated clock for a factorization of a `rows x cols`
-/// stack (the one flop model behind `fig1c_weak_scaling`: deterministic
+/// stack (the one flop model behind `psvd reproduce`'s F1c: deterministic
 /// `2·max·min² + 26·min³`, randomized `6·(keep+10)·rows·cols`).
 fn charge_factorize<C: Communicator>(
     comm: &C,
@@ -492,7 +492,7 @@ pub(crate) fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
 /// One-shot merge-tree SVD from `cfg.seed` and a fresh workspace (the convenience
 /// entry point mirroring [`crate::parallel::parallel_svd_once`]).
 /// `compute_rate`, when `Some(flop/s)`, charges modeled local compute to
-/// the simulated clock, as `fig1c_weak_scaling` and the simulated-time
+/// the simulated clock, as `psvd reproduce`'s F1c and the simulated-time
 /// gate in `tests/tree_merge.rs` do.
 pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
     comm: &C,

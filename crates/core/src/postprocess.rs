@@ -34,27 +34,6 @@ pub fn write_modes_csv(path: &Path, u: &Matrix) -> io::Result<()> {
     out.flush()
 }
 
-/// Write an `x, series...` table (the Figure-1(a,b) format: grid coordinate,
-/// serial mode, parallel mode, pointwise error).
-pub fn write_series_csv(
-    path: &Path,
-    x: &[f64],
-    names: &[&str],
-    series: &[&[f64]],
-) -> io::Result<()> {
-    assert_eq!(names.len(), series.len(), "one name per series");
-    for s in series {
-        assert_eq!(s.len(), x.len(), "series length must match x");
-    }
-    let mut out = BufWriter::new(File::create(path)?);
-    writeln!(out, "x,{}", names.join(","))?;
-    for (i, xv) in x.iter().enumerate() {
-        let row: Vec<String> = series.iter().map(|s| format!("{:.17e}", s[i])).collect();
-        writeln!(out, "{xv:.17e},{}", row.join(","))?;
-    }
-    out.flush()
-}
-
 /// A one-line unicode sparkline of a series (resampled to `width` cells).
 pub fn sparkline(values: &[f64], width: usize) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -126,25 +105,6 @@ mod tests {
         assert!(text.starts_with("point,mode_0,mode_1\n"));
         assert_eq!(text.lines().count(), 4);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn series_csv_validates_lengths() {
-        let path = tmp("series");
-        let x = [0.0, 0.5, 1.0];
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0, 6.0];
-        write_series_csv(&path, &x, &["serial", "parallel"], &[&a, &b]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("x,serial,parallel\n"));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "series length")]
-    fn series_csv_rejects_ragged() {
-        let path = tmp("ragged");
-        let _ = write_series_csv(&path, &[0.0, 1.0], &["a"], &[&[1.0]]);
     }
 
     #[test]

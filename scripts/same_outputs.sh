@@ -14,7 +14,9 @@
 #   products run the packed engine rather than the reference loops:
 #   svd of a 16384x800 Burgers container at --batch 100 --ranks 2, with
 #   and without --low-rank, and at --k 24 --batch 8 --ff 0.95 --ranks 1,
-#   and svd of a 181x360x96 ERA5 container at --batch 8 --ranks 1.
+#   and svd of a 181x360x96 ERA5 container at --batch 8 --ranks 1;
+#   and `psvd reproduce`, whose output carries every paper claim (its
+#   stdout and stderr, so a failed claim's report is compared too).
 # Every stdout and CSV is compared with `cmp`. Outputs are written to
 # relative paths from the output directory, so `wrote …` lines carry no
 # side-specific path. Each differing file is listed (a singular-value CSV
@@ -62,6 +64,10 @@ run_matrix() { # $1: the psvd binary, $2: the output directory
             svd big.lowrank bb.ncs --k 10 --batch 100 --ranks 2 --low-rank
             svd big.ff bb.ncs --k 24 --batch 8 --ff 0.95 --ranks 1
             svd big.era5 be.ncs --k 16 --batch 8 --ranks 1
+            # A failed claim prints the report on stderr and exits 1, as does
+            # a side without the verb: keep both streams and go on.
+            PSVD_TREE_FANOUT=$fanout PSVD_NUM_THREADS=$threads "$psvd" reproduce \
+                >"reproduce.$cell.stdout" 2>&1 || true
         done
     done
     cd - >/dev/null
