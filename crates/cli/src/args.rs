@@ -95,6 +95,18 @@ impl ParsedArgs {
         }
     }
 
+    /// Refuse any flag outside `known` and the global `--threads`, naming
+    /// the first one: a mistyped flag must not silently fall back to a
+    /// default.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self.flags.keys().find(|f| *f != "threads" && !known.contains(&f.as_str())) {
+            Some(f) => {
+                Err(format!("unknown flag --{f} for `psvd {}` (try `psvd help`)", self.command))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// The sole positional argument, if the command requires exactly one.
     pub fn one_positional(&self, what: &str) -> Result<&str, String> {
         match self.positional.as_slice() {

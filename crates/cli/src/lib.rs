@@ -49,7 +49,8 @@ USAGE:
 Every command also accepts --threads N to pin the linear-algebra kernel
 thread count (equivalent to the PSVD_NUM_THREADS environment variable;
 default: one share of the machine per communicator rank). Results are
-bitwise identical for every thread count.
+bitwise identical for every thread count. A flag the command does not
+read is an error.
 ";
 
 /// Run the CLI with `argv` (program name excluded). Returns the lines to
@@ -92,6 +93,7 @@ fn open_nonempty(file: &str) -> Result<NcsimReader, String> {
 /// The paper's figures and the ablations as checked claims
 /// ([`reproduce`]); `--full` runs F1ab, F1c and F2 at the paper's sizes.
 fn cmd_reproduce(a: &ParsedArgs) -> Result<Vec<String>, String> {
+    a.only(&["full"])?;
     if let Some(p) = a.positional.first() {
         return Err(format!(
             "reproduce takes no argument, got '{p}' (usage: psvd reproduce [--full])"
@@ -101,6 +103,7 @@ fn cmd_reproduce(a: &ParsedArgs) -> Result<Vec<String>, String> {
 }
 
 fn cmd_pod(a: &ParsedArgs) -> Result<Vec<String>, String> {
+    a.only(&["k", "modes-out"])?;
     let file = a.one_positional("input file")?;
     let k = a.usize_or("k", 6)?;
     SvdConfig::new(k).try_validated().map_err(|e| e.to_string())?;
@@ -128,6 +131,7 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
     let path = Path::new(out);
     match kind {
         "burgers" => {
+            a.only(&["out", "grid", "snapshots", "re"])?;
             let cfg = BurgersConfig {
                 grid_points: a.positive_or("grid", 2048)?,
                 snapshots: a.positive_or("snapshots", 200)?,
@@ -142,6 +146,7 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
             )])
         }
         "era5" => {
+            a.only(&["out", "nlat", "nlon", "snapshots", "noise"])?;
             let cfg = Era5Config {
                 nlat: a.positive_or("nlat", 48)?,
                 nlon: a.positive_or("nlon", 72)?,
@@ -162,6 +167,7 @@ fn cmd_generate(a: &ParsedArgs) -> Result<Vec<String>, String> {
 }
 
 fn cmd_info(a: &ParsedArgs) -> Result<Vec<String>, String> {
+    a.only(&[])?;
     let file = a.one_positional("input file")?;
     let reader = NcsimReader::open(Path::new(file)).map_err(|e| e.to_string())?;
     let h = reader.header();
@@ -223,6 +229,9 @@ fn run_svd(file: &str, cfg: SvdConfig, ranks: usize, batch: usize) -> Result<Svd
 }
 
 fn cmd_svd(a: &ParsedArgs) -> Result<Vec<String>, String> {
+    const FLAGS: &[&str] =
+        &["k", "ranks", "batch", "ff", "r1", "r2", "low-rank", "values-out", "modes-out", "quiet"];
+    a.only(FLAGS)?;
     let file = a.one_positional("input file")?;
     let k = a.usize_or("k", 10)?;
     let ranks = a.positive_or("ranks", 1)?;
@@ -260,6 +269,7 @@ fn cmd_svd(a: &ParsedArgs) -> Result<Vec<String>, String> {
 }
 
 fn cmd_validate(a: &ParsedArgs) -> Result<Vec<String>, String> {
+    a.only(&["k", "ranks", "batch"])?;
     let file = a.one_positional("input file")?;
     let k = a.usize_or("k", 6)?;
     let ranks = a.usize_or("ranks", 4)?;
@@ -394,6 +404,13 @@ mod tests {
             (vec!["validate", &no_cols], "64 x 0 matrix"),
             (vec!["pod", &no_rows], "0 x 8 matrix"),
             (vec!["pod", &no_cols], "64 x 0 matrix"),
+            (vec!["svd", &file, "--k", "3", "--rank", "4", "--batch", "10"], "--rank "),
+            (vec!["validate", &file, "--quiet"], "unknown flag --quiet"),
+            (vec!["pod", &file, "--ranks", "2"], "unknown flag --ranks"),
+            (vec!["info", &file, "--k", "2"], "unknown flag --k"),
+            (vec!["reproduce", "--seconds", "5"], "unknown flag --seconds"),
+            (vec!["generate", "era5", "--out", &never, "--grid", "8"], "unknown flag --grid"),
+            (vec!["generate", "burgers", "--out", &never, "--nlat", "8"], "unknown flag --nlat"),
         ] {
             let err = run(&argv(&args)).expect_err(&args.join(" "));
             assert!(err.contains(want), "{args:?}: {err}");

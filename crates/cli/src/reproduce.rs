@@ -262,7 +262,7 @@ fn f1ab(full: bool) -> Experiment {
     }
 
     let (rec1, rec2, rec_sigma) =
-        if full { (1.461e-14, 2.325e-13, 2.047e-12) } else { (3.118e-13, 4.839e-12, 8.301e-12) };
+        if full { (1.462e-14, 2.325e-13, 2.046e-12) } else { (3.117e-13, 4.839e-12, 8.301e-12) };
     Experiment {
         title: format!(
             "F1ab: Fig. 1(a,b), Burgers {} x {}, Re = {}, 4 ranks, K = 10, ff = 0.95, batch {batch}",
@@ -619,8 +619,8 @@ fn a2() -> Experiment {
                 16.55,
             ),
             Claim::at_least("A2.2", "spectrum error at r1 = 2", r1_runs[0].0, 1.060e-2),
-            Claim::at_most("A2.3", "spectrum error at r1 = 50", r1_runs[5].0, 5.247e-15),
-            Claim::at_most("A2.4", "r2 sweep: largest spectrum error", r2_worst, 5.247e-15),
+            Claim::at_most("A2.3", "spectrum error at r1 = 50", r1_runs[5].0, 4.885e-15),
+            Claim::at_most("A2.4", "r2 sweep: largest spectrum error", r2_worst, 4.885e-15),
         ],
     }
 }
@@ -715,7 +715,7 @@ fn a4() -> Experiment {
         claims: vec![
             Claim::never("A4.1", "spectrum error falls as B grows", violations(&errs, true)),
             Claim::never("A4.2", "subspace angle falls as B grows", violations(&angles, true)),
-            Claim::at_most("A4.3", "B = 400: subspace angle to the batch SVD", angles[5], 5.162e-8),
+            Claim::at_most("A4.3", "B = 400: subspace angle to the batch SVD", angles[5], 7.598e-8),
         ],
     }
 }

@@ -124,7 +124,7 @@ pub fn sym_eig<T: Scalar>(a: &Matrix<T>) -> SymEig<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gram, matmul};
+    use crate::gemm::{matmul, matmul_tn};
     use crate::norms::orthogonality_error;
 
     #[test]
@@ -150,14 +150,16 @@ mod tests {
     #[test]
     fn eigenvectors_orthonormal() {
         let n = 15;
-        let g = gram(&Matrix::from_fn(40, n, |i, j| ((i + j * j) as f64 * 0.1).cos()));
+        let a = Matrix::from_fn(40, n, |i, j| ((i + j * j) as f64 * 0.1).cos());
+        let g = matmul_tn(&a, &a);
         let e = sym_eig(&g);
         assert!(orthogonality_error(&e.vectors) < 1e-11);
     }
 
     #[test]
     fn eigenvalues_descending_and_gram_nonnegative() {
-        let g = gram(&Matrix::from_fn(30, 8, |i, j| ((i * 3 + j) as f64 * 0.37).sin()));
+        let a = Matrix::from_fn(30, 8, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let g = matmul_tn(&a, &a);
         let e = sym_eig(&g);
         for w in e.values.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);

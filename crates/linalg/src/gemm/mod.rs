@@ -130,14 +130,6 @@ pub fn matvec_t<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
     }
 }
 
-/// The Gram matrix `AᵀA` (symmetric; only the upper triangle is computed,
-/// then mirrored, halving the flops of a general `AᵀB`).
-pub fn gram<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
-    let mut g = Matrix::zeros(a.cols(), a.cols());
-    gram_view_dispatch(a.view(), &mut g);
-    g
-}
-
 // --- View-consuming `_into` entry points ---------------------------------
 //
 // The allocating products above are these on a fresh matrix. Outputs are
@@ -265,20 +257,6 @@ fn each_pair<T: Scalar>(
     }
 }
 
-/// `G = AᵀA` written into `g`. Bitwise identical to [`gram`].
-pub fn gram_into<T: Scalar>(a: MatView<'_, T>, g: &mut Matrix<T>) {
-    gram_view_dispatch(a, g);
-}
-
-fn gram_view_dispatch<T: Scalar>(a: MatView<'_, T>, g: &mut Matrix<T>) {
-    g.reshape_zeroed(a.cols(), a.cols());
-    if a.rows() * a.cols() * a.cols() >= PAR_MIN_FLOPS {
-        packed::gram_view(a, g.as_mut_slice());
-    } else {
-        reference::gram_view(a, g.as_mut_slice());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,16 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_matches_tn() {
-        let a = test_mat(50, 12, 0.6);
-        let g = gram(&a);
-        let g2 = matmul_tn(&a, &a);
-        assert!((&g - &g2).max_abs() < 1e-12);
-        // Symmetry.
-        assert!((&g - &g.transpose()).max_abs() == 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "inner dimensions mismatch")]
     fn matmul_dim_mismatch_panics() {
         let a = Matrix::<f64>::zeros(2, 3);
@@ -432,17 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_gram_upper_triangle_and_mirror() {
-        let a = test_mat(83, 29, 0.61);
-        let g = packed::gram(&a);
-        // The threaded gram keeps the reference accumulation order, so
-        // agreement is exact, not approximate.
-        assert_eq!(g, reference::gram(&a));
-        assert!((&g - &reference::matmul_tn(&a, &a)).max_abs() < 1e-11);
-        assert!((&g - &g.transpose()).max_abs() == 0.0);
-    }
-
-    #[test]
     fn packed_matvecs_bitwise_match_reference() {
         let a = test_mat(67, 45, 0.83);
         let x: Vec<f64> = (0..45).map(|i| (i as f64 * 0.17).cos()).collect();
@@ -484,9 +441,6 @@ mod tests {
             let mut cnt = Matrix::zeros(0, 0);
             matmul_nt_into(a.view(), bt.view(), &mut cnt);
             assert_eq!(cnt, matmul_nt(&a, &bt), "matmul_nt_into ({m},{k},{n})");
-            let mut g = Matrix::zeros(0, 0);
-            gram_into(a.view(), &mut g);
-            assert_eq!(g, gram(&a), "gram_into ({m},{k})");
         }
     }
 
@@ -506,9 +460,6 @@ mod tests {
         let mut c_t = Matrix::zeros(0, 0);
         matmul_into(big.view().transposed(), big.view(), &mut c_t);
         assert_eq!(c_t, matmul_tn(&big, &big));
-        let mut g_blk = Matrix::zeros(0, 0);
-        gram_into(blk, &mut g_blk);
-        assert_eq!(g_blk, gram(&cpy), "gram of strided block");
     }
 
     #[test]

@@ -332,86 +332,6 @@ pub fn matmul_tn_cat_with<T: Scalar>(
     }
 }
 
-/// `AᵀA`, threaded: upper triangle only, mirrored afterwards (~half
-/// the flops of `matmul_tn(a, a)`).
-///
-/// Not the tile engine: the reference rank-1 sweep, parallelized over
-/// row strips of `G` (strips sized so each carries an equal share of
-/// the triangle). Every `G` element keeps the reference kernel's exact
-/// ascending-`kk` accumulation order, so the result is bitwise equal
-/// to `reference::gram` at every thread count — and independent of the
-/// selected micro-kernel, which this path never touches. That is all
-/// it buys: despite half the flops it is slower than the tile engine's
-/// `matmul_tn_into(a, a)` on tall inputs. Medians over two sessions at
-/// one thread on a 2-vCPU x86_64 host (FMA kernel): 21.0–24.4 vs
-/// 13.6–13.8 ms at `8192×100`, 3.0–5.7 vs 2.4–2.9 ms at `60000×8`,
-/// 11.3–12.9 vs 7.6–10.1 ms at `65160×16`. The blocked QR's `YᵀY` still
-/// comes through here, so rerouting it would change the QR's bits.
-pub fn gram<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
-    let mut g = Matrix::zeros(a.cols(), a.cols());
-    gram_view(a.view(), g.as_mut_slice());
-    g
-}
-
-/// The view form of [`gram`]: same strip partition, same per-element
-/// ascending-`kk` accumulation order, writing into `g` (length
-/// `n*n`). Strided views take an indexed inner loop; the op sequence
-/// per element is unchanged, so results stay bitwise equal to
-/// `reference::gram` for any thread count and any strides.
-pub(crate) fn gram_view<T: Scalar>(a: MatView<'_, T>, g: &mut [T]) {
-    let n = a.cols;
-    let rows = a.rows;
-    debug_assert_eq!(g.len(), n * n);
-    if n > 0 && rows > 0 {
-        let gptr = SendPtr(g.as_mut_ptr());
-        let threads = par::num_threads().min(n).max(1);
-        // Row strip boundaries equalizing upper-triangle area: row i
-        // owns n - i elements, so the strip ending at fraction t of
-        // the area ends at row n * (1 - sqrt(1 - t)).
-        let bound = |t: usize| -> usize {
-            let frac = t as f64 / threads as f64;
-            ((n as f64) * (1.0 - (1.0 - frac).sqrt())).round() as usize
-        };
-        par::run(threads, &|tid: usize| {
-            let (i0, i1) = (bound(tid).min(n), bound(tid + 1).min(n));
-            if i0 >= i1 {
-                return;
-            }
-            // SAFETY: row ranges [i0, i1) are disjoint across threads,
-            // so these &mut subslices of G never overlap. Going
-            // through a real slice (not per-element raw writes) keeps
-            // the inner loop autovectorizable.
-            let gs =
-                unsafe { std::slice::from_raw_parts_mut(gptr.get().add(i0 * n), (i1 - i0) * n) };
-            for kk in 0..rows {
-                if a.cs == 1 {
-                    let row = &a.data[kk * a.rs..kk * a.rs + n];
-                    for i in i0..i1 {
-                        let ri = row[i];
-                        let grow = &mut gs[(i - i0) * n + i..(i - i0) * n + n];
-                        for (gv, rv) in grow.iter_mut().zip(&row[i..]) {
-                            *gv += ri * *rv;
-                        }
-                    }
-                } else {
-                    for i in i0..i1 {
-                        let ri = a.at(kk, i);
-                        let grow = &mut gs[(i - i0) * n + i..(i - i0) * n + n];
-                        for (gv, j) in grow.iter_mut().zip(i..n) {
-                            *gv += ri * a.at(kk, j);
-                        }
-                    }
-                }
-            }
-        });
-    }
-    for i in 0..n {
-        for j in 0..i {
-            g[i * n + j] = g[j * n + i];
-        }
-    }
-}
-
 /// `y = A * x`, rows partitioned across threads. Each `y[i]` is one
 /// serial dot product, so the result is identical to the reference
 /// kernel at any thread count.

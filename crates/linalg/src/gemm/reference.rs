@@ -51,39 +51,6 @@ pub(crate) fn gemm_view<T: Scalar>(a: MatView<'_, T>, b: MatView<'_, T>, c: &mut
     }
 }
 
-/// `G = AᵀA` of a strided view into `g` (length `n*n`): the rank-1
-/// upper-triangle sweep of [`gram`], generalized to views, with the
-/// identical ascending-`kk` accumulation order.
-pub(crate) fn gram_view<T: Scalar>(a: MatView<'_, T>, g: &mut [T]) {
-    let n = a.cols();
-    debug_assert_eq!(g.len(), n * n);
-    for kk in 0..a.rows() {
-        if a.cs == 1 {
-            let row = &a.data[kk * a.rs..kk * a.rs + n];
-            for i in 0..n {
-                let ri = row[i];
-                let grow = &mut g[i * n + i..(i + 1) * n];
-                for (gv, rv) in grow.iter_mut().zip(&row[i..]) {
-                    *gv += ri * *rv;
-                }
-            }
-        } else {
-            for i in 0..n {
-                let ri = a.at(kk, i);
-                let grow = &mut g[i * n + i..(i + 1) * n];
-                for (gv, j) in grow.iter_mut().zip(i..n) {
-                    *gv += ri * a.at(kk, j);
-                }
-            }
-        }
-    }
-    for i in 0..n {
-        for j in 0..i {
-            g[i * n + j] = g[j * n + i];
-        }
-    }
-}
-
 /// `C = A * B`.
 pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_eq!(
@@ -180,28 +147,4 @@ pub fn matvec_t<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
         }
     }
     y
-}
-
-/// The Gram matrix `AᵀA`: rank-1 updates over the upper triangle only,
-/// mirrored at the end (half the flops of a general `AᵀB`).
-pub fn gram<T: Scalar>(a: &Matrix<T>) -> Matrix<T> {
-    let n = a.cols();
-    let mut g = Matrix::zeros(n, n);
-    let gd = g.as_mut_slice();
-    for kk in 0..a.rows() {
-        let row = a.row(kk);
-        for i in 0..n {
-            let ri = row[i];
-            let grow = &mut gd[i * n + i..(i + 1) * n];
-            for (gv, rv) in grow.iter_mut().zip(&row[i..]) {
-                *gv += ri * *rv;
-            }
-        }
-    }
-    for i in 0..n {
-        for j in 0..i {
-            gd[i * n + j] = gd[j * n + i];
-        }
-    }
-    g
 }

@@ -39,7 +39,7 @@ pub mod view;
 pub mod workspace;
 pub mod wy;
 
-pub use gemm::{gram_into, matmul_acc_into, matmul_into, matmul_nt_into, matmul_tn_into};
+pub use gemm::{matmul_acc_into, matmul_into, matmul_nt_into, matmul_tn_into};
 pub use matrix::{alloc_stats, Matrix};
 pub use qr::{qr_thin_into, thin_qr, QrFactors};
 pub use randomized::{low_rank_svd, randomized_svd, RandomizedConfig};

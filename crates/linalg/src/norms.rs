@@ -1,14 +1,12 @@
 //! Norms and orthogonality diagnostics.
 
-use crate::gemm::gram;
+use crate::gemm::matmul_tn;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
 /// `‖QᵀQ − I‖_max`: how far the columns of `q` are from orthonormal.
 pub fn orthogonality_error<T: Scalar>(q: &Matrix<T>) -> f64 {
-    // gram computes only the upper triangle and mirrors it — half the
-    // flops of the general matmul_tn(q, q) this used to call.
-    let g = gram(q);
+    let g = matmul_tn(q, q);
     let mut err: f64 = 0.0;
     for i in 0..g.rows() {
         for j in 0..g.cols() {

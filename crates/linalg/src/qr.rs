@@ -11,7 +11,7 @@
 //! the principled version of that trick and is what keeps local and global
 //! TSQR stages consistent across ranks.
 
-use crate::gemm::{gram_into, matmul};
+use crate::gemm::{matmul, matmul_tn_into};
 use crate::matrix::Matrix;
 use crate::par;
 use crate::scalar::Scalar;
@@ -320,7 +320,7 @@ fn householder_blocked_into<T: Scalar>(
         // Trailing update through the packed GEMM engine.
         if k0 + nbk < n {
             wy::panel_y(&vs, vn.row(0), k0, nbk, m - k0, &mut y, &mut taus.row_mut(0)[..nbk]);
-            gram_into(y.view(), &mut s);
+            matmul_tn_into(y.view(), y.view(), &mut s);
             wy::build_t(&s, &taus.row(0)[..nbk], &mut t);
             t.scale_mut(-T::ONE);
             wy::apply_block_left(&y, &t, true, work.block_mut(k0, m, k0 + nbk, n), ws);

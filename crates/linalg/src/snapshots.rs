@@ -7,7 +7,7 @@
 //! row block without ever forming global objects.
 
 use crate::eig::sym_eig;
-use crate::gemm::gram;
+use crate::gemm::matmul_tn;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
@@ -20,7 +20,7 @@ use crate::scalar::Scalar;
 pub fn generate_right_vectors<T: Scalar>(a: &Matrix<T>, k: usize) -> (Matrix<T>, Vec<T>) {
     let n = a.cols();
     let k = k.min(n);
-    let g = gram(a);
+    let g = matmul_tn(a, a);
     let e = sym_eig(&g);
     let s: Vec<T> = e.values[..k].iter().map(|&l| l.max(T::ZERO).sqrt()).collect();
     let v = e.vectors.first_columns(k);

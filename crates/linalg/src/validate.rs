@@ -4,49 +4,20 @@
 //! values, up to rotation within the cluster), so naive elementwise
 //! comparisons of serial vs. parallel results are meaningless. These helpers
 //! implement the comparisons the paper's Figure 1(a,b) relies on: per-mode
-//! sign alignment and subspace angles.
+//! sign-aligned error and subspace angles.
 
 use crate::gemm::matmul_tn;
 use crate::matrix::Matrix;
 use crate::svd::svd;
 
-/// The sign (`+1.0` / `-1.0`) that best aligns each column of `b` with
-/// the corresponding column of `a` (maximizing the inner product).
-/// Allocation-light: one small `Vec<f64>` of length `cols`, no matrix
-/// copy — the non-allocating core of [`align_signs`].
-pub fn column_signs(a: &Matrix, b: &Matrix) -> Vec<f64> {
-    assert_eq!(a.shape(), b.shape(), "align_signs: shape mismatch");
-    (0..a.cols())
-        .map(|j| {
-            let dot: f64 = a.col_iter(j).zip(b.col_iter(j)).map(|(x, y)| x * y).sum();
-            if dot < 0.0 {
-                -1.0
-            } else {
-                1.0
-            }
-        })
-        .collect()
-}
-
-/// Flip the sign of each column of `b` so it best matches the corresponding
-/// column of `a` (maximizing the inner product). Returns the aligned copy.
-pub fn align_signs(a: &Matrix, b: &Matrix) -> Matrix {
-    let signs = column_signs(a, b);
-    let mut out = b.clone();
-    for (j, &s) in signs.iter().enumerate() {
-        if s < 0.0 {
-            out.scale_col_mut(j, -1.0);
-        }
-    }
-    out
-}
-
 /// Pointwise absolute error of mode `j` after sign alignment — the exact
-/// series plotted in Figure 1(a,b) of the paper. Sign alignment is applied
-/// on the fly; `b` is never copied.
+/// series plotted in Figure 1(a,b) of the paper. Column `j` of `b` is
+/// flipped when its inner product with column `j` of `a` is negative; `b`
+/// is never copied, and either side may hold more modes than the other.
 pub fn pointwise_mode_error(a: &Matrix, b: &Matrix, j: usize) -> Vec<f64> {
-    let signs = column_signs(a, b);
-    let s = signs[j];
+    assert_eq!(a.rows(), b.rows(), "pointwise_mode_error: row count mismatch");
+    let dot: f64 = a.col_iter(j).zip(b.col_iter(j)).map(|(x, y)| x * y).sum();
+    let s = if dot < 0.0 { -1.0 } else { 1.0 };
     a.col_iter(j).zip(b.col_iter(j)).map(|(x, y)| (x - s * y).abs()).collect()
 }
 
@@ -81,8 +52,9 @@ mod tests {
     fn sign_alignment_fixes_flips() {
         let a = Matrix::from_columns(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
         let b = Matrix::from_columns(&[vec![-1.0, 0.0], vec![0.0, 1.0]]);
-        let aligned = align_signs(&a, &b);
-        assert_eq!(aligned, a);
+        for j in 0..2 {
+            assert_eq!(pointwise_mode_error(&a, &b, j), [0.0, 0.0]);
+        }
     }
 
     #[test]
@@ -93,6 +65,17 @@ mod tests {
         assert!(err[0] < 1e-15);
         assert!((err[1] - 0.1).abs() < 1e-15);
         assert!(err[2] < 1e-15);
+        // Five modes against three (a driver that returned fewer): every
+        // mode both hold compares, in either order, flipped or not.
+        let five = Matrix::from_fn(4, 5, |i, j| if i == j % 4 { 1.0 } else { 0.1 * j as f64 });
+        let mut three = five.submatrix(0, 4, 0, 3);
+        three.scale_col_mut(1, -1.0);
+        three[(3, 2)] += 0.25;
+        for j in 0..3 {
+            let want = if j == 2 { [0.0, 0.0, 0.0, 0.25] } else { [0.0; 4] };
+            assert_eq!(pointwise_mode_error(&five, &three, j), want, "mode {j}");
+            assert_eq!(pointwise_mode_error(&three, &five, j), want, "mode {j}, swapped");
+        }
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! ## Determinism
 //!
 //! Everything here is built from kernels that are bitwise deterministic
-//! across thread counts (`gram_into`, the `matmul*_into` family and the
-//! accumulating [`matmul_acc_into`]), plus serial `O(nb³)` recurrences, so
-//! a blocked factorization at a fixed panel width `nb` produces identical
-//! bits for every value of `PSVD_NUM_THREADS`.
+//! across thread counts (the `matmul*_into` family and the accumulating
+//! [`matmul_acc_into`]), plus serial `O(nb³)` recurrences, so a blocked
+//! factorization at a fixed panel width `nb` produces identical bits for
+//! every value of `PSVD_NUM_THREADS`.
 
-use crate::gemm::{gram_into, matmul_acc_into, matmul_into, matmul_tn_into};
+use crate::gemm::{matmul_acc_into, matmul_into, matmul_tn_into};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::view::MatViewMut;
@@ -132,7 +132,8 @@ pub(crate) fn apply_block_left<T: Scalar>(
 /// panels of width `nb`, where reflector `k` acts on rows `off + k ..` of
 /// `x` (`off = 0` for QR / left bidiagonalization reflectors, `off = 1`
 /// for the right ones). Panels are processed last-to-first; each panel's
-/// `T` is rebuilt from `S = YᵀY` (one level-3 `gram`) rather than stored.
+/// `T` is rebuilt from `S = YᵀY` (one `matmul_tn_into(Y, Y)`) rather than
+/// stored.
 ///
 /// **Contract:** `x` must start as leading identity columns
 /// (`x[i][j] = δ_ij`), the orthogonal-factor-formation shape of every call
@@ -165,7 +166,7 @@ pub(crate) fn accumulate_reverse<T: Scalar>(
         let nbk = nb.min(count - k0);
         let len = rows - off - k0;
         panel_y(vs, vn, k0, nbk, len, &mut y, &mut taubuf.row_mut(0)[..nbk]);
-        gram_into(y.view(), &mut s);
+        matmul_tn_into(y.view(), y.view(), &mut s);
         build_t(&s, &taubuf.row(0)[..nbk], &mut t);
         t.scale_mut(-T::ONE);
         let c0 = off + k0;
@@ -268,7 +269,7 @@ mod tests {
         let mut taus = vec![0.0; nb];
         panel_y(&vs, &vn, 0, nb, m, &mut y, &mut taus);
         let mut s = Matrix::zeros(0, 0);
-        gram_into(y.view(), &mut s);
+        matmul_tn_into(y.view(), y.view(), &mut s);
         let mut t = Matrix::zeros(0, 0);
         build_t(&s, &taus, &mut t);
         t.scale_mut(-1.0);
@@ -359,7 +360,7 @@ mod tests {
         let mut taus = vec![0.0; 2];
         panel_y(&vs, &vn, 0, 2, 6, &mut y, &mut taus);
         let mut s = Matrix::zeros(0, 0);
-        gram_into(y.view(), &mut s);
+        matmul_tn_into(y.view(), y.view(), &mut s);
         let mut t = Matrix::zeros(0, 0);
         build_t(&s, &taus, &mut t);
         let v1v2: f64 = (0..6).map(|i| y[(i, 0)] * y[(i, 1)]).sum();

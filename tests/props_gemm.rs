@@ -62,17 +62,34 @@ proptest! {
         prop_assert!(diff < TOL, "({m},{k},{n}) diverged by {diff}");
     }
 
+    /// `AᵀA` is `matmul_tn(a, a)`: every kernel's engine result is exactly
+    /// symmetric, the same bits at 1 and 4 threads, and within rounding of
+    /// the reference loops. Rows under 256 take the full blocked path,
+    /// longer ones the K-panel path; the public entry adds the reference
+    /// tier under `2^20` flops.
     #[test]
     fn packed_gram_matches_reference_and_is_exactly_symmetric(
-        rows in 1usize..80,
-        n in 1usize..40,
+        rows in 1usize..700,
+        n in 1usize..64,
         seed in 0u64..1_000,
     ) {
         let a = rand_mat(rows, n, seed);
-        let g = packed::gram(&a);
-        let diff = (&g - &reference::matmul_tn(&a, &a)).max_abs();
-        prop_assert!(diff < TOL, "({rows},{n}) diverged by {diff}");
-        prop_assert!((&g - &g.transpose()).max_abs() == 0.0, "gram not exactly symmetric");
+        let want = reference::matmul_tn(&a, &a);
+        prop_assert!(want == want.transpose(), "reference ({rows},{n}) not exactly symmetric");
+        let mut g = Matrix::zeros(0, 0);
+        gemm::matmul_tn_into(a.view(), a.view(), &mut g);
+        prop_assert!(g == g.transpose(), "matmul_tn_into ({rows},{n}) not exactly symmetric");
+        for &kern in kernels::available::<f64>() {
+            par::set_num_threads(1);
+            let g = packed::matmul_tn_with(kern, &a, &a);
+            par::set_num_threads(4);
+            let g4 = packed::matmul_tn_with(kern, &a, &a);
+            par::set_num_threads(0);
+            prop_assert!(g4 == g, "{} ({rows},{n}) changed bits at 4 threads", kern.name());
+            let diff = (&g - &want).max_abs();
+            prop_assert!(diff < TOL, "{} ({rows},{n}) diverged by {diff}", kern.name());
+            prop_assert!(g == g.transpose(), "{} ({rows},{n}) not exactly symmetric", kern.name());
+        }
     }
 
     #[test]
@@ -118,7 +135,6 @@ fn packed_degenerate_shapes() {
     let col = rand_mat(50, 1, 8);
     assert!((&packed::matmul(&row, &col) - &reference::matmul(&row, &col)).max_abs() < TOL);
     assert!((&packed::matmul(&col, &row) - &reference::matmul(&col, &row)).max_abs() < TOL);
-    assert_eq!(packed::gram(&Matrix::<f64>::zeros(0, 4)), Matrix::zeros(4, 4));
 }
 
 /// The headline guarantee: every public entry point returns bit-for-bit
@@ -132,6 +148,7 @@ fn results_bitwise_identical_across_thread_counts() {
     let a = rand_mat(90, 97, 11);
     let b = rand_mat(97, 93, 12);
     let c = rand_mat(90, 93, 14); // same row count as a, for AᵀC
+    let tall = rand_mat(1024, 32, 16); // AᵀA on the K-panel path, a's on the full blocked
     let d = rand_mat(93, 97, 15); // same col count as a, for ADᵀ
     let x: Vec<f64> = rand_mat(97, 1, 13).as_slice().to_vec();
 
@@ -139,7 +156,13 @@ fn results_bitwise_identical_across_thread_counts() {
     let base_mm = gemm::matmul(&a, &b);
     let base_tn = gemm::matmul_tn(&a, &c);
     let base_nt = gemm::matmul_nt(&a, &d);
-    let base_gram = gemm::gram(&a);
+    let ata = |x: &Matrix| {
+        let mut g = Matrix::zeros(0, 0);
+        gemm::matmul_tn_into(x.view(), x.view(), &mut g);
+        g
+    };
+    let base_ata = [ata(&a), ata(&tall)];
+    assert!(base_ata.iter().all(|g| *g == g.transpose()), "AᵀA not exactly symmetric");
     let base_mv = gemm::matvec(&a, &x);
     let base_qr = psvd_linalg::thin_qr(&a);
 
@@ -148,7 +171,7 @@ fn results_bitwise_identical_across_thread_counts() {
         assert_eq!(gemm::matmul(&a, &b), base_mm, "matmul bits changed at {threads} threads");
         assert_eq!(gemm::matmul_tn(&a, &c), base_tn, "tn bits changed at {threads}");
         assert_eq!(gemm::matmul_nt(&a, &d), base_nt, "nt bits changed at {threads}");
-        assert_eq!(gemm::gram(&a), base_gram, "gram bits changed at {threads} threads");
+        assert_eq!([ata(&a), ata(&tall)], base_ata, "AᵀA bits changed at {threads} threads");
         assert_eq!(gemm::matvec(&a, &x), base_mv, "matvec bits changed at {threads} threads");
         let f = psvd_linalg::thin_qr(&a);
         assert_eq!(f.q, base_qr.q, "QR Q bits changed at {threads} threads");
@@ -164,7 +187,6 @@ fn small_problems_take_reference_path_exactly() {
     let a = rand_mat(12, 9, 21);
     let b = rand_mat(9, 10, 22);
     assert_eq!(gemm::matmul(&a, &b), reference::matmul(&a, &b));
-    assert_eq!(gemm::gram(&a), reference::gram(&a));
 }
 
 // --- Micro-kernel matrix ----------------------------------------------

@@ -4,7 +4,7 @@
 //! algebraic identities every caller of this workspace relies on.
 
 use proptest::prelude::*;
-use pyparsvd::linalg::gemm::{gram, matmul, matmul_tn};
+use pyparsvd::linalg::gemm::{matmul, matmul_tn};
 use pyparsvd::linalg::norms::orthogonality_error;
 use pyparsvd::linalg::qr::{reconstruction_error, thin_qr};
 use pyparsvd::linalg::snapshots::generate_right_vectors;
@@ -94,8 +94,8 @@ proptest! {
     }
 
     #[test]
-    fn gram_is_psd_and_symmetric(a in matrix_strategy(20, 10)) {
-        let g = gram(&a);
+    fn ata_is_psd_and_symmetric(a in matrix_strategy(20, 10)) {
+        let g = matmul_tn(&a, &a);
         prop_assert!((&g - &g.transpose()).max_abs() == 0.0);
         let e = pyparsvd::linalg::eig::sym_eig(&g);
         for &l in &e.values {

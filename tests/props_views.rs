@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use psvd_core::{SerialStreamingSvd, SvdConfig};
 use psvd_linalg::gemm::{
-    gram, gram_into, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
+    matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
 };
 use psvd_linalg::qr::{qr_thin_into, thin_qr};
 use psvd_linalg::random::{gaussian_matrix, seeded_rng};
@@ -94,20 +94,6 @@ proptest! {
         let mut c = Matrix::zeros(0, 0);
         matmul_nt_into(va, vb, &mut c);
         prop_assert_eq!(c, matmul_nt(&va.to_matrix(), &vb.to_matrix()));
-    }
-
-    #[test]
-    fn gram_into_bitwise_matches(
-        m in 1usize..60,
-        n in 1usize..30,
-        pad in 0usize..3,
-        seed in 0u64..1_000,
-    ) {
-        let (pa, r0, c0) = strided_case(m, n, pad, seed);
-        let va = pa.block(r0, r0 + m, c0, c0 + n);
-        let mut g = Matrix::zeros(0, 0);
-        gram_into(va, &mut g);
-        prop_assert_eq!(g, gram(&va.to_matrix()));
     }
 
     #[test]
