@@ -3,6 +3,8 @@
 //! Grammar: `psvd <command> [positional...] [--flag [value]]...`. Flags
 //! either take one value (`--k 10`) or are boolean switches (`--low-rank`);
 //! the parser records raw strings and typed accessors convert on demand.
+//! A value flag given no value is recorded without one, so that
+//! [`ParsedArgs::only`] can name it as unknown before it asks for the value.
 
 use std::collections::BTreeMap;
 
@@ -13,6 +15,7 @@ pub struct ParsedArgs {
     pub command: String,
     /// Positional arguments after the subcommand.
     pub positional: Vec<String>,
+    /// `None` for a switch, and for a value flag given no value.
     flags: BTreeMap<String, Option<String>>,
 }
 
@@ -32,17 +35,13 @@ impl ParsedArgs {
                 if name.is_empty() {
                     return Err("empty flag name '--'".into());
                 }
-                if SWITCHES.contains(&name) {
-                    flags.insert(name.to_string(), None);
+                let value = if SWITCHES.contains(&name) {
+                    None
                 } else {
-                    let value = argv
-                        .get(i + 1)
-                        .filter(|v| !v.starts_with("--"))
-                        .cloned()
-                        .ok_or_else(|| format!("flag --{name} requires a value"))?;
-                    flags.insert(name.to_string(), Some(value));
-                    i += 1;
-                }
+                    argv.get(i + 1).filter(|v| !v.starts_with("--")).cloned()
+                };
+                i += usize::from(value.is_some());
+                flags.insert(name.to_string(), value);
             } else if command.is_empty() {
                 command = tok.clone();
             } else {
@@ -68,7 +67,11 @@ impl ParsedArgs {
 
     /// A required string flag.
     pub fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("missing required flag --{name}"))
+        match (self.get(name), self.flags.contains_key(name)) {
+            (Some(v), _) => Ok(v),
+            (None, true) => Err(format!("flag --{name} requires a value")),
+            (None, false) => Err(format!("missing required flag --{name}")),
+        }
     }
 
     /// A `usize` flag with a default.
@@ -97,12 +100,19 @@ impl ParsedArgs {
 
     /// Refuse any flag outside `known` and the global `--threads`, naming
     /// the first one: a mistyped flag must not silently fall back to a
-    /// default.
+    /// default. Then refuse a known value flag given no value.
     pub fn only(&self, known: &[&str]) -> Result<(), String> {
-        match self.flags.keys().find(|f| *f != "threads" && !known.contains(&f.as_str())) {
-            Some(f) => {
-                Err(format!("unknown flag --{f} for `psvd {}` (try `psvd help`)", self.command))
-            }
+        if let Some(f) = self.flags.keys().find(|f| *f != "threads" && !known.contains(&f.as_str()))
+        {
+            return Err(format!(
+                "unknown flag --{f} for `psvd {}` (try `psvd help`)",
+                self.command
+            ));
+        }
+        let valueless =
+            |(f, v): &(&String, &Option<String>)| v.is_none() && !SWITCHES.contains(&f.as_str());
+        match self.flags.iter().find(valueless) {
+            Some((f, _)) => Err(format!("flag --{f} requires a value")),
             None => Ok(()),
         }
     }
@@ -152,8 +162,12 @@ mod tests {
 
     #[test]
     fn missing_value_is_error() {
-        assert!(parse(&["svd", "--k"]).is_err());
-        assert!(parse(&["svd", "--k", "--low-rank"]).is_err());
+        for argv in [&["svd", "--k"][..], &["svd", "--k", "--low-rank"]] {
+            let err = parse(argv).unwrap().only(&["k", "low-rank"]).unwrap_err();
+            assert_eq!(err, "flag --k requires a value");
+        }
+        let err = parse(&["generate", "--out"]).unwrap().require("out").unwrap_err();
+        assert_eq!(err, "flag --out requires a value");
     }
 
     #[test]

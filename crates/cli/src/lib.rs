@@ -409,6 +409,8 @@ mod tests {
             (vec!["pod", &file, "--ranks", "2"], "unknown flag --ranks"),
             (vec!["info", &file, "--k", "2"], "unknown flag --k"),
             (vec!["reproduce", "--seconds", "5"], "unknown flag --seconds"),
+            (vec!["reproduce", "--quick"], "unknown flag --quick"),
+            (vec!["svd", &file, "--k"], "flag --k requires a value"),
             (vec!["generate", "era5", "--out", &never, "--grid", "8"], "unknown flag --grid"),
             (vec!["generate", "burgers", "--out", &never, "--nlat", "8"], "unknown flag --nlat"),
         ] {

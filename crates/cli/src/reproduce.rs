@@ -262,7 +262,7 @@ fn f1ab(full: bool) -> Experiment {
     }
 
     let (rec1, rec2, rec_sigma) =
-        if full { (1.462e-14, 2.325e-13, 2.046e-12) } else { (3.117e-13, 4.839e-12, 8.301e-12) };
+        if full { (9.123e-15, 1.530e-13, 2.046e-12) } else { (3.117e-13, 4.839e-12, 8.301e-12) };
     Experiment {
         title: format!(
             "F1ab: Fig. 1(a,b), Burgers {} x {}, Re = {}, 4 ranks, K = 10, ff = 0.95, batch {batch}",
@@ -619,8 +619,8 @@ fn a2() -> Experiment {
                 16.55,
             ),
             Claim::at_least("A2.2", "spectrum error at r1 = 2", r1_runs[0].0, 1.060e-2),
-            Claim::at_most("A2.3", "spectrum error at r1 = 50", r1_runs[5].0, 4.885e-15),
-            Claim::at_most("A2.4", "r2 sweep: largest spectrum error", r2_worst, 4.885e-15),
+            Claim::at_most("A2.3", "spectrum error at r1 = 50", r1_runs[5].0, 1.086e-15),
+            Claim::at_most("A2.4", "r2 sweep: largest spectrum error", r2_worst, 1.086e-15),
         ],
     }
 }

@@ -10,8 +10,8 @@
 //!    forget factor. The update — state, projection of each batch onto the
 //!    modes, CholeskyQR2 of the `M x B` residual → inner SVD of the small core
 //!    → `[U | J]·U'_K`, the full `[ff·U·D | A]` stack when the measured
-//!    `UᵀU` is not `I` to within [`ortho_gate`], ingestion loop, checkpoint
-//!    capture — is written once (the private `update` module); a driver
+//!    `UᵀU` cannot be trusted (not finite, or further than ½ from `I`),
+//!    ingestion loop, checkpoint capture — is written once (the private `update` module); a driver
 //!    supplies how small matrices are summed, how a tall matrix is
 //!    QR-factored, and how the first batch is factored.
 //! 2. **Distributed** ([`parallel::ParallelStreamingSvd`]): the same update
@@ -51,4 +51,3 @@ pub use hierarchical::{try_merge_tree_svd, MergeTreePlan, PlanError, TreeMergeIn
 pub use parallel::{parallel_svd_once, IngestError, ParallelStreamingSvd};
 pub use pod::{pod, Pod, StreamingPod};
 pub use serial::{batch_truncated_svd, SerialStreamingSvd};
-pub use update::ortho_gate;

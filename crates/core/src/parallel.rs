@@ -14,8 +14,9 @@
 //!   broadcast back): `Uᵀ[U | A]`, `[U | H]ᵀH` and `[U | J₁]ᵀJ₁`, the last
 //!   two carrying CholeskyQR2's Grams of the `Mᵢ x B` residual;
 //! - TSQR (Benson et al., Listing 4) factors the whole `[ff·U·D | A]`
-//!   stack when the modes measure as not orthonormal, and a residual whose
-//!   Grams refuse CholeskyQR2: local thin QR, R-blocks stacked and
+//!   stack when the modes' summed `UᵀU` cannot be trusted (not finite, or
+//!   further than ½ from `I`), and a residual whose Grams refuse
+//!   CholeskyQR2: local thin QR, R-blocks stacked and
 //!   re-factorized at rank 0, each rank's block of the global Q handed
 //!   back down the same tree in the same collective round together with
 //!   the final `R`.
@@ -283,8 +284,11 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// Ingest a further local batch — Listing 2's `incorporate_data`:
     /// project the modes out of it, factor the residual (CholeskyQR2 over
     /// two Gram allreduces, TSQR when they refuse), SVD the small core on
-    /// every rank, truncate to `K` (the full `ff·U·D` stack when the modes
-    /// measure as not orthonormal).
+    /// every rank, truncate to `K`. The modes need not be orthonormal: the
+    /// measured `UᵀU` is folded into the core. The full `[ff·U·D | A]`
+    /// stack runs instead only when that Gram is not finite, misses `I`
+    /// by more than ½ or has a Cholesky pivot at or below ½, or when the
+    /// residual holds a direction mostly inside the modes' span.
     pub fn incorporate_data(&mut self, a_local: &Matrix<T>) -> &mut Self {
         self.try_incorporate_data(a_local)
             .unwrap_or_else(|e| panic!("incorporate_data failed: {e}"))
@@ -844,13 +848,18 @@ mod tests {
         let payload: usize =
             [(k, k + b), (k + b, b), (k + b, b)].iter().map(|&(r, c)| 16 + 8 * r * c).sum();
         assert_eq!(bytes, (2 * (P - 1) * payload) as u64);
-        // Modes 1e-6 off unit length re-factor the full stack: Uᵀ[U | A],
-        // then TSQR, whose R rides down with each rank's Q block.
-        let scaled: Vec<SvdCheckpoint> = init
-            .iter()
-            .map(|c| SvdCheckpoint { modes: c.modes.map(|x| x * (1.0 + 1e-6)), ..c.clone() })
-            .collect();
-        let (out, _) = run(&scaled, &|r| vec![cols(r, b)]);
+        // Modes 1e-6 off unit length still project: their UᵀU is folded
+        // into the core. Modes scaled by 2 miss I by 3 and re-factor the
+        // full stack: Uᵀ[U | A], then TSQR, whose R rides down with each
+        // rank's Q block.
+        let scaled = |f: f64| -> Vec<SvdCheckpoint> {
+            init.iter()
+                .map(|c| SvdCheckpoint { modes: c.modes.map(|x| x * f), ..c.clone() })
+                .collect()
+        };
+        let (out, _) = run(&scaled(1.0 + 1e-6), &|r| vec![cols(r, b)]);
+        assert_eq!(out, vec![(vec![6], 0, 0); P]);
+        let (out, _) = run(&scaled(2.0), &|r| vec![cols(r, b)]);
         assert_eq!(out, vec![(vec![3], 0, 1); P]);
     }
 

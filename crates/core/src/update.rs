@@ -7,21 +7,22 @@
 //!
 //! - [`factor_truncate`] thin-QRs the whole stack, SVDs the small `R` and
 //!   keeps the leading columns of `Q·U'`. It factors the first batch,
-//!   every merge-tree node, and any update whose modes are not
-//!   orthonormal.
+//!   every merge-tree node, and any update whose Grams the projection
+//!   cannot trust.
 //! - The projection update ([`Tracker::update`]) does not re-factor the
-//!   modes `U`, which are orthonormal already. It projects `U` out of the
-//!   batch twice (`L = UᵀA`, `H = A − U·L`), factors only the `M×B`
-//!   residual `H = J·R`, SVDs the `(K+B)`-square core
-//!   `[[ff·D, L], [0, R]]` and forms `[U | J]·U'`: `O(MKB + MB²)` where
-//!   the full stack costs `O(M(K+B)²)`. Each update first measures
-//!   `G = UᵀU` and takes the full stack instead when `max|G − I|`
-//!   exceeds [`ortho_gate`]. The choice depends on the modes' bits alone,
-//!   so checkpoint restarts and thread counts cannot change it. Below the
-//!   gate, `G`, the measured `UᵀJ` and `JᵀJ` are folded into the core
-//!   through the Cholesky factor of the Gram matrix of `[U | J]`, so
-//!   neither the drift of `U` nor a residual `J` that leans into
-//!   `span(U)` costs accuracy.
+//!   modes `U`. It projects `U` out of the batch twice (`L = UᵀA`,
+//!   `H = A − U·L`), factors only the `M×B` residual `H = J·R`, SVDs the
+//!   `(K+B)`-square core `[[ff·D, L], [0, R]]` and forms `[U | J]·U'`:
+//!   `O(MKB + MB²)` where the full stack costs `O(M(K+B)²)`. `U` need
+//!   not be orthonormal: the measured `G = UᵀU`, `UᵀJ` and `JᵀJ` are
+//!   folded into the core through the Cholesky factor of the Gram matrix
+//!   of `[U | J]`, so neither the drift of `U` nor a residual `J` that
+//!   leans into `span(U)` costs accuracy. Every Gram the update factors
+//!   passes one trust rule ([`trusted_cholesky`]: finite, within ½ of
+//!   `I` where it should be `I`, every pivot above ½ of the one it should
+//!   have); when `G` or the residual's factor fails it, the update takes
+//!   the full stack instead. The choice depends on the Grams' bits alone,
+//!   so checkpoint restarts and thread counts cannot change it.
 //! - The residual is factored by CholeskyQR2 (Yamamoto, Nakatsukasa,
 //!   Yanagisawa & Fukaya 2015): `J₁ = H·chol(HᵀH)⁻¹`, then `J₁ᵀJ₁`
 //!   measured and folded into the core, so the `M`-long work is two Gram
@@ -57,22 +58,10 @@ use psvd_linalg::{Matrix, Scalar};
 use crate::checkpoint::SvdCheckpoint;
 use crate::config::SvdConfig;
 
-/// The orthonormality gate, in ulps (see [`ortho_gate`]).
-const ORTHO_GATE_ULPS: f64 = 1024.0;
-
-/// The smallest pivot the Cholesky factor of the residual basis `J` may
-/// have once `U` is projected out of it: below it, a column of `J` lies
-/// mostly in `span(U)` (a zero residual column gives Householder an
-/// arbitrary unit vector), and the update re-factors the full stack.
-const RESIDUAL_PIVOT_FLOOR: f64 = 0.5;
-
-/// The largest `max|UᵀU − I|` at which a streaming update still projects
-/// the batch onto the modes: 1024 ulps of `T` (2.3e-13 at `f64`). Above
-/// it the update re-factors the full `[ff·U·D | A]` stack, which
-/// re-orthonormalizes the modes. A constant, not a knob.
-pub fn ortho_gate<T: Scalar>() -> f64 {
-    ORTHO_GATE_ULPS * T::EPSILON.to_f64()
-}
+/// The one bound of [`trusted_cholesky`]: a Gram that should be `I` may
+/// miss it by at most ½ in any entry, and every Cholesky pivot must clear
+/// ½ of the pivot the Gram should have. A constant, not a knob.
+const TRUST: f64 = 0.5;
 
 /// The seed of a stream's inner SVD at step `ordinal`: the update count
 /// [`SvdCheckpoint::iteration`] records once the step commits (0 for the
@@ -231,7 +220,8 @@ pub(crate) struct Tracker<T: Scalar> {
     ingest: Matrix<T>,
     /// `max|UᵀU − I|` measured by the latest update.
     ortho_drift: f64,
-    /// Updates that re-factored the full stack because of `ortho_drift`.
+    /// Updates that re-factored the full stack because `G` or the
+    /// residual's factor failed [`trusted_cholesky`].
     full_stack_updates: usize,
     /// Projection updates whose Grams refused CholeskyQR2, so that the
     /// residual went through the driver's tall QR.
@@ -354,9 +344,10 @@ impl<T: Scalar> Tracker<T> {
     }
 
     /// Ingest a further batch `Ai` (`M x B`), down-weighting history by
-    /// the forget factor: the projection update while the modes measure
-    /// orthonormal, the full stack otherwise. A failed step commits
-    /// nothing: modes, σ and both counters stay exactly what they were.
+    /// the forget factor: the projection update while the Grams it factors
+    /// pass [`trusted_cholesky`], the full stack otherwise. A failed step
+    /// commits nothing: modes, σ and both counters stay exactly what they
+    /// were.
     pub(crate) fn update<F: TallQr<T>>(
         &mut self,
         qr: &mut F,
@@ -366,9 +357,7 @@ impl<T: Scalar> Tracker<T> {
             return Ok(());
         }
         let drift = self.measure(qr, ai)?;
-        // NaN fails the comparison, so non-finite modes re-factor too.
-        let gated = drift <= ortho_gate::<T>();
-        let (sigma, projected) = match if gated { self.project(qr, ai)? } else { None } {
+        let (sigma, projected) = match self.project(qr, ai)? {
             Some(sigma) => (sigma, true),
             None => (self.refactor(qr, ai)?, false),
         };
@@ -400,10 +389,12 @@ impl<T: Scalar> Tracker<T> {
 
     /// The projection update, given `G` in `gram` and `L₁` in `proj`;
     /// returns σ with the next modes in the spare buffer, or `None` when
-    /// the residual basis is too close to `span(U)` and the full stack
-    /// must be factored instead. `H` lives in the stack buffer and its
-    /// basis in `q`, so it needs no `O(M)` memory the full stack does not;
-    /// every `B`-square factor comes from the workspace.
+    /// the full stack must be factored instead: `G` fails
+    /// [`trusted_cholesky`] (modes far from orthonormal, or not finite),
+    /// or the residual basis is too close to `span(U)`. `H` lives in the
+    /// stack buffer and its basis in `q`, so it needs no `O(M)` memory the
+    /// full stack does not; every `B`-square factor comes from the
+    /// workspace.
     ///
     /// `H` is factored by CholeskyQR2 ([`cholesky_qr2`]): two Gram sums
     /// that ride collectives the update makes anyway, and one GEMM. When
@@ -442,8 +433,10 @@ impl<T: Scalar> Tracker<T> {
         } = self;
         let (m, k0) = u.shape();
         let b = a.cols();
-        // Within the gate G is I to a few hundred ulps: every pivot is ~1.
-        cholesky_upper(chol, |_| T::ZERO);
+        // Refused before any collective, so every rank returns alike.
+        if !trusted_cholesky(chol, true, |_| T::ONE) {
+            return Ok(None);
+        }
         // H = A − U·G⁻¹L₁.
         coef.reshape_for_overwrite(k0, b);
         coef.as_mut_slice().copy_from_slice(proj.as_slice());
@@ -484,22 +477,22 @@ impl<T: Scalar> Tracker<T> {
         resid_chol.reshape_zeroed(p, p);
         matmul_acc_into(coef.view().transposed(), coef.view(), &mut resid_chol.view_mut());
         resid_chol.as_mut_slice().iter_mut().for_each(|v| *v = -*v);
-        let floor = T::from_f64(RESIDUAL_PIVOT_FLOOR);
-        // The floor is on the pivots of T for an orthonormal J. For
-        // CholeskyQR2's J₁ = J·R₂ the factor is T·R₂, whose pivots are
+        // A pivot of T below ½ is a column of J mostly in span(U) (a zero
+        // residual column gives Householder an arbitrary unit vector).
+        // For CholeskyQR2's J₁ = J·R₂ the factor is T·R₂, whose pivots are
         // those of T times those of R₂.
         let pivots_hold = match basis {
             None => {
                 for i in 0..p {
                     resid_chol[(i, i)] += T::ONE;
                 }
-                cholesky_upper(resid_chol, |_| floor)
+                trusted_cholesky(resid_chol, false, |_| T::ONE)
             }
             Some((jgram, r2)) => {
                 for (v, &g) in resid_chol.as_mut_slice().iter_mut().zip(jgram.as_slice()) {
                     *v += g;
                 }
-                let hold = cholesky_upper(resid_chol, |i| floor * r2[(i, i)]);
+                let hold = trusted_cholesky(resid_chol, false, |i| r2[(i, i)]);
                 ws.give(jgram);
                 ws.give(r2);
                 hold
@@ -635,10 +628,23 @@ fn core_svd<T: Scalar>(
     (Matrix::vstack_owned(vec![top, bot]), s)
 }
 
-/// Overwrite the symmetric `g` with its upper Cholesky factor `S`
-/// (`G = SᵀS`). Returns `false`, leaving `g` garbage, as soon as the
-/// pivot of row `i` is not above `floor(i)` (NaN included).
-fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: impl Fn(usize) -> T) -> bool {
+/// Overwrite the summed Gram `g` with its upper Cholesky factor `S`
+/// (`G = SᵀS`) and say whether the update may build on it: the one trust
+/// rule of every Gram it factors. `false`, leaving `g` garbage, when
+/// `identity` (`g` should be `I`: the modes' `UᵀU`, CholeskyQR2's
+/// `J₁ᵀJ₁`) and `max|g − I| > ½`, when the pivot of row `i` is not above
+/// ½ of `pivot(i)`, the pivot `g` should have, or when `g` or its factor
+/// is not finite (NaN fails every comparison). Every rank holds the same
+/// summed Gram, so every rank decides alike.
+fn trusted_cholesky<T: Scalar>(
+    g: &mut Matrix<T>,
+    identity: bool,
+    pivot: impl Fn(usize) -> T,
+) -> bool {
+    let near = !identity || identity_deviation(g) <= TRUST;
+    if !near {
+        return false;
+    }
     let n = g.rows();
     for i in 0..n {
         for k in 0..i {
@@ -648,7 +654,7 @@ fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: impl Fn(usize) -> T) -> b
                 g[(i, jj)] -= f * v;
             }
         }
-        let (d2, f) = (g[(i, i)], floor(i));
+        let (d2, f) = (g[(i, i)], T::from_f64(TRUST) * pivot(i));
         if d2.partial_cmp(&(f * f)) != Some(std::cmp::Ordering::Greater) {
             return false;
         }
@@ -656,7 +662,7 @@ fn cholesky_upper<T: Scalar>(g: &mut Matrix<T>, floor: impl Fn(usize) -> T) -> b
         g.row_mut(i)[i..].iter_mut().for_each(|v| *v /= d);
         g.row_mut(i)[..i].iter_mut().for_each(|v| *v = T::ZERO);
     }
-    true
+    g.all_finite()
 }
 
 /// `max|G − I|` of the square `g`; NaN unless every entry is finite.
@@ -694,11 +700,10 @@ type BasisGram<T> = (Matrix<T>, Matrix<T>);
 /// `r`, `UᵀJ₁` to `y`, and the summed `J₁ᵀJ₁` and `R₂` are returned for
 /// the core to fold in.
 ///
-/// `None`, with `H` untouched, when the Grams say the pass cannot be
-/// trusted: a pivot of `R₁` is not finite and positive (rounding in
-/// `HᵀH` has taken `H`'s rank), or `max|J₁ᵀJ₁ − I| > ½`, beyond which
+/// `None`, with `H` untouched, when a Gram fails [`trusted_cholesky`]:
+/// a pivot of `R₁` is not finite and positive (rounding in `HᵀH` has
+/// taken `H`'s rank), or `J₁ᵀJ₁` misses `I` by more than ½, beyond which
 /// one more pass no longer certifies working-precision orthogonality.
-/// Every rank holds the same summed Grams, so every rank decides alike.
 #[allow(clippy::too_many_arguments)]
 fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
     qr: &mut F,
@@ -711,7 +716,7 @@ fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
     r: &mut Matrix<T>,
 ) -> Result<Option<BasisGram<T>>, F::Error> {
     let (k0, b) = (u.cols(), h.cols());
-    if !(cholesky_upper(&mut hgram, |_| T::ZERO) && hgram.all_finite()) {
+    if !trusted_cholesky(&mut hgram, false, |_| T::ZERO) {
         ws.give(hgram);
         return Ok(None);
     }
@@ -729,7 +734,7 @@ fn cholesky_qr2<T: Scalar, F: TallQr<T>>(
     jgram.view_mut().copy_from(sums.block(k0, k0 + b, 0, b));
     let mut r2 = ws.take(b, b);
     r2.as_mut_slice().copy_from_slice(jgram.as_slice());
-    let trusted = identity_deviation(&jgram) <= 0.5 && cholesky_upper(&mut r2, |_| T::ZERO);
+    let trusted = trusted_cholesky(&mut r2, true, |_| T::ONE);
     if trusted {
         y.view_mut().copy_from(sums.block(0, k0, 0, b));
         r.clone_from(&hgram);
@@ -854,8 +859,10 @@ macro_rules! forward_tracker_accessors {
             self.tracker.ortho_drift()
         }
 
-        /// How many updates re-factored the full stack because their
-        /// modes measured above `psvd_core::ortho_gate`.
+        /// How many updates re-factored the full stack instead of
+        /// projecting: their modes' `UᵀU` was not finite, missed `I` by
+        /// more than ½ or had a Cholesky pivot at or below ½, or the
+        /// residual held a direction mostly inside the modes' span.
         pub fn full_stack_updates(&self) -> usize {
             self.tracker.full_stack_updates()
         }

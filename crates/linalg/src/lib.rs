@@ -2,8 +2,8 @@
 //!
 //! Dense linear-algebra substrate for the PyParSVD reproduction: a row-major
 //! [`Matrix`], blocked GEMM kernels, Householder QR, two SVD kernels
-//! (Golub–Kahan and one-sided Jacobi), a symmetric Jacobi eigensolver, the
-//! method of snapshots, and randomized range-finder / SVD routines.
+//! (Golub–Kahan and one-sided Jacobi), the method of snapshots, and
+//! randomized range-finder / SVD routines.
 //!
 //! Everything is implemented from scratch (no BLAS/LAPACK), sized for the
 //! regime the paper targets: data matrices that are very tall (`M >> N`)
@@ -23,7 +23,6 @@
 //! assert!(f.s.windows(2).all(|w| w[0] >= w[1]));
 //! ```
 
-pub mod eig;
 pub mod gemm;
 pub mod matrix;
 pub mod norms;

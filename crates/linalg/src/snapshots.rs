@@ -2,29 +2,26 @@
 //!
 //! For a tall snapshot matrix `A` (`M x N`, `M >> N`) the right singular
 //! vectors are the eigenvectors of `AᵀA` and the singular values are the
-//! square roots of its eigenvalues. This is the per-rank local stage of
-//! APMOS (Algorithm 2, step 1): each rank computes `(Ṽⁱ, Σ̃ⁱ)` from its own
-//! row block without ever forming global objects.
+//! square roots of its eigenvalues. For the symmetric positive
+//! semi-definite `AᵀA` the SVD is that eigendecomposition, so the library's
+//! one small SVD serves. This is the per-rank local stage of APMOS
+//! (Algorithm 2, step 1): each rank computes `(Ṽⁱ, Σ̃ⁱ)` from its own row
+//! block without ever forming global objects.
 
-use crate::eig::sym_eig;
 use crate::gemm::matmul_tn;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::svd::svd;
 
 /// Right singular vectors and singular values of `a` via the method of
 /// snapshots: returns `(V_k, s_k)` with `V_k ∈ R^{N x k}` and `s_k`
-/// descending, where `k = min(k_request, N)`.
-///
-/// Eigenvalues that are numerically negative (round-off from the Gram
-/// accumulation) are clamped to zero.
+/// descending, where `k = min(k_request, N)`: the leading left singular
+/// vectors of `AᵀA` and the square roots of its singular values.
 pub fn generate_right_vectors<T: Scalar>(a: &Matrix<T>, k: usize) -> (Matrix<T>, Vec<T>) {
-    let n = a.cols();
-    let k = k.min(n);
-    let g = matmul_tn(a, a);
-    let e = sym_eig(&g);
-    let s: Vec<T> = e.values[..k].iter().map(|&l| l.max(T::ZERO).sqrt()).collect();
-    let v = e.vectors.first_columns(k);
-    (v, s)
+    let k = k.min(a.cols());
+    let f = svd(&matmul_tn(a, a));
+    let s = f.s[..k].iter().map(|&l| l.sqrt()).collect();
+    (f.u.first_columns(k), s)
 }
 
 #[cfg(test)]
@@ -32,7 +29,6 @@ mod tests {
     use super::*;
     use crate::norms::orthogonality_error;
     use crate::random::{matrix_with_spectrum, seeded_rng};
-    use crate::svd::svd;
 
     #[test]
     fn matches_svd_right_vectors() {
